@@ -3,8 +3,9 @@
 This package promotes the batch-at-a-time
 :class:`~repro.store.RouteService` into a long-running server:
 
-* :mod:`repro.serve.protocol` — length-prefixed JSON frames, the
-  request/response shapes, and the bit-exact
+* :mod:`repro.serve.protocol` — ``tz-serve/v2`` length-prefixed
+  frames (a JSON header plus raw array blobs in the store's blob
+  layout), the request/response shapes, and the bit-exact
   :class:`~repro.sim.engine.batch.BatchResult` wire codec;
 * :mod:`repro.serve.lru` — :class:`SchemeLRU`, the capacity bound on
   open ``(graph, k, kernel)`` tenants (evict → re-mmap on next hit);

@@ -10,6 +10,10 @@ server.  The moving parts, and the guarantees each one carries:
   path.  Open tenants live in a capacity-bounded
   :class:`~repro.serve.lru.SchemeLRU`; an evicted tenant is re-mmapped
   on its next hit with bit-identical answers.
+* **Admission checks** — a route request's ``pairs`` must be an
+  integer ``(m, 2)`` array, its ``ttl`` a non-negative int, and its
+  answer must fit one frame; anything else is answered
+  ``{"error": "bad-request"}`` and never routed.
 * **Bounded queue + backpressure** — route requests land in one
   bounded :class:`asyncio.Queue`.  A full queue answers
   ``{"error": "backpressure"}`` immediately instead of stalling the
@@ -59,6 +63,7 @@ from .protocol import (
     error_response,
     read_frame_async,
     result_to_wire,
+    route_answer_bytes,
 )
 
 
@@ -77,6 +82,8 @@ class _QueuedRequest:
 
     conn: _Connection
     request: dict
+    pairs: np.ndarray
+    ttl: Optional[int]
     enqueued_at: float
 
 
@@ -298,7 +305,15 @@ class RouteDaemon:
                 ),
             )
             return True
-        item = _QueuedRequest(conn, request, perf_counter())
+        try:
+            pairs, ttl = self._parse_route(request)
+        except ProtocolError as exc:
+            self.stats["errors"] += 1
+            await self._respond(
+                conn, self._echo_id(request, error_response("bad-request", str(exc)))
+            )
+            return True
+        item = _QueuedRequest(conn, request, pairs, ttl, perf_counter())
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
@@ -364,13 +379,17 @@ class RouteDaemon:
             return self._echo_id(
                 request, error_response("unknown-scheme", str(exc))
             )
-        try:
-            pairs = self._parse_pairs(request, service.n)
-        except ProtocolError as exc:
+        pairs, ttl = item.pairs, item.ttl
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= service.n):
             self.stats["errors"] += 1
-            return self._echo_id(request, error_response("bad-request", str(exc)))
-        ttl = request.get("ttl")
-        ttl = None if ttl is None else int(ttl)
+            return self._echo_id(
+                request,
+                error_response(
+                    "bad-request",
+                    f"pair endpoints must be in [0, {service.n}); got "
+                    f"[{pairs.min()}, {pairs.max()}]",
+                ),
+            )
         loop = asyncio.get_running_loop()
         with tm.span("serve.request", pairs=int(pairs.shape[0])):
             try:
@@ -425,28 +444,41 @@ class RouteDaemon:
         result = service.route(pairs, ttl=ttl)
         return result, service.version, service.meta.get("key")
 
-    @staticmethod
-    def _parse_pairs(request: dict, n: int) -> np.ndarray:
-        """Validate the request's pair matrix against the tenant size."""
+    def _parse_route(self, request: dict) -> tuple:
+        """Validate a route request's ``pairs`` and ``ttl`` at admission.
+
+        ``pairs`` must be an integer-kind ``(m, 2)`` array (a blob, or a
+        JSON list of ints) whose answer fits in one frame, and ``ttl``
+        absent, null or a non-negative int.  Returns ``(pairs as int64,
+        ttl)``; raises :class:`ProtocolError` otherwise.  Endpoint ranges
+        are checked against the tenant once a worker has opened it.
+        """
         raw = request.get("pairs")
         if raw is None:
             raise ProtocolError("route request carries no 'pairs'")
         try:
-            pairs = np.asarray(raw, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"pairs are not an integer matrix: {exc}") from exc
+            pairs = np.asarray(raw)
+        except ValueError as exc:  # a ragged list
+            raise ProtocolError(f"pairs are not a matrix: {exc}") from exc
         if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
+            pairs = pairs.reshape(0, 2).astype(np.int64)
+        if pairs.dtype.kind not in "iu":
+            raise ProtocolError(f"pairs must be integers, got dtype {pairs.dtype}")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ProtocolError(
                 f"pairs must be an (m, 2) matrix, got shape {pairs.shape}"
             )
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        answer = route_answer_bytes(pairs.shape[0])
+        if answer > self.max_frame_bytes:
             raise ProtocolError(
-                f"pair endpoints must be in [0, {n}); got "
-                f"[{pairs.min()}, {pairs.max()}]"
+                f"the answer to {pairs.shape[0]} pairs would take up to "
+                f"{answer} bytes, over the {self.max_frame_bytes}-byte frame "
+                f"limit; split the batch"
             )
-        return pairs
+        ttl = request.get("ttl")
+        if ttl is not None and (type(ttl) is not int or ttl < 0):
+            raise ProtocolError(f"ttl must be a non-negative integer, got {ttl!r}")
+        return pairs.astype(np.int64, copy=False), ttl
 
     @staticmethod
     def _echo_id(request: dict, response: dict) -> dict:

@@ -20,9 +20,15 @@ returns **views into one memory map** — no array byte is copied or even
 paged in until routing touches it.  That is what makes a saved scheme
 usable in milliseconds regardless of size.
 
+The blob layout is one codec pair, :func:`pack_blobs` /
+:func:`unpack_blobs`, which the serving protocol
+(:mod:`repro.serve.protocol`) also uses for the arrays of its frames:
+disk and wire share one layout and one validator.
+
 Every malformed-input path raises :class:`~repro.errors.EncodingError`
 (bad magic, unsupported version, header corruption, truncation, arrays
-pointing outside the file), so a damaged store file can never be
+pointing outside the file, negative dims, dtypes other than
+little-endian bool or numeric), so a damaged store file can never be
 mistaken for a scheme.  Flipped bits *inside* array blobs are invisible
 to the zero-copy open by design; pass ``verify_data=True`` (or use the
 store's strict mode) to pay one sequential read and check the data
@@ -34,10 +40,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -45,20 +52,103 @@ from ..errors import EncodingError
 
 MAGIC = b"TZSCHEME"
 FORMAT_VERSION = 1
-_ALIGN = 64
+#: Byte alignment of every blob, relative to the start of its data section.
+BLOB_ALIGN = 64
+#: dtype kinds a blob may hold: bool, signed and unsigned int, float, complex.
+BLOB_KINDS = "biufc"
 _PREAMBLE = len(MAGIC) + 4 + 8 + 4
 _tmp_counter = itertools.count().__next__
 
 
-def _align(offset: int) -> int:
-    """Round ``offset`` up to the container's 64-byte alignment."""
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+def align(offset: int) -> int:
+    """Round ``offset`` up to the 64-byte blob alignment."""
+    return (offset + BLOB_ALIGN - 1) // BLOB_ALIGN * BLOB_ALIGN
 
 
 def _le(array: np.ndarray) -> np.ndarray:
     """The array in little-endian byte order (no copy when already LE)."""
     dt = array.dtype.newbyteorder("<")
     return np.ascontiguousarray(array, dtype=dt)
+
+
+def pack_blobs(arrays: Dict[str, np.ndarray]) -> Tuple[dict, list, int]:
+    """Lay out ``arrays``, in their given order, as one blob data section.
+
+    Returns ``(manifest, blobs, data_bytes)``: the ``{name: {dtype,
+    shape, offset, nbytes}}`` manifest, one ``(offset, bytes)`` pair per
+    array where ``bytes`` is a flat ``uint8`` view of the array's
+    little-endian contiguous form (no copy when the array already is),
+    and the length of the section.  Offsets are 64-byte aligned and
+    relative to the section start.  Dtypes outside :data:`BLOB_KINDS`
+    raise :class:`~repro.errors.EncodingError`.
+    """
+    manifest = {}
+    blobs = []
+    offset = 0
+    for name, value in arrays.items():
+        arr = _le(np.asarray(value))
+        if arr.dtype.kind not in BLOB_KINDS:
+            raise EncodingError(f"array {name!r} has unsupported dtype {arr.dtype}")
+        offset = align(offset)
+        manifest[name] = {
+            "dtype": arr.dtype.str,
+            "shape": list(arr.shape),
+            "offset": offset,
+            "nbytes": int(arr.nbytes),
+        }
+        blobs.append((offset, arr.reshape(-1).view(np.uint8)))
+        offset += arr.nbytes
+    return manifest, blobs, offset
+
+
+def blob_chunks(blobs: list) -> Iterator:
+    """The data section of :func:`pack_blobs` as buffers: zero gaps, blobs."""
+    pos = 0
+    for off, blob in blobs:
+        if off > pos:
+            yield bytes(off - pos)
+        yield blob
+        pos = off + blob.nbytes
+
+
+def _dim(value) -> int:
+    """One manifest integer: a non-negative JSON int (never a bool)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{value!r} is not a non-negative integer")
+    return value
+
+
+def unpack_blobs(manifest: dict, data: np.ndarray) -> Dict[str, np.ndarray]:
+    """Validate ``manifest`` against a ``uint8`` data section; return views.
+
+    The inverse of :func:`pack_blobs` and the one validator for every
+    blob read from outside, on disk or on the wire: each entry must name
+    a little-endian dtype of a kind in :data:`BLOB_KINDS`, a shape of
+    non-negative ints whose size matches ``nbytes``, and a byte range
+    inside ``data``.  Anything else raises
+    :class:`~repro.errors.EncodingError`.  Arrays are views into
+    ``data``; nothing is copied.
+    """
+    if not isinstance(manifest, dict):
+        raise EncodingError("array manifest is not a JSON object")
+    arrays: Dict[str, np.ndarray] = {}
+    for name, spec in manifest.items():
+        try:
+            dtype = np.dtype(spec["dtype"])
+            shape = tuple(_dim(s) for s in spec["shape"])
+            off = _dim(spec["offset"])
+            nbytes = _dim(spec["nbytes"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise EncodingError(f"malformed manifest entry {name!r}: {exc}") from exc
+        if dtype.kind not in BLOB_KINDS or dtype != dtype.newbyteorder("<"):
+            raise EncodingError(
+                f"array {name!r} has dtype {dtype.str}, not a little-endian "
+                f"bool or numeric one"
+            )
+        if nbytes != dtype.itemsize * math.prod(shape) or off + nbytes > data.shape[0]:
+            raise EncodingError(f"array {name!r} points outside the data section")
+        arrays[name] = data[off : off + nbytes].view(dtype).reshape(shape)
+    return arrays
 
 
 def write_container(
@@ -70,31 +160,13 @@ def write_container(
 
     Arrays are laid out 64-byte aligned in sorted-name order; the header
     records the manifest and a SHA-256 over the whole data section.
+    Each blob is hashed and written from the same view of the array's
+    memory, never copied.
     """
-    manifest = {}
-    offset = 0
-    ordered = sorted(arrays)
+    manifest, blobs, data_bytes = pack_blobs({name: arrays[name] for name in sorted(arrays)})
     digest = hashlib.sha256()
-    blobs = []
-    for name in ordered:
-        arr = _le(np.asarray(arrays[name]))
-        offset = _align(offset)
-        manifest[name] = {
-            "dtype": arr.dtype.str,
-            "shape": list(arr.shape),
-            "offset": offset,
-            "nbytes": int(arr.nbytes),
-        }
-        blobs.append((offset, arr))
-        offset += arr.nbytes
-    data_bytes = offset
-
-    pos = 0
-    for off, arr in blobs:
-        if off > pos:
-            digest.update(bytes(off - pos))
-        digest.update(arr.tobytes())
-        pos = off + arr.nbytes
+    for chunk in blob_chunks(blobs):
+        digest.update(chunk)
 
     header = {
         "format_version": FORMAT_VERSION,
@@ -104,7 +176,7 @@ def write_container(
         "data_sha256": digest.hexdigest(),
     }
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
-    data_start = _align(_PREAMBLE + len(hjson))
+    data_start = align(_PREAMBLE + len(hjson))
 
     path = Path(path)
     # Unique per-writer tmp name: concurrent writers of the same key each
@@ -118,13 +190,8 @@ def write_container(
         fh.write(np.uint32(zlib.crc32(hjson)).tobytes())
         fh.write(hjson)
         fh.write(bytes(data_start - _PREAMBLE - len(hjson)))
-        pos = 0
-        for off, arr in blobs:
-            if off > pos:
-                fh.write(bytes(off - pos))
-            fh.write(arr.tobytes())
-            pos = off + arr.nbytes
-        fh.write(bytes(data_bytes - pos))
+        for chunk in blob_chunks(blobs):
+            fh.write(chunk)
     tmp.replace(path)  # atomic: readers never observe a half-written store
     return header
 
@@ -180,33 +247,23 @@ def read_container(
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _fail(path, f"header is not valid JSON: {exc}") from exc
 
-    data_start = _align(_PREAMBLE + hlen)
-    data_bytes = int(header.get("data_bytes", -1))
-    if data_bytes < 0 or data_start + data_bytes > size:
+    if not isinstance(header, dict):
+        raise _fail(path, "header is not a JSON object")
+    data_start = align(_PREAMBLE + hlen)
+    data_bytes = header.get("data_bytes")
+    if type(data_bytes) is not int or data_bytes < 0 or data_start + data_bytes > size:
         raise _fail(
             path,
             f"truncated data section: header promises {data_bytes} bytes "
             f"at {data_start}, file has {size}",
         )
+    data = raw[data_start : data_start + data_bytes]
     if verify_data:
-        digest = hashlib.sha256(
-            bytes(raw[data_start : data_start + data_bytes])
-        ).hexdigest()
+        digest = hashlib.sha256(data).hexdigest()
         if digest != header.get("data_sha256"):
             raise _fail(path, "data checksum mismatch (corrupted arrays)")
-
-    arrays: Dict[str, np.ndarray] = {}
-    for name, spec in header.get("arrays", {}).items():
-        try:
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(int(s) for s in spec["shape"])
-            off = int(spec["offset"])
-            nbytes = int(spec["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _fail(path, f"malformed manifest entry {name!r}") from exc
-        want = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        if nbytes != want or off < 0 or off + nbytes > data_bytes:
-            raise _fail(path, f"array {name!r} points outside the data section")
-        start = data_start + off
-        arrays[name] = raw[start : start + nbytes].view(dtype).reshape(shape)
+    try:
+        arrays = unpack_blobs(header.get("arrays", {}), data)
+    except EncodingError as exc:
+        raise _fail(path, str(exc)) from exc
     return header, arrays

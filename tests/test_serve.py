@@ -2,9 +2,10 @@
 
 The load-bearing contracts:
 
-* the wire codec round-trips ``BatchResult`` **bit for bit** (float64
-  weights survive JSON because Python serializes the shortest
-  round-tripping repr);
+* the ``tz-serve/v2`` codec round-trips ``BatchResult`` **bit for bit**
+  (columns travel as raw little-endian blobs in their exact dtypes),
+  a frame with no arrays is exactly its v1 JSON encoding, and every
+  malformed manifest or route field is refused with a clean error;
 * the scheme LRU never exceeds its capacity, evicts in LRU order, and
   an evicted tenant re-mmapped on its next hit answers bit-identically;
 * the daemon sheds overload with explicit ``backpressure`` errors and
@@ -17,6 +18,7 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -47,7 +49,12 @@ from repro.serve import (
     zipf_traffic,
     zipf_weights,
 )
-from repro.serve.protocol import ERROR_CODES, decode_payload, error_response
+from repro.serve.protocol import (
+    ERROR_CODES,
+    decode_payload,
+    error_response,
+    route_answer_bytes,
+)
 from repro.sim.engine.batch import BatchResult, BatchRouter
 from repro.sim.engine.compile import compile_from_arrays
 from repro.store import RouteService, SchemeStore
@@ -126,13 +133,92 @@ class running_daemon:
 # ---------------------------------------------------------------------------
 # protocol
 # ---------------------------------------------------------------------------
+def _frame_parts(frame: bytes):
+    """Split a blob frame into (JSON header dict, payload, data start)."""
+    payload = frame[4:]
+    end = payload.index(b"\0")
+    return json.loads(payload[:end]), payload, -(-(end + 1) // 64) * 64
+
+
+def _with_header(frame: bytes, header: dict) -> bytes:
+    """Re-frame ``frame``'s blob data section under a different header."""
+    _, payload, start = _frame_parts(frame)
+    hjson = json.dumps(header).encode()
+    head = hjson + bytes(-(-(len(hjson) + 1) // 64) * 64 - len(hjson))
+    body = head + payload[start:]
+    return struct.pack(">I", len(body)) + body
+
+
+def _result_columns(n, m, seed) -> BatchResult:
+    rng = np.random.default_rng(seed)
+    return BatchResult(
+        source=rng.integers(0, n, m).astype(np.int64),
+        dest=rng.integers(0, n, m).astype(np.int64),
+        delivered=rng.random(m) < 0.9,
+        weight=rng.random(m) * rng.integers(1, 1000, m),
+        hops=rng.integers(0, 30, m).astype(np.int64),
+        tree=rng.integers(-1, n, m).astype(np.int64),
+        max_header_bits=rng.integers(0, 200, m).astype(np.int64),
+        failure_code=rng.integers(0, 4, m).astype(np.int8),
+    )
+
+
+#: Named tamperings of a ``pairs`` frame's manifest entry; each must be refused.
+MANIFEST_CORRUPTIONS = {
+    "negative-dims": lambda e: e.update(shape=[-2, -4]),
+    "object-dtype": lambda e: e.update(dtype="|O"),
+    "unicode-dtype": lambda e: e.update(dtype="<U4"),
+    "big-endian": lambda e: e.update(dtype=">i8"),
+    "bad-dtype": lambda e: e.update(dtype="not-a-dtype"),
+    "float-dim": lambda e: e.update(shape=[2.5, 2]),
+    "bool-dim": lambda e: e.update(shape=[True, 2]),
+    "nbytes-mismatch": lambda e: e.update(nbytes=e["nbytes"] + 8),
+    "past-the-end": lambda e: e.update(offset=64),
+    "negative-offset": lambda e: e.update(offset=-64),
+    "missing-field": lambda e: e.pop("offset"),
+    "unknown-fields": lambda e: e.clear() or e.update(x=1),
+}
+
+
 class TestProtocol:
     def test_frame_roundtrip(self):
         obj = {"op": "route", "pairs": [[0, 1]], "id": "x", "ttl": None}
         frame = encode_frame(obj)
         (length,) = struct.unpack(">I", frame[:4])
         assert length == len(frame) - 4
-        assert decode_payload(frame[4:]) == obj
+        back = decode_payload(frame[4:])
+        pairs = back.pop("pairs")  # an int list still travels as a blob
+        assert pairs.dtype == np.int64 and pairs.tolist() == obj["pairs"]
+        assert back == {k: v for k, v in obj.items() if k != "pairs"}
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"op": "ping"},
+            {"op": "route", "pairs": [], "id": 3},
+            {"op": "route", "pairs": [[0.5, 1.5]], "ttl": 2},
+            {"op": "route", "pairs": [[0, 1], [2]]},
+            {"ok": True, "op": "stats", "stats": {"requests": 4}},
+            error_response("bad-request", "why", id=[1, "a"]),
+        ],
+    )
+    def test_arrayless_frame_is_v1_json(self, obj):
+        payload = json.dumps(obj, separators=(",", ":")).encode()
+        assert encode_frame(obj) == struct.pack(">I", len(payload)) + payload
+        assert decode_payload(payload) == obj
+
+    def test_blob_frame_layout_and_views(self):
+        pairs = np.arange(10, dtype=np.int64).reshape(5, 2)
+        frame = encode_frame({"op": "route", "pairs": pairs, "id": 1})
+        header, payload, start = _frame_parts(frame)
+        assert header["arrays"] == {
+            "pairs": {"dtype": "<i8", "shape": [5, 2], "offset": 0, "nbytes": 80}
+        }
+        assert payload[start : start + 80] == pairs.tobytes()
+        buf = bytearray(payload)  # the client's receive buffer
+        back = decode_payload(buf)["pairs"]
+        assert np.array_equal(back, pairs)
+        assert np.shares_memory(back, np.frombuffer(buf, dtype=np.uint8))
 
     def test_decode_rejects_garbage_and_non_objects(self):
         with pytest.raises(ProtocolError):
@@ -141,6 +227,33 @@ class TestProtocol:
             decode_payload(b"[1, 2, 3]")
         with pytest.raises(ProtocolError):
             decode_payload(b"\xff\xfe")
+        with pytest.raises(ProtocolError):  # NUL-delimited, no manifest
+            decode_payload(b'{"op":"route"}\0')
+
+    @pytest.mark.parametrize("corruption", sorted(MANIFEST_CORRUPTIONS))
+    def test_blob_manifest_corruption_matrix(self, corruption):
+        frame = encode_frame({"op": "route", "pairs": np.zeros((4, 2), np.int64)})
+        header, _, _ = _frame_parts(frame)
+        MANIFEST_CORRUPTIONS[corruption](header["arrays"]["pairs"])
+        with pytest.raises(ProtocolError):
+            decode_payload(_with_header(frame, header)[4:])
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"op": "route", "pairs": 1},          # blob collides with a field
+            {"op": "route", "result": 7},         # nested blob under a scalar
+            {"op": "route", "arrays": [1, 2]},    # manifest not an object
+        ],
+    )
+    def test_blob_placement_is_checked(self, header):
+        frame = encode_frame({"op": "route", "pairs": np.zeros((1, 2), np.int64),
+                              "result": {"x": np.zeros(1)}})
+        manifest, _, _ = _frame_parts(frame)
+        if "arrays" not in header:
+            header = dict(header, arrays=manifest["arrays"])
+        with pytest.raises(ProtocolError):
+            decode_payload(_with_header(frame, header)[4:])
 
     def test_error_response_shape(self):
         for code in ERROR_CODES:
@@ -151,41 +264,68 @@ class TestProtocol:
         n=st.integers(min_value=2, max_value=50),
         m=st.integers(min_value=0, max_value=40),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        big_endian=st.booleans(),
+        stride=st.integers(min_value=1, max_value=3),
+        receive_buffer=st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_result_codec_bit_identity(self, n, m, seed):
+    @settings(max_examples=60, deadline=None)
+    def test_result_codec_bit_identity(
+        self, n, m, seed, big_endian, stride, receive_buffer
+    ):
         """Arbitrary result columns survive the wire bit for bit —
-        including float64 weights that are not short decimals."""
-        rng = np.random.default_rng(seed)
-        result = BatchResult(
-            source=rng.integers(0, n, m).astype(np.int64),
-            dest=rng.integers(0, n, m).astype(np.int64),
-            delivered=rng.random(m) < 0.9,
-            weight=rng.random(m) * rng.integers(1, 1000, m),
-            hops=rng.integers(0, 30, m).astype(np.int64),
-            tree=rng.integers(-1, n, m).astype(np.int64),
-            max_header_bits=rng.integers(0, 200, m).astype(np.int64),
-            failure_code=rng.integers(0, 4, m).astype(np.int8),
-        )
-        wire = result_to_wire(result)
-        decoded = result_from_wire(decode_payload(encode_frame(wire)[4:]))
-        assert_results_identical(result, decoded)
+        float64 weights that are not short decimals, big-endian inputs
+        and non-contiguous slices included."""
+        full = _result_columns(n, m * stride, seed)
+        result = BatchResult(**{
+            col: (
+                getattr(full, col)[::stride].astype(
+                    getattr(full, col).dtype.newbyteorder(">")
+                )
+                if big_endian
+                else getattr(full, col)[::stride]
+            )
+            for col in RESULT_COLS
+        })
+        payload = encode_frame({"ok": True, "result": result_to_wire(result)})[4:]
+        if receive_buffer:
+            payload = bytearray(payload)
+        decoded = result_from_wire(decode_payload(payload)["result"])
+        expect = result_to_wire(_result_columns(n, m * stride, seed))
+        for col in RESULT_COLS:
+            got = getattr(decoded, col)
+            want = expect[col][::stride]
+            assert got.dtype == want.dtype.newbyteorder("<"), col
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), col
 
     def test_result_from_wire_rejects_malformed(self):
         with pytest.raises(ProtocolError):
-            result_from_wire({"source": [0]})  # columns missing
-        wire = result_to_wire(
-            BatchResult(**{
-                c: np.zeros(1, dtype=d)
-                for c, d in zip(RESULT_COLS, (
-                    np.int64, np.int64, np.bool_, np.float64,
-                    np.int64, np.int64, np.int64, np.int8,
-                ))
-            })
-        )
-        wire["weight"] = ["NaN-ish garbage"]
+            result_from_wire({"source": np.zeros(1, np.int64)})  # columns missing
         with pytest.raises(ProtocolError):
-            result_from_wire(wire)
+            result_from_wire([1, 2])
+        good = result_to_wire(_result_columns(10, 2, 0))
+        result_from_wire(good)
+        for name, bad in (
+            ("weight", ["NaN-ish garbage"]),
+            ("weight", [0.5, 1.5]),                     # a list, not a blob
+            ("weight", good["weight"].astype(np.float32)),
+            ("source", good["source"].astype(np.int32)),
+            ("delivered", good["delivered"].astype(np.int8)),
+            ("source", good["source"][:1]),             # ragged
+            ("dest", good["dest"].reshape(1, 2)),       # not 1-D
+        ):
+            with pytest.raises(ProtocolError):
+                result_from_wire(dict(good, **{name: bad}))
+
+    @pytest.mark.parametrize("m", [0, 1, 63, 4097, 100_000])
+    def test_route_answer_bytes_bounds_the_answer(self, m):
+        response = {
+            "ok": True, "op": "route", "version": 12, "key": "k" * 64,
+            "seconds": 0.123456789, "id": "request-tag",
+            "result": result_to_wire(_result_columns(50, m, m)),
+        }
+        size = len(encode_frame(response))
+        assert size <= route_answer_bytes(m) <= size + 4096 + 64 * 9
+        assert route_answer_bytes(m) - route_answer_bytes(0) >= 50 * m
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +473,7 @@ class TestDaemon:
             with rd.client() as c:
                 pong = c.request({"op": "ping"})
                 assert pong["ok"] and pong["pid"] == os.getpid()
+                assert pong["protocol"] == 2
                 desc = c.request({"op": "describe"})
                 assert desc["ok"] and desc["n"] == graph.n and desc["k"] == 2
                 resp = c.request(
@@ -412,6 +553,27 @@ class TestDaemon:
                     assert resp["error"] == "bad-request", bad
                 # the connection survived every error
                 assert c.request({"op": "ping"})["ok"]
+
+    def test_answer_over_frame_limit_is_refused_before_routing(self, tmp_path):
+        """A batch whose answer cannot fit one frame is refused at
+        admission (its request frame itself fits), and the stream stays
+        in sync; the largest admitted batch's answer is readable."""
+        store, key, graph, *_ = publish_scheme(tmp_path, seed=43)
+        limit = 64 * 1024
+        fit = (limit - route_answer_bytes(0) - 8 * 64) // 50
+        assert route_answer_bytes(fit) <= limit < route_answer_bytes(fit + 200)
+        pairs = np.zeros((fit + 200, 2), dtype=np.int64)
+        pairs[:, 1] = 1
+        with running_daemon(
+            tmp_path, default_scheme=key, max_frame_bytes=limit
+        ) as rd:
+            with rd.client() as c:
+                resp = c.request({"op": "route", "pairs": pairs, "id": 1})
+                assert resp["error"] == "bad-request" and resp["id"] == 1
+                assert "frame limit" in resp["message"]
+                resp = c.request({"op": "route", "pairs": pairs[:fit]}, max_bytes=limit)
+                assert resp["ok"] and resp["result"]["source"].shape == (fit,)
+                assert c.request({"op": "stats"})["stats"]["routed_pairs"] == fit
 
     def test_backpressure_sheds_and_stays_responsive(self, tmp_path):
         store, key, graph, *_ = publish_scheme(tmp_path, seed=51)
@@ -529,6 +691,58 @@ class TestDaemon:
             rd.daemon._draining = False
 
 
+class TestRouteValidation:
+    """Malformed route fields are refused with ``bad-request``, unrouted."""
+
+    @pytest.fixture(scope="class")
+    def live(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("validation")
+        store, key, graph, ported, arrays = publish_scheme(tmp_path, seed=45)
+        with running_daemon(tmp_path, default_scheme=key) as rd:
+            yield rd, BatchRouter.from_compiled(compile_from_arrays(arrays, ported))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"pairs": [[0.9, 1.7]]},
+            {"pairs": [[True, False]]},
+            {"pairs": [["1", "2"]]},
+            {"pairs": [[0, 1], [2]]},
+            {"pairs": np.array([[0.0, 1.0]])},
+            {"pairs": np.array([[True, False]])},
+            {"pairs": [[0, 1]], "ttl": "abc"},
+            {"pairs": [[0, 1]], "ttl": 2.7},
+            {"pairs": [[0, 1]], "ttl": -1},
+            {"pairs": [[0, 1]], "ttl": True},
+        ],
+        ids=[
+            "float-list", "bool-list", "string-list", "ragged-list",
+            "float-blob", "bool-blob", "ttl-string", "ttl-float",
+            "ttl-negative", "ttl-bool",
+        ],
+    )
+    def test_malformed_route_input_is_refused(self, live, fields):
+        rd, _ = live
+        with rd.client() as c:
+            before = c.request({"op": "stats"})["stats"]["routed_pairs"]
+            resp = c.request({"op": "route", "id": 9, **fields})
+            assert not resp["ok"] and resp["error"] == "bad-request", resp
+            assert resp["id"] == 9
+            assert c.request({"op": "stats"})["stats"]["routed_pairs"] == before
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    @pytest.mark.parametrize("ttl", [None, 0, 5])
+    def test_integer_pairs_of_any_width_route(self, live, dtype, ttl):
+        rd, router = live
+        pairs = np.array([[0, 1], [2, 0], [1, 1]])
+        with rd.client() as c:
+            resp = c.request({"op": "route", "pairs": pairs.astype(dtype), "ttl": ttl})
+        assert resp["ok"], resp
+        assert_results_identical(
+            router.route_pairs(pairs, ttl=ttl), result_from_wire(resp["result"])
+        )
+
+
 # ---------------------------------------------------------------------------
 # protocol fuzz against a live daemon
 # ---------------------------------------------------------------------------
@@ -551,6 +765,16 @@ class TestProtocolFuzz:
             c.send_raw(struct.pack(">I", 7) + b"[1,2,3]")
             assert c.read_response()["error"] == "bad-frame"
             assert c.request({"op": "ping"})["ok"]
+
+    @pytest.mark.parametrize("corruption", sorted(MANIFEST_CORRUPTIONS))
+    def test_corrupt_manifest_answers_bad_frame(self, live, corruption):
+        frame = encode_frame({"op": "route", "pairs": np.zeros((4, 2), np.int64)})
+        header, _, _ = _frame_parts(frame)
+        MANIFEST_CORRUPTIONS[corruption](header["arrays"]["pairs"])
+        with live.client() as c:
+            c.send_raw(_with_header(frame, header))
+            assert c.read_response()["error"] == "bad-frame"
+            assert c.request({"op": "ping"})["ok"]  # stream still in sync
 
     def test_oversized_length_answers_then_closes(self, live):
         with live.client() as c:

@@ -10,8 +10,11 @@ wrong routes.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,38 @@ def _build_instance(family: str, seed: int, k: int):
     graph = family_from_seed(seed, family, n=36)
     ported = assign_ports(graph, "random", rng=seed + 9)
     return graph, ported
+
+
+def _rewrite_header(path: Path, edit) -> None:
+    """Re-write ``path`` with ``edit(header)`` applied and a valid CRC,
+    keeping its data section."""
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[12:20], "little")
+    header = json.loads(data[24 : 24 + hlen])
+    blobs = data[-(-(24 + hlen) // 64) * 64 :]
+    header = edit(header) or header
+    hjson = json.dumps(header).encode()
+    head = (
+        data[:12] + len(hjson).to_bytes(8, "little")
+        + zlib.crc32(hjson).to_bytes(4, "little") + hjson
+    )
+    path.write_bytes(head + bytes(-(-len(head) // 64) * 64 - len(head)) + blobs)
+
+
+#: Header tampering (checksum kept valid) that must raise EncodingError.
+HEADER_CORRUPTIONS = {
+    "negative-dims": lambda h: h["arrays"]["a"].update(shape=[-2, -4]),
+    "object-dtype": lambda h: h["arrays"]["a"].update(dtype="|O"),
+    "unicode-dtype": lambda h: h["arrays"]["a"].update(dtype="<U2"),
+    "big-endian": lambda h: h["arrays"]["a"].update(dtype=">i8"),
+    "float-dim": lambda h: h["arrays"]["a"].update(shape=[1.5]),
+    "string-offset": lambda h: h["arrays"]["a"].update(offset="0"),
+    "past-the-end": lambda h: h["arrays"]["a"].update(offset=h["data_bytes"]),
+    "nbytes-mismatch": lambda h: h["arrays"]["a"].update(nbytes=16),
+    "manifest-not-object": lambda h: h.update(arrays=[1]),
+    "data-bytes-string": lambda h: h.update(data_bytes="64"),
+    "header-not-object": lambda h: [h],
+}
 
 
 def _assert_routes_equal(a, b):
@@ -128,6 +163,42 @@ class TestContainer:
     def test_not_a_file(self, tmp_path):
         with pytest.raises(EncodingError):
             read_container(tmp_path / "missing.tzs")
+
+    @pytest.mark.parametrize("corruption", sorted(HEADER_CORRUPTIONS))
+    def test_manifest_corruption_matrix(self, tmp_path, corruption):
+        path = tmp_path / "x.tzs"
+        write_container(path, {"a": np.arange(4, dtype=np.int64)}, {})
+        _rewrite_header(path, lambda h: None)
+        read_container(path, verify_data=True)  # the rewrite itself is sound
+        _rewrite_header(path, HEADER_CORRUPTIONS[corruption])
+        with pytest.raises(EncodingError):
+            read_container(path)
+
+    def test_unsupported_dtype_refused_on_write(self, tmp_path):
+        with pytest.raises(EncodingError, match="dtype"):
+            write_container(tmp_path / "x.tzs", {"a": np.array(["x"])}, {})
+
+    def test_container_bytes_pinned(self, tmp_path):
+        """The writer's exact bytes — byte order, strides, 0-d and empty
+        arrays included — are pinned, so layout refactors cannot move
+        them (a bump would also need a FORMAT_VERSION change)."""
+        path = tmp_path / "x.tzs"
+        write_container(
+            path,
+            {
+                "a": np.arange(7, dtype=np.int64),
+                "be": np.arange(5, dtype=">i4"),
+                "strided": np.arange(20, dtype=np.float64)[::3],
+                "flags": np.array([True, False, True]),
+                "scalar": np.array(3.5),
+                "empty": np.zeros((0, 3), dtype=np.int16),
+                "grid": np.arange(12, dtype=np.uint8).reshape(3, 4).T,
+            },
+            {"hello": "world"},
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "0095c3edc4357b55d0ebbdaeb8fbab7372b45632fc576fdbe7b038cde2ede304"
+        )
 
 
 # ----------------------------------------------------------------------
