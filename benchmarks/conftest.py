@@ -57,6 +57,27 @@ def best_of(fn, repeats: int = 1) -> float:
     return best
 
 
+def best_of_interleaved(fn_a, fn_b, repeats=5):
+    """Best-of-N wall times of two callables, alternated A/B/A/B.
+
+    The gate is a *ratio*, and single-core CI runners drift ±15% on
+    second-scale timescales — long enough to skew one side if the two
+    contenders run back-to-back in separate blocks.  Alternating the
+    repeats exposes both sides to the same drift.
+    """
+    import time
+
+    best_a = best_b = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn_a()
+        best_a = min(best_a, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        fn_b()
+        best_b = min(best_b, time.perf_counter() - t0)
+    return best_a, best_b
+
+
 def run_once(benchmark, fn):
     """Run an experiment exactly once under the benchmark timer.
 

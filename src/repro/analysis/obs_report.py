@@ -22,12 +22,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union
 
 from ..obs.export import metrics_doc
-from ..obs.telemetry import TELEMETRY, Telemetry
+from ..obs.telemetry import TELEMETRY, Span, Telemetry
 from .reporting import render_table
 
 __all__ = [
     "render_metrics",
     "render_span_tree",
+    "span_coverage",
     "span_rows",
     "write_obs_markdown",
 ]
@@ -39,6 +40,17 @@ def _attr_suffix(attrs: Dict[str, object]) -> str:
         return ""
     inner = ",".join(f"{k}={v}" for k, v in sorted(attrs.items()))
     return f"[{inner}]"
+
+
+def span_coverage(span: Span) -> float:
+    """Share of ``span``'s wall time that its child spans account for.
+
+    The rest is ``span``'s own self time: work no sub-phase names.  A
+    root's coverage is therefore 1.0 only when every moment of the run
+    sits inside some phase span (0.0 for a zero-length span).
+    """
+    total = span.duration_ns
+    return (total - span.self_ns) / total if total else 0.0
 
 
 def span_rows(tm: Optional[Telemetry] = None) -> List[Dict[str, object]]:

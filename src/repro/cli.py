@@ -257,8 +257,8 @@ def _cmd_serve(args) -> int:
     )
 
     service = RouteService(stored.path, kernel=args.kernel)
-    with timed("cli.route", shards=args.shards) as t_route:
-        result = service.route(pairs, shards=args.shards)
+    with timed("cli.route") as t_route:
+        result = service.route(pairs)
 
     true_d = pair_true_distances(graph, pairs)
     stats = stretch_stats(
@@ -278,7 +278,7 @@ def _cmd_serve(args) -> int:
     rate = len(np.asarray(pairs)) / max(t_route.seconds, 1e-9)
     print(
         f"\nserve: route {t_route.seconds:.2f}s ({rate:,.0f} pairs/s, "
-        f"shards={args.shards}, kernel={args.kernel})"
+        f"kernel={args.kernel})"
     )
     return 0
 
@@ -593,7 +593,7 @@ def _cmd_profile(args) -> int:
     import tempfile
 
     from .analysis.experiments import reference_graph
-    from .analysis.obs_report import render_metrics, render_span_tree
+    from .analysis.obs_report import render_metrics, render_span_tree, span_coverage
     from .graphs.ports import assign_ports
     from .rng import derive
     from .sim.workloads import make_workload
@@ -606,20 +606,23 @@ def _cmd_profile(args) -> int:
         store_dir = tmp.name
     try:
         with timed("profile", graph=args.graph, k=args.k) as tsp:
-            graph = reference_graph(
-                args.graph, args.n, args.seed
-            ).largest_component()
-            ported = assign_ports(
-                graph, "random", rng=derive(args.seed, "profile-ports")
-            )
+            with TELEMETRY.span("graphs.generate", family=args.graph, n=args.n):
+                graph = reference_graph(
+                    args.graph, args.n, args.seed
+                ).largest_component()
+            with TELEMETRY.span("graphs.ports", kind="random"):
+                ported = assign_ports(
+                    graph, "random", rng=derive(args.seed, "profile-ports")
+                )
             stored = SchemeStore(store_dir).get_or_build(
                 graph, args.k, args.seed, ported=ported, kernel=args.kernel
             )
-            pairs = make_workload(
-                graph, args.workload, args.pairs, derive(args.seed, "profile-pairs")
-            )
+            with TELEMETRY.span("sim.workload", workload=args.workload):
+                pairs = make_workload(
+                    graph, args.workload, args.pairs, derive(args.seed, "profile-pairs")
+                )
             service = RouteService(stored.path, kernel=args.kernel)
-            result = service.route(pairs, shards=args.shards)
+            result = service.route(pairs)
     finally:
         if tmp is not None:
             tmp.cleanup()
@@ -633,12 +636,12 @@ def _cmd_profile(args) -> int:
     )
     print()
     print(render_metrics())
-    total_self = sum(sp.self_ns for sp, _ in TELEMETRY.spans()) / 1e9
-    coverage = 100.0 * total_self / max(wall, 1e-9)
+    root = next(sp for sp in TELEMETRY.roots if sp.name == "profile")
+    coverage = 100.0 * span_coverage(root)
     from .kernels import resolve_kernel
 
     print(
-        f"\n[wall {wall:.3f}s, instrumented self-time {total_self:.3f}s "
+        f"\n[wall {wall:.3f}s, unspanned {root.self_ns / 1e9:.3f}s "
         f"({coverage:.1f}% coverage), kernel={resolve_kernel(args.kernel)}, "
         f"delivered {int(result.delivered.sum())}/{pairs.shape[0]}]"
     )
@@ -766,8 +769,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         epilog=(
             "The store keeps one .tzs container per scheme, holding "
             "both the canonical array form and the compiled batch-"
-            "engine form; --shards N splits the matrix by source "
-            "across N worker processes that all mmap the same file. "
+            "engine form; the native kernel routes a large matrix as "
+            "one row chunk per usable CPU, on threads sharing the map. "
             "--strict-verify replays the bit-exact core.serialize "
             "codec over the loaded arrays and compares the recorded "
             "digest before serving. In --daemon mode requests name any "
@@ -793,12 +796,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="uniform",
         choices=list(WORKLOADS),
         help="traffic model (see repro.sim.workloads)",
-    )
-    p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker processes source-sharding the matrix (1 = in-process)",
     )
     p_serve.add_argument(
         "--strict-verify",
@@ -1172,7 +1169,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "route a traffic matrix — with telemetry enabled, then "
             "print the span tree (cumulative/self wall time per phase), "
             "the collected counters and histograms, and the share of "
-            "wall time the instrumentation accounts for."
+            "wall time the root's sub-phase spans account for."
         ),
         epilog=(
             "The store defaults to a temporary directory so every "
@@ -1192,12 +1189,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="uniform",
         choices=list(WORKLOADS),
         help="traffic model (see repro.sim.workloads)",
-    )
-    p_prof.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker processes source-sharding the matrix (1 = in-process)",
     )
     p_prof.add_argument(
         "--store",

@@ -1,12 +1,16 @@
-"""Compiled kernels for the two hottest loops, behind a differential flag.
+"""Compiled kernels for the three hottest loops, behind a differential flag.
 
-The router's synchronized hop loop (``sim/engine/batch.py``) and the
-builder's thresholded frontier sweep (``core/build/vectorized.py``) each
-have a native implementation in ``_native.c``, compiled on demand with
-the system C toolchain and loaded through ctypes (:mod:`._build`).  The
-numpy paths remain the bit-for-bit differential reference — the same
-contract the vectorized builder holds against the per-node reference
-builder — enforced by ``tests/test_kernels.py``.
+The router's tree commit and synchronized hop loop
+(``sim/engine/batch.py``, wrapped in :mod:`.hop`) and the builder's
+thresholded frontier sweep (``core/build/vectorized.py``, wrapped in
+:mod:`.frontier`) each have a native implementation in ``_native.c``,
+compiled on demand with the system C toolchain and loaded through
+ctypes (:mod:`._build`).  The numpy paths remain the bit-for-bit
+differential reference — the same contract the vectorized builder holds
+against the per-node reference builder — enforced by
+``tests/test_kernels.py``.  The kernels keep no global state and ctypes
+releases the GIL for each call, which is what lets the router run its
+row chunks on threads.
 
 Selection is the ``kernel=`` kwarg threaded through
 :class:`~repro.sim.engine.batch.BatchRouter`,

@@ -4,8 +4,10 @@ The native backend deliberately avoids a JIT dependency: the kernels are
 plain C99 (no ``Python.h``), compiled once per source revision with
 whatever ``cc`` the host provides and cached as a shared library keyed
 by the source hash.  The publish is an atomic rename, so concurrent
-processes (the sharded route service spawns workers) race benignly — the
-last writer wins with an identical artifact.
+processes (test workers, a daemon started beside a CLI run) race
+benignly — the last writer wins with an identical artifact.  None of
+the kernels keeps global state, so the router may call them from
+several threads at once.
 
 Gating, in order:
 
@@ -75,13 +77,22 @@ def _compiler() -> Optional[str]:
 
 def _declare(lib: ctypes.CDLL) -> None:
     """Pin argument/return types (bare ints would truncate to c_int)."""
+    lib.tz_commit.restype = None
+    lib.tz_commit.argtypes = (
+        [_I64]  # count
+        + [_PTR] * 2  # src, dst
+        + [_PTR] * 8  # fail, tree, header, dest_f, lp_lo, lp_hi, epos_src, epos_dst
+        + [_I64] * 4  # n, k, id_bits, handshake
+        + [_PTR] * 10  # ent records, keys, tree_indptr, label bits, lp_indptr,
+        #                mem_keys, mem_epos, mem_indptr, root_epos, pivot
+    )
     lib.tz_hop_loop.restype = _I64
     lib.tz_hop_loop.argtypes = (
         [_I64]  # count
         + [_PTR] * 7  # start..lp_hi
         + [_PTR] * 4  # delivered, weight, hops, fail
         + [_I64]  # n
-        + [_PTR] * 5  # ent records, tree_indptr, lp_data, g_indptr, steps
+        + [_PTR] * 6  # ent records, keys, tree_indptr, lp_data, g_indptr, steps
         + [_PTR, _PTR]  # dead_masks, trial
         + [_I64, _I64]  # mask_width, ttl
     )

@@ -1,15 +1,23 @@
-/* Native kernels for the two inner loops that dominate every benchmark:
- * the router's synchronized hop loop (sim/engine/batch.py) and the
- * builder's thresholded frontier sweep (core/build/vectorized.py).
+/* Native kernels for the three inner loops that dominate every
+ * benchmark: the router's tree commit and synchronized hop loop
+ * (sim/engine/batch.py) and the builder's thresholded frontier sweep
+ * (core/build/vectorized.py).
  *
  * Deliberately plain C99 + libc, no Python.h: the library is loaded
  * through ctypes, so a bare `cc -O3 -fPIC -shared` against the system
  * toolchain is the whole build and no Python development headers are
  * needed.  All array arguments are raw pointers into numpy buffers the
- * wrapper pins as contiguous int64/float64/uint8 before the call.
+ * wrapper pins as contiguous int64/float64/uint8 before the call.  No
+ * kernel keeps global state, so threads may run any of them at once on
+ * disjoint output rows (ctypes releases the GIL for the call).
  *
- * Both kernels replicate the numpy reference paths bit-for-bit:
+ * All kernels replicate the numpy reference paths bit-for-bit:
  *
+ * - tz_commit resolves each row's committed tree with the same 4k-5
+ *   level order or section-4 handshake alternation as the numpy
+ *   select_trees / select_trees_handshake.  Every lookup there is an
+ *   exact-key searchsorted, so any search that finds the same unique
+ *   key returns the same entry index.
  * - tz_hop_loop walks each row independently.  The numpy loop advances
  *   all rows one synchronized hop per array step, but weight accumulates
  *   per row in hop order either way, so a scalar walk sums the exact
@@ -28,7 +36,7 @@
  * advance — the same memory-level parallelism the numpy gathers get
  * from vectorization, without the per-round array traffic.  Entry
  * records are packed (one struct per entry, built once per scheme by
- * the wrapper) so a hop touches two cache lines instead of fourteen
+ * the wrapper) so a hop touches two cache lines instead of thirteen
  * columns, and the record lookup after a light-port crossing binary-
  * searches only the committed tree's entry slice, not the global key
  * table.
@@ -48,6 +56,7 @@
 
 /* Failure codes: keep in sync with repro.sim.engine.batch.FAIL_*. */
 #define FAIL_NONE 0
+#define FAIL_NO_TREE 1
 #define FAIL_NO_RECORD 2
 #define FAIL_ROOT_EXIT 3
 #define FAIL_LABEL 4
@@ -63,9 +72,9 @@
 /* ------------------------------------------------------------------ */
 
 /* One tree entry, packed: field order and widths must match ENT_DTYPE
- * in repro/kernels/hop.py exactly (14 × 8 bytes, no padding). */
+ * in repro/kernels/hop.py exactly (13 × 8 bytes, no padding).  Its key
+ * lives in the separate dense key array, which searches read. */
 typedef struct {
-    int64_t key;         /* tree * n + vertex (slice-sorted) */
     int64_t vertex;
     int64_t f;           /* DFS number */
     int64_t finish;
@@ -88,19 +97,19 @@ typedef struct {
     double wt;
 } step_rec;
 
-/* Lower-bound search for `key` inside the entry slice [lo, hi). */
-static int64_t find_entry(const ent_rec *ent, int64_t lo, int64_t hi,
-                          int64_t key)
+/* Lower-bound search for `key` inside the sorted key slice [lo, hi). */
+static int64_t find_key(const int64_t *keys, int64_t lo, int64_t hi,
+                        int64_t key)
 {
     const int64_t end = hi;
     while (lo < hi) {
         int64_t mid = lo + ((hi - lo) >> 1);
-        if (ent[mid].key < key)
+        if (keys[mid] < key)
             lo = mid + 1;
         else
             hi = mid;
     }
-    return (lo < end && ent[lo].key == key) ? lo : -1;
+    return (lo < end && keys[lo] == key) ? lo : -1;
 }
 
 /* Interleaving width: enough in-flight rows to keep the memory system
@@ -128,6 +137,7 @@ int64_t tz_hop_loop(
     int8_t *fail,                    /* in/out (count) */
     int64_t n,
     const ent_rec *ent,              /* packed entry records */
+    const int64_t *keys,             /* (E) sorted entry keys */
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
     const int64_t *lp_data,
     const int64_t *g_indptr,
@@ -260,8 +270,8 @@ int64_t tz_hop_loop(
                             const int64_t pos =
                                 s_thi[s] - s_tlo[s] == n
                                     ? s_tlo[s] + landed
-                                    : find_entry(ent, s_tlo[s], s_thi[s],
-                                                 s_key[s] + landed);
+                                    : find_key(keys, s_tlo[s], s_thi[s],
+                                               s_key[s] + landed);
                             if (pos >= 0) {
                                 nxt = pos;
                             } else {
@@ -331,6 +341,126 @@ int64_t tz_hop_loop(
     }
 #undef SLOT_LOAD
     return rounds;
+}
+
+/* ------------------------------------------------------------------ */
+/* Router tree commit                                                  */
+/* ------------------------------------------------------------------ */
+
+/* Entry index of (tree w, vertex v), or -1 when v has no record in T_w.
+ * Only T_w's slice is searched; a slice holding all n vertices is
+ * indexed directly, as in tz_hop_loop.  A w outside [0, n) names no
+ * tree (its keys could not be in the table either). */
+static int64_t tree_entry(const int64_t *keys, const int64_t *tree_indptr,
+                          int64_t n, int64_t w, int64_t v)
+{
+    if (w < 0 || w >= n)
+        return -1;
+    const int64_t lo = tree_indptr[w], hi = tree_indptr[w + 1];
+    if (hi - lo == n)
+        return lo + v;
+    return find_key(keys, lo, hi, w * n + v);
+}
+
+/* Commit every row to a tree and write the eight columns the numpy
+ * BatchRouter._commit returns.  Trivial rows (s == t) and rows with no
+ * usable tree get the same defaults as the numpy path. */
+void tz_commit(
+    int64_t count,
+    const int64_t *src,
+    const int64_t *dst,
+    int8_t *fail,                    /* out (count), and the 7 below */
+    int64_t *tree,
+    int64_t *header,
+    int64_t *dest_f,
+    int64_t *lp_lo,
+    int64_t *lp_hi,
+    int64_t *epos_src,
+    int64_t *epos_dst,
+    int64_t n,
+    int64_t k,
+    int64_t id_bits,
+    int64_t handshake,
+    const ent_rec *ent,              /* packed entry records (for f) */
+    const int64_t *keys,             /* (E) sorted entry keys */
+    const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
+    const int64_t *label_bits,       /* (E) tree-label bits per entry */
+    const int64_t *lp_indptr,        /* (E+1) light-port CSR */
+    const int64_t *mem_keys,         /* (M) sorted source*n + member */
+    const int64_t *mem_epos,         /* (M) entry of (source, member) */
+    const int64_t *mem_indptr,       /* (n+1) member-map slice per source */
+    const int64_t *root_epos,        /* (n) entry of (v, v) */
+    const int64_t *pivot)            /* (k, n) row-major */
+{
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t s = src[i], t = dst[i];
+        int64_t w = -1, ep = -1, sp = -1;
+        if (s == t) {
+            /* trivial: no tree, both entries share a sentinel */
+        } else if (handshake) {
+            /* start at T_s; while the passive endpoint has no record,
+             * swap roles and move to the active one's next pivot */
+            int64_t x = s, y = t, cw = s;
+            int found = tree_entry(keys, tree_indptr, n, cw, y) >= 0;
+            for (int64_t level = 1; !found && level < k; level++) {
+                const int64_t tmp = x;
+                x = y;
+                y = tmp;
+                cw = pivot[level * n + x];
+                found = tree_entry(keys, tree_indptr, n, cw, y) >= 0;
+            }
+            if (found) {
+                ep = tree_entry(keys, tree_indptr, n, cw, t);
+                sp = tree_entry(keys, tree_indptr, n, cw, s);
+                if (ep >= 0 && sp >= 0)
+                    w = cw;
+            }
+        } else {
+            /* level 0: the destination is in the source's own cluster */
+            const int64_t j =
+                find_key(mem_keys, mem_indptr[s], mem_indptr[s + 1], s * n + t);
+            if (j >= 0) {
+                w = s;
+                ep = mem_epos[j];
+                sp = root_epos[s];
+            } else {
+                /* levels 1..k-1: the first pivot tree holding the
+                 * source decides; a missing destination record there
+                 * fails the row */
+                for (int64_t level = 1; level < k; level++) {
+                    const int64_t cw = pivot[level * n + t];
+                    const int64_t spos = tree_entry(keys, tree_indptr, n, cw, s);
+                    if (spos < 0)
+                        continue;
+                    const int64_t dpos = tree_entry(keys, tree_indptr, n, cw, t);
+                    if (dpos >= 0) {
+                        w = cw;
+                        ep = dpos;
+                        sp = spos;
+                    }
+                    break;
+                }
+            }
+        }
+        tree[i] = w;
+        if (w >= 0) {
+            fail[i] = FAIL_NONE;
+            header[i] = 2 * id_bits + label_bits[ep];
+            dest_f[i] = ent[ep].f;
+            lp_lo[i] = lp_indptr[ep];
+            lp_hi[i] = lp_indptr[ep + 1];
+            epos_src[i] = sp;
+            epos_dst[i] = ep;
+        } else {
+            fail[i] = s == t ? FAIL_NONE : FAIL_NO_TREE;
+            header[i] = 2 * id_bits;
+            dest_f[i] = 0;
+            lp_lo[i] = 0;
+            lp_hi[i] = 0;
+            epos_src[i] = -7;
+            epos_dst[i] = -7;
+        }
+    }
 }
 
 /* ------------------------------------------------------------------ */

@@ -11,7 +11,7 @@ routing hop loop and the builder's level sweeps (the overhead gate in
 ``benchmarks/bench_obs.py`` holds it to ≤2% of the 100k-pair route
 bench).
 
-Three instrument kinds, all process-local and explicitly mergeable:
+Three instrument kinds, all process-local:
 
 * **spans** — nested wall-time regions timed with
   :func:`time.perf_counter_ns` (monotonic; immune to wall-clock steps).
@@ -23,15 +23,14 @@ Three instrument kinds, all process-local and explicitly mergeable:
   (``count("route.pairs_routed", P)``): Dijkstra pops, hop-loop rounds,
   store hits/misses, pairs routed.
 * **gauges / histograms** — last-value samples (``gauge``) and full
-  value series with percentile summaries (``observe``), e.g. per-shard
+  value series with percentile summaries (``observe``), e.g. per-call
   route latency.
 
-Worker processes (the sharded :class:`~repro.store.RouteService`) each
-hold their own registry; :meth:`Telemetry.snapshot` /
-:meth:`Telemetry.merge` move counters, gauges and histograms across the
-process boundary so the parent's totals stay exact (tested in
-``tests/test_obs.py``).  Spans stay process-local — a worker's wall time
-is reported into the parent's ``serve.shard_seconds`` histogram instead.
+The open span is one process-wide slot (``_active``), so a span opened
+on a second thread would nest under whatever that slot names at the
+time.  Multi-threaded callers therefore record from one thread: the
+batch router runs its row chunks on worker threads but opens every
+span and bumps every counter on the calling thread.
 
 Results are never touched: instrumented and uninstrumented runs return
 bit-identical routing outcomes (the disabled-mode identity test pins
@@ -159,10 +158,8 @@ class Telemetry:
 
     Starts disabled; :meth:`enable` resets nothing by itself (call
     :meth:`reset` to clear collected data).  All methods are cheap
-    single-threaded operations — the sharded serving path runs one
-    registry per *process* and merges snapshots, so no locking is needed
-    for exactness (numpy releases the GIL only inside kernels; the
-    Python-level dict updates here are atomic per call).
+    single-threaded operations without locks; record from one thread
+    (module doc).
     """
 
     __slots__ = ("enabled", "counters", "gauges", "histograms", "roots", "_active")
@@ -229,31 +226,6 @@ class Telemetry:
         if not self.enabled:
             return
         self.histograms.setdefault(name, []).append(float(value))
-
-    # -- cross-process merge --------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """A picklable copy of the metric state (spans stay local)."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {k: list(v) for k, v in self.histograms.items()},
-        }
-
-    def merge(self, snap: Optional[Dict[str, object]]) -> None:
-        """Fold a worker's :meth:`snapshot` into this registry.
-
-        Counters add (so totals across shards stay exact), gauges take
-        the incoming value, histograms concatenate.  Recording must be
-        enabled; a ``None`` snapshot is ignored (a worker that did not
-        record).
-        """
-        if snap is None or not self.enabled:
-            return
-        for name, value in snap["counters"].items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        self.gauges.update(snap["gauges"])
-        for name, values in snap["histograms"].items():
-            self.histograms.setdefault(name, []).extend(values)
 
 
 #: The process-wide registry every instrumented layer reports to.

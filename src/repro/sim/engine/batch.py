@@ -33,12 +33,27 @@ bit-for-bit what :meth:`route_pairs` returns for that trial's dead-edge
 set alone (and hence bit-for-bit the reference
 :class:`~repro.sim.failures.FaultyNetwork` outcome) — enforced by
 ``tests/test_scenarios.py``.
+
+**Native kernel and row chunks.**  With ``kernel="native"`` both the
+tree commit and the hop loop run in C (:mod:`repro.kernels.hop`); the
+numpy :meth:`BatchRouter._commit` and synchronized loop stay as the
+bit-for-bit references.  Rows are independent, so
+:meth:`BatchRouter.route_pairs` cuts a batch of at least
+:data:`ROUTE_CHUNK_FLOOR` pairs into one contiguous row chunk per usable
+CPU and runs each phase's chunks on threads (ctypes releases the GIL),
+every chunk writing its own rows of shared output columns — the result
+is the one-chunk result, in input order.  Telemetry spans and counters
+are recorded on the calling thread only: the registry's active span is
+process-wide, so a span opened on a worker thread would nest under
+whatever that slot names at the time.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +61,7 @@ from ...core.router import RoutingScheme
 from ...errors import RoutingError
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
-from ...kernels.hop import hop_loop_native
+from ...kernels.hop import NativeSchemeView, commit_native, hop_loop_native
 from ...obs import TELEMETRY
 from ..network import RouteResult
 from .compile import CompiledScheme, compile_scheme
@@ -76,6 +91,41 @@ FAILURE_TEXT = {
 #: its tree (only possible when routing over a port assignment the
 #: scheme was not compiled for); the landed vertex lives in ``lost_v``.
 _LOST = -2
+
+#: Smallest ``route_pairs`` batch the native kernel cuts into one row
+#: chunk per usable CPU; smaller batches run on the calling thread.
+#: Each threaded phase pays ~0.2 ms to start and join its workers.  On
+#: Zipf batches over a gnp n=10⁴, k=3 scheme (2-CPU x86-64 container,
+#: best of 7, interleaved) two chunks beat one by 1.44–1.54× at 16,384
+#: pairs and 1.5–1.6× at 32,768–65,536, but only by 1.04–1.24× at 8,192
+#: and 1.03–1.06× at 4,096, and lost (0.8×) at 2,048.
+ROUTE_CHUNK_FLOOR = 16_384
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def _row_chunks(count: int) -> List[Tuple[int, int]]:
+    """Contiguous ``[lo, hi)`` row ranges covering ``count`` rows: one
+    per usable CPU from :data:`ROUTE_CHUNK_FLOOR` rows up, else one."""
+    parts = _usable_cpus() if count >= ROUTE_CHUNK_FLOOR else 1
+    return [(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+
+
+def _fan_out(fn: Callable[[int, int], object], chunks: List[Tuple[int, int]]) -> list:
+    """``[fn(lo, hi) for lo, hi in chunks]``, the first chunk on this
+    thread and each other one on a worker thread."""
+    if len(chunks) == 1:
+        return [fn(*chunks[0])]
+    with ThreadPoolExecutor(max_workers=len(chunks) - 1) as pool:
+        futures = [pool.submit(fn, lo, hi) for lo, hi in chunks[1:]]
+        first = fn(*chunks[0])
+        return [first] + [f.result() for f in futures]
 
 
 @dataclass
@@ -198,11 +248,16 @@ class BatchRouter:
         schemes that return ``None`` there (custom/pathological test
         schemes) cannot be batch-routed — use the reference simulator.
     kernel:
-        Hop-loop backend: ``"numpy"`` (the bit-for-bit differential
-        reference), ``"native"`` (the compiled C kernel; raises
+        Commit and hop-loop backend: ``"numpy"`` (the bit-for-bit
+        differential reference), ``"native"`` (the compiled C kernels,
+        threaded over row chunks for large batches; raises
         :class:`~repro.errors.KernelError` when no toolchain is
         available) or ``"auto"`` (native when it loads, else numpy —
         see :mod:`repro.kernels`).  Outcomes are identical either way.
+
+    One router may serve several threads at once: routing never writes
+    router or scheme state, except packing the native view once, which
+    is locked.
     """
 
     def __init__(
@@ -312,6 +367,40 @@ class BatchRouter:
             epos_dst[good] = epos
         return fail, tree, header, dest_f, lp_lo, lp_hi, epos_src, epos_dst
 
+    def _chunks(self, count: int) -> List[Tuple[int, int]]:
+        """Row chunks of one ``route_pairs`` batch (one unless native)."""
+        return _row_chunks(count) if self.kernel == "native" else [(0, count)]
+
+    def _commit_rows(
+        self, src: np.ndarray, dst: np.ndarray, chunks: List[Tuple[int, int]]
+    ) -> Tuple[np.ndarray, ...]:
+        """:meth:`_commit`'s columns, from this router's kernel.
+
+        The native kernel packs the scheme view here, before any thread
+        starts, then commits each row chunk on its own thread.
+        """
+        if self.kernel != "native":
+            return self._commit(src, dst)
+        cs = self.compiled
+        view = NativeSchemeView.of(cs)
+        count = src.shape[0]
+        state = (np.empty(count, dtype=np.int8),) + tuple(
+            np.empty(count, dtype=np.int64) for _ in range(7)
+        )
+
+        def run(lo: int, hi: int) -> None:
+            commit_native(
+                view,
+                src[lo:hi],
+                dst[lo:hi],
+                tuple(col[lo:hi] for col in state),
+                handshake=cs.handshake,
+                id_bits=cs.id_bits,
+            )
+
+        _fan_out(run, chunks)
+        return state
+
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
@@ -327,6 +416,9 @@ class BatchRouter:
         ``ttl`` matches the reference default (``4·n + 16`` forwarding
         decisions).  ``dead_edges`` drops any row whose next hop crosses
         a listed edge, mirroring :class:`~repro.sim.failures.FaultyNetwork`.
+        On the native kernel a batch of at least
+        :data:`ROUTE_CHUNK_FLOOR` pairs runs as one row chunk per usable
+        CPU (module doc); the result does not depend on the chunking.
         """
         tm = TELEMETRY
         with tm.span("route.route_pairs", pairs=int(np.asarray(pairs).shape[0])):
@@ -338,10 +430,11 @@ class BatchRouter:
                 if dead_list:
                     dead_masks = self._edge_mask(dead_list)[None, :]
                     trial = np.zeros(src.shape[0], dtype=np.int64)
+            chunks = self._chunks(src.shape[0])
             with tm.span("route.commit"):
-                state = self._commit(src, dst)
+                state = self._commit_rows(src, dst, chunks)
             with tm.span("route.hop_loop"):
-                return self._hop_loop(src, dst, state, ttl, dead_masks, trial)
+                return self._hop_loop(src, dst, state, ttl, dead_masks, trial, chunks)
 
     def route_trials(
         self,
@@ -387,7 +480,7 @@ class BatchRouter:
         tm = TELEMETRY
         with tm.span("route.trials", trials=T, pairs=P):
             with tm.span("route.commit"):
-                state = self._commit(src, dst)
+                state = self._commit_rows(src, dst, [(0, P)])
             tiled = tuple(np.tile(a, T) for a in state)
             with tm.span("route.hop_loop"):
                 flat = self._hop_loop(
@@ -420,6 +513,7 @@ class BatchRouter:
         ttl: Optional[int],
         dead_masks: Optional[np.ndarray],
         trial: Optional[np.ndarray],
+        chunks: Optional[List[Tuple[int, int]]] = None,
     ) -> BatchResult:
         """Advance all committed rows to their outcomes (kernel dispatch).
 
@@ -427,17 +521,26 @@ class BatchRouter:
         ``fail`` column is mutated in place).  ``dead_masks`` is a
         ``(T, m)`` boolean matrix and ``trial`` the per-row trial index
         into it (both ``None`` when no edges are dead); plain
-        single-failure-set routing passes a one-row matrix.  The numpy
-        and native kernels return bit-for-bit identical columns.
+        single-failure-set routing passes a one-row matrix.  ``chunks``
+        (default: one) are the native kernel's per-thread row ranges.
+        The numpy and native kernels return bit-for-bit identical
+        columns.
         """
         if ttl is None:
             ttl = 4 * self.compiled.n + 16
+        if chunks is None:
+            chunks = [(0, src.shape[0])]
         tm = TELEMETRY
         with tm.span(
-            "kernel.hop_step", impl=self.kernel, rows=int(src.shape[0])
+            "kernel.hop_step",
+            impl=self.kernel,
+            rows=int(src.shape[0]),
+            threads=len(chunks),
         ):
             if self.kernel == "native":
-                return self._hop_loop_c(src, dst, state, ttl, dead_masks, trial)
+                return self._hop_loop_c(
+                    src, dst, state, ttl, dead_masks, trial, chunks
+                )
             return self._hop_loop_numpy(src, dst, state, ttl, dead_masks, trial)
 
     def _hop_loop_c(
@@ -448,12 +551,33 @@ class BatchRouter:
         ttl: int,
         dead_masks: Optional[np.ndarray],
         trial: Optional[np.ndarray],
+        chunks: List[Tuple[int, int]],
     ) -> BatchResult:
-        """The compiled per-row walk (see :mod:`repro.kernels.hop`)."""
-        _fail, tree, header, *_rest = state
-        delivered, weight, hops, fail, rounds = hop_loop_native(
-            self.compiled, dst, state, ttl, dead_masks, trial
+        """The compiled per-row walk (see :mod:`repro.kernels.hop`), one
+        thread per row chunk; ``route.hop_iterations`` is the maximum
+        over chunks, which is the one-chunk round count."""
+        view = NativeSchemeView.of(self.compiled)
+        count = src.shape[0]
+        out = (
+            np.zeros(count, dtype=np.uint8),
+            np.zeros(count, dtype=np.float64),
+            np.zeros(count, dtype=np.int64),
         )
+
+        def run(lo: int, hi: int) -> int:
+            return hop_loop_native(
+                view,
+                dst[lo:hi],
+                tuple(col[lo:hi] for col in state),
+                ttl,
+                dead_masks,
+                None if trial is None else trial[lo:hi],
+                tuple(col[lo:hi] for col in out),
+            )
+
+        rounds = max(_fan_out(run, chunks))
+        delivered, weight, hops = out[0].view(np.bool_), out[1], out[2]
+        fail, tree, header = state[:3]
         tm = TELEMETRY
         if tm.enabled:
             tm.count("route.hop_iterations", rounds)

@@ -7,13 +7,11 @@ the compiled arrays live in a shared file mapping, *any number of
 processes can serve the same scheme against the same physical pages* —
 the OS page cache is the only copy in the machine.
 
-``route(pairs, shards=N)`` exploits exactly that: the traffic matrix is
-partitioned by source vertex across ``N`` worker processes, each worker
-memory-maps the same store file, routes its shard, and the per-pair
-results are scattered back into the caller's row order.  Rows are
-routed independently by construction, so the sharded result is
-bit-for-bit the single-process result (tested) — sharding changes wall
-time, never answers.
+Within one process, parallelism is the router's: on the native kernel
+a large batch is cut into one row chunk per usable CPU and the chunks
+run on threads sharing one packed view of the mapping (see
+:mod:`repro.sim.engine.batch`).  Rows are routed independently by
+construction, so chunking changes wall time, never answers (tested).
 
 Hot swap
 --------
@@ -26,14 +24,14 @@ routes the whole batch on that one mapping.  An in-flight batch keeps
 routing on the mapping it started with (the old memory map stays alive
 exactly as long as a batch references it — draining is just reference
 lifetime), so every batch is answered by exactly one scheme version:
-none are dropped, none are mixed.  Sharded workers receive the already
-resolved container path, never the pointer, for the same reason.
+none are dropped, none are mixed.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
+from time import perf_counter
 from typing import Optional, Union
 
 import numpy as np
@@ -41,63 +39,6 @@ import numpy as np
 from ..errors import RoutingError
 from ..obs import TELEMETRY
 from ..sim.engine.batch import BatchResult, BatchRouter
-
-
-def _shard_results(parts, order, count):
-    """Scatter per-shard column arrays back into input-row order."""
-    out = {}
-    for name in ("source", "dest", "delivered", "weight", "hops", "tree",
-                 "max_header_bits", "failure_code"):
-        column = np.concatenate([getattr(p, name) for p in parts])
-        scattered = np.empty(count, dtype=column.dtype)
-        scattered[order] = column
-        out[name] = scattered
-    return BatchResult(**out)
-
-
-def _route_shard(
-    path: str,
-    pairs: np.ndarray,
-    ttl: Optional[int],
-    record: bool = False,
-    kernel: str = "auto",
-):
-    """Worker entry point: mmap the store file and route one shard.
-
-    ``path`` is always a resolved container path — the parent pins the
-    version for the whole batch before fanning out, so shards of one
-    batch can never map different versions.
-
-    With ``record=True`` the worker resets its (possibly fork-inherited)
-    telemetry registry, enables it for the duration of the shard, and
-    ships the metric snapshot home alongside the result columns and the
-    shard's wall time — the parent merges them (spans stay local).
-    """
-    from time import perf_counter
-
-    if record:
-        TELEMETRY.reset()
-        TELEMETRY.enable()
-    t0 = perf_counter()
-    service = RouteService(path, kernel=kernel)
-    # Route through the router directly: the parent already counted the
-    # serve.* metrics for the whole request, so the merged worker
-    # snapshots must carry only the route.*-level ones.
-    result = service._router.route_pairs(pairs, ttl=ttl)
-    elapsed = perf_counter() - t0
-    snapshot = TELEMETRY.snapshot() if record else None
-    return (
-        result.source,
-        result.dest,
-        result.delivered,
-        result.weight,
-        result.hops,
-        result.tree,
-        result.max_header_bits,
-        result.failure_code,
-        elapsed,
-        snapshot,
-    )
 
 
 class RouteService:
@@ -196,28 +137,28 @@ class RouteService:
             f"{self._OPEN_RETRIES} resolve attempts"
         ) from last_exc
 
-    def _serving_state(self):
-        """The (router, container path) for one batch.
+    def _serving_router(self) -> BatchRouter:
+        """The router for one batch.
 
         In hot-swap mode this is the swap point: the pointer is resolved
         under the lock and a moved pointer re-mmaps before the batch
         starts (retrying through the pointer if a gc unlinked the
         resolved version mid-open, see :meth:`_open_current`).  The
-        returned references pin the chosen version for the caller's
-        whole batch regardless of later swaps.
+        returned router pins the chosen version for the caller's whole
+        batch regardless of later swaps.
         """
         if not self.follow:
-            return self._router, self._resolved
+            return self._router
         with self._swap_lock:
             if self._open_current():
                 self.swap_count += 1
                 TELEMETRY.count("serve.swaps")
-            return self._router, self._resolved
+            return self._router
 
     def reload(self) -> bool:
         """Force a pointer re-resolve now; True if a swap happened."""
         before = self.swap_count
-        self._serving_state()
+        self._serving_router()
         return self.swap_count != before
 
     @property
@@ -236,18 +177,9 @@ class RouteService:
         v = self.meta.get("version")
         return None if v is None else int(v)
 
-    def route(
-        self,
-        pairs: np.ndarray,
-        *,
-        ttl: Optional[int] = None,
-        shards: int = 1,
-    ) -> BatchResult:
+    def route(self, pairs: np.ndarray, *, ttl: Optional[int] = None) -> BatchResult:
         """Route every ``(s, t)`` row of ``pairs``.
 
-        ``shards > 1`` source-shards the matrix across that many worker
-        processes, each memory-mapping this service's store file; the
-        result is bit-identical to ``shards=1`` in the input row order.
         In hot-swap mode the serving version is pinned once per call, so
         the whole matrix is answered by exactly one scheme version.
         """
@@ -256,74 +188,17 @@ class RouteService:
             pair_arr = pair_arr.reshape(0, 2)
         if pair_arr.ndim != 2 or pair_arr.shape[1] != 2:
             raise RoutingError("pairs must be an (m, 2) integer array")
-        router, resolved = self._serving_state()
+        router = self._serving_router()
         tm = TELEMETRY
-        with tm.span(
-            "serve.route", pairs=int(pair_arr.shape[0]), shards=int(max(shards, 1))
-        ):
-            if tm.enabled:
-                tm.count("serve.requests")
-                tm.count("serve.pairs", int(pair_arr.shape[0]))
-            if shards <= 1 or pair_arr.shape[0] < 2:
-                if tm.enabled:
-                    from time import perf_counter
-
-                    t0 = perf_counter()
-                    result = router.route_pairs(pair_arr, ttl=ttl)
-                    elapsed = perf_counter() - t0
-                    tm.observe("serve.shard_seconds", elapsed)
-                    if elapsed > 0:
-                        tm.gauge(
-                            "serve.pairs_per_second", pair_arr.shape[0] / elapsed
-                        )
-                    return result
+        with tm.span("serve.route", pairs=int(pair_arr.shape[0])):
+            if not tm.enabled:
                 return router.route_pairs(pair_arr, ttl=ttl)
-            return self._route_sharded(pair_arr, ttl, int(shards), resolved)
-
-    def _route_sharded(
-        self,
-        pair_arr: np.ndarray,
-        ttl: Optional[int],
-        shards: int,
-        resolved: Optional[Path] = None,
-    ) -> BatchResult:
-        """Fan one traffic matrix out across worker processes."""
-        import concurrent.futures as cf
-        from time import perf_counter
-
-        if resolved is None:
-            resolved = self._resolved
-        tm = TELEMETRY
-        record = tm.enabled
-        t0 = perf_counter()
-        shards = min(shards, pair_arr.shape[0])
-        # Source-sharding: all traffic from one source lands in one
-        # worker (stable argsort keeps row order within a shard).
-        shard_of = pair_arr[:, 0] % shards
-        order = np.argsort(shard_of, kind="stable")
-        bounds = np.searchsorted(shard_of[order], np.arange(shards + 1))
-        chunks = [
-            pair_arr[order[bounds[i] : bounds[i + 1]]] for i in range(shards)
-        ]
-        with cf.ProcessPoolExecutor(max_workers=shards) as pool:
-            futures = [
-                pool.submit(
-                    _route_shard, str(resolved), chunk, ttl, record, self.kernel
-                )
-                for chunk in chunks
-                if chunk.shape[0]
-            ]
-            results = [f.result() for f in futures]
-        parts = [BatchResult(*res[:8]) for res in results]
-        if record:
-            for res in results:
-                tm.observe("serve.shard_seconds", float(res[8]))
-                tm.merge(res[9])
+            tm.count("serve.requests")
+            tm.count("serve.pairs", int(pair_arr.shape[0]))
+            t0 = perf_counter()
+            result = router.route_pairs(pair_arr, ttl=ttl)
             elapsed = perf_counter() - t0
+            tm.observe("serve.route_seconds", elapsed)
             if elapsed > 0:
                 tm.gauge("serve.pairs_per_second", pair_arr.shape[0] / elapsed)
-        kept = np.concatenate(
-            [order[bounds[i] : bounds[i + 1]] for i in range(shards)
-             if bounds[i + 1] > bounds[i]]
-        )
-        return _shard_results(parts, kept, pair_arr.shape[0])
+            return result

@@ -11,6 +11,26 @@ from repro.cli import main
 
 DOCS_CLI = Path(__file__).resolve().parent.parent / "docs" / "cli.md"
 
+#: Share of ``repro profile``'s wall time its phase spans must account for.
+PROFILE_COVERAGE_FLOOR = 90.0
+
+
+def _synthetic_profile(phase_ns, wall_ns=1_000_000):
+    """A ``profile`` root span of ``wall_ns`` with back-to-back phases."""
+    from repro.obs import Telemetry
+    from repro.obs.telemetry import Span
+
+    tm = Telemetry()
+    root = Span(tm, "profile", {})
+    root.end_ns = wall_ns
+    start = 0
+    for i, duration in enumerate(phase_ns):
+        phase = Span(tm, f"phase{i}", {})
+        phase.start_ns, phase.end_ns = start, start + duration
+        root.children.append(phase)
+        start += duration
+    return root
+
 
 class TestCli:
     def test_list(self, capsys):
@@ -314,11 +334,24 @@ class TestCli:
         coverage = float(
             re.search(r"\((\d+(?:\.\d+)?)% coverage\)", out).group(1)
         )
-        assert coverage >= 90.0
+        assert coverage >= PROFILE_COVERAGE_FLOOR
         # The CLI left the global registry disabled for the next command.
         from repro.obs import TELEMETRY
 
         assert not TELEMETRY.enabled
+
+    def test_profile_coverage_gate_can_fail(self):
+        from repro.analysis.obs_report import span_coverage
+
+        # 30% of the run sits in no phase span.
+        gappy = _synthetic_profile([400_000, 300_000])
+        # Summing self time over every span, root included, cannot see
+        # the gap: it is the whole wall time by construction.
+        assert sum(sp.self_ns for sp, _ in gappy.walk()) == gappy.duration_ns
+        assert 100.0 * span_coverage(gappy) == pytest.approx(70.0)
+        assert 100.0 * span_coverage(gappy) < PROFILE_COVERAGE_FLOOR
+        covered = _synthetic_profile([600_000, 395_000])
+        assert 100.0 * span_coverage(covered) >= PROFILE_COVERAGE_FLOOR
 
     def test_trace_and_metrics_flags_write_files(self, capsys, tmp_path):
         import json

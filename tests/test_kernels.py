@@ -13,8 +13,13 @@ Four layers:
    raises :class:`KernelError` when unavailable, ``auto`` degrades to
    numpy with a ``kernel.fallback`` counter + one-shot warning, and
    ``REPRO_NATIVE_KERNELS=0`` disables the backend outright;
-2. **router differential** — ``route_pairs``/``route_trials`` column
-   equality between kernels, including dead-edge trials and tiny ttls;
+2. **router differential** — the native tree commit's eight state
+   columns equal numpy ``_commit``'s (dtypes included, for the 4k−5 and
+   handshake strategies, failing rows, an empty member map and an
+   entry-less scheme); ``route_pairs``/``route_trials`` column equality
+   between kernels, including dead-edge trials, tiny ttls and batches
+   cut into threaded row chunks; and a many-thread first use that must
+   pack the scheme view exactly once;
 3. **builder differential** — ``vectorized_arrays(mode="pruned")``
    field equality between kernels (``mode`` forced past
    ``FULL_CENTER_LIMIT`` so small graphs exercise the sweep);
@@ -29,6 +34,8 @@ Native-only tests skip cleanly when no C toolchain is present.
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -37,10 +44,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import FAMILIES, family_from_seed, ks, seeds
 
+from repro.baselines.tree_spanner import build_single_tree_scheme
 from repro.core.build import SchemeArrays, build_arrays, build_scheme
 from repro.core.build.vectorized import FULL_CENTER_LIMIT, vectorized_arrays
 from repro.core.landmarks import build_hierarchy
-from repro.errors import KernelError
+from repro.errors import KernelError, RoutingError
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.graphs.ports import assign_ports
@@ -52,9 +60,11 @@ from repro.kernels import (
     native_error,
     resolve_kernel,
 )
+from repro.kernels.hop import NativeSchemeView, commit_native
 from repro.obs import TELEMETRY
 from repro.rng import derive, make_rng
-from repro.sim.engine.batch import BatchRouter
+from repro.sim.engine import batch
+from repro.sim.engine.batch import FAIL_NO_TREE, BatchRouter
 
 needs_native = pytest.mark.skipif(
     not available(), reason=f"native kernels unavailable: {native_error()}"
@@ -98,6 +108,39 @@ def sample_pairs(graph, count, seed):
     pairs = rng.integers(0, graph.n, size=(count, 2))
     pairs[: max(1, count // 8), 1] = pairs[: max(1, count // 8), 0]  # trivial rows
     return pairs
+
+
+def commit_columns(compiled, pairs, kernel, chunks=None):
+    """The eight commit state columns of ``pairs`` on one kernel
+    (numpy: the ``_commit`` reference; native: ``chunks`` row ranges)."""
+    router = BatchRouter.from_compiled(compiled, kernel=kernel)
+    src = np.ascontiguousarray(pairs[:, 0], dtype=np.int64)
+    dst = np.ascontiguousarray(pairs[:, 1], dtype=np.int64)
+    if kernel == "numpy":
+        return router._commit(src, dst)
+    return router._commit_rows(src, dst, chunks or [(0, src.shape[0])])
+
+
+def assert_commit_equal(compiled, pairs, context=""):
+    """Native commit ≡ numpy ``_commit``, column by column, dtypes
+    included — on one chunk and on three uneven ones."""
+    want = commit_columns(compiled, pairs, "numpy")
+    P = pairs.shape[0]
+    for chunks in (None, [(0, P // 3), (P // 3, P // 3 + 1), (P // 3 + 1, P)]):
+        got = commit_columns(compiled, pairs, "native", chunks)
+        assert len(got) == len(want) == 8
+        for i, (x, y) in enumerate(zip(want, got)):
+            assert x.dtype == y.dtype, f"commit column {i} dtype differs {context}"
+            assert np.array_equal(x, y), f"commit column {i} differs {context}"
+    return want
+
+
+@pytest.fixture
+def forced_chunks(monkeypatch):
+    """Cut every native batch of ≥ 64 pairs into 3 threaded row chunks,
+    whatever this machine's CPU count."""
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(batch, "ROUTE_CHUNK_FLOOR", 64)
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +284,222 @@ class TestHopLoopDifferential:
             TELEMETRY.disable()
             TELEMETRY.reset()
         assert impls == ["native"]
+
+
+@needs_native
+class TestCommitDifferential:
+    @given(
+        seed=seeds(),
+        family=st.sampled_from(FAMILIES),
+        k=ks(1, 4),
+        handshake=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_commit_columns_bitwise(self, seed, family, k, handshake):
+        graph = family_from_seed(seed, family, n=40)
+        _, routers = routers_for(graph, k, seed, kernels=("numpy",))
+        cs = routers["numpy"].compiled
+        if handshake:
+            cs = cs.with_handshake()
+        pairs = sample_pairs(graph, 150, seed)  # an eighth trivial
+        fail = assert_commit_equal(
+            cs, pairs, f"(family={family} k={k} seed={seed} handshake={handshake})"
+        )[0]
+        assert not fail.any()  # a sound scheme commits every pair
+
+    @pytest.mark.parametrize("handshake", [False, True])
+    def test_pivot_trees_lacking_the_source_fail_identically(self, handshake):
+        graph = family_from_seed(4, "gnp", n=60)
+        ported, routers = routers_for(graph, 3, 4, kernels=("numpy",))
+        cs = routers["numpy"].compiled
+        # Re-point every pivot at the smallest multi-member tree, or at
+        # ids that name no tree at all (-1, n + 3): most sources have no
+        # record there, so their rows must fail with FAIL_NO_TREE.
+        sizes = np.diff(np.searchsorted(cs.entry_keys, np.arange(cs.n + 1) * cs.n))
+        small = int(np.argmin(np.where(sizes > 1, sizes, cs.n + 1)))
+        rng = make_rng(derive(4, "bad-pivots"))
+        pivot = rng.choice([small, -1, cs.n + 3], size=cs.pivot.shape, p=[0.8, 0.1, 0.1])
+        bad = dataclasses.replace(cs, pivot=pivot.astype(np.int64), handshake=handshake)
+        pairs = sample_pairs(graph, 400, 4)
+        fail = assert_commit_equal(bad, pairs, f"(handshake={handshake})")[0]
+        assert (fail == FAIL_NO_TREE).sum() > 100
+        assert (fail == 0).sum() > 50  # trivial rows, level-0 or small-tree hits
+        assert_results_equal(
+            BatchRouter.from_compiled(bad, ported, kernel="numpy").route_pairs(pairs),
+            BatchRouter.from_compiled(bad, ported, kernel="native").route_pairs(pairs),
+            "(corrupted pivots)",
+        )
+
+    @pytest.mark.parametrize("handshake", [False, True])
+    def test_single_tree_scheme_without_member_map(self, handshake):
+        graph = family_from_seed(6, "grid", n=49)
+        ported = assign_ports(graph, "sorted")
+        cs = build_single_tree_scheme(graph, ported).compile_batch()
+        assert cs.mem_keys.size == 0
+        if handshake:
+            cs = cs.with_handshake()
+        pairs = sample_pairs(graph, 200, 6)
+        fail = assert_commit_equal(cs, pairs, f"(single tree handshake={handshake})")[0]
+        assert not fail.any()
+        assert_results_equal(
+            BatchRouter.from_compiled(cs, ported, kernel="numpy").route_pairs(pairs),
+            BatchRouter.from_compiled(cs, ported, kernel="native").route_pairs(pairs),
+            "(single tree)",
+        )
+
+    def test_entryless_scheme(self):
+        graph = family_from_seed(2, "gnp", n=30)
+        ported, routers = routers_for(graph, 2, 2, kernels=("numpy",))
+        cs = routers["numpy"].compiled
+        # E = 0: every entry column (and the member map) empty.
+        empty = {
+            f.name: getattr(cs, f.name)[:0]
+            for f in dataclasses.fields(cs)
+            if f.name.startswith("ent") or f.name in ("lp_data", "mem_keys", "mem_epos")
+        }
+        bare = dataclasses.replace(
+            cs,
+            root_epos=np.full(cs.n, -1, dtype=np.int64),
+            lp_indptr=np.zeros(1, dtype=np.int64),
+            **empty,
+        )
+        assert bare.entry_count == 0
+        pairs = sample_pairs(graph, 80, 2)
+        trivial = pairs[:, 0] == pairs[:, 1]
+        for variant in (bare, bare.with_handshake()):
+            fail = assert_commit_equal(variant, pairs, "(E=0)")[0]
+            assert np.array_equal(fail == FAIL_NO_TREE, ~trivial)
+            native = BatchRouter.from_compiled(variant, ported, kernel="native")
+            res = native.route_pairs(pairs)
+            assert_results_equal(
+                BatchRouter.from_compiled(variant, ported, kernel="numpy").route_pairs(pairs),
+                res,
+                "(E=0)",
+            )
+            assert np.array_equal(res.delivered, trivial)
+
+
+@needs_native
+def test_commit_wrapper_refuses_what_c_would_misread():
+    graph = family_from_seed(2, "gnp", n=30)
+    _, routers = routers_for(graph, 2, 2, kernels=("native",))
+    cs = routers["native"].compiled
+    view = NativeSchemeView.of(cs)
+    src = np.array([0, 1], dtype=np.int64)
+    state = (np.empty(2, dtype=np.int8),) + tuple(np.empty(2, dtype=np.int64) for _ in range(7))
+    with pytest.raises(RoutingError, match="out of range"):
+        commit_native(view, src, np.array([1, cs.n]), state, handshake=False, id_bits=1)
+    with pytest.raises(RuntimeError, match="contiguous columns"):
+        commit_native(view, src, src[::-1], state[:1] + (state[1][:1],) + state[2:],
+                      handshake=False, id_bits=1)
+    # A pivot matrix narrower than n (a foreign container) is refused
+    # at pack time, before the commit could index past it.
+    with pytest.raises(RoutingError, match="pivot matrix"):
+        NativeSchemeView.of(dataclasses.replace(cs, pivot=cs.pivot[:, :-1]))
+
+
+def test_row_chunks_cover_the_batch_in_order(monkeypatch):
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 3)
+    floor = batch.ROUTE_CHUNK_FLOOR
+    assert batch._row_chunks(0) == [(0, 0)]
+    assert batch._row_chunks(floor - 1) == [(0, floor - 1)]
+    chunks = batch._row_chunks(floor + 1)
+    assert len(chunks) == 3
+    assert chunks[0][0] == 0 and chunks[-1][1] == floor + 1
+    assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(chunks, chunks[1:]))
+
+
+@needs_native
+class TestThreadedChunks:
+    def test_batch_over_the_floor_matches_numpy_with_telemetry(self, monkeypatch):
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: 3)
+        graph = family_from_seed(12, "gnp", n=80)
+        _, routers = routers_for(graph, 3, 12)
+        pairs = sample_pairs(graph, batch.ROUTE_CHUNK_FLOOR + 123, 12)
+        results, counts, roots = {}, {}, {}
+        for kern in ("numpy", "native"):
+            TELEMETRY.reset()
+            TELEMETRY.enable()
+            try:
+                results[kern] = routers[kern].route_pairs(pairs)
+                counts[kern] = {
+                    name: TELEMETRY.counters.get(name)
+                    for name in (
+                        "route.hop_iterations",
+                        "route.pairs_routed",
+                        "route.delivered",
+                    )
+                }
+                roots[kern] = list(TELEMETRY.roots)
+            finally:
+                TELEMETRY.disable()
+                TELEMETRY.reset()
+        assert_results_equal(results["numpy"], results["native"], "(3 row chunks)")
+        # Counted once per batch on the calling thread: hop_iterations is
+        # the maximum over chunks, not their sum.
+        assert counts["numpy"] == counts["native"]
+        # Every span of the threaded route (the one-off view pack
+        # included) hangs under the caller's route.route_pairs.
+        (root,) = roots["native"]
+        assert root.name == "route.route_pairs"
+        spans = {sp.name: sp for sp, _ in root.walk()}
+        assert {"route.commit", "kernel.pack_view", "route.hop_loop", "kernel.hop_step"} <= set(spans)
+        assert spans["kernel.hop_step"].attrs["threads"] == 3
+
+    def test_chunked_dead_edges_and_ttl(self, forced_chunks):
+        graph = family_from_seed(13, "grid", n=49)
+        _, routers = routers_for(graph, 2, 13)
+        pairs = sample_pairs(graph, 500, 13)
+        dead = [tuple(int(v) for v in e) for e in graph.edges[:6]]
+        for kwargs in ({"dead_edges": dead}, {"ttl": 3}, {}):
+            assert_results_equal(
+                routers["numpy"].route_pairs(pairs, **kwargs),
+                routers["native"].route_pairs(pairs, **kwargs),
+                f"(3 row chunks, {sorted(kwargs)})",
+            )
+
+    def test_concurrent_first_use_packs_the_view_once(self, monkeypatch):
+        """Eight threads (more than the cores) meet an unpacked scheme
+        with the GIL switching every microsecond: one pack, and every
+        thread's answer bit-identical to numpy."""
+        graph = family_from_seed(14, "ba", n=600)
+        _, routers = routers_for(graph, 3, 14)
+        pairs = sample_pairs(graph, 3000, 14)
+        want = routers["numpy"].route_pairs(pairs)
+        packs = []
+        real_init = NativeSchemeView.__init__
+
+        def counting_init(self, cs):
+            packs.append(threading.get_ident())
+            real_init(self, cs)
+
+        monkeypatch.setattr(NativeSchemeView, "__init__", counting_init)
+        workers = 8
+        start = threading.Barrier(workers, timeout=60)
+        results, errors = [None] * workers, []
+
+        def route(i):
+            try:
+                start.wait()
+                results[i] = routers["native"].route_pairs(pairs)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=route, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(packs) == 1
+        for res in results:
+            assert_results_equal(want, res, "(concurrent first use)")
 
 
 # ----------------------------------------------------------------------

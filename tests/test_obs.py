@@ -5,8 +5,8 @@ Pins the three contracts the observability layer makes:
 * span trees nest correctly and survive exceptions;
 * disabled mode is a strict no-op and routing results are bit-identical
   with telemetry on or off;
-* worker-process metric snapshots merge exactly (counters add,
-  histograms concatenate) through the sharded ``RouteService``.
+* a batch the router cuts into threaded row chunks is still recorded
+  once, on the calling thread: exact counters and one span tree.
 """
 
 from __future__ import annotations
@@ -153,29 +153,6 @@ def test_metrics_accumulate(tm):
     assert tm.histograms == {"lat": [0.5, 1.5]}
 
 
-def test_snapshot_merge_exact(tm):
-    tm.count("pairs", 10)
-    tm.observe("lat", 1.0)
-    worker = Telemetry()
-    worker.enable()
-    worker.count("pairs", 32)
-    worker.count("only_worker", 5)
-    worker.gauge("rate", 7.0)
-    worker.observe("lat", 2.0)
-
-    tm.merge(worker.snapshot())
-    assert tm.counters == {"pairs": 42, "only_worker": 5}
-    assert tm.gauges == {"rate": 7.0}
-    assert tm.histograms == {"lat": [1.0, 2.0]}
-
-    before = dict(tm.counters)
-    tm.merge(None)  # a worker that did not record
-    assert tm.counters == before
-    tm.disable()
-    tm.merge(worker.snapshot())  # merging into a disabled registry: no-op
-    assert tm.counters == before
-
-
 def test_reset_clears_but_keeps_enabled(tm):
     with tm.span("s"):
         tm.count("c")
@@ -248,31 +225,40 @@ def test_builder_instrumentation_records(global_tm):
     assert global_tm.counters["build.cluster_entries"] == arrays.entry_count
 
 
-def test_sharded_service_counters_merge(tmp_path, global_tm):
-    """Worker-process counters land in the parent registry, exactly."""
+def test_threaded_service_counters(tmp_path, global_tm, monkeypatch):
+    """Row chunks run on threads, but every count lands once, exactly."""
+    from repro.sim.engine import batch
     from repro.sim.workloads import uniform_pairs
     from repro.store import RouteService, SchemeStore
 
     graph = gen.gnp(200, 0.05, rng=11, weights=(1, 5)).largest_component()
     stored = SchemeStore(tmp_path).get_or_build(graph, k=2, seed=0)
     pairs = uniform_pairs(graph, 600, rng=12)
-
-    global_tm.reset()
     service = RouteService(stored.path)
-    sharded = service.route(pairs, shards=2)
+    single = service.route(pairs)  # below the floor: one chunk
+    rounds = global_tm.counters["route.hop_iterations"]
+
+    monkeypatch.setattr(batch, "ROUTE_CHUNK_FLOOR", 64)
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 2)
+    global_tm.reset()
+    chunked = service.route(pairs)
 
     assert global_tm.counters["serve.requests"] == 1
     assert global_tm.counters["serve.pairs"] == pairs.shape[0]
-    # The parent never routed a row itself: every pairs_routed count was
-    # merged home from a worker snapshot.
+    # Chunk threads never count: the batch-level counters are recorded
+    # once by the caller, and the round count is the maximum over chunks.
     assert global_tm.counters["route.pairs_routed"] == pairs.shape[0]
-    assert len(global_tm.histograms["serve.shard_seconds"]) == 2
+    assert global_tm.counters["route.delivered"] == int(chunked.delivered.sum())
+    assert global_tm.counters["route.hop_iterations"] == rounds
+    assert len(global_tm.histograms["serve.route_seconds"]) == 1
     assert global_tm.gauges["serve.pairs_per_second"] > 0
+    # One span tree per request, every span under it.
+    assert [sp.name for sp in global_tm.roots] == ["serve.route"]
+    assert global_tm.roots[0].children[0].name == "route.route_pairs"
 
-    # And sharded still equals unsharded, telemetry on.
-    single = service.route(pairs, shards=1)
+    # And chunked still equals one chunk, telemetry on.
     for name in RESULT_COLUMNS:
-        assert np.array_equal(getattr(sharded, name), getattr(single, name))
+        assert np.array_equal(getattr(chunked, name), getattr(single, name))
 
 
 def test_store_hit_miss_counters(tmp_path, global_tm):

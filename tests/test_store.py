@@ -24,6 +24,7 @@ from repro.core.build import build_arrays
 from repro.errors import EncodingError
 from repro.graphs.ports import assign_ports
 from repro.rng import make_rng, sample_pairs
+from repro.sim.engine import batch
 from repro.sim.engine.batch import BatchRouter
 from repro.sim.engine.compile import compile_from_arrays
 from repro.store import (
@@ -392,17 +393,22 @@ class TestRouteService:
         service = RouteService(stored.path)
         assert service.n == graph.n and service.k == 3
 
-    def test_sharded_equals_single_process(self, served):
+    def test_threaded_chunks_equal_one_chunk(self, served, monkeypatch):
+        """Row chunks on threads answer exactly the one-chunk route, in
+        input row order (the numpy kernel never chunks, so there the
+        check is trivially true)."""
         graph, stored = served
         service = RouteService(stored.path)
         pairs = sample_pairs(make_rng(9), graph.n, 4000)
-        single = service.route(pairs)
-        for shards in (2, 3):
-            sharded = service.route(pairs, shards=shards)
-            _assert_routes_equal(single, sharded)
-            assert np.array_equal(single.source, sharded.source)
-            assert np.array_equal(single.dest, sharded.dest)
-            assert np.array_equal(single.tree, sharded.tree)
+        single = service.route(pairs)  # below the floor: one chunk
+        monkeypatch.setattr(batch, "ROUTE_CHUNK_FLOOR", 64)
+        for cpus in (2, 3):
+            monkeypatch.setattr(batch, "_usable_cpus", lambda cpus=cpus: cpus)
+            chunked = service.route(pairs)
+            _assert_routes_equal(single, chunked)
+            assert np.array_equal(single.source, chunked.source)
+            assert np.array_equal(single.dest, chunked.dest)
+            assert np.array_equal(single.tree, chunked.tree)
 
     def test_bad_pairs_shape(self, served):
         _, stored = served
