@@ -1,14 +1,20 @@
-"""Persistent scheme store: mmap-load vs vectorized rebuild.
+"""Persistent scheme store: container bytes per entry, and mmap-load
+vs vectorized rebuild.
 
-The acceptance gate of the store PR: on a 20k-node G(n, p) graph
-(k = 2), opening a saved scheme from the content-addressed store —
-header parse + zero-copy memory map, ready to route — must be **≥ 50×**
-faster than re-running the vectorized builder, which is itself the 11–
-13× fast path.  This is the whole point of persisting: the paper's
-"preprocess once, answer forever" stops being gated on a cold start in
-every process.
+On a 20k-node G(n, p) graph (k = 2) the gate is the container's size
+per (center, member) entry — a noise-free count, since the paper's
+subject is table size.  Storing every ``CompiledScheme`` column the
+``SchemeArrays`` already hold a second time cost 321.7 B/entry; a
+container that stores each column once measures 237.5 B/entry, and
+:data:`BYTES_PER_ENTRY_CEILING` sits just above that, so a second copy
+of any per-entry column fails it.
 
-Before any clock is trusted, a 10k-pair sample routed through the
+The load speedup — header parse + zero-copy memory map, ready to route,
+against re-running the vectorized builder — is reported, not gated: it
+measures in the tens of thousands, so any floor low enough to survive
+CI noise could not fail.
+
+Before any number is trusted, a 100k-pair sample routed through the
 mmap-loaded scheme is compared bit-for-bit (delivered, weight, hops,
 header bits) against the freshly built one.  Results land in
 ``BENCH_store.json`` (CI artifact, uploaded next to the builder and
@@ -35,7 +41,8 @@ from repro.sim.engine.batch import BatchRouter
 from repro.sim.engine.compile import compile_from_arrays
 from repro.store import SchemeStore
 
-SPEEDUP_FLOOR = 50.0
+#: Container bytes per scheme entry at the default size (measured 237.5).
+BYTES_PER_ENTRY_CEILING = 240.0
 N_DEFAULT = 20_000
 K = 2
 SEED = 2025
@@ -50,7 +57,7 @@ def setup():
     return graph, ported
 
 
-def test_store_load_speedup(setup, tmp_path):
+def test_store_bytes_per_entry(setup, tmp_path):
     graph, ported = setup
     store = SchemeStore(tmp_path)
 
@@ -62,6 +69,7 @@ def test_store_load_speedup(setup, tmp_path):
 
     path = store.save(graph, ported, arrays, seed=SEED, compiled=compiled)
     size_mb = path.stat().st_size / 1e6
+    bytes_per_entry = path.stat().st_size / arrays.entry_count
 
     # -- the cost with the store: open + mmap, ready to route -----------
     t_load = best_of(
@@ -83,7 +91,8 @@ def test_store_load_speedup(setup, tmp_path):
     speedup = t_rebuild / max(t_load, 1e-9)
     print(
         f"\nscheme store (n={graph.n}, m={graph.m}, k={K}, "
-        f"entries={arrays.entry_count:,}, file {size_mb:.1f} MB): "
+        f"entries={arrays.entry_count:,}, file {size_mb:.1f} MB, "
+        f"{bytes_per_entry:.1f} B/entry): "
         f"rebuild {t_rebuild:.2f}s; mmap load {t_load * 1e3:.1f}ms; "
         f"speedup {speedup:.0f}x; cold load+100k-pair route "
         f"{t_cold_route * 1e3:.0f}ms"
@@ -95,15 +104,20 @@ def test_store_load_speedup(setup, tmp_path):
         metrics={
             "entries": arrays.entry_count,
             "file_mb": round(size_mb, 1),
+            "bytes_per_entry": round(bytes_per_entry, 1),
             "rebuild_seconds": round(t_rebuild, 3),
             "mmap_load_seconds": round(t_load, 5),
             "cold_load_route_100k_seconds": round(t_cold_route, 4),
             "speedup": round(speedup, 1),
         },
-        floors={"speedup": SPEEDUP_FLOOR},
+        floors={"bytes_per_entry_max": BYTES_PER_ENTRY_CEILING},
     )
     print(f"wrote {out}")
 
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"store load speedup {speedup:.1f}x below the {SPEEDUP_FLOOR}x floor"
-    )
+    # Per-vertex columns weigh more per entry on smaller graphs, so the
+    # ceiling holds at the default size only.
+    if "REPRO_BENCH_N" not in os.environ:
+        assert bytes_per_entry <= BYTES_PER_ENTRY_CEILING, (
+            f"container holds {bytes_per_entry:.1f} B/entry, above the "
+            f"{BYTES_PER_ENTRY_CEILING} B ceiling: a column is stored twice"
+        )

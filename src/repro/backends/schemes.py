@@ -6,10 +6,12 @@ adapter builds its scheme, exports the dense
 ``query_many`` by routing the whole pair matrix through the vectorized
 :class:`~repro.sim.engine.batch.BatchRouter` — the answer is the weight
 of the walked path, not an estimate.  Serialization reuses the store's
-``CompiledScheme`` manifest walk, so a deserialized backend routes
-without the graph or the dict world (the measured ``size_bits`` rides in
-the manifest header, computed once at build time from the scheme's own
-accounting).
+``CompiledScheme`` manifest walk — every column, since a backend holds
+no arrays to bind them to — so a deserialized backend routes without
+the graph or the dict world (the measured ``size_bits`` rides in the
+manifest header, computed once at build time from the scheme's own
+accounting).  A column whose length disagrees with the scheme's shape
+raises :class:`~repro.errors.EncodingError` on deserialize.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ class _CompiledRoutingBackend(Backend):
         meta = {
             "n": self.n,
             "k": self.k,
-            "id_bits": int(self._compiled.id_bits),
             "handshake": bool(self._compiled.handshake),
             "size_bits": int(self._size_bits),
         }
@@ -89,11 +90,7 @@ class _CompiledRoutingBackend(Backend):
         cls, meta: Dict[str, object], blobs: Dict[str, np.ndarray]
     ) -> "_CompiledRoutingBackend":
         compiled = compiled_from_manifest(
-            blobs,
-            int(meta["n"]),
-            int(meta["k"]),
-            int(meta["id_bits"]),
-            bool(meta["handshake"]),
+            blobs, int(meta["n"]), int(meta["k"]), bool(meta["handshake"])
         )
         return cls(compiled, size_bits=int(meta["size_bits"]))
 

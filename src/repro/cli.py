@@ -535,31 +535,23 @@ def _cmd_build(args) -> int:
     from .graphs.ports import assign_ports
     from .rng import derive
 
-    builder = args.builder
-    if args.method is not None:
-        print("--method is deprecated; use --builder", file=sys.stderr)
-        if builder is None:
-            builder = args.method
-    if builder is None:
-        builder = "vectorized"
-
     graph = reference_graph(args.graph, args.n, args.seed).largest_component()
     ported = assign_ports(graph, "random", rng=derive(args.seed, "build-ports"))
     hierarchy = build_hierarchy(graph, args.k, derive(args.seed, "build-hierarchy"))
 
-    builders = ["vectorized", "reference"] if builder == "both" else [builder]
+    builders = ["vectorized", "reference"] if args.builder == "both" else [args.builder]
     stats = {"graph": args.graph, "n": graph.n, "m": graph.m, "k": args.k}
     arrays = None
-    for method in builders:
-        with timed("cli.build", builder=method) as tsp:
+    for builder in builders:
+        with timed("cli.build", builder=builder) as tsp:
             arrays = build_arrays(
                 graph,
                 ported=ported,
                 hierarchy=hierarchy,
-                builder=method,
+                builder=builder,
                 kernel=args.kernel,
             )
-        stats[f"{method}_build_seconds"] = round(tsp.seconds, 3)
+        stats[f"{builder}_build_seconds"] = round(tsp.seconds, 3)
     bunch = arrays.bunch_sizes()
     label_bits = arrays.label_bits()
     stats.update(
@@ -1139,15 +1131,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_build.add_argument("--k", type=int, default=2, help="hierarchy levels")
     p_build.add_argument(
         "--builder",
-        default=None,
+        default="vectorized",
         choices=["vectorized", "reference", "both"],
         help="construction pipeline (default vectorized; see epilog)",
-    )
-    p_build.add_argument(
-        "--method",
-        default=None,
-        choices=["vectorized", "reference", "both"],
-        help="deprecated alias for --builder",
     )
     p_build.add_argument(
         "--materialize",

@@ -42,14 +42,13 @@ from those, shared by both builders:
 
 Sorted keys make every membership question ("does ``u`` have a record
 for ``T_w``?") a batched ``searchsorted`` — the same trick the batch
-routing engine uses, which is why :func:`compile_scheme
-<repro.sim.engine.compile.compile_scheme>` can export these arrays
-directly without touching the dict world.
+routing engine uses, which is why :func:`compile_from_arrays
+<repro.sim.engine.compile.compile_from_arrays>` exports these arrays
+directly, and every scheme either builder makes carries them.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,25 +77,14 @@ __all__ = [
     "vectorized_arrays",
 ]
 
-METHODS = ("vectorized", "reference")
-BUILDERS = METHODS  #: canonical name for the accepted ``builder=`` values
+#: The accepted ``builder=`` values.
+BUILDERS = ("vectorized", "reference")
 
 
-def resolve_builder(builder: Optional[str], method: Optional[str]) -> str:
-    """Canonicalize the construction-selector keyword.
-
-    ``builder=`` is the canonical spelling everywhere construction is
-    selected (``engine=`` selects execution); ``method=`` is the
-    deprecated alias, honoured with a :class:`DeprecationWarning`.
+def resolve_builder(builder: Optional[str]) -> str:
+    """Canonicalize the construction-selector keyword (``builder=``
+    everywhere construction is selected; ``engine=`` selects execution).
     """
-    if method is not None:
-        warnings.warn(
-            "the method= keyword is deprecated; use builder=",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if builder is None:
-            builder = method
     if builder is None:
         builder = "vectorized"
     if builder not in BUILDERS:
@@ -143,7 +131,6 @@ def build_arrays(
     levels: Optional[Sequence[np.ndarray]] = None,
     consistent_pivots: bool = True,
     hierarchy: Optional[Hierarchy] = None,
-    method: Optional[str] = None,
     kernel: str = "auto",
 ) -> SchemeArrays:
     """Construct a scheme and return its array form (no dict world).
@@ -153,10 +140,9 @@ def build_arrays(
     ``...builder="reference", rng=s`` are directly comparable.  Pass
     ``hierarchy`` to share one across calls.  ``mode`` and ``kernel``
     (the frontier-sweep backend, see :mod:`repro.kernels`) are forwarded
-    to :func:`vectorized_arrays`.  ``method=`` is the deprecated alias
-    of ``builder=``.
+    to :func:`vectorized_arrays`.
     """
-    builder = resolve_builder(builder, method)
+    builder = resolve_builder(builder)
     with TELEMETRY.span("build.arrays", builder=builder, k=k, n=graph.n):
         if hierarchy is not None:
             from ...graphs.ports import assign_ports
@@ -182,22 +168,21 @@ def build_scheme(
     sampling: str = "bernoulli",
     levels: Optional[Sequence[np.ndarray]] = None,
     consistent_pivots: bool = True,
-    method: Optional[str] = None,
     kernel: str = "auto",
 ):
     """Build a routable :class:`~repro.core.scheme_k.TZRoutingScheme`.
 
     ``builder="vectorized"`` runs the array pipeline and materializes the
-    object world from it (the compiled batch-engine export then reads
-    the arrays directly); ``builder="reference"`` runs the original
-    per-node path.  Outputs are bit-identical either way — as they are
-    for either value of ``kernel`` (the vectorized builder's
-    frontier-sweep backend, see :mod:`repro.kernels`).  ``method=`` is
-    the deprecated alias of ``builder=``.
+    object world from it; ``builder="reference"`` runs the original
+    per-node path and packs its clusters and trees as arrays too (the
+    compiled batch-engine export reads the arrays either way).  Outputs
+    are bit-identical either way — as they are for either value of
+    ``kernel`` (the vectorized builder's frontier-sweep backend, see
+    :mod:`repro.kernels`).
     """
     from ..scheme_k import build_tz_scheme
 
-    builder = resolve_builder(builder, method)
+    builder = resolve_builder(builder)
     return build_tz_scheme(
         graph,
         ported,

@@ -19,7 +19,8 @@ ports.
 :func:`scheme_from_arrays` materializes the dict-based
 :class:`~repro.core.scheme_k.TZRoutingScheme` the hop-by-hop simulator
 routes on — the compatibility bridge between the array world and the
-object world.
+object world.  Every ``TZRoutingScheme`` carries its arrays, whichever
+builder made it.
 """
 
 from __future__ import annotations
@@ -351,7 +352,8 @@ def scheme_from_arrays(graph: Graph, ported: PortedGraph, arrays: SchemeArrays):
 
     Produces exactly what :func:`repro.core.scheme_k.build_tz_scheme`
     builds per-node (the differential suite asserts this): same records,
-    tree labels, member maps, pivots and destination labels.
+    tree labels, member maps, pivots and destination labels.  The scheme
+    carries ``arrays`` itself, so its batch compile reads them directly.
     """
     from ..scheme_k import TZRoutingScheme
 
@@ -404,4 +406,6 @@ def scheme_from_arrays(graph: Graph, ported: PortedGraph, arrays: SchemeArrays):
         )
         labels[v] = TZLabel(v, entries)
 
-    return TZRoutingScheme(graph, ported, hierarchy, tables, labels, tree_sizes, tree_labels)
+    return TZRoutingScheme(
+        graph, ported, hierarchy, tables, labels, tree_sizes, tree_labels, arrays
+    )

@@ -39,7 +39,6 @@ Level 0 (``v ∈ C(u)``) routes along an exact shortest path.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,8 +48,7 @@ from ..graphs.graph import Graph
 from ..graphs.ports import PortedGraph
 from ..rng import RngLike, make_rng
 from ..trees.label_codec import TreeLabel, tree_label_bits
-from ..trees.tz_tree import TreeRouter, build_tree_router, decide_from_record
-from .clusters import Cluster, compute_all_clusters
+from ..trees.tz_tree import decide_from_record
 from .landmarks import Hierarchy, build_hierarchy
 from .labels import LabelEntry, TZLabel, label_size_bits
 from .router import RouteHeader, RoutingScheme
@@ -58,7 +56,12 @@ from .tables import VertexTable
 
 
 class TZRoutingScheme(RoutingScheme):
-    """A compiled TZ scheme over a ported graph (see module docstring)."""
+    """A compiled TZ scheme over a ported graph (see module docstring).
+
+    ``arrays`` is the same scheme as a
+    :class:`~repro.core.build.arrays.SchemeArrays`: both builders attach
+    it, and the batch engine compiles from it.
+    """
 
     def __init__(
         self,
@@ -69,6 +72,7 @@ class TZRoutingScheme(RoutingScheme):
         labels: Dict[int, TZLabel],
         tree_sizes: Dict[int, int],
         tree_labels: Dict[int, Dict[int, TreeLabel]],
+        arrays,
     ) -> None:
         self.graph = graph
         self.ported = ported
@@ -80,9 +84,7 @@ class TZRoutingScheme(RoutingScheme):
         self.n = graph.n
         self.k = hierarchy.k
         self.name = f"tz-k{self.k}"
-        #: Array form of the scheme (set by the vectorized builder); lets
-        #: the batch engine compile without walking the dict tables.
-        self._arrays = None
+        self.arrays = arrays
         degs = graph.degrees()
         self._max_port = int(degs.max()) if degs.size else 1
 
@@ -140,11 +142,11 @@ class TZRoutingScheme(RoutingScheme):
     def compile_batch(self, ported: Optional[PortedGraph] = None):
         """The dense-array form of this scheme for the batch engine.
 
-        Materializes (and caches, per port assignment) every tree's
-        records, labels and member maps as the columnar arrays that
-        :class:`repro.sim.engine.batch.BatchRouter` routes on.  The
-        export is derived from the same compiled tables the hop-by-hop
-        path reads, so both runtimes forward over identical state.
+        Resolves (and caches, per port assignment) the scheme's arrays
+        into the columns :class:`repro.sim.engine.batch.BatchRouter`
+        routes on.  The arrays hold the same records, labels and member
+        maps as the tables the hop-by-hop path reads, so both runtimes
+        forward over identical state.
         """
         from ..sim.engine.compile import compile_scheme
 
@@ -225,24 +227,20 @@ def build_tz_scheme(
     builder:
         ``"reference"`` (the per-node construction below) or
         ``"vectorized"`` — the array-program pipeline of
-        :mod:`repro.core.build`, which produces a bit-identical scheme
-        (and caches its array form for the batch-engine compile);
-        ``cluster_method`` only applies to the per-node path.
-        ``"pernode"`` is the deprecated spelling of ``"reference"``.
+        :mod:`repro.core.build`, which produces a bit-identical scheme;
+        ``cluster_method`` only applies to the per-node path.  Either
+        way the scheme carries its array form, which the batch engine
+        compiles.
     kernel:
         Frontier-sweep backend of the vectorized builder
         (``"numpy"``/``"native"``/``"auto"``, see :mod:`repro.kernels`);
         ignored by the reference path.  Bit-identical output either way.
     """
     from ..graphs.ports import assign_ports
+    from .build.arrays import scheme_from_arrays
+    from .build.reference import hierarchy_clusters, pack_clusters
+    from .build.vectorized import vectorized_arrays
 
-    if builder == "pernode":
-        warnings.warn(
-            'builder="pernode" is deprecated; use builder="reference"',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        builder = "reference"
     if builder not in ("reference", "vectorized"):
         raise PreprocessingError(f"unknown builder {builder!r}")
     if not graph.is_connected():
@@ -268,29 +266,12 @@ def build_tz_scheme(
         )
 
     if builder == "vectorized":
-        from .build.arrays import scheme_from_arrays
-        from .build.vectorized import vectorized_arrays
-
         arrays = vectorized_arrays(graph, ported, hierarchy, kernel=kernel)
-        scheme = scheme_from_arrays(graph, ported, arrays)
-        scheme._arrays = arrays
-        return scheme
+        return scheme_from_arrays(graph, ported, arrays)
 
-    # --- clusters, level by level (shared threshold row per level) -----
-    clusters: Dict[int, Cluster] = {}
-    for i in range(hierarchy.k):
-        centers = [
-            int(w) for w in hierarchy.levels[i] if hierarchy.level_of[w] == i
-        ]
-        if not centers:
-            continue
-        threshold = hierarchy.dist[i + 1]
-        clusters.update(
-            compute_all_clusters(graph, centers, threshold, method=cluster_method)
-        )
-
-    # --- compile one tree router per cluster ---------------------------
-    routers: Dict[int, TreeRouter] = {}
+    # --- clusters, then one tree router per cluster, packed as arrays --
+    clusters = hierarchy_clusters(graph, hierarchy, method=cluster_method)
+    arrays, routers = pack_clusters(graph, ported, hierarchy, clusters)
     tree_sizes: Dict[int, int] = {}
     tree_labels: Dict[int, Dict[int, TreeLabel]] = {}
     tables: Dict[int, VertexTable] = {
@@ -303,8 +284,7 @@ def build_tz_scheme(
     # full level-i cluster at a top-level vertex would cost Θ(n).
     d1 = hierarchy.dist[1] if hierarchy.k >= 2 else np.full(graph.n, np.inf)
     for w, cluster in clusters.items():
-        router = build_tree_router(cluster.tree(), ported, port_model="fixed")
-        routers[w] = router
+        router = routers[w]
         tree_sizes[w] = len(cluster)
         tree_labels[w] = router.labels
         for x, record in router.records.items():
@@ -317,6 +297,7 @@ def build_tz_scheme(
         }
 
     # --- pivots per vertex, and the destination labels -----------------
+    # (packing already refused pivots whose cluster misses the vertex)
     labels: Dict[int, TZLabel] = {}
     for v in range(graph.n):
         tables[v].pivots = tuple(
@@ -325,15 +306,9 @@ def build_tz_scheme(
         entries: List[LabelEntry] = []
         for i in range(1, hierarchy.k):
             w = int(hierarchy.pivot[i, v])
-            mu = tree_labels.get(w, {}).get(v)
-            if mu is None:
-                raise PreprocessingError(
-                    f"vertex {v} is not in the cluster of its level-{i} "
-                    f"pivot {w}: pivots are inconsistent (see DESIGN.md §3)"
-                )
-            entries.append(LabelEntry(w, mu))
+            entries.append(LabelEntry(w, tree_labels[w][v]))
         labels[v] = TZLabel(v, tuple(entries))
 
     return TZRoutingScheme(
-        graph, ported, hierarchy, tables, labels, tree_sizes, tree_labels
+        graph, ported, hierarchy, tables, labels, tree_sizes, tree_labels, arrays
     )

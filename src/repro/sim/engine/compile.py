@@ -24,19 +24,27 @@ Entries are keyed by ``w * n + u`` in one sorted int64 array, so "does
 4k−5 commit strategy and the §4 handshake alternation — is a vectorized
 ``searchsorted`` over arbitrarily many messages at once.
 
-:func:`compile_scheme` accepts the general :class:`TZRoutingScheme`
-(``scheme_k`` for any k, hence also the §3 stretch-3 ``scheme_k2``
-specialization) and the §4 :class:`HandshakeRoutingScheme` wrapper.
+One representation: a :class:`CompiledScheme` is exactly a
+:class:`~repro.core.build.arrays.SchemeArrays` plus the columns a port
+assignment derives.  The twelve columns of :data:`ARRAY_BOUND` *are*
+array columns — :func:`compile_from_arrays` binds the very objects, and
+a scheme container stores them once — while the thirteen others
+(:data:`DERIVED`: resolved next hops, weights, edges, entry links, label
+bits and step tables) are computed here.  Every TZ scheme carries its
+arrays, so :func:`compile_scheme` is :func:`compile_from_arrays` behind
+the §4 :class:`HandshakeRoutingScheme` unwrap; only
+:func:`compile_single_tree` lays out its own entries, through the same
+resolution pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...errors import RoutingError
+from ...errors import EncodingError, RoutingError
 from ...graphs.ports import PortedGraph
 from ...obs import TELEMETRY
 from ...trees.label_codec import tree_label_bits_array
@@ -61,7 +69,7 @@ def _resolve_ports(
 
 
 def _link_entries(
-    entry_keys: np.ndarray, entry_tree: np.ndarray, n: int, nxt: np.ndarray
+    entry_keys: np.ndarray, ent_vertex: np.ndarray, nxt: np.ndarray
 ) -> np.ndarray:
     """Entry index of each resolved neighbor in the same tree: ``-1`` for
     no transition, ``-2`` when the neighbor has no record there (only
@@ -69,7 +77,8 @@ def _link_entries(
     link = np.full(nxt.shape[0], -1, dtype=np.int64)
     have = nxt >= 0
     if have.any() and entry_keys.size:
-        keys = entry_tree[have] * np.int64(n) + nxt[have]
+        # tree * n + neighbor, from the entry's own key tree * n + vertex
+        keys = entry_keys[have] - ent_vertex[have] + nxt[have]
         pos = np.minimum(np.searchsorted(entry_keys, keys), entry_keys.shape[0] - 1)
         found = entry_keys[pos] == keys
         link[have] = np.where(found, pos, -2)
@@ -84,12 +93,11 @@ class CompiledScheme:
 
     All ``ent_*`` arrays are aligned with ``entry_keys`` (sorted by
     ``tree * n + vertex``); ``-1`` marks an absent parent (the root) or
-    heavy child (a leaf).
+    heavy child (a leaf).  Build one with :func:`bind_compiled`.
     """
 
     n: int
     k: int
-    id_bits: int
     handshake: bool
     # -- entries: one row per (tree, member) pair -----------------------
     entry_keys: np.ndarray  # (E,) int64, sorted: tree * n + vertex
@@ -132,9 +140,18 @@ class CompiledScheme:
         """Total number of (tree, member) entries in the scheme."""
         return int(self.entry_keys.shape[0])
 
+    @property
+    def id_bits(self) -> int:
+        """Width of one vertex id in a routing header."""
+        return (max(self.n - 1, 0)).bit_length()
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Every column by name (see :data:`COLUMNS`)."""
+        return {name: getattr(self, name) for name in COLUMNS}
+
     def with_handshake(self) -> "CompiledScheme":
         """The same arrays with the §4 handshake tree selection."""
-        return replace(self, handshake=True)
+        return bind_compiled(self.n, self.k, self.columns(), handshake=True)
 
     # ------------------------------------------------------------------
     # Vectorized lookups
@@ -242,6 +259,78 @@ class CompiledScheme:
         return w, epos, spos, ok
 
 
+#: Every ndarray column of a :class:`CompiledScheme`, in field order.
+COLUMNS = tuple(f.name for f in fields(CompiledScheme) if f.name not in ("n", "k", "handshake"))
+
+#: The twelve :class:`CompiledScheme` columns that *are*
+#: :class:`~repro.core.build.arrays.SchemeArrays` columns, each with the
+#: accessor of the array column it is bound to.
+ARRAY_BOUND = {
+    "entry_keys": lambda a: a.entry_keys,
+    "ent_vertex": lambda a: a.ent_member,
+    "ent_f": lambda a: a.tr_f,
+    "ent_finish": lambda a: a.tr_finish,
+    "ent_heavy_finish": lambda a: a.tr_heavy_finish,
+    "ent_light_depth": lambda a: a.tr_light_depth,
+    "root_epos": lambda a: a.lab_epos[0],
+    "lp_indptr": lambda a: a.lp_indptr,
+    "lp_data": lambda a: a.lp_data,
+    "mem_keys": lambda a: a.mem_keys,
+    "mem_epos": lambda a: a.mem_epos,
+    "pivot": lambda a: a.hierarchy.pivot,
+}
+
+#: The thirteen columns compiling derives through a port assignment.
+DERIVED = tuple(name for name in COLUMNS if name not in ARRAY_BOUND)
+
+
+def array_columns(arrays) -> Dict[str, np.ndarray]:
+    """The :data:`ARRAY_BOUND` columns of ``arrays``, by compiled name."""
+    return {name: get(arrays) for name, get in ARRAY_BOUND.items()}
+
+
+def _check_shapes(n: int, k: int, cols: Dict[str, np.ndarray]) -> None:
+    """O(1) per column: every column agrees with ``entry_keys``,
+    ``lp_indptr``, ``g_indptr`` and ``(k, n)``, so no kernel can index
+    past the end of one."""
+    entries = cols["entry_keys"].shape[0]
+    expect = {name: (entries,) for name in COLUMNS if name.startswith("ent")}
+    expect.update(
+        lp_indptr=(entries + 1,),
+        mem_epos=cols["mem_keys"].shape,
+        pivot=(k, n),
+        root_epos=(n,),
+        g_indptr=(n + 1,),
+    )
+    bad = [name for name, shape in expect.items() if cols[name].shape != shape]
+    lp_indptr, g_indptr = cols["lp_indptr"], cols["g_indptr"]
+    if not bad and cols["lp_data"].shape != (int(lp_indptr[-1]),):
+        bad.append("lp_data")
+    if not bad:
+        steps = (int(g_indptr[-1]),)
+        bad = [name for name in COLUMNS if name.startswith("step_") and cols[name].shape != steps]
+    if bad:
+        raise EncodingError(
+            f"compiled scheme columns {bad} disagree with its shape "
+            f"(n={n}, k={k}, {entries} entries)"
+        )
+
+
+def bind_compiled(
+    n: int, k: int, columns: Dict[str, np.ndarray], *, handshake: bool = False
+) -> CompiledScheme:
+    """The one :class:`CompiledScheme` constructor: bind ``columns`` (all of
+    :data:`COLUMNS`, arrays as given) after checking their shapes.
+
+    Raises :class:`~repro.errors.EncodingError` when a column's length
+    disagrees with the entry count, the light-port CSR, the step tables
+    or ``(k, n)`` — the failure a damaged container would otherwise
+    surface only at route time, or not at all.
+    """
+    _check_shapes(n, k, columns)
+    return CompiledScheme(n=n, k=k, handshake=handshake, **columns)
+
+
 def compile_scheme(
     scheme, ported: Optional[PortedGraph] = None
 ) -> CompiledScheme:
@@ -264,150 +353,58 @@ def compile_scheme(
             "TZ table/label schemes have the dense-array form "
             '(route it with engine="reference")'
         )
-    if ported is None:
-        ported = scheme.ported
-    if getattr(scheme, "_arrays", None) is not None:
-        # Vectorized-builder schemes carry their array form already; the
-        # export is a resolution pass over those arrays instead of a
-        # Python walk of every (tree, member) dict entry.
-        return compile_from_arrays(scheme._arrays, ported)
-    with TELEMETRY.span("engine.compile", source="tables"):
-        return _compile_tables(scheme, ported)
+    return compile_from_arrays(scheme.arrays, scheme.ported if ported is None else ported)
 
 
-def _compile_tables(scheme, ported: PortedGraph) -> CompiledScheme:
-    """Dict-walk export of a table scheme (the non-array slow path)."""
+def _resolve_columns(
+    columns: Dict[str, np.ndarray],
+    k: int,
+    ported: PortedGraph,
+    *,
+    parent_port: np.ndarray,
+    heavy_port: np.ndarray,
+    label_bits: np.ndarray,
+) -> CompiledScheme:
+    """Derive the :data:`DERIVED` columns of an entry layout through
+    ``ported`` and bind them next to the given ``columns``.
+
+    ``parent_port``/``heavy_port`` are the records' ports (0 = none),
+    resolved to neighbors, weights and edge ids through the target port
+    assignment's step tables; the neighbors are then resolved back to
+    entry rows of the same tree (one sorted lookup at compile time saves
+    one per hop at route time).
+    """
     graph = ported.graph
-    n = scheme.n
-
-    # -- global (vertex, port) step tables ------------------------------
     arc = ported.arc_of_port
     step_next = graph.adj[arc]
     step_wt = graph.adj_weights[arc]
     step_edge = graph.arc_edge[arc]
-
-    # -- entries, tree by tree (ids ascending => keys sorted) ------------
-    tree_ids = sorted(scheme.tree_labels)
-    key_parts, field_parts = [], []
-    u_parts, pport_parts, hport_parts = [], [], []
-    fwidth_parts, lp_count_parts, lp_chunks = [], [], []
-    for w in tree_ids:
-        labels_w = scheme.tree_labels[w]
-        members = np.fromiter(sorted(labels_w), dtype=np.int64, count=len(labels_w))
-        recs = records_to_arrays(
-            [scheme.tables[int(u)].trees[w] for u in members]
-        )
-        key_parts.append(w * n + members)
-        u_parts.append(members)
-        field_parts.append(
-            (recs["f"], recs["finish"], recs["heavy_finish"], recs["light_depth"])
-        )
-        pport_parts.append(recs["parent_port"])
-        hport_parts.append(recs["heavy_port"])
-        fw = (max(scheme.tree_sizes[w] - 1, 0)).bit_length()
-        fwidth_parts.append(np.full(members.shape[0], fw, dtype=np.int64))
-        counts = np.empty(members.shape[0], dtype=np.int64)
-        for i, u in enumerate(members):
-            ports = labels_w[int(u)].light_ports
-            counts[i] = len(ports)
-            if ports:
-                lp_chunks.append(np.asarray(ports, dtype=np.int64))
-        lp_count_parts.append(counts)
-
-    def _cat(parts, dtype=np.int64):
-        """Concatenate chunks (empty-safe) into one typed array."""
-        if not parts:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate(parts).astype(dtype, copy=False)
-
-    entry_keys = _cat(key_parts)
-    ent_u = _cat(u_parts)
-    ent_f = _cat([p[0] for p in field_parts])
-    ent_finish = _cat([p[1] for p in field_parts])
-    ent_heavy_finish = _cat([p[2] for p in field_parts])
-    ent_light_depth = _cat([p[3] for p in field_parts])
-    parent_port = _cat(pport_parts)
-    heavy_port = _cat(hport_parts)
-    f_width = _cat(fwidth_parts)
-    lp_counts = _cat(lp_count_parts)
-    lp_indptr = np.zeros(entry_keys.shape[0] + 1, dtype=np.int64)
-    np.cumsum(lp_counts, out=lp_indptr[1:])
-    lp_data = _cat(lp_chunks)
-
-    # -- resolve parent/heavy ports to neighbors through the ports ------
+    entry_keys, ent_u = columns["entry_keys"], columns["ent_vertex"]
     parent_next, parent_wt, parent_edge = _resolve_ports(
         graph, ent_u, parent_port, step_next, step_wt, step_edge
     )
     heavy_next, heavy_wt, heavy_edge = _resolve_ports(
         graph, ent_u, heavy_port, step_next, step_wt, step_edge
     )
-
-    # Entry-to-entry links: resolve each transition's target vertex back
-    # to its entry row in the same tree (one sorted lookup at compile
-    # time saves one per hop at route time).
-    entry_tree = entry_keys // n if entry_keys.size else entry_keys
-    parent_epos = _link_entries(entry_keys, entry_tree, n, parent_next)
-    heavy_epos = _link_entries(entry_keys, entry_tree, n, heavy_next)
-
-    root_epos = np.full(n, -1, dtype=np.int64)
-    if entry_keys.size:
-        verts = np.arange(n, dtype=np.int64)
-        keys = verts * n + verts
-        pos = np.minimum(
-            np.searchsorted(entry_keys, keys), entry_keys.shape[0] - 1
-        )
-        found = entry_keys[pos] == keys
-        root_epos[found] = pos[found]
-
-    ent_label_bits = tree_label_bits_array(f_width, lp_indptr, lp_data)
-
-    # -- level-0 member maps (the source-side cluster check) -------------
-    mem_key_list, mem_pos_list = [], []
-    for u in range(n):
-        members = scheme.tables[u].members
-        if not members:
-            continue
-        targets = np.fromiter(sorted(members), dtype=np.int64, count=len(members))
-        mem_key_list.append(u * np.int64(n) + targets)
-        pos = np.searchsorted(entry_keys, u * np.int64(n) + targets)
-        mem_pos_list.append(pos)
-    mem_keys = _cat(mem_key_list)
-    mem_epos = _cat(mem_pos_list)
-
-    pivot = np.ascontiguousarray(scheme.hierarchy.pivot, dtype=np.int64)
-
-    id_bits = (max(n - 1, 0)).bit_length()
-
-    return CompiledScheme(
-        n=n,
-        k=scheme.k,
-        id_bits=id_bits,
-        handshake=False,
-        entry_keys=entry_keys,
-        ent_vertex=ent_u,
-        ent_f=ent_f,
-        ent_finish=ent_finish,
-        ent_heavy_finish=ent_heavy_finish,
-        ent_light_depth=ent_light_depth,
-        ent_parent_next=parent_next,
-        ent_parent_wt=parent_wt,
-        ent_parent_edge=parent_edge,
-        ent_heavy_next=heavy_next,
-        ent_heavy_wt=heavy_wt,
-        ent_heavy_edge=heavy_edge,
-        ent_parent_epos=parent_epos,
-        ent_heavy_epos=heavy_epos,
-        ent_label_bits=ent_label_bits,
-        root_epos=root_epos,
-        lp_indptr=lp_indptr,
-        lp_data=lp_data,
-        mem_keys=mem_keys,
-        mem_epos=mem_epos,
-        pivot=pivot,
-        g_indptr=graph.indptr,
-        step_next=step_next,
-        step_wt=step_wt,
-        step_edge=step_edge,
+    return bind_compiled(
+        ported.n,
+        k,
+        dict(
+            columns,
+            ent_parent_next=parent_next,
+            ent_parent_wt=parent_wt,
+            ent_parent_edge=parent_edge,
+            ent_heavy_next=heavy_next,
+            ent_heavy_wt=heavy_wt,
+            ent_heavy_edge=heavy_edge,
+            ent_parent_epos=_link_entries(entry_keys, ent_u, parent_next),
+            ent_heavy_epos=_link_entries(entry_keys, ent_u, heavy_next),
+            ent_label_bits=label_bits,
+            g_indptr=graph.indptr,
+            step_next=step_next,
+            step_wt=step_wt,
+            step_edge=step_edge,
+        ),
     )
 
 
@@ -422,11 +419,13 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
     pair to ``T_r`` at level 1 and the unchanged hop loop do the rest,
     so the baseline rides the same vectorized runtime as the real
     schemes (delivered/weight/hops bit-for-bit the reference simulator).
+    A lone spanning tree gives no vertex a cluster of its own, so this
+    layout is not a :class:`~repro.core.build.arrays.SchemeArrays`; it
+    shares only the resolution pass.
 
     ``router`` is a spanning :class:`~repro.trees.tz_tree.TreeRouter`
     over ``ported`` (every vertex must have a record).
     """
-    graph = ported.graph
     n = ported.n
     r = int(router.root)
     if router.tree_size != n:
@@ -435,26 +434,8 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
             f"records for {n} vertices"
         )
 
-    arc = ported.arc_of_port
-    step_next = graph.adj[arc]
-    step_wt = graph.adj_weights[arc]
-    step_edge = graph.arc_edge[arc]
-
     members = np.arange(n, dtype=np.int64)
     recs = records_to_arrays([router.records[int(v)] for v in range(n)])
-    entry_keys = r * np.int64(n) + members  # ascending: sorted by vertex
-
-    parent_next, parent_wt, parent_edge = _resolve_ports(
-        graph, members, recs["parent_port"], step_next, step_wt, step_edge
-    )
-    heavy_next, heavy_wt, heavy_edge = _resolve_ports(
-        graph, members, recs["heavy_port"], step_next, step_wt, step_edge
-    )
-    # Entry position of vertex v is v itself (one tree, all vertices),
-    # so the transition links are the resolved neighbors directly.
-    parent_epos = np.where(parent_next >= 0, parent_next, -1)
-    heavy_epos = np.where(heavy_next >= 0, heavy_next, -1)
-
     lp_counts = np.fromiter(
         (len(router.labels[int(v)].light_ports) for v in range(n)), np.int64, n
     )
@@ -466,43 +447,31 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
         int(lp_indptr[-1]),
     )
     f_width = np.full(n, (max(n - 1, 0)).bit_length(), dtype=np.int64)
-    ent_label_bits = tree_label_bits_array(f_width, lp_indptr, lp_data)
-
     root_epos = np.full(n, -1, dtype=np.int64)
     root_epos[r] = r
     pivot = np.zeros((2, n), dtype=np.int64)
     pivot[1] = r
-
-    return CompiledScheme(
-        n=n,
-        k=2,
-        id_bits=(max(n - 1, 0)).bit_length(),
-        handshake=False,
-        entry_keys=entry_keys,
-        ent_vertex=members,
-        ent_f=recs["f"],
-        ent_finish=recs["finish"],
-        ent_heavy_finish=recs["heavy_finish"],
-        ent_light_depth=recs["light_depth"],
-        ent_parent_next=parent_next,
-        ent_parent_wt=parent_wt,
-        ent_parent_edge=parent_edge,
-        ent_heavy_next=heavy_next,
-        ent_heavy_wt=heavy_wt,
-        ent_heavy_edge=heavy_edge,
-        ent_parent_epos=parent_epos,
-        ent_heavy_epos=heavy_epos,
-        ent_label_bits=ent_label_bits,
-        root_epos=root_epos,
-        lp_indptr=lp_indptr,
-        lp_data=lp_data,
-        mem_keys=np.zeros(0, dtype=np.int64),
-        mem_epos=np.zeros(0, dtype=np.int64),
-        pivot=pivot,
-        g_indptr=graph.indptr,
-        step_next=step_next,
-        step_wt=step_wt,
-        step_edge=step_edge,
+    columns = {
+        "entry_keys": r * np.int64(n) + members,  # ascending: sorted by vertex
+        "ent_vertex": members,
+        "ent_f": recs["f"],
+        "ent_finish": recs["finish"],
+        "ent_heavy_finish": recs["heavy_finish"],
+        "ent_light_depth": recs["light_depth"],
+        "root_epos": root_epos,
+        "lp_indptr": lp_indptr,
+        "lp_data": lp_data,
+        "mem_keys": np.zeros(0, dtype=np.int64),
+        "mem_epos": np.zeros(0, dtype=np.int64),
+        "pivot": pivot,
+    }
+    return _resolve_columns(
+        columns,
+        2,
+        ported,
+        parent_port=recs["parent_port"],
+        heavy_port=recs["heavy_port"],
+        label_bits=tree_label_bits_array(f_width, lp_indptr, lp_data),
     )
 
 
@@ -511,65 +480,20 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
 
     The array form already *is* the entry layout the engine routes on
     (sorted ``tree * n + vertex`` keys, record columns, light-port CSR,
-    member maps, pivots); what remains is resolving the stored parent and
-    heavy ports through ``ported``'s step tables — the same pass
-    :func:`compile_scheme` runs, so routing over a foreign port
-    assignment crosses exactly the same physical links either way.
+    member maps, pivots): those :data:`ARRAY_BOUND` columns are bound as
+    they are, and what remains is resolving the stored parent and heavy
+    ports through ``ported``'s step tables — so routing over a foreign
+    port assignment crosses exactly the links the hop-by-hop simulator
+    would.
     """
     with TELEMETRY.span(
         "engine.compile", source="arrays", entries=int(arrays.entry_keys.shape[0])
     ):
-        return _compile_arrays(arrays, ported)
-
-
-def _compile_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
-    """The resolution pass behind :func:`compile_from_arrays`."""
-    graph = ported.graph
-    n = arrays.n
-    arc = ported.arc_of_port
-    step_next = graph.adj[arc]
-    step_wt = graph.adj_weights[arc]
-    step_edge = graph.arc_edge[arc]
-
-    entry_keys = arrays.entry_keys
-    ent_u = arrays.ent_member
-
-    parent_next, parent_wt, parent_edge = _resolve_ports(
-        graph, ent_u, arrays.tr_parent_port, step_next, step_wt, step_edge
-    )
-    heavy_next, heavy_wt, heavy_edge = _resolve_ports(
-        graph, ent_u, arrays.tr_heavy_port, step_next, step_wt, step_edge
-    )
-    entry_tree = arrays.ent_center
-
-    return CompiledScheme(
-        n=n,
-        k=arrays.k,
-        id_bits=(max(n - 1, 0)).bit_length(),
-        handshake=False,
-        entry_keys=entry_keys,
-        ent_vertex=ent_u,
-        ent_f=arrays.tr_f,
-        ent_finish=arrays.tr_finish,
-        ent_heavy_finish=arrays.tr_heavy_finish,
-        ent_light_depth=arrays.tr_light_depth,
-        ent_parent_next=parent_next,
-        ent_parent_wt=parent_wt,
-        ent_parent_edge=parent_edge,
-        ent_heavy_next=heavy_next,
-        ent_heavy_wt=heavy_wt,
-        ent_heavy_edge=heavy_edge,
-        ent_parent_epos=_link_entries(entry_keys, entry_tree, n, parent_next),
-        ent_heavy_epos=_link_entries(entry_keys, entry_tree, n, heavy_next),
-        ent_label_bits=arrays.entry_label_bits(),
-        root_epos=np.ascontiguousarray(arrays.lab_epos[0]),
-        lp_indptr=arrays.lp_indptr,
-        lp_data=arrays.lp_data,
-        mem_keys=arrays.mem_keys,
-        mem_epos=arrays.mem_epos,
-        pivot=np.ascontiguousarray(arrays.hierarchy.pivot, dtype=np.int64),
-        g_indptr=graph.indptr,
-        step_next=step_next,
-        step_wt=step_wt,
-        step_edge=step_edge,
-    )
+        return _resolve_columns(
+            array_columns(arrays),
+            arrays.k,
+            ported,
+            parent_port=arrays.tr_parent_port,
+            heavy_port=arrays.tr_heavy_port,
+            label_bits=arrays.entry_label_bits(),
+        )

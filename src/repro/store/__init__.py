@@ -1,11 +1,11 @@
 """Persistent scheme store and zero-copy serving layer.
 
-Preprocess once, answer forever — on disk.  This package persists both
-scheme forms (:class:`~repro.core.build.arrays.SchemeArrays` and the
-batch engine's :class:`~repro.sim.engine.compile.CompiledScheme`) in a
-single mmap-friendly container, caches them content-addressed by
-``(graph, k, seed, ports)``, and serves traffic matrices straight off
-the file mapping:
+Preprocess once, answer forever — on disk.  This package persists a
+scheme (:class:`~repro.core.build.arrays.SchemeArrays` plus the columns
+the batch engine's :class:`~repro.sim.engine.compile.CompiledScheme`
+derives from them, each column once) in a single mmap-friendly
+container, caches it content-addressed by ``(graph, k, seed, ports)``,
+and serves traffic matrices straight off the file mapping:
 
 * :mod:`repro.store.format` — the binary container (JSON header +
   aligned array blobs, zero-copy open, strict corruption detection);

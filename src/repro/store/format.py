@@ -44,14 +44,15 @@ import math
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import EncodingError
 
 MAGIC = b"TZSCHEME"
-FORMAT_VERSION = 1
+#: 2: scheme containers store only the compiled columns the arrays lack.
+FORMAT_VERSION = 2
 #: Byte alignment of every blob, relative to the start of its data section.
 BLOB_ALIGN = 64
 #: dtype kinds a blob may hold: bool, signed and unsigned int, float, complex.
@@ -194,6 +195,19 @@ def write_container(
             fh.write(chunk)
     tmp.replace(path)  # atomic: readers never observe a half-written store
     return header
+
+
+def container_version(path: Union[str, Path]) -> Optional[int]:
+    """The format version in ``path``'s preamble; ``None`` when there is
+    no file or it does not start with the container magic."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(MAGIC) + 4)
+    except OSError:
+        return None
+    if len(head) < len(MAGIC) + 4 or head[: len(MAGIC)] != MAGIC:
+        return None
+    return int.from_bytes(head[len(MAGIC) :], "little")
 
 
 def _fail(path: Path, why: str) -> EncodingError:

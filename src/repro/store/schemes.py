@@ -9,23 +9,37 @@ into one ``(data, indptr)`` CSR pair.  Loading reverses the walk over
 memory-mapped views — the reconstructed objects are backed by the file,
 byte for byte, with nothing copied.
 
+A scheme container stores each column once: the ``arr_`` blobs, plus
+only the :data:`~repro.sim.engine.compile.DERIVED` compiled columns as
+``cs_`` blobs.  Loading rebinds the twelve
+:data:`~repro.sim.engine.compile.ARRAY_BOUND` columns to the loaded
+arrays, so both forms view one region of the map.  Backend containers
+hold no arrays and keep the full compiled manifest.
+
 Field sets are validated both ways: a container that is missing a field
 (or carries an unknown one) raises
 :class:`~repro.errors.EncodingError` instead of building a half-formed
-scheme.
+scheme, and so does a column whose length disagrees with the scheme's
+shape.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..core.build.arrays import SchemeArrays
 from ..core.landmarks import Hierarchy
 from ..errors import EncodingError
-from ..sim.engine.compile import CompiledScheme
+from ..sim.engine.compile import (
+    COLUMNS,
+    DERIVED,
+    CompiledScheme,
+    array_columns,
+    bind_compiled,
+)
 
 ARRAYS_PREFIX = "arr_"
 COMPILED_PREFIX = "cs_"
@@ -41,7 +55,13 @@ def _ndarray_fields(cls) -> tuple:
 
 
 ARRAYS_FIELDS = _ndarray_fields(SchemeArrays)
-COMPILED_FIELDS = _ndarray_fields(CompiledScheme)
+
+
+def _strip(blobs: Dict[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
+    """The ``prefix``-named blobs, keyed without the prefix."""
+    return {
+        name[len(prefix) :]: blob for name, blob in blobs.items() if name.startswith(prefix)
+    }
 
 
 def _check_fields(found, expected, what: str) -> None:
@@ -99,17 +119,18 @@ def arrays_to_manifest(arrays: SchemeArrays) -> Dict[str, np.ndarray]:
 
 def arrays_from_manifest(blobs: Dict[str, np.ndarray], n: int, k: int) -> SchemeArrays:
     """Rebuild :class:`SchemeArrays` from container blobs, validated."""
-    found = {
-        name[len(ARRAYS_PREFIX) :]: blob
-        for name, blob in blobs.items()
-        if name.startswith(ARRAYS_PREFIX)
-    }
+    found = _strip(blobs, ARRAYS_PREFIX)
     _check_fields(found, ARRAYS_FIELDS + _HIERARCHY_FIELDS, "SchemeArrays")
     hierarchy = hierarchy_from_manifest(found)
     if hierarchy.k != k or hierarchy.n != n:
         raise EncodingError(
             f"stored hierarchy is ({hierarchy.n}, k={hierarchy.k}), "
             f"header says ({n}, k={k})"
+        )
+    if found["lab_epos"].shape != (k, n):
+        raise EncodingError(
+            f"stored label positions have shape {found['lab_epos'].shape}, "
+            f"expected ({k}, {n})"
         )
     kwargs = {name: found[name] for name in ARRAYS_FIELDS}
     return SchemeArrays(n=n, k=k, hierarchy=hierarchy, **kwargs)
@@ -133,33 +154,56 @@ def backend_from_blobs(
     blobs: Dict[str, np.ndarray], expected: tuple
 ) -> Dict[str, np.ndarray]:
     """Strip the backend prefix, validated against the header's name list."""
-    found = {
-        name[len(BACKEND_PREFIX) :]: blob
-        for name, blob in blobs.items()
-        if name.startswith(BACKEND_PREFIX)
-    }
+    found = _strip(blobs, BACKEND_PREFIX)
     _check_fields(found, expected, "backend manifest")
     return found
 
 
 def compiled_to_manifest(compiled: CompiledScheme) -> Dict[str, np.ndarray]:
     """All ``cs_``-prefixed blobs of the port-resolved engine form."""
-    return {
-        COMPILED_PREFIX + name: getattr(compiled, name)
-        for name in COMPILED_FIELDS
-    }
+    return {COMPILED_PREFIX + name: col for name, col in compiled.columns().items()}
 
 
 def compiled_from_manifest(
-    blobs: Dict[str, np.ndarray], n: int, k: int, id_bits: int, handshake: bool
+    blobs: Dict[str, np.ndarray], n: int, k: int, handshake: bool
 ) -> CompiledScheme:
-    """Rebuild the routable :class:`CompiledScheme` from container blobs."""
-    found = {
-        name[len(COMPILED_PREFIX) :]: blob
-        for name, blob in blobs.items()
-        if name.startswith(COMPILED_PREFIX)
-    }
-    _check_fields(found, COMPILED_FIELDS, "CompiledScheme")
-    return CompiledScheme(
-        n=n, k=k, id_bits=id_bits, handshake=handshake, **found
-    )
+    """Rebuild a routable :class:`CompiledScheme` from a full ``cs_``
+    manifest (a backend container's), validated."""
+    found = _strip(blobs, COMPILED_PREFIX)
+    _check_fields(found, COLUMNS, "CompiledScheme")
+    return bind_compiled(n, k, found, handshake=handshake)
+
+
+def scheme_to_manifest(
+    arrays: SchemeArrays, compiled: CompiledScheme
+) -> Dict[str, np.ndarray]:
+    """The blobs of one scheme container: ``arrays`` whole, plus only the
+    :data:`~repro.sim.engine.compile.DERIVED` columns of ``compiled``.
+
+    Refuses a ``compiled`` whose array-bound columns are not ``arrays``'
+    own (the same objects, else equal arrays): the container stores
+    those columns once, so they must be one and the same.
+    """
+    for name, col in array_columns(arrays).items():
+        mine = getattr(compiled, name)
+        if mine is not col and not np.array_equal(mine, col):
+            raise EncodingError(
+                f"compiled column {name!r} is not the given arrays' own: "
+                "save a compile of these arrays (compile_from_arrays)"
+            )
+    blobs = arrays_to_manifest(arrays)
+    blobs.update({COMPILED_PREFIX + name: getattr(compiled, name) for name in DERIVED})
+    return blobs
+
+
+def scheme_from_manifest(
+    blobs: Dict[str, np.ndarray], n: int, k: int, handshake: bool
+) -> Tuple[SchemeArrays, CompiledScheme]:
+    """Rebuild both forms of a scheme container, validated; the
+    compiled form's :data:`~repro.sim.engine.compile.ARRAY_BOUND`
+    columns are the loaded arrays' own."""
+    arrays = arrays_from_manifest(blobs, n, k)
+    found = _strip(blobs, COMPILED_PREFIX)
+    _check_fields(found, DERIVED, "CompiledScheme")
+    found.update(array_columns(arrays))
+    return arrays, bind_compiled(n, k, found, handshake=handshake)

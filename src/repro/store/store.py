@@ -14,15 +14,19 @@ vectorized builder, compiles the batch-engine form, saves both, and
 re-opens the file (so the returned object is always file-backed, hit or
 miss).
 
-Each container holds the two scheme forms side by side:
+Each container holds one scheme representation, each column once:
 
 * the canonical :class:`~repro.core.build.arrays.SchemeArrays` — what
   both builders emit and the differential suite compares; enough to
   re-materialize the dict-based scheme or re-resolve against a
   different port assignment;
-* the port-resolved :class:`~repro.sim.engine.compile.CompiledScheme` —
-  exactly what :class:`~repro.sim.engine.batch.BatchRouter` routes on,
-  ready to serve with no further work.
+* the columns the port-resolved
+  :class:`~repro.sim.engine.compile.CompiledScheme` adds to them
+  (resolved next hops, weights, edges, entry links, label bits and the
+  step tables).  Loading binds the compiled form's other twelve columns
+  to the loaded arrays, so it is exactly what
+  :class:`~repro.sim.engine.batch.BatchRouter` routes on, ready to
+  serve with no further work.
 
 Strict-verify mode (``strict=True``) closes the loop against the
 package's independent bit-exact codec: at save time the dict scheme is
@@ -53,14 +57,18 @@ from ..graphs.graph import Graph
 from ..graphs.ports import PortedGraph, assign_ports
 from ..obs import TELEMETRY
 from ..sim.engine.compile import CompiledScheme, compile_from_arrays
-from .format import FORMAT_VERSION, _tmp_counter, read_container, write_container
+from .format import (
+    FORMAT_VERSION,
+    _tmp_counter,
+    container_version,
+    read_container,
+    write_container,
+)
 from .schemes import (
-    arrays_from_manifest,
-    arrays_to_manifest,
     backend_from_blobs,
     backend_to_blobs,
-    compiled_from_manifest,
-    compiled_to_manifest,
+    scheme_from_manifest,
+    scheme_to_manifest,
 )
 
 STORE_SUFFIX = ".tzs"
@@ -138,7 +146,8 @@ class StoredScheme:
     """A scheme opened from (or just written to) the store.
 
     ``compiled`` and ``arrays`` are backed by one shared memory map of
-    ``path`` — dropping all references releases the mapping.
+    ``path``, and the compiled columns the arrays already hold are the
+    arrays' own views — dropping all references releases the mapping.
     """
 
     path: Path
@@ -159,7 +168,8 @@ class StoredScheme:
         return BatchRouter.from_compiled(self.compiled, ported)
 
     def scheme(self, graph: Graph, ported: PortedGraph):
-        """Materialize the dict-based scheme (reference-simulator world)."""
+        """Materialize the dict-based scheme (reference-simulator world);
+        it carries the stored arrays, so its batch compile reads them."""
         return scheme_from_arrays(graph, ported, self.arrays)
 
 
@@ -212,10 +222,14 @@ class SchemeStore:
     ) -> Path:
         """Persist one built scheme; returns the container path.
 
-        ``strict=True`` additionally records the bit-exact serialization
-        digest (see :func:`serialize_digest`) so strict loads can replay
-        and compare it.  ``extra_meta`` entries are merged into the
-        container header (the version layer rides on this).
+        ``compiled`` defaults to ``compile_from_arrays(arrays, ported)``;
+        a given one must be a compile of ``arrays`` (its array-bound
+        columns the arrays' own, else :class:`EncodingError`), because
+        the container stores those columns once.  ``strict=True``
+        additionally records the bit-exact serialization digest (see
+        :func:`serialize_digest`) so strict loads can replay and compare
+        it.  ``extra_meta`` entries are merged into the container header
+        (the version layer rides on this).
         """
         with TELEMETRY.span("store.save", k=int(arrays.k), n=int(arrays.n)):
             if compiled is None:
@@ -235,7 +249,6 @@ class SchemeStore:
                 "k": int(arrays.k),
                 "seed": None if seed is None else int(seed),
                 "builder": builder,
-                "id_bits": int(compiled.id_bits),
                 "handshake": bool(compiled.handshake),
                 "entries": int(arrays.entry_count),
             }
@@ -243,8 +256,7 @@ class SchemeStore:
                 meta["serialize_sha256"] = serialize_digest(graph, ported, arrays)
             if extra_meta:
                 meta.update(extra_meta)
-            blobs = arrays_to_manifest(arrays)
-            blobs.update(compiled_to_manifest(compiled))
+            blobs = scheme_to_manifest(arrays, compiled)
             path = self.path_for(key)
             write_container(path, blobs, meta)
             return path
@@ -280,10 +292,8 @@ class SchemeStore:
             meta = header.get("meta", {})
             if meta.get("kind") != "tz-scheme":
                 raise EncodingError(f"{path} is not a scheme container")
-            n, k = int(meta["n"]), int(meta["k"])
-            arrays = arrays_from_manifest(blobs, n, k)
-            compiled = compiled_from_manifest(
-                blobs, n, k, int(meta["id_bits"]), bool(meta["handshake"])
+            arrays, compiled = scheme_from_manifest(
+                blobs, int(meta["n"]), int(meta["k"]), bool(meta["handshake"])
             )
             stored = StoredScheme(
                 path=path, meta=meta, compiled=compiled, arrays=arrays
@@ -618,13 +628,12 @@ class SchemeStore:
 
         key = self.backend_key_for(name, graph, k, seed)
         path = self.path_for(key)
+        hit = container_version(path) == FORMAT_VERSION
         tm = TELEMETRY
         if tm.enabled:
-            tm.count(
-                "store.backend_hits" if path.exists() else "store.backend_misses"
-            )
+            tm.count("store.backend_hits" if hit else "store.backend_misses")
         with tm.span("store.get_or_build_backend", backend=name, k=k):
-            if not path.exists():
+            if not hit:
                 backend = build_backend(
                     name, graph, k, seed, ported=ported, kernel=kernel
                 )
@@ -642,7 +651,6 @@ class SchemeStore:
         builder: Optional[str] = None,
         strict: bool = False,
         mmap: bool = True,
-        method: Optional[str] = None,
         kernel: str = "auto",
     ) -> StoredScheme:
         """The front door: a memo table over scheme construction.
@@ -654,26 +662,28 @@ class SchemeStore:
         so a store hit is bit-identical to what the miss would build —
         and so is either value of ``kernel`` (the build-time frontier
         backend, see :mod:`repro.kernels`; it is not part of the store
-        key).  ``method=`` is the deprecated alias of ``builder=``.
+        key).  A container of an older format at the key's path is a
+        miss: it is rebuilt and replaced, never served.
         """
-        builder = resolve_builder(builder, method)
+        builder = resolve_builder(builder)
         if ported is None:
             ported = assign_ports(graph, "sorted")
         key = self.key_for(graph, k, seed, ported)
         path = self.path_for(key)
+        hit = container_version(path) == FORMAT_VERSION
         tm = TELEMETRY
         if tm.enabled:
-            tm.count("store.hits" if path.exists() else "store.misses")
-        with tm.span("store.get_or_build", k=k, hit=path.exists()):
+            tm.count("store.hits" if hit else "store.misses")
+        with tm.span("store.get_or_build", k=k, hit=hit):
             return self._get_or_build(
-                graph, k, seed, ported, builder, strict, mmap, path, kernel
+                graph, k, seed, ported, builder, strict, mmap, path, kernel, hit
             )
 
     def _get_or_build(
-        self, graph, k, seed, ported, builder, strict, mmap, path, kernel="auto"
+        self, graph, k, seed, ported, builder, strict, mmap, path, kernel, hit
     ) -> StoredScheme:
         """Build-save-load behind :meth:`get_or_build` (key resolved)."""
-        if path.exists() and strict:
+        if hit and strict:
             header, _ = read_container(path)
             if header.get("meta", {}).get("serialize_sha256") is None:
                 # Saved without a digest: upgrade in place.  The data
@@ -691,7 +701,7 @@ class SchemeStore:
                     strict=True,
                     builder=prior.meta.get("builder", builder),
                 )
-        if not path.exists():
+        if not hit:
             arrays = build_arrays(
                 graph, k, ported=ported, builder=builder, rng=seed, kernel=kernel
             )

@@ -16,8 +16,8 @@ moment its module imports:
   reports (the differential gate: the frontier's space axis is the same
   number the scheme paths have always printed).
 
-Plus the deprecation shims of this redesign: ``method=`` keywords and
-``builder="pernode"`` warn but produce bit-identical output.
+Plus the retired spellings of the construction selector: ``method=``
+keywords and ``builder="pernode"`` are refused, not aliased.
 """
 
 from __future__ import annotations
@@ -223,38 +223,30 @@ def test_mark_pareto_dominance():
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims of the redesign
+# Retired spellings of the construction selector
 # ----------------------------------------------------------------------
-def test_method_kwarg_warns_and_matches_builder():
+def test_method_kwarg_refused():
     graph = family_from_seed(8, "gnp", n=32).largest_component()
-    with pytest.warns(DeprecationWarning, match="builder="):
-        old = build_arrays(graph, 2, method="reference", rng=5)
-    new = build_arrays(graph, 2, builder="reference", rng=5)
-    assert np.array_equal(old.entry_keys, new.entry_keys)
-    assert np.array_equal(old.ent_dist, new.ent_dist)
-    with pytest.warns(DeprecationWarning, match="builder="):
+    with pytest.raises(TypeError, match="method"):
+        build_arrays(graph, 2, method="reference", rng=5)
+    with pytest.raises(TypeError, match="method"):
         build_scheme(graph, 2, method="vectorized", rng=5)
 
 
-def test_pernode_builder_value_warns_and_matches_reference():
+def test_pernode_builder_value_refused():
     graph = family_from_seed(9, "gnp", n=30).largest_component()
-    with pytest.warns(DeprecationWarning, match="pernode"):
-        old = build_tz_scheme(graph, k=2, rng=3, builder="pernode")
-    new = build_tz_scheme(graph, k=2, rng=3, builder="reference")
-    assert old.labels.keys() == new.labels.keys()
-    assert all(
-        old.table_bits(u) == new.table_bits(u) for u in range(graph.n)
-    )
+    with pytest.raises(PreprocessingError, match="pernode"):
+        build_tz_scheme(graph, k=2, rng=3, builder="pernode")
 
 
-def test_store_method_kwarg_warns(tmp_path):
+def test_store_method_kwarg_refused(tmp_path):
     from repro.store import SchemeStore
 
     graph = family_from_seed(10, "gnp", n=30).largest_component()
     store = SchemeStore(tmp_path)
-    with pytest.warns(DeprecationWarning, match="builder="):
-        stored = store.get_or_build(graph, 2, 3, method="vectorized")
-    assert stored.arrays.n == graph.n
+    with pytest.raises(TypeError, match="method"):
+        store.get_or_build(graph, 2, 3, method="vectorized")
+    assert store.keys() == []
 
 
 def test_unknown_builder_rejected():

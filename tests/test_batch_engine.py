@@ -8,6 +8,11 @@ the same float64 edge weights in the same per-hop order.  This module is
 that gate: every generator family × every workload × both the §3
 stretch-3 scheme and the general §4 scheme, plus the handshake wrapper,
 failure injection, and the runner/stats plumbing around the engine.
+
+The schemes here come from the per-node builder (dense cluster engine
+by default at these sizes); the engine compiles them through
+``compile_from_arrays`` from the arrays the builder packed alongside
+its dict tables, while ``Network`` walks the dict tables themselves.
 """
 
 from __future__ import annotations
@@ -149,6 +154,26 @@ def test_engine_matches_reference_k1_and_k4():
     for k in (1, 4):
         scheme = build_tz_scheme(graph, ported, k=k, rng=derive(0, "kd", k))
         _assert_equivalent(ported, scheme, pairs)
+
+
+@pytest.mark.parametrize("cluster_method", ["dense", "sparse"])
+def test_engine_matches_reference_per_cluster_engine(cluster_method):
+    """Unit weights make the dense and sparse cluster engines pick
+    different SPT parents on ties; the packed arrays are the builder's
+    own either way, so both route exactly like the hop-by-hop walk."""
+    graph = gen.grid2d(7, 7)
+    ported = assign_ports(graph, "random", rng=2)
+    pairs = _workload_pairs("uniform", graph, None, f"engine/{cluster_method}")
+    scheme = build_tz_scheme(
+        graph, ported, k=3, rng=1, cluster_method=cluster_method
+    )
+    other = "sparse" if cluster_method == "dense" else "dense"
+    rival = build_tz_scheme(graph, ported, k=3, rng=1, cluster_method=other)
+    assert not np.array_equal(scheme.arrays.ent_parent, rival.arrays.ent_parent)
+    compiled = scheme.compile_batch(ported)
+    assert np.shares_memory(compiled.ent_f, scheme.arrays.tr_f)
+    _assert_equivalent(ported, scheme, pairs)
+    _assert_equivalent(ported, HandshakeRoutingScheme(scheme), pairs)
 
 
 def test_engine_matches_reference_on_mismatched_ports():

@@ -16,8 +16,10 @@ Three layers of comparison:
 2. **schemes** — ``build_scheme(builder=...)`` outputs: records, tree
    labels, member maps, pivots, destination labels, measured *and
    encoded* label bits, table bits;
-3. **engine export** — ``compile_scheme`` of a vectorized-builder scheme
-   (the array fast path) vs the reference dict walk, field by field.
+3. **engine export** — the arrays the per-node builder attaches to its
+   scheme equal both builders' arrays, and ``compile_scheme`` of either
+   builder's scheme is the same ``compile_from_arrays`` output, field
+   by field.
 
 Plus construction-invariant property tests: bunch/cluster duality,
 subpath closure on vectorized clusters, and the Õ(n^{1/k}) size bounds
@@ -161,7 +163,7 @@ class TestSchemeEquivalence:
 
     def test_vectorized_label_bits_match_scalar(self, small_weighted_graph, ported_small):
         vec = build_scheme(small_weighted_graph, 3, ported=ported_small, builder="vectorized", rng=9)
-        bits = vec._arrays.label_bits()
+        bits = vec.arrays.label_bits()
         for u in range(vec.n):
             assert int(bits[u]) == vec.label_bits(u)
 
@@ -197,10 +199,15 @@ class TestSchemeEquivalence:
 class TestCompiledExport:
     @pytest.mark.parametrize("k", [2, 3])
     def test_compile_from_arrays_matches_dict_walk(self, k):
+        """The per-node scheme's attached arrays — packed from the same
+        clusters and tree routers its dict tables hold — equal both
+        builders' arrays, so compiling them replaces the old dict walk."""
         g, pg = _instance("gnp", 11 + k, n=70)
         ref = build_scheme(g, k, ported=pg, builder="reference", rng=k)
         vec = build_scheme(g, k, ported=pg, builder="vectorized", rng=k)
-        assert vec._arrays is not None and ref._arrays is None
+        assert_arrays_equal(reference_arrays(g, pg, ref.hierarchy), ref.arrays)
+        assert_arrays_equal(vectorized_arrays(g, pg, ref.hierarchy), ref.arrays)
+        assert_arrays_equal(vec.arrays, ref.arrays)
         ca, cb = compile_scheme(vec, pg), compile_scheme(ref, pg)
         for f in dataclasses.fields(ca):
             a, b = getattr(ca, f.name), getattr(cb, f.name)

@@ -304,10 +304,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tz" in out and "tree" in out and "oracle" not in out
 
-    def test_build_method_flag_deprecated(self, capsys):
-        assert main(["build", "--n", "64", "--method", "vectorized"]) == 0
-        err = capsys.readouterr().err
-        assert "--method is deprecated" in err
+    def test_build_method_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--n", "64", "--method", "vectorized"])
+        assert exc.value.code == 2
+        assert "--method" in capsys.readouterr().err
 
     def test_profile_prints_span_tree(self, capsys, tmp_path):
         assert (

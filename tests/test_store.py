@@ -26,7 +26,7 @@ from repro.graphs.ports import assign_ports
 from repro.rng import make_rng, sample_pairs
 from repro.sim.engine import batch
 from repro.sim.engine.batch import BatchRouter
-from repro.sim.engine.compile import compile_from_arrays
+from repro.sim.engine.compile import ARRAY_BOUND, DERIVED, compile_from_arrays
 from repro.store import (
     FORMAT_VERSION,
     RouteService,
@@ -77,6 +77,35 @@ HEADER_CORRUPTIONS = {
     "manifest-not-object": lambda h: h.update(arrays=[1]),
     "data-bytes-string": lambda h: h.update(data_bytes="64"),
     "header-not-object": lambda h: [h],
+}
+
+
+def _short(name: str, rows: int = 1):
+    """Header edit: drop ``rows`` rows off blob ``name`` (nbytes kept
+    consistent, so the container itself stays well-formed)."""
+
+    def edit(header):
+        spec = header["arrays"][name]
+        row = spec["nbytes"] // spec["shape"][0]
+        spec["shape"][0] -= rows
+        spec["nbytes"] -= rows * row
+
+    return edit
+
+
+#: Column-shape damage a CRC-valid header can carry: each must raise
+#: EncodingError at load, not IndexError (or a read past a blob) at
+#: route time.
+SHAPE_CORRUPTIONS = {
+    "short-derived-entry-column": _short("cs_ent_heavy_wt"),
+    "short-bound-entry-column": _short("arr_tr_f"),
+    "short-lp-data": _short("arr_lp_data"),
+    "short-lp-indptr": _short("arr_lp_indptr"),
+    "short-mem-epos": _short("arr_mem_epos"),
+    "short-pivot": _short("arr_h_pivot"),
+    "short-label-positions": _short("arr_lab_epos"),
+    "short-step-table": _short("cs_step_wt"),
+    "short-g-indptr": _short("cs_g_indptr"),
 }
 
 
@@ -198,7 +227,7 @@ class TestContainer:
             {"hello": "world"},
         )
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "0095c3edc4357b55d0ebbdaeb8fbab7372b45632fc576fdbe7b038cde2ede304"
+            "f48d36f7def1b405c87a9c3fc75befbf047c4f0baf02e18dfea90021a54d8185"
         )
 
 
@@ -327,6 +356,105 @@ class TestStoreRoundTrip:
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
         assert out.returncode == 0 and out.stdout.strip() == "OK", out.stderr
+
+
+# ----------------------------------------------------------------------
+# One representation: each column stored once, bound on load
+# ----------------------------------------------------------------------
+class TestSingleRepresentation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        graph, ported = _build_instance("gnp", seed=31, k=3)
+        arrays = build_arrays(graph, 3, ported=ported, rng=4)
+        store = SchemeStore(tmp_path)
+        path = store.save(graph, ported, arrays, seed=4)
+        return graph, ported, arrays, store, path
+
+    def test_compile_binds_the_array_columns(self, saved):
+        _, ported, arrays, _, _ = saved
+        compiled = compile_from_arrays(arrays, ported)
+        assert len(ARRAY_BOUND) == 12 and len(DERIVED) == 13
+        for name, get in ARRAY_BOUND.items():
+            assert np.shares_memory(getattr(compiled, name), get(arrays)), name
+
+    def test_loaded_columns_share_the_arrays_memory(self, saved):
+        _, _, _, store, path = saved
+        stored = store.load(path)
+        for name, get in ARRAY_BOUND.items():
+            assert np.shares_memory(
+                getattr(stored.compiled, name), get(stored.arrays)
+            ), name
+
+    def test_container_holds_only_derived_compiled_columns(self, saved):
+        _, _, _, _, path = saved
+        header, blobs = read_container(path)
+        assert header["format_version"] == FORMAT_VERSION == 2
+        assert sorted(n for n in blobs if n.startswith("cs_")) == sorted(
+            "cs_" + name for name in DERIVED
+        )
+
+    def test_save_refuses_a_foreign_compile(self, saved):
+        graph, ported, arrays, store, _ = saved
+        other = build_arrays(graph, 3, ported=ported, rng=5)
+        with pytest.raises(EncodingError, match="not the given arrays"):
+            store.save(
+                graph, ported, arrays, seed=4, compiled=compile_from_arrays(other, ported)
+            )
+        # Equal columns are accepted when they are not the same objects.
+        copied = compile_from_arrays(arrays, ported)
+        for name in ARRAY_BOUND:
+            setattr(copied, name, np.array(getattr(copied, name)))
+        store.save(graph, ported, arrays, seed=4, compiled=copied)
+
+    def test_format_1_refused_and_rebuilt(self, saved):
+        graph, ported, _, store, _ = saved
+        stored = store.get_or_build(graph, 2, 6, ported=ported)
+        path = stored.path
+        pairs = sample_pairs(make_rng(1), graph.n, 300)
+        want = stored.router().route_pairs(pairs)
+        del stored  # release the mmap before rewriting
+        data = bytearray(path.read_bytes())
+        data[8:12] = (1).to_bytes(4, "little")
+        path.write_bytes(data)
+        with pytest.raises(EncodingError, match="version 1"):
+            store.load(path)
+        again = store.get_or_build(graph, 2, 6, ported=ported)
+        assert again.path == path
+        assert read_container(path)[0]["format_version"] == FORMAT_VERSION
+        _assert_routes_equal(want, again.router().route_pairs(pairs))
+
+    def test_materialized_scheme_compiles_from_stored_arrays(self, saved):
+        graph, ported, _, store, path = saved
+        stored = store.load(path)
+        compiled = stored.scheme(graph, ported).compile_batch()
+        for name, get in ARRAY_BOUND.items():
+            assert np.shares_memory(getattr(compiled, name), get(stored.arrays)), name
+        for name in DERIVED:
+            assert np.array_equal(getattr(compiled, name), getattr(stored.compiled, name))
+
+    @pytest.mark.parametrize("corruption", sorted(SHAPE_CORRUPTIONS))
+    def test_column_shape_corruption_matrix(self, saved, corruption):
+        _, _, _, store, path = saved
+        _rewrite_header(path, lambda h: None)
+        store.load(path, verify_data=True)  # the rewrite itself is sound
+        _rewrite_header(path, SHAPE_CORRUPTIONS[corruption])
+        with pytest.raises(EncodingError):
+            store.load(path)
+
+    def test_backend_deserialize_checks_column_shapes(self, saved):
+        from repro.backends import build_backend
+
+        graph, _, _, store, _ = saved
+        backend = build_backend("tz", graph, 2, 3)
+        path = store.save_backend(backend, graph, k=2, seed=3)
+        store.load_backend(path)
+        _rewrite_header(path, _short("bk_cs_ent_heavy_wt"))
+        with pytest.raises(EncodingError):
+            store.load_backend(path)
+        meta, blobs = backend.serialize()
+        blobs["cs_lp_data"] = blobs["cs_lp_data"][:-1]
+        with pytest.raises(EncodingError):
+            type(backend).deserialize(meta, blobs)
 
 
 # ----------------------------------------------------------------------
