@@ -100,7 +100,6 @@ class Backend(ABC):
         seed: Optional[int] = 0,
         *,
         ported: Optional[PortedGraph] = None,
-        kernel: str = "auto",
     ) -> "Backend":
         """Preprocess ``graph`` into a queryable backend.
 
@@ -108,11 +107,7 @@ class Backend(ABC):
         ``(graph, k, seed)`` always builds the same structure.
         ``ported`` fixes the port assignment for routable backends
         (defaults to the deterministic ``"sorted"`` one); query-only
-        backends ignore it.  ``kernel`` selects the construction-time
-        compute backend (see :mod:`repro.kernels`) where the build goes
-        through the array pipeline's frontier sweep; it is a pure speed
-        knob — outputs are bit-identical for every value — and backends
-        without such a sweep accept and ignore it.
+        backends ignore it.
         """
 
     # -- queries --------------------------------------------------------

@@ -150,7 +150,6 @@ class OracleBackend(_FlatTZBackend):
         seed: Optional[int] = 0,
         *,
         ported: Optional[PortedGraph] = None,
-        kernel: str = "auto",
     ) -> "OracleBackend":
         oracle = build_distance_oracle(
             graph, k, rng=derive(seed, "backend", cls.backend_name, k)
@@ -184,7 +183,6 @@ class LabelingBackend(_FlatTZBackend):
         seed: Optional[int] = 0,
         *,
         ported: Optional[PortedGraph] = None,
-        kernel: str = "auto",
     ) -> "LabelingBackend":
         labeling = build_distance_labels(
             graph, k, rng=derive(seed, "backend", cls.backend_name, k)

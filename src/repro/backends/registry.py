@@ -125,13 +125,6 @@ def build_backend(
     seed: Optional[int] = 0,
     *,
     ported: Optional[PortedGraph] = None,
-    kernel: str = "auto",
 ) -> Backend:
-    """Build the named backend — the registry-dispatched front door.
-
-    ``kernel`` selects the construction-time compute backend (the
-    frontier sweep of the array builders, see :mod:`repro.kernels`) for
-    backends that build through it; outputs are bit-identical either
-    way, so it is a pure speed knob and never part of a content key.
-    """
-    return get_backend(name).build(graph, k, seed, ported=ported, kernel=kernel)
+    """Build the named backend — the registry-dispatched front door."""
+    return get_backend(name).build(graph, k, seed, ported=ported)

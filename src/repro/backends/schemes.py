@@ -122,7 +122,6 @@ class TZSchemeBackend(_CompiledRoutingBackend):
         seed: Optional[int] = 0,
         *,
         ported: Optional[PortedGraph] = None,
-        kernel: str = "auto",
     ) -> "TZSchemeBackend":
         if ported is None:
             ported = assign_ports(graph, "sorted")
@@ -131,7 +130,6 @@ class TZSchemeBackend(_CompiledRoutingBackend):
             k,
             ported=ported,
             rng=derive(seed, "backend", cls.backend_name, k),
-            kernel=kernel,
         )
         return cls._from_arrays(graph, ported, arrays)
 
@@ -170,7 +168,6 @@ class CowenBackend(_CompiledRoutingBackend):
         seed: Optional[int] = 0,
         *,
         ported: Optional[PortedGraph] = None,
-        kernel: str = "auto",
     ) -> "CowenBackend":
         if ported is None:
             ported = assign_ports(graph, "sorted")
@@ -180,7 +177,7 @@ class CowenBackend(_CompiledRoutingBackend):
             rng=derive(seed, "backend", cls.backend_name),
         )
         levels = [np.arange(graph.n, dtype=np.int64), landmarks]
-        arrays = build_arrays(graph, 2, ported=ported, levels=levels, kernel=kernel)
+        arrays = build_arrays(graph, 2, ported=ported, levels=levels)
         return cls._from_arrays(graph, ported, arrays)
 
     @property
@@ -215,10 +212,7 @@ class TreeBackend(_CompiledRoutingBackend):
         seed: Optional[int] = 0,
         *,
         ported: Optional[PortedGraph] = None,
-        kernel: str = "auto",
     ) -> "TreeBackend":
-        # kernel= accepted for the uniform registry signature; tree
-        # construction has no frontier sweep to select a backend for.
         if ported is None:
             ported = assign_ports(graph, "sorted")
         scheme = build_single_tree_scheme(graph, ported, tree="spt")

@@ -54,7 +54,6 @@ class ShortestPathBackend(Backend):
         seed: Optional[int] = 0,
         *,
         ported: Optional[PortedGraph] = None,
-        kernel: str = "auto",
     ) -> "ShortestPathBackend":
         scheme = build_shortest_path_scheme(graph, ported)
         ported = scheme.ported

@@ -43,7 +43,6 @@ class SpannerBackend(Backend):
         seed: Optional[int] = 0,
         *,
         ported: Optional[PortedGraph] = None,
-        kernel: str = "auto",
     ) -> "SpannerBackend":
         spanner = build_spanner(
             graph, k, rng=derive(seed, "backend", cls.backend_name, k)

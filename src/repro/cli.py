@@ -37,6 +37,7 @@ from .analysis.reporting import (
     render_stretch_summary,
     render_table,
 )
+from .kernels import resolve_kernel
 from .obs import TELEMETRY, timed, write_metrics, write_trace
 from .sim.workloads import WORKLOADS
 
@@ -108,7 +109,6 @@ def _cmd_route(args) -> int:
                 ported,
                 k=args.k,
                 rng=derive(args.seed, "route-scheme"),
-                kernel=args.kernel,
             )
         if args.handshake:
             scheme = HandshakeRoutingScheme(scheme)
@@ -127,7 +127,6 @@ def _cmd_route(args) -> int:
             pairs=pairs,
             strict=False,
             engine=args.engine,
-            kernel=args.kernel,
         )
 
     print(
@@ -142,7 +141,7 @@ def _cmd_route(args) -> int:
         f"\npreprocess {t_build.seconds:.2f}s | "
         f"engine compile {t_compile.seconds:.2f}s | "
         f"route {t_route.seconds:.2f}s ({rate:,.0f} pairs/s, "
-        f"engine={args.engine}, kernel={args.kernel})"
+        f"engine={args.engine}, kernel={resolve_kernel('auto')})"
     )
     return 0
 
@@ -152,10 +151,12 @@ def _cmd_serve_daemon(args) -> int:
     from pathlib import Path
 
     from .analysis.experiments import reference_graph
+    from .core.build import build_arrays
     from .graphs.ports import assign_ports
     from .rng import derive
     from .serve import run_daemon
-    from .store import SchemeStore
+    from .store import FORMAT_VERSION, SchemeStore
+    from .store.format import container_version
 
     store = SchemeStore(args.store)
     scheme = args.scheme
@@ -167,22 +168,25 @@ def _cmd_serve_daemon(args) -> int:
         key = store.key_for(graph, args.k, args.seed, ported)
         if store.current(key) is None:
             with timed("cli.store_open") as t_open:
-                stored = store.get_or_build(
-                    graph,
-                    args.k,
-                    args.seed,
-                    ported=ported,
-                    strict=args.strict_verify,
-                    kernel=args.kernel,
-                )
+                # One container write: a miss builds and publishes; an
+                # unversioned container is rewritten once, to stamp the
+                # lineage header, after its data checksum is verified.
+                compiled = None
+                if container_version(store.path_for(key)) == FORMAT_VERSION:
+                    prior = store.load(key, verify_data=True)
+                    arrays, compiled = prior.arrays, prior.compiled
+                else:
+                    arrays = build_arrays(graph, args.k, ported=ported, rng=args.seed)
                 store.publish(
                     graph,
                     ported,
-                    stored.arrays,
+                    arrays,
                     seed=args.seed,
-                    compiled=stored.compiled,
+                    compiled=compiled,
                     strict=args.strict_verify,
                 )
+                if args.strict_verify:
+                    store.load(key, strict=True, graph=graph, ported=ported)
             print(
                 f"published lineage {key} "
                 f"(n={graph.n}, k={args.k}, {t_open.seconds:.2f}s)",
@@ -205,7 +209,6 @@ def _cmd_serve_daemon(args) -> int:
         queue_limit=args.queue_limit,
         timeout=args.timeout,
         workers=args.workers,
-        kernel=args.kernel,
         on_ready=on_ready,
     )
     print(
@@ -243,7 +246,6 @@ def _cmd_serve(args) -> int:
             args.seed,
             ported=ported,
             strict=args.strict_verify,
-            kernel=args.kernel,
         )
     print(
         f"store {'hit' if hit else 'miss (built and saved)'}: "
@@ -256,7 +258,7 @@ def _cmd_serve(args) -> int:
         graph, args.workload, args.pairs, derive(args.seed, "serve-pairs")
     )
 
-    service = RouteService(stored.path, kernel=args.kernel)
+    service = RouteService(stored.path)
     with timed("cli.route") as t_route:
         result = service.route(pairs)
 
@@ -278,7 +280,7 @@ def _cmd_serve(args) -> int:
     rate = len(np.asarray(pairs)) / max(t_route.seconds, 1e-9)
     print(
         f"\nserve: route {t_route.seconds:.2f}s ({rate:,.0f} pairs/s, "
-        f"kernel={args.kernel})"
+        f"kernel={resolve_kernel('auto')})"
     )
     return 0
 
@@ -354,7 +356,6 @@ def _cmd_update(args) -> int:
             pairs=args.pairs,
             policy=args.policy,
             store=store,
-            kernel=args.kernel,
             workload=args.workload,
             graph_label=args.graph,
             max_versions=args.max_versions,
@@ -465,7 +466,6 @@ def _cmd_scenarios(args) -> int:
         seed=args.seed,
         handshake=args.handshake,
         engine=args.engine,
-        kernel=args.kernel,
         failure_params=failure_params,
     )
 
@@ -545,11 +545,7 @@ def _cmd_build(args) -> int:
     for builder in builders:
         with timed("cli.build", builder=builder) as tsp:
             arrays = build_arrays(
-                graph,
-                ported=ported,
-                hierarchy=hierarchy,
-                builder=builder,
-                kernel=args.kernel,
+                graph, ported=ported, hierarchy=hierarchy, builder=builder
             )
         stats[f"{builder}_build_seconds"] = round(tsp.seconds, 3)
     bunch = arrays.bunch_sizes()
@@ -607,13 +603,13 @@ def _cmd_profile(args) -> int:
                     graph, "random", rng=derive(args.seed, "profile-ports")
                 )
             stored = SchemeStore(store_dir).get_or_build(
-                graph, args.k, args.seed, ported=ported, kernel=args.kernel
+                graph, args.k, args.seed, ported=ported
             )
             with TELEMETRY.span("sim.workload", workload=args.workload):
                 pairs = make_workload(
                     graph, args.workload, args.pairs, derive(args.seed, "profile-pairs")
                 )
-            service = RouteService(stored.path, kernel=args.kernel)
+            service = RouteService(stored.path)
             result = service.route(pairs)
     finally:
         if tmp is not None:
@@ -630,28 +626,12 @@ def _cmd_profile(args) -> int:
     print(render_metrics())
     root = next(sp for sp in TELEMETRY.roots if sp.name == "profile")
     coverage = 100.0 * span_coverage(root)
-    from .kernels import resolve_kernel
-
     print(
         f"\n[wall {wall:.3f}s, unspanned {root.self_ns / 1e9:.3f}s "
-        f"({coverage:.1f}% coverage), kernel={resolve_kernel(args.kernel)}, "
+        f"({coverage:.1f}% coverage), kernel={resolve_kernel('auto')}, "
         f"delivered {int(result.delivered.sum())}/{pairs.shape[0]}]"
     )
     return 0
-
-
-def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the compute-kernel selector to one subparser."""
-    parser.add_argument(
-        "--kernel",
-        default="auto",
-        choices=["auto", "native", "numpy"],
-        help=(
-            "compute kernel for the router hop loop and builder frontier "
-            "sweep (auto = native when the compiled backend loads, else "
-            "numpy; see repro.kernels)"
-        ),
-    )
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -742,7 +722,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="execution engine (see epilog)",
     )
     p_route.add_argument("--seed", type=int, default=0)
-    _add_kernel_flag(p_route)
     _add_obs_flags(p_route)
     p_route.set_defaults(func=_cmd_route)
 
@@ -844,7 +823,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="concurrent route executors in the daemon",
     )
     p_serve.add_argument("--seed", type=int, default=0)
-    _add_kernel_flag(p_serve)
     _add_obs_flags(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
@@ -959,7 +937,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_upd.add_argument("--json", default=None, help="write the churn report here")
     p_upd.add_argument("--seed", type=int, default=0)
-    _add_kernel_flag(p_upd)
     _add_obs_flags(p_upd)
     p_upd.set_defaults(func=_cmd_update)
 
@@ -1060,7 +1037,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--markdown", default=None, help="write the markdown report here"
     )
     p_scen.add_argument("--seed", type=int, default=0)
-    _add_kernel_flag(p_scen)
     _add_obs_flags(p_scen)
     p_scen.set_defaults(func=_cmd_scenarios)
 
@@ -1142,7 +1118,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_build.add_argument("--json", default=None, help="write stats to this file")
     p_build.add_argument("--seed", type=int, default=0)
-    _add_kernel_flag(p_build)
     _add_obs_flags(p_build)
     p_build.set_defaults(func=_cmd_build)
 
@@ -1182,7 +1157,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="scheme store directory (default: a throwaway temp dir)",
     )
     p_prof.add_argument("--seed", type=int, default=0)
-    _add_kernel_flag(p_prof)
     _add_obs_flags(p_prof)
     p_prof.set_defaults(func=_cmd_profile)
 

@@ -125,22 +125,18 @@ def build_arrays(
     *,
     ported: Optional[PortedGraph] = None,
     builder: Optional[str] = None,
-    mode: str = "auto",
     rng: RngLike = None,
     sampling: str = "bernoulli",
     levels: Optional[Sequence[np.ndarray]] = None,
     consistent_pivots: bool = True,
     hierarchy: Optional[Hierarchy] = None,
-    kernel: str = "auto",
 ) -> SchemeArrays:
     """Construct a scheme and return its array form (no dict world).
 
     The same ``rng`` yields the same hierarchy for either ``builder``, so
     ``build_arrays(g, k, builder="vectorized", rng=s)`` and
     ``...builder="reference", rng=s`` are directly comparable.  Pass
-    ``hierarchy`` to share one across calls.  ``mode`` and ``kernel``
-    (the frontier-sweep backend, see :mod:`repro.kernels`) are forwarded
-    to :func:`vectorized_arrays`.
+    ``hierarchy`` to share one across calls.
     """
     builder = resolve_builder(builder)
     with TELEMETRY.span("build.arrays", builder=builder, k=k, n=graph.n):
@@ -155,7 +151,7 @@ def build_arrays(
             )
         if builder == "reference":
             return reference_arrays(graph, ported, hierarchy)
-        return vectorized_arrays(graph, ported, hierarchy, mode=mode, kernel=kernel)
+        return vectorized_arrays(graph, ported, hierarchy)
 
 
 def build_scheme(
@@ -168,7 +164,6 @@ def build_scheme(
     sampling: str = "bernoulli",
     levels: Optional[Sequence[np.ndarray]] = None,
     consistent_pivots: bool = True,
-    kernel: str = "auto",
 ):
     """Build a routable :class:`~repro.core.scheme_k.TZRoutingScheme`.
 
@@ -176,9 +171,7 @@ def build_scheme(
     object world from it; ``builder="reference"`` runs the original
     per-node path and packs its clusters and trees as arrays too (the
     compiled batch-engine export reads the arrays either way).  Outputs
-    are bit-identical either way — as they are for either value of
-    ``kernel`` (the vectorized builder's frontier-sweep backend, see
-    :mod:`repro.kernels`).
+    are bit-identical either way.
     """
     from ..scheme_k import build_tz_scheme
 
@@ -193,5 +186,4 @@ def build_scheme(
         consistent_pivots=consistent_pivots,
         cluster_method="sparse",
         builder=builder,
-        kernel=kernel,
     )

@@ -278,8 +278,6 @@ def patch_arrays(
     *,
     ported: PortedGraph,
     new_ported: Optional[PortedGraph] = None,
-    mode: str = "auto",
-    kernel: str = "auto",
 ) -> PatchResult:
     """Incrementally rebuild ``arrays`` (built on ``graph`` with
     ``ported``) after ``delta``; see the module docstring for the
@@ -297,9 +295,7 @@ def patch_arrays(
         raise PreprocessingError(
             f"arrays were built for n={arrays.n}, got a graph with n={graph.n}"
         )
-    if mode not in ("auto", "full", "pruned"):
-        raise PreprocessingError(f"unknown patch builder mode {mode!r}")
-    kernel = resolve_kernel(kernel)
+    kernel = resolve_kernel("auto")
     tm = TELEMETRY
 
     new_graph, id_map = apply_delta(graph, delta)
@@ -378,10 +374,7 @@ def patch_arrays(
                 continue
             thr = h_new.dist[i + 1]
             unbounded = bool(np.all(np.isinf(thr)))
-            use_full = mode == "full" or unbounded or (
-                mode == "auto" and centers.shape[0] <= FULL_CENTER_LIMIT
-            )
-            if use_full:
+            if unbounded or centers.shape[0] <= FULL_CENTER_LIMIT:
                 keys, dist = _full_level(new_graph, centers, thr)
             else:
                 with tm.span(

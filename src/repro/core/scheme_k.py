@@ -208,7 +208,6 @@ def build_tz_scheme(
     consistent_pivots: bool = True,
     cluster_method: str = "auto",
     builder: str = "reference",
-    kernel: str = "auto",
 ) -> TZRoutingScheme:
     """Preprocess ``graph`` into a :class:`TZRoutingScheme`.
 
@@ -231,10 +230,6 @@ def build_tz_scheme(
         ``cluster_method`` only applies to the per-node path.  Either
         way the scheme carries its array form, which the batch engine
         compiles.
-    kernel:
-        Frontier-sweep backend of the vectorized builder
-        (``"numpy"``/``"native"``/``"auto"``, see :mod:`repro.kernels`);
-        ignored by the reference path.  Bit-identical output either way.
     """
     from ..graphs.ports import assign_ports
     from .build.arrays import scheme_from_arrays
@@ -266,7 +261,7 @@ def build_tz_scheme(
         )
 
     if builder == "vectorized":
-        arrays = vectorized_arrays(graph, ported, hierarchy, kernel=kernel)
+        arrays = vectorized_arrays(graph, ported, hierarchy)
         return scheme_from_arrays(graph, ported, arrays)
 
     # --- clusters, then one tree router per cluster, packed as arrays --

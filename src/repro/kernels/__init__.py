@@ -12,18 +12,19 @@ against the per-node reference builder — enforced by
 releases the GIL for each call, which is what lets the router run its
 row chunks on threads.
 
-Selection is the ``kernel=`` kwarg threaded through
-:class:`~repro.sim.engine.batch.BatchRouter`,
-:func:`~repro.core.build.build_arrays` /
-:func:`~repro.core.build.build_scheme`,
-:class:`~repro.store.RouteService` and the CLI's ``--kernel`` flag:
+The kernels change speed, never results, so the platform picks them:
+every layer runs ``resolve_kernel("auto")`` — native when ``_native.c``
+compiles and loads, else numpy, noting the fallback once per process
+with a ``kernel.fallback`` telemetry counter and a
+:class:`KernelFallbackWarning`.  A ``kernel=`` selector survives only at
+the forks the differential suites compare:
+:class:`~repro.sim.engine.batch.BatchRouter` (commit and hop loop) and
+:func:`~repro.core.build.vectorized.vectorized_arrays` (frontier sweep):
 
 * ``"numpy"`` — always the pure-numpy reference path.
 * ``"native"`` — the compiled path; raises
   :class:`~repro.errors.KernelError` when unavailable.
-* ``"auto"`` (default) — native when it loads, else numpy, noting the
-  fallback once per process with a ``kernel.fallback`` telemetry
-  counter and a :class:`KernelFallbackWarning`.
+* ``"auto"`` (default) — the platform's choice above.
 
 The backend stays a zero-dependency optional: no compiler, no
 ``Python.h``, or ``REPRO_NATIVE_KERNELS=0`` all degrade to numpy with
@@ -48,7 +49,7 @@ __all__ = [
     "resolve_kernel",
 ]
 
-#: Accepted values of every ``kernel=`` kwarg / ``--kernel`` flag.
+#: Accepted values of :func:`resolve_kernel` and the fork selectors.
 KERNELS = ("auto", "native", "numpy")
 
 

@@ -26,11 +26,15 @@ Three instrument kinds, all process-local:
   value series with percentile summaries (``observe``), e.g. per-call
   route latency.
 
-The open span is one process-wide slot (``_active``), so a span opened
-on a second thread would nest under whatever that slot names at the
-time.  Multi-threaded callers therefore record from one thread: the
-batch router runs its row chunks on worker threads but opens every
-span and bumps every counter on the calling thread.
+The open span is held per execution context (a
+:class:`contextvars.ContextVar`), so every asyncio task and every
+thread nests its spans under its own open span only.  A thread starts
+with no open span: work handed to an executor nests under the caller's
+span only when it runs in a copy of the caller's context
+(``contextvars.copy_context().run``, as the serving daemon does for
+each route).  Counters, gauges and histograms are plain dict updates
+without locks; the batch router therefore records them, and opens its
+spans, on the calling thread, never on its row-chunk threads.
 
 Results are never touched: instrumented and uninstrumented runs return
 bit-identical routing outcomes (the disabled-mode identity test pins
@@ -39,6 +43,7 @@ this on every result column).
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from time import perf_counter_ns
 from typing import Dict, List, Optional
 
@@ -60,13 +65,15 @@ class Span:
 
     Created by :meth:`Telemetry.span` and driven by the ``with``
     statement: ``__enter__`` stamps the start, attaches the span under
-    the registry's currently open span and makes it current;
+    the context's currently open span and makes it current;
     ``__exit__`` stamps the end and restores the parent — also when the
     body raises, in which case the exception type lands in
     ``attrs["error"]`` and the exception propagates unchanged.
     """
 
-    __slots__ = ("name", "attrs", "start_ns", "end_ns", "children", "_tm", "_parent")
+    __slots__ = (
+        "name", "attrs", "start_ns", "end_ns", "children", "_tm", "_parent", "_token"
+    )
 
     def __init__(self, tm: "Telemetry", name: str, attrs: Dict[str, object]) -> None:
         """Internal — use :meth:`Telemetry.span` (handles disabled mode)."""
@@ -77,23 +84,24 @@ class Span:
         self.children: List["Span"] = []
         self._tm = tm
         self._parent: Optional["Span"] = None
+        self._token = None
 
     def __enter__(self) -> "Span":
         """Open the span: attach to the current span and start the clock."""
         tm = self._tm
-        self._parent = tm._active
+        self._parent = tm._current.get()
         if self._parent is not None:
             self._parent.children.append(self)
         else:
             tm.roots.append(self)
-        tm._active = self
+        self._token = tm._current.set(self)
         self.start_ns = perf_counter_ns()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         """Close the span (exception-safe; exceptions propagate)."""
         self.end_ns = perf_counter_ns()
-        self._tm._active = self._parent
+        self._tm._current.reset(self._token)
         if exc_type is not None:
             self.attrs = dict(self.attrs, error=exc_type.__name__)
         return False
@@ -158,11 +166,11 @@ class Telemetry:
 
     Starts disabled; :meth:`enable` resets nothing by itself (call
     :meth:`reset` to clear collected data).  All methods are cheap
-    single-threaded operations without locks; record from one thread
-    (module doc).
+    operations without locks; the open span is per context, the metric
+    dicts are shared (module doc).
     """
 
-    __slots__ = ("enabled", "counters", "gauges", "histograms", "roots", "_active")
+    __slots__ = ("enabled", "counters", "gauges", "histograms", "roots", "_current")
 
     def __init__(self) -> None:
         """A fresh, disabled registry with no recorded data."""
@@ -171,7 +179,8 @@ class Telemetry:
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, List[float]] = {}
         self.roots: List[Span] = []
-        self._active: Optional[Span] = None
+        #: The span open in the calling context (``None`` outside any).
+        self._current: ContextVar[Optional[Span]] = ContextVar("span", default=None)
 
     # -- lifecycle ------------------------------------------------------
     def enable(self) -> None:
@@ -188,7 +197,7 @@ class Telemetry:
         self.gauges = {}
         self.histograms = {}
         self.roots = []
-        self._active = None
+        self._current.set(None)
 
     # -- spans ----------------------------------------------------------
     def span(self, name: str, **attrs):

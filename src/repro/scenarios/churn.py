@@ -265,7 +265,6 @@ def run_churn(
     pairs: int = 256,
     policy: str = "auto",
     store=None,
-    kernel: str = "auto",
     workload: str = "uniform",
     graph_label: str = "graph",
     max_versions: Optional[int] = None,
@@ -292,8 +291,7 @@ def run_churn(
 
     t0 = time.perf_counter()
     arrays = build_arrays(
-        graph, k, ported=ported, rng=derive(seed, "churn", "hierarchy"),
-        kernel=kernel,
+        graph, k, ported=ported, rng=derive(seed, "churn", "hierarchy")
     )
     build_seconds = time.perf_counter() - t0
 
@@ -309,7 +307,7 @@ def run_churn(
         result.lineage = parent_key
         from ..store import RouteService
 
-        service = RouteService(store.pointer_path(parent_key), kernel=kernel)
+        service = RouteService(store.pointer_path(parent_key))
 
     params = dict(delta_params or {})
     bound = float(4 * k - 5) if k > 1 else 1.0
@@ -320,7 +318,7 @@ def run_churn(
             )
             t0 = time.perf_counter()
             method, graph, ported, arrays, stats = _update(
-                arrays, graph, delta, ported, policy, kernel,
+                arrays, graph, delta, ported, policy,
                 derive(seed, "churn", "rebuild", epoch),
             )
             update_seconds = time.perf_counter() - t0
@@ -339,9 +337,7 @@ def run_churn(
                 from ..sim.engine.batch import BatchRouter
                 from ..sim.engine.compile import compile_from_arrays
 
-                router = BatchRouter.from_compiled(
-                    compile_from_arrays(arrays, ported), kernel=kernel
-                )
+                router = BatchRouter.from_compiled(compile_from_arrays(arrays, ported))
 
             pair_arr = make_workload(
                 graph, workload, pairs, derive(seed, "churn", "pairs", epoch)
@@ -384,7 +380,7 @@ def run_churn(
     return result
 
 
-def _update(arrays, graph, delta, ported, policy, kernel, rebuild_rng):
+def _update(arrays, graph, delta, ported, policy, rebuild_rng):
     """Apply one delta per ``policy``; returns the new scheme state.
 
     Returns ``(method, graph', ported', arrays', stats)`` where
@@ -392,9 +388,7 @@ def _update(arrays, graph, delta, ported, policy, kernel, rebuild_rng):
     """
     if policy in ("patch", "auto"):
         try:
-            patched = patch_arrays(
-                arrays, graph, delta, ported=ported, kernel=kernel
-            )
+            patched = patch_arrays(arrays, graph, delta, ported=ported)
             return (
                 "patch", patched.graph, patched.ported, patched.arrays,
                 dict(patched.stats),
@@ -405,7 +399,5 @@ def _update(arrays, graph, delta, ported, policy, kernel, rebuild_rng):
             TELEMETRY.count("churn.patch_fallbacks")
     new_graph, _ = apply_delta(graph, delta)
     new_ported = assign_ports(new_graph, "sorted")
-    new_arrays = build_arrays(
-        new_graph, arrays.k, ported=new_ported, rng=rebuild_rng, kernel=kernel
-    )
+    new_arrays = build_arrays(new_graph, arrays.k, ported=new_ported, rng=rebuild_rng)
     return "rebuild", new_graph, new_ported, new_arrays, {}

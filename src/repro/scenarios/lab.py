@@ -148,16 +148,12 @@ def run_scenario(spec: ScenarioSpec, *, store=None, _cache=None) -> ScenarioResu
     scheme_key = ("scheme", spec.graph, spec.n, spec.k, spec.seed)
     if store is not None:
         store_hit = store.key_for(graph, spec.k, spec.seed, ported) in store
-        stored = store.get_or_build(
-            graph, spec.k, spec.seed, ported=ported, kernel=spec.kernel
-        )
+        stored = store.get_or_build(graph, spec.k, spec.seed, ported=ported)
         arrays, compiled = stored.arrays, stored.compiled
     elif _cache is not None and scheme_key in _cache:
         arrays, compiled = _cache[scheme_key]
     else:
-        arrays = build_arrays(
-            graph, spec.k, ported=ported, rng=spec.seed, kernel=spec.kernel
-        )
+        arrays = build_arrays(graph, spec.k, ported=ported, rng=spec.seed)
         compiled = compile_from_arrays(arrays, ported)
         if _cache is not None:
             _cache[scheme_key] = (arrays, compiled)
@@ -195,7 +191,7 @@ def run_scenario(spec: ScenarioSpec, *, store=None, _cache=None) -> ScenarioResu
     else:
         from ..sim.engine.batch import BatchRouter
 
-        router = BatchRouter.from_compiled(compiled, ported, kernel=spec.kernel)
+        router = BatchRouter.from_compiled(compiled, ported)
         sweep = survivability_sweep(
             ported, None, masks, pairs, engine=spec.engine, router=router
         )

@@ -2,7 +2,7 @@
 
 A :class:`ScenarioSpec` names everything one failure sweep depends on —
 graph family and size, hierarchy depth ``k``, traffic workload, failure
-model and its parameters, trial count, seed, engine, kernel — so a whole
+model and its parameters, trial count, seed, engine — so a whole
 evaluation campaign is a *list of values*, serializable to JSON,
 expandable from a grid, and rerunnable bit-for-bit.  The lab
 (:mod:`repro.scenarios.lab`) turns each spec into a
@@ -46,7 +46,6 @@ class ScenarioSpec:
     trials: int = 32
     seed: int = 0
     engine: str = "auto"
-    kernel: str = "auto"
 
     @property
     def params(self) -> Dict[str, float]:
@@ -98,7 +97,6 @@ def expand_grid(
     seed: int = 0,
     handshake: bool = False,
     engine: str = "auto",
-    kernel: str = "auto",
     failure_params: Optional[Mapping[str, Mapping[str, float]]] = None,
 ) -> List[ScenarioSpec]:
     """The cross product ``graphs × ks × workloads × failure_models``.
@@ -122,7 +120,6 @@ def expand_grid(
             trials=trials,
             seed=seed,
             engine=engine,
-            kernel=kernel,
         )
         for g, k, w, fm in product(graphs, ks, workloads, failure_models)
     ]

@@ -8,7 +8,7 @@ This package promotes the batch-at-a-time
   layout), the request/response shapes, and the bit-exact
   :class:`~repro.sim.engine.batch.BatchResult` wire codec;
 * :mod:`repro.serve.lru` — :class:`SchemeLRU`, the capacity bound on
-  open ``(graph, k, kernel)`` tenants (evict → re-mmap on next hit);
+  open ``(graph, k)`` tenants (evict → re-mmap on next hit);
 * :mod:`repro.serve.daemon` — :class:`RouteDaemon`, the asyncio TCP
   server: bounded queue with explicit backpressure, per-request
   timeouts, hot reload off store lineages, graceful SIGTERM drain;

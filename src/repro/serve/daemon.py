@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
 import os
 import signal
 from dataclasses import dataclass, field
@@ -101,7 +102,6 @@ class RouteDaemon:
         queue_limit: int = 64,
         timeout: float = 30.0,
         workers: int = 1,
-        kernel: str = "auto",
         max_frame_bytes: int = MAX_FRAME_BYTES,
     ) -> None:
         """Configure a daemon over one store directory (nothing opens yet).
@@ -121,7 +121,6 @@ class RouteDaemon:
         self.queue_limit = int(queue_limit)
         self.timeout = float(timeout)
         self.workers = max(1, int(workers))
-        self.kernel = kernel
         self.max_frame_bytes = int(max_frame_bytes)
         self.stats = {
             "requests": 0,
@@ -392,10 +391,13 @@ class RouteDaemon:
             )
         loop = asyncio.get_running_loop()
         with tm.span("serve.request", pairs=int(pairs.shape[0])):
+            # The executor thread runs in a copy of this task's context,
+            # so the route's spans nest under this request's span.
+            ctx = contextvars.copy_context()
             try:
                 result, version, key = await asyncio.wait_for(
                     loop.run_in_executor(
-                        None, self._route_sync, service, pairs, ttl
+                        None, ctx.run, self._route_sync, service, pairs, ttl
                     ),
                     self.timeout - waited,
                 )
@@ -511,9 +513,7 @@ class RouteDaemon:
                 "route request names no scheme and the daemon has no default"
             )
         path = self._tenant_path(str(scheme))
-        return self.lru.get(
-            str(path), lambda: RouteService(path, kernel=self.kernel)
-        )
+        return self.lru.get(str(path), lambda: RouteService(path))
 
     def _tenant_path(self, scheme: str) -> Path:
         """Map a tenant name to the pointer/container file to serve."""

@@ -1,6 +1,6 @@
 """Capacity-bounded LRU of open scheme tenants.
 
-The daemon serves many ``(graph, k, kernel)`` tenants from one store
+The daemon serves many ``(graph, k)`` tenants from one store
 directory, but every open tenant pins a memory map and a compiled
 router.  :class:`SchemeLRU` bounds that working set: at most
 ``capacity`` tenants are open at once, the least-recently-used one is

@@ -34,18 +34,21 @@ set alone (and hence bit-for-bit the reference
 :class:`~repro.sim.failures.FaultyNetwork` outcome) — enforced by
 ``tests/test_scenarios.py``.
 
-**Native kernel and row chunks.**  With ``kernel="native"`` both the
-tree commit and the hop loop run in C (:mod:`repro.kernels.hop`); the
-numpy :meth:`BatchRouter._commit` and synchronized loop stay as the
-bit-for-bit references.  Rows are independent, so
+**Native kernel and row chunks.**  On the native kernel — the
+platform's choice whenever ``_native.c`` compiles and loads, see
+:mod:`repro.kernels` — both the tree commit and the hop loop run in C
+(:mod:`repro.kernels.hop`); the numpy :meth:`BatchRouter._commit` and
+synchronized loop stay as the bit-for-bit references, which
+``kernel="numpy"`` selects.  Rows are independent, so
 :meth:`BatchRouter.route_pairs` cuts a batch of at least
 :data:`ROUTE_CHUNK_FLOOR` pairs into one contiguous row chunk per usable
 CPU and runs each phase's chunks on threads (ctypes releases the GIL),
 every chunk writing its own rows of shared output columns — the result
 is the one-chunk result, in input order.  Telemetry spans and counters
-are recorded on the calling thread only: the registry's active span is
-process-wide, so a span opened on a worker thread would nest under
-whatever that slot names at the time.
+are recorded on the calling thread only: the registry holds the open
+span per context and a chunk thread does not inherit the caller's, so
+a span opened there would be a new root, and the metric dicts take no
+locks.
 """
 
 from __future__ import annotations

@@ -495,7 +495,6 @@ def survivability_sweep(
     engine: str = "auto",
     ttl: Optional[int] = None,
     router=None,
-    kernel: str = "auto",
 ) -> SweepResult:
     """Route one pair set under many failure trials at once.
 
@@ -511,9 +510,7 @@ def survivability_sweep(
     :func:`failure_trials`).  ``router`` optionally supplies a
     pre-built :class:`~repro.sim.engine.batch.BatchRouter` (e.g. over a
     store-loaded compiled scheme), in which case ``scheme`` may be
-    ``None``.  ``kernel`` picks the batch hop-loop backend
-    (:mod:`repro.kernels`; ignored with a pre-built ``router`` or the
-    reference engine).  All pairs are routed in every trial;
+    ``None``.  All pairs are routed in every trial;
     ``connected`` and the per-trial reports restrict to still-connected
     pairs exactly as :func:`survivability` does.
     """
@@ -540,7 +537,7 @@ def survivability_sweep(
 
         if scheme is None:
             raise ValueError('scheme may only be None when router= is given')
-        router = _resolve_engine(scheme, ported, engine, kernel)
+        router = _resolve_engine(scheme, ported, engine)
     if engine == "reference":
         router = None
 

@@ -61,15 +61,8 @@ def pair_true_distances(
     return dist[rows, pair_arr[:, 1]].astype(np.float64)
 
 
-def _resolve_engine(
-    scheme: RoutingScheme, ported: PortedGraph, engine: str, kernel: str = "auto"
-):
-    """Returns a compiled :class:`BatchRouter` or ``None`` (reference).
-
-    ``kernel`` selects the router's hop-loop backend
-    (``"numpy"``/``"native"``/``"auto"``, see :mod:`repro.kernels`); the
-    reference engine ignores it.
-    """
+def _resolve_engine(scheme: RoutingScheme, ported: PortedGraph, engine: str):
+    """Returns a compiled :class:`BatchRouter` or ``None`` (reference)."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; use one of {ENGINES}")
     if engine == "reference":
@@ -86,7 +79,7 @@ def _resolve_engine(
                 'engine="reference"'
             )
         return None
-    return BatchRouter(ported, scheme, kernel=kernel)
+    return BatchRouter(ported, scheme)
 
 
 def _stretch_values(
@@ -118,7 +111,6 @@ def run_pairs(
     strict: bool = True,
     engine: str = "auto",
     ttl: Optional[int] = None,
-    kernel: str = "auto",
 ) -> Tuple[List[RouteResult], List[float]]:
     """Route every ``(s, t)`` pair; returns results and per-pair stretch.
 
@@ -128,14 +120,12 @@ def run_pairs(
     ``strict=True`` a routing failure raises — experiments must not
     silently drop undeliverable pairs (coverage principle); property
     tests that *expect* failures pass ``strict=False``.  ``engine``
-    selects the execution path (module docstring) and ``kernel`` the
-    batch engine's hop-loop backend (:mod:`repro.kernels`); ``ttl`` caps
-    the hop budget per message (default ``4·n + 16``, as in the
-    simulator).
+    selects the execution path (module docstring); ``ttl`` caps the hop
+    budget per message (default ``4·n + 16``, as in the simulator).
     """
     graph = ported.graph
     pair_arr = np.asarray(pairs, dtype=np.int64)
-    router = _resolve_engine(scheme, ported, engine, kernel)
+    router = _resolve_engine(scheme, ported, engine)
     if router is not None:
         batch = _route_batch_checked(router, pair_arr, strict=strict, ttl=ttl)
         true_d = pair_true_distances(graph, pair_arr, true_dist)
@@ -172,7 +162,6 @@ def measure_scheme(
     true_dist: Optional[np.ndarray] = None,
     strict: bool = True,
     engine: str = "auto",
-    kernel: str = "auto",
 ) -> StretchStats:
     """Sample pairs (or use the given ones) and return stretch statistics
     checked against the scheme's proven bound.
@@ -187,7 +176,7 @@ def measure_scheme(
         pairs = sample_pairs(gen, n, n_pairs)
     pair_arr = np.asarray(pairs, dtype=np.int64)
 
-    router = _resolve_engine(scheme, ported, engine, kernel)
+    router = _resolve_engine(scheme, ported, engine)
     if router is not None:
         batch = _route_batch_checked(router, pair_arr, strict=strict)
         true_d = pair_true_distances(ported.graph, pair_arr, true_dist)

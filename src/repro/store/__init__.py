@@ -13,7 +13,7 @@ and serves traffic matrices straight off the file mapping:
   ``get_or_build`` memo table, plus the bit-exact strict-verify replay
   against :mod:`repro.core.serialize`;
 * :mod:`repro.store.service` — :class:`RouteService`, the serving
-  front door with optional source-sharding across worker processes.
+  front door, hot-swapping along a lineage's ``.current`` pointer.
 """
 
 from .format import FORMAT_VERSION, read_container, write_container

@@ -218,15 +218,13 @@ def _fail(path: Path, why: str) -> EncodingError:
 def read_container(
     path: Union[str, Path],
     *,
-    mmap: bool = True,
     verify_data: bool = False,
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Open a container; returns ``(header, {name: array})``.
 
-    With ``mmap=True`` every array is a read-only view into one shared
-    memory map (zero-copy); otherwise the file is read into memory once.
-    ``verify_data=True`` additionally checks the data section against the
-    stored SHA-256 (a full sequential read).  Raises
+    Every array is a read-only view into one shared memory map
+    (zero-copy).  ``verify_data=True`` additionally checks the data
+    section against the stored SHA-256 (a full sequential read).  Raises
     :class:`~repro.errors.EncodingError` on any structural damage.
     """
     path = Path(path)
@@ -236,10 +234,7 @@ def read_container(
         raise _fail(path, str(exc)) from exc
     if size < _PREAMBLE:
         raise _fail(path, f"file is {size} bytes, shorter than the preamble")
-    if mmap:
-        raw = np.memmap(path, dtype=np.uint8, mode="r")
-    else:
-        raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    raw = np.memmap(path, dtype=np.uint8, mode="r")
 
     if bytes(raw[: len(MAGIC)]) != MAGIC:
         raise _fail(path, "bad magic (not a TZ scheme store)")

@@ -44,31 +44,17 @@ from ..sim.engine.batch import BatchResult, BatchRouter
 class RouteService:
     """Serve traffic matrices from one stored scheme (see module doc)."""
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        mmap: bool = True,
-        kernel: str = "auto",
-        follow: Optional[bool] = None,
-    ) -> None:
-        """Open the container at ``path`` (zero-copy mmap by default).
+    def __init__(self, path: Union[str, Path]) -> None:
+        """Open the container at ``path`` (zero-copy mmap).
 
         ``path`` may be a ``.tzs`` container or a lineage's ``.current``
-        pointer file; the latter (or ``follow=True``) puts the service
-        in hot-swap mode — see the module docstring.  ``kernel`` selects
-        the hop-loop backend of the serving router
-        (``"numpy"``/``"native"``/``"auto"``, see :mod:`repro.kernels`);
-        answers are bit-identical either way.
+        pointer file; the latter puts the service in hot-swap mode — see
+        the module docstring.
         """
         from .store import POINTER_SUFFIX
 
         self.path = Path(path)
-        if follow is None:
-            follow = self.path.name.endswith(POINTER_SUFFIX)
-        self.follow = bool(follow)
-        self.mmap = bool(mmap)
-        self.kernel = kernel
+        self.follow = self.path.name.endswith(POINTER_SUFFIX)
         self.swap_count = 0
         self._swap_lock = threading.Lock()
         self._resolved: Optional[Path] = None
@@ -94,11 +80,11 @@ class RouteService:
         """Map ``resolved`` and install its router as the serving state."""
         from .store import SchemeStore
 
-        with TELEMETRY.span("serve.open", mmap=self.mmap):
-            stored = SchemeStore(resolved.parent).load(resolved, mmap=self.mmap)
+        with TELEMETRY.span("serve.open"):
+            stored = SchemeStore(resolved.parent).load(resolved)
             self.meta = stored.meta
             self.compiled = stored.compiled
-            self._router = BatchRouter.from_compiled(stored.compiled, kernel=self.kernel)
+            self._router = BatchRouter.from_compiled(stored.compiled)
             self._resolved = resolved
 
     #: Pointer re-resolve attempts before an open gives up (each retry

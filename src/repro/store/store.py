@@ -50,7 +50,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..core.build import build_arrays, resolve_builder
+from ..core.build import build_arrays
 from ..core.build.arrays import SchemeArrays, scheme_from_arrays
 from ..errors import EncodingError
 from ..graphs.graph import Graph
@@ -265,13 +265,12 @@ class SchemeStore:
         self,
         key_or_path: Union[str, Path],
         *,
-        mmap: bool = True,
         strict: bool = False,
         verify_data: bool = False,
         graph: Optional[Graph] = None,
         ported: Optional[PortedGraph] = None,
     ) -> StoredScheme:
-        """Open a stored scheme, zero-copy by default.
+        """Open a stored scheme, zero-copy.
 
         ``verify_data=True`` checks the data-section checksum (one
         sequential read).  ``strict=True`` implies that and additionally
@@ -285,10 +284,8 @@ class SchemeStore:
             if isinstance(key_or_path, Path) or str(key_or_path).endswith(STORE_SUFFIX)
             else self.path_for(str(key_or_path))
         )
-        with TELEMETRY.span("store.load", mmap=bool(mmap)):
-            header, blobs = read_container(
-                path, mmap=mmap, verify_data=strict or verify_data
-            )
+        with TELEMETRY.span("store.load"):
+            header, blobs = read_container(path, verify_data=strict or verify_data)
             meta = header.get("meta", {})
             if meta.get("kind") != "tz-scheme":
                 raise EncodingError(f"{path} is not a scheme container")
@@ -580,10 +577,9 @@ class SchemeStore:
         self,
         key_or_path: Union[str, Path],
         *,
-        mmap: bool = True,
         verify_data: bool = False,
     ):
-        """Open a stored backend, zero-copy by default.
+        """Open a stored backend, zero-copy.
 
         The container's ``backend`` name selects the registered class
         (:func:`repro.backends.registry.get_backend`); its
@@ -597,7 +593,7 @@ class SchemeStore:
             if isinstance(key_or_path, Path) or str(key_or_path).endswith(STORE_SUFFIX)
             else self.path_for(str(key_or_path))
         )
-        header, blobs = read_container(path, mmap=mmap, verify_data=verify_data)
+        header, blobs = read_container(path, verify_data=verify_data)
         meta = header.get("meta", {})
         if meta.get("kind") != "tz-backend":
             raise EncodingError(f"{path} is not a backend container")
@@ -613,16 +609,12 @@ class SchemeStore:
         seed: Optional[int] = 0,
         *,
         ported: Optional[PortedGraph] = None,
-        mmap: bool = True,
-        kernel: str = "auto",
     ):
         """Memo table over backend construction, like :meth:`get_or_build`.
 
         A hit opens the container and returns the deserialized backend;
         a miss builds through the registry, saves, and re-opens (so the
         returned instance is always the file-backed one, hit or miss).
-        ``kernel`` is the construction-time compute backend of a miss
-        (bit-identical outputs either way, so not part of the key).
         """
         from ..backends.registry import build_backend
 
@@ -634,11 +626,9 @@ class SchemeStore:
             tm.count("store.backend_hits" if hit else "store.backend_misses")
         with tm.span("store.get_or_build_backend", backend=name, k=k):
             if not hit:
-                backend = build_backend(
-                    name, graph, k, seed, ported=ported, kernel=kernel
-                )
+                backend = build_backend(name, graph, k, seed, ported=ported)
                 self.save_backend(backend, graph, k=k, seed=seed)
-            return self.load_backend(path, mmap=mmap)
+            return self.load_backend(path)
 
     # ------------------------------------------------------------------
     def get_or_build(
@@ -648,10 +638,7 @@ class SchemeStore:
         seed: Optional[int] = None,
         *,
         ported: Optional[PortedGraph] = None,
-        builder: Optional[str] = None,
         strict: bool = False,
-        mmap: bool = True,
-        kernel: str = "auto",
     ) -> StoredScheme:
         """The front door: a memo table over scheme construction.
 
@@ -659,13 +646,10 @@ class SchemeStore:
         ported)``, building, compiling and saving it first if the store
         has no entry.  The build threads ``seed`` through the same
         hierarchy-sampling path as :func:`repro.core.build.build_arrays`,
-        so a store hit is bit-identical to what the miss would build —
-        and so is either value of ``kernel`` (the build-time frontier
-        backend, see :mod:`repro.kernels`; it is not part of the store
-        key).  A container of an older format at the key's path is a
-        miss: it is rebuilt and replaced, never served.
+        so a store hit is bit-identical to what the miss would build.
+        A container of an older format at the key's path is a miss: it
+        is rebuilt and replaced, never served.
         """
-        builder = resolve_builder(builder)
         if ported is None:
             ported = assign_ports(graph, "sorted")
         key = self.key_for(graph, k, seed, ported)
@@ -675,13 +659,9 @@ class SchemeStore:
         if tm.enabled:
             tm.count("store.hits" if hit else "store.misses")
         with tm.span("store.get_or_build", k=k, hit=hit):
-            return self._get_or_build(
-                graph, k, seed, ported, builder, strict, mmap, path, kernel, hit
-            )
+            return self._get_or_build(graph, k, seed, ported, strict, path, hit)
 
-    def _get_or_build(
-        self, graph, k, seed, ported, builder, strict, mmap, path, kernel, hit
-    ) -> StoredScheme:
+    def _get_or_build(self, graph, k, seed, ported, strict, path, hit) -> StoredScheme:
         """Build-save-load behind :meth:`get_or_build` (key resolved)."""
         if hit and strict:
             header, _ = read_container(path)
@@ -699,13 +679,9 @@ class SchemeStore:
                     seed=seed,
                     compiled=prior.compiled,
                     strict=True,
-                    builder=prior.meta.get("builder", builder),
+                    builder=prior.meta.get("builder", "vectorized"),
                 )
         if not hit:
-            arrays = build_arrays(
-                graph, k, ported=ported, builder=builder, rng=seed, kernel=kernel
-            )
-            self.save(
-                graph, ported, arrays, seed=seed, strict=strict, builder=builder
-            )
-        return self.load(path, mmap=mmap, strict=strict, graph=graph, ported=ported)
+            arrays = build_arrays(graph, k, ported=ported, rng=seed)
+            self.save(graph, ported, arrays, seed=seed, strict=strict)
+        return self.load(path, strict=strict, graph=graph, ported=ported)

@@ -472,6 +472,54 @@ class TestCli:
         assert not thread.is_alive() and rc["daemon"] == 0
         assert "daemon drained" in capsys.readouterr().out
 
+    @pytest.fixture
+    def container_writes(self, monkeypatch):
+        """Stub the daemon loop; record every container the store writes."""
+        import repro.serve
+        from repro.store import store as store_module
+
+        writes = []
+        write = store_module.write_container
+
+        def recording_write(path, arrays, meta):
+            writes.append(Path(path))
+            return write(path, arrays, meta)
+
+        monkeypatch.setattr(store_module, "write_container", recording_write)
+        drained = dict(requests=0, routed_pairs=0, shed=0, timeouts=0, errors=0)
+        monkeypatch.setattr(repro.serve, "run_daemon", lambda store_dir, **config: drained)
+        return writes
+
+    DAEMON_ARGS = ["--graph", "gnp", "--n", "96", "--k", "2", "--seed", "3"]
+
+    def test_serve_daemon_writes_the_default_lineage_once(self, tmp_path, container_writes):
+        from repro.store import SchemeStore
+
+        store_dir = tmp_path / "store"
+        assert main(["serve", "--daemon", *self.DAEMON_ARGS, "--store", str(store_dir)]) == 0
+        store = SchemeStore(store_dir)
+        (lineage,) = store.lineages()
+        assert store.current(lineage) == lineage
+        assert container_writes == [store.path_for(lineage)]
+        # A published lineage is served as it stands: no further write.
+        assert main(["serve", "--daemon", *self.DAEMON_ARGS, "--store", str(store_dir)]) == 0
+        assert container_writes == [store.path_for(lineage)]
+
+    def test_serve_daemon_stamps_an_unversioned_container_once(
+        self, tmp_path, container_writes
+    ):
+        from repro.store import SchemeStore
+
+        store_dir = tmp_path / "store"
+        args = [*self.DAEMON_ARGS, "--store", str(store_dir)]
+        assert main(["serve", *args, "--pairs", "64"]) == 0  # unversioned container
+        (key,) = SchemeStore(store_dir).keys()
+        assert main(["serve", "--daemon", *args]) == 0
+        store = SchemeStore(store_dir)
+        assert store.lineages() == [key] and store.current(key) == key
+        assert container_writes == [store.path_for(key)] * 2
+        assert store.info(key)["version"] == 0
+
     def test_loadgen_unreachable_daemon_fails_cleanly(self, tmp_path):
         with pytest.raises(OSError):
             main(["loadgen", "--port", "1", "--requests", "1"])

@@ -45,7 +45,8 @@ from hypothesis import strategies as st
 from strategies import FAMILIES, family_from_seed, ks, seeds
 
 from repro.baselines.tree_spanner import build_single_tree_scheme
-from repro.core.build import SchemeArrays, build_arrays, build_scheme
+from repro.core.build import SchemeArrays, build_scheme
+from repro.core.build.arrays import scheme_from_arrays
 from repro.core.build.vectorized import FULL_CENTER_LIMIT, vectorized_arrays
 from repro.core.landmarks import build_hierarchy
 from repro.errors import KernelError, RoutingError
@@ -96,10 +97,24 @@ def assert_results_equal(a, b, context=""):
         assert np.array_equal(x, y), f"{name} differs {context}"
 
 
+def arrays_on(graph, k, ported, seed, kernel, mode="auto"):
+    """``build_arrays(graph, k, ported=ported, rng=seed)``, with its
+    frontier sweep on ``kernel``: the same hierarchy, drawn the same way,
+    fed to the builder's kernel fork."""
+    hierarchy = build_hierarchy(graph, k, make_rng(seed))
+    return vectorized_arrays(graph, ported, hierarchy, mode=mode, kernel=kernel)
+
+
+def scheme_on(graph, k, ported, seed, kernel):
+    """``build_scheme(graph, k, ported=ported, rng=seed)``, built on
+    ``kernel`` (see :func:`arrays_on`)."""
+    return scheme_from_arrays(graph, ported, arrays_on(graph, k, ported, seed, kernel))
+
+
 def routers_for(graph, k, seed, kernels=("numpy", "native")):
     """One scheme, one router per kernel (the scheme is shared)."""
     ported = assign_ports(graph, "sorted")
-    scheme = build_scheme(graph, k, ported=ported, rng=seed, kernel="numpy")
+    scheme = scheme_on(graph, k, ported, seed, "numpy")
     return ported, {kern: BatchRouter(ported, scheme, kernel=kern) for kern in kernels}
 
 
@@ -194,8 +209,10 @@ class TestResolveKernel:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", KernelFallbackWarning)
-                scheme = build_scheme(graph, 2, ported=ported, rng=3, kernel="auto")
-                got = BatchRouter(ported, scheme, kernel="auto").route_pairs(pairs)
+                scheme = build_scheme(graph, 2, ported=ported, rng=3)
+                router = BatchRouter(ported, scheme)
+                got = router.route_pairs(pairs)
+            assert router.kernel == "numpy"
             assert_results_equal(want, got, "(auto degraded to numpy)")
         finally:
             monkeypatch.delenv(_build.ENV_DISABLE)
@@ -599,7 +616,7 @@ class TestDegenerateInputs:
         graph = Graph(1, [], [])
         ported = assign_ports(graph, "sorted")
         for k in (1, 3):
-            scheme = build_scheme(graph, k, ported=ported, rng=0, kernel=kernel)
+            scheme = scheme_on(graph, k, ported, 0, kernel)
             router = BatchRouter(ported, scheme, kernel=kernel)
             empty = router.route_pairs(np.zeros((0, 2), dtype=np.int64))
             assert empty.delivered.shape == (0,)
@@ -615,10 +632,7 @@ class TestDegenerateInputs:
     def test_single_vertex_pruned_builder(self, kernel):
         graph = Graph(1, [], [])
         ported = assign_ports(graph, "sorted")
-        hierarchy = build_hierarchy(graph, 2, make_rng(0))
-        arrays = vectorized_arrays(
-            graph, ported, hierarchy, mode="pruned", kernel=kernel
-        )
+        arrays = arrays_on(graph, 2, ported, 0, kernel, mode="pruned")
         assert arrays.entry_count == 1
 
     def test_all_dead_edge_masks(self, kernel):
@@ -646,7 +660,7 @@ class TestWeightFallback:
         ported = assign_ports(graph, "sorted")
         with warnings.catch_warnings():
             warnings.simplefilter("error", KernelFallbackWarning)
-            build_arrays(graph, 2, ported=ported, rng=6, kernel=kernel)
+            arrays_on(graph, 2, ported, 6, kernel)
 
     def test_fractional_weights_fall_back_loudly(self, kernel):
         base = family_from_seed(6, "gnp", n=24, weights=None)
@@ -657,7 +671,7 @@ class TestWeightFallback:
         TELEMETRY.enable()
         try:
             with pytest.warns(KernelFallbackWarning, match="not float64-exact"):
-                arrays = build_arrays(graph, 2, ported=ported, rng=6, kernel=kernel)
+                arrays = arrays_on(graph, 2, ported, 6, kernel)
             assert TELEMETRY.counters.get("kernel.fallback", 0) >= 1
         finally:
             TELEMETRY.disable()
@@ -671,8 +685,8 @@ class TestWeightFallback:
         graph = Graph(base.n, base.edges, w32)
         ported = assign_ports(graph, "sorted")
         with pytest.warns(KernelFallbackWarning, match="not float64-exact"):
-            ref = build_arrays(graph, 2, ported=ported, rng=8, kernel="numpy")
+            ref = arrays_on(graph, 2, ported, 8, "numpy")
         with pytest.warns(KernelFallbackWarning, match="not float64-exact"):
-            got = build_arrays(graph, 2, ported=ported, rng=8, kernel=kernel)
+            got = arrays_on(graph, 2, ported, 8, kernel)
         for name in ARRAY_FIELDS:
             assert np.array_equal(getattr(ref, name), getattr(got, name)), name

@@ -101,7 +101,7 @@ def test_span_exception_safety(tm):
     assert failing.end_ns >= failing.start_ns
     assert failing.attrs["error"] == "ValueError"
     assert outer.attrs["error"] == "ValueError"  # propagated through
-    assert tm._active is None
+    assert tm._current.get() is None
     with tm.span("after"):
         pass
     assert tm.roots[1].name == "after"  # a new root, not a child

@@ -11,6 +11,8 @@ The load-bearing contracts:
 * the daemon sheds overload with explicit ``backpressure`` errors and
   stays responsive to pings while doing so;
 * a graceful shutdown drains every admitted batch;
+* with telemetry on, overlapping requests on several workers each hold
+  exactly their own ``serve.route`` span;
 * the subprocess soak test: ``publish_patch`` repoints the lineage
   while clients stream batches — every response matches exactly one
   version's reference answers, never a blend.
@@ -689,6 +691,56 @@ class TestDaemon:
                 resp = c.request({"op": "route", "pairs": [[0, 1]]})
                 assert resp["error"] == "shutting-down"
             rd.daemon._draining = False
+
+    def test_overlapping_requests_keep_their_own_route_spans(self, tmp_path):
+        """Three workers route at once, with telemetry on: every
+        ``serve.request`` span holds exactly its own ``serve.route`` and
+        no other request, although the routes run on executor threads."""
+        from repro.obs import TELEMETRY
+
+        store, key, graph, *_ = publish_scheme(tmp_path, seed=91)
+        overlap = threading.Barrier(3, timeout=30)
+
+        def overlapping_route(service, pairs, ttl):
+            overlap.wait()  # all three routes are in flight together
+            return RouteDaemon._route_sync(service, pairs, ttl)
+
+        rng = np.random.default_rng(91)
+        pairs = rng.integers(0, graph.n, size=(20_000, 2))
+        answers = []
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            with running_daemon(tmp_path, default_scheme=key, workers=3) as rd:
+                rd.daemon._route_sync = overlapping_route
+
+                def client():
+                    with rd.client() as c:
+                        for _ in range(3):
+                            answers.append(c.request({"op": "route", "pairs": pairs})["ok"])
+
+                clients = [threading.Thread(target=client) for _ in range(3)]
+                for t in clients:
+                    t.start()
+                for t in clients:
+                    t.join(60)
+                assert not any(t.is_alive() for t in clients)
+            requests = [
+                sp for sp, _ in TELEMETRY.spans() if sp.name == "serve.request"
+            ]
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+            sys.setswitchinterval(switch)
+        assert answers == [True] * 9
+        assert len(requests) == 9
+        for request in requests:
+            inside = [sp.name for sp, _ in request.walk()][1:]
+            assert inside.count("serve.route") == 1, inside
+            assert "serve.request" not in inside, inside
 
 
 class TestRouteValidation:

@@ -140,7 +140,7 @@ class TestContainer:
         write_container(
             path, {"a": np.arange(4, dtype=np.int64), "b": np.ones(3)}, {}
         )
-        _, back = read_container(path, mmap=True)
+        _, back = read_container(path)
         bases = {a.base.base if a.base.base is not None else a.base for a in back.values()}
         assert len(bases) == 1  # zero-copy: every array views one mmap
 

@@ -13,6 +13,7 @@ equality.
 from __future__ import annotations
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.core.build import build_arrays, patch_arrays
 from repro.errors import GraphError, PreprocessingError, RoutingError
 from repro.graphs.delta import GraphDelta, apply_delta
 from repro.graphs.ports import assign_ports
+from repro.kernels import _build
 from repro.obs import TELEMETRY
 from repro.sim.engine.batch import BatchRouter
 from repro.sim.engine.compile import compile_from_arrays
@@ -479,18 +481,50 @@ class TestHotSwapService:
         assert calls["n"] == RouteService._OPEN_RETRIES
 
 
+@pytest.fixture
+def veto_native(monkeypatch):
+    """``veto_native(fn)`` runs ``fn()`` with the native backend vetoed
+    (``REPRO_NATIVE_KERNELS=0``), so the platform's kernel is numpy."""
+
+    def run(fn):
+        monkeypatch.setenv(_build.ENV_DISABLE, "0")
+        _build.reset_for_tests()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", kernels.KernelFallbackWarning)
+                return fn()
+        finally:
+            monkeypatch.delenv(_build.ENV_DISABLE)
+            _build.reset_for_tests()
+
+    return run
+
+
+def frontier_sweeps(fn):
+    """The ``kernel.frontier_sweep`` spans recorded while ``fn()`` runs."""
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    try:
+        fn()
+        return [sp for sp, _ in TELEMETRY.spans() if sp.name == "kernel.frontier_sweep"]
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+
+
 class TestBackendKernelGate:
-    """kernel= threads from the registry down to the frontier sweep."""
+    """Backend builds run on the platform's kernel, and the numpy path
+    the ``REPRO_NATIVE_KERNELS=0`` veto forces builds the same blobs."""
 
     @pytest.mark.parametrize("name", ["tz", "cowen"])
-    def test_numpy_native_blobs_bit_equal(self, name):
+    def test_numpy_native_blobs_bit_equal(self, name, veto_native):
         if not kernels.available():
             pytest.skip(f"native kernel unavailable: {kernels.native_error()}")
         from repro.backends.registry import build_backend
 
         graph = family_from_seed(6, "gnp", n=96)
-        b_np = build_backend(name, graph, k=3, seed=1, kernel="numpy")
-        b_nat = build_backend(name, graph, k=3, seed=1, kernel="native")
+        b_nat = build_backend(name, graph, k=3, seed=1)
+        b_np = veto_native(lambda: build_backend(name, graph, k=3, seed=1))
         meta_np, blobs_np = b_np.serialize()
         meta_nat, blobs_nat = b_nat.serialize()
         assert meta_np == meta_nat
@@ -498,29 +532,24 @@ class TestBackendKernelGate:
         for key in blobs_np:
             assert np.array_equal(blobs_np[key], blobs_nat[key]), key
 
-    def test_cowen_level0_grows_through_native_sweep(self):
+    def test_cowen_level0_grows_through_native_sweep(self, veto_native):
         """The Cowen backend's level-0 grow (n centers, far above the
         full-engine limit) must hit the native frontier sweep when the
-        native kernel is requested — observed through telemetry."""
+        native kernel loads, and the numpy one under the veto —
+        observed through telemetry."""
         if not kernels.available():
             pytest.skip(f"native kernel unavailable: {kernels.native_error()}")
         from repro.backends.registry import build_backend
 
         graph = family_from_seed(7, "gnp", n=96)
-        TELEMETRY.reset()
-        TELEMETRY.enable()
-        try:
-            build_backend("cowen", graph, seed=2, kernel="native")
-            sweeps = [
-                sp for sp, _ in TELEMETRY.spans()
-                if sp.name == "kernel.frontier_sweep"
-            ]
-        finally:
-            TELEMETRY.disable()
-            TELEMETRY.reset()
-        assert sweeps, "no frontier-sweep span recorded"
-        assert all(sp.attrs.get("impl") == "native" for sp in sweeps)
-        assert any(sp.attrs.get("level") == 0 for sp in sweeps)
+        for impl, build in (
+            ("native", lambda: build_backend("cowen", graph, seed=2)),
+            ("numpy", lambda: veto_native(lambda: build_backend("cowen", graph, seed=2))),
+        ):
+            sweeps = frontier_sweeps(build)
+            assert sweeps, f"no frontier-sweep span recorded ({impl})"
+            assert all(sp.attrs.get("impl") == impl for sp in sweeps)
+            assert any(sp.attrs.get("level") == 0 for sp in sweeps)
 
 
 class TestChurnScenario:
