@@ -4,15 +4,20 @@ vs vectorized rebuild.
 On a 20k-node G(n, p) graph (k = 2) the gate is the container's size
 per (center, member) entry — a noise-free count, since the paper's
 subject is table size.  Storing every ``CompiledScheme`` column the
-``SchemeArrays`` already hold a second time cost 321.7 B/entry; a
-container that stores each column once measures 237.5 B/entry, and
-:data:`BYTES_PER_ENTRY_CEILING` sits just above that, so a second copy
-of any per-entry column fails it.
+``SchemeArrays`` already hold a second time cost 321.7 B/entry; storing
+each column once, 237.5 B/entry (format 2).  Format 3 stores the entry
+records the native kernels read, holding five array columns that are no
+longer stored beside them, and drops the two bunch columns that were
+gathers of entry columns: 221.5 B/entry.  :data:`BYTES_PER_ENTRY_CEILING`
+sits 2% above that, so a second copy of any per-entry column (8 B)
+fails it.
 
 The load speedup — header parse + zero-copy memory map, ready to route,
 against re-running the vectorized builder — is reported, not gated: it
-measures in the tens of thousands, so any floor low enough to survive
-CI noise could not fail.
+measures in the thousands, so any floor low enough to survive CI noise
+could not fail.  So is the first 100k-pair route after a load over a
+warm route on the same mapping (1.1 with the records routed in place;
+18.5 when the first route packed a copy of them).
 
 Before any number is trusted, a 100k-pair sample routed through the
 mmap-loaded scheme is compared bit-for-bit (delivered, weight, hops,
@@ -41,8 +46,8 @@ from repro.sim.engine.batch import BatchRouter
 from repro.sim.engine.compile import compile_from_arrays
 from repro.store import SchemeStore
 
-#: Container bytes per scheme entry at the default size (measured 237.5).
-BYTES_PER_ENTRY_CEILING = 240.0
+#: Container bytes per scheme entry at the default size (measured 221.5).
+BYTES_PER_ENTRY_CEILING = 226.0
 N_DEFAULT = 20_000
 K = 2
 SEED = 2025
@@ -84,9 +89,15 @@ def test_store_bytes_per_entry(setup, tmp_path):
     for name in ("delivered", "weight", "hops", "max_header_bits", "failure_code"):
         assert np.array_equal(getattr(fresh, name), getattr(loaded, name)), name
     t0 = time.perf_counter()
-    loaded_again = store.load(path).router().route_pairs(pairs)
+    router = store.load(path).router()
+    t_open = time.perf_counter() - t0
+    loaded_again = router.route_pairs(pairs)
     t_cold_route = time.perf_counter() - t0
     assert np.array_equal(loaded_again.delivered, fresh.delivered)
+    # The first route after a load against a warm one on the same
+    # mapping: reported, not gated (it is a ratio of wall times).
+    t_warm_route = best_of(lambda: router.route_pairs(pairs), repeats=3)
+    first_over_warm = (t_cold_route - t_open) / t_warm_route
 
     speedup = t_rebuild / max(t_load, 1e-9)
     print(
@@ -95,7 +106,7 @@ def test_store_bytes_per_entry(setup, tmp_path):
         f"{bytes_per_entry:.1f} B/entry): "
         f"rebuild {t_rebuild:.2f}s; mmap load {t_load * 1e3:.1f}ms; "
         f"speedup {speedup:.0f}x; cold load+100k-pair route "
-        f"{t_cold_route * 1e3:.0f}ms"
+        f"{t_cold_route * 1e3:.0f}ms; first/warm route {first_over_warm:.2f}"
     )
 
     out = emit(
@@ -108,6 +119,8 @@ def test_store_bytes_per_entry(setup, tmp_path):
             "rebuild_seconds": round(t_rebuild, 3),
             "mmap_load_seconds": round(t_load, 5),
             "cold_load_route_100k_seconds": round(t_cold_route, 4),
+            "warm_route_100k_seconds": round(t_warm_route, 4),
+            "first_over_warm_route": round(first_over_warm, 2),
             "speedup": round(speedup, 1),
         },
         floors={"bytes_per_entry_max": BYTES_PER_ENTRY_CEILING},

@@ -32,9 +32,11 @@ nested CSR (``lp_indptr``/``lp_data``, root-to-leaf order), and the
 entry-to-entry links ``ent_parent_epos``/``ent_heavy_epos``.  Derived
 from those, shared by both builders:
 
-* **bunches** — the transpose CSR ``bunch_indptr`` / ``bunch_centers`` /
-  ``bunch_dist``: ``B(v) = {w : v ∈ C(w)}`` with distances (bunch/cluster
-  duality is ``bunch_epos`` being a permutation of the entries);
+* **bunches** — the transpose CSR ``bunch_indptr`` / ``bunch_epos``:
+  ``B(v) = {w : v ∈ C(w)}`` is ``ent_center`` gathered through the
+  entries ``bunch_epos`` lists for ``v``, distances likewise through
+  ``ent_dist`` (bunch/cluster duality is ``bunch_epos`` being a
+  permutation of the entries);
 * **member maps** — ``mem_keys``/``mem_epos``: the source-side level-0
   cluster check;
 * **labels** — ``lab_epos[i, v]``: the entry of ``v`` in its level-``i``

@@ -108,10 +108,10 @@ class SchemeArrays:
     # -- label entry positions: row 0 = (v, v), row i = (p_i(v), v) ------
     lab_epos: np.ndarray  # (k, n)
     # -- bunches: the transpose of the cluster CSR ----------------------
-    bunch_indptr: np.ndarray  # (n+1,) bunch of v: [bunch_indptr[v], bunch_indptr[v+1])
-    bunch_centers: np.ndarray  # (E,) centers w with v ∈ C(w)
-    bunch_dist: np.ndarray  # (E,) d(w, v)
-    bunch_epos: np.ndarray  # (E,) entry index of the (w, v) pair
+    # B(v) = {w : v ∈ C(w)} is ent_center[bunch_epos[lo:hi]] (distances
+    # likewise through ent_dist), lo:hi = bunch_indptr[v]:bunch_indptr[v+1]
+    bunch_indptr: np.ndarray  # (n+1,)
+    bunch_epos: np.ndarray  # (E,) entry index of each (w, v) pair, by v
 
     @property
     def entry_count(self) -> int:
@@ -341,8 +341,6 @@ def assemble_arrays(
         mem_epos=mem_epos,
         lab_epos=lab_epos,
         bunch_indptr=bunch_indptr,
-        bunch_centers=ent_center[order],
-        bunch_dist=ent_dist[order],
         bunch_epos=order,
     )
 

@@ -340,8 +340,8 @@ def patch_arrays(
         ).astype(np.int64)
         bi = arrays.bunch_indptr
         dirty_old = np.unique(
-            arrays.bunch_centers[
-                _segment_indices(bi[sources], bi[sources + 1] - bi[sources])
+            arrays.ent_center[
+                arrays.bunch_epos[_segment_indices(bi[sources], bi[sources + 1] - bi[sources])]
             ]
         )
         mapped_dirty = id_map[dirty_old] if dirty_old.shape[0] else dirty_old

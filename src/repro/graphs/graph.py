@@ -94,41 +94,19 @@ class Graph:
         self.edges = np.sort(edge_arr, axis=1) if m else edge_arr
         self.edge_weights = weight_arr
 
-        # Build CSR: each undirected edge contributes two directed arcs.
-        deg = np.zeros(n, dtype=np.int64)
-        if m:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
+        # Build CSR: each undirected edge contributes two directed arcs,
+        # with rows sorted by neighbor id (deterministic iteration order,
+        # binary-search neighbor lookup).  A row holds distinct neighbors,
+        # so one lexsort of the arcs by (tail, head) forces the layout.
+        tail = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
+        head = np.concatenate((self.edges[:, 1], self.edges[:, 0]))
+        order = np.lexsort((head, tail))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        adj = np.empty(2 * m, dtype=np.int64)
-        adj_w = np.empty(2 * m, dtype=np.float64)
-        arc_edge = np.empty(2 * m, dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for eid in range(m):
-            u, v = int(self.edges[eid, 0]), int(self.edges[eid, 1])
-            w = weight_arr[eid]
-            adj[cursor[u]] = v
-            adj_w[cursor[u]] = w
-            arc_edge[cursor[u]] = eid
-            cursor[u] += 1
-            adj[cursor[v]] = u
-            adj_w[cursor[v]] = w
-            arc_edge[cursor[v]] = eid
-            cursor[v] += 1
-        # Sort each adjacency row by neighbor id: deterministic iteration
-        # order, and it enables binary-search neighbor lookup.
-        for u in range(n):
-            lo, hi = indptr[u], indptr[u + 1]
-            order = np.argsort(adj[lo:hi], kind="stable")
-            adj[lo:hi] = adj[lo:hi][order]
-            adj_w[lo:hi] = adj_w[lo:hi][order]
-            arc_edge[lo:hi] = arc_edge[lo:hi][order]
-
+        np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
         self.indptr = indptr
-        self.adj = adj
-        self.adj_weights = adj_w
-        self.arc_edge = arc_edge
+        self.adj = head[order]
+        self.arc_edge = np.tile(np.arange(m, dtype=np.int64), 2)[order]
+        self.adj_weights = weight_arr[self.arc_edge]
         self._edge_index: Optional[Dict[Tuple[int, int], int]] = None
         self._csr = None
 
@@ -140,8 +118,8 @@ class Graph:
         (all treated as immutable); only the weight columns are rebuilt,
         ``adj_weights`` by a single gather through ``arc_edge``.  The
         result is bit-identical to ``Graph(n, edges, weights)`` without
-        the per-edge CSR construction loop — the weight-only delta path
-        leans on this.
+        re-sorting the arcs or re-checking the edges — the weight-only
+        delta path leans on this.
         """
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (self.m,):

@@ -6,10 +6,12 @@
  * Deliberately plain C99 + libc, no Python.h: the library is loaded
  * through ctypes, so a bare `cc -O3 -fPIC -shared` against the system
  * toolchain is the whole build and no Python development headers are
- * needed.  All array arguments are raw pointers into numpy buffers the
- * wrapper pins as contiguous int64/float64/uint8 before the call.  No
- * kernel keeps global state, so threads may run any of them at once on
- * disjoint output rows (ctypes releases the GIL for the call).
+ * needed.  All array arguments are raw pointers into numpy buffers:
+ * per-call columns the wrappers pin as contiguous int64/float64/uint8,
+ * and the compiled scheme's own columns, which its construction check
+ * guarantees to be contiguous int64 or exactly the record layouts below.
+ * No kernel keeps global state, so threads may run any of them at once
+ * on disjoint output rows (ctypes releases the GIL for the call).
  *
  * All kernels replicate the numpy reference paths bit-for-bit:
  *
@@ -35,11 +37,11 @@
  * a software prefetch for each row's next record while the other rows
  * advance — the same memory-level parallelism the numpy gathers get
  * from vectorization, without the per-round array traffic.  Entry
- * records are packed (one struct per entry, built once per scheme by
- * the wrapper) so a hop touches two cache lines instead of thirteen
- * columns, and the record lookup after a light-port crossing binary-
- * searches only the committed tree's entry slice, not the global key
- * table.
+ * records are one struct per entry — the layout the scheme is compiled
+ * into and stored in, read here where it lies, memory-mapped or not —
+ * so a hop touches two cache lines instead of thirteen columns, and the
+ * record lookup after a light-port crossing binary-searches only the
+ * committed tree's entry slice, not the global key table.
  */
 
 #include <float.h>
@@ -71,9 +73,9 @@
 /* Router hop loop                                                     */
 /* ------------------------------------------------------------------ */
 
-/* One tree entry, packed: field order and widths must match ENT_DTYPE
- * in repro/kernels/hop.py exactly (13 × 8 bytes, no padding).  Its key
- * lives in the separate dense key array, which searches read. */
+/* One tree entry: field order and widths must match ENT_DTYPE in
+ * repro/sim/engine/compile.py exactly (13 × 8 bytes, no padding).  Its
+ * key lives in the separate dense key array, which searches read. */
 typedef struct {
     int64_t vertex;
     int64_t f;           /* DFS number */
@@ -90,7 +92,7 @@ typedef struct {
     int64_t heavy_next;
 } ent_rec;
 
-/* One half-arc of the ported graph: matches STEP_DTYPE in hop.py. */
+/* One half-arc of the ported graph: matches STEP_DTYPE in compile.py. */
 typedef struct {
     int64_t next;
     int64_t edge;
@@ -136,12 +138,12 @@ int64_t tz_hop_loop(
     int64_t *hops,                   /* out (count) */
     int8_t *fail,                    /* in/out (count) */
     int64_t n,
-    const ent_rec *ent,              /* packed entry records */
+    const ent_rec *ent,              /* (E) entry records */
     const int64_t *keys,             /* (E) sorted entry keys */
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
     const int64_t *lp_data,
     const int64_t *g_indptr,
-    const step_rec *step,            /* packed half-arcs */
+    const step_rec *step,            /* (2m) half-arc records */
     const uint8_t *dead_masks,       /* NULL or (T, mask_width) row-major */
     const int64_t *trial,            /* NULL or per-row trial index */
     int64_t mask_width,
@@ -381,7 +383,7 @@ void tz_commit(
     int64_t k,
     int64_t id_bits,
     int64_t handshake,
-    const ent_rec *ent,              /* packed entry records (for f) */
+    const ent_rec *ent,              /* (E) entry records (for f) */
     const int64_t *keys,             /* (E) sorted entry keys */
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
     const int64_t *label_bits,       /* (E) tree-label bits per entry */

@@ -8,73 +8,34 @@ also accumulates weight per row in hop order, the scalar walk sums the
 identical float64 values in the identical order and every result column
 is bit-for-bit equal (``tests/test_kernels.py``).
 
-The compiled scheme's thirteen per-entry field columns are packed once
-per :class:`CompiledScheme` object into a single record table
-(:class:`NativeSchemeView`, cached on the scheme), so a hop touches two
-cache lines instead of thirteen scattered columns and repeated route
-calls pay zero conversion cost.  The view also carries two slice
-indexes, each built once per pack: ``tree_indptr`` — each tree root's
-slice of the key-sorted entry table — and ``mem_indptr`` — each
-source's slice of the level-0 member map.  Every lookup either kernel
-makes binary-searches one such slice (or indexes a full-n tree slice
-directly) instead of the global table.
+Both wrappers take the :class:`~repro.sim.engine.compile.CompiledScheme`
+itself and hand the kernels pointers to its own memory, fresh compile
+or mapped container alike: its ``ent`` and ``step`` columns already
+are the record tables the C structs describe (so a hop touches two
+cache lines instead of thirteen scattered columns), and its other
+columns are C-contiguous int64 — the scheme's construction check
+guarantees both, so nothing is converted or copied before a route.
+Every lookup either kernel makes binary-searches one slice of a sorted
+key table — the scheme's ``tree_indptr`` per tree root, ``mem_indptr``
+per source's member map — or indexes a full-n tree slice directly.
 
-Packing must not fork the scheme's state: the engine suite corrupts
-compiled tables *in place* (severed heavy links, poisoned ports) and
-both kernels must see the damage.  So after packing, the view re-points
-the scheme's per-entry field columns and step tables at the packed
-records themselves — later ``cs.ent_heavy_epos[:] = -1`` writes through
-to the exact memory the C kernels read, and no per-call staleness check
-is needed (re-verifying 4M+ entries would cost more than the hop loop).
-The other columns the kernels read are pinned as contiguous int64 and
-re-pointed the same way.  Columns an attribute *rebind* replaces are
-caught by an identity check in :meth:`NativeSchemeView.of`, which
-rebuilds the view.
-
-Packing happens under one process-wide lock: threads that meet an
-unpacked scheme together pack it once, and none of them can see a
-half-rebound scheme.  Once packed, a view is read-only to both kernels,
-so any number of threads may route through it at once.
+The kernels only read the scheme, so any number of threads may route
+through one at once; and because they read the scheme's own memory, an
+in-place edit of a column (the engine suite severs heavy links with
+``cs.ent["heavy_epos"][:] = -1``) reaches them on the next call.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import RoutingError
-from ..obs import TELEMETRY
 from . import _build
 
-__all__ = ["NativeSchemeView", "commit_native", "hop_loop_native"]
-
-_VIEW_ATTR = "_native_view"
-
-#: Field order and widths must match `ent_rec` in _native.c exactly
-#: (13 × 8 bytes, no padding).
-ENT_DTYPE = np.dtype(
-    [
-        ("vertex", "<i8"),
-        ("f", "<i8"),
-        ("finish", "<i8"),
-        ("heavy_finish", "<i8"),
-        ("light_depth", "<i8"),
-        ("parent_epos", "<i8"),
-        ("parent_wt", "<f8"),
-        ("parent_edge", "<i8"),
-        ("parent_next", "<i8"),
-        ("heavy_epos", "<i8"),
-        ("heavy_wt", "<f8"),
-        ("heavy_edge", "<i8"),
-        ("heavy_next", "<i8"),
-    ]
-)
-
-#: Must match `step_rec` in _native.c (3 × 8 bytes).
-STEP_DTYPE = np.dtype([("next", "<i8"), ("edge", "<i8"), ("wt", "<f8")])
+__all__ = ["commit_native", "hop_loop_native"]
 
 
 def _i64(a: np.ndarray) -> np.ndarray:
@@ -101,109 +62,8 @@ def _check_columns(count: int, cols, dtypes, what: str) -> None:
             raise RuntimeError(f"{what} must be contiguous columns of {count} rows")
 
 
-def _slice_starts(keys: np.ndarray, n: int) -> np.ndarray:
-    """``(n+1)`` start of each ``w * n + ·`` key slice in sorted ``keys``."""
-    return _i64(np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * np.int64(n)))
-
-
-#: Entry field columns (``ent_<field>``) that are re-pointed at the
-#: packed record table.
-_ENT_FIELDS = ENT_DTYPE.names
-
-_STEP_FIELDS = ("next", "edge", "wt")
-
-#: Scheme columns the kernels read as plain contiguous int64 arrays.
-_INT_COLUMNS = (
-    "entry_keys",
-    "ent_label_bits",
-    "lp_indptr",
-    "lp_data",
-    "mem_keys",
-    "mem_epos",
-    "root_epos",
-    "pivot",
-    "g_indptr",
-)
-
-_PACK_LOCK = threading.Lock()
-
-
-class NativeSchemeView:
-    """Packed, dtype-pinned form of one scheme's routing tables."""
-
-    __slots__ = (
-        ("n", "k", "ent", "step", "tree_indptr", "mem_indptr", "_bound")
-        + _INT_COLUMNS
-    )
-
-    def __init__(self, cs) -> None:
-        """Pack the tables of ``cs`` (one-time cost, cached via :meth:`of`)."""
-        self.n = n = int(cs.n)
-        self.k = int(cs.k)
-        for name in _INT_COLUMNS:
-            setattr(self, name, _i64(getattr(cs, name)))
-        if self.pivot.ndim != 2 or self.pivot.shape[0] < self.k or self.pivot.shape[1] != n:
-            raise RoutingError(
-                f"pivot matrix has shape {self.pivot.shape}, expected ({self.k}, {n})"
-            )
-        ent = np.empty(self.entry_keys.shape[0], dtype=ENT_DTYPE)
-        for name in _ENT_FIELDS:
-            ent[name] = getattr(cs, "ent_" + name)
-        self.ent = ent
-        # Tree w's entries occupy one contiguous slice of the key-sorted
-        # table (keys are w * n + member); source s's level-0 member map
-        # is the same shape of slice of mem_keys.
-        self.tree_indptr = _slice_starts(self.entry_keys, n)
-        self.mem_indptr = _slice_starts(self.mem_keys, n)
-        step = np.empty(np.asarray(cs.step_next).shape[0], dtype=STEP_DTYPE)
-        for name in _STEP_FIELDS:
-            step[name] = getattr(cs, "step_" + name)
-        self.step = step
-        # Write-through aliasing (module doc): the scheme's columns
-        # become the packed records' fields and the pinned int64 arrays,
-        # so in-place mutation of the compiled tables reaches the
-        # kernels.  _bound remembers the exact objects assigned; `of`
-        # treats any rebound attribute as a new scheme state and repacks.
-        self._bound = {}
-        for name in _ENT_FIELDS:
-            self._bound["ent_" + name] = ent[name]
-        for name in _STEP_FIELDS:
-            self._bound["step_" + name] = step[name]
-        for name in _INT_COLUMNS:
-            self._bound[name] = getattr(self, name)
-        for name, col in self._bound.items():
-            setattr(cs, name, col)
-
-    def _fresh(self, cs) -> bool:
-        """True while every aliased column is still the one we bound."""
-        return all(getattr(cs, name) is arr for name, arr in self._bound.items())
-
-    @classmethod
-    def of(cls, cs) -> "NativeSchemeView":
-        """The cached view of ``cs`` (built on first use, or when a
-        column attribute was rebound since the last pack)."""
-        view = getattr(cs, _VIEW_ATTR, None)
-        if view is not None and view._fresh(cs):
-            return view
-        with _PACK_LOCK:
-            view = getattr(cs, _VIEW_ATTR, None)
-            if view is None or not view._fresh(cs):
-                with TELEMETRY.span("kernel.pack_view", entries=int(cs.entry_count)):
-                    view = cls(cs)
-                setattr(cs, _VIEW_ATTR, view)
-            return view
-
-
-def commit_native(
-    view: NativeSchemeView,
-    src: np.ndarray,
-    dst: np.ndarray,
-    state: Tuple[np.ndarray, ...],
-    *,
-    handshake: bool,
-    id_bits: int,
-) -> None:
-    """Fill the commit columns of rows ``(src, dst)`` in place.
+def commit_native(cs, src: np.ndarray, dst: np.ndarray, state: Tuple[np.ndarray, ...]) -> None:
+    """Fill the commit columns of rows ``(src, dst)`` of scheme ``cs`` in place.
 
     ``state`` is ``(fail, tree, header, dest_f, lp_lo, lp_hi, epos_src,
     epos_dst)`` — contiguous int8 then int64 columns as long as ``src``,
@@ -214,32 +74,32 @@ def commit_native(
     _check_columns(
         count, (dst,) + tuple(state), (np.int64, np.int8) + (np.int64,) * 7, "commit state"
     )
-    if count and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= view.n):
+    if count and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= cs.n):
         raise RoutingError("pair endpoint out of range")
     _lib().tz_commit(
         count,
         _ptr(src),
         _ptr(dst),
         *(_ptr(col) for col in state),
-        view.n,
-        view.k,
-        int(id_bits),
-        int(bool(handshake)),
-        _ptr(view.ent),
-        _ptr(view.entry_keys),
-        _ptr(view.tree_indptr),
-        _ptr(view.ent_label_bits),
-        _ptr(view.lp_indptr),
-        _ptr(view.mem_keys),
-        _ptr(view.mem_epos),
-        _ptr(view.mem_indptr),
-        _ptr(view.root_epos),
-        _ptr(view.pivot),
+        cs.n,
+        cs.k,
+        cs.id_bits,
+        int(bool(cs.handshake)),
+        _ptr(cs.ent),
+        _ptr(cs.entry_keys),
+        _ptr(cs.tree_indptr),
+        _ptr(cs.ent_label_bits),
+        _ptr(cs.lp_indptr),
+        _ptr(cs.mem_keys),
+        _ptr(cs.mem_epos),
+        _ptr(cs.mem_indptr),
+        _ptr(cs.root_epos),
+        _ptr(cs.pivot),
     )
 
 
 def hop_loop_native(
-    view: NativeSchemeView,
+    cs,
     dst: np.ndarray,
     state: Tuple[np.ndarray, ...],
     ttl: int,
@@ -247,7 +107,7 @@ def hop_loop_native(
     trial: Optional[np.ndarray],
     out: Tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> int:
-    """Run the compiled hop loop over one committed batch.
+    """Run the compiled hop loop over one committed batch of scheme ``cs``.
 
     Arguments mirror :meth:`BatchRouter._hop_loop` (``state`` is the
     commit tuple; its ``fail`` column is mutated in place, exactly like
@@ -295,13 +155,13 @@ def hop_loop_native(
         _ptr(weight),
         _ptr(hops),
         _ptr(fail),
-        view.n,
-        _ptr(view.ent),
-        _ptr(view.entry_keys),
-        _ptr(view.tree_indptr),
-        _ptr(view.lp_data),
-        _ptr(view.g_indptr),
-        _ptr(view.step),
+        cs.n,
+        _ptr(cs.ent),
+        _ptr(cs.entry_keys),
+        _ptr(cs.tree_indptr),
+        _ptr(cs.lp_data),
+        _ptr(cs.g_indptr),
+        _ptr(cs.step),
         _ptr(masks_u8),
         _ptr(trial_i64),
         mask_width,

@@ -39,7 +39,10 @@ platform's choice whenever ``_native.c`` compiles and loads, see
 :mod:`repro.kernels` — both the tree commit and the hop loop run in C
 (:mod:`repro.kernels.hop`); the numpy :meth:`BatchRouter._commit` and
 synchronized loop stay as the bit-for-bit references, which
-``kernel="numpy"`` selects.  Rows are independent, so
+``kernel="numpy"`` selects.  Both kernels read the compiled scheme's
+``ent`` and ``step`` records where they lie — the C ones as structs,
+numpy by field — so the first route after a load or a swap does the
+same work as every later one.  Rows are independent, so
 :meth:`BatchRouter.route_pairs` cuts a batch of at least
 :data:`ROUTE_CHUNK_FLOOR` pairs into one contiguous row chunk per usable
 CPU and runs each phase's chunks on threads (ctypes releases the GIL),
@@ -64,7 +67,7 @@ from ...core.router import RoutingScheme
 from ...errors import RoutingError
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
-from ...kernels.hop import NativeSchemeView, commit_native, hop_loop_native
+from ...kernels.hop import commit_native, hop_loop_native
 from ...obs import TELEMETRY
 from ..network import RouteResult
 from .compile import CompiledScheme, compile_scheme
@@ -259,8 +262,7 @@ class BatchRouter:
         see :mod:`repro.kernels`).  Outcomes are identical either way.
 
     One router may serve several threads at once: routing never writes
-    router or scheme state, except packing the native view once, which
-    is locked.
+    router or scheme state.
     """
 
     def __init__(
@@ -363,7 +365,7 @@ class BatchRouter:
             epos = sel_epos[sel_ok]
             tree[good] = sel_tree[sel_ok]
             header[good] = 2 * cs.id_bits + cs.ent_label_bits[epos]
-            dest_f[good] = cs.ent_f[epos]
+            dest_f[good] = cs.ent["f"][epos]
             lp_lo[good] = cs.lp_indptr[epos]
             lp_hi[good] = cs.lp_indptr[epos + 1]
             epos_src[good] = sel_spos[sel_ok]
@@ -377,29 +379,18 @@ class BatchRouter:
     def _commit_rows(
         self, src: np.ndarray, dst: np.ndarray, chunks: List[Tuple[int, int]]
     ) -> Tuple[np.ndarray, ...]:
-        """:meth:`_commit`'s columns, from this router's kernel.
-
-        The native kernel packs the scheme view here, before any thread
-        starts, then commits each row chunk on its own thread.
-        """
+        """:meth:`_commit`'s columns, from this router's kernel (the
+        native one commits each row chunk on its own thread)."""
         if self.kernel != "native":
             return self._commit(src, dst)
         cs = self.compiled
-        view = NativeSchemeView.of(cs)
         count = src.shape[0]
         state = (np.empty(count, dtype=np.int8),) + tuple(
             np.empty(count, dtype=np.int64) for _ in range(7)
         )
 
         def run(lo: int, hi: int) -> None:
-            commit_native(
-                view,
-                src[lo:hi],
-                dst[lo:hi],
-                tuple(col[lo:hi] for col in state),
-                handshake=cs.handshake,
-                id_bits=cs.id_bits,
-            )
+            commit_native(cs, src[lo:hi], dst[lo:hi], tuple(col[lo:hi] for col in state))
 
         _fan_out(run, chunks)
         return state
@@ -472,7 +463,7 @@ class BatchRouter:
         # Every edge id the hop loop can gather must be in range: the
         # step tables cover all graph edges, but guard the tree-link
         # columns too for schemes compiled from foreign containers.
-        for edge_ids in (cs.step_edge, cs.ent_parent_edge, cs.ent_heavy_edge):
+        for edge_ids in (cs.step["edge"], cs.ent["parent_edge"], cs.ent["heavy_edge"]):
             if edge_ids.size and masks.shape[1] <= int(edge_ids.max()):
                 raise RoutingError(
                     "dead_edge_masks has fewer edge columns than the "
@@ -559,7 +550,7 @@ class BatchRouter:
         """The compiled per-row walk (see :mod:`repro.kernels.hop`), one
         thread per row chunk; ``route.hop_iterations`` is the maximum
         over chunks, which is the one-chunk round count."""
-        view = NativeSchemeView.of(self.compiled)
+        cs = self.compiled
         count = src.shape[0]
         out = (
             np.zeros(count, dtype=np.uint8),
@@ -569,7 +560,7 @@ class BatchRouter:
 
         def run(lo: int, hi: int) -> int:
             return hop_loop_native(
-                view,
+                cs,
                 dst[lo:hi],
                 tuple(col[lo:hi] for col in state),
                 ttl,
@@ -608,6 +599,7 @@ class BatchRouter:
     ) -> BatchResult:
         """The synchronized numpy reference loop (one hop per array step)."""
         cs = self.compiled
+        ent = cs.ent
         count = src.shape[0]
         fail, tree, header, dest_f, lp_lo, lp_hi, epos_src, epos_dst = state
         delivered = np.zeros(count, dtype=bool)
@@ -663,12 +655,12 @@ class BatchRouter:
                 _compact(~lost)
                 if rows.size == 0:
                     break
-            rec_f = cs.ent_f[cur]
+            rec_f = ent["f"][cur]
             # §2 forwarding rule.  target_f == rec_f would mean arrival
             # (DFS numbers are unique per tree) and was handled above.
-            outside = (target_f < rec_f) | (target_f > cs.ent_finish[cur])
+            outside = (target_f < rec_f) | (target_f > ent["finish"][cur])
             heavy = ~outside & (target_f >= rec_f + 1)
-            heavy &= target_f <= cs.ent_heavy_finish[cur]
+            heavy &= target_f <= ent["heavy_finish"][cur]
             light = ~(outside | heavy)
 
             nxt = np.empty(rows.shape[0], dtype=np.int64)
@@ -678,15 +670,15 @@ class BatchRouter:
             new_lost = np.full(rows.shape[0], -1, dtype=np.int64)
 
             pe = cur[outside]
-            nxt[outside] = cs.ent_parent_epos[pe]
-            wts[outside] = cs.ent_parent_wt[pe]
+            nxt[outside] = ent["parent_epos"][pe]
+            wts[outside] = ent["parent_wt"][pe]
             if dead_masks is not None:
-                edge[outside] = cs.ent_parent_edge[pe]
+                edge[outside] = ent["parent_edge"][pe]
             he = cur[heavy]
-            nxt[heavy] = cs.ent_heavy_epos[he]
-            wts[heavy] = cs.ent_heavy_wt[he]
+            nxt[heavy] = ent["heavy_epos"][he]
+            wts[heavy] = ent["heavy_wt"][he]
             if dead_masks is not None:
-                edge[heavy] = cs.ent_heavy_edge[he]
+                edge[heavy] = ent["heavy_edge"][he]
             code[outside & (nxt == -1)] = FAIL_ROOT_EXIT
             # heavy with no heavy child (-1) means a corrupted record
             # (heavy_finish > f on a leaf); the reference hits PortError
@@ -698,34 +690,34 @@ class BatchRouter:
             went_lost = (outside | heavy) & (nxt == _LOST)
             if went_lost.any():
                 om = outside & went_lost
-                new_lost[om] = cs.ent_parent_next[cur[om]]
+                new_lost[om] = ent["parent_next"][cur[om]]
                 hm = heavy & went_lost
-                new_lost[hm] = cs.ent_heavy_next[cur[hm]]
+                new_lost[hm] = ent["heavy_next"][cur[hm]]
 
             if light.any():
                 li = np.flatnonzero(light)
-                lp_pos = lo[li] + cs.ent_light_depth[cur[li]]
+                lp_pos = lo[li] + ent["light_depth"][cur[li]]
                 in_label = lp_pos < hi[li]
                 code[li[~in_label]] = FAIL_LABEL
                 li = li[in_label]
                 lp_pos = lp_pos[in_label]
                 if li.size:
                     port = cs.lp_data[lp_pos]
-                    at = cs.ent_vertex[cur[li]]
+                    at = ent["vertex"][cur[li]]
                     step = cs.g_indptr[at] + port - 1
                     port_ok = (port >= 1) & (step < cs.g_indptr[at + 1])
                     code[li[~port_ok]] = FAIL_PORT
                     li = li[port_ok]
-                    step = step[port_ok]
+                    hop = cs.step[step[port_ok]]
                     # Light hops cross a physical port; resolve the
                     # landed vertex back to its entry in the tree.
-                    landed_v = cs.step_next[step]
+                    landed_v = hop["next"]
                     landed, found = cs.entry_pos(trees[li], landed_v)
                     nxt[li] = np.where(found, landed, _LOST)
                     new_lost[li] = np.where(found, -1, landed_v)
-                    wts[li] = cs.step_wt[step]
+                    wts[li] = hop["wt"]
                     if dead_masks is not None:
-                        edge[li] = cs.step_edge[step]
+                        edge[li] = hop["edge"]
 
             if dead_masks is not None:
                 crossing = (code == FAIL_NONE) & (edge >= 0)

@@ -6,40 +6,47 @@ integer comparisons against ``u``'s O(1)-word record plus one indexed
 read of the destination's light-port sequence.  That makes the whole
 runtime state *columnar*: a :class:`CompiledScheme` materializes
 
-* one **entry** per (tree ``w``, member ``u``) pair — the record fields
-  plus the parent/heavy next-hop **resolved to concrete neighbors,
-  weights and edge ids** through the shared port assignment;
+* one **entry record** per (tree ``w``, member ``u``) pair — the §2
+  record fields plus the parent/heavy next-hop **resolved to entry
+  links, weights, edge ids and neighbors** through the shared port
+  assignment — in the :data:`ENT_DTYPE` layout the native kernels read;
 * the light-port sequences of every member-as-destination, flattened
   into a CSR-style ``(lp_indptr, lp_data)`` pair;
 * the level-0 **member maps** (the source-side "is the destination in my
   cluster?" check) as a sorted key array;
 * the **pivot matrix** of the hierarchy (which trees a destination's
   label advertises, level by level);
-* the global ``(vertex, port) -> (neighbor, weight, edge)`` step tables
-  of the ported graph, so label-carried light ports resolve with one
-  gather.
+* the ``(vertex, port) -> (neighbor, edge, weight)`` **step records** of
+  the ported graph (:data:`STEP_DTYPE`), so label-carried light ports
+  resolve with one gather.
 
 Entries are keyed by ``w * n + u`` in one sorted int64 array, so "does
 ``u`` have a record for ``T_w``" — the membership test behind both the
 4k−5 commit strategy and the §4 handshake alternation — is a vectorized
 ``searchsorted`` over arbitrarily many messages at once.
 
-One representation: a :class:`CompiledScheme` is exactly a
-:class:`~repro.core.build.arrays.SchemeArrays` plus the columns a port
-assignment derives.  The twelve columns of :data:`ARRAY_BOUND` *are*
+One record layout from compile to kernel: :func:`_resolve_columns`
+writes the ``ent`` and ``step`` records once, the numpy reference reads
+their fields, the native kernels read them as C structs, and a scheme
+container stores them as they are — nothing is repacked before a route.
+
+One representation: a :class:`CompiledScheme` is a
+:class:`~repro.core.build.arrays.SchemeArrays` plus what a port
+assignment derives.  The seven columns of :data:`ARRAY_BOUND` *are*
 array columns — :func:`compile_from_arrays` binds the very objects, and
-a scheme container stores them once — while the thirteen others
-(:data:`DERIVED`: resolved next hops, weights, edges, entry links, label
-bits and step tables) are computed here.  Every TZ scheme carries its
-arrays, so :func:`compile_scheme` is :func:`compile_from_arrays` behind
-the §4 :class:`HandshakeRoutingScheme` unwrap; only
-:func:`compile_single_tree` lays out its own entries, through the same
-resolution pass.
+a scheme container stores them once — and the five array columns of
+:data:`ARRAYS_IN_RECORD` are fields of the ``ent`` records, which a
+container stores in the records only.  The four others
+(:data:`DERIVED`: the two record columns, label bits and the graph's
+row index) are computed here.  Every TZ scheme carries its arrays, so
+:func:`compile_scheme` is :func:`compile_from_arrays` behind the §4
+:class:`HandshakeRoutingScheme` unwrap; only :func:`compile_single_tree`
+lays out its own entries, through the same resolution pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -51,20 +58,54 @@ from ...trees.label_codec import tree_label_bits_array
 from ...trees.tz_tree import records_to_arrays
 
 
+#: The §2 record of one (tree, member) entry, laid out exactly as
+#: ``ent_rec`` in ``kernels/_native.c`` reads it (13 × 8 bytes, no
+#: padding): the member and its tree-record fields, then the parent and
+#: heavy-child moves resolved through a port assignment to the entry
+#: link (``-1`` absent, ``-2`` the neighbor has no record in the tree),
+#: edge weight, canonical edge id (``-1`` absent) and neighbor.
+ENT_DTYPE = np.dtype(
+    [
+        ("vertex", "<i8"),
+        ("f", "<i8"),  # DFS number of the member in its tree
+        ("finish", "<i8"),  # end of the member's DFS interval
+        ("heavy_finish", "<i8"),  # end of the heavy child's interval
+        ("light_depth", "<i8"),  # light edges above the member
+        ("parent_epos", "<i8"),
+        ("parent_wt", "<f8"),
+        ("parent_edge", "<i8"),
+        ("parent_next", "<i8"),
+        ("heavy_epos", "<i8"),
+        ("heavy_wt", "<f8"),
+        ("heavy_edge", "<i8"),
+        ("heavy_next", "<i8"),
+    ]
+)
+
+#: One half-arc of the ported graph, as ``step_rec`` in ``_native.c``
+#: reads it (3 × 8 bytes): the neighbor, canonical edge id and weight
+#: behind ``(u, port)``, at row ``g_indptr[u] + port - 1``.
+STEP_DTYPE = np.dtype([("next", "<i8"), ("edge", "<i8"), ("wt", "<f8")])
+
+#: The record columns of a :class:`CompiledScheme` and their dtypes;
+#: every other column is C-contiguous int64.
+RECORDS = {"ent": ENT_DTYPE, "step": STEP_DTYPE}
+
+
 def _resolve_ports(
-    graph, ent_vertex: np.ndarray, port: np.ndarray, step_next, step_wt, step_edge
+    graph, ent_vertex: np.ndarray, port: np.ndarray, step: np.ndarray
 ):
     """Resolve per-entry port numbers to ``(neighbor, weight, edge)``
-    through the target port assignment's step tables (0 = no port)."""
+    through the target port assignment's step records (0 = no port)."""
     count = port.shape[0]
     nxt = np.full(count, -1, dtype=np.int64)
     wt = np.zeros(count)
     edge = np.full(count, -1, dtype=np.int64)
     have = port > 0
-    pos = graph.indptr[ent_vertex[have]] + port[have] - 1
-    nxt[have] = step_next[pos]
-    wt[have] = step_wt[pos]
-    edge[have] = step_edge[pos]
+    hop = step[graph.indptr[ent_vertex[have]] + port[have] - 1]
+    nxt[have] = hop["next"]
+    wt[have] = hop["wt"]
+    edge[have] = hop["edge"]
     return nxt, wt, edge
 
 
@@ -87,38 +128,28 @@ def _link_entries(
     return link
 
 
+def _slice_starts(keys: np.ndarray, n: int) -> np.ndarray:
+    """``(n+1)`` start of each ``w * n + ·`` key slice in sorted ``keys``."""
+    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * np.int64(n))
+
+
 @dataclass
 class CompiledScheme:
     """Dense-array export of a compiled TZ routing scheme (see module doc).
 
-    All ``ent_*`` arrays are aligned with ``entry_keys`` (sorted by
-    ``tree * n + vertex``); ``-1`` marks an absent parent (the root) or
-    heavy child (a leaf).  Build one with :func:`bind_compiled`.
+    ``ent`` and ``ent_label_bits`` are aligned with ``entry_keys``
+    (sorted by ``tree * n + vertex``).  Construction checks every
+    column's dtype, layout and shape (:func:`_check_columns`, also on
+    :func:`dataclasses.replace`), then computes the two slice indexes
+    the native kernels search.
     """
 
     n: int
     k: int
     handshake: bool
-    # -- entries: one row per (tree, member) pair -----------------------
+    # -- entries: one record per (tree, member) pair --------------------
     entry_keys: np.ndarray  # (E,) int64, sorted: tree * n + vertex
-    ent_vertex: np.ndarray  # (E,) the member vertex of each entry
-    ent_f: np.ndarray  # (E,) DFS number of the member in its tree
-    ent_finish: np.ndarray  # (E,) end of the member's DFS interval
-    ent_heavy_finish: np.ndarray  # (E,) end of the heavy child's interval
-    ent_light_depth: np.ndarray  # (E,) light edges above the member
-    ent_parent_next: np.ndarray  # (E,) neighbor behind parent_port (-1 root)
-    ent_parent_wt: np.ndarray  # (E,) weight of that edge
-    ent_parent_edge: np.ndarray  # (E,) canonical edge id (-1 root)
-    ent_heavy_next: np.ndarray  # (E,) neighbor behind heavy_port (-1 leaf)
-    ent_heavy_wt: np.ndarray
-    ent_heavy_edge: np.ndarray
-    # Entry-to-entry transition links: the entry index of the parent /
-    # heavy-child *in the same tree* (-1 = absent i.e. root/leaf, -2 =
-    # the resolved neighbor has no record in the tree, which only
-    # happens when routing over a port assignment the scheme was not
-    # compiled for).  These let the hop loop step without any lookup.
-    ent_parent_epos: np.ndarray  # (E,) int64
-    ent_heavy_epos: np.ndarray  # (E,) int64
+    ent: np.ndarray  # (E,) ENT_DTYPE records
     ent_label_bits: np.ndarray  # (E,) encoded tree-label bits (as dest)
     root_epos: np.ndarray  # (n,) entry index of (tree=v, v), -1 if none
     # -- light-port sequences of members-as-destinations ----------------
@@ -129,11 +160,21 @@ class CompiledScheme:
     mem_epos: np.ndarray  # (M,) entry index of (tree=source, member)
     # -- destination labels: pivots per level ---------------------------
     pivot: np.ndarray  # (k, n) int64; row 0 unused
-    # -- ported-graph step tables (indexed indptr[u] + port - 1) --------
+    # -- ported-graph step records (row indptr[u] + port - 1) -----------
     g_indptr: np.ndarray  # (n+1,)
-    step_next: np.ndarray  # (2m,) neighbor reached by (u, port)
-    step_wt: np.ndarray  # (2m,) edge weight
-    step_edge: np.ndarray  # (2m,) canonical edge id
+    step: np.ndarray  # (2m,) STEP_DTYPE records
+    # -- slice indexes, computed from the keys at construction ----------
+    tree_indptr: np.ndarray = field(init=False, repr=False)  # (n+1,) per tree root
+    mem_indptr: np.ndarray = field(init=False, repr=False)  # (n+1,) per source
+
+    def __post_init__(self) -> None:
+        """Check the columns, then index each tree's slice of the
+        key-sorted entries (keys are ``w * n + member``) and each
+        source's slice of its level-0 member map, the same shape of
+        slice of ``mem_keys``."""
+        _check_columns(self)
+        self.tree_indptr = _slice_starts(self.entry_keys, self.n)
+        self.mem_indptr = _slice_starts(self.mem_keys, self.n)
 
     @property
     def entry_count(self) -> int:
@@ -151,7 +192,7 @@ class CompiledScheme:
 
     def with_handshake(self) -> "CompiledScheme":
         """The same arrays with the §4 handshake tree selection."""
-        return bind_compiled(self.n, self.k, self.columns(), handshake=True)
+        return replace(self, handshake=True)
 
     # ------------------------------------------------------------------
     # Vectorized lookups
@@ -259,19 +300,16 @@ class CompiledScheme:
         return w, epos, spos, ok
 
 
-#: Every ndarray column of a :class:`CompiledScheme`, in field order.
-COLUMNS = tuple(f.name for f in fields(CompiledScheme) if f.name not in ("n", "k", "handshake"))
+#: Every ndarray column a :class:`CompiledScheme` is built from, in field order.
+COLUMNS = tuple(
+    f.name for f in fields(CompiledScheme) if f.init and f.name not in ("n", "k", "handshake")
+)
 
-#: The twelve :class:`CompiledScheme` columns that *are*
+#: The seven :class:`CompiledScheme` columns that *are*
 #: :class:`~repro.core.build.arrays.SchemeArrays` columns, each with the
 #: accessor of the array column it is bound to.
 ARRAY_BOUND = {
     "entry_keys": lambda a: a.entry_keys,
-    "ent_vertex": lambda a: a.ent_member,
-    "ent_f": lambda a: a.tr_f,
-    "ent_finish": lambda a: a.tr_finish,
-    "ent_heavy_finish": lambda a: a.tr_heavy_finish,
-    "ent_light_depth": lambda a: a.tr_light_depth,
     "root_epos": lambda a: a.lab_epos[0],
     "lp_indptr": lambda a: a.lp_indptr,
     "lp_data": lambda a: a.lp_data,
@@ -280,7 +318,17 @@ ARRAY_BOUND = {
     "pivot": lambda a: a.hierarchy.pivot,
 }
 
-#: The thirteen columns compiling derives through a port assignment.
+#: The five :class:`~repro.core.build.arrays.SchemeArrays` columns the
+#: ``ent`` records hold, by the :data:`ENT_DTYPE` field holding each.
+ARRAYS_IN_RECORD = {
+    "ent_member": "vertex",
+    "tr_f": "f",
+    "tr_finish": "finish",
+    "tr_heavy_finish": "heavy_finish",
+    "tr_light_depth": "light_depth",
+}
+
+#: The four columns compiling derives through a port assignment.
 DERIVED = tuple(name for name in COLUMNS if name not in ARRAY_BOUND)
 
 
@@ -289,46 +337,48 @@ def array_columns(arrays) -> Dict[str, np.ndarray]:
     return {name: get(arrays) for name, get in ARRAY_BOUND.items()}
 
 
-def _check_shapes(n: int, k: int, cols: Dict[str, np.ndarray]) -> None:
-    """O(1) per column: every column agrees with ``entry_keys``,
-    ``lp_indptr``, ``g_indptr`` and ``(k, n)``, so no kernel can index
-    past the end of one."""
-    entries = cols["entry_keys"].shape[0]
-    expect = {name: (entries,) for name in COLUMNS if name.startswith("ent")}
-    expect.update(
-        lp_indptr=(entries + 1,),
-        mem_epos=cols["mem_keys"].shape,
-        pivot=(k, n),
-        root_epos=(n,),
-        g_indptr=(n + 1,),
-    )
-    bad = [name for name, shape in expect.items() if cols[name].shape != shape]
-    lp_indptr, g_indptr = cols["lp_indptr"], cols["g_indptr"]
-    if not bad and cols["lp_data"].shape != (int(lp_indptr[-1]),):
-        bad.append("lp_data")
+def _check_columns(cs: CompiledScheme) -> None:
+    """O(1) per column: every column has its record dtype
+    (:data:`RECORDS`) or is int64, is C-contiguous, and agrees in shape
+    with ``entry_keys``, ``lp_indptr``, ``g_indptr`` and ``(k, n)``, so
+    no kernel — the C ones read the memory raw — can read past the end
+    of a column or misread one.
+
+    Raises :class:`~repro.errors.EncodingError`: the failure a damaged
+    container would otherwise surface only at route time, or not at all.
+    """
+    n, k = cs.n, cs.k
+    cols = {name: getattr(cs, name) for name in COLUMNS}
+    bad = [
+        name
+        for name, col in cols.items()
+        if not isinstance(col, np.ndarray)
+        or col.dtype != RECORDS.get(name, np.int64)
+        or not col.flags.c_contiguous
+    ]
+    entries = int(np.size(cols["entry_keys"]))
     if not bad:
-        steps = (int(g_indptr[-1]),)
-        bad = [name for name in COLUMNS if name.startswith("step_") and cols[name].shape != steps]
+        members = cols["mem_keys"].size
+        expect = dict(
+            entry_keys=(entries,),
+            ent=(entries,),
+            ent_label_bits=(entries,),
+            lp_indptr=(entries + 1,),
+            mem_keys=(members,),
+            mem_epos=(members,),
+            pivot=(k, n),
+            root_epos=(n,),
+            g_indptr=(n + 1,),
+        )
+        bad = [name for name, shape in expect.items() if cols[name].shape != shape]
+    if not bad:
+        ends = {"lp_data": cs.lp_indptr[-1], "step": cs.g_indptr[-1]}
+        bad = [name for name, end in ends.items() if cols[name].shape != (int(end),)]
     if bad:
         raise EncodingError(
-            f"compiled scheme columns {bad} disagree with its shape "
-            f"(n={n}, k={k}, {entries} entries)"
+            f"compiled scheme columns {bad} do not have the dtype, layout or "
+            f"shape the kernels read (n={n}, k={k}, {entries} entries)"
         )
-
-
-def bind_compiled(
-    n: int, k: int, columns: Dict[str, np.ndarray], *, handshake: bool = False
-) -> CompiledScheme:
-    """The one :class:`CompiledScheme` constructor: bind ``columns`` (all of
-    :data:`COLUMNS`, arrays as given) after checking their shapes.
-
-    Raises :class:`~repro.errors.EncodingError` when a column's length
-    disagrees with the entry count, the light-port CSR, the step tables
-    or ``(k, n)`` — the failure a damaged container would otherwise
-    surface only at route time, or not at all.
-    """
-    _check_shapes(n, k, columns)
-    return CompiledScheme(n=n, k=k, handshake=handshake, **columns)
 
 
 def compile_scheme(
@@ -361,50 +411,47 @@ def _resolve_columns(
     k: int,
     ported: PortedGraph,
     *,
+    record: Dict[str, np.ndarray],
     parent_port: np.ndarray,
     heavy_port: np.ndarray,
     label_bits: np.ndarray,
 ) -> CompiledScheme:
-    """Derive the :data:`DERIVED` columns of an entry layout through
+    """Write the ``ent`` and ``step`` records of an entry layout through
     ``ported`` and bind them next to the given ``columns``.
 
-    ``parent_port``/``heavy_port`` are the records' ports (0 = none),
-    resolved to neighbors, weights and edge ids through the target port
-    assignment's step tables; the neighbors are then resolved back to
-    entry rows of the same tree (one sorted lookup at compile time saves
-    one per hop at route time).
+    ``record`` holds the tree-record fields of :data:`ENT_DTYPE`
+    (``vertex`` through ``light_depth``); ``parent_port``/``heavy_port``
+    are the records' ports (0 = none), resolved to neighbors, weights and
+    edge ids through the target port assignment's step records; the
+    neighbors are then resolved back to entry rows of the same tree (one
+    sorted lookup at compile time saves one per hop at route time).
     """
     graph = ported.graph
     arc = ported.arc_of_port
-    step_next = graph.adj[arc]
-    step_wt = graph.adj_weights[arc]
-    step_edge = graph.arc_edge[arc]
-    entry_keys, ent_u = columns["entry_keys"], columns["ent_vertex"]
-    parent_next, parent_wt, parent_edge = _resolve_ports(
-        graph, ent_u, parent_port, step_next, step_wt, step_edge
-    )
-    heavy_next, heavy_wt, heavy_edge = _resolve_ports(
-        graph, ent_u, heavy_port, step_next, step_wt, step_edge
-    )
-    return bind_compiled(
-        ported.n,
-        k,
-        dict(
-            columns,
-            ent_parent_next=parent_next,
-            ent_parent_wt=parent_wt,
-            ent_parent_edge=parent_edge,
-            ent_heavy_next=heavy_next,
-            ent_heavy_wt=heavy_wt,
-            ent_heavy_edge=heavy_edge,
-            ent_parent_epos=_link_entries(entry_keys, ent_u, parent_next),
-            ent_heavy_epos=_link_entries(entry_keys, ent_u, heavy_next),
-            ent_label_bits=label_bits,
-            g_indptr=graph.indptr,
-            step_next=step_next,
-            step_wt=step_wt,
-            step_edge=step_edge,
-        ),
+    step = np.empty(arc.shape[0], dtype=STEP_DTYPE)
+    step["next"] = graph.adj[arc]
+    step["edge"] = graph.arc_edge[arc]
+    step["wt"] = graph.adj_weights[arc]
+    entry_keys = columns["entry_keys"]
+    ent = np.empty(entry_keys.shape[0], dtype=ENT_DTYPE)
+    for name, col in record.items():
+        ent[name] = col
+    vertex = record["vertex"]
+    for side, port in (("parent", parent_port), ("heavy", heavy_port)):
+        nxt, wt, edge = _resolve_ports(graph, vertex, port, step)
+        ent[side + "_next"] = nxt
+        ent[side + "_wt"] = wt
+        ent[side + "_edge"] = edge
+        ent[side + "_epos"] = _link_entries(entry_keys, vertex, nxt)
+    return CompiledScheme(
+        n=ported.n,
+        k=k,
+        handshake=False,
+        ent=ent,
+        ent_label_bits=label_bits,
+        g_indptr=graph.indptr,
+        step=step,
+        **columns,
     )
 
 
@@ -453,11 +500,6 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
     pivot[1] = r
     columns = {
         "entry_keys": r * np.int64(n) + members,  # ascending: sorted by vertex
-        "ent_vertex": members,
-        "ent_f": recs["f"],
-        "ent_finish": recs["finish"],
-        "ent_heavy_finish": recs["heavy_finish"],
-        "ent_light_depth": recs["light_depth"],
         "root_epos": root_epos,
         "lp_indptr": lp_indptr,
         "lp_data": lp_data,
@@ -469,6 +511,13 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
         columns,
         2,
         ported,
+        record=dict(
+            vertex=members,
+            f=recs["f"],
+            finish=recs["finish"],
+            heavy_finish=recs["heavy_finish"],
+            light_depth=recs["light_depth"],
+        ),
         parent_port=recs["parent_port"],
         heavy_port=recs["heavy_port"],
         label_bits=tree_label_bits_array(f_width, lp_indptr, lp_data),
@@ -480,11 +529,12 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
 
     The array form already *is* the entry layout the engine routes on
     (sorted ``tree * n + vertex`` keys, record columns, light-port CSR,
-    member maps, pivots): those :data:`ARRAY_BOUND` columns are bound as
-    they are, and what remains is resolving the stored parent and heavy
-    ports through ``ported``'s step tables — so routing over a foreign
-    port assignment crosses exactly the links the hop-by-hop simulator
-    would.
+    member maps, pivots): its :data:`ARRAY_BOUND` columns are bound as
+    they are, its :data:`ARRAYS_IN_RECORD` columns are written into the
+    ``ent`` records, and what remains is resolving the stored parent and
+    heavy ports through ``ported``'s step records — so routing over a
+    foreign port assignment crosses exactly the links the hop-by-hop
+    simulator would.
     """
     with TELEMETRY.span(
         "engine.compile", source="arrays", entries=int(arrays.entry_keys.shape[0])
@@ -493,6 +543,7 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
             array_columns(arrays),
             arrays.k,
             ported,
+            record={name: getattr(arrays, col) for col, name in ARRAYS_IN_RECORD.items()},
             parent_port=arrays.tr_parent_port,
             heavy_port=arrays.tr_heavy_port,
             label_bits=arrays.entry_label_bits(),

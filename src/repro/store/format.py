@@ -51,8 +51,10 @@ import numpy as np
 from ..errors import EncodingError
 
 MAGIC = b"TZSCHEME"
-#: 2: scheme containers store only the compiled columns the arrays lack.
-FORMAT_VERSION = 2
+#: 3: scheme containers store the compiled entry and step records as the
+#: native kernels read them, and each array column the records hold only
+#: there.
+FORMAT_VERSION = 3
 #: Byte alignment of every blob, relative to the start of its data section.
 BLOB_ALIGN = 64
 #: dtype kinds a blob may hold: bool, signed and unsigned int, float, complex.

@@ -9,9 +9,10 @@ the OS page cache is the only copy in the machine.
 
 Within one process, parallelism is the router's: on the native kernel
 a large batch is cut into one row chunk per usable CPU and the chunks
-run on threads sharing one packed view of the mapping (see
-:mod:`repro.sim.engine.batch`).  Rows are routed independently by
-construction, so chunking changes wall time, never answers (tested).
+run on threads that all read the mapping's own entry and step records
+(see :mod:`repro.sim.engine.batch`), so the first batch after an open or
+a swap costs what any later batch does.  Rows are routed independently
+by construction, so chunking changes wall time, never answers (tested).
 
 Hot swap
 --------

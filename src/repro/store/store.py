@@ -21,12 +21,15 @@ Each container holds one scheme representation, each column once:
   re-materialize the dict-based scheme or re-resolve against a
   different port assignment;
 * the columns the port-resolved
-  :class:`~repro.sim.engine.compile.CompiledScheme` adds to them
-  (resolved next hops, weights, edges, entry links, label bits and the
-  step tables).  Loading binds the compiled form's other twelve columns
-  to the loaded arrays, so it is exactly what
-  :class:`~repro.sim.engine.batch.BatchRouter` routes on, ready to
-  serve with no further work.
+  :class:`~repro.sim.engine.compile.CompiledScheme` adds to them: the
+  entry records (tree-record fields with resolved next hops, weights,
+  edges and entry links), label bits and the step records, stored as
+  the native kernels read them.  The records hold five of the array
+  columns, which are stored there only.  Loading binds the compiled
+  form's other seven columns to the loaded arrays and those five array
+  columns to the loaded records' fields, so the compiled form is
+  exactly what :class:`~repro.sim.engine.batch.BatchRouter` routes on,
+  ready to serve with no further work.
 
 Strict-verify mode (``strict=True``) closes the loop against the
 package's independent bit-exact codec: at save time the dict scheme is
@@ -146,8 +149,9 @@ class StoredScheme:
     """A scheme opened from (or just written to) the store.
 
     ``compiled`` and ``arrays`` are backed by one shared memory map of
-    ``path``, and the compiled columns the arrays already hold are the
-    arrays' own views — dropping all references releases the mapping.
+    ``path``, and every column both forms hold is one view of it (the
+    compiled form's array-bound columns, the arrays' record-held
+    columns) — dropping all references releases the mapping.
     """
 
     path: Path

@@ -17,13 +17,15 @@ its dict tables, while ``Network`` walks the dict tables themselves.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.handshake import HandshakeRoutingScheme
 from repro.core.scheme_k import build_tz_scheme
 from repro.core.scheme_k2 import build_stretch3_scheme
-from repro.errors import DeliveryError, RoutingError
+from repro.errors import DeliveryError, EncodingError, RoutingError
 from repro.graphs import generators as gen
 from repro.graphs.ports import assign_ports
 from repro.graphs.shortest_paths import all_pairs_shortest_paths
@@ -171,7 +173,8 @@ def test_engine_matches_reference_per_cluster_engine(cluster_method):
     rival = build_tz_scheme(graph, ported, k=3, rng=1, cluster_method=other)
     assert not np.array_equal(scheme.arrays.ent_parent, rival.arrays.ent_parent)
     compiled = scheme.compile_batch(ported)
-    assert np.shares_memory(compiled.ent_f, scheme.arrays.tr_f)
+    assert np.shares_memory(compiled.entry_keys, scheme.arrays.entry_keys)
+    assert np.array_equal(compiled.ent["f"], scheme.arrays.tr_f)
     _assert_equivalent(ported, scheme, pairs)
     _assert_equivalent(ported, HandshakeRoutingScheme(scheme), pairs)
 
@@ -239,7 +242,7 @@ def test_reference_records_label_faults_instead_of_crashing():
 def test_engine_guards_severed_heavy_links():
     """A heavy move whose link is gone must fail the row cleanly
     (FAIL_PORT, the reference's port-0 PortError analog) — never route
-    through ``ent_f[-1]`` via negative indexing."""
+    through ``ent["f"][-1]`` via negative indexing."""
     from repro.sim.engine.batch import FAIL_PORT
 
     graph = FAMILIES["gnp"]().largest_component()
@@ -251,12 +254,17 @@ def test_engine_guards_severed_heavy_links():
     assert clean.delivered.all()
 
     cs = router.compiled
-    backup = cs.ent_heavy_epos.copy()
+    backup = cs.ent["heavy_epos"].copy()
     try:
-        cs.ent_heavy_epos[:] = -1  # sever every heavy link
+        cs.ent["heavy_epos"] = -1  # sever every heavy link
         broken = router.route_pairs(pairs)
+        numpy_broken = BatchRouter.from_compiled(cs, ported, kernel="numpy").route_pairs(pairs)
     finally:
-        cs.ent_heavy_epos[:] = backup
+        cs.ent["heavy_epos"] = backup
+    # The in-place edit reaches the platform's kernel and the numpy
+    # reference alike: both read the one record table.
+    for name in ("delivered", "weight", "hops", "failure_code"):
+        assert np.array_equal(getattr(broken, name), getattr(numpy_broken, name)), name
     hit = ~broken.delivered
     assert hit.any()  # heavy edges are on real routes; corruption bites
     # Failed rows stop exactly at the severed link: the clean failure
@@ -394,6 +402,25 @@ class TestRunnerEngines:
 
 
 class TestCompiledSchemeShape:
+    def test_replace_runs_the_construction_check(self):
+        """Every way to build a CompiledScheme, ``dataclasses.replace``
+        included, refuses a column the kernels would read past or
+        misread: a pivot narrower than (k, n), a short record table,
+        records of another layout, an int32 or a strided column."""
+        graph, ported, schemes, _ = _setup("gnp")
+        cs = schemes["scheme_k"].compile_batch(ported)
+        damaged = {
+            "pivot": cs.pivot[:, :-1],
+            "ent": cs.ent[:-1],
+            "step": cs.step.astype([("next", "<i8"), ("wt", "<f8"), ("edge", "<i8")]),
+            "lp_data": cs.lp_data.astype(np.int32),
+            "mem_keys": np.repeat(cs.mem_keys, 2)[::2],
+        }
+        for name, col in damaged.items():
+            with pytest.raises(EncodingError, match=name):
+                dataclasses.replace(cs, **{name: col})
+        assert dataclasses.replace(cs, handshake=True).handshake
+
     def test_compile_is_cached_per_ports(self):
         graph, ported, schemes, _ = _setup("gnp")
         scheme = schemes["scheme_k2"]

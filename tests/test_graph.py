@@ -171,3 +171,65 @@ class TestGraphBuilder:
         b = GraphBuilder(3)
         b.add_edge(2, 0)
         assert b.has_edge(0, 2)
+
+
+def _loop_csr(n, edges, weights):
+    """The CSR as ``Graph.__init__`` once filled it: one arc per endpoint
+    in a per-edge loop, then one stable ``argsort`` per adjacency row.
+    Kept as the reference the one-lexsort construction must reproduce."""
+    m = len(edges)
+    deg = np.zeros(n, dtype=np.int64)
+    if m:
+        np.add.at(deg, edges[:, 0], 1)
+        np.add.at(deg, edges[:, 1], 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    adj = np.empty(2 * m, dtype=np.int64)
+    adj_w = np.empty(2 * m, dtype=np.float64)
+    arc_edge = np.empty(2 * m, dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for eid in range(m):
+        u, v = int(edges[eid, 0]), int(edges[eid, 1])
+        w = weights[eid]
+        adj[cursor[u]] = v
+        adj_w[cursor[u]] = w
+        arc_edge[cursor[u]] = eid
+        cursor[u] += 1
+        adj[cursor[v]] = u
+        adj_w[cursor[v]] = w
+        arc_edge[cursor[v]] = eid
+        cursor[v] += 1
+    for u in range(n):
+        lo, hi = indptr[u], indptr[u + 1]
+        order = np.argsort(adj[lo:hi], kind="stable")
+        adj[lo:hi] = adj[lo:hi][order]
+        adj_w[lo:hi] = adj_w[lo:hi][order]
+        arc_edge[lo:hi] = arc_edge[lo:hi][order]
+    return indptr, adj, adj_w, arc_edge
+
+
+def _assert_csr_is_the_loop_csr(g):
+    want = _loop_csr(g.n, g.edges, g.edge_weights)
+    for name, ref in zip(("indptr", "adj", "adj_weights", "arc_edge"), want):
+        got = getattr(g, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
+
+
+class TestLexsortCSR:
+    @pytest.mark.parametrize("family", ["gnp", "ba", "as-like", "grid", "geometric"])
+    def test_reference_families_match_the_per_edge_loop(self, family):
+        from repro.analysis.experiments import reference_graph
+
+        g = reference_graph(family, 400, 3)
+        assert g.m > 0
+        _assert_csr_is_the_loop_csr(g)
+        _assert_csr_is_the_loop_csr(g.largest_component())
+
+    def test_edgeless_and_isolated_vertices_match_the_per_edge_loop(self):
+        for g in (
+            Graph(0, []),
+            Graph(5, []),
+            Graph(7, [(4, 1), (1, 2), (6, 2)], [2.0, 0.5, 3.0]),  # 0, 3, 5 isolated
+        ):
+            _assert_csr_is_the_loop_csr(g)

@@ -18,8 +18,8 @@ Four layers:
    handshake strategies, failing rows, an empty member map and an
    entry-less scheme); ``route_pairs``/``route_trials`` column equality
    between kernels, including dead-edge trials, tiny ttls and batches
-   cut into threaded row chunks; and a many-thread first use that must
-   pack the scheme view exactly once;
+   cut into threaded row chunks; and many threads meeting a freshly
+   loaded scheme at once;
 3. **builder differential** — ``vectorized_arrays(mode="pruned")``
    field equality between kernels (``mode`` forced past
    ``FULL_CENTER_LIMIT`` so small graphs exercise the sweep);
@@ -61,11 +61,12 @@ from repro.kernels import (
     native_error,
     resolve_kernel,
 )
-from repro.kernels.hop import NativeSchemeView, commit_native
+from repro.kernels.hop import commit_native
 from repro.obs import TELEMETRY
 from repro.rng import derive, make_rng
 from repro.sim.engine import batch
 from repro.sim.engine.batch import FAIL_NO_TREE, BatchRouter
+from repro.store import SchemeStore
 
 needs_native = pytest.mark.skipif(
     not available(), reason=f"native kernels unavailable: {native_error()}"
@@ -401,18 +402,14 @@ def test_commit_wrapper_refuses_what_c_would_misread():
     graph = family_from_seed(2, "gnp", n=30)
     _, routers = routers_for(graph, 2, 2, kernels=("native",))
     cs = routers["native"].compiled
-    view = NativeSchemeView.of(cs)
     src = np.array([0, 1], dtype=np.int64)
     state = (np.empty(2, dtype=np.int8),) + tuple(np.empty(2, dtype=np.int64) for _ in range(7))
     with pytest.raises(RoutingError, match="out of range"):
-        commit_native(view, src, np.array([1, cs.n]), state, handshake=False, id_bits=1)
+        commit_native(cs, src, np.array([1, cs.n]), state)
     with pytest.raises(RuntimeError, match="contiguous columns"):
-        commit_native(view, src, src[::-1], state[:1] + (state[1][:1],) + state[2:],
-                      handshake=False, id_bits=1)
-    # A pivot matrix narrower than n (a foreign container) is refused
-    # at pack time, before the commit could index past it.
-    with pytest.raises(RoutingError, match="pivot matrix"):
-        NativeSchemeView.of(dataclasses.replace(cs, pivot=cs.pivot[:, :-1]))
+        commit_native(cs, src, src[::-1], state[:1] + (state[1][:1],) + state[2:])
+    # A pivot matrix narrower than n (a foreign container) never reaches
+    # the wrapper: building the scheme refuses it (test_batch_engine).
 
 
 def test_row_chunks_cover_the_batch_in_order(monkeypatch):
@@ -455,12 +452,12 @@ class TestThreadedChunks:
         # Counted once per batch on the calling thread: hop_iterations is
         # the maximum over chunks, not their sum.
         assert counts["numpy"] == counts["native"]
-        # Every span of the threaded route (the one-off view pack
-        # included) hangs under the caller's route.route_pairs.
+        # Every span of the threaded route hangs under the caller's
+        # route.route_pairs.
         (root,) = roots["native"]
         assert root.name == "route.route_pairs"
         spans = {sp.name: sp for sp, _ in root.walk()}
-        assert {"route.commit", "kernel.pack_view", "route.hop_loop", "kernel.hop_step"} <= set(spans)
+        assert {"route.commit", "route.hop_loop", "kernel.hop_step"} <= set(spans)
         assert spans["kernel.hop_step"].attrs["threads"] == 3
 
     def test_chunked_dead_edges_and_ttl(self, forced_chunks):
@@ -475,22 +472,17 @@ class TestThreadedChunks:
                 f"(3 row chunks, {sorted(kwargs)})",
             )
 
-    def test_concurrent_first_use_packs_the_view_once(self, monkeypatch):
-        """Eight threads (more than the cores) meet an unpacked scheme
-        with the GIL switching every microsecond: one pack, and every
-        thread's answer bit-identical to numpy."""
+    def test_concurrent_first_use_of_a_loaded_scheme(self, tmp_path):
+        """Eight threads (more than the cores) meet a freshly loaded
+        scheme with the GIL switching every microsecond: every thread's
+        answer is bit-identical to numpy."""
         graph = family_from_seed(14, "ba", n=600)
-        _, routers = routers_for(graph, 3, 14)
+        ported, routers = routers_for(graph, 3, 14)
         pairs = sample_pairs(graph, 3000, 14)
         want = routers["numpy"].route_pairs(pairs)
-        packs = []
-        real_init = NativeSchemeView.__init__
-
-        def counting_init(self, cs):
-            packs.append(threading.get_ident())
-            real_init(self, cs)
-
-        monkeypatch.setattr(NativeSchemeView, "__init__", counting_init)
+        store = SchemeStore(tmp_path)
+        path = store.save(graph, ported, routers["numpy"].scheme.arrays, seed=14)
+        native = BatchRouter.from_compiled(store.load(path).compiled, kernel="native")
         workers = 8
         start = threading.Barrier(workers, timeout=60)
         results, errors = [None] * workers, []
@@ -498,7 +490,7 @@ class TestThreadedChunks:
         def route(i):
             try:
                 start.wait()
-                results[i] = routers["native"].route_pairs(pairs)
+                results[i] = native.route_pairs(pairs)
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
 
@@ -514,7 +506,6 @@ class TestThreadedChunks:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        assert len(packs) == 1
         for res in results:
             assert_results_equal(want, res, "(concurrent first use)")
 

@@ -12,21 +12,32 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import reference_graph
 from repro.core.build import build_arrays
 from repro.errors import EncodingError
 from repro.graphs.ports import assign_ports
+from repro.kernels import available, native_error
 from repro.rng import make_rng, sample_pairs
 from repro.sim.engine import batch
 from repro.sim.engine.batch import BatchRouter
-from repro.sim.engine.compile import ARRAY_BOUND, DERIVED, compile_from_arrays
+from repro.sim.engine.compile import (
+    ARRAY_BOUND,
+    ARRAYS_IN_RECORD,
+    DERIVED,
+    ENT_DTYPE,
+    STEP_DTYPE,
+    compile_from_arrays,
+)
 from repro.store import (
     FORMAT_VERSION,
     RouteService,
@@ -93,19 +104,46 @@ def _short(name: str, rows: int = 1):
     return edit
 
 
-#: Column-shape damage a CRC-valid header can carry: each must raise
-#: EncodingError at load, not IndexError (or a read past a blob) at
-#: route time.
+def _retype(name: str, dtype: str):
+    """Header edit: blob ``name`` read as ``dtype``, shape kept (its
+    nbytes follows, so the blob stays inside the data section)."""
+
+    def edit(header):
+        spec = header["arrays"][name]
+        spec["dtype"] = dtype
+        spec["nbytes"] = int(np.prod(spec["shape"])) * np.dtype(dtype).itemsize
+
+    return edit
+
+
+def _narrow(name: str, width: int):
+    """Header edit: the rows of record blob ``name`` read ``width`` int64
+    wide (nbytes kept consistent)."""
+
+    def edit(header):
+        spec = header["arrays"][name]
+        spec["shape"][1] = width
+        spec["nbytes"] = spec["shape"][0] * width * 8
+
+    return edit
+
+
+#: Column damage a CRC-valid header can carry: each must raise
+#: EncodingError at load, not IndexError (or a read past a blob, or a
+#: silent misread) at route time.
 SHAPE_CORRUPTIONS = {
-    "short-derived-entry-column": _short("cs_ent_heavy_wt"),
-    "short-bound-entry-column": _short("arr_tr_f"),
+    "short-derived-entry-column": _short("cs_ent"),
+    "short-bound-entry-column": _short("arr_entry_keys"),
     "short-lp-data": _short("arr_lp_data"),
     "short-lp-indptr": _short("arr_lp_indptr"),
     "short-mem-epos": _short("arr_mem_epos"),
     "short-pivot": _short("arr_h_pivot"),
     "short-label-positions": _short("arr_lab_epos"),
-    "short-step-table": _short("cs_step_wt"),
+    "short-step-table": _short("cs_step"),
     "short-g-indptr": _short("cs_g_indptr"),
+    "int32-entry-keys": _retype("arr_entry_keys", "<i4"),
+    "narrow-entry-records": _narrow("cs_ent", 12),
+    "narrow-step-records": _narrow("cs_step", 2),
 }
 
 
@@ -227,7 +265,7 @@ class TestContainer:
             {"hello": "world"},
         )
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "f48d36f7def1b405c87a9c3fc75befbf047c4f0baf02e18dfea90021a54d8185"
+            "adf4fb45ec531ca73d154bf633cb12057a5faa1bed451efdce353994eefaab62"
         )
 
 
@@ -373,9 +411,12 @@ class TestSingleRepresentation:
     def test_compile_binds_the_array_columns(self, saved):
         _, ported, arrays, _, _ = saved
         compiled = compile_from_arrays(arrays, ported)
-        assert len(ARRAY_BOUND) == 12 and len(DERIVED) == 13
+        assert len(ARRAY_BOUND) == 7 and len(DERIVED) == 4 and len(ARRAYS_IN_RECORD) == 5
         for name, get in ARRAY_BOUND.items():
             assert np.shares_memory(getattr(compiled, name), get(arrays)), name
+        assert compiled.ent.dtype == ENT_DTYPE and compiled.step.dtype == STEP_DTYPE
+        for name, field in ARRAYS_IN_RECORD.items():
+            assert np.array_equal(compiled.ent[field], getattr(arrays, name)), name
 
     def test_loaded_columns_share_the_arrays_memory(self, saved):
         _, _, _, store, path = saved
@@ -384,14 +425,24 @@ class TestSingleRepresentation:
             assert np.shares_memory(
                 getattr(stored.compiled, name), get(stored.arrays)
             ), name
+        # ...and the other way round: the record-held array columns are
+        # fields of the loaded records.
+        for name in ARRAYS_IN_RECORD:
+            assert np.shares_memory(stored.compiled.ent, getattr(stored.arrays, name)), name
 
     def test_container_holds_only_derived_compiled_columns(self, saved):
-        _, _, _, _, path = saved
+        _, _, arrays, _, path = saved
         header, blobs = read_container(path)
-        assert header["format_version"] == FORMAT_VERSION == 2
+        assert header["format_version"] == FORMAT_VERSION == 3
         assert sorted(n for n in blobs if n.startswith("cs_")) == sorted(
             "cs_" + name for name in DERIVED
         )
+        assert not {"arr_" + name for name in ARRAYS_IN_RECORD} & set(blobs)
+        # The records are stored as plain int64 rows, one per record.
+        assert blobs["cs_ent"].dtype == np.int64
+        assert blobs["cs_ent"].shape == (arrays.entry_count, 13)
+        assert blobs["cs_step"].dtype == np.int64
+        assert blobs["cs_step"].shape == (2 * header["meta"]["m"], 3)
 
     def test_save_refuses_a_foreign_compile(self, saved):
         graph, ported, arrays, store, _ = saved
@@ -406,7 +457,8 @@ class TestSingleRepresentation:
             setattr(copied, name, np.array(getattr(copied, name)))
         store.save(graph, ported, arrays, seed=4, compiled=copied)
 
-    def test_format_1_refused_and_rebuilt(self, saved):
+    @staticmethod
+    def _refused_and_rebuilt(saved, version: int) -> None:
         graph, ported, _, store, _ = saved
         stored = store.get_or_build(graph, 2, 6, ported=ported)
         path = stored.path
@@ -414,14 +466,20 @@ class TestSingleRepresentation:
         want = stored.router().route_pairs(pairs)
         del stored  # release the mmap before rewriting
         data = bytearray(path.read_bytes())
-        data[8:12] = (1).to_bytes(4, "little")
+        data[8:12] = version.to_bytes(4, "little")
         path.write_bytes(data)
-        with pytest.raises(EncodingError, match="version 1"):
+        with pytest.raises(EncodingError, match=f"version {version}"):
             store.load(path)
         again = store.get_or_build(graph, 2, 6, ported=ported)
         assert again.path == path
         assert read_container(path)[0]["format_version"] == FORMAT_VERSION
         _assert_routes_equal(want, again.router().route_pairs(pairs))
+
+    def test_format_1_refused_and_rebuilt(self, saved):
+        self._refused_and_rebuilt(saved, 1)
+
+    def test_format_2_refused_and_rebuilt(self, saved):
+        self._refused_and_rebuilt(saved, 2)
 
     def test_materialized_scheme_compiles_from_stored_arrays(self, saved):
         graph, ported, _, store, path = saved
@@ -441,6 +499,51 @@ class TestSingleRepresentation:
         with pytest.raises(EncodingError):
             store.load(path)
 
+    @pytest.mark.skipif(not available(), reason=f"native kernels unavailable: {native_error()}")
+    def test_first_route_after_load_copies_nothing(self, tmp_path):
+        """A loaded scheme routes on the container's own records: its
+        ``ent`` and ``step`` columns are views of the container map, and
+        the first native route after ``load`` allocates no more than the
+        second one, to under 1 B per entry (counted by tracemalloc, so no
+        timing noise enters)."""
+        graph = reference_graph("gnp", 2000, 0).largest_component()
+        ported = assign_ports(graph, "random", rng=3)
+        arrays = build_arrays(graph, 3, ported=ported, rng=1)
+        compiled = compile_from_arrays(arrays, ported)
+        store = SchemeStore(tmp_path)
+        path = store.save(graph, ported, arrays, seed=1, compiled=compiled)
+        pairs = sample_pairs(make_rng(5), graph.n, 4000)
+        # Warm the kernel library on another scheme object first.
+        BatchRouter.from_compiled(compiled, kernel="native").route_pairs(pairs[:16])
+
+        stored = store.load(path)
+        cs = stored.compiled
+
+        def root(a):
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            return a
+
+        container_map = root(stored.arrays.entry_keys)
+        assert isinstance(container_map, mmap.mmap)
+        assert root(cs.ent) is container_map and root(cs.step) is container_map
+        router = BatchRouter.from_compiled(cs, kernel="native")
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                router.route_pairs(pairs)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        extra = peaks[0] - peaks[1]
+        assert extra < cs.entry_count, (
+            f"first route after load allocated {extra / cs.entry_count:.1f} B "
+            "per entry more than the second"
+        )
+
     def test_backend_deserialize_checks_column_shapes(self, saved):
         from repro.backends import build_backend
 
@@ -448,7 +551,7 @@ class TestSingleRepresentation:
         backend = build_backend("tz", graph, 2, 3)
         path = store.save_backend(backend, graph, k=2, seed=3)
         store.load_backend(path)
-        _rewrite_header(path, _short("bk_cs_ent_heavy_wt"))
+        _rewrite_header(path, _short("bk_cs_ent"))
         with pytest.raises(EncodingError):
             store.load_backend(path)
         meta, blobs = backend.serialize()
