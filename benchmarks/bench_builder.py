@@ -4,7 +4,7 @@ The acceptance gate of the builder PR: on a 20k-node G(n, p) graph
 (k = 2, Bernoulli hierarchy) the array-program pipeline of
 :mod:`repro.core.build.vectorized` must construct the complete scheme —
 clusters, bunches, heavy-light trees, ports, label structures —
-**≥ 10×** faster than the per-node reference (truncated Dijkstra + tree
+**≥ 30×** faster than the per-node reference (truncated Dijkstra + tree
 compile per center).
 
 At 20k vertices the reference needs minutes, so its rate is measured on
@@ -16,6 +16,9 @@ assembly it would also pay.  Before any clock is trusted, the sampled
 reference clusters and records are cross-checked bit-for-bit against
 the vectorized arrays.  Results land in ``BENCH_builder.json`` (the CI
 artifact tracking construction throughput across commits).
+
+The floor assumes the native kernels (the CI benchmark job builds
+them); on the numpy fallback the builder reads about 16×.
 
 ``REPRO_BENCH_N`` overrides the vertex count for local iteration.
 """
@@ -37,7 +40,9 @@ from repro.graphs import generators as gen
 from repro.graphs.ports import assign_ports
 from repro.trees.tz_tree import build_tree_router
 
-SPEEDUP_FLOOR = 10.0
+#: Measured 61.7× and 66.0× with the native cluster-tree pass (16.2×
+#: before it), on a 2-CPU x86-64 container; the floor keeps about half.
+SPEEDUP_FLOOR = 30.0
 N_DEFAULT = 20_000
 K = 2
 #: Reference centers actually built per level (rate extrapolates).

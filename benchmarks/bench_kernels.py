@@ -7,7 +7,11 @@ On a 20k-node G(n, p) graph, for a 100k-pair uniform matrix:
 * the native hop loop must advance the committed matrix **≥ 5×**
   faster than the numpy synchronized hop loop;
 * the native frontier sweep must run a pruned cluster level **≥ 5×**
-  faster than the numpy label-correcting sweep.
+  faster than the numpy label-correcting sweep;
+* the native cluster-tree pass (``tz_cluster_trees``) must compute the
+  SPT parents, heavy-light records and light ports of the k=2 scheme's
+  entries **≥ 4×** faster than the numpy ``_level_parents`` +
+  ``_tree_arrays`` stages.
 
 Every pair is cross-checked for bit-for-bit agreement before any clock
 is trusted (the same differential contract ``tests/test_kernels.py``
@@ -38,7 +42,7 @@ from _emit import emit
 from conftest import best_of_interleaved
 
 from repro.core.build import build_scheme
-from repro.core.build.vectorized import _pruned_level
+from repro.core.build.vectorized import _cluster_trees, _pruned_level
 from repro.core.landmarks import build_hierarchy
 from repro.graphs import generators as gen
 from repro.graphs.ports import assign_ports
@@ -58,6 +62,9 @@ FRONTIER_SPEEDUP_FLOOR = 5.0
 #: container); the floor keeps about half of that, the margin the hop
 #: gate's 5× keeps of its measured ~10×.
 COMMIT_SPEEDUP_FLOOR = 7.0
+#: Measured 7.7× and 7.5× (best of 3, one thread, 2-CPU x86-64
+#: container); the floor keeps about half of it, as the commit gate does.
+TREE_PASS_SPEEDUP_FLOOR = 4.0
 N_PAIRS = 100_000
 
 
@@ -145,6 +152,21 @@ def test_kernels_speedup(setup):
     )
     frontier_speedup = t_sweep_numpy / t_sweep_native
 
+    # ---- cluster-tree pass: every entry of the k=2 scheme ------------
+    keys, dist = scheme.arrays.entry_keys, scheme.arrays.ent_dist
+    tree_ref = _cluster_trees(graph, ported, keys, dist, "numpy")
+    tree_nat = _cluster_trees(graph, ported, keys, dist, "native")
+    assert sorted(tree_ref) == sorted(tree_nat)
+    for name, want in tree_ref.items():
+        assert np.array_equal(want, tree_nat[name]), name
+
+    t_tree_numpy, t_tree_native = best_of_interleaved(
+        lambda: _cluster_trees(graph, ported, keys, dist, "numpy"),
+        lambda: _cluster_trees(graph, ported, keys, dist, "native"),
+        repeats=3,
+    )
+    tree_speedup = t_tree_numpy / t_tree_native
+
     print(
         f"\nkernels (n={graph.n}, m={graph.m}): commit {N_PAIRS:,} pairs "
         f"numpy {t_commit_numpy:.3f}s native {t_commit_native:.3f}s "
@@ -154,7 +176,9 @@ def test_kernels_speedup(setup):
         f"on {threads} thread(s); "
         f"frontier level={level} centers={centers.size:,} "
         f"numpy {t_sweep_numpy:.3f}s native {t_sweep_native:.3f}s "
-        f"({frontier_speedup:.1f}x)"
+        f"({frontier_speedup:.1f}x); tree pass {keys.shape[0]:,} entries "
+        f"numpy {t_tree_numpy:.3f}s native {t_tree_native:.3f}s "
+        f"({tree_speedup:.1f}x)"
     )
 
     out = emit(
@@ -165,6 +189,7 @@ def test_kernels_speedup(setup):
             "pairs": N_PAIRS,
             "frontier_level": level,
             "frontier_centers": int(centers.size),
+            "tree_pass_entries": int(keys.shape[0]),
         },
         metrics={
             "commit_numpy_seconds": round(t_commit_numpy, 4),
@@ -176,6 +201,9 @@ def test_kernels_speedup(setup):
             "frontier_numpy_seconds": round(t_sweep_numpy, 4),
             "frontier_native_seconds": round(t_sweep_native, 4),
             "frontier_speedup": round(frontier_speedup, 1),
+            "tree_pass_numpy_seconds": round(t_tree_numpy, 4),
+            "tree_pass_native_seconds": round(t_tree_native, 4),
+            "tree_pass_speedup": round(tree_speedup, 1),
             "route_pairs_numpy_seconds": round(t_route_numpy, 4),
             "route_pairs_native_seconds": round(t_route_native, 4),
             "route_pairs_native_threads": threads,
@@ -185,6 +213,7 @@ def test_kernels_speedup(setup):
             "commit_speedup": COMMIT_SPEEDUP_FLOOR,
             "hop_speedup": HOP_SPEEDUP_FLOOR,
             "frontier_speedup": FRONTIER_SPEEDUP_FLOOR,
+            "tree_pass_speedup": TREE_PASS_SPEEDUP_FLOOR,
         },
     )
     print(f"wrote {out}")
@@ -200,4 +229,8 @@ def test_kernels_speedup(setup):
     assert frontier_speedup >= FRONTIER_SPEEDUP_FLOOR, (
         f"frontier-sweep speedup {frontier_speedup:.1f}x below the "
         f"{FRONTIER_SPEEDUP_FLOOR}x floor"
+    )
+    assert tree_speedup >= TREE_PASS_SPEEDUP_FLOOR, (
+        f"cluster-tree pass speedup {tree_speedup:.1f}x below the "
+        f"{TREE_PASS_SPEEDUP_FLOOR}x floor"
     )

@@ -33,9 +33,11 @@ gather: ``∪_{o ∈ S} bunch(o)``.  Everything else is spliced verbatim
 (modulo the monotone vertex relabeling node removal induces, which
 preserves sorted adjacency rows and hence ``"sorted"`` port values).
 
-The rebuild itself reuses the vectorized builder's level engines
-(chunked full Dijkstra rows, the numpy frontier sweep or the native
-``tz_frontier_sweep`` kernel) — per-center results are engine- and
+The rebuild itself reuses the vectorized builder's stages on the
+platform's kernel: its level engines (the native ``tz_frontier_sweep``,
+or numpy's frontier sweep and chunked full Dijkstra rows) and its
+cluster-tree pass (``tz_cluster_trees``, or numpy's parent and
+heavy-light stages).  Per-center results are engine- and
 batching-independent by the float64-exact determinism contract, so the
 dirty subset may be rebuilt with whichever engine fits its size.
 
@@ -48,7 +50,9 @@ carry a shortest path (:func:`_exonerate_unbounded`).  Second, when no
 vertex was relabeled and the rebuilt clusters kept their exact member
 sets, every entry keeps its global position, and the patched arrays
 are produced by overwriting dirty rows in copies of the old columns —
-no E-scale gather/merge at all.
+no E-scale gather/merge at all.  Dirty clusters are ascending, disjoint
+entry ranges, so the light-port payload is spliced one slice per clean
+gap and per rebuilt run.
 """
 
 from __future__ import annotations
@@ -63,17 +67,14 @@ from ...graphs.delta import GraphDelta, apply_delta
 from ...graphs.graph import Graph
 from ...graphs.ports import PortedGraph, assign_ports
 from ...kernels import resolve_kernel
-from ...kernels.frontier import frontier_sweep_native
 from ...obs import TELEMETRY
 from ..landmarks import Hierarchy, hierarchy_from_levels
 from .arrays import SchemeArrays, assemble_arrays
 from .vectorized import (
-    FULL_CENTER_LIMIT,
-    _full_level,
+    _cluster_trees,
     _is_float64_exact,
-    _level_parents,
-    _pruned_level,
-    _tree_arrays,
+    _level_clusters,
+    _level_engine,
 )
 
 __all__ = ["PatchResult", "patch_arrays"]
@@ -111,6 +112,37 @@ def _scatter_segments(
     rep = np.repeat(np.arange(lens.shape[0], dtype=np.int64), lens)
     off = np.arange(total, dtype=np.int64) - (np.cumsum(lens) - lens)[rep]
     dst[dst_starts[rep] + off] = src[src_starts[rep] + off]
+
+
+def _relink(links: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Entry links (−1 = none) re-pointed through a position map."""
+    return np.where(links >= 0, positions[np.maximum(links, 0)], -1)
+
+
+def _entry_runs(cl_indptr: np.ndarray, dirty: np.ndarray):
+    """``(starts, ends)`` of the coalesced entry ranges of ascending
+    ``dirty`` clusters."""
+    starts, ends = cl_indptr[dirty], cl_indptr[dirty + 1]
+    cut = np.ones(starts.shape[0] + 1, dtype=bool)  # cut[i]: a run starts at i
+    cut[1:-1] = starts[1:] != ends[:-1]
+    return starts[cut[:-1]], ends[cut[1:]]
+
+
+def _splice_lp(arrays, tree: dict, lp_indptr: np.ndarray, starts, ends) -> np.ndarray:
+    """Light-port payload of an in-place patch, one slice copy per run:
+    each clean gap from the old payload, each rebuilt run of entries
+    (``[starts[i], ends[i])``, in order) from the tree pass's."""
+    old_ptr, old = arrays.lp_indptr, arrays.lp_data
+    d_ptr, d_data = tree["lp_indptr"], tree["lp_data"]
+    out = np.empty(int(lp_indptr[-1]), dtype=np.int64)
+    prev = d_at = 0
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        d_end = d_at + e - s
+        out[lp_indptr[prev] : lp_indptr[s]] = old[old_ptr[prev] : old_ptr[s]]
+        out[lp_indptr[s] : lp_indptr[e]] = d_data[d_ptr[d_at] : d_ptr[d_end]]
+        prev, d_at = e, d_end
+    out[lp_indptr[prev] :] = old[old_ptr[prev] :]
+    return out
 
 
 def _port_changed_vertices(
@@ -367,44 +399,26 @@ def patch_arrays(
     # engines as a fresh build (per-center output is engine-invariant).
     # ------------------------------------------------------------------
     with tm.span("patch.rebuild", clusters=int(dirty_new.shape[0])):
-        key_parts, dist_parts, parent_parts = [], [], []
+        key_parts, dist_parts = [], []
         for i in range(k):
             centers = dirty_new[h_new.level_of[dirty_new] == i]
             if centers.shape[0] == 0:
                 continue
             thr = h_new.dist[i + 1]
-            unbounded = bool(np.all(np.isinf(thr)))
-            if unbounded or centers.shape[0] <= FULL_CENTER_LIMIT:
-                keys, dist = _full_level(new_graph, centers, thr)
-            else:
-                with tm.span(
-                    "kernel.frontier_sweep",
-                    impl=kernel,
-                    level=i,
-                    centers=int(centers.shape[0]),
-                ):
-                    keys, dist = (
-                        frontier_sweep_native(new_graph, centers, thr)
-                        if kernel == "native"
-                        else _pruned_level(new_graph, centers, thr)
-                    )
+            engine = _level_engine(kernel, "auto", centers, thr)
+            keys, dist = _level_clusters(new_graph, centers, thr, i, engine, kernel)
             key_parts.append(keys)
             dist_parts.append(dist)
-            parent_parts.append(_level_parents(new_graph, keys, dist))
         d_keys = np.concatenate(key_parts) if key_parts else np.zeros(0, dtype=np.int64)
         d_dist = np.concatenate(dist_parts) if dist_parts else np.zeros(0)
-        d_parent = (
-            np.concatenate(parent_parts) if parent_parts else np.zeros(0, dtype=np.int64)
-        )
         order = np.argsort(d_keys, kind="stable")
-        d_keys, d_dist, d_parent = d_keys[order], d_dist[order], d_parent[order]
+        d_keys, d_dist = d_keys[order], d_dist[order]
         d_center = d_keys // n2
         d_member = d_keys - d_center * n2
-        cl_dirty = np.zeros(new_graph.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(d_center, minlength=new_graph.n), out=cl_dirty[1:])
-        tree = _tree_arrays(
-            new_graph, new_ported, d_keys, d_center, d_member, d_parent, cl_dirty
-        )
+        tree = _cluster_trees(new_graph, new_ported, d_keys, d_dist, kernel)
+        d_parent = tree["ent_parent"]
+        # Parent / heavy-child entry positions within the rebuilt entries.
+        d_pe, d_he = tree["ent_parent_epos"], tree["ent_heavy_epos"]
 
     # ------------------------------------------------------------------
     # Identity fast path: when no vertex was relabeled and every rebuilt
@@ -414,7 +428,6 @@ def patch_arrays(
     # ------------------------------------------------------------------
     ci = arrays.cl_indptr
     ed = int(d_keys.shape[0])
-    hv_new = tree["heavy_vertex"]
     identity = new_graph.n == graph.n and n_keep == graph.n
     if identity:
         d_lens = ci[dirty_new + 1] - ci[dirty_new]
@@ -439,61 +452,22 @@ def patch_arrays(
                 out[dirty_epos] = dvals
                 return out
 
-            # Entry links survive verbatim (positions are unchanged);
-            # dirty rows re-locate within the same key array.
-            new_pe = np.full(ed, -1, dtype=np.int64)
-            hasp = d_parent >= 0
-            new_pe[hasp] = np.searchsorted(
-                arrays.entry_keys, d_center[hasp] * n2 + d_parent[hasp]
-            )
-            new_he = np.full(ed, -1, dtype=np.int64)
-            hash_ = hv_new >= 0
-            new_he[hash_] = np.searchsorted(
-                arrays.entry_keys, d_center[hash_] * n2 + hv_new[hash_]
-            )
             tr_light_depth = patched(
                 arrays.tr_light_depth, tree["tr_light_depth"], np.int64
             )
-            d_lp_lens = np.diff(tree["lp_indptr"])
-            if tr_light_depth is arrays.tr_light_depth:
-                # Unchanged lengths: same lp layout; share the payload
-                # too when the dirty sequences came back identical.
-                lp_indptr = arrays.lp_indptr
-                old_lp = arrays.lp_data[
-                    _segment_indices(arrays.lp_indptr[dirty_epos], d_lp_lens)
-                ]
-                if np.array_equal(old_lp, tree["lp_data"]):
-                    lp_data = arrays.lp_data
-                else:
-                    lp_data = arrays.lp_data.copy()
-                    _scatter_segments(
-                        lp_data,
-                        lp_indptr[dirty_epos],
-                        tree["lp_data"],
-                        tree["lp_indptr"][:-1],
-                        d_lp_lens,
-                    )
-            else:
+            # Unchanged lengths and dirty sequences: share the payload
+            # too; otherwise splice it run by run.
+            lp_indptr, lp_data = arrays.lp_indptr, arrays.lp_data
+            if tr_light_depth is not arrays.tr_light_depth:
                 lp_indptr = np.zeros(E + 1, dtype=np.int64)
                 np.cumsum(tr_light_depth, out=lp_indptr[1:])
-                clean_mask = np.ones(E, dtype=bool)
-                clean_mask[dirty_epos] = False
-                ce_pos = np.flatnonzero(clean_mask)
-                lp_data = np.zeros(int(lp_indptr[-1]), dtype=np.int64)
-                _scatter_segments(
-                    lp_data,
-                    lp_indptr[ce_pos],
-                    arrays.lp_data,
-                    arrays.lp_indptr[ce_pos],
-                    arrays.tr_light_depth[ce_pos],
-                )
-                _scatter_segments(
-                    lp_data,
-                    lp_indptr[dirty_epos],
-                    tree["lp_data"],
-                    tree["lp_indptr"][:-1],
-                    d_lp_lens,
-                )
+            starts, ends = _entry_runs(ci, dirty_new)
+            old_lo, old_hi = arrays.lp_indptr[starts], arrays.lp_indptr[ends]
+            if lp_indptr is not arrays.lp_indptr or not np.array_equal(
+                arrays.lp_data[_segment_indices(old_lo, old_hi - old_lo)],
+                tree["lp_data"],
+            ):
+                lp_data = _splice_lp(arrays, tree, lp_indptr, starts, ends)
 
             new_arrays = assemble_arrays(
                 new_graph,
@@ -517,8 +491,14 @@ def patch_arrays(
                 ),
                 lp_indptr=lp_indptr,
                 lp_data=lp_data,
-                ent_parent_epos=patched(arrays.ent_parent_epos, new_pe, np.int64),
-                ent_heavy_epos=patched(arrays.ent_heavy_epos, new_he, np.int64),
+                # Entry links survive verbatim (positions are unchanged);
+                # a dirty row's links stay inside its rebuilt cluster.
+                ent_parent_epos=patched(
+                    arrays.ent_parent_epos, _relink(d_pe, dirty_epos), np.int64
+                ),
+                ent_heavy_epos=patched(
+                    arrays.ent_heavy_epos, _relink(d_he, dirty_epos), np.int64
+                ),
                 # Membership is unchanged on this path, so the old bunch
                 # permutation is exactly the CSR→CSC order of the new
                 # entries.
@@ -547,10 +527,6 @@ def patch_arrays(
         c_keys = c_center * n2 + c_member
         old_parent = arrays.ent_parent[epos]
         c_parent = np.where(old_parent >= 0, id_map[np.maximum(old_parent, 0)], -1)
-        heavy_epos = arrays.ent_heavy_epos[epos]
-        c_heavy = np.where(
-            heavy_epos >= 0, id_map[arrays.ent_member[np.maximum(heavy_epos, 0)]], -1
-        )
         c_lp_lens = arrays.tr_light_depth[epos]
         c_lp = arrays.lp_data[_segment_indices(arrays.lp_indptr[epos], c_lp_lens)]
 
@@ -574,7 +550,6 @@ def patch_arrays(
         ent_member = merge(c_member, d_member, np.int64)
         ent_dist = merge(arrays.ent_dist[epos], d_dist, np.float64)
         ent_parent = merge(c_parent, d_parent, np.int64)
-        heavy_vertex = merge(c_heavy, hv_new, np.int64)
         tr_f = merge(arrays.tr_f[epos], tree["tr_f"], np.int64)
         tr_finish = merge(arrays.tr_finish[epos], tree["tr_finish"], np.int64)
         tr_heavy_finish = merge(
@@ -613,12 +588,6 @@ def patch_arrays(
         c_pe = np.where(ope >= 0, old_to_new[np.maximum(ope, 0)], -1)
         ohe = arrays.ent_heavy_epos[epos]
         c_he = np.where(ohe >= 0, old_to_new[np.maximum(ohe, 0)], -1)
-        d_pe = np.full(ed, -1, dtype=np.int64)
-        m_p = d_parent >= 0
-        d_pe[m_p] = pos_d[np.searchsorted(d_keys, d_center[m_p] * n2 + d_parent[m_p])]
-        d_he = np.full(ed, -1, dtype=np.int64)
-        m_h = hv_new >= 0
-        d_he[m_h] = pos_d[np.searchsorted(d_keys, d_center[m_h] * n2 + hv_new[m_h])]
 
         new_arrays = assemble_arrays(
             new_graph,
@@ -628,7 +597,6 @@ def patch_arrays(
             ent_member=ent_member,
             ent_dist=ent_dist,
             ent_parent=ent_parent,
-            heavy_vertex=heavy_vertex,
             tr_f=tr_f,
             tr_finish=tr_finish,
             tr_heavy_finish=tr_heavy_finish,
@@ -637,8 +605,8 @@ def patch_arrays(
             tr_heavy_port=tr_heavy_port,
             lp_indptr=lp_indptr,
             lp_data=lp_data,
-            ent_parent_epos=merge(c_pe, d_pe, np.int64),
-            ent_heavy_epos=merge(c_he, d_he, np.int64),
+            ent_parent_epos=merge(c_pe, _relink(d_pe, pos_d), np.int64),
+            ent_heavy_epos=merge(c_he, _relink(d_he, pos_d), np.int64),
         )
 
     return _finish(

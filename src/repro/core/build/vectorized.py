@@ -2,37 +2,45 @@
 
 Every stage of TZ preprocessing is re-expressed over flat arrays, with
 the per-vertex Python loops of the reference path replaced by batched
-numpy/scipy sweeps:
+sweeps — each stage on the platform's kernel (:mod:`repro.kernels`):
+compiled C passes when ``_native.c`` loads, numpy/scipy otherwise.
 
 1. **Clusters** ``C(w) = {v : d(w, v) < d(A_{i+1}, v)}`` per hierarchy
    level, one of two engines per level:
 
+   * *pruned* — a thresholded shortest-path sweep over **all centers of
+     the level**, pruning any pair whose tentative distance reaches
+     ``d(A_{i+1}, v)``.  Subpath closure (strict thresholds) makes
+     pruning safe: every prefix of a shortest path to a member is itself
+     a member, so the true distance always survives, and the work is
+     proportional to the total cluster volume ``Σ|C(w)|``, not
+     ``|centers| · n``.  Natively, ``tz_frontier_sweep`` runs one FIFO
+     label-correcting pass per center; it serves every level, the
+     unbounded top level (infinite thresholds) included.  In numpy, the
+     state is a sparse sorted array of ``(center, vertex)`` pairs and
+     each round relaxes the whole frontier through its out-arcs as one
+     array step.
    * *full* — chunked batched single-source Dijkstra over the level's
      centers (one C-level scipy call per chunk), membership by a
-     row-wise threshold comparison.  Used when clusters span most of the
-     graph (the top level's thresholds are all ``inf``) or the level has
-     few centers.
-   * *pruned* — a thresholded batched label-correcting Dijkstra over
-     **all centers of the level at once**: the state is a sparse sorted
-     array of ``(center, vertex)`` pairs, each round relaxes the whole
-     frontier through its out-arcs as one array step and prunes any pair
-     whose tentative distance reaches ``d(A_{i+1}, v)``.  Subpath
-     closure (strict thresholds) makes pruning safe: every prefix of a
-     shortest path to a member is itself a member, so the true distance
-     always survives.  Work is proportional to the total cluster volume
-     ``Σ|C(w)|``, not ``|centers| · n``.
+     row-wise threshold comparison.  The numpy kernel uses it for
+     unbounded levels and for levels with few centers; ``mode="full"``
+     forces it everywhere.
 
-2. **SPT parents** by one tight-arc sweep: the reference truncated
-   Dijkstra relaxes ties toward the smaller vertex id, which makes its
-   parent of ``v`` exactly ``min{u member : d(w,u) + wt(u,v) = d(w,v)}``
-   — a vectorized segmented minimum.
-
-3. **Heavy-light trees** for all clusters at once: depths by pointer
-   doubling, subtree sizes by depth-bucketed scatter-adds, children
-   ordered by one global ``(parent, -size, id)`` lexsort, DFS numbers and
-   light depths as root-path prefix sums (pointer doubling again), and
-   light-port sequences filled level-by-level with a forward-fill over
-   the DFS order.
+2. **SPT parents and heavy-light trees**, after one global key sort of
+   the entries.  The reference truncated Dijkstra relaxes ties toward
+   the smaller vertex id, which makes its parent of ``v`` exactly
+   ``min{u member : d(w,u) + wt(u,v) = d(w,v)}``.  Natively,
+   ``tz_cluster_trees`` makes one linear pass per cluster: the first
+   tight in-cluster neighbour in ``v``'s sorted row, child lists by
+   counting sort, subtree sizes over a BFS order, children ordered by
+   ``(-size, id)``, DFS numbers and light depths as sibling prefix
+   sums, and each light-port sequence copied from the parent's.  The
+   numpy reference computes the same columns for all clusters at once:
+   parents as a vectorized segmented minimum, depths by pointer
+   doubling, sizes by depth-bucketed scatter-adds, one global
+   ``(parent, -size, id)`` lexsort, DFS numbers and light depths as
+   root-path prefix sums, and light ports by a forward fill per light
+   level over the DFS order.
 
 All tie-breaks replicate the per-node reference bit-for-bit, which is
 what ``tests/test_builder_equivalence.py`` enforces.  The determinism
@@ -53,14 +61,16 @@ from ...graphs.graph import Graph
 from ...graphs.ports import PortedGraph
 from ...kernels import note_weight_fallback, resolve_kernel
 from ...kernels.frontier import frontier_sweep_native
+from ...kernels.trees import cluster_trees_native
 from ...obs import TELEMETRY
 from ..landmarks import Hierarchy
 from .arrays import SchemeArrays, assemble_arrays
 from .reference import reference_arrays
 
-#: Levels with at most this many centers use the *full* engine even when
-#: their thresholds are finite (a handful of C-level Dijkstra rows beats
-#: setting up the frontier machinery).
+#: On the numpy kernel, levels with at most this many centers use the
+#: *full* engine even when their thresholds are finite (a handful of
+#: C-level Dijkstra rows beats the numpy frontier machinery; the native
+#: sweep beats both).
 FULL_CENTER_LIMIT = 32
 
 #: Cap on materialized cells / arc expansions per chunk (memory bound).
@@ -424,6 +434,64 @@ def _tree_arrays(
     }
 
 
+def _level_engine(kernel: str, mode: str, centers: np.ndarray, thr: np.ndarray) -> str:
+    """``"full"`` (scipy rows) or ``"pruned"`` (the frontier sweep).
+
+    The native sweep is faster than scipy rows on every level, unbounded
+    ones included, so only ``mode="full"`` sends it to scipy; the numpy
+    sweep gives way to scipy on unbounded levels (infinite thresholds
+    never prune) and, under ``"auto"``, on levels with few centers.
+    """
+    if mode == "full":
+        return "full"
+    if kernel == "native":
+        return "pruned"
+    if bool(np.all(np.isinf(thr))) or (
+        mode == "auto" and centers.shape[0] <= FULL_CENTER_LIMIT
+    ):
+        return "full"
+    return "pruned"
+
+
+def _level_clusters(
+    graph: Graph, centers: np.ndarray, thr: np.ndarray, level: int, engine: str, kernel: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted ``(keys, dist)`` entries of one level's clusters."""
+    if engine == "full":
+        return _full_level(graph, centers, thr)
+    with TELEMETRY.span(
+        "kernel.frontier_sweep", impl=kernel, level=level, centers=int(centers.shape[0])
+    ):
+        if kernel == "native":
+            return frontier_sweep_native(graph, centers, thr)
+        return _pruned_level(graph, centers, thr)
+
+
+def _cluster_trees(
+    graph: Graph, ported: PortedGraph, keys: np.ndarray, dist: np.ndarray, kernel: str
+) -> dict:
+    """SPT parents and heavy-light records of key-sorted entries.
+
+    Returns the :func:`_tree_arrays` columns plus ``ent_parent``.  The
+    native kernel runs one linear C pass per cluster; numpy runs
+    :func:`_level_parents` and :func:`_tree_arrays`, the differential
+    reference it must match bit for bit.
+    """
+    with TELEMETRY.span("kernel.tree_pass", impl=kernel, entries=int(keys.shape[0])):
+        if kernel == "native":
+            return cluster_trees_native(graph, ported, keys, dist)
+        n = np.int64(graph.n)
+        ent_parent = _level_parents(graph, keys, dist)
+        center = keys // n
+        cl_indptr = np.zeros(graph.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(center, minlength=graph.n), out=cl_indptr[1:])
+        tree = _tree_arrays(
+            graph, ported, keys, center, keys - center * n, ent_parent, cl_indptr
+        )
+        tree["ent_parent"] = ent_parent
+        return tree
+
+
 def vectorized_arrays(
     graph: Graph,
     ported: PortedGraph,
@@ -435,14 +503,18 @@ def vectorized_arrays(
     """Construct the whole scheme as array programs (see module docstring).
 
     ``mode`` selects the per-level cluster engine: ``"auto"`` (default),
-    ``"full"`` (always batched full-graph rows) or ``"pruned"`` (always
-    the thresholded frontier sweep; the top level still uses ``full``
-    since infinite thresholds never prune).
+    ``"full"`` (always scipy's batched full-graph rows) or ``"pruned"``
+    (always the frontier sweep, except that the numpy kernel still runs
+    unbounded levels as full rows, since infinite thresholds never
+    prune).  Under ``"auto"`` the native kernel sweeps every level, the
+    unbounded top level included; the numpy kernel uses full rows for
+    unbounded levels and levels of at most ``FULL_CENTER_LIMIT`` centers.
 
-    ``kernel`` selects the frontier-sweep backend for pruned levels —
-    ``"numpy"`` (the differential reference), ``"native"`` (the compiled
-    C sweep) or ``"auto"`` (see :mod:`repro.kernels`); the resulting
-    arrays are bit-for-bit identical either way.
+    ``kernel`` selects the backend of the frontier sweep and the
+    cluster-tree pass — ``"numpy"`` (the differential reference),
+    ``"native"`` (the compiled C kernels) or ``"auto"`` (see
+    :mod:`repro.kernels`); the resulting arrays are bit-for-bit identical
+    either way.
     """
     if mode not in ("auto", "full", "pruned"):
         raise PreprocessingError(f"unknown vectorized builder mode {mode!r}")
@@ -456,65 +528,39 @@ def vectorized_arrays(
 
     tm = TELEMETRY
     n = graph.n
-    key_parts, dist_parts, parent_parts = [], [], []
+    key_parts, dist_parts = [], []
     for i in range(hierarchy.k):
         lvl = hierarchy.levels[i]
         centers = np.asarray(lvl[hierarchy.level_of[lvl] == i], dtype=np.int64)
         if centers.shape[0] == 0:
             continue
         thr = hierarchy.dist[i + 1]
-        unbounded = bool(np.all(np.isinf(thr)))
-        use_full = mode == "full" or unbounded or (
-            mode == "auto" and centers.shape[0] <= FULL_CENTER_LIMIT
-        )
-        engine = "full" if use_full else "pruned"
+        engine = _level_engine(kernel, mode, centers, thr)
         with tm.span(
             "build.clusters", level=i, engine=engine, centers=int(centers.shape[0])
         ):
-            if use_full:
-                keys, dist = _full_level(graph, centers, thr)
-            else:
-                with tm.span(
-                    "kernel.frontier_sweep",
-                    impl=kernel,
-                    level=i,
-                    centers=int(centers.shape[0]),
-                ):
-                    keys, dist = (
-                        frontier_sweep_native(graph, centers, thr)
-                        if kernel == "native"
-                        else _pruned_level(graph, centers, thr)
-                    )
+            keys, dist = _level_clusters(graph, centers, thr, i, engine, kernel)
         tm.count("build.cluster_entries", int(keys.shape[0]))
         key_parts.append(keys)
         dist_parts.append(dist)
-        with tm.span("build.parents", level=i):
-            parent_parts.append(_level_parents(graph, keys, dist))
 
     keys = np.concatenate(key_parts) if key_parts else np.zeros(0, dtype=np.int64)
     dist = np.concatenate(dist_parts) if dist_parts else np.zeros(0)
-    ent_parent = (
-        np.concatenate(parent_parts) if parent_parts else np.zeros(0, dtype=np.int64)
-    )
     order = np.argsort(keys, kind="stable")
-    keys, dist, ent_parent = keys[order], dist[order], ent_parent[order]
+    keys, dist = keys[order], dist[order]
     ent_center = keys // np.int64(n)
-    ent_member = keys - ent_center * np.int64(n)
     cl_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ent_center, minlength=n), out=cl_indptr[1:])
 
     with tm.span("build.trees", entries=int(keys.shape[0])):
-        tree = _tree_arrays(
-            graph, ported, keys, ent_center, ent_member, ent_parent, cl_indptr
-        )
+        tree = _cluster_trees(graph, ported, keys, dist, kernel)
     with tm.span("build.assemble"):
         return assemble_arrays(
             graph,
             ported,
             hierarchy,
             cl_indptr=cl_indptr,
-            ent_member=ent_member,
+            ent_member=keys - ent_center * np.int64(n),
             ent_dist=dist,
-            ent_parent=ent_parent,
             **tree,
         )

@@ -1,9 +1,10 @@
-"""Compiled kernels for the three hottest loops, behind a differential flag.
+"""Compiled kernels for the four hottest loops, behind a differential flag.
 
 The router's tree commit and synchronized hop loop
 (``sim/engine/batch.py``, wrapped in :mod:`.hop`) and the builder's
-thresholded frontier sweep (``core/build/vectorized.py``, wrapped in
-:mod:`.frontier`) each have a native implementation in ``_native.c``,
+thresholded frontier sweep and cluster-tree pass
+(``core/build/vectorized.py``, wrapped in :mod:`.frontier` and
+:mod:`.trees`) each have a native implementation in ``_native.c``,
 compiled on demand with the system C toolchain and loaded through
 ctypes (:mod:`._build`).  The numpy paths remain the bit-for-bit
 differential reference — the same contract the vectorized builder holds
@@ -19,7 +20,8 @@ with a ``kernel.fallback`` telemetry counter and a
 :class:`KernelFallbackWarning`.  A ``kernel=`` selector survives only at
 the forks the differential suites compare:
 :class:`~repro.sim.engine.batch.BatchRouter` (commit and hop loop) and
-:func:`~repro.core.build.vectorized.vectorized_arrays` (frontier sweep):
+:func:`~repro.core.build.vectorized.vectorized_arrays` (frontier sweep
+and cluster-tree pass):
 
 * ``"numpy"`` — always the pure-numpy reference path.
 * ``"native"`` — the compiled path; raises

@@ -100,6 +100,14 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.tz_frontier_sweep.argtypes = (
         [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR] + [_PPTR, _PPTR] + [_PTR]
     )
+    lib.tz_cluster_trees.restype = _I64
+    lib.tz_cluster_trees.argtypes = (
+        [_I64, _I64]  # n, count
+        + [_PTR] * 6  # keys, dist, indptr, adj, wts, port_of_arc
+        + [_PTR] * 11  # parent, parent/heavy epos, heavy vertex, f, finish,
+        #                heavy finish, light depth, parent/heavy port, lp_indptr
+        + [_PPTR]  # out lp_data
+    )
     lib.tz_free.restype = None
     lib.tz_free.argtypes = [_PTR]
 

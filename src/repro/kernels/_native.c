@@ -1,7 +1,7 @@
-/* Native kernels for the three inner loops that dominate every
+/* Native kernels for the four inner loops that dominate every
  * benchmark: the router's tree commit and synchronized hop loop
  * (sim/engine/batch.py) and the builder's thresholded frontier sweep
- * (core/build/vectorized.py).
+ * and cluster-tree pass (core/build/vectorized.py).
  *
  * Deliberately plain C99 + libc, no Python.h: the library is loaded
  * through ctypes, so a bare `cc -O3 -fPIC -shared` against the system
@@ -31,6 +31,12 @@
  *   schedule — Dijkstra, the numpy synchronized sweep, or this FIFO
  *   queue — reaches the identical least fixpoint, value by value, and
  *   the strict `nd < thr[v]` prune admits exactly the same pairs.
+ * - tz_cluster_trees computes each SPT parent from the same float64 sum
+ *   d(w,u) + wt and exact equality as the numpy tight-arc sweep (the
+ *   arc's weight is stored once per edge, addition commutes), takes the
+ *   same minimum id, and orders children by the same distinct
+ *   (-size, id) key as the numpy lexsort; everything after that is
+ *   integer arithmetic.
  *
  * The hop loop is memory-latency-bound (every hop gathers from tables
  * far larger than cache), so it interleaves a block of rows and issues
@@ -710,7 +716,251 @@ int64_t tz_frontier_sweep(
     return count;
 }
 
-/* Release a buffer handed out by tz_frontier_sweep. */
+/* ------------------------------------------------------------------ */
+/* Builder cluster-tree pass                                           */
+/* ------------------------------------------------------------------ */
+
+/* Return codes of tz_cluster_trees: keep in sync with kernels/trees.py. */
+#define TREES_OOM (-1)
+#define TREES_ORPHAN (-2)
+
+/* Vertex -> entry slot of the cluster being built, valid while stamp
+ * equals that cluster's first entry index. */
+typedef struct {
+    int64_t stamp;
+    int64_t local;
+} vslot;
+
+/* SPT parents and §2 heavy-light records of every cluster, one linear
+ * pass per cluster over its key-sorted entries [lo, hi):
+ *
+ * 1. parent of member v: the smallest-id member u with
+ *    dist(u) + wt(v,u) == dist(v).  v's adjacency row is sorted by head,
+ *    so the first tight in-cluster neighbour is the minimum; wt(v,u) is
+ *    the same float64 as wt(u,v) and IEEE addition commutes, so the sum
+ *    is the one the numpy tight-arc sweep compares;
+ * 2. child lists by counting sort, a BFS order from the center, and
+ *    subtree sizes accumulated back to front over it;
+ * 3. each child list sorted by (-size, id) — the heavy child first;
+ * 4. DFS numbers without a DFS: in BFS order (parents first) the j-th
+ *    child of x gets f(x) + 1 + the sizes of children 0..j-1, and light
+ *    depth grows by one at every child but the first;
+ * 5. light-port sequences: in BFS order each entry copies its parent's
+ *    sequence and, when it is a light child, appends the port at the
+ *    parent toward it.
+ *
+ * Outputs are E-sized columns the caller allocates (lp_indptr E+1);
+ * lp_data grows here and is handed out through *out_lp (free with
+ * tz_free).  Returns its length, TREES_OOM, or TREES_ORPHAN when some
+ * non-center entry has no tight in-cluster predecessor (or is not
+ * connected to its center through them). */
+int64_t tz_cluster_trees(
+    int64_t n,
+    int64_t count,                   /* E */
+    const int64_t *keys,             /* (E) sorted center * n + member */
+    const double *dist,              /* (E) */
+    const int64_t *indptr,
+    const int64_t *adj,
+    const double *wts,
+    const int64_t *port_of_arc,
+    int64_t *parent,                 /* out (E): parent vertex, -1 at root */
+    int64_t *parent_epos,            /* out (E), and the eight below */
+    int64_t *heavy_epos,
+    int64_t *heavy_vertex,
+    int64_t *f,
+    int64_t *finish,
+    int64_t *heavy_finish,
+    int64_t *light_depth,
+    int64_t *parent_port,
+    int64_t *heavy_port,
+    int64_t *lp_indptr,              /* out (E+1) */
+    int64_t **out_lp)
+{
+    int64_t smax = 0;
+    for (int64_t lo = 0, hi; lo < count; lo = hi) {
+        const int64_t w = keys[lo] / n;
+        for (hi = lo + 1; hi < count && keys[hi] / n == w; hi++)
+            ;
+        if (hi - lo > smax)
+            smax = hi - lo;
+    }
+    const size_t cap = (size_t)(smax ? smax : 1);
+    vslot *slot = malloc((size_t)(n ? n : 1) * sizeof(vslot));
+    int64_t *par = malloc(cap * sizeof(int64_t));       /* local parent */
+    int64_t *cptr = malloc((cap + 1) * sizeof(int64_t)); /* child CSR */
+    int64_t *kids = malloc(cap * sizeof(int64_t));
+    int64_t *order = malloc(cap * sizeof(int64_t));     /* BFS order */
+    int64_t *size = malloc(cap * sizeof(int64_t));
+    int64_t *down = malloc(cap * sizeof(int64_t)); /* parent's port to it */
+    int64_t *lp = NULL;
+    int64_t lp_cap = 0;
+    int64_t rc = 0;
+    if (!slot || !par || !cptr || !kids || !order || !size || !down)
+        rc = TREES_OOM;
+    for (int64_t v = 0; rc == 0 && v < n; v++)
+        slot[v].stamp = -1;
+    lp_indptr[0] = 0;
+    for (int64_t lo = 0, hi; rc == 0 && lo < count; lo = hi) {
+        const int64_t w = keys[lo] / n, base = w * n;
+        for (hi = lo + 1; hi < count && keys[hi] / n == w; hi++)
+            ;
+        const int64_t s = hi - lo;
+        const int full = s == n; /* member v sits at local index v */
+        if (!full)
+            for (int64_t i = 0; i < s; i++) {
+                slot[keys[lo + i] - base].stamp = lo;
+                slot[keys[lo + i] - base].local = i;
+            }
+
+        /* 1. parents, ports, child counts */
+        int64_t root = -1;
+        memset(cptr, 0, (size_t)(s + 1) * sizeof(int64_t));
+        for (int64_t i = 0; i < s; i++) {
+            const int64_t e = lo + i, v = keys[e] - base;
+            if (v == w) {
+                root = i;
+                par[i] = -1;
+                down[i] = 0;
+                parent[e] = -1;
+                parent_epos[e] = -1;
+                parent_port[e] = 0;
+                continue;
+            }
+            const double dv = dist[e];
+            int64_t a = indptr[v], j = -1;
+            for (const int64_t a_end = indptr[v + 1]; a < a_end; a++) {
+                const int64_t u = adj[a];
+                const int64_t ju =
+                    full ? u : (slot[u].stamp == lo ? slot[u].local : -1);
+                if (ju >= 0 && dist[lo + ju] + wts[a] == dv) {
+                    j = ju;
+                    break;
+                }
+            }
+            if (j < 0) {
+                rc = TREES_ORPHAN;
+                break;
+            }
+            const int64_t u = adj[a];
+            par[i] = j;
+            cptr[j + 1]++;
+            parent[e] = u;
+            parent_epos[e] = lo + j;
+            parent_port[e] = port_of_arc[a];
+            down[i] = port_of_arc[find_key(adj, indptr[u], indptr[u + 1], v)];
+        }
+        if (rc == 0 && root < 0)
+            rc = TREES_ORPHAN;
+        if (rc)
+            break;
+
+        /* 2. child lists (ascending id), BFS order, subtree sizes */
+        for (int64_t i = 0; i < s; i++)
+            cptr[i + 1] += cptr[i];
+        for (int64_t i = 0; i < s; i++)
+            if (par[i] >= 0)
+                kids[cptr[par[i]]++] = i;
+        for (int64_t i = s; i > 0; i--) /* undo the fill's cursor shift */
+            cptr[i] = cptr[i - 1];
+        cptr[0] = 0;
+        int64_t tail = 1;
+        order[0] = root;
+        for (int64_t h = 0; h < tail; h++) {
+            const int64_t x = order[h];
+            for (int64_t c = cptr[x]; c < cptr[x + 1]; c++)
+                order[tail++] = kids[c];
+        }
+        if (tail != s) { /* some entry's tight parents never reach w */
+            rc = TREES_ORPHAN;
+            break;
+        }
+        for (int64_t i = 0; i < s; i++)
+            size[i] = 1;
+        for (int64_t h = s - 1; h > 0; h--)
+            size[par[order[h]]] += size[order[h]];
+
+        /* 3. heavy-first child order: (-size, id) as one distinct key */
+        for (int64_t x = 0; x < s; x++) {
+            const int64_t c0 = cptr[x], c1 = cptr[x + 1];
+            if (c1 - c0 < 2)
+                continue;
+            for (int64_t c = c0; c < c1; c++)
+                kids[c] = (s - size[kids[c]]) * s + kids[c];
+            sort_ids(kids + c0, c1 - c0);
+            for (int64_t c = c0; c < c1; c++)
+                kids[c] %= s;
+        }
+
+        /* 4. DFS intervals, heavy links, light depth */
+        int64_t *F = f + lo, *LD = light_depth + lo;
+        F[root] = 0;
+        LD[root] = 0;
+        for (int64_t h = 0; h < s; h++) {
+            const int64_t x = order[h], e = lo + x;
+            int64_t next = F[x] + 1;
+            for (int64_t c = cptr[x]; c < cptr[x + 1]; c++) {
+                F[kids[c]] = next;
+                LD[kids[c]] = LD[x] + (c > cptr[x]);
+                next += size[kids[c]];
+            }
+            finish[e] = F[x] + size[x] - 1;
+            if (cptr[x + 1] > cptr[x]) {
+                const int64_t hc = kids[cptr[x]];
+                heavy_epos[e] = lo + hc;
+                heavy_vertex[e] = keys[lo + hc] - base;
+                heavy_finish[e] = F[x] + size[hc];
+                heavy_port[e] = down[hc];
+            } else {
+                heavy_epos[e] = -1;
+                heavy_vertex[e] = -1;
+                heavy_finish[e] = F[x];
+                heavy_port[e] = 0;
+            }
+        }
+
+        /* 5. light-port sequences */
+        for (int64_t i = 0; i < s; i++)
+            lp_indptr[lo + i + 1] = lp_indptr[lo + i] + LD[i];
+        if (lp_indptr[hi] > lp_cap) {
+            int64_t nc = lp_cap ? lp_cap * 2 : 4096;
+            while (nc < lp_indptr[hi])
+                nc *= 2;
+            int64_t *nl = realloc(lp, (size_t)nc * sizeof(int64_t));
+            if (!nl) {
+                rc = TREES_OOM;
+                break;
+            }
+            lp = nl;
+            lp_cap = nc;
+        }
+        for (int64_t h = 1; h < s; h++) {
+            const int64_t x = order[h], p = par[x];
+            if (LD[x] == 0)
+                continue;
+            int64_t *dst = lp + lp_indptr[lo + x];
+            if (LD[p])
+                memcpy(dst, lp + lp_indptr[lo + p],
+                       (size_t)LD[p] * sizeof(int64_t));
+            if (LD[x] > LD[p])
+                dst[LD[p]] = down[x];
+        }
+    }
+    free(slot);
+    free(par);
+    free(cptr);
+    free(kids);
+    free(order);
+    free(size);
+    free(down);
+    if (rc) {
+        free(lp);
+        return rc;
+    }
+    *out_lp = lp;
+    return lp_indptr[count];
+}
+
+/* Release a buffer handed out by tz_frontier_sweep or tz_cluster_trees. */
 void tz_free(void *p)
 {
     free(p);

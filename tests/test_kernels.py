@@ -22,7 +22,10 @@ Four layers:
    loaded scheme at once;
 3. **builder differential** — ``vectorized_arrays(mode="pruned")``
    field equality between kernels (``mode`` forced past
-   ``FULL_CENTER_LIMIT`` so small graphs exercise the sweep);
+   ``FULL_CENTER_LIMIT`` so small graphs exercise the sweep), and the
+   native cluster-tree pass ≡ numpy ``_level_parents`` +
+   ``_tree_arrays`` column by column: ties, long child lists, a
+   200,000-deep path, a single vertex, and orphan entries;
 4. **degenerate inputs** — zero-pair matrices, zero-trial sweeps,
    single-vertex/edgeless graphs and all-dead-edge masks return
    identically-shaped results instead of raising, on every kernel; and
@@ -45,12 +48,17 @@ from hypothesis import strategies as st
 from strategies import FAMILIES, family_from_seed, ks, seeds
 
 from repro.baselines.tree_spanner import build_single_tree_scheme
-from repro.core.build import SchemeArrays, build_scheme
+from repro.core.build import SchemeArrays, build_arrays, build_scheme, patch_arrays
 from repro.core.build.arrays import scheme_from_arrays
-from repro.core.build.vectorized import FULL_CENTER_LIMIT, vectorized_arrays
+from repro.core.build.vectorized import (
+    FULL_CENTER_LIMIT,
+    _cluster_trees,
+    vectorized_arrays,
+)
 from repro.core.landmarks import build_hierarchy
-from repro.errors import KernelError, RoutingError
+from repro.errors import KernelError, PreprocessingError, RoutingError
 from repro.graphs import generators as gen
+from repro.graphs.delta import GraphDelta
 from repro.graphs.graph import Graph
 from repro.graphs.ports import assign_ports
 from repro.kernels import (
@@ -88,6 +96,15 @@ ARRAY_FIELDS = [
     for f in dataclasses.fields(SchemeArrays)
     if f.name not in ("n", "k", "hierarchy")
 ]
+
+
+def assert_arrays_equal(a, b, context=""):
+    """Every :class:`SchemeArrays` column equal, dtypes included."""
+    assert (a.n, a.k) == (b.n, b.k)
+    for name in ARRAY_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, f"{name} dtype differs {context}"
+        assert np.array_equal(x, y), f"{name} differs {context}"
 
 
 def assert_results_equal(a, b, context=""):
@@ -525,11 +542,7 @@ class TestFrontierSweepDifferential:
         # (these graphs are far smaller than 32-center levels require).
         ref = vectorized_arrays(graph, ported, hierarchy, mode="pruned", kernel="numpy")
         nat = vectorized_arrays(graph, ported, hierarchy, mode="pruned", kernel="native")
-        assert ref.n == nat.n and ref.k == nat.k
-        for name in ARRAY_FIELDS:
-            assert np.array_equal(getattr(ref, name), getattr(nat, name)), (
-                f"{name} differs (family={family} k={k} seed={seed})"
-            )
+        assert_arrays_equal(ref, nat, f"(family={family} k={k} seed={seed})")
 
     def test_auto_mode_large_level_paths_agree(self):
         # A graph big enough that mode="auto" actually picks "pruned".
@@ -538,8 +551,30 @@ class TestFrontierSweepDifferential:
         hierarchy = build_hierarchy(graph, 3, make_rng(5))
         ref = vectorized_arrays(graph, ported, hierarchy, kernel="numpy")
         nat = vectorized_arrays(graph, ported, hierarchy, kernel="native")
-        for name in ARRAY_FIELDS:
-            assert np.array_equal(getattr(ref, name), getattr(nat, name)), name
+        assert_arrays_equal(ref, nat)
+
+    def test_native_sweeps_every_level(self):
+        # The native sweep serves the unbounded top level and small levels
+        # too; numpy keeps scipy's full rows for them.
+        graph = family_from_seed(9, "gnp", n=40)
+        ported = assign_ports(graph, "sorted")
+        hierarchy = build_hierarchy(graph, 3, make_rng(9))
+        engines = {}
+        for kernel in ("native", "numpy"):
+            TELEMETRY.reset()
+            TELEMETRY.enable()
+            try:
+                vectorized_arrays(graph, ported, hierarchy, kernel=kernel)
+                engines[kernel] = [
+                    sp.attrs["engine"]
+                    for sp, _ in TELEMETRY.spans()
+                    if sp.name == "build.clusters"
+                ]
+            finally:
+                TELEMETRY.disable()
+                TELEMETRY.reset()
+        assert engines["native"] == ["pruned"] * len(engines["numpy"])
+        assert engines["numpy"][-1] == "full"
 
     def test_frontier_span_and_counters(self):
         graph = family_from_seed(9, "gnp", n=40)
@@ -560,6 +595,115 @@ class TestFrontierSweepDifferential:
             TELEMETRY.reset()
         assert impls == {"native"}
         assert settled > 0
+
+
+# ----------------------------------------------------------------------
+# 3b. Builder differential: native cluster-tree pass ≡ numpy stages
+# ----------------------------------------------------------------------
+def assert_tree_pass_equal(graph, ported, keys, dist, context=""):
+    """Native ``tz_cluster_trees`` ≡ numpy ``_level_parents`` +
+    ``_tree_arrays`` on the same key-sorted entries, column by column;
+    returns the native columns."""
+    want = _cluster_trees(graph, ported, keys, dist, "numpy")
+    got = _cluster_trees(graph, ported, keys, dist, "native")
+    assert sorted(want) == sorted(got)
+    for name, col in want.items():
+        assert np.array_equal(col, got[name]), f"{name} differs {context}"
+    return got
+
+
+@needs_native
+class TestTreePassDifferential:
+    @given(seed=seeds(), family=st.sampled_from(FAMILIES), k=ks(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_every_column_bitwise(self, seed, family, k):
+        graph = family_from_seed(seed, family, n=44)
+        ported = assign_ports(graph, "random", rng=seed)
+        ref = arrays_on(graph, k, ported, seed, "numpy")
+        nat = arrays_on(graph, k, ported, seed, "native")
+        context = f"(family={family} k={k} seed={seed})"
+        assert_arrays_equal(ref, nat, context)
+        assert_tree_pass_equal(graph, ported, ref.entry_keys, ref.ent_dist, context)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_unit_weight_grid_ties(self, k):
+        # Unit weights tie almost every vertex between two tight parents
+        # and many siblings on subtree size.
+        graph = gen.grid2d(7, 7)
+        ported = assign_ports(graph, "random", rng=k)
+        ref = arrays_on(graph, k, ported, k, "numpy")
+        assert_arrays_equal(ref, arrays_on(graph, k, ported, k, "native"))
+
+    def test_star_one_long_child_list(self):
+        # k=1: in every leaf's cluster the hub has 298 children to order.
+        graph = gen.star_tree(300)
+        ported = assign_ports(graph, "random", rng=1)
+        ref = arrays_on(graph, 1, ported, 1, "numpy")
+        assert_arrays_equal(ref, arrays_on(graph, 1, ported, 1, "native"))
+        # All but the hub's heavy child are light: 298 in the hub's own
+        # cluster, 297 in each leaf's.
+        assert int((ref.tr_light_depth == 1).sum()) == 298 + 299 * 297
+
+    def test_deep_path_cluster_without_recursion(self):
+        n = 200_000
+        graph = gen.path_tree(n)
+        ported = assign_ports(graph, "sorted")
+        keys = np.arange(n, dtype=np.int64)  # one full cluster, center 0
+        got = assert_tree_pass_equal(graph, ported, keys, keys.astype(np.float64))
+        assert np.array_equal(got["tr_f"], keys)
+        assert (got["tr_finish"] == n - 1).all()
+        assert got["lp_data"].shape == (0,)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_single_vertex(self, k):
+        graph = Graph(1, [], [])
+        ported = assign_ports(graph, "sorted")
+        ref = arrays_on(graph, k, ported, 0, "numpy")
+        assert_arrays_equal(ref, arrays_on(graph, k, ported, 0, "native"))
+        assert ref.entry_count == 1
+
+    def test_orphan_member_raises_on_both_kernels(self):
+        graph = gen.path_tree(3)  # 0 - 1 - 2, unit weights
+        ported = assign_ports(graph, "sorted")
+        keys = np.arange(3, dtype=np.int64)  # C(0) = {0, 1, 2}
+        dist = np.array([0.0, 1.0, 5.0])  # 2 has no tight predecessor
+        for kernel in ("numpy", "native"):
+            with pytest.raises(PreprocessingError, match="orphan"):
+                _cluster_trees(graph, ported, keys, dist, kernel)
+
+    def test_tight_cycle_raises_natively(self):
+        # inf + 1 == inf makes 1 and 2 each other's tight parent, so no
+        # tight path reaches the center.  (numpy's pointer doubling
+        # never terminates on such input; the builder cannot emit it.)
+        graph = gen.path_tree(3)
+        ported = assign_ports(graph, "sorted")
+        keys = np.arange(3, dtype=np.int64)
+        with pytest.raises(PreprocessingError, match="orphan"):
+            _cluster_trees(graph, ported, keys, np.array([0.0, np.inf, np.inf]), "native")
+
+    def test_tree_pass_span_under_build_and_patch(self):
+        graph = family_from_seed(9, "gnp", n=40)
+        ported = assign_ports(graph, "sorted")
+        u, v = (int(x) for x in graph.edges[0])
+        delta = GraphDelta(weight_updates=((u, v, float(graph.edge_weights[0] + 1)),))
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            arrays = build_arrays(graph, 3, ported=ported, rng=9)
+            patch_arrays(arrays, graph, delta, ported=ported)
+            passes = {
+                sp.name: [c for c in sp.children if c.name == "kernel.tree_pass"]
+                for sp, _ in TELEMETRY.spans()
+                if sp.name in ("build.trees", "patch.rebuild")
+            }
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert sorted(passes) == ["build.trees", "patch.rebuild"]
+        for parent, kids in passes.items():
+            assert len(kids) == 1, parent
+            assert kids[0].attrs["impl"] == "native", parent
+            assert kids[0].attrs["entries"] >= 1, parent
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,15 @@ The load-bearing contract here is the **differential gate**: for any
 delta the patch builder accepts, ``patch_arrays`` must produce arrays
 *bit-for-bit identical* to a fresh vectorized build of the mutated
 graph under the mapped hierarchy — checked through the store's
-bit-exact :func:`~repro.store.serialize_digest`.  Everything else
+bit-exact :func:`~repro.store.serialize_digest` and column by column,
+dtypes included.  Everything else
 (version lineages, pointer swaps, churn epochs) layers on top of that
 equality.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import warnings
 
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import kernels
-from repro.core.build import build_arrays, patch_arrays
+from repro.core.build import SchemeArrays, build_arrays, patch_arrays
 from repro.errors import GraphError, PreprocessingError, RoutingError
 from repro.graphs.delta import GraphDelta, apply_delta
 from repro.graphs.ports import assign_ports
@@ -42,11 +44,14 @@ from strategies import (
 GATE_FAMILIES = ("gnp", "ba", "grid")
 
 
-def _fresh_digest(patched):
-    """Digest of a from-scratch vectorized build of the patched state.
+def assert_matches_fresh(patched):
+    """The patch ≡ a from-scratch vectorized build of the patched state:
+    the same store digest and every :class:`SchemeArrays` column.
 
-    Uses the patch result's own (mapped) hierarchy and ports, so the
-    only difference from the patch is *how* the arrays were produced.
+    The fresh build uses the patch result's own (mapped) hierarchy and
+    ports, so the only difference is *how* the arrays were produced.
+    The digest covers the dict world; the columns add what it does not
+    see, such as the entry links.
     """
     fresh = build_arrays(
         patched.graph,
@@ -54,23 +59,42 @@ def _fresh_digest(patched):
         ported=patched.ported,
         hierarchy=patched.hierarchy,
     )
-    return serialize_digest(patched.graph, patched.ported, fresh)
+    got = serialize_digest(patched.graph, patched.ported, patched.arrays)
+    assert got == serialize_digest(patched.graph, patched.ported, fresh)
+    assert_columns_equal(patched.arrays, fresh)
 
 
-def _patch_some_seed(family, k, classes, tries=10):
-    """First seed in range whose delta the patch builder accepts."""
+def _accepted_patch(family, k, classes, tries=10):
+    """First seed in range whose delta the patch builder accepts, as
+    ``(patch inputs, patch result)``."""
     for seed in range(tries):
         graph = family_from_seed(seed, family)
         arrays = build_arrays(graph, k, rng=seed)
         ported = assign_ports(graph, "sorted")
         delta = delta_from_seed(graph, seed, classes=classes)
         try:
-            return patch_arrays(arrays, graph, delta, ported=ported)
+            patched = patch_arrays(arrays, graph, delta, ported=ported)
         except (PreprocessingError, GraphError):
             continue
+        return (arrays, graph, delta, ported), patched
     pytest.fail(
         f"no accepted delta in {tries} seeds for {family} k={k} {classes}"
     )
+
+
+def _patch_some_seed(family, k, classes, tries=10):
+    """First seed in range whose delta the patch builder accepts."""
+    return _accepted_patch(family, k, classes, tries)[1]
+
+
+def assert_columns_equal(a, b):
+    """Every :class:`SchemeArrays` column equal, dtypes included."""
+    assert (a.n, a.k) == (b.n, b.k)
+    for f in dataclasses.fields(SchemeArrays):
+        if f.name in ("n", "k", "hierarchy"):
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
 
 
 class TestGraphDelta:
@@ -126,14 +150,12 @@ class TestPatchDifferentialGate:
     @pytest.mark.parametrize("cls", DELTA_CLASSES)
     def test_single_class(self, family, k, cls):
         patched = _patch_some_seed(family, k, (cls,))
-        got = serialize_digest(patched.graph, patched.ported, patched.arrays)
-        assert got == _fresh_digest(patched)
+        assert_matches_fresh(patched)
 
     @pytest.mark.parametrize("family", GATE_FAMILIES)
     def test_compound_delta(self, family):
         patched = _patch_some_seed(family, 3, DELTA_CLASSES)
-        got = serialize_digest(patched.graph, patched.ported, patched.arrays)
-        assert got == _fresh_digest(patched)
+        assert_matches_fresh(patched)
 
     def test_stats_account_for_every_entry(self):
         patched = _patch_some_seed("gnp", 2, ("weight",))
@@ -165,8 +187,7 @@ class TestPatchProperties:
             patched = patch_arrays(arrays, graph, delta, ported=ported)
         except (PreprocessingError, GraphError):
             return  # explicit refusal (disconnection, empty level) is fine
-        got = serialize_digest(patched.graph, patched.ported, patched.arrays)
-        assert got == _fresh_digest(patched)
+        assert_matches_fresh(patched)
 
     @given(family_graphs(), graph_deltas())
     @settings(max_examples=10, deadline=None)
@@ -550,6 +571,50 @@ class TestBackendKernelGate:
             assert sweeps, f"no frontier-sweep span recorded ({impl})"
             assert all(sp.attrs.get("impl") == impl for sp in sweeps)
             assert any(sp.attrs.get("level") == 0 for sp in sweeps)
+
+
+class TestPatchKernelParity:
+    """``patch_arrays`` on the native kernel (frontier sweep and
+    cluster-tree pass) ≡ the numpy path the veto forces, every column."""
+
+    @pytest.mark.parametrize(
+        "classes", [("weight",), ("edge-add", "edge-drop"), ("node-drop", "node-add")]
+    )
+    def test_native_patch_equals_numpy_patch(self, classes, veto_native):
+        if not kernels.available():
+            pytest.skip(f"native kernel unavailable: {kernels.native_error()}")
+        (arrays, graph, delta, ported), patched = _accepted_patch("gnp", 3, classes)
+        ref = veto_native(lambda: patch_arrays(arrays, graph, delta, ported=ported))
+        assert_columns_equal(patched.arrays, ref.arrays)
+
+    def test_in_place_patch_that_moves_light_depths(self, veto_native):
+        """A weight bump that re-shapes dirty trees without changing any
+        member set: the in-place path splices the light-port payload
+        around several rebuilt runs."""
+        graph = family_from_seed(0, "gnp")
+        ported = assign_ports(graph, "sorted")
+        arrays = build_arrays(graph, 3, ported=ported, rng=0)
+        u, v = (int(x) for x in graph.edges[6])
+        delta = GraphDelta(weight_updates=((u, v, float(graph.edge_weights[6] + 1)),))
+
+        def patch():
+            return patch_arrays(arrays, graph, delta, ported=ported)
+
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            patched = patch()
+            modes = [
+                sp.attrs["mode"] for sp, _ in TELEMETRY.spans() if sp.name == "patch.assemble"
+            ]
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert modes == ["in-place"]
+        assert patched.stats["dirty_clusters"] > 1
+        assert not np.array_equal(patched.arrays.tr_light_depth, arrays.tr_light_depth)
+        assert_matches_fresh(patched)
+        assert_columns_equal(patched.arrays, veto_native(patch).arrays)
 
 
 class TestChurnScenario:
