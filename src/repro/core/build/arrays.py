@@ -238,8 +238,8 @@ def assemble_arrays(
     the member maps, label positions and bunch CSR are computed the same
     way for both builders (so they cannot mask a core-field mismatch).
     ``bunch_order`` optionally supplies the CSR→CSC permutation when the
-    caller already holds it (the patch fast path passes the previous
-    scheme's ``bunch_epos`` when cluster membership is unchanged); it is
+    caller already holds it (the patch splice passes the parent scheme's
+    ``bunch_epos`` when it shares the parent's member column); it is
     trusted, so only pass a permutation known to match ``(cl_indptr,
     ent_member)``.
     """

@@ -8,7 +8,8 @@ the delta can possibly touch and splicing the untouched entry rows
 across.  The output is **bit-for-bit identical** to a fresh
 :func:`~repro.core.build.vectorized.vectorized_arrays` run on the
 mutated graph with the surviving landmark levels
-(``tests/test_update.py`` gates this on the ``core/serialize`` digest).
+(``tests/test_update.py`` gates this on the store's serialize digest and
+on every column, dtypes included).
 
 Why a conservative *touched set* suffices
 -----------------------------------------
@@ -41,18 +42,26 @@ heavy-light stages).  Per-center results are engine- and
 batching-independent by the float64-exact determinism contract, so the
 dirty subset may be rebuilt with whichever engine fits its size.
 
-Two refinements keep small deltas from degenerating into near-full
-rebuilds.  First, for **weight-only** deltas the conservative witness
-set would dirty every *top-level* cluster (a top-level center sits in
-every bunch), so those centers get an exact relevance test against
-their stored distances and are exonerated when no updated edge can
-carry a shortest path (:func:`_exonerate_unbounded`).  Second, when no
-vertex was relabeled and the rebuilt clusters kept their exact member
-sets, every entry keeps its global position, and the patched arrays
-are produced by overwriting dirty rows in copies of the old columns —
-no E-scale gather/merge at all.  Dirty clusters are ascending, disjoint
-entry ranges, so the light-port payload is spliced one slice per clean
-gap and per rebuilt run.
+Weight-only deltas get one refinement before the rebuild: the
+conservative witness set would dirty every *top-level* cluster (a
+top-level center sits in every bunch), so those centers get an exact
+relevance test against their stored distances and are exonerated when
+no updated edge can carry a shortest path (:func:`_exonerate_unbounded`).
+
+The output is then one splice.  It holds one block of entries per new
+center, in center order: a clean block copied from the parent's rows
+(members and parents relabeled through the monotone ``id_map``) or a
+dirty block from the rebuild.  Consecutive blocks whose rows are
+contiguous in one source form a *run*: a clean run ends only at a dirty
+block or at a dropped center, so ``d`` dirty clusters and ``r`` dropped
+vertices make at most ``2d + r + 1`` runs, however large E is.  Every column,
+the light-port payload included, is written one slice per run, and
+every entry link moves by its run's shift, because a link never leaves
+its block.  When no block moves (no vertex relabeled and every block
+length kept), only the dirty runs are written, into copies of the
+parent's columns.  A column whose dirty runs came back unchanged is
+shared, not copied, and so is the bunch permutation when the members
+are.
 """
 
 from __future__ import annotations
@@ -102,46 +111,35 @@ def _segment_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return starts[rep] + np.arange(total, dtype=np.int64) - ex[rep]
 
 
-def _scatter_segments(
-    dst: np.ndarray, dst_starts: np.ndarray, src: np.ndarray, src_starts: np.ndarray, lens: np.ndarray
-) -> None:
-    """Ragged copy: segment ``i`` of ``src`` into position ``dst_starts[i]``."""
-    total = int(lens.sum())
-    if total == 0:
-        return
-    rep = np.repeat(np.arange(lens.shape[0], dtype=np.int64), lens)
-    off = np.arange(total, dtype=np.int64) - (np.cumsum(lens) - lens)[rep]
-    dst[dst_starts[rep] + off] = src[src_starts[rep] + off]
+def _splice(old, new, runs, size: int, still: bool, links: bool = False) -> np.ndarray:
+    """One output column of ``size`` rows, written one slice per run.
 
+    ``runs`` holds ``(dirty, lo, length, at)``: the run's ``length``
+    rows start at ``lo`` in ``new`` (the rebuild's rows) when it is
+    dirty, in ``old`` (the parent's) when it is clean, and land at
+    ``at``.  Entry ``links`` (−1 = none) never leave their block, so
+    each moves by its run's shift ``at − lo``.  When ``still``, every
+    clean run already sits at its own rows of ``old``: only the dirty
+    runs are written, into a copy of ``old``, and ``old`` itself comes
+    back when they all match it (columns are append-only once
+    assembled, so sharing is safe).
+    """
 
-def _relink(links: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Entry links (−1 = none) re-pointed through a position map."""
-    return np.where(links >= 0, positions[np.maximum(links, 0)], -1)
+    def rows(dirty, lo, length, at):
+        seg = (new if dirty else old)[lo : lo + length]
+        if links and at != lo:
+            seg = np.where(seg >= 0, seg + np.int64(at - lo), -1)
+        return seg
 
-
-def _entry_runs(cl_indptr: np.ndarray, dirty: np.ndarray):
-    """``(starts, ends)`` of the coalesced entry ranges of ascending
-    ``dirty`` clusters."""
-    starts, ends = cl_indptr[dirty], cl_indptr[dirty + 1]
-    cut = np.ones(starts.shape[0] + 1, dtype=bool)  # cut[i]: a run starts at i
-    cut[1:-1] = starts[1:] != ends[:-1]
-    return starts[cut[:-1]], ends[cut[1:]]
-
-
-def _splice_lp(arrays, tree: dict, lp_indptr: np.ndarray, starts, ends) -> np.ndarray:
-    """Light-port payload of an in-place patch, one slice copy per run:
-    each clean gap from the old payload, each rebuilt run of entries
-    (``[starts[i], ends[i])``, in order) from the tree pass's."""
-    old_ptr, old = arrays.lp_indptr, arrays.lp_data
-    d_ptr, d_data = tree["lp_indptr"], tree["lp_data"]
-    out = np.empty(int(lp_indptr[-1]), dtype=np.int64)
-    prev = d_at = 0
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        d_end = d_at + e - s
-        out[lp_indptr[prev] : lp_indptr[s]] = old[old_ptr[prev] : old_ptr[s]]
-        out[lp_indptr[s] : lp_indptr[e]] = d_data[d_ptr[d_at] : d_ptr[d_end]]
-        prev, d_at = e, d_end
-    out[lp_indptr[prev] :] = old[old_ptr[prev] :]
+    if still:
+        runs = [r for r in runs if r[0]]
+        if all(np.array_equal(old[r[3] : r[3] + r[2]], rows(*r)) for r in runs):
+            return old
+        out = np.array(old)
+    else:
+        out = np.empty(size, dtype=old.dtype)
+    for r in runs:
+        out[r[3] : r[3] + r[2]] = rows(*r)
     return out
 
 
@@ -315,7 +313,10 @@ def patch_arrays(
     ``ported``) after ``delta``; see the module docstring for the
     classification argument.
 
-    ``new_ported`` defaults to ``assign_ports(new_graph, "sorted")``; a
+    ``new_ported`` defaults to ``ported`` rebound to the new graph
+    (``ported.rebind``) for a weight-only delta, which leaves every
+    adjacency row and so every port in place under any assignment, and
+    to ``assign_ports(new_graph, "sorted")`` for a topology delta.  A
     caller with its own assignment passes it explicitly (assignments
     that renumber untouched rows simply enlarge the dirty set).  Raises
     :class:`PreprocessingError` when the delta leaves incremental
@@ -416,218 +417,105 @@ def patch_arrays(
         d_center = d_keys // n2
         d_member = d_keys - d_center * n2
         tree = _cluster_trees(new_graph, new_ported, d_keys, d_dist, kernel)
-        d_parent = tree["ent_parent"]
-        # Parent / heavy-child entry positions within the rebuilt entries.
-        d_pe, d_he = tree["ent_parent_epos"], tree["ent_heavy_epos"]
 
     # ------------------------------------------------------------------
-    # Identity fast path: when no vertex was relabeled and every rebuilt
-    # cluster kept its exact member set, every entry keeps its global
-    # position — overwrite the dirty rows in copies of the old columns
-    # instead of re-gathering and re-merging all E entries.
+    # Splice: one block per new center, in center order — clean blocks
+    # from the parent's rows, dirty ones from the rebuild — written one
+    # slice per run (see the module docstring).
     # ------------------------------------------------------------------
+    n_new = new_graph.n
     ci = arrays.cl_indptr
     ed = int(d_keys.shape[0])
-    identity = new_graph.n == graph.n and n_keep == graph.n
-    if identity:
-        d_lens = ci[dirty_new + 1] - ci[dirty_new]
-        dirty_epos = _segment_indices(ci[dirty_new], d_lens)
-        identity = ed == int(dirty_epos.shape[0]) and np.array_equal(
-            d_keys, arrays.entry_keys[dirty_epos]
-        )
-    if identity:
-        with tm.span("patch.assemble", mode="in-place"):
-            E = arrays.entry_count
-            ec = E - ed
-
-            def patched(col, dvals, dtype):
-                # Copy-on-write: arrays are append-only once assembled,
-                # so a column whose dirty rows came back byte-identical
-                # is shared verbatim — the common case for exonerated
-                # weight deltas, where copying 8B·E per column would
-                # dominate the whole patch.
-                if np.array_equal(col[dirty_epos], dvals):
-                    return col
-                out = np.array(col, dtype=dtype)
-                out[dirty_epos] = dvals
-                return out
-
-            tr_light_depth = patched(
-                arrays.tr_light_depth, tree["tr_light_depth"], np.int64
-            )
-            # Unchanged lengths and dirty sequences: share the payload
-            # too; otherwise splice it run by run.
-            lp_indptr, lp_data = arrays.lp_indptr, arrays.lp_data
-            if tr_light_depth is not arrays.tr_light_depth:
-                lp_indptr = np.zeros(E + 1, dtype=np.int64)
-                np.cumsum(tr_light_depth, out=lp_indptr[1:])
-            starts, ends = _entry_runs(ci, dirty_new)
-            old_lo, old_hi = arrays.lp_indptr[starts], arrays.lp_indptr[ends]
-            if lp_indptr is not arrays.lp_indptr or not np.array_equal(
-                arrays.lp_data[_segment_indices(old_lo, old_hi - old_lo)],
-                tree["lp_data"],
-            ):
-                lp_data = _splice_lp(arrays, tree, lp_indptr, starts, ends)
-
-            new_arrays = assemble_arrays(
-                new_graph,
-                new_ported,
-                h_new,
-                cl_indptr=ci,
-                ent_member=arrays.ent_member,
-                ent_dist=patched(arrays.ent_dist, d_dist, np.float64),
-                ent_parent=patched(arrays.ent_parent, d_parent, np.int64),
-                tr_f=patched(arrays.tr_f, tree["tr_f"], np.int64),
-                tr_finish=patched(arrays.tr_finish, tree["tr_finish"], np.int64),
-                tr_heavy_finish=patched(
-                    arrays.tr_heavy_finish, tree["tr_heavy_finish"], np.int64
-                ),
-                tr_light_depth=tr_light_depth,
-                tr_parent_port=patched(
-                    arrays.tr_parent_port, tree["tr_parent_port"], np.int64
-                ),
-                tr_heavy_port=patched(
-                    arrays.tr_heavy_port, tree["tr_heavy_port"], np.int64
-                ),
-                lp_indptr=lp_indptr,
-                lp_data=lp_data,
-                # Entry links survive verbatim (positions are unchanged);
-                # a dirty row's links stay inside its rebuilt cluster.
-                ent_parent_epos=patched(
-                    arrays.ent_parent_epos, _relink(d_pe, dirty_epos), np.int64
-                ),
-                ent_heavy_epos=patched(
-                    arrays.ent_heavy_epos, _relink(d_he, dirty_epos), np.int64
-                ),
-                # Membership is unchanged on this path, so the old bunch
-                # permutation is exactly the CSR→CSC order of the new
-                # entries.
-                bunch_order=arrays.bunch_epos,
-            )
-        return _finish(
-            tm, new_graph, new_ported, h_new, new_arrays, id_map, s_new,
-            dirty_new, clean_new, ed, ec,
-        )
-
-    # ------------------------------------------------------------------
-    # Splice: untouched clusters cross over with ids remapped and every
-    # distance / tree record / port byte preserved verbatim.
-    # ------------------------------------------------------------------
     with tm.span("patch.splice", clusters=int(clean_new.shape[0])):
+        # Each block's length and first row in its source: the rebuild
+        # for a dirty center, the parent's rows for a clean one.
         clean_old = old_of[clean_new]
-        lens = ci[clean_old + 1] - ci[clean_old]
-        epos = _segment_indices(ci[clean_old], lens)
-        c_member = id_map[arrays.ent_member[epos]]
-        if c_member.shape[0] and c_member.min() < 0:
+        lens = np.bincount(d_center, minlength=n_new)
+        src = np.cumsum(lens) - lens
+        lens[clean_new] = ci[clean_old + 1] - ci[clean_old]
+        src[clean_new] = ci[clean_old]
+        cl_indptr = np.zeros(n_new + 1, dtype=np.int64)
+        np.cumsum(lens, out=cl_indptr[1:])
+        relabel = n_keep < graph.n  # a dropped vertex shifts every later id
+        # No block moves: every clean block sits at its own parent rows.
+        still = not relabel and n_new == graph.n and np.array_equal(cl_indptr, ci)
+        if still:
+            cl_indptr = ci
+        # A run ends where the source switches or its rows stop being
+        # contiguous (a dropped center's block lay between).
+        cut = np.ones(n_new, dtype=bool)
+        cut[1:] = (dirty_mask[1:] != dirty_mask[:-1]) | (src[1:] != src[:-1] + lens[:-1])
+        first = np.flatnonzero(cut)
+        at = cl_indptr[first]
+        ends = cl_indptr[np.append(first[1:], n_new)]
+        runs = list(
+            zip(dirty_mask[first].tolist(), src[first].tolist(), (ends - at).tolist(), at.tolist())
+        )
+        E = int(cl_indptr[-1])
+
+        def column(old, new, links=False):
+            return _splice(old, new, runs, E, still, links)
+
+        old_member, old_parent = arrays.ent_member, arrays.ent_parent
+        if relabel:
+            remap = np.append(id_map, -1)  # a parent of −1 stays −1
+            old_member, old_parent = remap[old_member], remap[old_parent]
+        ent_member = column(old_member, d_member)
+        if relabel and E and ent_member.min() < 0:
             raise PreprocessingError(
                 "patch classification missed a dropped member in a clean "
                 "cluster (incremental maintenance invariant violated)"
             )
-        c_center = np.repeat(clean_new, lens)
-        c_keys = c_center * n2 + c_member
-        old_parent = arrays.ent_parent[epos]
-        c_parent = np.where(old_parent >= 0, id_map[np.maximum(old_parent, 0)], -1)
-        c_lp_lens = arrays.tr_light_depth[epos]
-        c_lp = arrays.lp_data[_segment_indices(arrays.lp_indptr[epos], c_lp_lens)]
-
-    # ------------------------------------------------------------------
-    # Merge into global entry order.  Clean and dirty center sets are
-    # disjoint and both runs are key-sorted, so two searchsorted calls
-    # give every entry's final position.
-    # ------------------------------------------------------------------
-    with tm.span("patch.assemble", mode="merge"):
-        ec = int(c_keys.shape[0])
-        pos_c = np.arange(ec, dtype=np.int64) + np.searchsorted(d_keys, c_keys)
-        pos_d = np.arange(ed, dtype=np.int64) + np.searchsorted(c_keys, d_keys)
-        total = ec + ed
-
-        def merge(cvals, dvals, dtype):
-            out = np.empty(total, dtype=dtype)
-            out[pos_c] = cvals
-            out[pos_d] = dvals
-            return out
-
-        ent_member = merge(c_member, d_member, np.int64)
-        ent_dist = merge(arrays.ent_dist[epos], d_dist, np.float64)
-        ent_parent = merge(c_parent, d_parent, np.int64)
-        tr_f = merge(arrays.tr_f[epos], tree["tr_f"], np.int64)
-        tr_finish = merge(arrays.tr_finish[epos], tree["tr_finish"], np.int64)
-        tr_heavy_finish = merge(
-            arrays.tr_heavy_finish[epos], tree["tr_heavy_finish"], np.int64
+        tr_light_depth = column(arrays.tr_light_depth, tree["tr_light_depth"])
+        lp_indptr = arrays.lp_indptr
+        if tr_light_depth is not arrays.tr_light_depth:
+            lp_indptr = np.zeros(E + 1, dtype=np.int64)
+            np.cumsum(tr_light_depth, out=lp_indptr[1:])
+        # The payload splices along the same runs, through each side's
+        # lp_indptr; it stays put when lp_indptr does.
+        old_lp, new_lp = arrays.lp_indptr, tree["lp_indptr"]
+        lp_runs = [
+            (
+                dirty,
+                int((new_lp if dirty else old_lp)[lo]),
+                int(lp_indptr[at + length] - lp_indptr[at]),
+                int(lp_indptr[at]),
+            )
+            for dirty, lo, length, at in runs
+        ]
+        lp_data = _splice(
+            arrays.lp_data, tree["lp_data"], lp_runs, int(lp_indptr[-1]),
+            lp_indptr is arrays.lp_indptr,
         )
-        tr_light_depth = merge(c_lp_lens, tree["tr_light_depth"], np.int64)
-        tr_parent_port = merge(
-            arrays.tr_parent_port[epos], tree["tr_parent_port"], np.int64
-        )
-        tr_heavy_port = merge(arrays.tr_heavy_port[epos], tree["tr_heavy_port"], np.int64)
-
-        lp_indptr = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(tr_light_depth, out=lp_indptr[1:])
-        lp_data = np.zeros(int(lp_indptr[-1]), dtype=np.int64)
-        c_lp_ex = np.cumsum(c_lp_lens) - c_lp_lens
-        _scatter_segments(lp_data, lp_indptr[pos_c], c_lp, c_lp_ex, c_lp_lens)
-        _scatter_segments(
-            lp_data,
-            lp_indptr[pos_d],
-            tree["lp_data"],
-            tree["lp_indptr"][:-1],
-            np.diff(tree["lp_indptr"]),
+        spliced = dict(
+            ent_member=ent_member,
+            ent_dist=column(arrays.ent_dist, d_dist),
+            ent_parent=column(old_parent, tree["ent_parent"]),
+            tr_f=column(arrays.tr_f, tree["tr_f"]),
+            tr_finish=column(arrays.tr_finish, tree["tr_finish"]),
+            tr_heavy_finish=column(arrays.tr_heavy_finish, tree["tr_heavy_finish"]),
+            tr_light_depth=tr_light_depth,
+            tr_parent_port=column(arrays.tr_parent_port, tree["tr_parent_port"]),
+            tr_heavy_port=column(arrays.tr_heavy_port, tree["tr_heavy_port"]),
+            lp_indptr=lp_indptr,
+            lp_data=lp_data,
+            ent_parent_epos=column(arrays.ent_parent_epos, tree["ent_parent_epos"], True),
+            ent_heavy_epos=column(arrays.ent_heavy_epos, tree["ent_heavy_epos"], True),
         )
 
-        ent_center = merge(c_center, d_center, np.int64)
-        cl_indptr = np.zeros(new_graph.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ent_center, minlength=new_graph.n), out=cl_indptr[1:])
-
-        # Entry links: clean parents/heavy children live in the same
-        # clean cluster (old positions known), dirty ones in the same
-        # rebuilt cluster — map both through the final positions instead
-        # of letting assemble_arrays re-locate all E of them.
-        old_to_new = np.full(arrays.entry_count, -1, dtype=np.int64)
-        old_to_new[epos] = pos_c
-        ope = arrays.ent_parent_epos[epos]
-        c_pe = np.where(ope >= 0, old_to_new[np.maximum(ope, 0)], -1)
-        ohe = arrays.ent_heavy_epos[epos]
-        c_he = np.where(ohe >= 0, old_to_new[np.maximum(ohe, 0)], -1)
-
+    with tm.span("patch.assemble"):
         new_arrays = assemble_arrays(
             new_graph,
             new_ported,
             h_new,
             cl_indptr=cl_indptr,
-            ent_member=ent_member,
-            ent_dist=ent_dist,
-            ent_parent=ent_parent,
-            tr_f=tr_f,
-            tr_finish=tr_finish,
-            tr_heavy_finish=tr_heavy_finish,
-            tr_light_depth=tr_light_depth,
-            tr_parent_port=tr_parent_port,
-            tr_heavy_port=tr_heavy_port,
-            lp_indptr=lp_indptr,
-            lp_data=lp_data,
-            ent_parent_epos=merge(c_pe, _relink(d_pe, pos_d), np.int64),
-            ent_heavy_epos=merge(c_he, _relink(d_he, pos_d), np.int64),
+            # Unchanged members: the parent's bunch permutation is
+            # exactly the CSR→CSC order of the new entries.
+            bunch_order=arrays.bunch_epos if ent_member is arrays.ent_member else None,
+            **spliced,
         )
 
-    return _finish(
-        tm, new_graph, new_ported, h_new, new_arrays, id_map, s_new,
-        dirty_new, clean_new, ed, ec,
-    )
-
-
-def _finish(
-    tm,
-    new_graph: Graph,
-    new_ported: PortedGraph,
-    h_new: Hierarchy,
-    new_arrays: SchemeArrays,
-    id_map: np.ndarray,
-    s_new: np.ndarray,
-    dirty_new: np.ndarray,
-    clean_new: np.ndarray,
-    ed: int,
-    ec: int,
-) -> PatchResult:
+    ec = E - ed
     stats = {
         "touched_vertices": int(s_new.shape[0]),
         "dirty_clusters": int(dirty_new.shape[0]),

@@ -420,7 +420,6 @@ def _tree_arrays(
             lp_data[tgt_od + j] = dp_od[src]
 
     return {
-        "heavy_vertex": np.where(hh, ent_member[np.maximum(heavy_epos, 0)], -1),
         "ent_parent_epos": parent_epos,
         "ent_heavy_epos": heavy_epos,
         "tr_f": dfs,

@@ -104,8 +104,8 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.tz_cluster_trees.argtypes = (
         [_I64, _I64]  # n, count
         + [_PTR] * 6  # keys, dist, indptr, adj, wts, port_of_arc
-        + [_PTR] * 11  # parent, parent/heavy epos, heavy vertex, f, finish,
-        #                heavy finish, light depth, parent/heavy port, lp_indptr
+        + [_PTR] * 10  # parent, parent/heavy epos, f, finish, heavy finish,
+        #                light depth, parent/heavy port, lp_indptr
         + [_PPTR]  # out lp_data
     )
     lib.tz_free.restype = None

@@ -764,9 +764,8 @@ int64_t tz_cluster_trees(
     const double *wts,
     const int64_t *port_of_arc,
     int64_t *parent,                 /* out (E): parent vertex, -1 at root */
-    int64_t *parent_epos,            /* out (E), and the eight below */
+    int64_t *parent_epos,            /* out (E), and the seven below */
     int64_t *heavy_epos,
-    int64_t *heavy_vertex,
     int64_t *f,
     int64_t *finish,
     int64_t *heavy_finish,
@@ -907,12 +906,10 @@ int64_t tz_cluster_trees(
             if (cptr[x + 1] > cptr[x]) {
                 const int64_t hc = kids[cptr[x]];
                 heavy_epos[e] = lo + hc;
-                heavy_vertex[e] = keys[lo + hc] - base;
                 heavy_finish[e] = F[x] + size[hc];
                 heavy_port[e] = down[hc];
             } else {
                 heavy_epos[e] = -1;
-                heavy_vertex[e] = -1;
                 heavy_finish[e] = F[x];
                 heavy_port[e] = 0;
             }

@@ -29,7 +29,6 @@ _COLUMNS = (
     "ent_parent",
     "ent_parent_epos",
     "ent_heavy_epos",
-    "heavy_vertex",
     "tr_f",
     "tr_finish",
     "tr_heavy_finish",

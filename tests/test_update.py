@@ -25,9 +25,12 @@ from repro import kernels
 from repro.core.build import SchemeArrays, build_arrays, patch_arrays
 from repro.errors import GraphError, PreprocessingError, RoutingError
 from repro.graphs.delta import GraphDelta, apply_delta
+from repro.graphs.graph import Graph
 from repro.graphs.ports import assign_ports
 from repro.kernels import _build
 from repro.obs import TELEMETRY
+from repro.rng import derive
+from repro.scenarios import random_delta
 from repro.sim.engine.batch import BatchRouter
 from repro.sim.engine.compile import compile_from_arrays
 from repro.store import SchemeStore, RouteService, serialize_digest
@@ -589,8 +592,9 @@ class TestPatchKernelParity:
 
     def test_in_place_patch_that_moves_light_depths(self, veto_native):
         """A weight bump that re-shapes dirty trees without changing any
-        member set: the in-place path splices the light-port payload
-        around several rebuilt runs."""
+        member set: no block moves, so the splice writes only the dirty
+        runs, moving the light-port payload around several of them, and
+        shares the member column and the bunch permutation."""
         graph = family_from_seed(0, "gnp")
         ported = assign_ports(graph, "sorted")
         arrays = build_arrays(graph, 3, ported=ported, rng=0)
@@ -600,21 +604,102 @@ class TestPatchKernelParity:
         def patch():
             return patch_arrays(arrays, graph, delta, ported=ported)
 
-        TELEMETRY.reset()
-        TELEMETRY.enable()
-        try:
-            patched = patch()
-            modes = [
-                sp.attrs["mode"] for sp, _ in TELEMETRY.spans() if sp.name == "patch.assemble"
-            ]
-        finally:
-            TELEMETRY.disable()
-            TELEMETRY.reset()
-        assert modes == ["in-place"]
+        patched = patch()
+        assert patched.arrays.ent_member is arrays.ent_member
+        assert patched.arrays.bunch_epos is arrays.bunch_epos
         assert patched.stats["dirty_clusters"] > 1
         assert not np.array_equal(patched.arrays.tr_light_depth, arrays.tr_light_depth)
         assert_matches_fresh(patched)
         assert_columns_equal(patched.arrays, veto_native(patch).arrays)
+
+
+class TestPatchSplice:
+    """The splice that assembles every patch: chains under perfbench's
+    ``"random"`` ports, whose weight-only deltas rebind the caller's
+    assignment; copy-on-write sharing; and the two layouts a run map
+    must get right — a dropped center's gap between clean blocks, and
+    kept block lengths around a changed member set."""
+
+    #: The columns the splice supplies; ``assemble_arrays`` derives the rest.
+    SPLICED = (
+        "cl_indptr", "ent_member", "ent_dist", "ent_parent",
+        "ent_parent_epos", "ent_heavy_epos", "tr_f", "tr_finish",
+        "tr_heavy_finish", "tr_light_depth", "tr_parent_port",
+        "tr_heavy_port", "lp_indptr", "lp_data", "bunch_epos",
+    )
+
+    @pytest.mark.parametrize("family", GATE_FAMILIES)
+    def test_random_port_weight_epochs_match_fresh(self, family, veto_native):
+        graph = family_from_seed(0, family)
+        ported = assign_ports(graph, "random", rng=0)
+        arrays = build_arrays(graph, 3, ported=ported, rng=0)
+        moved = kept = 0
+        for epoch in range(24):
+            delta = random_delta(
+                graph, derive(0, "random-ports", epoch),
+                weight_updates=1 + epoch % 2, edge_adds=0, edge_drops=0,
+            )
+            patched = patch_arrays(arrays, graph, delta, ported=ported)
+            assert patched.ported.port_of_arc is ported.port_of_arc
+            assert_matches_fresh(patched)
+            if np.array_equal(patched.arrays.cl_indptr, arrays.cl_indptr):
+                kept += 1
+            else:
+                if moved == 0 and kernels.available():
+                    ref = veto_native(
+                        lambda: patch_arrays(arrays, graph, delta, ported=ported)
+                    )
+                    assert_columns_equal(patched.arrays, ref.arrays)
+                moved += 1
+            graph, ported, arrays = patched.graph, patched.ported, patched.arrays
+        assert moved and kept, (moved, kept)
+
+    def test_empty_delta_shares_every_spliced_column(self):
+        graph = family_from_seed(1, "gnp")
+        ported = assign_ports(graph, "random", rng=1)
+        arrays = build_arrays(graph, 3, ported=ported, rng=1)
+        patched = patch_arrays(arrays, graph, GraphDelta(), ported=ported)
+        for name in self.SPLICED:
+            assert getattr(patched.arrays, name) is getattr(arrays, name), name
+
+    def test_every_single_node_drop_is_accepted(self):
+        """A dropped center leaves a gap in the parent's rows, often
+        between two clean blocks: the run must end there.  Every drop
+        that keeps the graph connected and each level populated is
+        patched, never refused, and ≡ a fresh build."""
+        graph = family_from_seed(0, "gnp")
+        ported = assign_ports(graph, "sorted")
+        arrays = build_arrays(graph, 3, ported=ported, rng=0)
+        levels = arrays.hierarchy.levels
+        patched_drops = 0
+        for d in range(graph.n):
+            delta = GraphDelta(drop_nodes=(d,))
+            if not apply_delta(graph, delta)[0].is_connected() or any(
+                np.array_equal(levels[i], [d]) for i in range(1, arrays.k)
+            ):
+                continue
+            assert_matches_fresh(patch_arrays(arrays, graph, delta, ported=ported))
+            patched_drops += 1
+        assert patched_drops > graph.n // 2
+
+    def test_kept_block_lengths_around_a_member_swap(self):
+        """Swapping two weights swaps ``a`` for ``b`` in ``C(w)``: no
+        block moves, yet the member column and the bunch permutation
+        must be rebuilt, not shared."""
+        w, a, b, landmark = 0, 1, 2, 3
+        graph = Graph(4, [(w, a), (w, b), (a, landmark), (b, landmark)], [1.0, 1.0, 2.0, 1.0])
+        ported = assign_ports(graph, "sorted")
+        arrays = build_arrays(
+            graph, 2, ported=ported, levels=[np.arange(4), np.array([landmark])]
+        )
+        delta = GraphDelta(weight_updates=((a, landmark, 1.0), (b, landmark, 2.0)))
+        patched = patch_arrays(arrays, graph, delta, ported=ported)
+        assert np.array_equal(patched.arrays.cl_indptr, arrays.cl_indptr)
+        lo, hi = arrays.cl_indptr[w], arrays.cl_indptr[w + 1]
+        assert arrays.ent_member[lo:hi].tolist() == [w, a]
+        assert patched.arrays.ent_member[lo:hi].tolist() == [w, b]
+        assert patched.arrays.bunch_epos is not arrays.bunch_epos
+        assert_matches_fresh(patched)
 
 
 class TestChurnScenario:
