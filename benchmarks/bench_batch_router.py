@@ -5,7 +5,9 @@ The acceptance gate of the engine PR: on a 2k-node G(n, p) graph with a
 :class:`~repro.sim.engine.BatchRouter` must route **≥ 20×** more pairs
 per second than the reference :class:`~repro.sim.network.Network` hop
 loop (the reference rate is measured on a subset and extrapolated — at
-hop-loop speed the full matrix would take minutes).  Both engines are
+hop-loop speed the full matrix would take minutes).  The floor is per
+kernel (:data:`SPEEDUP_FLOOR`): **≥ 100×** on the native kernels the
+platform picks when they load, ≥ 20× on the numpy fallback.  Both engines are
 cross-checked for bit-for-bit agreement on the subset before any clock
 is trusted, and the measured numbers land in ``BENCH_router.json`` (the
 CI artifact that tracks router throughput across commits).
@@ -29,7 +31,11 @@ from repro.sim.engine import BatchRouter
 from repro.sim.network import Network
 from repro.sim.workloads import uniform_pairs
 
-SPEEDUP_FLOOR = 20.0
+#: Per kernel (2-CPU x86-64 container, three readings each): native
+#: read 202.7×, 219.0× and 225.2×, and its floor keeps about half of the
+#: lowest; the numpy fallback read 39.9×, 26.7× and 33.6× and keeps the
+#: 20× floor both kernels shared before.
+SPEEDUP_FLOOR = {"native": 100.0, "numpy": 20.0}
 N_PAIRS = 100_000
 REF_SAMPLE = 2_000  # hop-loop pairs actually routed (rate extrapolates)
 
@@ -74,11 +80,13 @@ def test_batch_router_throughput(setup):
         assert int(batch.hops[i]) == res.hops
 
     speedup = batch_pps / ref_pps
+    floor = SPEEDUP_FLOOR[router.kernel]
     print(
         f"\nbatch router (n={graph.n}, m={graph.m}, pairs={N_PAIRS:,}): "
         f"compile {t_compile:.2f}s, route {t_batch:.2f}s "
         f"({batch_pps:,.0f} pairs/s); hop loop {ref_pps:,.0f} pairs/s "
-        f"(measured on {REF_SAMPLE:,}); speedup {speedup:.1f}x"
+        f"(measured on {REF_SAMPLE:,}); speedup {speedup:.1f}x "
+        f"({router.kernel} kernel)"
     )
 
     out = emit(
@@ -88,6 +96,7 @@ def test_batch_router_throughput(setup):
             "m": graph.m,
             "pairs": N_PAIRS,
             "reference_sample": REF_SAMPLE,
+            "kernel": router.kernel,
         },
         metrics={
             "engine_compile_seconds": round(t_compile, 3),
@@ -98,10 +107,11 @@ def test_batch_router_throughput(setup):
             "max_hops": int(batch.hops.max()),
             "avg_hops": round(float(batch.hops.mean()), 2),
         },
-        floors={"speedup": SPEEDUP_FLOOR},
+        floors={"speedup": floor},
     )
     print(f"wrote {out}")
 
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"batch-router speedup {speedup:.1f}x below the {SPEEDUP_FLOOR}x floor"
+    assert speedup >= floor, (
+        f"batch-router speedup {speedup:.1f}x below the {floor}x "
+        f"{router.kernel} floor"
     )

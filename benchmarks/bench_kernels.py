@@ -11,7 +11,12 @@ On a 20k-node G(n, p) graph, for a 100k-pair uniform matrix:
 * the native cluster-tree pass (``tz_cluster_trees``) must compute the
   SPT parents, heavy-light records and light ports of the k=2 scheme's
   entries **≥ 4×** faster than the numpy ``_level_parents`` +
-  ``_tree_arrays`` stages.
+  ``_tree_arrays`` stages;
+* the native compile pass (``tz_compile_records``) must write the k=2
+  scheme's entry records **≥ 5×** faster than the numpy
+  ``_resolve_ports`` + ``_link_entries`` resolution, and **≥ 1.35×**
+  faster given the build's own entry links as hints than when it
+  searches every link's tree slice.
 
 Every pair is cross-checked for bit-for-bit agreement before any clock
 is trusted (the same differential contract ``tests/test_kernels.py``
@@ -50,6 +55,7 @@ from repro.kernels import available, native_error
 from repro.kernels.frontier import frontier_sweep_native
 from repro.rng import make_rng
 from repro.sim.engine import BatchRouter, batch
+from repro.sim.engine.compile import ARRAYS_IN_RECORD, _ent_records
 from repro.sim.workloads import uniform_pairs
 
 pytestmark = pytest.mark.skipif(
@@ -65,6 +71,13 @@ COMMIT_SPEEDUP_FLOOR = 7.0
 #: Measured 7.7× and 7.5× (best of 3, one thread, 2-CPU x86-64
 #: container); the floor keeps about half of it, as the commit gate does.
 TREE_PASS_SPEEDUP_FLOOR = 4.0
+#: Measured 12.9×, 11.5× and 10.7× (best of 5, one thread, 2-CPU x86-64
+#: container); the floor keeps about half of the lowest.
+COMPILE_SPEEDUP_FLOOR = 5.0
+#: The entry-link hints' worth, native with hints over native without.
+#: Measured 1.87×, 1.74× and 1.95× (best of 5, one thread, 2-CPU x86-64
+#: container); the floor keeps about half of the lowest margin over 1×.
+HINT_SPEEDUP_FLOOR = 1.35
 N_PAIRS = 100_000
 
 
@@ -167,6 +180,41 @@ def test_kernels_speedup(setup):
     )
     tree_speedup = t_tree_numpy / t_tree_native
 
+    # ---- compile pass: every entry record of the k=2 scheme ----------
+    arrays, compiled = scheme.arrays, routers["native"].compiled
+    record_args = (
+        arrays.entry_keys,
+        {name: getattr(arrays, col) for col, name in ARRAYS_IN_RECORD.items()},
+        (arrays.tr_parent_port, arrays.tr_heavy_port),
+        (arrays.ent_parent_epos, arrays.ent_heavy_epos),
+        compiled.g_indptr,
+        compiled.step,
+    )
+    # Byte for byte: 13 int64 words per record, the weights' bits included.
+    words = _ent_records(*record_args, "numpy").view(np.int64)
+    assert np.array_equal(words, _ent_records(*record_args, "native").view(np.int64))
+    assert np.array_equal(words, compiled.ent.view(np.int64))
+    del words
+
+    t_compile_numpy, t_compile_native = best_of_interleaved(
+        lambda: _ent_records(*record_args, "numpy"),
+        lambda: _ent_records(*record_args, "native"),
+        repeats=5,
+    )
+    compile_speedup = t_compile_numpy / t_compile_native
+
+    # The hints' worth: without them every link searches its tree's slice.
+    bare_args = record_args[:3] + (None,) + record_args[4:]
+    bare = _ent_records(*bare_args, "native")
+    assert np.array_equal(bare.view(np.int64), compiled.ent.view(np.int64))
+    del bare
+    t_hinted, t_bare = best_of_interleaved(
+        lambda: _ent_records(*record_args, "native"),
+        lambda: _ent_records(*bare_args, "native"),
+        repeats=5,
+    )
+    hint_speedup = t_bare / t_hinted
+
     print(
         f"\nkernels (n={graph.n}, m={graph.m}): commit {N_PAIRS:,} pairs "
         f"numpy {t_commit_numpy:.3f}s native {t_commit_native:.3f}s "
@@ -178,7 +226,9 @@ def test_kernels_speedup(setup):
         f"numpy {t_sweep_numpy:.3f}s native {t_sweep_native:.3f}s "
         f"({frontier_speedup:.1f}x); tree pass {keys.shape[0]:,} entries "
         f"numpy {t_tree_numpy:.3f}s native {t_tree_native:.3f}s "
-        f"({tree_speedup:.1f}x)"
+        f"({tree_speedup:.1f}x); compile records numpy {t_compile_numpy:.3f}s "
+        f"native {t_compile_native:.3f}s ({compile_speedup:.1f}x), "
+        f"hinted {t_hinted:.3f}s hint-less {t_bare:.3f}s ({hint_speedup:.2f}x)"
     )
 
     out = emit(
@@ -204,6 +254,12 @@ def test_kernels_speedup(setup):
             "tree_pass_numpy_seconds": round(t_tree_numpy, 4),
             "tree_pass_native_seconds": round(t_tree_native, 4),
             "tree_pass_speedup": round(tree_speedup, 1),
+            "compile_numpy_seconds": round(t_compile_numpy, 4),
+            "compile_native_seconds": round(t_compile_native, 4),
+            "compile_speedup": round(compile_speedup, 1),
+            "compile_hinted_seconds": round(t_hinted, 4),
+            "compile_hintless_seconds": round(t_bare, 4),
+            "compile_hint_speedup": round(hint_speedup, 2),
             "route_pairs_numpy_seconds": round(t_route_numpy, 4),
             "route_pairs_native_seconds": round(t_route_native, 4),
             "route_pairs_native_threads": threads,
@@ -214,6 +270,8 @@ def test_kernels_speedup(setup):
             "hop_speedup": HOP_SPEEDUP_FLOOR,
             "frontier_speedup": FRONTIER_SPEEDUP_FLOOR,
             "tree_pass_speedup": TREE_PASS_SPEEDUP_FLOOR,
+            "compile_speedup": COMPILE_SPEEDUP_FLOOR,
+            "compile_hint_speedup": HINT_SPEEDUP_FLOOR,
         },
     )
     print(f"wrote {out}")
@@ -233,4 +291,12 @@ def test_kernels_speedup(setup):
     assert tree_speedup >= TREE_PASS_SPEEDUP_FLOOR, (
         f"cluster-tree pass speedup {tree_speedup:.1f}x below the "
         f"{TREE_PASS_SPEEDUP_FLOOR}x floor"
+    )
+    assert compile_speedup >= COMPILE_SPEEDUP_FLOOR, (
+        f"compile-records speedup {compile_speedup:.1f}x below the "
+        f"{COMPILE_SPEEDUP_FLOOR}x floor"
+    )
+    assert hint_speedup >= HINT_SPEEDUP_FLOOR, (
+        f"entry-link hints speed the compile pass {hint_speedup:.2f}x, below "
+        f"the {HINT_SPEEDUP_FLOOR}x floor"
     )

@@ -5,7 +5,8 @@ sweep (1k-node G(n, p), k = 2, 5k-pair uniform workload, 2% i.i.d. edge
 death) through the vectorized resilience engine — scheme compiled once,
 all trials advanced simultaneously by
 :meth:`~repro.sim.engine.batch.BatchRouter.route_trials` — must be
-**≥ 10×** faster than the per-trial reference path (one
+**≥ 75×** faster on the native kernels (≥ 18× on the numpy fallback,
+:data:`SPEEDUP_FLOOR`) than the per-trial reference path (one
 :class:`~repro.sim.failures.FaultyNetwork` per trial, one Python hop
 loop per pair), measured over the *full* 32 trials on both sides — no
 extrapolation.
@@ -36,7 +37,9 @@ from repro.sim.engine.batch import BatchRouter
 from repro.sim.engine.compile import compile_from_arrays
 from repro.sim.failures import iid_edge_trials, survivability_sweep
 
-SPEEDUP_FLOOR = 10.0
+#: Per kernel, about half the lowest of three readings (2-CPU x86-64
+#: container): native 151×, 190× and 161×; numpy 40×, 37× and 43×.
+SPEEDUP_FLOOR = {"native": 75.0, "numpy": 18.0}
 N_DEFAULT = 1024
 K = 2
 TRIALS = 32
@@ -77,13 +80,14 @@ def test_scenario_sweep_speedup():
     t_ref = time.perf_counter() - t0
 
     speedup = t_ref / max(t_vec, 1e-9)
+    floor = SPEEDUP_FLOOR[router.kernel]
     rate = TRIALS * PAIRS / max(t_vec, 1e-9)
     print(
         f"\nscenario sweep (n={graph.n}, m={graph.m}, k={K}, "
         f"{TRIALS} trials x {PAIRS} pairs, iid rate {RATE}): "
         f"vectorized {t_vec:.3f}s ({rate:,.0f} trial-pairs/s); "
         f"per-trial reference {t_ref:.2f}s; speedup {speedup:.0f}x "
-        f"(mean delivery {fast.delivery_rates.mean():.3f})"
+        f"(mean delivery {fast.delivery_rates.mean():.3f}, {router.kernel} kernel)"
     )
 
     out = emit(
@@ -95,6 +99,7 @@ def test_scenario_sweep_speedup():
             "trials": TRIALS,
             "pairs": PAIRS,
             "iid_rate": RATE,
+            "kernel": router.kernel,
         },
         metrics={
             "vectorized_seconds": round(t_vec, 4),
@@ -103,11 +108,11 @@ def test_scenario_sweep_speedup():
             "speedup": round(speedup, 1),
             "mean_delivery_rate": round(float(fast.delivery_rates.mean()), 4),
         },
-        floors={"speedup": SPEEDUP_FLOOR},
+        floors={"speedup": floor},
     )
     print(f"wrote {out}")
 
-    assert speedup >= SPEEDUP_FLOOR, (
+    assert speedup >= floor, (
         f"scenario sweep speedup {speedup:.1f}x below the "
-        f"{SPEEDUP_FLOOR}x floor"
+        f"{floor}x {router.kernel} floor"
     )

@@ -1,24 +1,26 @@
-"""Compiled kernels for the four hottest loops, behind a differential flag.
+"""Compiled kernels for the five hottest loops, behind a differential flag.
 
 The router's tree commit and synchronized hop loop
-(``sim/engine/batch.py``, wrapped in :mod:`.hop`) and the builder's
+(``sim/engine/batch.py``, wrapped in :mod:`.hop`), the builder's
 thresholded frontier sweep and cluster-tree pass
 (``core/build/vectorized.py``, wrapped in :mod:`.frontier` and
-:mod:`.trees`) each have a native implementation in ``_native.c``,
-compiled on demand with the system C toolchain and loaded through
-ctypes (:mod:`._build`).  The numpy paths remain the bit-for-bit
-differential reference — the same contract the vectorized builder holds
-against the per-node reference builder — enforced by
-``tests/test_kernels.py``.  The kernels keep no global state and ctypes
-releases the GIL for each call, which is what lets the router run its
-row chunks on threads.
+:mod:`.trees`) and the compile pass that writes the entry records
+(``sim/engine/compile.py``, wrapped in :mod:`.records`) each have a
+native implementation in ``_native.c``, compiled on demand with the
+system C toolchain and loaded through ctypes (:mod:`._build`).  The
+numpy paths remain the bit-for-bit differential reference — the same
+contract the vectorized builder holds against the per-node reference
+builder — enforced by ``tests/test_kernels.py``.  The kernels keep no
+global state and ctypes releases the GIL for each call, which is what
+lets the router run its row chunks on threads.
 
 The kernels change speed, never results, so the platform picks them:
 every layer runs ``resolve_kernel("auto")`` — native when ``_native.c``
 compiles and loads, else numpy, noting the fallback once per process
 with a ``kernel.fallback`` telemetry counter and a
-:class:`KernelFallbackWarning`.  A ``kernel=`` selector survives only at
-the forks the differential suites compare:
+:class:`KernelFallbackWarning`.  Every compile takes the platform's
+kernel; a ``kernel=`` selector survives only at the forks the
+differential suites compare:
 :class:`~repro.sim.engine.batch.BatchRouter` (commit and hop loop) and
 :func:`~repro.core.build.vectorized.vectorized_arrays` (frontier sweep
 and cluster-tree pass):

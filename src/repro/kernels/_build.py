@@ -108,6 +108,14 @@ def _declare(lib: ctypes.CDLL) -> None:
         #                light depth, parent/heavy port, lp_indptr
         + [_PPTR]  # out lp_data
     )
+    lib.tz_compile_records.restype = _I64
+    lib.tz_compile_records.argtypes = (
+        [_I64, _I64]  # n, count
+        + [_PTR] * 6  # keys, vertex, f, finish, heavy finish, light depth
+        + [_PTR] * 4  # parent/heavy port, parent/heavy hint (or NULL)
+        + [_PTR] * 2  # g_indptr, step records
+        + [_PTR] * 2  # out ent records, out refused entry
+    )
     lib.tz_free.restype = None
     lib.tz_free.argtypes = [_PTR]
 

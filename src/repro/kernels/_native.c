@@ -1,7 +1,8 @@
-/* Native kernels for the four inner loops that dominate every
+/* Native kernels for the five inner loops that dominate every
  * benchmark: the router's tree commit and synchronized hop loop
- * (sim/engine/batch.py) and the builder's thresholded frontier sweep
- * and cluster-tree pass (core/build/vectorized.py).
+ * (sim/engine/batch.py), the builder's thresholded frontier sweep
+ * and cluster-tree pass (core/build/vectorized.py), and the compile
+ * pass that writes the entry records (sim/engine/compile.py).
  *
  * Deliberately plain C99 + libc, no Python.h: the library is loaded
  * through ctypes, so a bare `cc -O3 -fPIC -shared` against the system
@@ -37,6 +38,10 @@
  *   same minimum id, and orders children by the same distinct
  *   (-size, id) key as the numpy lexsort; everything after that is
  *   integer arithmetic.
+ * - tz_compile_records copies each resolved step record as it lies and
+ *   links each neighbour by an exact-key lookup on strictly ascending
+ *   keys, where a checked hint, a slice search and numpy's global
+ *   searchsorted can only name the same unique entry.
  *
  * The hop loop is memory-latency-bound (every hop gathers from tables
  * far larger than cache), so it interleaves a block of rows and issues
@@ -955,6 +960,143 @@ int64_t tz_cluster_trees(
     }
     *out_lp = lp;
     return lp_indptr[count];
+}
+
+/* ------------------------------------------------------------------ */
+/* Compile: entry records                                              */
+/* ------------------------------------------------------------------ */
+
+/* Return codes of tz_compile_records: keep in sync with
+ * kernels/records.py.  Each names what the pass refused at *bad. */
+#define RECORDS_KEYS (-1)   /* keys not strictly ascending in [0, n*n) */
+#define RECORDS_MEMBER (-2) /* a member that is not its key mod n */
+#define RECORDS_PARENT (-3) /* a parent port outside [0, deg(member)] */
+#define RECORDS_HEAVY (-4)  /* a heavy port outside [0, deg(member)] */
+
+/* One tree's slice [lo, hi) of the key-sorted entries; its keys are
+ * base + member, and full marks a slice holding all n members. */
+typedef struct {
+    const int64_t *keys;
+    int64_t lo, hi, base;
+    int full;
+} tree_slice;
+
+/* Resolve one parent or heavy move of member v through its step row
+ * (port 0 = no move) and link the neighbour back to its entry in the
+ * same tree: the hint when it lies in the slice and holds the key,
+ * else a search of the slice, else LOST.  Both shortcuts are measured:
+ * under the build's own ports the hint halves the pass, and the full-n
+ * index halves a hint-less one (bench_kernels gates the hint). */
+static void resolve_move(const tree_slice *t, const step_rec *row,
+                         int64_t port, int64_t hint, int64_t *epos,
+                         double *wt, int64_t *edge, int64_t *next)
+{
+    if (port == 0) {
+        *epos = -1;
+        *wt = 0.0;
+        *edge = -1;
+        *next = -1;
+        return;
+    }
+    const step_rec *st = &row[port - 1];
+    const int64_t key = t->base + st->next;
+    int64_t pos;
+    if (hint >= t->lo && hint < t->hi && t->keys[hint] == key)
+        pos = hint;
+    else if (t->full)
+        pos = t->lo + st->next;
+    else
+        pos = find_key(t->keys, t->lo, t->hi, key);
+    *epos = pos >= 0 ? pos : LOST;
+    *wt = st->wt;
+    *edge = st->edge;
+    *next = st->next;
+}
+
+/* Write every entry record of a compiled scheme in one pass over the
+ * key-sorted entries, tree slice by tree slice: the five tree-record
+ * fields as given, then each parent and heavy port resolved through
+ * step[g_indptr[v] + port - 1] to neighbour, weight and edge, and the
+ * neighbour linked to its entry in the same tree.  The hints (NULL when
+ * the caller has none) are the build's own entry links; they are
+ * checked, never trusted, so any hint yields the same record.
+ *
+ * Keys strictly ascend, so each is unique: a checked hint, a search of
+ * the tree's slice and numpy's global searchsorted name the same entry,
+ * and a key missing from its slice is missing everywhere, since tree
+ * w's keys all lie in [w*n, (w+1)*n).
+ *
+ * Refuses, before resolving the entry at fault, what numpy would
+ * resolve wrongly: keys out of order or range, a member that is not
+ * its key mod n, and a port past its member's row.  Returns 0 or a
+ * RECORDS_* code with the entry at *bad. */
+int64_t tz_compile_records(
+    int64_t n,
+    int64_t count,                   /* E */
+    const int64_t *keys,             /* (E) tree * n + member */
+    const int64_t *vertex,           /* (E) tree-record fields */
+    const int64_t *f,
+    const int64_t *finish,
+    const int64_t *heavy_finish,
+    const int64_t *light_depth,
+    const int64_t *parent_port,      /* (E) 0 = none */
+    const int64_t *heavy_port,
+    const int64_t *parent_hint,      /* NULL or (E) entry-link hints */
+    const int64_t *heavy_hint,
+    const int64_t *g_indptr,         /* (n+1) step row per vertex */
+    const step_rec *step,            /* (2m) half-arc records */
+    ent_rec *ent,                    /* out (E) */
+    int64_t *bad)                    /* out: the refused entry */
+{
+    const int64_t span = n * n;
+    tree_slice t = {keys, 0, 0, 0, 0};
+    for (int64_t lo = 0, hi; lo < count; lo = hi) {
+        if (keys[lo] < 0 || keys[lo] >= span) {
+            *bad = lo;
+            return RECORDS_KEYS;
+        }
+        const int64_t base = keys[lo] / n * n, end = base + n;
+        for (hi = lo + 1; hi < count && keys[hi] < end; hi++)
+            if (keys[hi] <= keys[hi - 1]) {
+                *bad = hi;
+                return RECORDS_KEYS;
+            }
+        t.lo = lo;
+        t.hi = hi;
+        t.base = base;
+        t.full = hi - lo == n;
+        for (int64_t e = lo; e < hi; e++) {
+            const int64_t v = vertex[e];
+            if (v != keys[e] - base) {
+                *bad = e;
+                return RECORDS_MEMBER;
+            }
+            const int64_t deg = g_indptr[v + 1] - g_indptr[v];
+            const int64_t pp = parent_port[e], hp = heavy_port[e];
+            if (pp < 0 || pp > deg) {
+                *bad = e;
+                return RECORDS_PARENT;
+            }
+            if (hp < 0 || hp > deg) {
+                *bad = e;
+                return RECORDS_HEAVY;
+            }
+            const step_rec *row = step + g_indptr[v];
+            ent_rec *r = &ent[e];
+            r->vertex = v;
+            r->f = f[e];
+            r->finish = finish[e];
+            r->heavy_finish = heavy_finish[e];
+            r->light_depth = light_depth[e];
+            resolve_move(&t, row, pp, parent_hint ? parent_hint[e] : -1,
+                         &r->parent_epos, &r->parent_wt, &r->parent_edge,
+                         &r->parent_next);
+            resolve_move(&t, row, hp, heavy_hint ? heavy_hint[e] : -1,
+                         &r->heavy_epos, &r->heavy_wt, &r->heavy_edge,
+                         &r->heavy_next);
+        }
+    }
+    return 0;
 }
 
 /* Release a buffer handed out by tz_frontier_sweep or tz_cluster_trees. */

@@ -30,6 +30,19 @@ writes the ``ent`` and ``step`` records once, the numpy reference reads
 their fields, the native kernels read them as C structs, and a scheme
 container stores them as they are — nothing is repacked before a route.
 
+Compiling runs on the platform's kernel (:func:`_ent_records`, under a
+``kernel.compile_records`` span).  Natively, ``tz_compile_records``
+writes every record in one linear pass over the key-sorted entries and
+links each neighbor through the build's own ``ent_parent_epos`` /
+``ent_heavy_epos`` when that hint lies in the entry's tree slice and
+holds the neighbor's key, else by searching that slice — a hint is
+checked, never trusted.  The numpy :func:`_resolve_ports` +
+:func:`_link_entries` stay the byte-for-byte reference (two global
+``searchsorted`` calls, hints unread).  Both refuse, with
+:class:`~repro.errors.EncodingError`, what they would resolve wrongly:
+keys not strictly ascending in ``[0, n*n)``, a member that is not its
+key mod ``n``, or a port outside its member's row.
+
 One representation: a :class:`CompiledScheme` is a
 :class:`~repro.core.build.arrays.SchemeArrays` plus what a port
 assignment derives.  The seven columns of :data:`ARRAY_BOUND` *are*
@@ -53,6 +66,8 @@ import numpy as np
 
 from ...errors import EncodingError, RoutingError
 from ...graphs.ports import PortedGraph
+from ...kernels import resolve_kernel
+from ...kernels.records import compile_records_native, refusal
 from ...obs import TELEMETRY
 from ...trees.label_codec import tree_label_bits_array
 from ...trees.tz_tree import records_to_arrays
@@ -93,7 +108,7 @@ RECORDS = {"ent": ENT_DTYPE, "step": STEP_DTYPE}
 
 
 def _resolve_ports(
-    graph, ent_vertex: np.ndarray, port: np.ndarray, step: np.ndarray
+    g_indptr: np.ndarray, ent_vertex: np.ndarray, port: np.ndarray, step: np.ndarray
 ):
     """Resolve per-entry port numbers to ``(neighbor, weight, edge)``
     through the target port assignment's step records (0 = no port)."""
@@ -102,7 +117,7 @@ def _resolve_ports(
     wt = np.zeros(count)
     edge = np.full(count, -1, dtype=np.int64)
     have = port > 0
-    hop = step[graph.indptr[ent_vertex[have]] + port[have] - 1]
+    hop = step[g_indptr[ent_vertex[have]] + port[have] - 1]
     nxt[have] = hop["next"]
     wt[have] = hop["wt"]
     edge[have] = hop["edge"]
@@ -126,6 +141,81 @@ def _link_entries(
     elif have.any():
         link[have] = -2
     return link
+
+
+def _check_entries(
+    keys: np.ndarray,
+    vertex: np.ndarray,
+    ports: Tuple[np.ndarray, np.ndarray],
+    g_indptr: np.ndarray,
+) -> None:
+    """Refuse what :func:`_resolve_ports` and :func:`_link_entries` would
+    resolve wrongly, with vectorized compares: keys not strictly
+    ascending in ``[0, n*n)``, a member that is not its key mod ``n``,
+    and a parent or heavy port outside ``[0, deg(member)]`` (which would
+    read the next vertex's step row).  ``tz_compile_records`` refuses the
+    same inline; raises :class:`~repro.errors.EncodingError` naming the
+    first entry of the first failing check.  Only the refusal is shared:
+    this runs each check over every entry in turn, the C pass meets the
+    faults tree slice by tree slice, so on an input with several faults
+    the two kernels may name different ones."""
+
+    def refuse_first(what: str, mask: np.ndarray) -> None:
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            raise refusal(what, int(bad[0]))
+
+    if not keys.size:
+        return
+    n = g_indptr.shape[0] - 1
+    ascending = np.empty(keys.shape[0], dtype=bool)
+    ascending[0] = keys[0] >= 0
+    np.greater(keys[1:], keys[:-1], out=ascending[1:])
+    refuse_first("keys", ~ascending | (keys >= n * n))
+    refuse_first("member", vertex != keys % n)
+    deg = np.diff(g_indptr)[vertex]
+    for what, port in zip(("parent", "heavy"), ports):
+        refuse_first(what, (port < 0) | (port > deg))
+
+
+def _ent_records(
+    keys: np.ndarray,
+    record: Dict[str, np.ndarray],
+    ports: Tuple[np.ndarray, np.ndarray],
+    links: Optional[Tuple[np.ndarray, np.ndarray]],
+    g_indptr: np.ndarray,
+    step: np.ndarray,
+    kernel: str,
+) -> np.ndarray:
+    """The ``ent`` records of key-sorted entries on ``kernel``.
+
+    ``record`` holds the tree-record fields of :data:`ENT_DTYPE`
+    (``vertex`` through ``light_depth``) and ``ports`` the parent and
+    heavy ports (0 = none), resolved through the ``step`` records to
+    neighbors, weights and edge ids; each neighbor is then linked to its
+    entry row in the same tree.  The native kernel writes every record
+    in one C pass and tries ``links`` (the build's own parent and heavy
+    entry links, or None) before searching the tree's slice; numpy runs
+    :func:`_resolve_ports` and :func:`_link_entries`, the differential
+    reference it must match byte for byte, and never reads ``links``.
+    Both refuse the same malformed entries (:func:`_check_entries`),
+    each naming the first fault it meets.
+    """
+    ent = np.empty(keys.shape[0], dtype=ENT_DTYPE)
+    with TELEMETRY.span("kernel.compile_records", impl=kernel, entries=int(keys.shape[0])):
+        if kernel == "native":
+            return compile_records_native(keys, record, ports, links, g_indptr, step, ent)
+        vertex = record["vertex"]
+        _check_entries(keys, vertex, ports, g_indptr)
+        for name, col in record.items():
+            ent[name] = col
+        for side, port in zip(("parent", "heavy"), ports):
+            nxt, wt, edge = _resolve_ports(g_indptr, vertex, port, step)
+            ent[side + "_next"] = nxt
+            ent[side + "_wt"] = wt
+            ent[side + "_edge"] = edge
+            ent[side + "_epos"] = _link_entries(keys, vertex, nxt)
+        return ent
 
 
 def _slice_starts(keys: np.ndarray, n: int) -> np.ndarray:
@@ -412,19 +502,18 @@ def _resolve_columns(
     ported: PortedGraph,
     *,
     record: Dict[str, np.ndarray],
-    parent_port: np.ndarray,
-    heavy_port: np.ndarray,
+    ports: Tuple[np.ndarray, np.ndarray],
+    links: Optional[Tuple[np.ndarray, np.ndarray]],
     label_bits: np.ndarray,
 ) -> CompiledScheme:
     """Write the ``ent`` and ``step`` records of an entry layout through
     ``ported`` and bind them next to the given ``columns``.
 
-    ``record`` holds the tree-record fields of :data:`ENT_DTYPE`
-    (``vertex`` through ``light_depth``); ``parent_port``/``heavy_port``
-    are the records' ports (0 = none), resolved to neighbors, weights and
-    edge ids through the target port assignment's step records; the
-    neighbors are then resolved back to entry rows of the same tree (one
-    sorted lookup at compile time saves one per hop at route time).
+    ``record``, ``ports`` and ``links`` are :func:`_ent_records`'
+    inputs: the records' ports are resolved to neighbors, weights and
+    edge ids through the target port assignment's step records, and the
+    neighbors back to entry rows of the same tree (one lookup at compile
+    time saves one per hop at route time), on the platform's kernel.
     """
     graph = ported.graph
     arc = ported.arc_of_port
@@ -432,17 +521,15 @@ def _resolve_columns(
     step["next"] = graph.adj[arc]
     step["edge"] = graph.arc_edge[arc]
     step["wt"] = graph.adj_weights[arc]
-    entry_keys = columns["entry_keys"]
-    ent = np.empty(entry_keys.shape[0], dtype=ENT_DTYPE)
-    for name, col in record.items():
-        ent[name] = col
-    vertex = record["vertex"]
-    for side, port in (("parent", parent_port), ("heavy", heavy_port)):
-        nxt, wt, edge = _resolve_ports(graph, vertex, port, step)
-        ent[side + "_next"] = nxt
-        ent[side + "_wt"] = wt
-        ent[side + "_edge"] = edge
-        ent[side + "_epos"] = _link_entries(entry_keys, vertex, nxt)
+    ent = _ent_records(
+        columns["entry_keys"],
+        record,
+        ports,
+        links,
+        graph.indptr,
+        step,
+        resolve_kernel("auto"),
+    )
     return CompiledScheme(
         n=ported.n,
         k=k,
@@ -518,8 +605,8 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
             heavy_finish=recs["heavy_finish"],
             light_depth=recs["light_depth"],
         ),
-        parent_port=recs["parent_port"],
-        heavy_port=recs["heavy_port"],
+        ports=(recs["parent_port"], recs["heavy_port"]),
+        links=None,
         label_bits=tree_label_bits_array(f_width, lp_indptr, lp_data),
     )
 
@@ -544,7 +631,7 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
             arrays.k,
             ported,
             record={name: getattr(arrays, col) for col, name in ARRAYS_IN_RECORD.items()},
-            parent_port=arrays.tr_parent_port,
-            heavy_port=arrays.tr_heavy_port,
+            ports=(arrays.tr_parent_port, arrays.tr_heavy_port),
+            links=(arrays.ent_parent_epos, arrays.ent_heavy_epos),
             label_bits=arrays.entry_label_bits(),
         )

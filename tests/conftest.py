@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
+from repro import kernels
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.graphs.ports import assign_ports
@@ -71,3 +74,22 @@ def path_graph() -> Graph:
 def diamond_graph() -> Graph:
     """4-cycle plus a chord: tiny graph with multiple shortest paths."""
     return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+
+
+@pytest.fixture
+def veto_native(monkeypatch):
+    """``veto_native(fn)`` runs ``fn()`` with the native backend vetoed
+    (``REPRO_NATIVE_KERNELS=0``), so the platform's kernel is numpy."""
+
+    def run(fn):
+        monkeypatch.setenv(kernels._build.ENV_DISABLE, "0")
+        kernels._build.reset_for_tests()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", kernels.KernelFallbackWarning)
+                return fn()
+        finally:
+            monkeypatch.delenv(kernels._build.ENV_DISABLE)
+            kernels._build.reset_for_tests()
+
+    return run

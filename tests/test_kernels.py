@@ -25,7 +25,11 @@ Four layers:
    ``FULL_CENTER_LIMIT`` so small graphs exercise the sweep), and the
    native cluster-tree pass ≡ numpy ``_level_parents`` +
    ``_tree_arrays`` column by column: ties, long child lists, a
-   200,000-deep path, a single vertex, and orphan entries;
+   200,000-deep path, a single vertex, and orphan entries; and the
+   native compile pass ≡ numpy ``_resolve_ports`` + ``_link_entries``
+   on every ``ent``/``step`` byte, under the build's own, sorted and
+   foreign random ports, with poisoned entry-link hints, and refusing
+   the same malformed entries;
 4. **degenerate inputs** — zero-pair matrices, zero-trial sweeps,
    single-vertex/edgeless graphs and all-dead-edge masks return
    identically-shaped results instead of raising, on every kernel; and
@@ -55,8 +59,9 @@ from repro.core.build.vectorized import (
     _cluster_trees,
     vectorized_arrays,
 )
+from repro.analysis.experiments import reference_graph
 from repro.core.landmarks import build_hierarchy
-from repro.errors import KernelError, PreprocessingError, RoutingError
+from repro.errors import EncodingError, KernelError, PreprocessingError, RoutingError
 from repro.graphs import generators as gen
 from repro.graphs.delta import GraphDelta
 from repro.graphs.graph import Graph
@@ -73,7 +78,9 @@ from repro.kernels.hop import commit_native
 from repro.obs import TELEMETRY
 from repro.rng import derive, make_rng
 from repro.sim.engine import batch
+from repro.sim.engine import compile as compile_mod
 from repro.sim.engine.batch import FAIL_NO_TREE, BatchRouter
+from repro.sim.engine.compile import _ent_records, compile_from_arrays, compile_single_tree
 from repro.store import SchemeStore
 
 needs_native = pytest.mark.skipif(
@@ -704,6 +711,269 @@ class TestTreePassDifferential:
             assert len(kids) == 1, parent
             assert kids[0].attrs["impl"] == "native", parent
             assert kids[0].attrs["entries"] >= 1, parent
+
+
+# ----------------------------------------------------------------------
+# 3c. Compile differential: native entry records ≡ numpy resolution
+# ----------------------------------------------------------------------
+REFERENCE_FAMILIES = ("gnp", "ba", "as-like", "grid", "geometric")
+
+#: The refusals hold on numpy alone too, so they also run without a toolchain.
+BOTH_KERNELS = ["numpy", pytest.param("native", marks=needs_native)]
+
+
+@pytest.fixture
+def compile_on(monkeypatch):
+    """``compile_on(kernel, fn)`` runs ``fn()`` with every compile's
+    entry-record pass forked onto ``kernel``."""
+
+    def run(kernel, fn):
+        with monkeypatch.context() as m:
+            m.setattr(compile_mod, "resolve_kernel", lambda _: kernel)
+            return fn()
+
+    return run
+
+
+def assert_compiled_equal(want, got, context=""):
+    """Every column of two compiled schemes equal byte for byte, the
+    ``ent`` and ``step`` records included."""
+    assert (want.n, want.k, want.handshake) == (got.n, got.k, got.handshake)
+    for name in compile_mod.COLUMNS:
+        x, y = getattr(want, name), getattr(got, name)
+        assert x.dtype == y.dtype, f"{name} dtype differs {context}"
+        assert x.tobytes() == y.tobytes(), f"{name} differs {context}"
+
+
+def compiled_both(compile_on, fn, context=""):
+    """``fn()`` compiled on numpy and on native, held equal; returns the
+    native compile."""
+    want = compile_on("numpy", fn)
+    got = compile_on("native", fn)
+    assert_compiled_equal(want, got, context)
+    return got
+
+
+def record_inputs(arrays, links=True):
+    """The arrays' ``_ent_records`` inputs before ``g_indptr``/``step``."""
+    record = {name: getattr(arrays, col) for col, name in compile_mod.ARRAYS_IN_RECORD.items()}
+    ports = (arrays.tr_parent_port, arrays.tr_heavy_port)
+    hints = (arrays.ent_parent_epos, arrays.ent_heavy_epos) if links else None
+    return arrays.entry_keys, record, ports, hints
+
+
+class TestCompileDifferential:
+    @needs_native
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", REFERENCE_FAMILIES)
+    def test_every_record_byte(self, compile_on, family, k):
+        graph = reference_graph(family, 64, k).largest_component()
+        own = assign_ports(graph, "random", rng=derive(k, "own"))
+        arrays = build_arrays(graph, k, ported=own, rng=k)
+        assignments = {
+            "own": own,
+            "sorted": assign_ports(graph, "sorted"),
+            "foreign": assign_ports(graph, "random", rng=derive(k, "foreign")),
+        }
+        for name, ported in assignments.items():
+            got = compiled_both(
+                compile_on,
+                lambda: compile_from_arrays(arrays, ported),
+                f"(family={family} k={k} ports={name})",
+            )
+            # without hints every link is a search of its tree's slice
+            bare = _ent_records(
+                *record_inputs(arrays, links=False), got.g_indptr, got.step, "native"
+            )
+            assert bare.tobytes() == got.ent.tobytes()
+            if name == "own":  # every hint holds: the build's links verbatim
+                assert np.array_equal(got.ent["parent_epos"], arrays.ent_parent_epos)
+                assert np.array_equal(got.ent["heavy_epos"], arrays.ent_heavy_epos)
+
+    @needs_native
+    def test_foreign_ports_lose_parents(self, compile_on):
+        graph = reference_graph("gnp", 300, 5).largest_component()
+        arrays = build_arrays(graph, 3, ported=assign_ports(graph, "random", rng=5), rng=5)
+        got = compiled_both(
+            compile_on, lambda: compile_from_arrays(arrays, assign_ports(graph, "sorted"))
+        )
+        assert (got.ent["parent_epos"] == -2).sum() > 100
+
+    @needs_native
+    @pytest.mark.parametrize("assignment", ["sorted", "random"])
+    def test_single_tree(self, compile_on, assignment):
+        graph = family_from_seed(6, "grid", n=49)
+        scheme = build_single_tree_scheme(graph, assign_ports(graph, "sorted"))
+        ported = assign_ports(graph, assignment, rng=6)
+        compiled_both(compile_on, lambda: compile_single_tree(scheme.router, ported))
+
+    @needs_native
+    def test_entryless_scheme(self):
+        graph = family_from_seed(2, "gnp", n=30)
+        ported = assign_ports(graph, "sorted")
+        arrays = build_arrays(graph, 2, ported=ported, rng=2)
+        cs = compile_from_arrays(arrays, ported)
+        keys, record, ports, hints = record_inputs(arrays)
+        empty = (
+            keys[:0],
+            {name: col[:0] for name, col in record.items()},
+            tuple(p[:0] for p in ports),
+            tuple(h[:0] for h in hints),
+            cs.g_indptr,
+            cs.step,
+        )
+        want = _ent_records(*empty, "numpy")
+        got = _ent_records(*empty, "native")
+        assert want.shape == got.shape == (0,) and want.dtype == got.dtype
+
+    @needs_native
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_single_vertex(self, compile_on, k):
+        graph = Graph(1, [], [])
+        ported = assign_ports(graph, "sorted")
+        arrays = build_arrays(graph, k, ported=ported, rng=0)
+        got = compiled_both(compile_on, lambda: compile_from_arrays(arrays, ported))
+        assert got.entry_count == 1 and got.ent["parent_epos"][0] == -1
+
+    @needs_native
+    def test_poisoned_hints_compile_identically(self, compile_on):
+        graph = reference_graph("gnp", 200, 3).largest_component()
+        ported = assign_ports(graph, "random", rng=3)
+        arrays = build_arrays(graph, 3, ported=ported, rng=3)
+        want = compile_on("numpy", lambda: compile_from_arrays(arrays, ported))
+        E = arrays.entry_count
+        lo = arrays.cl_indptr[arrays.ent_center]
+        size = np.diff(arrays.cl_indptr)[arrays.ent_center]
+        other_tree = arrays.cl_indptr[(arrays.ent_center + 1) % arrays.n]
+        poisons = {
+            # another entry of the same tree: the next one, cyclically
+            "same tree": lambda h: np.where(h >= 0, lo + (h - lo + 1) % size, h),
+            "other tree": lambda h: np.where(h >= 0, other_tree, h),
+            "-1": lambda h: np.full(E, -1, dtype=np.int64),
+            "past E": lambda h: np.where(h >= 0, h + E, E),
+        }
+        for name, poison in poisons.items():
+            bad = dataclasses.replace(
+                arrays,
+                ent_parent_epos=poison(arrays.ent_parent_epos),
+                ent_heavy_epos=poison(arrays.ent_heavy_epos),
+            )
+            assert not np.array_equal(bad.ent_parent_epos, arrays.ent_parent_epos), name
+            got = compile_on("native", lambda: compile_from_arrays(bad, ported))
+            assert_compiled_equal(want, got, f"(hints poisoned: {name})")
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_port_past_the_row_is_refused(self, compile_on, kernel):
+        graph = reference_graph("gnp", 300, 0).largest_component()
+        ported = assign_ports(graph, "random", rng=0)
+        arrays = build_arrays(graph, 3, ported=ported, rng=0)
+        deg = np.diff(graph.indptr)
+        child = arrays.ent_parent >= 0
+        last = int(np.flatnonzero(child & (arrays.ent_member == graph.n - 1))[0])
+        for e in (1, last):  # a row inside the step table, and the last row
+            assert child[e]
+            port = arrays.tr_parent_port.copy()
+            port[e] = deg[arrays.ent_member[e]] + 1
+            bad = dataclasses.replace(arrays, tr_parent_port=port)
+            with pytest.raises(EncodingError, match=f"entry {e}: its parent port"):
+                compile_on(kernel, lambda: compile_from_arrays(bad, ported))
+        port = arrays.tr_heavy_port.copy()
+        port[3] = -1
+        bad = dataclasses.replace(arrays, tr_heavy_port=port)
+        with pytest.raises(EncodingError, match="entry 3: its heavy port"):
+            compile_on(kernel, lambda: compile_from_arrays(bad, ported))
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_member_off_its_key_is_refused(self, compile_on, kernel):
+        graph = family_from_seed(4, "gnp", n=60)
+        ported = assign_ports(graph, "sorted")
+        arrays = build_arrays(graph, 2, ported=ported, rng=4)
+        member = arrays.ent_member.copy()
+        member[5] = (member[5] + 1) % graph.n
+        bad = dataclasses.replace(arrays, ent_member=member)
+        with pytest.raises(EncodingError, match="entry 5: its member is not its key"):
+            compile_on(kernel, lambda: compile_from_arrays(bad, ported))
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_keys_out_of_order_or_range_are_refused(self, compile_on, kernel):
+        graph = family_from_seed(4, "gnp", n=60)
+        ported = assign_ports(graph, "sorted")
+        arrays = build_arrays(graph, 2, ported=ported, rng=4)
+        n, E = graph.n, arrays.entry_count
+        swapped = arrays.entry_keys.copy()
+        swapped[[7, 8]] = swapped[[8, 7]]
+        repeated = arrays.entry_keys.copy()
+        repeated[8] = repeated[7]
+        past = arrays.entry_keys.copy()
+        past[-1] = n * n
+        negative = arrays.entry_keys.copy()
+        negative[0] = -1
+        cases = ((swapped, 8), (repeated, 8), (past, E - 1), (negative, 0))
+        for keys, entry in cases:
+            bad = dataclasses.replace(arrays, entry_keys=keys)
+            with pytest.raises(EncodingError, match=f"entry {entry}: entry keys are not"):
+                compile_on(kernel, lambda: compile_from_arrays(bad, ported))
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_two_faults_are_refused(self, compile_on, kernel):
+        # Only the refusal is pinned: numpy checks every key before any
+        # member, the C pass meets the member fault in the first tree first.
+        graph = family_from_seed(4, "gnp", n=60)
+        ported = assign_ports(graph, "sorted")
+        arrays = build_arrays(graph, 2, ported=ported, rng=4)
+        E = arrays.entry_count
+        assert arrays.entry_keys[5] // graph.n < arrays.entry_keys[-2] // graph.n
+        member = arrays.ent_member.copy()
+        member[5] = (member[5] + 1) % graph.n
+        keys = arrays.entry_keys.copy()
+        keys[[-2, -1]] = keys[[-1, -2]]
+        bad = dataclasses.replace(arrays, ent_member=member, entry_keys=keys)
+        faults = f"entry (5: its member is not its key|{E - 1}: entry keys are not)"
+        with pytest.raises(EncodingError, match=faults):
+            compile_on(kernel, lambda: compile_from_arrays(bad, ported))
+
+    @needs_native
+    def test_compile_records_span(self, tmp_path, veto_native):
+        graph = family_from_seed(9, "gnp", n=40)
+        ported = assign_ports(graph, "sorted")
+        u, v = (int(x) for x in graph.edges[0])
+        delta = GraphDelta(weight_updates=((u, v, float(graph.edge_weights[0] + 1)),))
+
+        def churn(store):
+            stored = store.get_or_build(graph, 3, seed=9, ported=ported)
+            patched = patch_arrays(stored.arrays, graph, delta, ported=ported)
+            store.publish_patch(
+                store.publish(graph, ported, stored.arrays, seed=9),
+                patched.graph,
+                patched.ported,
+                patched.arrays,
+                delta=delta,
+                seed=9,
+            )
+
+        for impl in ("native", "numpy"):
+            store = SchemeStore(tmp_path / impl)
+            TELEMETRY.reset()
+            TELEMETRY.enable()
+            try:
+                if impl == "numpy":
+                    veto_native(lambda: churn(store))
+                else:
+                    churn(store)
+                passes = [
+                    [c for c in sp.children if c.name == "kernel.compile_records"]
+                    for sp, _ in TELEMETRY.spans()
+                    if sp.name == "engine.compile"
+                ]
+            finally:
+                TELEMETRY.disable()
+                TELEMETRY.reset()
+            # the build's compile, the root publish's and the patch's
+            assert len(passes) == 3, impl
+            for kids in passes:
+                assert len(kids) == 1, impl
+                assert kids[0].attrs["impl"] == impl
+                assert kids[0].attrs["entries"] >= 1
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from repro.errors import GraphError, PreprocessingError, RoutingError
 from repro.graphs.delta import GraphDelta, apply_delta
 from repro.graphs.graph import Graph
 from repro.graphs.ports import assign_ports
-from repro.kernels import _build
 from repro.obs import TELEMETRY
 from repro.rng import derive
 from repro.scenarios import random_delta
@@ -503,25 +501,6 @@ class TestHotSwapService:
         with pytest.raises(RoutingError, match="kept vanishing"):
             service.reload()
         assert calls["n"] == RouteService._OPEN_RETRIES
-
-
-@pytest.fixture
-def veto_native(monkeypatch):
-    """``veto_native(fn)`` runs ``fn()`` with the native backend vetoed
-    (``REPRO_NATIVE_KERNELS=0``), so the platform's kernel is numpy."""
-
-    def run(fn):
-        monkeypatch.setenv(_build.ENV_DISABLE, "0")
-        _build.reset_for_tests()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", kernels.KernelFallbackWarning)
-                return fn()
-        finally:
-            monkeypatch.delenv(_build.ENV_DISABLE)
-            _build.reset_for_tests()
-
-    return run
 
 
 def frontier_sweeps(fn):
