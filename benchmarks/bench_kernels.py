@@ -16,17 +16,24 @@ On a 20k-node G(n, p) graph, for a 100k-pair uniform matrix:
   scheme's entry records **≥ 5×** faster than the numpy
   ``_resolve_ports`` + ``_link_entries`` resolution, and **≥ 1.35×**
   faster given the build's own entry links as hints than when it
-  searches every link's tree slice.
+  searches every link's tree slice;
+* on the worker pool (:mod:`repro.pool`) the frontier sweep of every
+  level of the k=2 scheme plus its cluster-tree pass must run
+  **≥ 1.4×** faster than on one worker.  With fewer than
+  two usable CPUs there is nothing to gate: the gate prints why and
+  skips.
 
 Every pair is cross-checked for bit-for-bit agreement before any clock
 is trusted (the same differential contract ``tests/test_kernels.py``
 enforces at property-test scale), and the measured numbers land in
 ``BENCH_kernels.json``, together with the end-to-end ``route_pairs``
-time of both kernels (the native one threaded over one row chunk per
-usable CPU).
+time of both kernels (the native one on the pool, one row chunk per
+pool worker).
 
-The commit and hop gates time one phase each, on one thread, so each
-ratio is one kernel against its own reference.  The hop loop mutates
+Every kernel gate times one phase with its native side on one thread
+(the build and compile passes cut into one range, see
+:func:`on_one_worker`), so each ratio is one kernel against its own
+reference; the pool gate alone measures the workers.  The hop loop mutates
 its ``fail`` column in place, so each repeat hands it a fresh copy of
 the committed state (a few MB — noise next to the loop itself).
 
@@ -51,11 +58,14 @@ from repro.core.build.vectorized import _cluster_trees, _pruned_level
 from repro.core.landmarks import build_hierarchy
 from repro.graphs import generators as gen
 from repro.graphs.ports import assign_ports
+from repro import pool
 from repro.kernels import available, native_error
 from repro.kernels.frontier import frontier_sweep_native
+from repro.kernels.records import compile_records_native
+from repro.kernels.trees import cluster_trees_native
 from repro.rng import make_rng
 from repro.sim.engine import BatchRouter, batch
-from repro.sim.engine.compile import ARRAYS_IN_RECORD, _ent_records
+from repro.sim.engine.compile import ARRAYS_IN_RECORD, ENT_DTYPE, _ent_records
 from repro.sim.workloads import uniform_pairs
 
 pytestmark = pytest.mark.skipif(
@@ -78,7 +88,21 @@ COMPILE_SPEEDUP_FLOOR = 5.0
 #: Measured 1.87×, 1.74× and 1.95× (best of 5, one thread, 2-CPU x86-64
 #: container); the floor keeps about half of the lowest margin over 1×.
 HINT_SPEEDUP_FLOOR = 1.35
+#: Sweep plus tree pass on every pool worker over one worker.  Measured
+#: 2.12×, 1.98× and 1.85× on 2 workers (best of 3, 2-CPU x86-64
+#: container); the floor keeps about half of the lowest margin over 1×,
+#: as the hint gate does.
+POOL_SPEEDUP_FLOOR = 1.4
 N_PAIRS = 100_000
+
+
+def on_one_worker(fn, *args):
+    """``fn(*args)`` with the build and compile passes cut into one range,
+    which runs on this thread: they read the range count from
+    :func:`repro.pool.size`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pool, "size", lambda: 1)
+        return fn(*args)
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +184,7 @@ def test_kernels_speedup(setup):
 
     t_sweep_numpy, t_sweep_native = best_of_interleaved(
         lambda: _pruned_level(graph, centers, thr),
-        lambda: frontier_sweep_native(graph, centers, thr),
+        lambda: on_one_worker(frontier_sweep_native, graph, centers, thr),
         repeats=5,
     )
     frontier_speedup = t_sweep_numpy / t_sweep_native
@@ -175,7 +199,7 @@ def test_kernels_speedup(setup):
 
     t_tree_numpy, t_tree_native = best_of_interleaved(
         lambda: _cluster_trees(graph, ported, keys, dist, "numpy"),
-        lambda: _cluster_trees(graph, ported, keys, dist, "native"),
+        lambda: on_one_worker(cluster_trees_native, graph, ported, keys, dist),
         repeats=3,
     )
     tree_speedup = t_tree_numpy / t_tree_native
@@ -196,9 +220,13 @@ def test_kernels_speedup(setup):
     assert np.array_equal(words, compiled.ent.view(np.int64))
     del words
 
+    def one_worker_records(args):
+        out = np.empty(args[0].shape[0], dtype=ENT_DTYPE)
+        return on_one_worker(compile_records_native, *args, out)
+
     t_compile_numpy, t_compile_native = best_of_interleaved(
         lambda: _ent_records(*record_args, "numpy"),
-        lambda: _ent_records(*record_args, "native"),
+        lambda: one_worker_records(record_args),
         repeats=5,
     )
     compile_speedup = t_compile_numpy / t_compile_native
@@ -209,11 +237,37 @@ def test_kernels_speedup(setup):
     assert np.array_equal(bare.view(np.int64), compiled.ent.view(np.int64))
     del bare
     t_hinted, t_bare = best_of_interleaved(
-        lambda: _ent_records(*record_args, "native"),
-        lambda: _ent_records(*bare_args, "native"),
+        lambda: one_worker_records(record_args),
+        lambda: one_worker_records(bare_args),
         repeats=5,
     )
     hint_speedup = t_bare / t_hinted
+
+    # ---- pool: the build passes on every worker vs on one ------------
+    workers = pool.size()
+    built = arrays.hierarchy
+    levels = []
+    for i in range(built.k):
+        lvl = built.levels[i]
+        cand = np.asarray(lvl[built.level_of[lvl] == i], dtype=np.int64)
+        if cand.size:
+            levels.append((cand, built.dist[i + 1]))
+
+    def build_passes():
+        for level_centers, level_thr in levels:
+            frontier_sweep_native(graph, level_centers, level_thr)
+        cluster_trees_native(graph, ported, keys, dist)
+
+    pool_skip = None
+    t_pool_one = t_pool_all = pool_speedup = None
+    if workers < 2:
+        pool_skip = f"pool gate skipped: {workers} usable CPU, it needs 2"
+        print(f"\n{pool_skip}")
+    else:
+        t_pool_one, t_pool_all = best_of_interleaved(
+            lambda: on_one_worker(build_passes), build_passes, repeats=3
+        )
+        pool_speedup = t_pool_one / t_pool_all
 
     print(
         f"\nkernels (n={graph.n}, m={graph.m}): commit {N_PAIRS:,} pairs "
@@ -228,7 +282,13 @@ def test_kernels_speedup(setup):
         f"numpy {t_tree_numpy:.3f}s native {t_tree_native:.3f}s "
         f"({tree_speedup:.1f}x); compile records numpy {t_compile_numpy:.3f}s "
         f"native {t_compile_native:.3f}s ({compile_speedup:.1f}x), "
-        f"hinted {t_hinted:.3f}s hint-less {t_bare:.3f}s ({hint_speedup:.2f}x)"
+        f"hinted {t_hinted:.3f}s hint-less {t_bare:.3f}s ({hint_speedup:.2f}x); "
+        + (
+            pool_skip
+            if pool_skip
+            else f"sweep + tree pass on {workers} workers {t_pool_all:.3f}s, "
+            f"on one {t_pool_one:.3f}s ({pool_speedup:.2f}x)"
+        )
     )
 
     out = emit(
@@ -240,6 +300,7 @@ def test_kernels_speedup(setup):
             "frontier_level": level,
             "frontier_centers": int(centers.size),
             "tree_pass_entries": int(keys.shape[0]),
+            "pool_workers": workers,
         },
         metrics={
             "commit_numpy_seconds": round(t_commit_numpy, 4),
@@ -260,6 +321,9 @@ def test_kernels_speedup(setup):
             "compile_hinted_seconds": round(t_hinted, 4),
             "compile_hintless_seconds": round(t_bare, 4),
             "compile_hint_speedup": round(hint_speedup, 2),
+            "pool_one_worker_seconds": None if pool_skip else round(t_pool_one, 4),
+            "pool_all_workers_seconds": None if pool_skip else round(t_pool_all, 4),
+            "pool_speedup": None if pool_skip else round(pool_speedup, 2),
             "route_pairs_numpy_seconds": round(t_route_numpy, 4),
             "route_pairs_native_seconds": round(t_route_native, 4),
             "route_pairs_native_threads": threads,
@@ -272,6 +336,7 @@ def test_kernels_speedup(setup):
             "tree_pass_speedup": TREE_PASS_SPEEDUP_FLOOR,
             "compile_speedup": COMPILE_SPEEDUP_FLOOR,
             "compile_hint_speedup": HINT_SPEEDUP_FLOOR,
+            "pool_speedup": POOL_SPEEDUP_FLOOR,
         },
     )
     print(f"wrote {out}")
@@ -299,4 +364,8 @@ def test_kernels_speedup(setup):
     assert hint_speedup >= HINT_SPEEDUP_FLOOR, (
         f"entry-link hints speed the compile pass {hint_speedup:.2f}x, below "
         f"the {HINT_SPEEDUP_FLOOR}x floor"
+    )
+    assert pool_skip or pool_speedup >= POOL_SPEEDUP_FLOOR, (
+        f"sweep + tree pass run {pool_speedup:.2f}x faster on {workers} pool "
+        f"workers than on one, below the {POOL_SPEEDUP_FLOOR}x floor"
     )

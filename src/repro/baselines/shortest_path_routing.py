@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from ..core.router import RouteHeader, RoutingScheme
 from ..errors import PreprocessingError, RoutingError
@@ -61,6 +60,8 @@ def build_shortest_path_scheme(
     graph: Graph, ported: Optional[PortedGraph] = None
 ) -> ShortestPathRoutingScheme:
     """Compile full next-hop tables for a connected graph."""
+    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
+
     from ..graphs.ports import assign_ports
 
     if not graph.is_connected():

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from ..core.router import RouteHeader, RoutingScheme
 from ..errors import PreprocessingError
@@ -109,6 +108,8 @@ def build_single_tree_scheme(
         parent_map[r] = -1
         rooted = tree_from_parents(r, parent_map)
     elif tree == "mst":
+        from scipy.sparse.csgraph import minimum_spanning_tree
+
         r = 0 if root is None else int(root)
         mst = minimum_spanning_tree(graph.to_scipy()).tocoo()
         adj = {v: [] for v in range(graph.n)}

@@ -54,7 +54,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from ...errors import PreprocessingError
 from ...graphs.graph import Graph
@@ -119,6 +118,8 @@ def _full_level(
     graph: Graph, centers: np.ndarray, thr: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cluster membership from chunked batched full-graph Dijkstra rows."""
+    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
+
     n = graph.n
     rows = max(1, min(centers.shape[0], CHUNK_CELLS // max(n, 1)))
     mat = graph.csr().matrix()

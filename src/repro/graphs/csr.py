@@ -29,19 +29,29 @@ propagation detects the gap and transparently falls back to the heap.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from ..errors import GraphError
 from ..obs import TELEMETRY
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 INF = np.inf
 
 #: Sentinel used by scipy for unreachable predecessor entries.
 _SCIPY_NULL = -9999
+
+
+def _scipy_dijkstra(*args, **kwargs):
+    """``scipy.sparse.csgraph.dijkstra``, imported on first call: scipy
+    costs a process ~0.3 s to import, which paths that never run a
+    shortest-path sweep (the serving daemon) should not pay."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(*args, **kwargs)
 
 
 class CSRKernel:
@@ -116,6 +126,8 @@ class CSRKernel:
     def matrix(self) -> csr_matrix:
         """Cached ``scipy.sparse.csr_matrix`` over this kernel's arrays."""
         if self._matrix is None:
+            from scipy.sparse import csr_matrix
+
             self._matrix = csr_matrix(
                 (self.weights, self.indices, self.indptr), shape=(self.n, self.n)
             )

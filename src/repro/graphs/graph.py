@@ -14,13 +14,14 @@ id (``arc_edge``), which is how routing tables refer to physical links.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ..errors import GraphError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 class Graph:
@@ -239,6 +240,8 @@ class Graph:
             return 0, np.zeros(0, dtype=np.int64)
         if self.m == 0:
             return self.n, np.arange(self.n, dtype=np.int64)
+        from scipy.sparse.csgraph import connected_components
+
         count, labels = connected_components(self.to_scipy(), directed=False)
         return int(count), labels.astype(np.int64)
 

@@ -12,7 +12,8 @@ numpy paths remain the bit-for-bit differential reference — the same
 contract the vectorized builder holds against the per-node reference
 builder — enforced by ``tests/test_kernels.py``.  The kernels keep no
 global state and ctypes releases the GIL for each call, which is what
-lets the router run its row chunks on threads.
+lets the worker pool (:mod:`repro.pool`) run the router's row chunks
+and the build and compile passes' entry ranges at once.
 
 The kernels change speed, never results, so the platform picks them:
 every layer runs ``resolve_kernel("auto")`` — native when ``_native.c``

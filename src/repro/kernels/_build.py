@@ -6,8 +6,8 @@ whatever ``cc`` the host provides and cached as a shared library keyed
 by the source hash.  The publish is an atomic rename, so concurrent
 processes (test workers, a daemon started beside a CLI run) race
 benignly — the last writer wins with an identical artifact.  None of
-the kernels keeps global state, so the router may call them from
-several threads at once.
+the kernels keeps global state, so the worker pool's threads may run
+any of them at once.
 
 Gating, in order:
 
@@ -96,21 +96,34 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_PTR, _PTR]  # dead_masks, trial
         + [_I64, _I64]  # mask_width, ttl
     )
+    lib.tz_frontier_arcs.restype = None
+    lib.tz_frontier_arcs.argtypes = (
+        [_I64, _I64]  # vertex range lo, hi
+        + [_PTR] * 4  # indptr, adj, wts, thr
+        + [_PTR]  # out lim-sorted arcs
+    )
     lib.tz_frontier_sweep.restype = _I64
     lib.tz_frontier_sweep.argtypes = (
-        [_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR] + [_PPTR, _PPTR] + [_PTR]
+        [_I64, _PTR, _PTR]  # n, indptr, lim-sorted arcs
+        + [_I64, _PTR, _PTR]  # center count, centers, thr
+        + [_PPTR, _PPTR, _PTR]  # out keys, out dist, stats
     )
     lib.tz_cluster_trees.restype = _I64
     lib.tz_cluster_trees.argtypes = (
-        [_I64, _I64]  # n, count
+        [_I64, _I64, _I64]  # n, entry range lo, hi
         + [_PTR] * 6  # keys, dist, indptr, adj, wts, port_of_arc
         + [_PTR] * 10  # parent, parent/heavy epos, f, finish, heavy finish,
         #                light depth, parent/heavy port, lp_indptr
-        + [_PPTR]  # out lp_data
+    )
+    lib.tz_light_ports.restype = _I64
+    lib.tz_light_ports.argtypes = (
+        [_I64, _I64, _I64, _I64]  # n, entry range lo, hi, lp_data offset
+        + [_PTR] * 4  # keys, parent epos, f, light depth
+        + [_PTR] * 2  # lp_indptr (down ports in), out lp_data
     )
     lib.tz_compile_records.restype = _I64
     lib.tz_compile_records.argtypes = (
-        [_I64, _I64]  # n, count
+        [_I64, _I64, _I64]  # n, entry range lo, hi
         + [_PTR] * 6  # keys, vertex, f, finish, heavy finish, light depth
         + [_PTR] * 4  # parent/heavy port, parent/heavy hint (or NULL)
         + [_PTR] * 2  # g_indptr, step records

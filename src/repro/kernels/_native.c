@@ -4,10 +4,10 @@
  * and cluster-tree pass (core/build/vectorized.py), and the compile
  * pass that writes the entry records (sim/engine/compile.py).
  *
- * Deliberately plain C99 + libc, no Python.h: the library is loaded
- * through ctypes, so a bare `cc -O3 -fPIC -shared` against the system
- * toolchain is the whole build and no Python development headers are
- * needed.  All array arguments are raw pointers into numpy buffers:
+ * Deliberately plain C99 + libc (and POSIX mmap), no Python.h: the
+ * library is loaded through ctypes, so a bare `cc -O3 -fPIC -shared`
+ * against the system toolchain is the whole build and no Python
+ * development headers are needed.  All array arguments are raw pointers into numpy buffers:
  * per-call columns the wrappers pin as contiguous int64/float64/uint8,
  * and the compiled scheme's own columns, which its construction check
  * guarantees to be contiguous int64 or exactly the record layouts below.
@@ -55,11 +55,13 @@
  * committed tree's entry slice, not the global key table.
  */
 
+#define _GNU_SOURCE /* mremap */
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH(p) __builtin_prefetch((const void *)(p))
@@ -561,17 +563,109 @@ static void sort_ids(int64_t *a, int64_t len)
     }
 }
 
+/* Buffers of the frontier sweep come straight from the OS, with their
+ * mapping length in a 64-byte header.  They are the largest a pool
+ * worker allocates (the outputs grow to megabytes per level), and
+ * glibc's malloc gives each thread an arena that keeps freed pages for
+ * reuse: one such reserve per worker, on top of the caller's, raised
+ * churn's peak RSS by 12-18 MB.  mmap/munmap hands every page back.
+ * malloc_trim(0) after each free gave back as much but made churn
+ * epochs ~10% slower: it trims every arena, the caller's too, whose
+ * freed pages numpy then faults in again. */
+#define OS_HEAD 64
+
+static void *os_alloc(size_t bytes)
+{
+    const size_t len = bytes + OS_HEAD;
+    char *p = mmap(NULL, len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        return NULL;
+    *(size_t *)p = len;
+    return p + OS_HEAD;
+}
+
+static void os_free(void *q)
+{
+    if (q) {
+        char *p = (char *)q - OS_HEAD;
+        munmap(p, *(size_t *)p);
+    }
+}
+
+/* q grown to `bytes` with its first `keep` bytes (q itself is then
+ * gone), or NULL with q untouched.  Linux moves the pages (mremap), so
+ * growth neither copies nor holds both buffers at once; elsewhere a
+ * fresh buffer takes a copy. */
+static void *os_grow(void *q, size_t keep, size_t bytes)
+{
+    if (!q)
+        return os_alloc(bytes);
+#ifdef __linux__
+    char *p = (char *)q - OS_HEAD;
+    const size_t len = bytes + OS_HEAD;
+    char *r = mremap(p, *(size_t *)p, len, MREMAP_MAYMOVE);
+    if (r == MAP_FAILED)
+        return NULL;
+    *(size_t *)r = len;
+    (void)keep;
+    return r + OS_HEAD;
+#else
+    void *r = os_alloc(bytes);
+    if (r && keep)
+        memcpy(r, q, keep);
+    if (r)
+        os_free(q);
+    return r;
+#endif
+}
+
+/* Lim-sorted adjacency of vertices [lo, hi): arcs[indptr[u] ..
+ * indptr[u+1]) holds u's arcs sorted by lim descending.  thr is shared
+ * by every center of a level, so one copy serves the whole level's
+ * sweep, and vertex ranges fill it independently.  Degrees are small
+ * (insertion sort beats anything with setup cost) and an inf threshold
+ * yields lim = inf, which never triggers the sweep's break. */
+void tz_frontier_arcs(
+    int64_t lo,
+    int64_t hi,
+    const int64_t *indptr,
+    const int64_t *adj,
+    const double *wts,
+    const double *thr,
+    parc *arcs)                      /* out: rows indptr[lo] .. indptr[hi] */
+{
+    for (int64_t u = lo; u < hi; u++) {
+        const int64_t a0 = indptr[u], a1 = indptr[u + 1];
+        for (int64_t a = a0; a < a1; a++) {
+            const double x = thr[adj[a]] * (1.0 + 4.0 * DBL_EPSILON);
+            parc p;
+            p.lim = up_ulp(up_ulp(x - wts[a]));
+            p.v = adj[a];
+            p.wt = wts[a];
+            int64_t j = a;
+            while (j > a0 && arcs[j - 1].lim < p.lim) {
+                arcs[j] = arcs[j - 1];
+                j--;
+            }
+            arcs[j] = p;
+        }
+    }
+}
+
 /* Thresholded shortest paths from every center; emits the same sorted
  * (center * n + vertex, distance) state the numpy sweep converges to.
  * Per center this runs FIFO label-correcting (SPFA) rather than a
  * heap: for positive weights any convergent relaxation schedule
  * reaches the same least fixpoint value-by-value under IEEE rounding,
  * and dropping the heap removes the serial pop/sift dependency chain
- * that dominates a one-settle-at-a-time loop.  The adjacency is copied
- * once into per-vertex slices sorted by the conservative relax bound
- * `lim` descending, so each scan breaks at the first arc the settled
- * distance can no longer pass — on thresholded cluster levels that
- * skips roughly two-thirds of the arc volume.
+ * that dominates a one-settle-at-a-time loop.  It scans the
+ * tz_frontier_arcs copy, whose per-vertex slices are sorted by the
+ * conservative relax bound `lim` descending, so each scan breaks at
+ * the first arc the settled distance can no longer pass — on
+ * thresholded cluster levels that skips roughly two-thirds of the arc
+ * volume.  Each call keeps its own per-vertex state, so threads may
+ * sweep disjoint center ranges over one arc copy at once.
  * `centers` must be sorted ascending so the concatenated per-center
  * slices come out globally key-sorted.  Returns the pair count (the
  * caller copies out of *out_keys / *out_dist and frees both through
@@ -590,8 +684,7 @@ typedef struct {
 int64_t tz_frontier_sweep(
     int64_t n,
     const int64_t *indptr,
-    const int64_t *adj,
-    const double *wts,
+    const parc *arcs,                /* tz_frontier_arcs of all n vertices */
     int64_t ncenters,
     const int64_t *centers,
     const double *thr,
@@ -599,44 +692,19 @@ int64_t tz_frontier_sweep(
     double **out_dist,
     int64_t *stats)
 {
-    const int64_t narcs = indptr[n];
-    vstate *vs = malloc((size_t)n * sizeof(vstate));
-    int64_t *sett = malloc((size_t)n * sizeof(int64_t)); /* per-center */
-    parc *arcs = malloc((size_t)(narcs ? narcs : 1) * sizeof(parc));
-    int64_t *queue = malloc((size_t)(n + 1) * sizeof(int64_t));
+    vstate *vs = os_alloc((size_t)n * sizeof(vstate));
+    int64_t *sett = os_alloc((size_t)n * sizeof(int64_t)); /* per-center */
+    int64_t *queue = os_alloc((size_t)(n + 1) * sizeof(int64_t));
     const int64_t qcap = n + 1; /* FIFO ring; a vertex queues at most once */
     int64_t *keys = NULL;
     double *dout = NULL;
     int64_t count = 0, out_cap = 0;
     int64_t settled = 0, relaxed = 0;
-    int oom = (!vs || !sett || !arcs || !queue);
-    if (!oom) {
-        for (int64_t i = 0; i < n; i++) {
-            vs[i].stamp = -1;
-            vs[i].done = -1;
-            vs[i].thr = thr[i];
-        }
-        /* Lim-sorted adjacency: per-vertex insertion sort, descending.
-         * thr is shared by every center, so one copy serves the whole
-         * sweep; degrees are small (insertion sort beats anything with
-         * setup cost) and an inf threshold yields lim = inf, which
-         * never triggers the break. */
-        for (int64_t u = 0; u < n; u++) {
-            const int64_t lo = indptr[u], hi = indptr[u + 1];
-            for (int64_t a = lo; a < hi; a++) {
-                const double x = thr[adj[a]] * (1.0 + 4.0 * DBL_EPSILON);
-                parc p;
-                p.lim = up_ulp(up_ulp(x - wts[a]));
-                p.v = adj[a];
-                p.wt = wts[a];
-                int64_t j = a;
-                while (j > lo && arcs[j - 1].lim < p.lim) {
-                    arcs[j] = arcs[j - 1];
-                    j--;
-                }
-                arcs[j] = p;
-            }
-        }
+    int oom = (!vs || !sett || !queue);
+    for (int64_t i = 0; !oom && i < n; i++) {
+        vs[i].stamp = -1;
+        vs[i].done = -1;
+        vs[i].thr = thr[i];
     }
     for (int64_t e = 0; e < ncenters && !oom; e++) {
         const int64_t w = centers[e];
@@ -683,10 +751,12 @@ int64_t tz_frontier_sweep(
             int64_t nc = out_cap ? out_cap * 2 : 4096;
             while (nc < count + sett_len)
                 nc *= 2;
-            int64_t *nk = realloc(keys, (size_t)nc * sizeof(int64_t));
+            int64_t *nk = os_grow(keys, (size_t)count * sizeof(int64_t),
+                                  (size_t)nc * sizeof(int64_t));
             if (nk)
                 keys = nk;
-            double *ndp = realloc(dout, (size_t)nc * sizeof(double));
+            double *ndp = os_grow(dout, (size_t)count * sizeof(double),
+                                  (size_t)nc * sizeof(double));
             if (ndp)
                 dout = ndp;
             if (!nk || !ndp) {
@@ -703,13 +773,12 @@ int64_t tz_frontier_sweep(
         count += sett_len;
         settled += sett_len;
     }
-    free(vs);
-    free(sett);
-    free(arcs);
-    free(queue);
+    os_free(vs);
+    os_free(sett);
+    os_free(queue);
     if (oom) {
-        free(keys);
-        free(dout);
+        os_free(keys);
+        os_free(dout);
         return -1;
     }
     *out_keys = keys;
@@ -736,8 +805,25 @@ typedef struct {
     int64_t local;
 } vslot;
 
-/* SPT parents and §2 heavy-light records of every cluster, one linear
- * pass per cluster over its key-sorted entries [lo, hi):
+/* Longest run of equal key / n in the key-sorted entries [lo, hi): the
+ * largest cluster, which sizes the per-cluster scratch. */
+static int64_t max_cluster(int64_t n, const int64_t *keys, int64_t lo,
+                           int64_t hi)
+{
+    int64_t smax = 0;
+    for (int64_t a = lo, b; a < hi; a = b) {
+        const int64_t w = keys[a] / n;
+        for (b = a + 1; b < hi && keys[b] / n == w; b++)
+            ;
+        if (b - a > smax)
+            smax = b - a;
+    }
+    return smax;
+}
+
+/* SPT parents and §2 heavy-light records of the clusters in entries
+ * [lo, hi) (cut at cluster boundaries), one linear pass per cluster
+ * over its key-sorted entries [a, b):
  *
  * 1. parent of member v: the smallest-id member u with
  *    dist(u) + wt(v,u) == dist(v).  v's adjacency row is sorted by head,
@@ -749,19 +835,21 @@ typedef struct {
  * 3. each child list sorted by (-size, id) — the heavy child first;
  * 4. DFS numbers without a DFS: in BFS order (parents first) the j-th
  *    child of x gets f(x) + 1 + the sizes of children 0..j-1, and light
- *    depth grows by one at every child but the first;
- * 5. light-port sequences: in BFS order each entry copies its parent's
- *    sequence and, when it is a light child, appends the port at the
- *    parent toward it.
+ *    depth grows by one at every child but the first.
  *
- * Outputs are E-sized columns the caller allocates (lp_indptr E+1);
- * lp_data grows here and is handed out through *out_lp (free with
- * tz_free).  Returns its length, TREES_OOM, or TREES_ORPHAN when some
- * non-center entry has no tight in-cluster predecessor (or is not
- * connected to its center through them). */
+ * Every array is the whole entry column and the pass writes only rows
+ * [lo, hi) (lp_indptr: rows lo+1 .. hi), so entry links come out
+ * global and threads may run disjoint ranges at once.  The light-port
+ * sequences follow in tz_light_ports, once the caller has placed each
+ * range's share of lp_data; until then lp_indptr[e + 1] holds the port
+ * at entry e's parent toward it (0 at a root).  Returns the sum of the
+ * range's light depths (its lp_data length), TREES_OOM, or TREES_ORPHAN
+ * when some non-center entry has no tight in-cluster predecessor (or is
+ * not connected to its center through them). */
 int64_t tz_cluster_trees(
     int64_t n,
-    int64_t count,                   /* E */
+    int64_t lo,                      /* entry range [lo, hi) */
+    int64_t hi,
     const int64_t *keys,             /* (E) sorted center * n + member */
     const double *dist,              /* (E) */
     const int64_t *indptr,
@@ -777,18 +865,9 @@ int64_t tz_cluster_trees(
     int64_t *light_depth,
     int64_t *parent_port,
     int64_t *heavy_port,
-    int64_t *lp_indptr,              /* out (E+1) */
-    int64_t **out_lp)
+    int64_t *lp_indptr)              /* out (E+1): down port at row e+1 */
 {
-    int64_t smax = 0;
-    for (int64_t lo = 0, hi; lo < count; lo = hi) {
-        const int64_t w = keys[lo] / n;
-        for (hi = lo + 1; hi < count && keys[hi] / n == w; hi++)
-            ;
-        if (hi - lo > smax)
-            smax = hi - lo;
-    }
-    const size_t cap = (size_t)(smax ? smax : 1);
+    const size_t cap = (size_t)max_cluster(n, keys, lo, hi) + 1;
     vslot *slot = malloc((size_t)(n ? n : 1) * sizeof(vslot));
     int64_t *par = malloc(cap * sizeof(int64_t));       /* local parent */
     int64_t *cptr = malloc((cap + 1) * sizeof(int64_t)); /* child CSR */
@@ -796,31 +875,28 @@ int64_t tz_cluster_trees(
     int64_t *order = malloc(cap * sizeof(int64_t));     /* BFS order */
     int64_t *size = malloc(cap * sizeof(int64_t));
     int64_t *down = malloc(cap * sizeof(int64_t)); /* parent's port to it */
-    int64_t *lp = NULL;
-    int64_t lp_cap = 0;
-    int64_t rc = 0;
+    int64_t rc = 0, lp_len = 0;
     if (!slot || !par || !cptr || !kids || !order || !size || !down)
         rc = TREES_OOM;
     for (int64_t v = 0; rc == 0 && v < n; v++)
         slot[v].stamp = -1;
-    lp_indptr[0] = 0;
-    for (int64_t lo = 0, hi; rc == 0 && lo < count; lo = hi) {
-        const int64_t w = keys[lo] / n, base = w * n;
-        for (hi = lo + 1; hi < count && keys[hi] / n == w; hi++)
+    for (int64_t a = lo, b; rc == 0 && a < hi; a = b) {
+        const int64_t w = keys[a] / n, base = w * n;
+        for (b = a + 1; b < hi && keys[b] / n == w; b++)
             ;
-        const int64_t s = hi - lo;
+        const int64_t s = b - a;
         const int full = s == n; /* member v sits at local index v */
         if (!full)
             for (int64_t i = 0; i < s; i++) {
-                slot[keys[lo + i] - base].stamp = lo;
-                slot[keys[lo + i] - base].local = i;
+                slot[keys[a + i] - base].stamp = a;
+                slot[keys[a + i] - base].local = i;
             }
 
         /* 1. parents, ports, child counts */
         int64_t root = -1;
         memset(cptr, 0, (size_t)(s + 1) * sizeof(int64_t));
         for (int64_t i = 0; i < s; i++) {
-            const int64_t e = lo + i, v = keys[e] - base;
+            const int64_t e = a + i, v = keys[e] - base;
             if (v == w) {
                 root = i;
                 par[i] = -1;
@@ -831,12 +907,12 @@ int64_t tz_cluster_trees(
                 continue;
             }
             const double dv = dist[e];
-            int64_t a = indptr[v], j = -1;
-            for (const int64_t a_end = indptr[v + 1]; a < a_end; a++) {
-                const int64_t u = adj[a];
+            int64_t arc = indptr[v], j = -1;
+            for (const int64_t arc_end = indptr[v + 1]; arc < arc_end; arc++) {
+                const int64_t u = adj[arc];
                 const int64_t ju =
-                    full ? u : (slot[u].stamp == lo ? slot[u].local : -1);
-                if (ju >= 0 && dist[lo + ju] + wts[a] == dv) {
+                    full ? u : (slot[u].stamp == a ? slot[u].local : -1);
+                if (ju >= 0 && dist[a + ju] + wts[arc] == dv) {
                     j = ju;
                     break;
                 }
@@ -845,12 +921,12 @@ int64_t tz_cluster_trees(
                 rc = TREES_ORPHAN;
                 break;
             }
-            const int64_t u = adj[a];
+            const int64_t u = adj[arc];
             par[i] = j;
             cptr[j + 1]++;
             parent[e] = u;
-            parent_epos[e] = lo + j;
-            parent_port[e] = port_of_arc[a];
+            parent_epos[e] = a + j;
+            parent_port[e] = port_of_arc[arc];
             down[i] = port_of_arc[find_key(adj, indptr[u], indptr[u + 1], v)];
         }
         if (rc == 0 && root < 0)
@@ -896,11 +972,11 @@ int64_t tz_cluster_trees(
         }
 
         /* 4. DFS intervals, heavy links, light depth */
-        int64_t *F = f + lo, *LD = light_depth + lo;
+        int64_t *F = f + a, *LD = light_depth + a;
         F[root] = 0;
         LD[root] = 0;
         for (int64_t h = 0; h < s; h++) {
-            const int64_t x = order[h], e = lo + x;
+            const int64_t x = order[h], e = a + x;
             int64_t next = F[x] + 1;
             for (int64_t c = cptr[x]; c < cptr[x + 1]; c++) {
                 F[kids[c]] = next;
@@ -908,9 +984,10 @@ int64_t tz_cluster_trees(
                 next += size[kids[c]];
             }
             finish[e] = F[x] + size[x] - 1;
+            lp_indptr[e + 1] = down[x];
             if (cptr[x + 1] > cptr[x]) {
                 const int64_t hc = kids[cptr[x]];
-                heavy_epos[e] = lo + hc;
+                heavy_epos[e] = a + hc;
                 heavy_finish[e] = F[x] + size[hc];
                 heavy_port[e] = down[hc];
             } else {
@@ -918,33 +995,7 @@ int64_t tz_cluster_trees(
                 heavy_finish[e] = F[x];
                 heavy_port[e] = 0;
             }
-        }
-
-        /* 5. light-port sequences */
-        for (int64_t i = 0; i < s; i++)
-            lp_indptr[lo + i + 1] = lp_indptr[lo + i] + LD[i];
-        if (lp_indptr[hi] > lp_cap) {
-            int64_t nc = lp_cap ? lp_cap * 2 : 4096;
-            while (nc < lp_indptr[hi])
-                nc *= 2;
-            int64_t *nl = realloc(lp, (size_t)nc * sizeof(int64_t));
-            if (!nl) {
-                rc = TREES_OOM;
-                break;
-            }
-            lp = nl;
-            lp_cap = nc;
-        }
-        for (int64_t h = 1; h < s; h++) {
-            const int64_t x = order[h], p = par[x];
-            if (LD[x] == 0)
-                continue;
-            int64_t *dst = lp + lp_indptr[lo + x];
-            if (LD[p])
-                memcpy(dst, lp + lp_indptr[lo + p],
-                       (size_t)LD[p] * sizeof(int64_t));
-            if (LD[x] > LD[p])
-                dst[LD[p]] = down[x];
+            lp_len += LD[x];
         }
     }
     free(slot);
@@ -954,12 +1005,60 @@ int64_t tz_cluster_trees(
     free(order);
     free(size);
     free(down);
-    if (rc) {
-        free(lp);
-        return rc;
+    return rc ? rc : lp_len;
+}
+
+/* Light-port sequences of the clusters in entries [lo, hi), from
+ * tz_cluster_trees' columns: entry x's sequence is its parent's
+ * followed, when x is a light child (one light edge deeper than its
+ * parent), by the port at the parent toward x, which tz_cluster_trees
+ * left in lp_indptr[x + 1].  Replaces lp_indptr[lo+1 .. hi] with
+ * running sums of the light depths from lp_base (the lp_data length of
+ * all earlier entries) and fills lp_data there, parents before
+ * children in DFS order.  Returns 0 or TREES_OOM. */
+int64_t tz_light_ports(
+    int64_t n,
+    int64_t lo,                      /* entry range [lo, hi) */
+    int64_t hi,
+    int64_t lp_base,
+    const int64_t *keys,             /* (E) sorted center * n + member */
+    const int64_t *parent_epos,      /* (E) tz_cluster_trees columns */
+    const int64_t *f,
+    const int64_t *light_depth,
+    int64_t *lp_indptr,              /* in: down ports; out (E+1) */
+    int64_t *lp_data)                /* out */
+{
+    const size_t cap = (size_t)max_cluster(n, keys, lo, hi) + 1;
+    int64_t *by_f = malloc(cap * sizeof(int64_t)); /* DFS number -> local */
+    int64_t *down = malloc(cap * sizeof(int64_t));
+    int64_t rc = (!by_f || !down) ? TREES_OOM : 0;
+    int64_t at = lp_base;
+    for (int64_t a = lo, b; rc == 0 && a < hi; a = b) {
+        const int64_t w = keys[a] / n;
+        for (b = a + 1; b < hi && keys[b] / n == w; b++)
+            ;
+        for (int64_t e = a; e < b; e++) {
+            by_f[f[e]] = e - a;
+            down[e - a] = lp_indptr[e + 1];
+            at += light_depth[e];
+            lp_indptr[e + 1] = at;
+        }
+        for (int64_t h = 1; h < b - a; h++) {
+            const int64_t x = a + by_f[h], p = parent_epos[x];
+            const int64_t ld = light_depth[x], lp = light_depth[p];
+            if (ld == 0)
+                continue;
+            int64_t *dst = lp_data + (lp_indptr[x + 1] - ld);
+            if (lp)
+                memcpy(dst, lp_data + (lp_indptr[p + 1] - lp),
+                       (size_t)lp * sizeof(int64_t));
+            if (ld > lp)
+                dst[lp] = down[x - a];
+        }
     }
-    *out_lp = lp;
-    return lp_indptr[count];
+    free(by_f);
+    free(down);
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1029,10 +1128,18 @@ static void resolve_move(const tree_slice *t, const step_rec *row,
  * Refuses, before resolving the entry at fault, what numpy would
  * resolve wrongly: keys out of order or range, a member that is not
  * its key mod n, and a port past its member's row.  Returns 0 or a
- * RECORDS_* code with the entry at *bad. */
+ * RECORDS_* code with the entry at *bad.
+ *
+ * Every array is the whole entry column and the pass covers only
+ * entries [lo, hi), which the caller cuts where the tree id strictly
+ * grows: those are slice boundaries of the one-range pass too, so a
+ * range's records, and the first fault it names, are the ones the
+ * one-range pass would write and name, and threads may run disjoint
+ * ranges at once. */
 int64_t tz_compile_records(
     int64_t n,
-    int64_t count,                   /* E */
+    int64_t lo,                      /* entry range [lo, hi) */
+    int64_t hi,
     const int64_t *keys,             /* (E) tree * n + member */
     const int64_t *vertex,           /* (E) tree-record fields */
     const int64_t *f,
@@ -1050,22 +1157,22 @@ int64_t tz_compile_records(
 {
     const int64_t span = n * n;
     tree_slice t = {keys, 0, 0, 0, 0};
-    for (int64_t lo = 0, hi; lo < count; lo = hi) {
-        if (keys[lo] < 0 || keys[lo] >= span) {
-            *bad = lo;
+    for (int64_t a = lo, b; a < hi; a = b) {
+        if (keys[a] < 0 || keys[a] >= span) {
+            *bad = a;
             return RECORDS_KEYS;
         }
-        const int64_t base = keys[lo] / n * n, end = base + n;
-        for (hi = lo + 1; hi < count && keys[hi] < end; hi++)
-            if (keys[hi] <= keys[hi - 1]) {
-                *bad = hi;
+        const int64_t base = keys[a] / n * n, end = base + n;
+        for (b = a + 1; b < hi && keys[b] < end; b++)
+            if (keys[b] <= keys[b - 1]) {
+                *bad = b;
                 return RECORDS_KEYS;
             }
-        t.lo = lo;
-        t.hi = hi;
+        t.lo = a;
+        t.hi = b;
         t.base = base;
-        t.full = hi - lo == n;
-        for (int64_t e = lo; e < hi; e++) {
+        t.full = b - a == n;
+        for (int64_t e = a; e < b; e++) {
             const int64_t v = vertex[e];
             if (v != keys[e] - base) {
                 *bad = e;
@@ -1099,8 +1206,8 @@ int64_t tz_compile_records(
     return 0;
 }
 
-/* Release a buffer handed out by tz_frontier_sweep or tz_cluster_trees. */
+/* Release a buffer handed out by tz_frontier_sweep. */
 void tz_free(void *p)
 {
-    free(p);
+    os_free(p);
 }

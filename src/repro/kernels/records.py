@@ -15,17 +15,23 @@ holds the neighbour's key; otherwise the pass searches that slice.
 Hints are checked, never trusted, so a wrong one costs a search, not a
 wrong record.  What numpy would resolve wrongly is refused inline with
 the :data:`REFUSALS` the numpy path raises too.
+
+The pass runs on the worker pool (:mod:`repro.pool`), one range of whole
+trees per worker (:func:`~repro.kernels.trees.tree_ranges`), each
+writing its own rows of ``out``; a refusal names its global entry
+index, from the first refusing range.
 """
 
 from __future__ import annotations
 
-import ctypes
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .. import pool
 from ..errors import EncodingError
 from . import _build
+from .trees import tree_ranges
 
 __all__ = ["REFUSALS", "compile_records_native", "refusal"]
 
@@ -68,7 +74,10 @@ def compile_records_native(
     ``light_depth``), ``ports`` the parent and heavy ports (0 = none),
     ``links`` the parent and heavy entry-link hints or None.  ``step``
     and ``out`` must be contiguous record columns of 3 and 13 words.
-    Raises :class:`~repro.errors.EncodingError` (see :func:`refusal`).
+    The records are written in one tree range per pool worker
+    (:func:`repro.pool.size`); neither they nor a refusal depend on the
+    ranges.  Raises :class:`~repro.errors.EncodingError` (see
+    :func:`refusal`).
     """
     lib = _build.load()
     if lib is None:  # pragma: no cover - callers resolve the kernel first
@@ -90,17 +99,23 @@ def compile_records_native(
         and step.shape == (int(g_indptr[-1]),)
     ):
         raise ValueError("step and out must be contiguous record columns")
-    bad = np.zeros(1, dtype=np.int64)
-    code = lib.tz_compile_records(
-        n,
-        E,
-        *(a.ctypes.data_as(ctypes.c_void_p) for a in [keys] + cols),
-        *(None if h is None else h.ctypes.data_as(ctypes.c_void_p) for h in hints),
-        g_indptr.ctypes.data_as(ctypes.c_void_p),
-        step.ctypes.data_as(ctypes.c_void_p),
-        out.ctypes.data_as(ctypes.c_void_p),
-        bad.ctypes.data_as(ctypes.c_void_p),
-    )
-    if code:
-        raise refusal(_CODES[int(code)], int(bad[0]))
+    ranges = tree_ranges(keys, n, pool.size())
+    bad = np.zeros(len(ranges), dtype=np.int64)
+    # The task holds the arrays, not bare addresses, so no buffer can be
+    # freed under a range that is still writing it.
+    columns = [keys] + cols
+
+    def task(lo: int, hi: int, j: int) -> int:
+        return lib.tz_compile_records(
+            n, lo, hi,
+            *(a.ctypes.data for a in columns),
+            *(None if h is None else h.ctypes.data for h in hints),
+            g_indptr.ctypes.data, step.ctypes.data, out.ctypes.data,
+            bad[j:].ctypes.data,
+        )
+
+    codes = pool.run(task, [(lo, hi, j) for j, (lo, hi) in enumerate(ranges)])
+    for j, code in enumerate(codes):
+        if code:
+            raise refusal(_CODES[int(code)], int(bad[j]))
     return out

@@ -44,25 +44,24 @@ synchronized loop stay as the bit-for-bit references, which
 numpy by field — so the first route after a load or a swap does the
 same work as every later one.  Rows are independent, so
 :meth:`BatchRouter.route_pairs` cuts a batch of at least
-:data:`ROUTE_CHUNK_FLOOR` pairs into one contiguous row chunk per usable
-CPU and runs each phase's chunks on threads (ctypes releases the GIL),
-every chunk writing its own rows of shared output columns — the result
-is the one-chunk result, in input order.  Telemetry spans and counters
-are recorded on the calling thread only: the registry holds the open
-span per context and a chunk thread does not inherit the caller's, so
-a span opened there would be a new root, and the metric dicts take no
-locks.
+:data:`ROUTE_CHUNK_FLOOR` pairs into one contiguous row chunk per worker
+of the process's pinned pool (:mod:`repro.pool`) and runs each phase's
+chunks there (ctypes releases the GIL), every chunk writing its own
+rows of shared output columns — the result is the one-chunk result, in
+input order.  Telemetry spans and counters are recorded on the calling
+thread only: the registry holds the open span per context and a pool
+worker does not inherit the caller's, so a span opened there would be a
+new root, and the metric dicts take no locks.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ... import pool
 from ...core.router import RoutingScheme
 from ...errors import RoutingError
 from ...graphs.ports import PortedGraph
@@ -99,39 +98,27 @@ FAILURE_TEXT = {
 _LOST = -2
 
 #: Smallest ``route_pairs`` batch the native kernel cuts into one row
-#: chunk per usable CPU; smaller batches run on the calling thread.
-#: Each threaded phase pays ~0.2 ms to start and join its workers.  On
-#: Zipf batches over a gnp n=10⁴, k=3 scheme (2-CPU x86-64 container,
-#: best of 7, interleaved) two chunks beat one by 1.44–1.54× at 16,384
-#: pairs and 1.5–1.6× at 32,768–65,536, but only by 1.04–1.24× at 8,192
-#: and 1.03–1.06× at 4,096, and lost (0.8×) at 2,048.
-ROUTE_CHUNK_FLOOR = 16_384
+#: chunk per pool worker; smaller batches run on the calling thread.
+#: Each threaded phase (a route has two) pays one pool round trip:
+#: ~0.05 ms while the workers are awake, 0.17 ms at the median after
+#: an idle pause.  On Zipf batches over a gnp n=10⁴, k=3 scheme (2-CPU
+#: x86-64 container, best of 7 interleaved calls, eight readings per
+#: size) two chunks beat one by 1.18–1.53× at 8,192 pairs, 1.51–1.66×
+#: at 16,384 and 1.64–1.80× at 32,768, but only by 0.92–1.32× at 4,096
+#: (slower in three of the eight readings) and 0.76–1.01× at 2,048.
+ROUTE_CHUNK_FLOOR = 8_192
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity API (macOS)
-        return os.cpu_count() or 1
+    """Workers of the process's pool: one per CPU of its affinity mask."""
+    return pool.size()
 
 
 def _row_chunks(count: int) -> List[Tuple[int, int]]:
     """Contiguous ``[lo, hi)`` row ranges covering ``count`` rows: one
-    per usable CPU from :data:`ROUTE_CHUNK_FLOOR` rows up, else one."""
+    per pool worker from :data:`ROUTE_CHUNK_FLOOR` rows up, else one."""
     parts = _usable_cpus() if count >= ROUTE_CHUNK_FLOOR else 1
     return [(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
-
-
-def _fan_out(fn: Callable[[int, int], object], chunks: List[Tuple[int, int]]) -> list:
-    """``[fn(lo, hi) for lo, hi in chunks]``, the first chunk on this
-    thread and each other one on a worker thread."""
-    if len(chunks) == 1:
-        return [fn(*chunks[0])]
-    with ThreadPoolExecutor(max_workers=len(chunks) - 1) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in chunks[1:]]
-        first = fn(*chunks[0])
-        return [first] + [f.result() for f in futures]
 
 
 @dataclass
@@ -256,7 +243,7 @@ class BatchRouter:
     kernel:
         Commit and hop-loop backend: ``"numpy"`` (the bit-for-bit
         differential reference), ``"native"`` (the compiled C kernels,
-        threaded over row chunks for large batches; raises
+        run on the worker pool in row chunks for large batches; raises
         :class:`~repro.errors.KernelError` when no toolchain is
         available) or ``"auto"`` (native when it loads, else numpy —
         see :mod:`repro.kernels`).  Outcomes are identical either way.
@@ -392,7 +379,7 @@ class BatchRouter:
         def run(lo: int, hi: int) -> None:
             commit_native(cs, src[lo:hi], dst[lo:hi], tuple(col[lo:hi] for col in state))
 
-        _fan_out(run, chunks)
+        pool.run(run, chunks)
         return state
 
     # ------------------------------------------------------------------
@@ -411,8 +398,8 @@ class BatchRouter:
         decisions).  ``dead_edges`` drops any row whose next hop crosses
         a listed edge, mirroring :class:`~repro.sim.failures.FaultyNetwork`.
         On the native kernel a batch of at least
-        :data:`ROUTE_CHUNK_FLOOR` pairs runs as one row chunk per usable
-        CPU (module doc); the result does not depend on the chunking.
+        :data:`ROUTE_CHUNK_FLOOR` pairs runs as one row chunk per pool
+        worker (module doc); the result does not depend on the chunking.
         """
         tm = TELEMETRY
         with tm.span("route.route_pairs", pairs=int(np.asarray(pairs).shape[0])):
@@ -516,7 +503,7 @@ class BatchRouter:
         ``(T, m)`` boolean matrix and ``trial`` the per-row trial index
         into it (both ``None`` when no edges are dead); plain
         single-failure-set routing passes a one-row matrix.  ``chunks``
-        (default: one) are the native kernel's per-thread row ranges.
+        (default: one) are the native kernel's per-task row ranges.
         The numpy and native kernels return bit-for-bit identical
         columns.
         """
@@ -548,7 +535,7 @@ class BatchRouter:
         chunks: List[Tuple[int, int]],
     ) -> BatchResult:
         """The compiled per-row walk (see :mod:`repro.kernels.hop`), one
-        thread per row chunk; ``route.hop_iterations`` is the maximum
+        pool task per row chunk; ``route.hop_iterations`` is the maximum
         over chunks, which is the one-chunk round count."""
         cs = self.compiled
         count = src.shape[0]
@@ -569,7 +556,7 @@ class BatchRouter:
                 tuple(col[lo:hi] for col in out),
             )
 
-        rounds = max(_fan_out(run, chunks))
+        rounds = max(pool.run(run, chunks))
         delivered, weight, hops = out[0].view(np.bool_), out[1], out[2]
         fail, tree, header = state[:3]
         tm = TELEMETRY

@@ -14,11 +14,18 @@ mmap-friendly::
 
 The header carries, per array, ``(dtype, shape, offset, nbytes)`` with
 offsets relative to the data section, plus caller metadata (``meta``),
-the total data size, and a SHA-256 of the data section.  Opening a file
+the total data size, and a digest of the data section.  Opening a file
 is therefore O(header): :func:`read_container` parses the header and
 returns **views into one memory map** — no array byte is copied or even
 paged in until routing touches it.  That is what makes a saved scheme
 usable in milliseconds regardless of size.
+
+The digest (``data_sha256``, one 64-hex string) is the SHA-256 of the
+concatenated SHA-256 digests of the data section's
+:data:`DIGEST_CHUNK`-byte chunks, the last one shorter.  Chunks hash
+independently, so the writer hashes them on the worker pool
+(:mod:`repro.pool`) while it writes the blobs, and ``verify_data``
+re-hashes them there too.
 
 The blob layout is one codec pair, :func:`pack_blobs` /
 :func:`unpack_blobs`, which the serving protocol
@@ -31,8 +38,8 @@ pointing outside the file, negative dims, dtypes other than
 little-endian bool or numeric), so a damaged store file can never be
 mistaken for a scheme.  Flipped bits *inside* array blobs are invisible
 to the zero-copy open by design; pass ``verify_data=True`` (or use the
-store's strict mode) to pay one sequential read and check the data
-SHA-256.
+store's strict mode) to pay one read of the data section and check
+its digest.
 """
 
 from __future__ import annotations
@@ -42,19 +49,24 @@ import itertools
 import json
 import math
 import os
+import threading
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from .. import pool
 from ..errors import EncodingError
 
 MAGIC = b"TZSCHEME"
-#: 3: scheme containers store the compiled entry and step records as the
-#: native kernels read them, and each array column the records hold only
-#: there.
-FORMAT_VERSION = 3
+#: 4: ``data_sha256`` is the digest of the data section's chunk digests
+#: (see :data:`DIGEST_CHUNK`), not of the section itself.  3: scheme
+#: containers store the compiled entry and step records as the native
+#: kernels read them, and each array column the records hold only there.
+FORMAT_VERSION = 4
+#: Bytes per data-section chunk of ``data_sha256``; a format constant.
+DIGEST_CHUNK = 4 << 20
 #: Byte alignment of every blob, relative to the start of its data section.
 BLOB_ALIGN = 64
 #: dtype kinds a blob may hold: bool, signed and unsigned int, float, complex.
@@ -104,14 +116,68 @@ def pack_blobs(arrays: Dict[str, np.ndarray]) -> Tuple[dict, list, int]:
     return manifest, blobs, offset
 
 
-def blob_chunks(blobs: list) -> Iterator:
-    """The data section of :func:`pack_blobs` as buffers: zero gaps, blobs."""
-    pos = 0
+def blob_chunks(blobs: list, lo: int = 0, hi: Optional[int] = None) -> Iterator:
+    """Bytes ``[lo, hi)`` of the data section of :func:`pack_blobs`'
+    ``blobs`` (default: all of it) as buffers: zero gaps, and the blobs
+    or slices of them."""
+    if hi is None:
+        hi = blobs[-1][0] + blobs[-1][1].nbytes if blobs else 0
+    pos = lo
     for off, blob in blobs:
+        end = off + blob.nbytes
+        if end <= pos:
+            continue
+        if off >= hi:
+            break
         if off > pos:
             yield bytes(off - pos)
-        yield blob
-        pos = off + blob.nbytes
+        yield blob[max(off, pos) - off : min(end, hi) - off]
+        pos = min(end, hi)
+    if pos < hi:
+        yield bytes(hi - pos)
+
+
+class _Digest:
+    """The ``data_sha256`` of a ``size``-byte data section whose bytes
+    ``[a, b)`` ``read(a, b)`` yields as buffers, hashed on the pool.
+
+    One stepped task per worker (:func:`repro.pool.start_steps`) hashes
+    the next unhashed chunk per step.  Claiming chunks, not fixed
+    halves, keeps every worker busy while the writer's own thread shares
+    a CPU with one of them; stepping lets a route or build pass handed to
+    the pool meanwhile run between two chunks, not after the whole
+    section.  Construction starts the hashing; :meth:`hexdigest` waits
+    for it.
+    """
+
+    def __init__(self, read: Callable[[int, int], Iterator], size: int) -> None:
+        """Start hashing on the pool."""
+        self._read = read
+        self._size = size
+        self._digests = [b""] * -(-size // DIGEST_CHUNK)
+        self._claimed = 0
+        self._lock = threading.Lock()
+        tasks = min(pool.size(), len(self._digests))
+        self._hashing = pool.start_steps(self._step, tasks)
+
+    def _step(self) -> bool:
+        """Hash the next unclaimed chunk; False once none is left."""
+        with self._lock:
+            chunk = self._claimed
+            self._claimed += 1
+        if chunk >= len(self._digests):
+            return False
+        h = hashlib.sha256()
+        lo = chunk * DIGEST_CHUNK
+        for buf in self._read(lo, min(lo + DIGEST_CHUNK, self._size)):
+            h.update(buf)
+        self._digests[chunk] = h.digest()
+        return True
+
+    def hexdigest(self) -> str:
+        """SHA-256 of the concatenated chunk digests, in chunk order."""
+        self._hashing.wait()
+        return hashlib.sha256(b"".join(self._digests)).hexdigest()
 
 
 def _dim(value) -> int:
@@ -162,24 +228,21 @@ def write_container(
     """Write ``arrays`` + ``meta`` to ``path``; returns the full header.
 
     Arrays are laid out 64-byte aligned in sorted-name order; the header
-    records the manifest and a SHA-256 over the whole data section.
-    Each blob is hashed and written from the same view of the array's
-    memory, never copied.
+    records the manifest and the data section's digest.  The pool hashes
+    the blobs while this thread writes them, both from the same view of
+    each array's memory, never copied; the header, whose digest is
+    always 64 hex digits long, goes in last.
     """
     manifest, blobs, data_bytes = pack_blobs({name: arrays[name] for name in sorted(arrays)})
-    digest = hashlib.sha256()
-    for chunk in blob_chunks(blobs):
-        digest.update(chunk)
-
+    digest = _Digest(lambda lo, hi: blob_chunks(blobs, lo, hi), data_bytes)
     header = {
         "format_version": FORMAT_VERSION,
         "meta": meta,
         "arrays": manifest,
         "data_bytes": data_bytes,
-        "data_sha256": digest.hexdigest(),
+        "data_sha256": "0" * 64,
     }
-    hjson = json.dumps(header, sort_keys=True).encode("utf-8")
-    data_start = align(_PREAMBLE + len(hjson))
+    data_start = align(_PREAMBLE + len(json.dumps(header, sort_keys=True).encode("utf-8")))
 
     path = Path(path)
     # Unique per-writer tmp name: concurrent writers of the same key each
@@ -187,14 +250,18 @@ def write_container(
     # reader ever maps a half-written container.
     tmp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}.{_tmp_counter()}")
     with open(tmp, "wb") as fh:
+        fh.seek(data_start)
+        for chunk in blob_chunks(blobs):
+            fh.write(chunk)
+        header["data_sha256"] = digest.hexdigest()
+        hjson = json.dumps(header, sort_keys=True).encode("utf-8")
+        fh.seek(0)
         fh.write(MAGIC)
         fh.write(np.uint32(FORMAT_VERSION).tobytes())
         fh.write(np.uint64(len(hjson)).tobytes())
         fh.write(np.uint32(zlib.crc32(hjson)).tobytes())
         fh.write(hjson)
         fh.write(bytes(data_start - _PREAMBLE - len(hjson)))
-        for chunk in blob_chunks(blobs):
-            fh.write(chunk)
     tmp.replace(path)  # atomic: readers never observe a half-written store
     return header
 
@@ -226,7 +293,8 @@ def read_container(
 
     Every array is a read-only view into one shared memory map
     (zero-copy).  ``verify_data=True`` additionally checks the data
-    section against the stored SHA-256 (a full sequential read).  Raises
+    section against the stored digest (a full read, hashed on the
+    pool).  Raises
     :class:`~repro.errors.EncodingError` on any structural damage.
     """
     path = Path(path)
@@ -270,7 +338,7 @@ def read_container(
         )
     data = raw[data_start : data_start + data_bytes]
     if verify_data:
-        digest = hashlib.sha256(data).hexdigest()
+        digest = _Digest(lambda lo, hi: (data[lo:hi],), data_bytes).hexdigest()
         if digest != header.get("data_sha256"):
             raise _fail(path, "data checksum mismatch (corrupted arrays)")
     try:

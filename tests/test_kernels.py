@@ -40,6 +40,7 @@ Native-only tests skip cleanly when no C toolchain is present.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import sys
 import threading
@@ -57,8 +58,10 @@ from repro.core.build.arrays import scheme_from_arrays
 from repro.core.build.vectorized import (
     FULL_CENTER_LIMIT,
     _cluster_trees,
+    _pruned_level,
     vectorized_arrays,
 )
+from repro import pool
 from repro.analysis.experiments import reference_graph
 from repro.core.landmarks import build_hierarchy
 from repro.errors import EncodingError, KernelError, PreprocessingError, RoutingError
@@ -74,7 +77,10 @@ from repro.kernels import (
     native_error,
     resolve_kernel,
 )
+from repro.kernels.frontier import frontier_sweep_native
 from repro.kernels.hop import commit_native
+from repro.kernels.records import compile_records_native
+from repro.kernels.trees import cluster_trees_native, tree_ranges
 from repro.obs import TELEMETRY
 from repro.rng import derive, make_rng
 from repro.sim.engine import batch
@@ -974,6 +980,146 @@ class TestCompileDifferential:
                 assert len(kids) == 1, impl
                 assert kids[0].attrs["impl"] == impl
                 assert kids[0].attrs["entries"] >= 1
+
+
+# ----------------------------------------------------------------------
+# 3d. Pool ranges: the build passes cut into 1–4 ranges
+# ----------------------------------------------------------------------
+def level_centers(hierarchy, i):
+    """Centers of hierarchy level ``i`` (empty when the level has none)."""
+    lvl = hierarchy.levels[i]
+    return np.asarray(lvl[hierarchy.level_of[lvl] == i], dtype=np.int64)
+
+
+@contextlib.contextmanager
+def in_ranges(parts):
+    """Inside, the build and compile passes cut ``parts`` ranges
+    whatever the pool's real size: they read the count from
+    :func:`repro.pool.size`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pool, "size", lambda: parts)
+        yield
+
+
+@needs_native
+class TestPoolRanges:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", REFERENCE_FAMILIES)
+    def test_every_column_across_range_counts(self, family, k):
+        graph = reference_graph(family, 150, k).largest_component()
+        ported = assign_ports(graph, "random", rng=derive(k, "ranges"))
+        hierarchy = build_hierarchy(graph, k, make_rng(k))
+        context = f"(family={family} k={k})"
+        key_parts, dist_parts = [], []
+        for i in range(k):
+            centers = level_centers(hierarchy, i)
+            if centers.size == 0:
+                continue
+            thr = hierarchy.dist[i + 1]
+            want = _pruned_level(graph, centers, thr)
+            for parts in (1, 2, 3, 4):
+                with in_ranges(parts):
+                    got = frontier_sweep_native(graph, centers, thr)
+                for a, b in zip(want, got):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (
+                        f"level {i} sweep in {parts} ranges {context}"
+                    )
+            key_parts.append(want[0])
+            dist_parts.append(want[1])
+        keys = np.concatenate(key_parts)
+        order = np.argsort(keys, kind="stable")
+        keys, dist = keys[order], np.concatenate(dist_parts)[order]
+        assert 1 < len(tree_ranges(keys, graph.n, 4)) <= 4  # the passes below are cut
+
+        want = _cluster_trees(graph, ported, keys, dist, "numpy")
+        with in_ranges(1):
+            one = cluster_trees_native(graph, ported, keys, dist)
+        for parts in (1, 2, 3, 4):
+            with in_ranges(parts):
+                got = cluster_trees_native(graph, ported, keys, dist)
+            assert sorted(got) == sorted(want)
+            for name, col in want.items():
+                assert got[name].dtype == one[name].dtype == np.int64, name
+                assert np.array_equal(col, got[name]), (
+                    f"{name} in {parts} ranges {context}"
+                )
+
+        arrays = vectorized_arrays(graph, ported, hierarchy)
+        cs = compile_from_arrays(arrays, ported)
+        inputs = record_inputs(arrays) + (cs.g_indptr, cs.step)
+        words = _ent_records(*inputs, "numpy").view(np.int64)
+        for parts in (1, 2, 3, 4):
+            out = np.empty(arrays.entry_count, dtype=compile_mod.ENT_DTYPE)
+            with in_ranges(parts):
+                got = compile_records_native(*inputs, out)
+            assert got.dtype == compile_mod.ENT_DTYPE
+            assert np.array_equal(got.view(np.int64), words), f"records in {parts} ranges"
+
+    def test_sweep_counters_are_the_one_range_counts(self):
+        graph = reference_graph("gnp", 400, 2).largest_component()
+        hierarchy = build_hierarchy(graph, 3, make_rng(2))
+        centers, thr = level_centers(hierarchy, 0), hierarchy.dist[1]
+        counts = {}
+        for parts in (1, 3):
+            TELEMETRY.reset()
+            TELEMETRY.enable()
+            try:
+                with in_ranges(parts):
+                    frontier_sweep_native(graph, centers, thr)
+                counts[parts] = (
+                    TELEMETRY.counters["build.frontier_settled"],
+                    TELEMETRY.counters["build.relaxed_arcs"],
+                )
+            finally:
+                TELEMETRY.disable()
+                TELEMETRY.reset()
+        assert counts[1] == counts[3]
+        assert counts[1][0] > centers.size
+
+    def test_ranges_end_where_the_tree_id_grows(self):
+        n = 10
+        keys = np.array([3, 4, 5, 12, 13, 20, 21, 22, 23, 24, 55], dtype=np.int64)
+        assert tree_ranges(keys, n, 1) == [(0, 11)]
+        ranges = tree_ranges(keys, n, 3)
+        assert ranges[0][0] == 0 and ranges[-1][1] == 11
+        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+            assert hi == lo and keys[lo] // n > keys[lo - 1] // n
+        # keys out of order: a cut only where the tree id grows, never
+        # between the two keys that break the order
+        bad = np.array([30, 31, 12, 13, 40, 41, 42], dtype=np.int64)
+        for lo, _ in tree_ranges(bad, n, 3)[1:]:
+            assert bad[lo] // n > bad[lo - 1] // n
+        assert tree_ranges(keys[:0], n, 4) == [(0, 0)]
+
+
+@pytest.mark.parametrize("kernel", BOTH_KERNELS)
+def test_a_refusal_in_a_later_range_names_its_global_entry(kernel):
+    graph = reference_graph("gnp", 200, 4).largest_component()
+    ported = assign_ports(graph, "random", rng=4)
+    arrays = build_arrays(graph, 3, ported=ported, rng=4)
+    cs = compile_from_arrays(arrays, ported)
+    keys, record, ports, hints = record_inputs(arrays)
+    ranges = tree_ranges(keys, graph.n, 3)
+    assert len(ranges) == 3
+    e = ranges[2][0] + 5
+    deg = np.diff(graph.indptr)[record["vertex"][e]]
+    member = record["vertex"].copy()
+    member[e] = (member[e] + 1) % graph.n
+    heavy = ports[1].copy()
+    heavy[e] = deg + 1
+    cases = {
+        "its member is not its key": (dict(record, vertex=member), ports),
+        "its heavy port": (record, (ports[0], heavy)),
+    }
+    for fault, (rec, prt) in cases.items():
+        args = (keys, rec, prt, hints, cs.g_indptr, cs.step)
+        with pytest.raises(EncodingError, match=f"entry {e}: {fault}"):
+            if kernel == "numpy":
+                _ent_records(*args, "numpy")
+            else:
+                out = np.empty(keys.shape[0], dtype=compile_mod.ENT_DTYPE)
+                with in_ranges(3):
+                    compile_records_native(*args, out)
 
 
 # ----------------------------------------------------------------------

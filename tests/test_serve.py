@@ -1038,3 +1038,22 @@ class TestServingSoak:
                     ref1, result_from_wire(resp["result"])
                 )
         assert not np.array_equal(ref0.weight, ref1.weight)
+
+
+def test_daemon_imports_load_no_scipy():
+    """``repro serve --daemon`` never runs a shortest-path sweep, so its
+    imports must not pull in scipy (a third of a second of start-up)."""
+    code = (
+        "import sys, repro.cli, repro.serve, repro.store; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

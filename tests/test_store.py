@@ -48,6 +48,7 @@ from repro.store import (
     scheme_key,
     write_container,
 )
+from repro.store.format import DIGEST_CHUNK
 from strategies import FAMILIES, family_from_seed
 
 ROUTE_FIELDS = ("delivered", "weight", "hops", "max_header_bits", "failure_code")
@@ -246,6 +247,67 @@ class TestContainer:
         with pytest.raises(EncodingError, match="dtype"):
             write_container(tmp_path / "x.tzs", {"a": np.array(["x"])}, {})
 
+    @staticmethod
+    def _chunked(path):
+        """Write a container of three and a half digest chunks with a
+        zero pad between two blobs; returns its header, data section
+        start and the pad's first byte (file offsets)."""
+        chunk = DIGEST_CHUNK
+        header = write_container(
+            path,
+            {
+                "a": np.arange(3 * chunk // 8, dtype=np.int64),
+                "b": np.arange(5, dtype=np.uint8),
+                "c": np.arange(chunk // 16, dtype=np.float64),
+            },
+            {},
+        )
+        hlen = int.from_bytes(path.read_bytes()[12:20], "little")
+        data_start = -(-(24 + hlen) // 64) * 64
+        b = header["arrays"]["b"]
+        pad = b["offset"] + b["nbytes"]
+        assert pad < header["arrays"]["c"]["offset"]
+        return header, data_start, data_start + pad
+
+    def test_digest_is_the_sha256_of_the_chunk_digests(self, tmp_path):
+        path = tmp_path / "x.tzs"
+        header, data_start, _ = self._chunked(path)
+        data = path.read_bytes()[data_start:]
+        assert len(data) == header["data_bytes"] > 3 * DIGEST_CHUNK
+        root = hashlib.sha256(
+            b"".join(
+                hashlib.sha256(data[i : i + DIGEST_CHUNK]).digest()
+                for i in range(0, len(data), DIGEST_CHUNK)
+            )
+        ).hexdigest()
+        assert header["data_sha256"] == root
+        assert read_container(path, verify_data=True)[0] == header
+
+    @pytest.mark.parametrize("where", ["first chunk", "middle chunk", "last chunk", "pad"])
+    def test_a_flipped_byte_fails_verification(self, tmp_path, where):
+        path = tmp_path / "x.tzs"
+        header, data_start, pad = self._chunked(path)
+        at = {
+            "first chunk": data_start + 17,
+            "middle chunk": data_start + DIGEST_CHUNK + DIGEST_CHUNK // 2,
+            "last chunk": data_start + header["data_bytes"] - 1,
+            "pad": pad,
+        }[where]
+        data = bytearray(path.read_bytes())
+        data[at] ^= 0x01
+        path.write_bytes(data)
+        read_container(path)  # the zero-copy open cannot see it
+        with pytest.raises(EncodingError, match="data checksum"):
+            read_container(path, verify_data=True)
+
+    def test_a_header_dropping_the_last_chunk_fails_verification(self, tmp_path):
+        path = tmp_path / "x.tzs"
+        header, _, _ = self._chunked(path)
+        kept = header["data_bytes"] // DIGEST_CHUNK * DIGEST_CHUNK
+        _rewrite_header(path, lambda h: h.update(data_bytes=kept))
+        with pytest.raises(EncodingError, match="data checksum"):
+            read_container(path, verify_data=True)
+
     def test_container_bytes_pinned(self, tmp_path):
         """The writer's exact bytes — byte order, strides, 0-d and empty
         arrays included — are pinned, so layout refactors cannot move
@@ -265,7 +327,7 @@ class TestContainer:
             {"hello": "world"},
         )
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "adf4fb45ec531ca73d154bf633cb12057a5faa1bed451efdce353994eefaab62"
+            "e10247501883dd25336190305d9c6ddf940b215d6d59ccc19db5515a0031dc1a"
         )
 
 
@@ -433,7 +495,7 @@ class TestSingleRepresentation:
     def test_container_holds_only_derived_compiled_columns(self, saved):
         _, _, arrays, _, path = saved
         header, blobs = read_container(path)
-        assert header["format_version"] == FORMAT_VERSION == 3
+        assert header["format_version"] == FORMAT_VERSION == 4
         assert sorted(n for n in blobs if n.startswith("cs_")) == sorted(
             "cs_" + name for name in DERIVED
         )
@@ -480,6 +542,9 @@ class TestSingleRepresentation:
 
     def test_format_2_refused_and_rebuilt(self, saved):
         self._refused_and_rebuilt(saved, 2)
+
+    def test_format_3_refused_and_rebuilt(self, saved):
+        self._refused_and_rebuilt(saved, 3)
 
     def test_materialized_scheme_compiles_from_stored_arrays(self, saved):
         graph, ported, _, store, path = saved
