@@ -15,7 +15,10 @@ dtype.  The store's ``serialize_digest`` (which ``tests/test_update.py``
 keeps at small scale) is a function of those columns plus the shared
 graph and ports, so column equality is the stronger check — and it
 does not rebuild the dict world, which peaked near 5 GB RSS at this n.
-Results land in ``BENCH_update.json``.
+One more patch, traced, reports where the patch's time went — its
+``patch.classify``, ``patch.rebuild``, ``patch.splice`` and
+``patch.assemble`` spans, ungated, beside the two timings.  Results land
+in ``BENCH_update.json``.
 
 ``REPRO_BENCH_N`` overrides the vertex count for local iteration.
 """
@@ -35,6 +38,7 @@ from repro.core.build.vectorized import vectorized_arrays
 from repro.graphs import generators as gen
 from repro.graphs.delta import GraphDelta
 from repro.graphs.ports import assign_ports
+from repro.obs import TELEMETRY
 
 SPEEDUP_FLOOR = 5.0
 N_DEFAULT = 20_000
@@ -42,6 +46,21 @@ K = 2
 #: Edges whose weight the benchmark delta perturbs (the gate is about
 #: single-edge churn; see ISSUE/ARCHITECTURE).
 DELTA_EDGES = 1
+#: The patch's phases, reported (ungated) from one traced run.
+PHASES = ("classify", "rebuild", "splice", "assemble")
+
+
+def traced_phases(patch) -> dict:
+    """Seconds of each of :data:`PHASES` in one traced ``patch()``."""
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    try:
+        patch()
+        spans = {sp.name: sp.seconds for sp, _ in TELEMETRY.spans()}
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+    return {phase: spans[f"patch.{phase}"] for phase in PHASES}
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +115,7 @@ def test_patch_beats_full_rebuild(setup):
         repeats=3,
     )
     speedup = t_rebuild / max(t_patch, 1e-9)
+    phases = traced_phases(lambda: patch_arrays(arrays, graph, delta, ported=ported))
 
     stats = patched.stats
     reused = stats["entries_reused"] / max(
@@ -106,7 +126,9 @@ def test_patch_beats_full_rebuild(setup):
         f"({DELTA_EDGES}-edge weight delta): "
         f"patch {t_patch * 1e3:.0f} ms vs rebuild {t_rebuild * 1e3:.0f} ms "
         f"-> {speedup:.1f}x (dirty {stats['dirty_clusters']}/{graph.n} "
-        f"clusters, {reused:.1%} entries reused)"
+        f"clusters, {reused:.1%} entries reused; traced patch: "
+        + ", ".join(f"{phase} {phases[phase] * 1e3:.0f}" for phase in PHASES)
+        + " ms)"
     )
 
     emit(
@@ -120,6 +142,7 @@ def test_patch_beats_full_rebuild(setup):
         metrics={
             "patch_seconds": t_patch,
             "rebuild_seconds": t_rebuild,
+            **{f"{phase}_seconds": phases[phase] for phase in PHASES},
             "speedup": speedup,
             "dirty_clusters": int(stats["dirty_clusters"]),
             "entries_reused_fraction": reused,

@@ -14,7 +14,8 @@ parent/heavy entry links, level-0 member maps, label entry positions,
 the bunch CSR) from the builder-specific core fields, so a disagreement
 between builders can only originate in what they actually compute
 independently: membership, distances, parents, tree records and light
-ports.
+ports.  A patch hands it the scheme it spliced from, whose derived
+structures it shares wherever their inputs are that scheme's own.
 
 :func:`scheme_from_arrays` materializes the dict-based
 :class:`~repro.core.scheme_k.TZRoutingScheme` the hop-by-hop simulator
@@ -33,6 +34,8 @@ import numpy as np
 from ...errors import PreprocessingError
 from ...graphs.graph import Graph
 from ...graphs.ports import PortedGraph
+from ...kernels import resolve_kernel
+from ...kernels.splice import assemble_native
 from ...trees.label_codec import TreeLabel, tree_label_bits_array
 from ...trees.tz_tree import TreeLocalRecord
 from ..labels import LabelEntry, TZLabel
@@ -131,7 +134,8 @@ class SchemeArrays:
         Cached: the builder, the engine compile and the size accounting
         all need this column, and at scale it dominates their shared
         cost (arrays are append-only once assembled, so the cache is
-        safe).
+        safe).  :func:`~repro.sim.engine.compile.compile_from_arrays`
+        fills the cache from its record pass when it is empty.
         """
         cached = getattr(self, "_entry_label_bits", None)
         if cached is not None:
@@ -207,6 +211,83 @@ class SchemeArrays:
             raise PreprocessingError("light-port sequence length != light depth")
 
 
+def _label_fault(level: int) -> PreprocessingError:
+    """The error for a vertex with no label entry at ``level``."""
+    if level == 0:
+        return PreprocessingError(
+            "a vertex's own cluster root is not a cluster entry "
+            "(scheme invariant violated)"
+        )
+    return PreprocessingError(
+        f"some vertex is not in the cluster of its level-{level} pivot: "
+        "pivots are inconsistent (see DESIGN.md §3)"
+    )
+
+
+def _derive_numpy(
+    n: int,
+    k: int,
+    cl_indptr: np.ndarray,
+    ent_member: np.ndarray,
+    ent_dist: np.ndarray,
+    d1: np.ndarray,
+    pivot: np.ndarray,
+    *,
+    entry_keys: Optional[np.ndarray],
+    ent_center: Optional[np.ndarray],
+    maps: bool,
+    labels: bool,
+    bunch: bool,
+) -> Dict[str, object]:
+    """The numpy reference of :func:`~repro.kernels.splice.assemble_native`:
+    the same structures, byte for byte, under the same keys."""
+    out: Dict[str, object] = {}
+    if entry_keys is None:
+        ent_center = np.repeat(np.arange(n, dtype=np.int64), np.diff(cl_indptr))
+        entry_keys = ent_center * np.int64(n) + ent_member
+        out.update(entry_keys=entry_keys, ent_center=ent_center)
+    if maps:
+        # Level-0 member maps: the source-side "is v in my cluster?" check is
+        # deliberately restricted to d(u, v) < d(A_1, v) — see core.tables.
+        mem_epos = np.flatnonzero((ent_member == ent_center) | (ent_dist < d1[ent_member]))
+        out.update(mem_epos=mem_epos, mem_keys=entry_keys[mem_epos])
+    if labels:
+        verts = np.arange(n, dtype=np.int64)
+        lab_epos = np.empty((k, n), dtype=np.int64)
+        out.update(lab_epos=lab_epos, missing_level=None)
+        for i in range(k):
+            w = verts if i == 0 else pivot[i]
+            try:
+                lab_epos[i] = _locate(entry_keys, w * np.int64(n) + verts, "a label entry")
+            except PreprocessingError:
+                out["missing_level"] = i
+                break
+    if bunch:
+        # Bunches are the transpose of the cluster CSR: a stable sort by
+        # member keeps each member's centers ascending (the entry order).
+        bunch_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ent_member, minlength=n), out=bunch_indptr[1:])
+        out.update(
+            bunch_indptr=bunch_indptr,
+            bunch_epos=np.argsort(ent_member, kind="stable").astype(np.int64, copy=False),
+        )
+    return out
+
+
+def _same_values(mine: np.ndarray, theirs: np.ndarray) -> bool:
+    return mine is theirs or np.array_equal(mine, theirs)
+
+
+#: The structures assemble derives from the entry keys, by the part of
+#: the derivation that makes them (the ``maps``/``labels``/``bunch``
+#: switches of :func:`_derive_numpy` and ``assemble_native``).
+_DERIVED_PARTS = {
+    "maps": ("mem_keys", "mem_epos"),
+    "labels": ("lab_epos",),
+    "bunch": ("bunch_indptr", "bunch_epos"),
+}
+
+
 def assemble_arrays(
     graph: Graph,
     ported: PortedGraph,
@@ -227,7 +308,9 @@ def assemble_arrays(
     lp_data: np.ndarray,
     ent_parent_epos: Optional[np.ndarray] = None,
     ent_heavy_epos: Optional[np.ndarray] = None,
-    bunch_order: Optional[np.ndarray] = None,
+    entry_keys: Optional[np.ndarray] = None,
+    ent_center: Optional[np.ndarray] = None,
+    parent: Optional[SchemeArrays] = None,
 ) -> SchemeArrays:
     """Derive the shared structures from builder-specific core fields.
 
@@ -235,19 +318,60 @@ def assemble_arrays(
     parents/heavy children are resolved back to entry positions here
     (builders that already hold the entry links pass them through — when
     ``ent_heavy_epos`` is supplied ``heavy_vertex`` may be omitted), and
-    the member maps, label positions and bunch CSR are computed the same
-    way for both builders (so they cannot mask a core-field mismatch).
-    ``bunch_order`` optionally supplies the CSR→CSC permutation when the
-    caller already holds it (the patch splice passes the parent scheme's
-    ``bunch_epos`` when it shares the parent's member column); it is
-    trusted, so only pass a permutation known to match ``(cl_indptr,
-    ent_member)``.
+    the entry keys, member maps, label positions and bunch CSR are
+    computed the same way for both builders (so they cannot mask a
+    core-field mismatch), on the platform's kernel: natively in two
+    pool runs (:func:`~repro.kernels.splice.assemble_native`), else by
+    :func:`_derive_numpy`, the reference.
+
+    A caller that already holds ``entry_keys`` and ``ent_center`` (the
+    patch splice) passes both; they are trusted to match ``(cl_indptr,
+    ent_member)``.  ``parent`` is the scheme a patch spliced these
+    columns from: every derived structure whose inputs are the parent's
+    own column objects (or equal hierarchy rows) is the parent's, not a
+    copy — the member maps when the keys and ``ent_dist`` are and
+    ``d(A_1, ·)`` is equal, the label positions when the keys are and
+    the pivots equal, the bunch CSR when the members are.  Columns are
+    append-only once assembled, so sharing is safe.
     """
     n = graph.n
     k = hierarchy.k
-    ent_center = np.repeat(np.arange(n, dtype=np.int64), np.diff(cl_indptr))
-    entry_keys = ent_center * np.int64(n) + ent_member
-    E = entry_keys.shape[0]
+    E = ent_member.shape[0]
+    if parent is not None and (parent.n, parent.k) != (n, k):
+        parent = None
+    if ent_center is None:
+        entry_keys = None  # derived together
+    same_keys = parent is not None and entry_keys is parent.entry_keys
+    d1 = hierarchy.dist[1] if k >= 2 else np.full(n, np.inf)
+    keep = dict(
+        maps=same_keys
+        and ent_dist is parent.ent_dist
+        and (k < 2 or _same_values(d1, parent.hierarchy.dist[1])),
+        labels=same_keys and _same_values(hierarchy.pivot, parent.hierarchy.pivot),
+        bunch=parent is not None and ent_member is parent.ent_member,
+    )
+    got: Dict[str, object] = {}
+    if entry_keys is None or not all(keep.values()):
+        derive = assemble_native if resolve_kernel("auto") == "native" else _derive_numpy
+        got = derive(
+            n,
+            k,
+            cl_indptr,
+            ent_member,
+            ent_dist,
+            d1,
+            hierarchy.pivot,
+            entry_keys=entry_keys,
+            ent_center=ent_center,
+            **{part: not kept for part, kept in keep.items()},
+        )
+    if got.get("missing_level") is not None:
+        raise _label_fault(got["missing_level"])
+    entry_keys = got.get("entry_keys", entry_keys)
+    ent_center = got.get("ent_center", ent_center)
+    for part, names in _DERIVED_PARTS.items():
+        if keep[part]:
+            got.update((name, getattr(parent, name)) for name in names)
 
     if ent_parent_epos is not None:
         ent_parent_epos = np.ascontiguousarray(ent_parent_epos, dtype=np.int64)
@@ -274,49 +398,6 @@ def assemble_arrays(
             "a heavy child",
         )
 
-    # Level-0 member maps: the source-side "is v in my cluster?" check is
-    # deliberately restricted to d(u, v) < d(A_1, v) — see core.tables.
-    d1 = hierarchy.dist[1] if k >= 2 else np.full(n, np.inf)
-    mem_mask = (ent_member == ent_center) | (ent_dist < d1[ent_member])
-    mem_epos = np.flatnonzero(mem_mask)
-    mem_keys = entry_keys[mem_epos]
-
-    verts = np.arange(n, dtype=np.int64)
-    lab_epos = np.empty((k, n), dtype=np.int64)
-    lab_epos[0] = _locate(entry_keys, verts * np.int64(n) + verts, "a vertex's own cluster root")
-    for i in range(1, k):
-        w = hierarchy.pivot[i]
-        try:
-            lab_epos[i] = _locate(entry_keys, w * np.int64(n) + verts, f"a level-{i} pivot entry")
-        except PreprocessingError as exc:
-            raise PreprocessingError(
-                f"some vertex is not in the cluster of its level-{i} pivot: "
-                "pivots are inconsistent (see DESIGN.md §3)"
-            ) from exc
-
-    # Bunches are the transpose of the cluster CSR; scipy's C-level
-    # CSR→CSC conversion computes the permutation (centers come out
-    # ascending within each member, preserving the entry tie-break).
-    from scipy.sparse import csr_matrix
-
-    if bunch_order is not None:
-        order = np.ascontiguousarray(bunch_order, dtype=np.int64)
-    elif E:
-        # 1-based payload so no entry is an explicit zero scipy could drop.
-        order = (
-            csr_matrix(
-                (np.arange(1, E + 1, dtype=np.int64), ent_member, cl_indptr),
-                shape=(n, n),
-            )
-            .tocsc()
-            .data
-            - 1
-        )
-    else:
-        order = np.zeros(0, dtype=np.int64)
-    bunch_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ent_member, minlength=n), out=bunch_indptr[1:])
-
     return SchemeArrays(
         n=n,
         k=k,
@@ -337,11 +418,7 @@ def assemble_arrays(
         tr_heavy_port=np.ascontiguousarray(tr_heavy_port, dtype=np.int64),
         lp_indptr=np.ascontiguousarray(lp_indptr, dtype=np.int64),
         lp_data=np.ascontiguousarray(lp_data, dtype=np.int64),
-        mem_keys=mem_keys,
-        mem_epos=mem_epos,
-        lab_epos=lab_epos,
-        bunch_indptr=bunch_indptr,
-        bunch_epos=order,
+        **{name: got[name] for names in _DERIVED_PARTS.values() for name in names},
     )
 
 

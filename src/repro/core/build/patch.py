@@ -42,11 +42,14 @@ heavy-light stages).  Per-center results are engine- and
 batching-independent by the float64-exact determinism contract, so the
 dirty subset may be rebuilt with whichever engine fits its size.
 
-Weight-only deltas get one refinement before the rebuild: the
+Weight-only deltas get two refinements before the rebuild.  The
 conservative witness set would dirty every *top-level* cluster (a
 top-level center sits in every bunch), so those centers get an exact
 relevance test against their stored distances and are exonerated when
 no updated edge can carry a shortest path (:func:`_exonerate_unbounded`).
+The same test against the stored landmark fields keeps the stored
+hierarchy, and skips its multi-source sweeps, when no updated edge is
+relevant at any level (:func:`_moves_hierarchy`).
 
 The output is then one splice.  It holds one block of entries per new
 center, in center order: a clean block copied from the parent's rows
@@ -57,11 +60,17 @@ block or at a dropped center, so ``d`` dirty clusters and ``r`` dropped
 vertices make at most ``2d + r + 1`` runs, however large E is.  Every column,
 the light-port payload included, is written one slice per run, and
 every entry link moves by its run's shift, because a link never leaves
-its block.  When no block moves (no vertex relabeled and every block
-length kept), only the dirty runs are written, into copies of the
-parent's columns.  A column whose dirty runs came back unchanged is
-shared, not copied, and so is the bunch permutation when the members
-are.
+its block; so do the light-port offsets, by the payload's shift.  When
+no block moves (no vertex relabeled and every block length kept), a
+column whose dirty runs came back unchanged is shared, not copied.
+The splice runs on the platform's kernel (:func:`_splice_columns`):
+natively one ``memcpy`` per run and column, each pool worker writing
+one row range of every column (:mod:`repro.kernels.splice`), with
+:func:`_splice` and :func:`_splice_same` as the numpy reference.
+:func:`~repro.core.build.arrays.assemble_arrays` then gets the parent
+and shares every derived structure whose inputs the parent's columns
+are — the bunch permutation when the members are, the label positions
+when the keys and pivots are — and derives the rest.
 """
 
 from __future__ import annotations
@@ -76,6 +85,7 @@ from ...graphs.delta import GraphDelta, apply_delta
 from ...graphs.graph import Graph
 from ...graphs.ports import PortedGraph, assign_ports
 from ...kernels import resolve_kernel
+from ...kernels.splice import COPY, LINK, OFFSET, REAL, splice_native, splice_same_native
 from ...obs import TELEMETRY
 from ..landmarks import Hierarchy, hierarchy_from_levels
 from .arrays import SchemeArrays, assemble_arrays
@@ -111,35 +121,101 @@ def _segment_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return starts[rep] + np.arange(total, dtype=np.int64) - ex[rep]
 
 
-def _splice(old, new, runs, size: int, still: bool, links: bool = False) -> np.ndarray:
-    """One output column of ``size`` rows, written one slice per run.
+def _moved(seg: np.ndarray, kind: int, link_shift: int, offset: int) -> np.ndarray:
+    """A run's source rows ``seg`` as they land: entry links (−1 = none)
+    never leave their block, so each moves by the run's ``at − src``;
+    light-port offsets move by the run's payload shift."""
+    if kind == LINK and link_shift:
+        return np.where(seg >= 0, seg + np.int64(link_shift), -1)
+    if kind == OFFSET:
+        return seg + np.int64(offset)
+    return seg
 
-    ``runs`` holds ``(dirty, lo, length, at)``: the run's ``length``
-    rows start at ``lo`` in ``new`` (the rebuild's rows) when it is
-    dirty, in ``old`` (the parent's) when it is clean, and land at
-    ``at``.  Entry ``links`` (−1 = none) never leave their block, so
-    each moves by its run's shift ``at − lo``.  When ``still``, every
-    clean run already sits at its own rows of ``old``: only the dirty
-    runs are written, into a copy of ``old``, and ``old`` itself comes
-    back when they all match it (columns are append-only once
-    assembled, so sharing is safe).
+
+def _run_rows(runs):
+    """``(r, dirty, src, at, end)`` of every run, as Python ints."""
+    dirty, src, at = runs
+    return zip(
+        range(dirty.shape[0]), dirty.tolist(), src.tolist(), at[:-1].tolist(), at[1:].tolist()
+    )
+
+
+def _splice_same(runs, columns) -> Dict[str, bool]:
+    """The numpy reference of :func:`~repro.kernels.splice.splice_same_native`:
+    per column, whether every dirty run already equals the parent's rows
+    where it lands."""
+    return {
+        name: all(
+            np.array_equal(old[at:end], _moved(new[lo : lo + end - at], kind, at - lo, 0))
+            for _, dirty, lo, at, end in _run_rows(runs)
+            if dirty
+        )
+        for name, (old, new, kind, *_into) in columns.items()
+    }
+
+
+def _splice(groups) -> Dict[str, np.ndarray]:
+    """The numpy reference of :func:`~repro.kernels.splice.splice_native`:
+    every column of every ``(runs, columns, shift)`` group, one slice per
+    run."""
+    out = {}
+    for runs, columns, shift in groups:
+        total = int(runs[2][-1])
+        for name, (old, new, kind, *into) in columns.items():
+            col = into[0] if into else np.empty(total, dtype=old.dtype)
+            for r, dirty, lo, at, end in _run_rows(runs):
+                seg = (new if dirty else old)[lo : lo + end - at]
+                col[at:end] = _moved(seg, kind, at - lo, 0 if shift is None else shift[r])
+            out[name] = col
+    return out
+
+
+def _splice_columns(runs, columns, still: bool, light, kernel: str) -> Dict[str, np.ndarray]:
+    """Every spliced column of a patch, on ``kernel``.
+
+    ``runs`` is ``(dirty, src, at)``: run ``r``'s rows start at
+    ``src[r]`` in the rebuild's columns (``dirty``) or the parent's, and
+    land at rows ``at[r] .. at[r+1]``; ``columns`` maps each name to
+    ``(parent's, rebuild's, kind)``.  When ``still`` (no block moved), a
+    column whose dirty runs already equal the parent's rows is the
+    parent's, not a copy.  ``light`` holds the two light-port CSRs,
+    ``(old lp_indptr, old lp_data, new lp_indptr, new lp_data)``: the
+    payload splices along the same runs, through each side's offsets,
+    and the offsets move with it — unless every light depth was kept:
+    then the offsets are the parent's, and so is the payload when its
+    dirty runs match.
     """
-
-    def rows(dirty, lo, length, at):
-        seg = (new if dirty else old)[lo : lo + length]
-        if links and at != lo:
-            seg = np.where(seg >= 0, seg + np.int64(at - lo), -1)
-        return seg
-
+    same_fn, write_fn = (
+        (splice_same_native, splice_native) if kernel == "native" else (_splice_same, _splice)
+    )
+    dirty, src, at = runs
+    out = {}
     if still:
-        runs = [r for r in runs if r[0]]
-        if all(np.array_equal(old[r[3] : r[3] + r[2]], rows(*r)) for r in runs):
-            return old
-        out = np.array(old)
+        for name, kept in same_fn(runs, columns).items():
+            if kept:
+                out[name] = columns.pop(name)[0]
+    # Each run's first payload row in its source and where it lands.
+    old_lp, old_data, new_lp, new_data = light
+    d = dirty.astype(bool)
+    lens = np.diff(at)
+    lp_src = np.empty(src.shape[0], dtype=np.int64)
+    lp_end = np.empty(src.shape[0], dtype=np.int64)
+    lp_src[d], lp_end[d] = new_lp[src[d]], new_lp[src[d] + lens[d]]
+    lp_src[~d], lp_end[~d] = old_lp[src[~d]], old_lp[src[~d] + lens[~d]]
+    lp_at = np.zeros(src.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lp_end - lp_src, out=lp_at[1:])
+    lp_runs = (dirty, lp_src, lp_at)
+    payload = {"lp_data": (old_data, new_data, COPY)}
+    if "tr_light_depth" in out:  # every payload slice kept its offsets
+        out["lp_indptr"] = old_lp
+        if still and same_fn(lp_runs, payload)["lp_data"]:
+            out["lp_data"] = old_data
+            payload = {}
     else:
-        out = np.empty(size, dtype=old.dtype)
-    for r in runs:
-        out[r[3] : r[3] + r[2]] = rows(*r)
+        lp_indptr = np.empty(int(at[-1]) + 1, dtype=np.int64)
+        lp_indptr[-1] = lp_at[-1]
+        columns["lp_indptr"] = (old_lp, new_lp, OFFSET, lp_indptr)
+    out.update(write_fn([(runs, columns, lp_at[:-1] - lp_src), (lp_runs, payload, None)]))
     return out
 
 
@@ -246,6 +322,37 @@ def _touched_set(
         _port_changed_vertices(graph, new_graph, ported, new_ported, id_map, n_keep).tolist()
     )
     return np.array(sorted(x for x in s if 0 <= x < n_new), dtype=np.int64)
+
+
+def _moves_hierarchy(hierarchy: Hierarchy, graph: Graph, delta: GraphDelta) -> bool:
+    """Weight-only deltas: whether the landmark hierarchy might change.
+
+    Level ``i >= 1``'s field ``d(A_i, ·)`` is a multi-source shortest-path
+    field, so :func:`_exonerate_unbounded`'s argument applies to it
+    as is: an update ``w_old → w_new`` on ``{u, v}`` can only move it
+    when ``d_i(u) + min(w_old, w_new) <= d_i(v)`` or symmetrically.  If
+    no updated edge passes that test at any level, the stored field
+    still satisfies Bellman optimality on the new graph with the same
+    tight arcs, so it is the new field.  Each witness (the smallest-id
+    landmark at ``d_i(v)``, the one reaching ``v`` along tight arcs)
+    stays, and so do the consistent pivots derived from field and
+    witnesses, provided the stored pivots are the consistent ones; level
+    0 (every vertex its own pivot) ignores weights.  Then the stored
+    hierarchy *is* ``hierarchy_from_levels(new_graph, levels)`` and its
+    multi-source sweeps are skipped.  (Exact: patching requires
+    float64-exact weights.)
+    """
+    for i in range(hierarchy.k - 1):  # stored pivots not the consistent ones
+        tie = hierarchy.dist[i] == hierarchy.dist[i + 1]
+        if not np.array_equal(hierarchy.pivot[i][tie], hierarchy.pivot[i + 1][tie]):
+            return True
+    for u, v, w_new in delta.weight_updates:
+        w_min = min(graph.edge_weight(u, v), float(w_new))
+        for i in range(1, hierarchy.k):
+            du, dv = hierarchy.dist[i][u], hierarchy.dist[i][v]
+            if du + w_min <= dv or dv + w_min <= du:
+                return True
+    return False
 
 
 def _exonerate_unbounded(
@@ -360,7 +467,12 @@ def patch_arrays(
     k = arrays.k
 
     with tm.span("patch.classify"):
-        h_new = hierarchy_from_levels(new_graph, _map_levels(arrays.hierarchy, id_map, new_graph.n))
+        if weight_only and not _moves_hierarchy(arrays.hierarchy, graph, delta):
+            h_new = arrays.hierarchy
+        else:
+            h_new = hierarchy_from_levels(
+                new_graph, _map_levels(arrays.hierarchy, id_map, new_graph.n)
+            )
         s_new = _touched_set(
             arrays, graph, new_graph, delta, id_map, h_new, ported, new_ported, old_of
         )
@@ -446,73 +558,46 @@ def patch_arrays(
         cut = np.ones(n_new, dtype=bool)
         cut[1:] = (dirty_mask[1:] != dirty_mask[:-1]) | (src[1:] != src[:-1] + lens[:-1])
         first = np.flatnonzero(cut)
-        at = cl_indptr[first]
-        ends = cl_indptr[np.append(first[1:], n_new)]
-        runs = list(
-            zip(dirty_mask[first].tolist(), src[first].tolist(), (ends - at).tolist(), at.tolist())
+        runs = (
+            dirty_mask[first].astype(np.int64),
+            src[first],
+            np.append(cl_indptr[first], cl_indptr[-1]),
         )
         E = int(cl_indptr[-1])
-
-        def column(old, new, links=False):
-            return _splice(old, new, runs, E, still, links)
 
         old_member, old_parent = arrays.ent_member, arrays.ent_parent
         if relabel:
             remap = np.append(id_map, -1)  # a parent of −1 stays −1
             old_member, old_parent = remap[old_member], remap[old_parent]
-        ent_member = column(old_member, d_member)
-        if relabel and E and ent_member.min() < 0:
+        columns = {
+            "ent_member": (old_member, d_member, COPY),
+            "ent_dist": (arrays.ent_dist, d_dist, REAL),
+            "ent_parent": (old_parent, tree["ent_parent"], COPY),
+            "ent_parent_epos": (arrays.ent_parent_epos, tree["ent_parent_epos"], LINK),
+            "ent_heavy_epos": (arrays.ent_heavy_epos, tree["ent_heavy_epos"], LINK),
+        }
+        for name in ("tr_f", "tr_finish", "tr_heavy_finish", "tr_light_depth",
+                     "tr_parent_port", "tr_heavy_port"):
+            columns[name] = (getattr(arrays, name), tree[name], COPY)
+        if not relabel and n_new == graph.n:  # ids and keys survive as they are
+            columns["entry_keys"] = (arrays.entry_keys, d_keys, COPY)
+            columns["ent_center"] = (arrays.ent_center, d_center, COPY)
+        spliced = _splice_columns(
+            runs,
+            columns,
+            still,
+            (arrays.lp_indptr, arrays.lp_data, tree["lp_indptr"], tree["lp_data"]),
+            kernel,
+        )
+        if relabel and E and spliced["ent_member"].min() < 0:
             raise PreprocessingError(
                 "patch classification missed a dropped member in a clean "
                 "cluster (incremental maintenance invariant violated)"
             )
-        tr_light_depth = column(arrays.tr_light_depth, tree["tr_light_depth"])
-        lp_indptr = arrays.lp_indptr
-        if tr_light_depth is not arrays.tr_light_depth:
-            lp_indptr = np.zeros(E + 1, dtype=np.int64)
-            np.cumsum(tr_light_depth, out=lp_indptr[1:])
-        # The payload splices along the same runs, through each side's
-        # lp_indptr; it stays put when lp_indptr does.
-        old_lp, new_lp = arrays.lp_indptr, tree["lp_indptr"]
-        lp_runs = [
-            (
-                dirty,
-                int((new_lp if dirty else old_lp)[lo]),
-                int(lp_indptr[at + length] - lp_indptr[at]),
-                int(lp_indptr[at]),
-            )
-            for dirty, lo, length, at in runs
-        ]
-        lp_data = _splice(
-            arrays.lp_data, tree["lp_data"], lp_runs, int(lp_indptr[-1]),
-            lp_indptr is arrays.lp_indptr,
-        )
-        spliced = dict(
-            ent_member=ent_member,
-            ent_dist=column(arrays.ent_dist, d_dist),
-            ent_parent=column(old_parent, tree["ent_parent"]),
-            tr_f=column(arrays.tr_f, tree["tr_f"]),
-            tr_finish=column(arrays.tr_finish, tree["tr_finish"]),
-            tr_heavy_finish=column(arrays.tr_heavy_finish, tree["tr_heavy_finish"]),
-            tr_light_depth=tr_light_depth,
-            tr_parent_port=column(arrays.tr_parent_port, tree["tr_parent_port"]),
-            tr_heavy_port=column(arrays.tr_heavy_port, tree["tr_heavy_port"]),
-            lp_indptr=lp_indptr,
-            lp_data=lp_data,
-            ent_parent_epos=column(arrays.ent_parent_epos, tree["ent_parent_epos"], True),
-            ent_heavy_epos=column(arrays.ent_heavy_epos, tree["ent_heavy_epos"], True),
-        )
 
     with tm.span("patch.assemble"):
         new_arrays = assemble_arrays(
-            new_graph,
-            new_ported,
-            h_new,
-            cl_indptr=cl_indptr,
-            # Unchanged members: the parent's bunch permutation is
-            # exactly the CSR→CSC order of the new entries.
-            bunch_order=arrays.bunch_epos if ent_member is arrays.ent_member else None,
-            **spliced,
+            new_graph, new_ported, h_new, cl_indptr=cl_indptr, parent=arrays, **spliced
         )
 
     ec = E - ed

@@ -1,11 +1,14 @@
-"""Compiled kernels for the five hottest loops, behind a differential flag.
+"""Compiled kernels for the hottest loops, behind a differential flag.
 
 The router's tree commit and synchronized hop loop
 (``sim/engine/batch.py``, wrapped in :mod:`.hop`), the builder's
 thresholded frontier sweep and cluster-tree pass
 (``core/build/vectorized.py``, wrapped in :mod:`.frontier` and
-:mod:`.trees`) and the compile pass that writes the entry records
-(``sim/engine/compile.py``, wrapped in :mod:`.records`) each have a
+:mod:`.trees`), the compile pass that writes the entry records and
+label bits (``sim/engine/compile.py``, wrapped in :mod:`.records`) and
+the passes a patch makes over every entry, its splice and the derived
+structures of ``assemble_arrays`` (``core/build/patch.py`` and
+``arrays.py``, wrapped in :mod:`.splice`) each have a
 native implementation in ``_native.c``, compiled on demand with the
 system C toolchain and loaded through ctypes (:mod:`._build`).  The
 numpy paths remain the bit-for-bit differential reference — the same

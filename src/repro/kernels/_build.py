@@ -127,20 +127,62 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_PTR] * 6  # keys, vertex, f, finish, heavy finish, light depth
         + [_PTR] * 4  # parent/heavy port, parent/heavy hint (or NULL)
         + [_PTR] * 2  # g_indptr, step records
-        + [_PTR] * 2  # out ent records, out refused entry
+        + [_PTR, _PTR, _I64]  # lp_indptr, lp_data, lp_data length
+        + [_PTR] * 3  # out ent records, out label bits (or NULL), out refused entry
     )
+    lib.tz_splice.restype = None
+    lib.tz_splice.argtypes = (
+        [_I64, _I64]  # output rows lo, hi
+        + [_I64] + [_PTR] * 4  # run count, dirty, src, at (count + 1), shift (or NULL)
+        + [_I64] + [_PTR] * 4  # column count, kinds, old, fresh, out (pointer tables)
+    )
+    lib.tz_splice_same.restype = None
+    lib.tz_splice_same.argtypes = (
+        [_I64] + [_PTR] * 3  # run count, dirty, src, at (count + 1)
+        + [_I64] + [_PTR] * 3  # column count, kinds, old, fresh (pointer tables)
+        + [_PTR]  # out same flag per column
+    )
+    lib.tz_entry_keys.restype = None
+    lib.tz_entry_keys.argtypes = (
+        [_I64, _I64, _I64]  # n, entry range lo, hi
+        + [_PTR] * 2  # cl_indptr, member
+        + [_PTR] * 2  # out center, keys
+    )
+    lib.tz_member_maps.restype = _I64
+    lib.tz_member_maps.argtypes = (
+        [_I64, _I64, _I64]  # n, entry range lo, hi
+        + [_PTR] * 5  # center, member, dist, d1, keys
+        + [_I64, _PTR, _PTR]  # first output row, out epos (or NULL: count), keys
+    )
+    lib.tz_label_positions.restype = _I64
+    lib.tz_label_positions.argtypes = (
+        [_I64, _I64, _I64, _I64]  # n, k, vertex range lo, hi
+        + [_PTR] * 3  # cl_indptr, keys, pivot
+        + [_PTR]  # out label positions
+    )
+    lib.tz_member_counts.restype = _I64
+    lib.tz_member_counts.argtypes = [_I64, _I64, _I64, _PTR, _PTR]
+    lib.tz_bunch_scatter.restype = None
+    lib.tz_bunch_scatter.argtypes = [_I64, _I64, _PTR, _PTR, _PTR]
     lib.tz_free.restype = None
     lib.tz_free.argtypes = [_PTR]
 
 
+def artifact() -> Path:
+    """The cached library of this source revision: ``repro_native_`` and
+    the first 16 hex digits of the source's SHA-256, in :func:`cache_dir`.
+    A library placed there beforehand (the CI sanitizer build) is loaded
+    as it is."""
+    tag = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    return cache_dir() / f"repro_native_{tag}.so"
+
+
 def _compile() -> ctypes.CDLL:
     """Build (if needed) and load the shared library; raises on failure."""
-    source = _SOURCE.read_bytes()
-    tag = hashlib.sha256(source).hexdigest()[:16]
-    cache = cache_dir()
+    artifact_path = artifact()
+    cache = artifact_path.parent
     cache.mkdir(parents=True, exist_ok=True)
-    artifact = cache / f"repro_native_{tag}.so"
-    if not artifact.exists():
+    if not artifact_path.exists():
         cc = _compiler()
         if cc is None:
             raise RuntimeError(
@@ -159,11 +201,11 @@ def _compile() -> ctypes.CDLL:
                     f"kernel compilation failed ({cc}): "
                     f"{proc.stderr.strip()[:500]}"
                 )
-            os.replace(tmp, artifact)  # atomic publish
+            os.replace(tmp, artifact_path)  # atomic publish
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    lib = ctypes.CDLL(str(artifact))
+    lib = ctypes.CDLL(str(artifact_path))
     _declare(lib)
     return lib
 

@@ -1,8 +1,11 @@
-/* Native kernels for the five inner loops that dominate every
- * benchmark: the router's tree commit and synchronized hop loop
+/* Native kernels for the inner loops that dominate every benchmark:
+ * the router's tree commit and synchronized hop loop
  * (sim/engine/batch.py), the builder's thresholded frontier sweep
- * and cluster-tree pass (core/build/vectorized.py), and the compile
- * pass that writes the entry records (sim/engine/compile.py).
+ * and cluster-tree pass (core/build/vectorized.py), the compile
+ * pass that writes the entry records and label bits
+ * (sim/engine/compile.py), and the passes a patch makes over every
+ * entry: the splice (core/build/patch.py) and the derived structures
+ * of assemble_arrays (core/build/arrays.py).
  *
  * Deliberately plain C99 + libc (and POSIX mmap), no Python.h: the
  * library is loaded through ctypes, so a bare `cc -O3 -fPIC -shared`
@@ -41,7 +44,12 @@
  * - tz_compile_records copies each resolved step record as it lies and
  *   links each neighbour by an exact-key lookup on strictly ascending
  *   keys, where a checked hint, a slice search and numpy's global
- *   searchsorted can only name the same unique entry.
+ *   searchsorted can only name the same unique entry.  Its label bits
+ *   are integer sums of the same bit lengths numpy reads off frexp.
+ * - tz_splice copies rows and adds the same integer shifts as the
+ *   numpy splice; the assemble passes make the same comparisons as
+ *   numpy's masks, find the same unique keys as its searchsorted, and a
+ *   stable counting sort orders entries as a stable argsort does.
  *
  * The hop loop is memory-latency-bound (every hop gathers from tables
  * far larger than cache), so it interleaves a block of rows and issues
@@ -1071,6 +1079,7 @@ int64_t tz_light_ports(
 #define RECORDS_MEMBER (-2) /* a member that is not its key mod n */
 #define RECORDS_PARENT (-3) /* a parent port outside [0, deg(member)] */
 #define RECORDS_HEAVY (-4)  /* a heavy port outside [0, deg(member)] */
+#define RECORDS_LIGHT (-5)  /* a light-port slice outside [0, len(lp_data)] */
 
 /* One tree's slice [lo, hi) of the key-sorted entries; its keys are
  * base + member, and full marks a slice holding all n members. */
@@ -1112,6 +1121,21 @@ static void resolve_move(const tree_slice *t, const step_rec *row,
     *next = st->next;
 }
 
+/* frexp's exponent of (double)x, which is x's bit length for
+ * 0 <= x < 2^53: the numpy label-bit reference takes bit lengths as
+ * np.frexp(x.astype(float64))[1], so this reads the same field of the
+ * same double (every int64 converts to 0 or a normal double). */
+static inline int64_t frexp_exp(int64_t x)
+{
+    union {
+        double d;
+        uint64_t b;
+    } u;
+    u.d = (double)x;
+    const int64_t biased = (int64_t)((u.b >> 52) & 0x7ff);
+    return biased ? biased - 1022 : 0;
+}
+
 /* Write every entry record of a compiled scheme in one pass over the
  * key-sorted entries, tree slice by tree slice: the five tree-record
  * fields as given, then each parent and heavy port resolved through
@@ -1120,6 +1144,14 @@ static void resolve_move(const tree_slice *t, const step_rec *row,
  * the caller has none) are the build's own entry links; they are
  * checked, never trusted, so any hint yields the same record.
  *
+ * Given the light-port CSR (lp_indptr may be NULL), the pass checks
+ * every entry's slice lp_indptr[e] .. lp_indptr[e+1] against
+ * [0, lp_len] and, unless label_bits is NULL, writes the entry's
+ * encoded tree-label bits (label_codec.tree_label_bits): the DFS number
+ * at the width of its tree, bit_length(slice length - 1), then the
+ * light-port count Elias-delta coded as count + 1 and each port of the
+ * slice Elias-gamma coded.
+ *
  * Keys strictly ascend, so each is unique: a checked hint, a search of
  * the tree's slice and numpy's global searchsorted name the same entry,
  * and a key missing from its slice is missing everywhere, since tree
@@ -1127,8 +1159,9 @@ static void resolve_move(const tree_slice *t, const step_rec *row,
  *
  * Refuses, before resolving the entry at fault, what numpy would
  * resolve wrongly: keys out of order or range, a member that is not
- * its key mod n, and a port past its member's row.  Returns 0 or a
- * RECORDS_* code with the entry at *bad.
+ * its key mod n, a port past its member's row, and a light-port slice
+ * outside lp_data.  Returns 0 or a RECORDS_* code with the entry at
+ * *bad.
  *
  * Every array is the whole entry column and the pass covers only
  * entries [lo, hi), which the caller cuts where the tree id strictly
@@ -1152,7 +1185,11 @@ int64_t tz_compile_records(
     const int64_t *heavy_hint,
     const int64_t *g_indptr,         /* (n+1) step row per vertex */
     const step_rec *step,            /* (2m) half-arc records */
+    const int64_t *lp_indptr,        /* NULL or (E+1) light-port slices */
+    const int64_t *lp_data,          /* (lp_len) light ports */
+    int64_t lp_len,
     ent_rec *ent,                    /* out (E) */
+    int64_t *label_bits,             /* out (E), or NULL: not wanted */
     int64_t *bad)                    /* out: the refused entry */
 {
     const int64_t span = n * n;
@@ -1172,6 +1209,7 @@ int64_t tz_compile_records(
         t.hi = b;
         t.base = base;
         t.full = b - a == n;
+        const int64_t f_width = frexp_exp(b - a - 1);
         for (int64_t e = a; e < b; e++) {
             const int64_t v = vertex[e];
             if (v != keys[e] - base) {
@@ -1187,6 +1225,19 @@ int64_t tz_compile_records(
             if (hp < 0 || hp > deg) {
                 *bad = e;
                 return RECORDS_HEAVY;
+            }
+            const int64_t p0 = lp_indptr ? lp_indptr[e] : 0;
+            const int64_t p1 = lp_indptr ? lp_indptr[e + 1] : 0;
+            if (p0 < 0 || p1 < p0 || p1 > lp_len) {
+                *bad = e;
+                return RECORDS_LIGHT;
+            }
+            if (label_bits) {
+                const int64_t bl = frexp_exp(p1 - p0 + 1);
+                int64_t bits = f_width + 2 * (frexp_exp(bl) - 1) + 1 + bl - 1;
+                for (int64_t p = p0; p < p1; p++)
+                    bits += 2 * (frexp_exp(lp_data[p]) - 1) + 1;
+                label_bits[e] = bits;
             }
             const step_rec *row = step + g_indptr[v];
             ent_rec *r = &ent[e];
@@ -1204,6 +1255,264 @@ int64_t tz_compile_records(
         }
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Patch: splice                                                       */
+/* ------------------------------------------------------------------ */
+
+/* How tz_splice moves a column's rows: keep in sync with
+ * kernels/splice.py.  Every column is 8 bytes a row. */
+#define SPLICE_COPY 0   /* int64 rows as they lie */
+#define SPLICE_REAL 1   /* float64 rows as they lie (compared as doubles) */
+#define SPLICE_LINK 2   /* entry links: v >= 0 moves by at - src, else -1 */
+#define SPLICE_OFFSET 3 /* light-port offsets: every row moves by shift[r] */
+
+/* Row v of run r's source, moved into place the way `kind` says. */
+static inline int64_t moved(int64_t kind, int64_t v, int64_t link_shift,
+                            int64_t offset)
+{
+    if (kind == SPLICE_LINK)
+        return link_shift == 0 ? v : (v >= 0 ? v + link_shift : -1);
+    if (kind == SPLICE_OFFSET)
+        return v + offset;
+    return v;
+}
+
+/* Output rows [lo, hi) of every column, written run by run: run r's
+ * rows start at src[r] in its source (the rebuild's columns when
+ * dirty[r], else the parent's) and land at output rows at[r] ..
+ * at[r+1].  A plain column takes one memcpy per run, a link or offset
+ * column one shifted copy.  Rows of different ranges are disjoint, so
+ * threads may write one set of columns at once.  Matches the numpy
+ * _splice of core/build/patch.py row for row. */
+void tz_splice(
+    int64_t lo,                      /* output rows [lo, hi) */
+    int64_t hi,
+    int64_t nruns,
+    const int64_t *dirty,            /* (nruns) */
+    const int64_t *src,              /* (nruns) */
+    const int64_t *at,               /* (nruns + 1) */
+    const int64_t *shift,            /* (nruns) SPLICE_OFFSET shift, or NULL */
+    int64_t ncols,
+    const int64_t *kinds,            /* (ncols) SPLICE_* */
+    const int64_t *const *old,       /* (ncols) the parent's columns */
+    const int64_t *const *fresh,     /* (ncols) the rebuild's columns */
+    int64_t *const *out)             /* (ncols) output columns */
+{
+    if (lo >= hi || nruns == 0)
+        return;
+    /* the last run starting at or before lo */
+    int64_t a = 0, b = nruns;
+    while (b - a > 1) {
+        const int64_t mid = a + ((b - a) >> 1);
+        if (at[mid] <= lo)
+            a = mid;
+        else
+            b = mid;
+    }
+    for (int64_t r = a; r < nruns && at[r] < hi; r++) {
+        const int64_t row0 = at[r] > lo ? at[r] : lo;
+        const int64_t row1 = at[r + 1] < hi ? at[r + 1] : hi;
+        if (row0 >= row1)
+            continue;
+        const int64_t from = src[r] + (row0 - at[r]);
+        const int64_t link_shift = at[r] - src[r];
+        const int64_t offset = shift ? shift[r] : 0;
+        for (int64_t c = 0; c < ncols; c++) {
+            const int64_t *col = (dirty[r] ? fresh[c] : old[c]) + from;
+            int64_t *dst = out[c] + row0;
+            const int64_t kind = kinds[c];
+            if (kind == SPLICE_COPY || kind == SPLICE_REAL ||
+                (kind == SPLICE_LINK && link_shift == 0)) {
+                memcpy(dst, col, (size_t)(row1 - row0) * sizeof(int64_t));
+                continue;
+            }
+            for (int64_t i = 0; i < row1 - row0; i++)
+                dst[i] = moved(kind, col[i], link_shift, offset);
+        }
+    }
+}
+
+/* When no block moves: same[c] = 1 when every dirty run of column c,
+ * moved as tz_splice moves it, already equals the parent's rows where
+ * it lands (floats compared as doubles, as numpy's array_equal does),
+ * so the column can be shared instead of written.  Offset columns move
+ * with the blocks, so they never come here. */
+void tz_splice_same(
+    int64_t nruns,
+    const int64_t *dirty,
+    const int64_t *src,
+    const int64_t *at,
+    int64_t ncols,
+    const int64_t *kinds,
+    const int64_t *const *old,
+    const int64_t *const *fresh,
+    int64_t *same)                   /* out (ncols) */
+{
+    for (int64_t c = 0; c < ncols; c++) {
+        const int64_t kind = kinds[c];
+        int equal = 1;
+        for (int64_t r = 0; equal && r < nruns; r++) {
+            if (!dirty[r])
+                continue;
+            const int64_t len = at[r + 1] - at[r];
+            const int64_t *col = fresh[c] + src[r], *was = old[c] + at[r];
+            if (kind == SPLICE_REAL) {
+                const double *x = (const double *)col, *y = (const double *)was;
+                for (int64_t i = 0; equal && i < len; i++)
+                    equal = x[i] == y[i];
+            } else {
+                const int64_t link_shift = at[r] - src[r];
+                for (int64_t i = 0; equal && i < len; i++)
+                    equal = moved(kind, col[i], link_shift, 0) == was[i];
+            }
+        }
+        same[c] = equal;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Patch and build: assemble                                           */
+/* ------------------------------------------------------------------ */
+
+/* Return codes of the assemble passes: keep in sync with
+ * kernels/splice.py. */
+#define ASSEMBLE_MEMBER (-1) /* a member outside [0, n) */
+
+/* Block of row e: the largest c with cl_indptr[c] <= e, c in [0, n). */
+static int64_t block_of(int64_t n, const int64_t *cl_indptr, int64_t e)
+{
+    int64_t a = 0, b = n;
+    while (b - a > 1) {
+        const int64_t mid = a + ((b - a) >> 1);
+        if (cl_indptr[mid] <= e)
+            a = mid;
+        else
+            b = mid;
+    }
+    return a;
+}
+
+/* ent_center and entry_keys = center * n + member of rows [lo, hi),
+ * the center of row e being the block of cl_indptr holding it. */
+void tz_entry_keys(
+    int64_t n,
+    int64_t lo,
+    int64_t hi,
+    const int64_t *cl_indptr,        /* (n+1) */
+    const int64_t *member,           /* (E) */
+    int64_t *center,                 /* out (E) */
+    int64_t *keys)                   /* out (E) */
+{
+    if (lo >= hi)
+        return;
+    for (int64_t c = block_of(n, cl_indptr, lo), e = lo; e < hi; c++) {
+        const int64_t end = cl_indptr[c + 1] < hi ? cl_indptr[c + 1] : hi;
+        for (; e < end; e++) {
+            center[e] = c;
+            keys[e] = c * n + member[e];
+        }
+    }
+}
+
+/* Count (epos NULL) or write the level-0 member-map rows among entries
+ * [lo, hi): the entries whose member is its center or lies closer to
+ * it than to level 1, d(center, member) < d1[member].  Writes epos and
+ * mkeys from row `base` on; returns the count, or ASSEMBLE_MEMBER. */
+int64_t tz_member_maps(
+    int64_t n,
+    int64_t lo,
+    int64_t hi,
+    const int64_t *center,           /* (E) */
+    const int64_t *member,           /* (E) */
+    const double *dist,              /* (E) */
+    const double *d1,                /* (n) d(A_1, v) */
+    const int64_t *keys,             /* (E) */
+    int64_t base,
+    int64_t *epos,                   /* out, or NULL to count */
+    int64_t *mkeys)                  /* out */
+{
+    int64_t count = 0;
+    for (int64_t e = lo; e < hi; e++) {
+        const int64_t v = member[e];
+        if (v < 0 || v >= n)
+            return ASSEMBLE_MEMBER;
+        if (v == center[e] || dist[e] < d1[v]) {
+            if (epos) {
+                epos[base + count] = e;
+                mkeys[base + count] = keys[e];
+            }
+            count++;
+        }
+    }
+    return count;
+}
+
+/* Label entry positions of vertices [lo, hi): row 0 the entry (v, v),
+ * row i the entry (pivot[i][v], v), each found in its tree's block of
+ * the key-sorted entries.  Levels go in order, so the return is 0 or
+ * 1 + the lowest level whose entry some vertex of the range lacks. */
+int64_t tz_label_positions(
+    int64_t n,
+    int64_t k,
+    int64_t lo,
+    int64_t hi,
+    const int64_t *cl_indptr,        /* (n+1) */
+    const int64_t *keys,             /* (E) sorted center * n + member */
+    const int64_t *pivot,            /* (k, n) row-major; row 0 unread */
+    int64_t *lab)                    /* out (k, n) row-major */
+{
+    for (int64_t i = 0; i < k; i++)
+        for (int64_t v = lo; v < hi; v++) {
+            const int64_t w = i ? pivot[i * n + v] : v;
+            int64_t pos = -1;
+            if (w >= 0 && w < n) {
+                const int64_t a = cl_indptr[w], b = cl_indptr[w + 1];
+                if (b - a == n)
+                    pos = keys[a + v] == w * n + v ? a + v : -1;
+                else
+                    pos = find_key(keys, a, b, w * n + v);
+            }
+            if (pos < 0)
+                return 1 + i;
+            lab[i * n + v] = pos;
+        }
+    return 0;
+}
+
+/* Per-member entry counts of rows [lo, hi), added into counts (n);
+ * returns 0 or ASSEMBLE_MEMBER. */
+int64_t tz_member_counts(
+    int64_t n,
+    int64_t lo,
+    int64_t hi,
+    const int64_t *member,           /* (E) */
+    int64_t *counts)                 /* in/out (n) */
+{
+    for (int64_t e = lo; e < hi; e++) {
+        const int64_t v = member[e];
+        if (v < 0 || v >= n)
+            return ASSEMBLE_MEMBER;
+        counts[v]++;
+    }
+    return 0;
+}
+
+/* Bunch order of rows [lo, hi): a stable counting sort of the entries
+ * by member.  cursor[v] is the first slot of this range's member-v rows
+ * (the rows of earlier ranges and lower members before it); entries go
+ * in row order, so each member's centers come out ascending, as
+ * numpy's stable argsort puts them. */
+void tz_bunch_scatter(
+    int64_t lo,
+    int64_t hi,
+    const int64_t *member,           /* (E), checked by tz_member_counts */
+    int64_t *cursor,                 /* in/out (n), this range's own */
+    int64_t *order)                  /* out (E) */
+{
+    for (int64_t e = lo; e < hi; e++)
+        order[cursor[member[e]]++] = e;
 }
 
 /* Release a buffer handed out by tz_frontier_sweep. */

@@ -36,12 +36,14 @@ writes every record in one linear pass over the key-sorted entries and
 links each neighbor through the build's own ``ent_parent_epos`` /
 ``ent_heavy_epos`` when that hint lies in the entry's tree slice and
 holds the neighbor's key, else by searching that slice — a hint is
-checked, never trusted.  The numpy :func:`_resolve_ports` +
-:func:`_link_entries` stay the byte-for-byte reference (two global
+checked, never trusted.  The same pass writes ``ent_label_bits``.  The
+numpy :func:`_resolve_ports` + :func:`_link_entries` +
+:func:`_label_bits` stay the byte-for-byte reference (two global
 ``searchsorted`` calls, hints unread).  Both refuse, with
 :class:`~repro.errors.EncodingError`, what they would resolve wrongly:
 keys not strictly ascending in ``[0, n*n)``, a member that is not its
-key mod ``n``, or a port outside its member's row.
+key mod ``n``, a port outside its member's row, or a light-port slice
+outside ``lp_data``.
 
 One representation: a :class:`CompiledScheme` is a
 :class:`~repro.core.build.arrays.SchemeArrays` plus what a port
@@ -51,7 +53,11 @@ a scheme container stores them once — and the five array columns of
 :data:`ARRAYS_IN_RECORD` are fields of the ``ent`` records, which a
 container stores in the records only.  The four others
 (:data:`DERIVED`: the two record columns, label bits and the graph's
-row index) are computed here.  Every TZ scheme carries its arrays, so
+row index) are computed here; the label bits also fill the arrays' own
+cache (:meth:`~repro.core.build.arrays.SchemeArrays.entry_label_bits`).
+A compile records which array objects it wrote into the records
+(:attr:`CompiledScheme.written_from`), so a save of those arrays need
+not compare the records with them.  Every TZ scheme carries its arrays, so
 :func:`compile_scheme` is :func:`compile_from_arrays` behind the §4
 :class:`HandshakeRoutingScheme` unwrap; only :func:`compile_single_tree`
 lays out its own entries, through the same resolution pass.
@@ -59,6 +65,7 @@ lays out its own entries, through the same resolution pass.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
@@ -148,12 +155,15 @@ def _check_entries(
     vertex: np.ndarray,
     ports: Tuple[np.ndarray, np.ndarray],
     g_indptr: np.ndarray,
+    light: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
 ) -> None:
-    """Refuse what :func:`_resolve_ports` and :func:`_link_entries` would
-    resolve wrongly, with vectorized compares: keys not strictly
-    ascending in ``[0, n*n)``, a member that is not its key mod ``n``,
-    and a parent or heavy port outside ``[0, deg(member)]`` (which would
-    read the next vertex's step row).  ``tz_compile_records`` refuses the
+    """Refuse what :func:`_resolve_ports`, :func:`_link_entries` and
+    :func:`_label_bits` would resolve wrongly, with vectorized compares:
+    keys not strictly ascending in ``[0, n*n)``, a member that is not
+    its key mod ``n``, a parent or heavy port outside
+    ``[0, deg(member)]`` (which would read the next vertex's step row),
+    and, when ``light`` holds the light-port CSR, a slice outside
+    ``lp_data``.  ``tz_compile_records`` refuses the
     same inline; raises :class:`~repro.errors.EncodingError` naming the
     first entry of the first failing check.  Only the refusal is shared:
     this runs each check over every entry in turn, the C pass meets the
@@ -176,6 +186,20 @@ def _check_entries(
     deg = np.diff(g_indptr)[vertex]
     for what, port in zip(("parent", "heavy"), ports):
         refuse_first(what, (port < 0) | (port > deg))
+    if light is not None:
+        lo, hi = light[0][:-1], light[0][1:]
+        refuse_first("light", (lo < 0) | (hi < lo) | (hi > light[1].shape[0]))
+
+
+def _label_bits(
+    keys: np.ndarray, n: int, lp_indptr: np.ndarray, lp_data: np.ndarray
+) -> np.ndarray:
+    """Tree-label bits of key-sorted entries, numpy: each entry's DFS
+    field at its tree's width, ``bit_length(slice length - 1)``, then its
+    light ports (:func:`~repro.trees.label_codec.tree_label_bits_array`)."""
+    sizes = np.diff(_slice_starts(keys, n))
+    f_width = np.frexp((sizes - 1).astype(np.float64))[1].astype(np.int64)
+    return tree_label_bits_array(f_width[keys // n], lp_indptr, lp_data)
 
 
 def _ent_records(
@@ -186,6 +210,7 @@ def _ent_records(
     g_indptr: np.ndarray,
     step: np.ndarray,
     kernel: str,
+    light: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
 ) -> np.ndarray:
     """The ``ent`` records of key-sorted entries on ``kernel``.
 
@@ -193,20 +218,24 @@ def _ent_records(
     (``vertex`` through ``light_depth``) and ``ports`` the parent and
     heavy ports (0 = none), resolved through the ``step`` records to
     neighbors, weights and edge ids; each neighbor is then linked to its
-    entry row in the same tree.  The native kernel writes every record
-    in one C pass and tries ``links`` (the build's own parent and heavy
-    entry links, or None) before searching the tree's slice; numpy runs
-    :func:`_resolve_ports` and :func:`_link_entries`, the differential
-    reference it must match byte for byte, and never reads ``links``.
-    Both refuse the same malformed entries (:func:`_check_entries`),
-    each naming the first fault it meets.
+    entry row in the same tree.  ``light``, when given, is
+    ``(lp_indptr, lp_data, bits)``: the light-port CSR, checked, and an
+    int64 column the pass fills with each entry's tree-label bits (or
+    None: check only).  The native kernel does all of it in one C pass
+    and tries ``links`` (the build's own parent and heavy entry links,
+    or None) before searching the tree's slice; numpy runs
+    :func:`_resolve_ports`, :func:`_link_entries` and
+    :func:`_label_bits`, the differential reference it must match byte
+    for byte, and never reads ``links``.  Both refuse the same malformed
+    entries (:func:`_check_entries`), each naming the first fault it
+    meets.
     """
     ent = np.empty(keys.shape[0], dtype=ENT_DTYPE)
     with TELEMETRY.span("kernel.compile_records", impl=kernel, entries=int(keys.shape[0])):
         if kernel == "native":
-            return compile_records_native(keys, record, ports, links, g_indptr, step, ent)
+            return compile_records_native(keys, record, ports, links, g_indptr, step, ent, light)
         vertex = record["vertex"]
-        _check_entries(keys, vertex, ports, g_indptr)
+        _check_entries(keys, vertex, ports, g_indptr, light)
         for name, col in record.items():
             ent[name] = col
         for side, port in zip(("parent", "heavy"), ports):
@@ -215,6 +244,8 @@ def _ent_records(
             ent[side + "_wt"] = wt
             ent[side + "_edge"] = edge
             ent[side + "_epos"] = _link_entries(keys, vertex, nxt)
+        if light is not None and light[2] is not None:
+            light[2][:] = _label_bits(keys, g_indptr.shape[0] - 1, light[0], light[1])
         return ent
 
 
@@ -256,6 +287,11 @@ class CompiledScheme:
     # -- slice indexes, computed from the keys at construction ----------
     tree_indptr: np.ndarray = field(init=False, repr=False)  # (n+1,) per tree root
     mem_indptr: np.ndarray = field(init=False, repr=False)  # (n+1,) per source
+    #: Weak references to the array columns :func:`compile_from_arrays`
+    #: wrote into ``ent``, by :data:`ARRAYS_IN_RECORD` name (None for any
+    #: other compile): a save of those very objects skips comparing them.
+    #: A plain attribute, not a column.
+    written_from = None
 
     def __post_init__(self) -> None:
         """Check the columns, then index each tree's slice of the
@@ -504,7 +540,7 @@ def _resolve_columns(
     record: Dict[str, np.ndarray],
     ports: Tuple[np.ndarray, np.ndarray],
     links: Optional[Tuple[np.ndarray, np.ndarray]],
-    label_bits: np.ndarray,
+    label_bits: Optional[np.ndarray],
 ) -> CompiledScheme:
     """Write the ``ent`` and ``step`` records of an entry layout through
     ``ported`` and bind them next to the given ``columns``.
@@ -514,6 +550,8 @@ def _resolve_columns(
     edge ids through the target port assignment's step records, and the
     neighbors back to entry rows of the same tree (one lookup at compile
     time saves one per hop at route time), on the platform's kernel.
+    The same pass computes the label bits from the columns' light ports
+    unless ``label_bits`` already holds them.
     """
     graph = ported.graph
     arc = ported.arc_of_port
@@ -521,6 +559,9 @@ def _resolve_columns(
     step["next"] = graph.adj[arc]
     step["edge"] = graph.arc_edge[arc]
     step["wt"] = graph.adj_weights[arc]
+    fill = label_bits is None
+    if fill:
+        label_bits = np.empty(columns["entry_keys"].shape[0], dtype=np.int64)
     ent = _ent_records(
         columns["entry_keys"],
         record,
@@ -529,6 +570,7 @@ def _resolve_columns(
         graph.indptr,
         step,
         resolve_kernel("auto"),
+        (columns["lp_indptr"], columns["lp_data"], label_bits if fill else None),
     )
     return CompiledScheme(
         n=ported.n,
@@ -580,7 +622,6 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
         np.int64,
         int(lp_indptr[-1]),
     )
-    f_width = np.full(n, (max(n - 1, 0)).bit_length(), dtype=np.int64)
     root_epos = np.full(n, -1, dtype=np.int64)
     root_epos[r] = r
     pivot = np.zeros((2, n), dtype=np.int64)
@@ -607,7 +648,7 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
         ),
         ports=(recs["parent_port"], recs["heavy_port"]),
         links=None,
-        label_bits=tree_label_bits_array(f_width, lp_indptr, lp_data),
+        label_bits=None,
     )
 
 
@@ -622,16 +663,27 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
     heavy ports through ``ported``'s step records — so routing over a
     foreign port assignment crosses exactly the links the hop-by-hop
     simulator would.
+
+    The label bits come from the arrays' cache, else from the record
+    pass, which then fills the cache.  The compile remembers the column
+    objects it wrote into the records (:attr:`CompiledScheme.written_from`).
     """
     with TELEMETRY.span(
         "engine.compile", source="arrays", entries=int(arrays.entry_keys.shape[0])
     ):
-        return _resolve_columns(
+        cached = getattr(arrays, "_entry_label_bits", None)
+        compiled = _resolve_columns(
             array_columns(arrays),
             arrays.k,
             ported,
             record={name: getattr(arrays, col) for col, name in ARRAYS_IN_RECORD.items()},
             ports=(arrays.tr_parent_port, arrays.tr_heavy_port),
             links=(arrays.ent_parent_epos, arrays.ent_heavy_epos),
-            label_bits=arrays.entry_label_bits(),
+            label_bits=cached,
         )
+        if cached is None:  # the arrays' cache: columns are append-only
+            arrays._entry_label_bits = compiled.ent_label_bits
+        compiled.written_from = {
+            col: weakref.ref(getattr(arrays, col)) for col in ARRAYS_IN_RECORD
+        }
+        return compiled

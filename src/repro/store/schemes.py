@@ -221,15 +221,22 @@ def scheme_to_manifest(
     Refuses a ``compiled`` whose array-bound columns or record fields
     are not ``arrays``' own (the same objects, else equal arrays): the
     container stores those columns once, so they must be one and the
-    same.
+    same.  A record field is compared only when ``compiled`` was not
+    written from that very column object
+    (:attr:`~repro.sim.engine.compile.CompiledScheme.written_from`):
+    columns are append-only once assembled, so a compile of these arrays
+    holds their values, and any other compile, a copy's included, is
+    compared value by value.
     """
     shared = [
         (name, getattr(compiled, name), col) for name, col in array_columns(arrays).items()
     ]
-    shared += [
-        (name, compiled.ent[field], getattr(arrays, name))
-        for name, field in ARRAYS_IN_RECORD.items()
-    ]
+    written = compiled.written_from or {}
+    for name, field in ARRAYS_IN_RECORD.items():
+        col = getattr(arrays, name)
+        ref = written.get(name)
+        if ref is None or ref() is not col:
+            shared.append((name, compiled.ent[field], col))
     for name, mine, col in shared:
         if mine is not col and not np.array_equal(mine, col):
             raise EncodingError(
