@@ -65,7 +65,7 @@ from repro.kernels.records import compile_records_native
 from repro.kernels.trees import cluster_trees_native
 from repro.rng import make_rng
 from repro.sim.engine import BatchRouter, batch
-from repro.sim.engine.compile import ARRAYS_IN_RECORD, ENT_DTYPE, _ent_records
+from repro.sim.engine.compile import ARRAYS_IN_RECORD, ENT_DTYPE, RECORD_FIELDS, _ent_records
 from repro.sim.workloads import uniform_pairs
 
 pytestmark = pytest.mark.skipif(
@@ -208,13 +208,18 @@ def test_kernels_speedup(setup):
     arrays, compiled = scheme.arrays, routers["native"].compiled
     record_args = (
         arrays.entry_keys,
-        {name: getattr(arrays, col) for col, name in ARRAYS_IN_RECORD.items()},
+        {
+            name: getattr(arrays, col)
+            for col, name in ARRAYS_IN_RECORD.items()
+            if name in RECORD_FIELDS
+        },
         (arrays.tr_parent_port, arrays.tr_heavy_port),
-        (arrays.ent_parent_epos, arrays.ent_heavy_epos),
+        (arrays.ent_parent_epos, arrays.ent_heavy_epos, arrays.ent_parent),
         compiled.g_indptr,
         compiled.step,
     )
-    # Byte for byte: 13 int64 words per record, the weights' bits included.
+    # Byte for byte: 8 int64 words per 64-byte record, the pad and the
+    # weights' bits included.
     words = _ent_records(*record_args, "numpy").view(np.int64)
     assert np.array_equal(words, _ent_records(*record_args, "native").view(np.int64))
     assert np.array_equal(words, compiled.ent.view(np.int64))

@@ -8,9 +8,13 @@ subject is table size.  Storing every ``CompiledScheme`` column the
 each column once, 237.5 B/entry (format 2).  Format 3 stores the entry
 records the native kernels read, holding five array columns that are no
 longer stored beside them, and drops the two bunch columns that were
-gathers of entry columns: 221.5 B/entry.  :data:`BYTES_PER_ENTRY_CEILING`
-sits 2% above that, so a second copy of any per-entry column (8 B)
-fails it.
+gathers of entry columns: 221.5 B/entry.  Format 5 narrows every
+per-entry integer column to int32, makes the entry record one 64-byte
+line and the step record 16 bytes, and stores the SPT parents and both
+entry links once, in the records: 125.0 B/entry.
+:data:`BYTES_PER_ENTRY_CEILING` sits 2% above that, so a second copy of
+any per-entry column (4 B) fails it.  The bytes per entry of each blob
+are printed beside the total.
 
 The load speedup — header parse + zero-copy memory map, ready to route,
 against re-running the vectorized builder — is reported, not gated: it
@@ -44,10 +48,10 @@ from repro.graphs.ports import assign_ports
 from repro.rng import make_rng, sample_pairs
 from repro.sim.engine.batch import BatchRouter
 from repro.sim.engine.compile import compile_from_arrays
-from repro.store import SchemeStore
+from repro.store import SchemeStore, read_container
 
-#: Container bytes per scheme entry at the default size (measured 221.5).
-BYTES_PER_ENTRY_CEILING = 226.0
+#: Container bytes per scheme entry at the default size (measured 125.0).
+BYTES_PER_ENTRY_CEILING = 127.5
 N_DEFAULT = 20_000
 K = 2
 SEED = 2025
@@ -75,6 +79,15 @@ def test_store_bytes_per_entry(setup, tmp_path):
     path = store.save(graph, ported, arrays, seed=SEED, compiled=compiled)
     size_mb = path.stat().st_size / 1e6
     bytes_per_entry = path.stat().st_size / arrays.entry_count
+    blobs = read_container(path)[1]
+    per_blob = {
+        name: blob.nbytes / arrays.entry_count
+        for name, blob in sorted(blobs.items(), key=lambda kv: -kv[1].nbytes)
+    }
+    del blobs  # the map
+    print("\nbytes per entry, by blob:")
+    for name, share in per_blob.items():
+        print(f"  {name:<22} {share:7.2f}")
 
     # -- the cost with the store: open + mmap, ready to route -----------
     t_load = best_of(
@@ -122,6 +135,9 @@ def test_store_bytes_per_entry(setup, tmp_path):
             "warm_route_100k_seconds": round(t_warm_route, 4),
             "first_over_warm_route": round(first_over_warm, 2),
             "speedup": round(speedup, 1),
+            "bytes_per_entry_by_blob": {
+                name: round(share, 2) for name, share in per_blob.items()
+            },
         },
         floors={"bytes_per_entry_max": BYTES_PER_ENTRY_CEILING},
     )

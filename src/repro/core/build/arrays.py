@@ -17,6 +17,15 @@ independently: membership, distances, parents, tree records and light
 ports.  A patch hands it the scheme it spliced from, whose derived
 structures it shares wherever their inputs are that scheme's own.
 
+Every column has one dtype, :data:`COLUMN_DTYPES`, from the pass that
+makes it to the container that stores it: per-entry integers are
+int32, the entry keys ``tree * n + member`` and the offsets into
+entry-sized columns int64, distances float64.  :func:`check_index_sizes`
+refuses a scheme whose vertex, arc or entry count the int32 columns
+cannot hold, before any column is narrowed; and every key is formed in
+int64 (an int32 column times a Python ``int`` stays int32 under NumPy
+2, and wraps silently once ``n`` passes 46,341).
+
 :func:`scheme_from_arrays` materializes the dict-based
 :class:`~repro.core.scheme_k.TZRoutingScheme` the hop-by-hop simulator
 routes on — the compatibility bridge between the array world and the
@@ -41,6 +50,52 @@ from ...trees.tz_tree import TreeLocalRecord
 from ..labels import LabelEntry, TZLabel
 from ..landmarks import Hierarchy
 from ..tables import VertexTable
+
+
+_I32, _I64, _F64 = np.dtype(np.int32), np.dtype(np.int64), np.dtype(np.float64)
+
+#: The width rule: each :class:`SchemeArrays` column's dtype, everywhere
+#: (build, patch, compile and load).  int32 for per-entry integers, int64
+#: for keys and offsets whose values can pass 2^31 and for the per-vertex
+#: label positions, float64 for distances.
+COLUMN_DTYPES: Dict[str, np.dtype] = {
+    "cl_indptr": _I64,
+    "entry_keys": _I64,
+    "ent_center": _I32,
+    "ent_member": _I32,
+    "ent_dist": _F64,
+    "ent_parent": _I32,
+    "ent_parent_epos": _I32,
+    "ent_heavy_epos": _I32,
+    "tr_f": _I32,
+    "tr_finish": _I32,
+    "tr_heavy_finish": _I32,
+    "tr_light_depth": _I32,
+    "tr_parent_port": _I32,
+    "tr_heavy_port": _I32,
+    "lp_indptr": _I64,
+    "lp_data": _I32,
+    "mem_keys": _I64,
+    "mem_epos": _I32,
+    "lab_epos": _I64,
+    "bunch_indptr": _I64,
+    "bunch_epos": _I32,
+}
+
+#: One past the largest vertex id, arc index or entry index an int32
+#: column holds.
+INDEX_LIMIT = 2**31
+
+
+def check_index_sizes(n: int, arcs: int, entries: int, error=PreprocessingError) -> None:
+    """Raise ``error`` unless ``n`` vertices, ``arcs`` arcs (2m) and
+    ``entries`` entries all fit the int32 columns of the width rule."""
+    sizes = {"vertices": n, "arcs": arcs, "entries": entries}
+    over = {what: int(size) for what, size in sizes.items() if size >= INDEX_LIMIT}
+    if over:
+        raise error(
+            f"{over} exceed the int32 entry columns (each count must be < 2^31)"
+        )
 
 
 def port_lookup(ported: PortedGraph) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -116,6 +171,19 @@ class SchemeArrays:
     bunch_indptr: np.ndarray  # (n+1,)
     bunch_epos: np.ndarray  # (E,) entry index of each (w, v) pair, by v
 
+    def __post_init__(self) -> None:
+        """Refuse any column off the width rule (:data:`COLUMN_DTYPES`),
+        so no pass downstream meets a second dtype."""
+        bad = [
+            name
+            for name, dtype in COLUMN_DTYPES.items()
+            if getattr(self, name).dtype != dtype
+        ]
+        if bad:
+            raise PreprocessingError(
+                f"scheme columns {bad} are not of their width-rule dtypes"
+            )
+
     @property
     def entry_count(self) -> int:
         return int(self.entry_keys.shape[0])
@@ -129,7 +197,7 @@ class SchemeArrays:
         return np.diff(self.bunch_indptr)
 
     def entry_label_bits(self) -> np.ndarray:
-        """Encoded tree-label bits of every entry-as-destination, ``(E,)``.
+        """Encoded tree-label bits of every entry-as-destination, ``(E,)`` int32.
 
         Cached: the builder, the engine compile and the size accounting
         all need this column, and at scale it dominates their shared
@@ -144,7 +212,7 @@ class SchemeArrays:
         # frexp exponent == bit_length; sizes - 1 == 0 -> 0-bit DFS field
         # (single-vertex trees), matching label_codec._f_width.
         f_width = np.frexp((sizes - 1).astype(np.float64))[1].astype(np.int64)
-        elb = tree_label_bits_array(f_width, self.lp_indptr, self.lp_data)
+        elb = tree_label_bits_array(f_width, self.lp_indptr, self.lp_data).astype(np.int32)
         self._entry_label_bits = elb
         return elb
 
@@ -243,14 +311,14 @@ def _derive_numpy(
     the same structures, byte for byte, under the same keys."""
     out: Dict[str, object] = {}
     if entry_keys is None:
-        ent_center = np.repeat(np.arange(n, dtype=np.int64), np.diff(cl_indptr))
-        entry_keys = ent_center * np.int64(n) + ent_member
+        ent_center = np.repeat(np.arange(n, dtype=np.int32), np.diff(cl_indptr))
+        entry_keys = ent_center.astype(np.int64) * np.int64(n) + ent_member
         out.update(entry_keys=entry_keys, ent_center=ent_center)
     if maps:
         # Level-0 member maps: the source-side "is v in my cluster?" check is
         # deliberately restricted to d(u, v) < d(A_1, v) — see core.tables.
         mem_epos = np.flatnonzero((ent_member == ent_center) | (ent_dist < d1[ent_member]))
-        out.update(mem_epos=mem_epos, mem_keys=entry_keys[mem_epos])
+        out.update(mem_epos=mem_epos.astype(np.int32), mem_keys=entry_keys[mem_epos])
     if labels:
         verts = np.arange(n, dtype=np.int64)
         lab_epos = np.empty((k, n), dtype=np.int64)
@@ -269,9 +337,15 @@ def _derive_numpy(
         np.cumsum(np.bincount(ent_member, minlength=n), out=bunch_indptr[1:])
         out.update(
             bunch_indptr=bunch_indptr,
-            bunch_epos=np.argsort(ent_member, kind="stable").astype(np.int64, copy=False),
+            bunch_epos=np.argsort(ent_member, kind="stable").astype(np.int32),
         )
     return out
+
+
+def _column(name: str, col: np.ndarray) -> np.ndarray:
+    """``col`` as a contiguous array of column ``name``'s dtype (itself
+    when it already is one)."""
+    return np.ascontiguousarray(col, dtype=COLUMN_DTYPES[name])
 
 
 def _same_values(mine: np.ndarray, theirs: np.ndarray) -> bool:
@@ -333,10 +407,20 @@ def assemble_arrays(
     ``d(A_1, ·)`` is equal, the label positions when the keys are and
     the pivots equal, the bunch CSR when the members are.  Columns are
     append-only once assembled, so sharing is safe.
+
+    Every column comes out in its :data:`COLUMN_DTYPES` dtype (builders
+    hand most of them over in it already); a graph or scheme too large
+    for the int32 columns raises :class:`PreprocessingError` first.
     """
     n = graph.n
     k = hierarchy.k
     E = ent_member.shape[0]
+    check_index_sizes(n, graph.adj.shape[0], E)
+    ent_member = _column("ent_member", ent_member)
+    ent_dist = _column("ent_dist", ent_dist)
+    if ent_center is not None:
+        entry_keys = _column("entry_keys", entry_keys)
+        ent_center = _column("ent_center", ent_center)
     if parent is not None and (parent.n, parent.k) != (n, k):
         parent = None
     if ent_center is None:
@@ -373,52 +457,51 @@ def assemble_arrays(
         if keep[part]:
             got.update((name, getattr(parent, name)) for name in names)
 
-    if ent_parent_epos is not None:
-        ent_parent_epos = np.ascontiguousarray(ent_parent_epos, dtype=np.int64)
-    else:
-        ent_parent_epos = np.full(E, -1, dtype=np.int64)
+    ent_parent = _column("ent_parent", ent_parent)
+    if ent_parent_epos is None:
+        ent_parent_epos = np.full(E, -1, dtype=np.int32)
         hasp = ent_parent >= 0
         ent_parent_epos[hasp] = _locate(
             entry_keys,
             ent_center[hasp] * np.int64(n) + ent_parent[hasp],
             "an SPT parent",
         )
-    if ent_heavy_epos is not None:
-        ent_heavy_epos = np.ascontiguousarray(ent_heavy_epos, dtype=np.int64)
-    else:
+    if ent_heavy_epos is None:
         if heavy_vertex is None:
             raise PreprocessingError(
                 "assemble_arrays needs heavy_vertex when ent_heavy_epos is absent"
             )
-        ent_heavy_epos = np.full(E, -1, dtype=np.int64)
+        ent_heavy_epos = np.full(E, -1, dtype=np.int32)
         hash_ = heavy_vertex >= 0
         ent_heavy_epos[hash_] = _locate(
             entry_keys,
             ent_center[hash_] * np.int64(n) + heavy_vertex[hash_],
             "a heavy child",
         )
-
+    columns = dict(
+        cl_indptr=cl_indptr,
+        entry_keys=entry_keys,
+        ent_center=ent_center,
+        ent_member=ent_member,
+        ent_dist=ent_dist,
+        ent_parent=ent_parent,
+        ent_parent_epos=ent_parent_epos,
+        ent_heavy_epos=ent_heavy_epos,
+        tr_f=tr_f,
+        tr_finish=tr_finish,
+        tr_heavy_finish=tr_heavy_finish,
+        tr_light_depth=tr_light_depth,
+        tr_parent_port=tr_parent_port,
+        tr_heavy_port=tr_heavy_port,
+        lp_indptr=lp_indptr,
+        lp_data=lp_data,
+        **{name: got[name] for names in _DERIVED_PARTS.values() for name in names},
+    )
     return SchemeArrays(
         n=n,
         k=k,
         hierarchy=hierarchy,
-        cl_indptr=np.ascontiguousarray(cl_indptr, dtype=np.int64),
-        entry_keys=entry_keys,
-        ent_center=ent_center,
-        ent_member=np.ascontiguousarray(ent_member, dtype=np.int64),
-        ent_dist=np.ascontiguousarray(ent_dist, dtype=np.float64),
-        ent_parent=np.ascontiguousarray(ent_parent, dtype=np.int64),
-        ent_parent_epos=ent_parent_epos,
-        ent_heavy_epos=ent_heavy_epos,
-        tr_f=np.ascontiguousarray(tr_f, dtype=np.int64),
-        tr_finish=np.ascontiguousarray(tr_finish, dtype=np.int64),
-        tr_heavy_finish=np.ascontiguousarray(tr_heavy_finish, dtype=np.int64),
-        tr_light_depth=np.ascontiguousarray(tr_light_depth, dtype=np.int64),
-        tr_parent_port=np.ascontiguousarray(tr_parent_port, dtype=np.int64),
-        tr_heavy_port=np.ascontiguousarray(tr_heavy_port, dtype=np.int64),
-        lp_indptr=np.ascontiguousarray(lp_indptr, dtype=np.int64),
-        lp_data=np.ascontiguousarray(lp_data, dtype=np.int64),
-        **{name: got[name] for names in _DERIVED_PARTS.values() for name in names},
+        **{name: _column(name, col) for name, col in columns.items()},
     )
 
 

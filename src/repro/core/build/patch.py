@@ -88,7 +88,7 @@ from ...kernels import resolve_kernel
 from ...kernels.splice import COPY, LINK, OFFSET, REAL, splice_native, splice_same_native
 from ...obs import TELEMETRY
 from ..landmarks import Hierarchy, hierarchy_from_levels
-from .arrays import SchemeArrays, assemble_arrays
+from .arrays import SchemeArrays, assemble_arrays, check_index_sizes
 from .vectorized import (
     _cluster_trees,
     _is_float64_exact,
@@ -122,11 +122,11 @@ def _segment_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def _moved(seg: np.ndarray, kind: int, link_shift: int, offset: int) -> np.ndarray:
-    """A run's source rows ``seg`` as they land: entry links (−1 = none)
-    never leave their block, so each moves by the run's ``at − src``;
-    light-port offsets move by the run's payload shift."""
+    """A run's source rows ``seg`` as they land: int32 entry links (−1 =
+    none) never leave their block, so each moves by the run's ``at −
+    src``; int64 light-port offsets move by the run's payload shift."""
     if kind == LINK and link_shift:
-        return np.where(seg >= 0, seg + np.int64(link_shift), -1)
+        return np.where(seg >= 0, seg + np.int32(link_shift), np.int32(-1))
     if kind == OFFSET:
         return seg + np.int64(offset)
     return seg
@@ -527,7 +527,8 @@ def patch_arrays(
         order = np.argsort(d_keys, kind="stable")
         d_keys, d_dist = d_keys[order], d_dist[order]
         d_center = d_keys // n2
-        d_member = d_keys - d_center * n2
+        d_member = (d_keys - d_center * n2).astype(np.int32)
+        d_center = d_center.astype(np.int32)
         tree = _cluster_trees(new_graph, new_ported, d_keys, d_dist, kernel)
 
     # ------------------------------------------------------------------
@@ -548,6 +549,7 @@ def patch_arrays(
         src[clean_new] = ci[clean_old]
         cl_indptr = np.zeros(n_new + 1, dtype=np.int64)
         np.cumsum(lens, out=cl_indptr[1:])
+        check_index_sizes(n_new, new_graph.adj.shape[0], int(cl_indptr[-1]))
         relabel = n_keep < graph.n  # a dropped vertex shifts every later id
         # No block moves: every clean block sits at its own parent rows.
         still = not relabel and n_new == graph.n and np.array_equal(cl_indptr, ci)
@@ -567,7 +569,7 @@ def patch_arrays(
 
         old_member, old_parent = arrays.ent_member, arrays.ent_parent
         if relabel:
-            remap = np.append(id_map, -1)  # a parent of −1 stays −1
+            remap = np.append(id_map, -1).astype(np.int32)  # a parent of −1 stays −1
             old_member, old_parent = remap[old_member], remap[old_parent]
         columns = {
             "ent_member": (old_member, d_member, COPY),

@@ -95,9 +95,9 @@ def pack_clusters(
         ported,
         hierarchy,
         cl_indptr=cl_indptr,
-        ent_member=np.asarray(member_l, dtype=np.int64),
+        ent_member=np.asarray(member_l, dtype=np.int32),
         ent_dist=np.asarray(dist_l, dtype=np.float64),
-        ent_parent=np.asarray(parent_l, dtype=np.int64),
+        ent_parent=np.asarray(parent_l, dtype=np.int32),
         heavy_vertex=np.asarray(heavy_l, dtype=np.int64),
         tr_f=recs["f"],
         tr_finish=recs["finish"],
@@ -106,7 +106,7 @@ def pack_clusters(
         tr_parent_port=recs["parent_port"],
         tr_heavy_port=recs["heavy_port"],
         lp_indptr=lp_indptr,
-        lp_data=np.asarray(lp_flat, dtype=np.int64),
+        lp_data=np.asarray(lp_flat, dtype=np.int32),
     )
     return arrays, routers
 

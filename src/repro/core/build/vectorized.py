@@ -63,7 +63,7 @@ from ...kernels.frontier import frontier_sweep_native
 from ...kernels.trees import cluster_trees_native
 from ...obs import TELEMETRY
 from ..landmarks import Hierarchy
-from .arrays import SchemeArrays, assemble_arrays
+from .arrays import SchemeArrays, assemble_arrays, check_index_sizes
 from .reference import reference_arrays
 
 #: On the numpy kernel, levels with at most this many centers use the
@@ -213,12 +213,13 @@ def _level_parents(graph: Graph, keys: np.ndarray, dist: np.ndarray) -> np.ndarr
 
     Entry positions are resolved through a reusable ``(centers, n)``
     scratch table per chunk of centers (direct gathers instead of a
-    log-E binary search per relaxed arc).
+    log-E binary search per relaxed arc).  Parents come out int32, the
+    width rule's dtype (the caller has checked that n and E fit).
     """
     n = np.int64(graph.n)
     E = keys.shape[0]
-    idx = np.int32 if E < 2**31 - 1 else np.int64
-    parent = np.full(E, graph.n, dtype=np.int64)  # sentinel: no parent found
+    idx = np.int32
+    parent = np.full(E, graph.n, dtype=np.int32)  # sentinel: no parent found
     center = keys // n
     member = keys - center * n
     ucen, ustart = np.unique(center, return_index=True)
@@ -237,7 +238,7 @@ def _level_parents(graph: Graph, keys: np.ndarray, dist: np.ndarray) -> np.ndarr
                 continue
             cand = block[rep] + v
             tight = dist[cand] == nd
-            np.minimum.at(parent, cand[tight], mem[rep[tight]])
+            np.minimum.at(parent, cand[tight], mem[rep[tight]].astype(np.int32))
         parent[member == center] = -1
         if np.any(parent == graph.n):
             raise PreprocessingError(
@@ -264,7 +265,7 @@ def _level_parents(graph: Graph, keys: np.ndarray, dist: np.ndarray) -> np.ndarr
             ok = cand >= 0
             cand = cand[ok]
             tight = dist[cand] == nd[ok]
-            np.minimum.at(parent, cand[tight], mem[s:e][rep[ok]][tight])
+            np.minimum.at(parent, cand[tight], mem[s:e][rep[ok]][tight].astype(np.int32))
         scratch[row, mem] = -1  # reset only the cells written
     parent[member == center] = -1
     if np.any(parent == graph.n):
@@ -308,13 +309,13 @@ def _tree_arrays(
 ) -> dict:
     """Heavy-light records and light-port sequences for all trees at once.
 
-    Entry indices, DFS numbers and sizes all fit 32 bits at any scale a
-    single node can hold, so the gather-heavy interior runs on int32
-    (half the memory traffic); the output is widened by the caller.
+    Entry indices, DFS numbers, sizes and ports all fit 32 bits (the
+    caller has checked n, 2m and E against the width rule), so every
+    column is int32 from here on, but the int64 ``lp_indptr``.
     """
     n = np.int64(graph.n)
     E = entry_keys.shape[0]
-    idx = np.int32 if E < 2**31 - 1 else np.int64
+    idx = np.int32
     parent_epos = np.full(E, -1, dtype=idx)
     hasp = ent_parent >= 0
     # Full clusters are contiguous with member[j] = j, so the parent's
@@ -376,11 +377,11 @@ def _tree_arrays(
     )
     rev_arc = np.searchsorted(arc_keys, graph.adj * n + arc_keys // n)
     down_arc = np.searchsorted(arc_keys, ent_parent[hasp] * n + ent_member[hasp])
-    down_port = np.zeros(E, dtype=np.int64)  # port at the parent toward v
+    down_port = np.zeros(E, dtype=idx)  # port at the parent toward v
     down_port[hasp] = ported.port_of_arc[down_arc]
-    parent_port = np.zeros(E, dtype=np.int64)
+    parent_port = np.zeros(E, dtype=idx)
     parent_port[hasp] = ported.port_of_arc[rev_arc[down_arc]]
-    heavy_port = np.zeros(E, dtype=np.int64)
+    heavy_port = np.zeros(E, dtype=idx)
     heavy_port[hh] = down_port[heavy_epos[hh]]
 
     # Light-port sequences: entry v's sequence holds, at slot j, the
@@ -390,7 +391,7 @@ def _tree_arrays(
     # one forward fill (maximum.accumulate) per light level.
     lp_indptr = np.zeros(E + 1, dtype=np.int64)
     np.cumsum(light_depth, out=lp_indptr[1:])
-    lp_data = np.zeros(int(lp_indptr[-1]), dtype=np.int64)
+    lp_data = np.zeros(int(lp_indptr[-1]), dtype=idx)
     if lp_data.shape[0]:
         # dfs is a permutation within each cluster block, so (tree, dfs)
         # order is one scatter — no sort.
@@ -475,8 +476,11 @@ def _cluster_trees(
     Returns the :func:`_tree_arrays` columns plus ``ent_parent``.  The
     native kernel runs one linear C pass per cluster; numpy runs
     :func:`_level_parents` and :func:`_tree_arrays`, the differential
-    reference it must match bit for bit.
+    reference it must match bit for bit.  The columns are narrowed to
+    int32 here, so a graph or entry set the width rule cannot hold is
+    refused first.
     """
+    check_index_sizes(graph.n, graph.adj.shape[0], keys.shape[0])
     with TELEMETRY.span("kernel.tree_pass", impl=kernel, entries=int(keys.shape[0])):
         if kernel == "native":
             return cluster_trees_native(graph, ported, keys, dist)
@@ -560,7 +564,7 @@ def vectorized_arrays(
             ported,
             hierarchy,
             cl_indptr=cl_indptr,
-            ent_member=keys - ent_center * np.int64(n),
+            ent_member=(keys - ent_center * np.int64(n)).astype(np.int32),
             ent_dist=dist,
             **tree,
         )

@@ -125,21 +125,22 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.tz_compile_records.argtypes = (
         [_I64, _I64, _I64]  # n, entry range lo, hi
         + [_PTR] * 6  # keys, vertex, f, finish, heavy finish, light depth
-        + [_PTR] * 4  # parent/heavy port, parent/heavy hint (or NULL)
+        + [_PTR] * 5  # parent/heavy port, parent/heavy/vertex hint (or NULL)
         + [_PTR] * 2  # g_indptr, step records
         + [_PTR, _PTR, _I64]  # lp_indptr, lp_data, lp_data length
-        + [_PTR] * 3  # out ent records, out label bits (or NULL), out refused entry
+        + [_PTR] * 4  # out ent records, label bits (or NULL), refused entry,
+        #               rejected hints
     )
     lib.tz_splice.restype = None
     lib.tz_splice.argtypes = (
         [_I64, _I64]  # output rows lo, hi
         + [_I64] + [_PTR] * 4  # run count, dirty, src, at (count + 1), shift (or NULL)
-        + [_I64] + [_PTR] * 4  # column count, kinds, old, fresh, out (pointer tables)
+        + [_I64] + [_PTR] * 5  # column count, kinds, widths, old, fresh, out (tables)
     )
     lib.tz_splice_same.restype = None
     lib.tz_splice_same.argtypes = (
         [_I64] + [_PTR] * 3  # run count, dirty, src, at (count + 1)
-        + [_I64] + [_PTR] * 3  # column count, kinds, old, fresh (pointer tables)
+        + [_I64] + [_PTR] * 4  # column count, kinds, widths, old, fresh (tables)
         + [_PTR]  # out same flag per column
     )
     lib.tz_entry_keys.restype = None
@@ -164,8 +165,22 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.tz_member_counts.argtypes = [_I64, _I64, _I64, _PTR, _PTR]
     lib.tz_bunch_scatter.restype = None
     lib.tz_bunch_scatter.argtypes = [_I64, _I64, _PTR, _PTR, _PTR]
+    lib.tz_record_layout.restype = _I64
+    lib.tz_record_layout.argtypes = [_PTR]
     lib.tz_free.restype = None
     lib.tz_free.argtypes = [_PTR]
+
+
+def column(a, dtype, what: str):
+    """``a`` as a contiguous array, refused (ValueError) unless it
+    already has ``dtype``: a wrapper hands a pass the dtype its C
+    signature reads and never narrows a column to get there."""
+    import numpy as np
+
+    a = np.ascontiguousarray(a)
+    if a.dtype != dtype:
+        raise ValueError(f"{what} must be {np.dtype(dtype).name}, not {a.dtype}")
+    return a
 
 
 def artifact() -> Path:

@@ -7,13 +7,17 @@
  * entry: the splice (core/build/patch.py) and the derived structures
  * of assemble_arrays (core/build/arrays.py).
  *
- * Deliberately plain C99 + libc (and POSIX mmap), no Python.h: the
+ * Deliberately plain C + libc (and POSIX mmap), no Python.h: the
  * library is loaded through ctypes, so a bare `cc -O3 -fPIC -shared`
  * against the system toolchain is the whole build and no Python
  * development headers are needed.  All array arguments are raw pointers into numpy buffers:
- * per-call columns the wrappers pin as contiguous int64/float64/uint8,
- * and the compiled scheme's own columns, which its construction check
- * guarantees to be contiguous int64 or exactly the record layouts below.
+ * per-call columns the wrappers pin as contiguous int32/int64/float64/
+ * uint8, and the compiled scheme's own columns, which its construction
+ * check guarantees to have exactly the dtypes named below or the record
+ * layouts below.  Every per-entry integer column is int32 (the callers
+ * refuse n, 2m or E >= 2^31 first); keys (tree * n + member) and
+ * offsets into entry-sized columns are int64, and every key is formed
+ * in int64 arithmetic.
  * No kernel keeps global state, so threads may run any of them at once
  * on disjoint output rows (ctypes releases the GIL for the call).
  *
@@ -58,7 +62,7 @@
  * from vectorization, without the per-round array traffic.  Entry
  * records are one struct per entry — the layout the scheme is compiled
  * into and stored in, read here where it lies, memory-mapped or not —
- * so a hop touches two cache lines instead of thirteen columns, and the
+ * so a hop touches one 64-byte cache line instead of thirteen columns, and the
  * record lookup after a light-port crossing binary-searches only the
  * committed tree's entry slice, not the global key table.
  */
@@ -66,6 +70,7 @@
 #define _GNU_SOURCE /* mremap */
 #include <float.h>
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -94,31 +99,71 @@
 /* Router hop loop                                                     */
 /* ------------------------------------------------------------------ */
 
-/* One tree entry: field order and widths must match ENT_DTYPE in
- * repro/sim/engine/compile.py exactly (13 × 8 bytes, no padding).  Its
- * key lives in the separate dense key array, which searches read. */
+/* One tree entry, one 64-byte cache line: field order and widths must
+ * match ENT_DTYPE in repro/sim/engine/compile.py exactly (eleven int32
+ * fields, a 4-byte pad the compile writes as zero, two doubles), which
+ * tz_record_layout lets a test check field by field.  Its key lives in
+ * the separate dense key array, which searches read. */
 typedef struct {
-    int64_t vertex;
-    int64_t f;           /* DFS number */
-    int64_t finish;
-    int64_t heavy_finish;
-    int64_t light_depth;
-    int64_t parent_epos;
+    int32_t vertex;
+    int32_t f;           /* DFS number */
+    int32_t finish;
+    int32_t heavy_finish;
+    int32_t light_depth;
+    int32_t parent_epos;
+    int32_t parent_edge;
+    int32_t parent_next;
+    int32_t heavy_epos;
+    int32_t heavy_edge;
+    int32_t heavy_next;
+    int32_t pad;         /* always 0, so a record's bytes are its fields' */
     double parent_wt;
-    int64_t parent_edge;
-    int64_t parent_next;
-    int64_t heavy_epos;
     double heavy_wt;
-    int64_t heavy_edge;
-    int64_t heavy_next;
 } ent_rec;
 
 /* One half-arc of the ported graph: matches STEP_DTYPE in compile.py. */
 typedef struct {
-    int64_t next;
-    int64_t edge;
+    int32_t next;
+    int32_t edge;
     double wt;
 } step_rec;
+
+_Static_assert(sizeof(ent_rec) == 64, "an entry record is one cache line");
+_Static_assert(sizeof(step_rec) == 16, "a step record is 16 bytes");
+
+/* The record layouts as this compiler lays them out: (offset, size) of
+ * every ent_rec field but the pad, in declaration order, then
+ * sizeof(ent_rec), then the same for step_rec.  Returns the count of
+ * values written (31). */
+int64_t tz_record_layout(int64_t *out)
+{
+    int64_t i = 0;
+#define FIELD(type, name)                              \
+    do {                                               \
+        out[i++] = (int64_t)offsetof(type, name);      \
+        out[i++] = (int64_t)sizeof(((type *)0)->name); \
+    } while (0)
+    FIELD(ent_rec, vertex);
+    FIELD(ent_rec, f);
+    FIELD(ent_rec, finish);
+    FIELD(ent_rec, heavy_finish);
+    FIELD(ent_rec, light_depth);
+    FIELD(ent_rec, parent_epos);
+    FIELD(ent_rec, parent_edge);
+    FIELD(ent_rec, parent_next);
+    FIELD(ent_rec, heavy_epos);
+    FIELD(ent_rec, heavy_edge);
+    FIELD(ent_rec, heavy_next);
+    FIELD(ent_rec, parent_wt);
+    FIELD(ent_rec, heavy_wt);
+    out[i++] = (int64_t)sizeof(ent_rec);
+    FIELD(step_rec, next);
+    FIELD(step_rec, edge);
+    FIELD(step_rec, wt);
+    out[i++] = (int64_t)sizeof(step_rec);
+#undef FIELD
+    return i;
+}
 
 /* Lower-bound search for `key` inside the sorted key slice [lo, hi). */
 static int64_t find_key(const int64_t *keys, int64_t lo, int64_t hi,
@@ -162,7 +207,7 @@ int64_t tz_hop_loop(
     const ent_rec *ent,              /* (E) entry records */
     const int64_t *keys,             /* (E) sorted entry keys */
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
-    const int64_t *lp_data,
+    const int32_t *lp_data,
     const int64_t *g_indptr,
     const step_rec *step,            /* (2m) half-arc records */
     const uint8_t *dead_masks,       /* NULL or (T, mask_width) row-major */
@@ -210,10 +255,8 @@ int64_t tz_hop_loop(
             s_key[s] = tr_ >= 0 ? tr_ * n : 0;                           \
             s_mask[s] =                                                  \
                 dead_masks ? dead_masks + trial[row_] * mask_width : 0;  \
-            if (s_cur[s] >= 0) {                                         \
+            if (s_cur[s] >= 0)                                           \
                 PREFETCH(&ent[s_cur[s]]);                                \
-                PREFETCH((const char *)&ent[s_cur[s]] + 64);             \
-            }                                                            \
         }                                                                \
     } while (0)
 
@@ -319,10 +362,8 @@ int64_t tz_hop_loop(
                     s_cur[s] = nxt;
                     s_lost[s] = new_lost;
                     s_it[s] += 1;
-                    if (nxt >= 0) {
+                    if (nxt >= 0)
                         PREFETCH(&ent[nxt]);
-                        PREFETCH((const char *)&ent[nxt] + 64);
-                    }
                 }
             }
             if (retire) {
@@ -407,10 +448,10 @@ void tz_commit(
     const ent_rec *ent,              /* (E) entry records (for f) */
     const int64_t *keys,             /* (E) sorted entry keys */
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
-    const int64_t *label_bits,       /* (E) tree-label bits per entry */
+    const int32_t *label_bits,       /* (E) tree-label bits per entry */
     const int64_t *lp_indptr,        /* (E+1) light-port CSR */
     const int64_t *mem_keys,         /* (M) sorted source*n + member */
-    const int64_t *mem_epos,         /* (M) entry of (source, member) */
+    const int32_t *mem_epos,         /* (M) entry of (source, member) */
     const int64_t *mem_indptr,       /* (n+1) member-map slice per source */
     const int64_t *root_epos,        /* (n) entry of (v, v) */
     const int64_t *pivot)            /* (k, n) row-major */
@@ -864,15 +905,15 @@ int64_t tz_cluster_trees(
     const int64_t *adj,
     const double *wts,
     const int64_t *port_of_arc,
-    int64_t *parent,                 /* out (E): parent vertex, -1 at root */
-    int64_t *parent_epos,            /* out (E), and the seven below */
-    int64_t *heavy_epos,
-    int64_t *f,
-    int64_t *finish,
-    int64_t *heavy_finish,
-    int64_t *light_depth,
-    int64_t *parent_port,
-    int64_t *heavy_port,
+    int32_t *parent,                 /* out (E): parent vertex, -1 at root */
+    int32_t *parent_epos,            /* out (E), and the seven below */
+    int32_t *heavy_epos,
+    int32_t *f,
+    int32_t *finish,
+    int32_t *heavy_finish,
+    int32_t *light_depth,
+    int32_t *parent_port,
+    int32_t *heavy_port,
     int64_t *lp_indptr)              /* out (E+1): down port at row e+1 */
 {
     const size_t cap = (size_t)max_cluster(n, keys, lo, hi) + 1;
@@ -980,12 +1021,12 @@ int64_t tz_cluster_trees(
         }
 
         /* 4. DFS intervals, heavy links, light depth */
-        int64_t *F = f + a, *LD = light_depth + a;
+        int32_t *F = f + a, *LD = light_depth + a;
         F[root] = 0;
         LD[root] = 0;
         for (int64_t h = 0; h < s; h++) {
             const int64_t x = order[h], e = a + x;
-            int64_t next = F[x] + 1;
+            int64_t next = (int64_t)F[x] + 1;
             for (int64_t c = cptr[x]; c < cptr[x + 1]; c++) {
                 F[kids[c]] = next;
                 LD[kids[c]] = LD[x] + (c > cptr[x]);
@@ -1030,11 +1071,11 @@ int64_t tz_light_ports(
     int64_t hi,
     int64_t lp_base,
     const int64_t *keys,             /* (E) sorted center * n + member */
-    const int64_t *parent_epos,      /* (E) tz_cluster_trees columns */
-    const int64_t *f,
-    const int64_t *light_depth,
+    const int32_t *parent_epos,      /* (E) tz_cluster_trees columns */
+    const int32_t *f,
+    const int32_t *light_depth,
     int64_t *lp_indptr,              /* in: down ports; out (E+1) */
-    int64_t *lp_data)                /* out */
+    int32_t *lp_data)                /* out */
 {
     const size_t cap = (size_t)max_cluster(n, keys, lo, hi) + 1;
     int64_t *by_f = malloc(cap * sizeof(int64_t)); /* DFS number -> local */
@@ -1056,12 +1097,12 @@ int64_t tz_light_ports(
             const int64_t ld = light_depth[x], lp = light_depth[p];
             if (ld == 0)
                 continue;
-            int64_t *dst = lp_data + (lp_indptr[x + 1] - ld);
+            int32_t *dst = lp_data + (lp_indptr[x + 1] - ld);
             if (lp)
                 memcpy(dst, lp_data + (lp_indptr[p + 1] - lp),
-                       (size_t)lp * sizeof(int64_t));
+                       (size_t)lp * sizeof(int32_t));
             if (ld > lp)
-                dst[lp] = down[x - a];
+                dst[lp] = (int32_t)down[x - a];
         }
     }
     free(by_f);
@@ -1096,8 +1137,8 @@ typedef struct {
  * under the build's own ports the hint halves the pass, and the full-n
  * index halves a hint-less one (bench_kernels gates the hint). */
 static void resolve_move(const tree_slice *t, const step_rec *row,
-                         int64_t port, int64_t hint, int64_t *epos,
-                         double *wt, int64_t *edge, int64_t *next)
+                         int64_t port, int64_t hint, int32_t *epos,
+                         double *wt, int32_t *edge, int32_t *next)
 {
     if (port == 0) {
         *epos = -1;
@@ -1115,7 +1156,7 @@ static void resolve_move(const tree_slice *t, const step_rec *row,
         pos = t->lo + st->next;
     else
         pos = find_key(t->keys, t->lo, t->hi, key);
-    *epos = pos >= 0 ? pos : LOST;
+    *epos = (int32_t)(pos >= 0 ? pos : LOST);
     *wt = st->wt;
     *edge = st->edge;
     *next = st->next;
@@ -1142,7 +1183,13 @@ static inline int64_t frexp_exp(int64_t x)
  * step[g_indptr[v] + port - 1] to neighbour, weight and edge, and the
  * neighbour linked to its entry in the same tree.  The hints (NULL when
  * the caller has none) are the build's own entry links; they are
- * checked, never trusted, so any hint yields the same record.
+ * checked, never trusted, so any hint yields the same record.  The
+ * range's *rejected counts the entries whose record differs from a
+ * hint: a parent or heavy link other than the hinted one, or a parent
+ * neighbour other than parent_vertex (the build's SPT parent).  A pass
+ * that rejects none wrote those three record fields equal, value for
+ * value, to the three hint columns, which a save then need not store
+ * or compare twice.  Without hints every entry counts as rejected.
  *
  * Given the light-port CSR (lp_indptr may be NULL), the pass checks
  * every entry's slice lp_indptr[e] .. lp_indptr[e+1] against
@@ -1174,26 +1221,30 @@ int64_t tz_compile_records(
     int64_t lo,                      /* entry range [lo, hi) */
     int64_t hi,
     const int64_t *keys,             /* (E) tree * n + member */
-    const int64_t *vertex,           /* (E) tree-record fields */
-    const int64_t *f,
-    const int64_t *finish,
-    const int64_t *heavy_finish,
-    const int64_t *light_depth,
-    const int64_t *parent_port,      /* (E) 0 = none */
-    const int64_t *heavy_port,
-    const int64_t *parent_hint,      /* NULL or (E) entry-link hints */
-    const int64_t *heavy_hint,
+    const int32_t *vertex,           /* (E) tree-record fields */
+    const int32_t *f,
+    const int32_t *finish,
+    const int32_t *heavy_finish,
+    const int32_t *light_depth,
+    const int32_t *parent_port,      /* (E) 0 = none */
+    const int32_t *heavy_port,
+    const int32_t *parent_hint,      /* NULL or (E) entry-link hints, */
+    const int32_t *heavy_hint,       /* all three NULL or none */
+    const int32_t *parent_vertex,
     const int64_t *g_indptr,         /* (n+1) step row per vertex */
     const step_rec *step,            /* (2m) half-arc records */
     const int64_t *lp_indptr,        /* NULL or (E+1) light-port slices */
-    const int64_t *lp_data,          /* (lp_len) light ports */
+    const int32_t *lp_data,          /* (lp_len) light ports */
     int64_t lp_len,
     ent_rec *ent,                    /* out (E) */
-    int64_t *label_bits,             /* out (E), or NULL: not wanted */
-    int64_t *bad)                    /* out: the refused entry */
+    int32_t *label_bits,             /* out (E), or NULL: not wanted */
+    int64_t *bad,                    /* out: the refused entry */
+    int64_t *rejected)               /* out: entries that differ from a hint */
 {
     const int64_t span = n * n;
     tree_slice t = {keys, 0, 0, 0, 0};
+    int64_t differ = parent_hint ? 0 : hi - lo;
+    *rejected = differ;
     for (int64_t a = lo, b; a < hi; a = b) {
         if (keys[a] < 0 || keys[a] >= span) {
             *bad = a;
@@ -1237,23 +1288,29 @@ int64_t tz_compile_records(
                 int64_t bits = f_width + 2 * (frexp_exp(bl) - 1) + 1 + bl - 1;
                 for (int64_t p = p0; p < p1; p++)
                     bits += 2 * (frexp_exp(lp_data[p]) - 1) + 1;
-                label_bits[e] = bits;
+                label_bits[e] = (int32_t)bits;
             }
             const step_rec *row = step + g_indptr[v];
             ent_rec *r = &ent[e];
-            r->vertex = v;
+            r->vertex = (int32_t)v;
             r->f = f[e];
             r->finish = finish[e];
             r->heavy_finish = heavy_finish[e];
             r->light_depth = light_depth[e];
+            r->pad = 0;
             resolve_move(&t, row, pp, parent_hint ? parent_hint[e] : -1,
                          &r->parent_epos, &r->parent_wt, &r->parent_edge,
                          &r->parent_next);
             resolve_move(&t, row, hp, heavy_hint ? heavy_hint[e] : -1,
                          &r->heavy_epos, &r->heavy_wt, &r->heavy_edge,
                          &r->heavy_next);
+            if (parent_hint)
+                differ += r->parent_epos != parent_hint[e] ||
+                          r->heavy_epos != heavy_hint[e] ||
+                          r->parent_next != parent_vertex[e];
         }
     }
+    *rejected = differ;
     return 0;
 }
 
@@ -1262,22 +1319,13 @@ int64_t tz_compile_records(
 /* ------------------------------------------------------------------ */
 
 /* How tz_splice moves a column's rows: keep in sync with
- * kernels/splice.py.  Every column is 8 bytes a row. */
-#define SPLICE_COPY 0   /* int64 rows as they lie */
+ * kernels/splice.py.  A column is 4 or 8 bytes a row (widths[c]): entry
+ * links are int32 and light-port offsets int64 by the width rule, a
+ * plain or float column either. */
+#define SPLICE_COPY 0   /* integer rows as they lie */
 #define SPLICE_REAL 1   /* float64 rows as they lie (compared as doubles) */
-#define SPLICE_LINK 2   /* entry links: v >= 0 moves by at - src, else -1 */
-#define SPLICE_OFFSET 3 /* light-port offsets: every row moves by shift[r] */
-
-/* Row v of run r's source, moved into place the way `kind` says. */
-static inline int64_t moved(int64_t kind, int64_t v, int64_t link_shift,
-                            int64_t offset)
-{
-    if (kind == SPLICE_LINK)
-        return link_shift == 0 ? v : (v >= 0 ? v + link_shift : -1);
-    if (kind == SPLICE_OFFSET)
-        return v + offset;
-    return v;
-}
+#define SPLICE_LINK 2   /* int32 entry links: v >= 0 moves by at - src, else -1 */
+#define SPLICE_OFFSET 3 /* int64 light-port offsets: every row moves by shift[r] */
 
 /* Output rows [lo, hi) of every column, written run by run: run r's
  * rows start at src[r] in its source (the rebuild's columns when
@@ -1296,9 +1344,10 @@ void tz_splice(
     const int64_t *shift,            /* (nruns) SPLICE_OFFSET shift, or NULL */
     int64_t ncols,
     const int64_t *kinds,            /* (ncols) SPLICE_* */
-    const int64_t *const *old,       /* (ncols) the parent's columns */
-    const int64_t *const *fresh,     /* (ncols) the rebuild's columns */
-    int64_t *const *out)             /* (ncols) output columns */
+    const int64_t *widths,           /* (ncols) bytes a row: 4 or 8 */
+    const void *const *old,          /* (ncols) the parent's columns */
+    const void *const *fresh,        /* (ncols) the rebuild's columns */
+    void *const *out)                /* (ncols) output columns */
 {
     if (lo >= hi || nruns == 0)
         return;
@@ -1319,17 +1368,24 @@ void tz_splice(
         const int64_t from = src[r] + (row0 - at[r]);
         const int64_t link_shift = at[r] - src[r];
         const int64_t offset = shift ? shift[r] : 0;
+        const int64_t len = row1 - row0;
         for (int64_t c = 0; c < ncols; c++) {
-            const int64_t *col = (dirty[r] ? fresh[c] : old[c]) + from;
-            int64_t *dst = out[c] + row0;
-            const int64_t kind = kinds[c];
-            if (kind == SPLICE_COPY || kind == SPLICE_REAL ||
-                (kind == SPLICE_LINK && link_shift == 0)) {
-                memcpy(dst, col, (size_t)(row1 - row0) * sizeof(int64_t));
-                continue;
+            const int64_t kind = kinds[c], width = widths[c];
+            const char *col = (const char *)(dirty[r] ? fresh[c] : old[c]) + from * width;
+            char *dst = (char *)out[c] + row0 * width;
+            if (kind == SPLICE_LINK && link_shift != 0) {
+                const int32_t *x = (const int32_t *)col;
+                int32_t *y = (int32_t *)dst;
+                for (int64_t i = 0; i < len; i++)
+                    y[i] = x[i] >= 0 ? (int32_t)(x[i] + link_shift) : -1;
+            } else if (kind == SPLICE_OFFSET) {
+                const int64_t *x = (const int64_t *)col;
+                int64_t *y = (int64_t *)dst;
+                for (int64_t i = 0; i < len; i++)
+                    y[i] = x[i] + offset;
+            } else {
+                memcpy(dst, col, (size_t)(len * width));
             }
-            for (int64_t i = 0; i < row1 - row0; i++)
-                dst[i] = moved(kind, col[i], link_shift, offset);
         }
     }
 }
@@ -1346,26 +1402,32 @@ void tz_splice_same(
     const int64_t *at,
     int64_t ncols,
     const int64_t *kinds,
-    const int64_t *const *old,
-    const int64_t *const *fresh,
+    const int64_t *widths,           /* (ncols) bytes a row: 4 or 8 */
+    const void *const *old,
+    const void *const *fresh,
     int64_t *same)                   /* out (ncols) */
 {
     for (int64_t c = 0; c < ncols; c++) {
-        const int64_t kind = kinds[c];
+        const int64_t kind = kinds[c], width = widths[c];
         int equal = 1;
         for (int64_t r = 0; equal && r < nruns; r++) {
             if (!dirty[r])
                 continue;
             const int64_t len = at[r + 1] - at[r];
-            const int64_t *col = fresh[c] + src[r], *was = old[c] + at[r];
+            const int64_t link_shift = at[r] - src[r];
+            const char *col = (const char *)fresh[c] + src[r] * width;
+            const char *was = (const char *)old[c] + at[r] * width;
             if (kind == SPLICE_REAL) {
                 const double *x = (const double *)col, *y = (const double *)was;
                 for (int64_t i = 0; equal && i < len; i++)
                     equal = x[i] == y[i];
-            } else {
-                const int64_t link_shift = at[r] - src[r];
+            } else if (kind == SPLICE_LINK && link_shift != 0) {
+                const int32_t *x = (const int32_t *)col, *y = (const int32_t *)was;
                 for (int64_t i = 0; equal && i < len; i++)
-                    equal = moved(kind, col[i], link_shift, 0) == was[i];
+                    equal = (x[i] >= 0 ? x[i] + link_shift : -1) == y[i];
+            } else {
+                /* integers: equal values are equal bytes */
+                equal = memcmp(col, was, (size_t)(len * width)) == 0;
             }
         }
         same[c] = equal;
@@ -1401,8 +1463,8 @@ void tz_entry_keys(
     int64_t lo,
     int64_t hi,
     const int64_t *cl_indptr,        /* (n+1) */
-    const int64_t *member,           /* (E) */
-    int64_t *center,                 /* out (E) */
+    const int32_t *member,           /* (E) */
+    int32_t *center,                 /* out (E) */
     int64_t *keys)                   /* out (E) */
 {
     if (lo >= hi)
@@ -1410,7 +1472,7 @@ void tz_entry_keys(
     for (int64_t c = block_of(n, cl_indptr, lo), e = lo; e < hi; c++) {
         const int64_t end = cl_indptr[c + 1] < hi ? cl_indptr[c + 1] : hi;
         for (; e < end; e++) {
-            center[e] = c;
+            center[e] = (int32_t)c;
             keys[e] = c * n + member[e];
         }
     }
@@ -1424,13 +1486,13 @@ int64_t tz_member_maps(
     int64_t n,
     int64_t lo,
     int64_t hi,
-    const int64_t *center,           /* (E) */
-    const int64_t *member,           /* (E) */
+    const int32_t *center,           /* (E) */
+    const int32_t *member,           /* (E) */
     const double *dist,              /* (E) */
     const double *d1,                /* (n) d(A_1, v) */
     const int64_t *keys,             /* (E) */
     int64_t base,
-    int64_t *epos,                   /* out, or NULL to count */
+    int32_t *epos,                   /* out, or NULL to count */
     int64_t *mkeys)                  /* out */
 {
     int64_t count = 0;
@@ -1440,7 +1502,7 @@ int64_t tz_member_maps(
             return ASSEMBLE_MEMBER;
         if (v == center[e] || dist[e] < d1[v]) {
             if (epos) {
-                epos[base + count] = e;
+                epos[base + count] = (int32_t)e;
                 mkeys[base + count] = keys[e];
             }
             count++;
@@ -1487,7 +1549,7 @@ int64_t tz_member_counts(
     int64_t n,
     int64_t lo,
     int64_t hi,
-    const int64_t *member,           /* (E) */
+    const int32_t *member,           /* (E) */
     int64_t *counts)                 /* in/out (n) */
 {
     for (int64_t e = lo; e < hi; e++) {
@@ -1507,12 +1569,12 @@ int64_t tz_member_counts(
 void tz_bunch_scatter(
     int64_t lo,
     int64_t hi,
-    const int64_t *member,           /* (E), checked by tz_member_counts */
+    const int32_t *member,           /* (E), checked by tz_member_counts */
     int64_t *cursor,                 /* in/out (n), this range's own */
-    int64_t *order)                  /* out (E) */
+    int32_t *order)                  /* out (E) */
 {
     for (int64_t e = lo; e < hi; e++)
-        order[cursor[member[e]]++] = e;
+        order[cursor[member[e]]++] = (int32_t)e;
 }
 
 /* Release a buffer handed out by tz_frontier_sweep. */

@@ -11,10 +11,11 @@ is bit-for-bit equal (``tests/test_kernels.py``).
 Both wrappers take the :class:`~repro.sim.engine.compile.CompiledScheme`
 itself and hand the kernels pointers to its own memory, fresh compile
 or mapped container alike: its ``ent`` and ``step`` columns already
-are the record tables the C structs describe (so a hop touches two
-cache lines instead of thirteen scattered columns), and its other
-columns are C-contiguous int64 — the scheme's construction check
-guarantees both, so nothing is converted or copied before a route.
+are the record tables the C structs describe (so a hop touches one
+64-byte cache line instead of thirteen scattered columns), and its
+other columns are C-contiguous int64 or, per entry, int32 — the
+scheme's construction check guarantees both, so nothing is converted
+or copied before a route.
 Every lookup either kernel makes binary-searches one slice of a sorted
 key table — the scheme's ``tree_indptr`` per tree root, ``mem_indptr``
 per source's member map — or indexes a full-n tree slice directly.

@@ -6,9 +6,12 @@ rebuild's columns (when it is dirty) or in the parent's, and land at
 output rows ``at[r] .. at[r+1]``.  ``tz_splice`` writes one range of
 output rows of every column: a plain column one ``memcpy`` per run, an
 entry-link column shifted by its run's ``at - src`` (``-1`` stays
-``-1``), a light-port offset column by the run's own shift.  When no
-block moves, ``tz_splice_same`` first finds the columns whose dirty runs
-already equal the parent's rows, which the patch then shares.
+``-1``), a light-port offset column by the run's own shift.  A column's
+rows are 4 or 8 bytes wide, as its dtype is (the width rule of
+:data:`~repro.core.build.arrays.COLUMN_DTYPES`): links are int32,
+offsets int64.  When no block moves, ``tz_splice_same`` first finds the
+columns whose dirty runs already equal the parent's rows, which the
+patch then shares.
 
 :func:`assemble_arrays <repro.core.build.arrays.assemble_arrays>` then
 derives what the core columns imply: ``tz_entry_keys`` the center and
@@ -46,9 +49,18 @@ __all__ = [
 ]
 
 #: How ``tz_splice`` moves a column's rows (``SPLICE_*`` in ``_native.c``):
-#: int64 rows as they lie, float64 rows as they lie, entry links moved by
-#: their run's ``at - src``, light-port offsets moved by the run's shift.
+#: integer rows as they lie, float64 rows as they lie, int32 entry links
+#: moved by their run's ``at - src``, int64 light-port offsets moved by
+#: the run's shift.
 COPY, REAL, LINK, OFFSET = 0, 1, 2, 3
+
+#: The dtypes each kind of column may hold.
+_KIND_DTYPES = {
+    COPY: (np.dtype(np.int32), np.dtype(np.int64)),
+    REAL: (np.dtype(np.float64),),
+    LINK: (np.dtype(np.int32),),
+    OFFSET: (np.dtype(np.int64),),
+}
 
 #: Return code of the assemble passes (``ASSEMBLE_MEMBER`` in ``_native.c``).
 _BAD_MEMBER = -1
@@ -106,11 +118,16 @@ class _Group:
         if np.any(self.kinds == OFFSET) and self.shift is None:
             raise ValueError("an offset column needs the runs' shifts")
         self.old, self.fresh, self.out = [], [], []
+        widths = []
         lens = np.diff(at)
-        for name, (old, fresh, _kind, *into) in columns.items():
+        for name, (old, fresh, kind, *into) in columns.items():
             old, fresh = np.ascontiguousarray(old), np.ascontiguousarray(fresh)
-            if old.dtype.itemsize != 8 or fresh.dtype != old.dtype:
-                raise ValueError(f"column {name!r}: both sides must share one 8-byte dtype")
+            if old.dtype not in _KIND_DTYPES[kind] or fresh.dtype != old.dtype:
+                raise ValueError(
+                    f"column {name!r}: both sides must share one of the dtypes "
+                    f"{[d.name for d in _KIND_DTYPES[kind]]}"
+                )
+            widths.append(old.dtype.itemsize)
             ends = np.where(dirty != 0, fresh.shape[0], old.shape[0])
             if count and np.any((src < 0) | (src + lens > ends)):
                 raise ValueError(f"column {name!r}: a run reads past its source")
@@ -122,6 +139,7 @@ class _Group:
             self.old.append(old)
             self.fresh.append(fresh)
             self.out.append(dst)
+        self.widths = np.array(widths, dtype=np.int64)
 
 
 def splice_same_native(runs: Runs, columns: Dict[str, Column]) -> Dict[str, bool]:
@@ -135,8 +153,8 @@ def splice_same_native(runs: Runs, columns: Dict[str, Column]) -> Dict[str, bool
     old, fresh = _table(g.old), _table(g.fresh)
     _lib().tz_splice_same(
         g.dirty.shape[0], g.dirty.ctypes.data, g.src.ctypes.data, g.at.ctypes.data,
-        len(g.names), g.kinds.ctypes.data, old.ctypes.data, fresh.ctypes.data,
-        same.ctypes.data,
+        len(g.names), g.kinds.ctypes.data, g.widths.ctypes.data, old.ctypes.data,
+        fresh.ctypes.data, same.ctypes.data,
     )
     return {name: bool(flag) for name, flag in zip(g.names, same)}
 
@@ -169,7 +187,8 @@ def splice_native(
             lib.tz_splice(
                 lo, hi, g.dirty.shape[0], g.dirty.ctypes.data, g.src.ctypes.data,
                 g.at.ctypes.data, None if g.shift is None else g.shift.ctypes.data,
-                len(g.names), g.kinds.ctypes.data, *(t.ctypes.data for t in tables),
+                len(g.names), g.kinds.ctypes.data, g.widths.ctypes.data,
+                *(t.ctypes.data for t in tables),
             )
 
     if calls:
@@ -199,11 +218,13 @@ def assemble_native(
     first run writes both; ``maps`` adds ``mem_epos`` and ``mem_keys``,
     ``labels`` ``lab_epos`` (plus ``missing_level``, the lowest level
     some vertex has no label entry at, or None), ``bunch``
-    ``bunch_indptr`` and ``bunch_epos``.  Raises
+    ``bunch_indptr`` and ``bunch_epos``, each in its width-rule dtype
+    (int32 entry indices and centers, int64 keys and offsets).  Raises
     :class:`PreprocessingError` for a member outside ``[0, n)``.
     """
     lib = _lib()
-    cl_indptr, member = _i64(cl_indptr), _i64(ent_member)
+    cl_indptr = _i64(cl_indptr)
+    member = _build.column(ent_member, np.int32, "ent_member")
     dist = np.ascontiguousarray(ent_dist, dtype=np.float64)
     d1 = np.ascontiguousarray(d1, dtype=np.float64)
     pivot = _i64(pivot)
@@ -216,10 +237,11 @@ def assemble_native(
         raise ValueError("entry and vertex columns disagree in shape")
     out: Dict[str, object] = {}
     if entry_keys is None:
-        keys, center = np.empty(E, dtype=np.int64), np.empty(E, dtype=np.int64)
+        keys, center = np.empty(E, dtype=np.int64), np.empty(E, dtype=np.int32)
         out.update(entry_keys=keys, ent_center=center)
     else:
-        keys, center = _i64(entry_keys), _i64(ent_center)
+        keys = _build.column(entry_keys, np.int64, "entry_keys")
+        center = _build.column(ent_center, np.int32, "ent_center")
         if keys.shape != (E,) or center.shape != (E,):
             raise ValueError("entry keys and centers need one row per entry")
     parts = pool.size()
@@ -252,7 +274,7 @@ def assemble_native(
     if maps:
         base = np.zeros(parts + 1, dtype=np.int64)
         np.cumsum(found, out=base[1:])
-        mem_epos = np.empty(int(base[-1]), dtype=np.int64)
+        mem_epos = np.empty(int(base[-1]), dtype=np.int32)
         mem_keys = np.empty(int(base[-1]), dtype=np.int64)
         out.update(mem_epos=mem_epos, mem_keys=mem_keys)
     if bunch:
@@ -261,7 +283,7 @@ def assemble_native(
         # each range's first slot per member: the member's own offset plus
         # the rows earlier ranges hold of it
         cursor = np.cumsum(counts, axis=0) - counts + bunch_indptr[:-1]
-        bunch_epos = np.empty(E, dtype=np.int64)
+        bunch_epos = np.empty(E, dtype=np.int32)
         out.update(bunch_indptr=bunch_indptr, bunch_epos=bunch_epos)
     if labels:
         lab_epos = np.empty((k, n), dtype=np.int64)

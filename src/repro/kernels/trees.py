@@ -77,8 +77,10 @@ def tree_ranges(keys: np.ndarray, n: int, parts: int) -> List[Tuple[int, int]]:
 def cluster_trees_native(graph, ported, keys: np.ndarray, dist: np.ndarray) -> dict:
     """Parents, tree records and light ports of key-sorted entries.
 
-    Returns the dict ``_tree_arrays`` returns, plus ``ent_parent``; all
-    columns int64, computed in one range per pool worker
+    Returns the dict ``_tree_arrays`` returns, plus ``ent_parent``: the
+    entry columns and ``lp_data`` int32, ``lp_indptr`` int64 (the width
+    rule of :data:`~repro.core.build.arrays.COLUMN_DTYPES`; the caller
+    has checked that E fits), computed in one range per pool worker
     (:func:`repro.pool.size`); the columns do not depend on the ranges.
     Raises :class:`PreprocessingError` when some entry has no tight
     in-cluster predecessor, as the numpy path does.
@@ -100,7 +102,7 @@ def cluster_trees_native(graph, ported, keys: np.ndarray, dist: np.ndarray) -> d
     adj = np.ascontiguousarray(graph.adj, dtype=np.int64)
     wts = np.ascontiguousarray(graph.adj_weights, dtype=np.float64)
     port_of_arc = np.ascontiguousarray(ported.port_of_arc, dtype=np.int64)
-    out = {name: np.empty(E, dtype=np.int64) for name in _COLUMNS}
+    out = {name: np.empty(E, dtype=np.int32) for name in _COLUMNS}
     lp_indptr = np.empty(E + 1, dtype=np.int64)
     lp_indptr[0] = 0
     ranges = tree_ranges(keys, n, pool.size())
@@ -122,7 +124,7 @@ def cluster_trees_native(graph, ported, keys: np.ndarray, dist: np.ndarray) -> d
                 "not float64-exact (the builder should have fallen back)"
             )
 
-    lp_data = np.empty(sum(lens), dtype=np.int64)
+    lp_data = np.empty(sum(lens), dtype=np.int32)
     lp_args = (keys, out["ent_parent_epos"], out["tr_f"], out["tr_light_depth"])
     lp_args += (lp_indptr, lp_data)
     bases = np.cumsum([0] + lens[:-1]).tolist()

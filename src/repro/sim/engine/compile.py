@@ -49,9 +49,12 @@ One representation: a :class:`CompiledScheme` is a
 :class:`~repro.core.build.arrays.SchemeArrays` plus what a port
 assignment derives.  The seven columns of :data:`ARRAY_BOUND` *are*
 array columns — :func:`compile_from_arrays` binds the very objects, and
-a scheme container stores them once — and the five array columns of
+a scheme container stores them once — and the eight array columns of
 :data:`ARRAYS_IN_RECORD` are fields of the ``ent`` records, which a
-container stores in the records only.  The four others
+container stores in the records only: five copied as they are, and the
+SPT parent, parent link and heavy link, which the record's resolved
+``parent_next``, ``parent_epos`` and ``heavy_epos`` equal whenever the
+compile ran through the build's own ports (a save refuses any other).  The four others
 (:data:`DERIVED`: the two record columns, label bits and the graph's
 row index) are computed here; the label bits also fill the arrays' own
 cache (:meth:`~repro.core.build.arrays.SchemeArrays.entry_label_bits`).
@@ -71,6 +74,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ...core.build.arrays import COLUMN_DTYPES, check_index_sizes
 from ...errors import EncodingError, RoutingError
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
@@ -80,38 +84,57 @@ from ...trees.label_codec import tree_label_bits_array
 from ...trees.tz_tree import records_to_arrays
 
 
-#: The §2 record of one (tree, member) entry, laid out exactly as
-#: ``ent_rec`` in ``kernels/_native.c`` reads it (13 × 8 bytes, no
-#: padding): the member and its tree-record fields, then the parent and
-#: heavy-child moves resolved through a port assignment to the entry
-#: link (``-1`` absent, ``-2`` the neighbor has no record in the tree),
-#: edge weight, canonical edge id (``-1`` absent) and neighbor.
+#: The §2 record of one (tree, member) entry, one 64-byte cache line,
+#: laid out exactly as ``ent_rec`` in ``kernels/_native.c`` reads it
+#: (``tz_record_layout`` reports the C offsets, and a test holds the two
+#: equal): eleven int32 fields — the member and its tree-record fields,
+#: then the parent and heavy-child moves resolved through a port
+#: assignment to the entry link (``-1`` absent, ``-2`` the neighbor has
+#: no record in the tree), canonical edge id (``-1`` absent) and
+#: neighbor — a 4-byte pad, always zero, and the two edge weights as
+#: float64 at offsets 48 and 56.
 ENT_DTYPE = np.dtype(
-    [
-        ("vertex", "<i8"),
-        ("f", "<i8"),  # DFS number of the member in its tree
-        ("finish", "<i8"),  # end of the member's DFS interval
-        ("heavy_finish", "<i8"),  # end of the heavy child's interval
-        ("light_depth", "<i8"),  # light edges above the member
-        ("parent_epos", "<i8"),
-        ("parent_wt", "<f8"),
-        ("parent_edge", "<i8"),
-        ("parent_next", "<i8"),
-        ("heavy_epos", "<i8"),
-        ("heavy_wt", "<f8"),
-        ("heavy_edge", "<i8"),
-        ("heavy_next", "<i8"),
-    ]
+    {
+        "names": [
+            "vertex",
+            "f",  # DFS number of the member in its tree
+            "finish",  # end of the member's DFS interval
+            "heavy_finish",  # end of the heavy child's interval
+            "light_depth",  # light edges above the member
+            "parent_epos",
+            "parent_edge",
+            "parent_next",
+            "heavy_epos",
+            "heavy_edge",
+            "heavy_next",
+            "parent_wt",
+            "heavy_wt",
+        ],
+        "formats": ["<i4"] * 11 + ["<f8"] * 2,
+        "offsets": [4 * i for i in range(11)] + [48, 56],
+        "itemsize": 64,
+    }
 )
 
 #: One half-arc of the ported graph, as ``step_rec`` in ``_native.c``
-#: reads it (3 × 8 bytes): the neighbor, canonical edge id and weight
-#: behind ``(u, port)``, at row ``g_indptr[u] + port - 1``.
-STEP_DTYPE = np.dtype([("next", "<i8"), ("edge", "<i8"), ("wt", "<f8")])
+#: reads it (16 bytes): the neighbor and canonical edge id as int32 and
+#: the weight behind ``(u, port)``, at row ``g_indptr[u] + port - 1``.
+STEP_DTYPE = np.dtype([("next", "<i4"), ("edge", "<i4"), ("wt", "<f8")])
 
-#: The record columns of a :class:`CompiledScheme` and their dtypes;
-#: every other column is C-contiguous int64.
+#: The record columns of a :class:`CompiledScheme` and their dtypes.
 RECORDS = {"ent": ENT_DTYPE, "step": STEP_DTYPE}
+
+#: Byte alignment of a compile's ``ent`` records: one record per cache
+#: line, as the mapped container blob already is.
+RECORD_ALIGN = 64
+
+
+def _aligned_records(count: int, dtype: np.dtype) -> np.ndarray:
+    """An uninitialized ``(count,)`` record column whose first byte sits
+    on a :data:`RECORD_ALIGN` boundary."""
+    raw = np.empty(count * dtype.itemsize + RECORD_ALIGN, dtype=np.uint8)
+    skip = -raw.ctypes.data % RECORD_ALIGN
+    return raw[skip : skip + count * dtype.itemsize].view(dtype)
 
 
 def _resolve_ports(
@@ -120,9 +143,9 @@ def _resolve_ports(
     """Resolve per-entry port numbers to ``(neighbor, weight, edge)``
     through the target port assignment's step records (0 = no port)."""
     count = port.shape[0]
-    nxt = np.full(count, -1, dtype=np.int64)
+    nxt = np.full(count, -1, dtype=np.int32)
     wt = np.zeros(count)
-    edge = np.full(count, -1, dtype=np.int64)
+    edge = np.full(count, -1, dtype=np.int32)
     have = port > 0
     hop = step[g_indptr[ent_vertex[have]] + port[have] - 1]
     nxt[have] = hop["next"]
@@ -137,10 +160,10 @@ def _link_entries(
     """Entry index of each resolved neighbor in the same tree: ``-1`` for
     no transition, ``-2`` when the neighbor has no record there (only
     possible under a foreign port assignment)."""
-    link = np.full(nxt.shape[0], -1, dtype=np.int64)
+    link = np.full(nxt.shape[0], -1, dtype=np.int32)
     have = nxt >= 0
     if have.any() and entry_keys.size:
-        # tree * n + neighbor, from the entry's own key tree * n + vertex
+        # tree * n + neighbor, from the entry's own int64 key tree * n + vertex
         keys = entry_keys[have] - ent_vertex[have] + nxt[have]
         pos = np.minimum(np.searchsorted(entry_keys, keys), entry_keys.shape[0] - 1)
         found = entry_keys[pos] == keys
@@ -206,38 +229,47 @@ def _ent_records(
     keys: np.ndarray,
     record: Dict[str, np.ndarray],
     ports: Tuple[np.ndarray, np.ndarray],
-    links: Optional[Tuple[np.ndarray, np.ndarray]],
+    links: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     g_indptr: np.ndarray,
     step: np.ndarray,
     kernel: str,
     light: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
+    rejected: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The ``ent`` records of key-sorted entries on ``kernel``.
+    """The ``ent`` records of key-sorted entries on ``kernel``, in a
+    :data:`RECORD_ALIGN`-aligned column.
 
     ``record`` holds the tree-record fields of :data:`ENT_DTYPE`
-    (``vertex`` through ``light_depth``) and ``ports`` the parent and
-    heavy ports (0 = none), resolved through the ``step`` records to
+    (``vertex`` through ``light_depth``, int32) and ``ports`` the parent
+    and heavy ports (0 = none), resolved through the ``step`` records to
     neighbors, weights and edge ids; each neighbor is then linked to its
     entry row in the same tree.  ``light``, when given, is
     ``(lp_indptr, lp_data, bits)``: the light-port CSR, checked, and an
-    int64 column the pass fills with each entry's tree-label bits (or
+    int32 column the pass fills with each entry's tree-label bits (or
     None: check only).  The native kernel does all of it in one C pass
-    and tries ``links`` (the build's own parent and heavy entry links,
-    or None) before searching the tree's slice; numpy runs
-    :func:`_resolve_ports`, :func:`_link_entries` and
+    and tries ``links`` (the build's own parent and heavy entry links
+    and SPT parents, or None) before searching the tree's slice; numpy
+    runs :func:`_resolve_ports`, :func:`_link_entries` and
     :func:`_label_bits`, the differential reference it must match byte
-    for byte, and never reads ``links``.  Both refuse the same malformed
-    entries (:func:`_check_entries`), each naming the first fault it
-    meets.
+    for byte, and reads ``links`` only to count against them.  Both
+    refuse the same malformed entries (:func:`_check_entries`), each
+    naming the first fault it meets.  ``rejected``, when given, is a
+    one-element int64 column that receives the count of entries whose
+    parent link, heavy link or parent neighbor differs from its hint
+    (every entry without hints), the same on both kernels: 0 exactly
+    when the records hold the build's own links.
     """
-    ent = np.empty(keys.shape[0], dtype=ENT_DTYPE)
+    ent = _aligned_records(keys.shape[0], ENT_DTYPE)
     with TELEMETRY.span("kernel.compile_records", impl=kernel, entries=int(keys.shape[0])):
         if kernel == "native":
-            return compile_records_native(keys, record, ports, links, g_indptr, step, ent, light)
+            return compile_records_native(
+                keys, record, ports, links, g_indptr, step, ent, light, rejected
+            )
         vertex = record["vertex"]
         _check_entries(keys, vertex, ports, g_indptr, light)
-        for name, col in record.items():
-            ent[name] = col
+        ent.view(np.uint8)[:] = 0  # the pad
+        for name in RECORD_FIELDS:
+            ent[name] = record[name]
         for side, port in zip(("parent", "heavy"), ports):
             nxt, wt, edge = _resolve_ports(g_indptr, vertex, port, step)
             ent[side + "_next"] = nxt
@@ -246,6 +278,14 @@ def _ent_records(
             ent[side + "_epos"] = _link_entries(keys, vertex, nxt)
         if light is not None and light[2] is not None:
             light[2][:] = _label_bits(keys, g_indptr.shape[0] - 1, light[0], light[1])
+        if rejected is not None:
+            rejected[0] = keys.shape[0]
+            if links is not None:
+                fields = ("parent_epos", "heavy_epos", "parent_next")
+                differ = np.zeros(keys.shape[0], dtype=bool)
+                for name, hint in zip(fields, links):
+                    differ |= ent[name] != hint
+                rejected[0] = np.count_nonzero(differ)
         return ent
 
 
@@ -271,14 +311,14 @@ class CompiledScheme:
     # -- entries: one record per (tree, member) pair --------------------
     entry_keys: np.ndarray  # (E,) int64, sorted: tree * n + vertex
     ent: np.ndarray  # (E,) ENT_DTYPE records
-    ent_label_bits: np.ndarray  # (E,) encoded tree-label bits (as dest)
+    ent_label_bits: np.ndarray  # (E,) int32 encoded tree-label bits (as dest)
     root_epos: np.ndarray  # (n,) entry index of (tree=v, v), -1 if none
     # -- light-port sequences of members-as-destinations ----------------
     lp_indptr: np.ndarray  # (E+1,) int64
-    lp_data: np.ndarray  # (L,) port numbers, root-to-leaf order
+    lp_data: np.ndarray  # (L,) int32 port numbers, root-to-leaf order
     # -- source-side level-0 member maps --------------------------------
     mem_keys: np.ndarray  # (M,) int64, sorted: source * n + member
-    mem_epos: np.ndarray  # (M,) entry index of (tree=source, member)
+    mem_epos: np.ndarray  # (M,) int32 entry index of (tree=source, member)
     # -- destination labels: pivots per level ---------------------------
     pivot: np.ndarray  # (k, n) int64; row 0 unused
     # -- ported-graph step records (row indptr[u] + port - 1) -----------
@@ -289,8 +329,10 @@ class CompiledScheme:
     mem_indptr: np.ndarray = field(init=False, repr=False)  # (n+1,) per source
     #: Weak references to the array columns :func:`compile_from_arrays`
     #: wrote into ``ent``, by :data:`ARRAYS_IN_RECORD` name (None for any
-    #: other compile): a save of those very objects skips comparing them.
-    #: A plain attribute, not a column.
+    #: other compile): the :data:`RECORD_FIELDS` always, the
+    #: :data:`RECORD_LINKS` only when the native pass used every hint as
+    #: it is.  A save of those very objects skips comparing them.  A
+    #: plain attribute, not a column.
     written_from = None
 
     def __post_init__(self) -> None:
@@ -444,18 +486,49 @@ ARRAY_BOUND = {
     "pivot": lambda a: a.hierarchy.pivot,
 }
 
-#: The five :class:`~repro.core.build.arrays.SchemeArrays` columns the
-#: ``ent`` records hold, by the :data:`ENT_DTYPE` field holding each.
+#: The eight :class:`~repro.core.build.arrays.SchemeArrays` columns the
+#: ``ent`` records hold, by the :data:`ENT_DTYPE` field holding each.  A
+#: compile copies the first five in (:data:`RECORD_FIELDS`); the last
+#: three (:data:`RECORD_LINKS`) it resolves through a port assignment,
+#: and they equal the array columns exactly when that assignment is the
+#: build's own.
 ARRAYS_IN_RECORD = {
     "ent_member": "vertex",
     "tr_f": "f",
     "tr_finish": "finish",
     "tr_heavy_finish": "heavy_finish",
     "tr_light_depth": "light_depth",
+    "ent_parent": "parent_next",
+    "ent_parent_epos": "parent_epos",
+    "ent_heavy_epos": "heavy_epos",
 }
+
+#: The record fields a compile copies from the array columns as they are.
+RECORD_FIELDS = ("vertex", "f", "finish", "heavy_finish", "light_depth")
+
+#: The array columns the records hold as resolved links.
+RECORD_LINKS = ("ent_parent", "ent_parent_epos", "ent_heavy_epos")
 
 #: The four columns compiling derives through a port assignment.
 DERIVED = tuple(name for name in COLUMNS if name not in ARRAY_BOUND)
+
+#: Every :class:`CompiledScheme` column's dtype: the record layouts, the
+#: width rule (:data:`~repro.core.build.arrays.COLUMN_DTYPES`) for the
+#: columns bound to array columns, int32 label bits, and int64 for the
+#: per-vertex columns.
+COMPILED_DTYPES = {
+    "entry_keys": COLUMN_DTYPES["entry_keys"],
+    "ent": ENT_DTYPE,
+    "ent_label_bits": np.dtype(np.int32),
+    "root_epos": COLUMN_DTYPES["lab_epos"],
+    "lp_indptr": COLUMN_DTYPES["lp_indptr"],
+    "lp_data": COLUMN_DTYPES["lp_data"],
+    "mem_keys": COLUMN_DTYPES["mem_keys"],
+    "mem_epos": COLUMN_DTYPES["mem_epos"],
+    "pivot": np.dtype(np.int64),
+    "g_indptr": np.dtype(np.int64),
+    "step": STEP_DTYPE,
+}
 
 
 def array_columns(arrays) -> Dict[str, np.ndarray]:
@@ -464,8 +537,8 @@ def array_columns(arrays) -> Dict[str, np.ndarray]:
 
 
 def _check_columns(cs: CompiledScheme) -> None:
-    """O(1) per column: every column has its record dtype
-    (:data:`RECORDS`) or is int64, is C-contiguous, and agrees in shape
+    """O(1) per column: every column has its dtype
+    (:data:`COMPILED_DTYPES`), is C-contiguous, and agrees in shape
     with ``entry_keys``, ``lp_indptr``, ``g_indptr`` and ``(k, n)``, so
     no kernel — the C ones read the memory raw — can read past the end
     of a column or misread one.
@@ -479,7 +552,7 @@ def _check_columns(cs: CompiledScheme) -> None:
         name
         for name, col in cols.items()
         if not isinstance(col, np.ndarray)
-        or col.dtype != RECORDS.get(name, np.int64)
+        or col.dtype != COMPILED_DTYPES[name]
         or not col.flags.c_contiguous
     ]
     entries = int(np.size(cols["entry_keys"]))
@@ -539,21 +612,25 @@ def _resolve_columns(
     *,
     record: Dict[str, np.ndarray],
     ports: Tuple[np.ndarray, np.ndarray],
-    links: Optional[Tuple[np.ndarray, np.ndarray]],
+    links: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     label_bits: Optional[np.ndarray],
+    rejected: Optional[np.ndarray] = None,
 ) -> CompiledScheme:
     """Write the ``ent`` and ``step`` records of an entry layout through
     ``ported`` and bind them next to the given ``columns``.
 
-    ``record``, ``ports`` and ``links`` are :func:`_ent_records`'
-    inputs: the records' ports are resolved to neighbors, weights and
-    edge ids through the target port assignment's step records, and the
-    neighbors back to entry rows of the same tree (one lookup at compile
-    time saves one per hop at route time), on the platform's kernel.
-    The same pass computes the label bits from the columns' light ports
-    unless ``label_bits`` already holds them.
+    ``record``, ``ports``, ``links`` and ``rejected`` are
+    :func:`_ent_records`' inputs: the records' ports are resolved to
+    neighbors, weights and edge ids through the target port assignment's
+    step records, and the neighbors back to entry rows of the same tree
+    (one lookup at compile time saves one per hop at route time), on the
+    platform's kernel.  The same pass computes the label bits from the
+    columns' light ports unless ``label_bits`` already holds them.  A
+    graph or entry count the int32 record fields cannot hold is refused
+    (:class:`~repro.errors.EncodingError`) before any is written.
     """
     graph = ported.graph
+    check_index_sizes(ported.n, graph.adj.shape[0], columns["entry_keys"].shape[0], EncodingError)
     arc = ported.arc_of_port
     step = np.empty(arc.shape[0], dtype=STEP_DTYPE)
     step["next"] = graph.adj[arc]
@@ -561,7 +638,7 @@ def _resolve_columns(
     step["wt"] = graph.adj_weights[arc]
     fill = label_bits is None
     if fill:
-        label_bits = np.empty(columns["entry_keys"].shape[0], dtype=np.int64)
+        label_bits = np.empty(columns["entry_keys"].shape[0], dtype=np.int32)
     ent = _ent_records(
         columns["entry_keys"],
         record,
@@ -571,6 +648,7 @@ def _resolve_columns(
         step,
         resolve_kernel("auto"),
         (columns["lp_indptr"], columns["lp_data"], label_bits if fill else None),
+        rejected,
     )
     return CompiledScheme(
         n=ported.n,
@@ -610,7 +688,7 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
             f"records for {n} vertices"
         )
 
-    members = np.arange(n, dtype=np.int64)
+    members = np.arange(n, dtype=np.int32)
     recs = records_to_arrays([router.records[int(v)] for v in range(n)])
     lp_counts = np.fromiter(
         (len(router.labels[int(v)].light_ports) for v in range(n)), np.int64, n
@@ -619,7 +697,7 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
     np.cumsum(lp_counts, out=lp_indptr[1:])
     lp_data = np.fromiter(
         (p for v in range(n) for p in router.labels[int(v)].light_ports),
-        np.int64,
+        np.int32,
         int(lp_indptr[-1]),
     )
     root_epos = np.full(n, -1, dtype=np.int64)
@@ -632,7 +710,7 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
         "lp_indptr": lp_indptr,
         "lp_data": lp_data,
         "mem_keys": np.zeros(0, dtype=np.int64),
-        "mem_epos": np.zeros(0, dtype=np.int64),
+        "mem_epos": np.zeros(0, dtype=np.int32),
         "pivot": pivot,
     }
     return _resolve_columns(
@@ -666,24 +744,36 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
 
     The label bits come from the arrays' cache, else from the record
     pass, which then fills the cache.  The compile remembers the column
-    objects it wrote into the records (:attr:`CompiledScheme.written_from`).
+    objects it wrote into the records (:attr:`CompiledScheme.written_from`):
+    the copied fields always, the resolved links when the record pass
+    used every one of the build's own links as it is, which it does
+    exactly when ``ported`` is the build's assignment.
     """
     with TELEMETRY.span(
         "engine.compile", source="arrays", entries=int(arrays.entry_keys.shape[0])
     ):
         cached = getattr(arrays, "_entry_label_bits", None)
+        rejected = np.zeros(1, dtype=np.int64)
         compiled = _resolve_columns(
             array_columns(arrays),
             arrays.k,
             ported,
-            record={name: getattr(arrays, col) for col, name in ARRAYS_IN_RECORD.items()},
+            record={
+                name: getattr(arrays, col)
+                for col, name in ARRAYS_IN_RECORD.items()
+                if name in RECORD_FIELDS
+            },
             ports=(arrays.tr_parent_port, arrays.tr_heavy_port),
-            links=(arrays.ent_parent_epos, arrays.ent_heavy_epos),
+            links=(arrays.ent_parent_epos, arrays.ent_heavy_epos, arrays.ent_parent),
             label_bits=cached,
+            rejected=rejected,
         )
         if cached is None:  # the arrays' cache: columns are append-only
             arrays._entry_label_bits = compiled.ent_label_bits
-        compiled.written_from = {
-            col: weakref.ref(getattr(arrays, col)) for col in ARRAYS_IN_RECORD
-        }
+        written = [
+            col
+            for col in ARRAYS_IN_RECORD
+            if col not in RECORD_LINKS or rejected[0] == 0
+        ]
+        compiled.written_from = {col: weakref.ref(getattr(arrays, col)) for col in written}
         return compiled

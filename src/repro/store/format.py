@@ -18,7 +18,9 @@ the total data size, and a digest of the data section.  Opening a file
 is therefore O(header): :func:`read_container` parses the header and
 returns **views into one memory map** — no array byte is copied or even
 paged in until routing touches it.  That is what makes a saved scheme
-usable in milliseconds regardless of size.
+usable in milliseconds regardless of size.  :func:`read_header` checks
+and returns the header alone, with two plain reads and no map, for
+callers that want a container's meta, not its scheme.
 
 The digest (``data_sha256``, one 64-hex string) is the SHA-256 of the
 concatenated SHA-256 digests of the data section's
@@ -60,11 +62,14 @@ from .. import pool
 from ..errors import EncodingError
 
 MAGIC = b"TZSCHEME"
+#: 5: the entry columns are int32 by the width rule, the entry record is
+#: one 64-byte line and the step record 16 bytes, and the SPT parents and
+#: the parent and heavy entry links are stored once, in the records.
 #: 4: ``data_sha256`` is the digest of the data section's chunk digests
 #: (see :data:`DIGEST_CHUNK`), not of the section itself.  3: scheme
 #: containers store the compiled entry and step records as the native
 #: kernels read them, and each array column the records hold only there.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 #: Bytes per data-section chunk of ``data_sha256``; a format constant.
 DIGEST_CHUNK = 4 << 20
 #: Byte alignment of every blob, relative to the start of its data section.
@@ -284,6 +289,66 @@ def _fail(path: Path, why: str) -> EncodingError:
     return EncodingError(f"cannot open scheme store {path}: {why}")
 
 
+def _parse_header(path: Path, size: int, read: Callable[[int, int], bytes]) -> Tuple[dict, int]:
+    """The checked header of a ``size``-byte container whose bytes
+    ``[a, b)`` ``read(a, b)`` returns, and where its data section
+    starts: magic, version, the header's CRC and JSON, and a data
+    section that fits the file.  Raises
+    :class:`~repro.errors.EncodingError` otherwise."""
+    if size < _PREAMBLE:
+        raise _fail(path, f"file is {size} bytes, shorter than the preamble")
+    preamble = read(0, _PREAMBLE)
+    if preamble[: len(MAGIC)] != MAGIC:
+        raise _fail(path, "bad magic (not a TZ scheme store)")
+    version = int.from_bytes(preamble[8:12], "little")
+    if version != FORMAT_VERSION:
+        raise _fail(
+            path,
+            f"format version {version} is not the supported {FORMAT_VERSION}",
+        )
+    hlen = int.from_bytes(preamble[12:20], "little")
+    hcrc = int.from_bytes(preamble[20:24], "little")
+    if _PREAMBLE + hlen > size:
+        raise _fail(path, "truncated header")
+    hjson = read(_PREAMBLE, _PREAMBLE + hlen)
+    if zlib.crc32(hjson) != hcrc:
+        raise _fail(path, "header checksum mismatch (corrupted file)")
+    try:
+        header = json.loads(hjson.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _fail(path, f"header is not valid JSON: {exc}") from exc
+
+    if not isinstance(header, dict):
+        raise _fail(path, "header is not a JSON object")
+    data_start = align(_PREAMBLE + hlen)
+    data_bytes = header.get("data_bytes")
+    if type(data_bytes) is not int or data_bytes < 0 or data_start + data_bytes > size:
+        raise _fail(
+            path,
+            f"truncated data section: header promises {data_bytes} bytes "
+            f"at {data_start}, file has {size}",
+        )
+    return header, data_start
+
+
+def read_header(path: Union[str, Path]) -> dict:
+    """A container's checked header alone (see :func:`read_container`
+    for what is checked), read with two plain reads: no memory map, no
+    blob views.  For callers that want the meta, not the scheme."""
+    path = Path(path)
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+
+            def read(lo: int, hi: int) -> bytes:
+                fh.seek(lo)
+                return fh.read(hi - lo)
+
+            return _parse_header(path, size, read)[0]
+    except OSError as exc:
+        raise _fail(path, str(exc)) from exc
+
+
 def read_container(
     path: Union[str, Path],
     *,
@@ -305,40 +370,10 @@ def read_container(
     if size < _PREAMBLE:
         raise _fail(path, f"file is {size} bytes, shorter than the preamble")
     raw = np.memmap(path, dtype=np.uint8, mode="r")
-
-    if bytes(raw[: len(MAGIC)]) != MAGIC:
-        raise _fail(path, "bad magic (not a TZ scheme store)")
-    version = int.from_bytes(bytes(raw[8:12]), "little")
-    if version != FORMAT_VERSION:
-        raise _fail(
-            path,
-            f"format version {version} is not the supported {FORMAT_VERSION}",
-        )
-    hlen = int.from_bytes(bytes(raw[12:20]), "little")
-    hcrc = int.from_bytes(bytes(raw[20:24]), "little")
-    if _PREAMBLE + hlen > size:
-        raise _fail(path, "truncated header")
-    hjson = bytes(raw[_PREAMBLE : _PREAMBLE + hlen])
-    if zlib.crc32(hjson) != hcrc:
-        raise _fail(path, "header checksum mismatch (corrupted file)")
-    try:
-        header = json.loads(hjson.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _fail(path, f"header is not valid JSON: {exc}") from exc
-
-    if not isinstance(header, dict):
-        raise _fail(path, "header is not a JSON object")
-    data_start = align(_PREAMBLE + hlen)
-    data_bytes = header.get("data_bytes")
-    if type(data_bytes) is not int or data_bytes < 0 or data_start + data_bytes > size:
-        raise _fail(
-            path,
-            f"truncated data section: header promises {data_bytes} bytes "
-            f"at {data_start}, file has {size}",
-        )
-    data = raw[data_start : data_start + data_bytes]
+    header, data_start = _parse_header(path, size, lambda lo, hi: bytes(raw[lo:hi]))
+    data = raw[data_start : data_start + header["data_bytes"]]
     if verify_data:
-        digest = _Digest(lambda lo, hi: (data[lo:hi],), data_bytes).hexdigest()
+        digest = _Digest(lambda lo, hi: (data[lo:hi],), data.shape[0]).hexdigest()
         if digest != header.get("data_sha256"):
             raise _fail(path, "data checksum mismatch (corrupted arrays)")
     try:

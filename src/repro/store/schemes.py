@@ -7,11 +7,11 @@ field walk: every ndarray field becomes one named blob in the container
 ride in the JSON header, and the hierarchy's ragged level sets flatten
 into one ``(data, indptr)`` CSR pair.  The compiled form's two record
 columns (``ent`` and ``step``) are stored as plain little-endian int64
-blobs, one row per record, so the blob codec and its dtype validator
-see only plain numeric arrays; loading views the rows as the record
-dtypes again.  Loading reverses the walk over memory-mapped views — the
-reconstructed objects are backed by the file, byte for byte, with
-nothing copied.
+blobs, one row of 8 or 2 words per 64- or 16-byte record, so the blob
+codec and its dtype validator see only plain numeric arrays; loading
+views the rows as the record dtypes again.  Loading reverses the walk
+over memory-mapped views — the reconstructed objects are backed by the
+file, byte for byte, with nothing copied.
 
 A scheme container stores each column once: the ``arr_`` blobs, except
 the :data:`~repro.sim.engine.compile.ARRAYS_IN_RECORD` columns the
@@ -26,8 +26,9 @@ hold no arrays and keep the full compiled manifest.
 Field sets are validated both ways: a container that is missing a field
 (or carries an unknown one) raises
 :class:`~repro.errors.EncodingError` instead of building a half-formed
-scheme, and so does a column whose dtype, width or length disagrees
-with the scheme's shape.
+scheme, and so does a column whose dtype (the width rule of
+:data:`~repro.core.build.arrays.COLUMN_DTYPES`), width or length
+disagrees with the scheme's shape.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..core.build.arrays import SchemeArrays
+from ..core.build.arrays import COLUMN_DTYPES, SchemeArrays
 from ..core.landmarks import Hierarchy
 from ..errors import EncodingError
 from ..sim.engine.compile import (
@@ -144,9 +145,37 @@ def arrays_from_manifest(
             f"stored label positions have shape {found['lab_epos'].shape}, "
             f"expected ({k}, {n})"
         )
+    _check_array_columns(found, n, ent.shape[0])
     kwargs = {name: found[name] for name in STORED_ARRAYS_FIELDS}
     kwargs.update({name: ent[field] for name, field in ARRAYS_IN_RECORD.items()})
     return SchemeArrays(n=n, k=k, hierarchy=hierarchy, **kwargs)
+
+
+def _check_array_columns(found: Dict[str, np.ndarray], n: int, entries: int) -> None:
+    """Every stored array column has its width-rule dtype, and every
+    per-entry one ``entries`` rows (one more for ``lp_indptr``, ``n + 1``
+    for the two per-vertex offsets); else :class:`EncodingError`."""
+    members = found["mem_keys"].shape[:1]
+    rows = {
+        "cl_indptr": (n + 1,),
+        "bunch_indptr": (n + 1,),
+        "lp_indptr": (entries + 1,),
+        "lp_data": found["lp_data"].shape[:1],
+        "mem_keys": members,
+        "mem_epos": members,
+        "lab_epos": found["lab_epos"].shape,
+    }
+    bad = [
+        name
+        for name in STORED_ARRAYS_FIELDS
+        if found[name].dtype != COLUMN_DTYPES[name]
+        or found[name].shape != rows.get(name, (entries,))
+    ]
+    if bad:
+        raise EncodingError(
+            f"stored array columns {bad} do not have the dtype or length "
+            f"of their width rule (n={n}, {entries} entries)"
+        )
 
 
 def backend_to_blobs(blobs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:

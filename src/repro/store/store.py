@@ -24,9 +24,11 @@ Each container holds one scheme representation, each column once:
   :class:`~repro.sim.engine.compile.CompiledScheme` adds to them: the
   entry records (tree-record fields with resolved next hops, weights,
   edges and entry links), label bits and the step records, stored as
-  the native kernels read them.  The records hold five of the array
-  columns, which are stored there only.  Loading binds the compiled
-  form's other seven columns to the loaded arrays and those five array
+  the native kernels read them.  The records hold eight of the array
+  columns — the SPT parents and both entry links among them, which a
+  compile through the build's own ports resolves to the same values —
+  and those are stored there only.  Loading binds the compiled form's
+  other seven columns to the loaded arrays and those eight array
   columns to the loaded records' fields, so the compiled form is
   exactly what :class:`~repro.sim.engine.batch.BatchRouter` routes on,
   ready to serve with no further work.
@@ -65,6 +67,7 @@ from .format import (
     _tmp_counter,
     container_version,
     read_container,
+    read_header,
     write_container,
 )
 from .schemes import (
@@ -235,11 +238,37 @@ class SchemeStore:
         it.  ``extra_meta`` entries are merged into the container header
         (the version layer rides on this).
         """
+        return self._save(
+            graph,
+            ported,
+            arrays,
+            seed=seed,
+            compiled=compiled,
+            strict=strict,
+            builder=builder,
+            extra_meta=extra_meta,
+        )
+
+    def _save(
+        self,
+        graph: Graph,
+        ported: PortedGraph,
+        arrays: SchemeArrays,
+        *,
+        seed: Optional[int],
+        compiled: Optional[CompiledScheme],
+        strict: bool,
+        builder: str,
+        extra_meta: Optional[dict],
+        hashes: Optional[tuple] = None,
+    ) -> Path:
+        """:meth:`save`, given ``hashes``, the ``(graph_content_hash,
+        port_hash)`` pair, when the caller has computed it already (a
+        publish needs both for its key; each is hashed once)."""
         with TELEMETRY.span("store.save", k=int(arrays.k), n=int(arrays.n)):
             if compiled is None:
                 compiled = compile_from_arrays(arrays, ported)
-            graph_sha = graph_content_hash(graph)
-            port_sha = port_hash(ported)
+            graph_sha, port_sha = hashes or (graph_content_hash(graph), port_hash(ported))
             key = scheme_key(
                 graph_sha, arrays.k, seed, port_sha, handshake=compiled.handshake
             )
@@ -396,14 +425,11 @@ class SchemeStore:
         """
         if compiled is None:
             compiled = compile_from_arrays(arrays, ported)
+        hashes = (graph_content_hash(graph), port_hash(ported))
         key = scheme_key(
-            graph_content_hash(graph),
-            arrays.k,
-            seed,
-            port_hash(ported),
-            handshake=compiled.handshake,
+            hashes[0], arrays.k, seed, hashes[1], handshake=compiled.handshake
         )
-        self.save(
+        self._save(
             graph,
             ported,
             arrays,
@@ -417,6 +443,7 @@ class SchemeStore:
                 "parent_key": None,
                 "delta_sha256": None,
             },
+            hashes=hashes,
         )
         self.set_current(key, key)
         return key
@@ -449,20 +476,17 @@ class SchemeStore:
             raise EncodingError(
                 f"cannot publish a patch of {parent_key}: no such stored scheme"
             )
-        parent_meta = read_container(parent_path)[0].get("meta", {})
+        parent_meta = read_header(parent_path).get("meta", {})
         lineage = parent_meta.get("lineage") or parent_key
         version = int(parent_meta.get("version", 0)) + 1
         if compiled is None:
             compiled = compile_from_arrays(arrays, ported)
+        hashes = (graph_content_hash(graph), port_hash(ported))
         key = scheme_key(
-            graph_content_hash(graph),
-            arrays.k,
-            seed,
-            port_hash(ported),
-            handshake=compiled.handshake,
+            hashes[0], arrays.k, seed, hashes[1], handshake=compiled.handshake
         )
         with TELEMETRY.span("store.publish_patch", lineage=lineage, version=version):
-            self.save(
+            self._save(
                 graph,
                 ported,
                 arrays,
@@ -476,6 +500,7 @@ class SchemeStore:
                     "parent_key": parent_key,
                     "delta_sha256": delta.digest() if delta is not None else None,
                 },
+                hashes=hashes,
             )
             self.set_current(lineage, key)
             if max_versions is not None:
@@ -484,10 +509,11 @@ class SchemeStore:
 
     def versions(self, lineage: str) -> List[dict]:
         """Header meta of every stored version of ``lineage``, sorted by
-        version number (legacy containers count as their own lineage)."""
+        version number (legacy containers count as their own lineage).
+        Reads each container's header only (:func:`read_header`)."""
         out = []
         for key in self.keys():
-            meta = read_container(self.path_for(key))[0].get("meta", {})
+            meta = read_header(self.path_for(key)).get("meta", {})
             if meta.get("kind") != "tz-scheme":
                 continue
             if (meta.get("lineage") or meta.get("key")) == lineage:
@@ -498,7 +524,7 @@ class SchemeStore:
     def info(self, key: str) -> dict:
         """Header meta plus file facts for one stored container."""
         path = self.path_for(key)
-        header = read_container(path)[0]
+        header = read_header(path)
         meta = dict(header.get("meta", {}))
         meta["path"] = str(path)
         meta["file_bytes"] = int(path.stat().st_size)
@@ -668,7 +694,7 @@ class SchemeStore:
     def _get_or_build(self, graph, k, seed, ported, strict, path, hit) -> StoredScheme:
         """Build-save-load behind :meth:`get_or_build` (key resolved)."""
         if hit and strict:
-            header, _ = read_container(path)
+            header = read_header(path)
             if header.get("meta", {}).get("serialize_sha256") is None:
                 # Saved without a digest: upgrade in place.  The data
                 # checksum (verify_data) proves the blobs are the ones

@@ -139,26 +139,26 @@ def records_to_arrays(
 ) -> Dict[str, np.ndarray]:
     """Columnar export of tree records for the batch routing engine.
 
-    Returns one int64 array per :class:`TreeLocalRecord` field, aligned
+    Returns one int32 array per :class:`TreeLocalRecord` field, aligned
     with the input order, so the §2 forwarding rule can run as array
     comparisons over every in-flight message at once (see
     :mod:`repro.sim.engine.compile`).
     """
     count = len(records)
     return {
-        "f": np.fromiter((r.f for r in records), np.int64, count),
-        "finish": np.fromiter((r.finish for r in records), np.int64, count),
+        "f": np.fromiter((r.f for r in records), np.int32, count),
+        "finish": np.fromiter((r.finish for r in records), np.int32, count),
         "parent_port": np.fromiter(
-            (r.parent_port for r in records), np.int64, count
+            (r.parent_port for r in records), np.int32, count
         ),
         "heavy_port": np.fromiter(
-            (r.heavy_port for r in records), np.int64, count
+            (r.heavy_port for r in records), np.int32, count
         ),
         "heavy_finish": np.fromiter(
-            (r.heavy_finish for r in records), np.int64, count
+            (r.heavy_finish for r in records), np.int32, count
         ),
         "light_depth": np.fromiter(
-            (r.light_depth for r in records), np.int64, count
+            (r.light_depth for r in records), np.int32, count
         ),
     }
 

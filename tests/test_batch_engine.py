@@ -406,14 +406,15 @@ class TestCompiledSchemeShape:
         """Every way to build a CompiledScheme, ``dataclasses.replace``
         included, refuses a column the kernels would read past or
         misread: a pivot narrower than (k, n), a short record table,
-        records of another layout, an int32 or a strided column."""
+        records of another layout, a column of another width (an int64
+        ``lp_data``, whose width rule says int32) or a strided column."""
         graph, ported, schemes, _ = _setup("gnp")
         cs = schemes["scheme_k"].compile_batch(ported)
         damaged = {
             "pivot": cs.pivot[:, :-1],
             "ent": cs.ent[:-1],
             "step": cs.step.astype([("next", "<i8"), ("wt", "<f8"), ("edge", "<i8")]),
-            "lp_data": cs.lp_data.astype(np.int32),
+            "lp_data": cs.lp_data.astype(np.int64),
             "mem_keys": np.repeat(cs.mem_keys, 2)[::2],
         }
         for name, col in damaged.items():

@@ -54,7 +54,7 @@ from strategies import FAMILIES, family_from_seed, ks, seeds
 
 from repro.baselines.tree_spanner import build_single_tree_scheme
 from repro.core.build import SchemeArrays, build_arrays, build_scheme, patch_arrays
-from repro.core.build.arrays import scheme_from_arrays
+from repro.core.build.arrays import COLUMN_DTYPES, scheme_from_arrays
 from repro.core.build.vectorized import (
     FULL_CENTER_LIMIT,
     _cluster_trees,
@@ -762,9 +762,13 @@ def compiled_both(compile_on, fn, context=""):
 
 def record_inputs(arrays, links=True):
     """The arrays' ``_ent_records`` inputs before ``g_indptr``/``step``."""
-    record = {name: getattr(arrays, col) for col, name in compile_mod.ARRAYS_IN_RECORD.items()}
+    record = {
+        name: getattr(arrays, col)
+        for col, name in compile_mod.ARRAYS_IN_RECORD.items()
+        if name in compile_mod.RECORD_FIELDS
+    }
     ports = (arrays.tr_parent_port, arrays.tr_heavy_port)
-    hints = (arrays.ent_parent_epos, arrays.ent_heavy_epos) if links else None
+    hints = (arrays.ent_parent_epos, arrays.ent_heavy_epos, arrays.ent_parent) if links else None
     return arrays.entry_keys, record, ports, hints
 
 
@@ -861,8 +865,8 @@ class TestCompileDifferential:
         for name, poison in poisons.items():
             bad = dataclasses.replace(
                 arrays,
-                ent_parent_epos=poison(arrays.ent_parent_epos),
-                ent_heavy_epos=poison(arrays.ent_heavy_epos),
+                ent_parent_epos=poison(arrays.ent_parent_epos).astype(np.int32),
+                ent_heavy_epos=poison(arrays.ent_heavy_epos).astype(np.int32),
             )
             assert not np.array_equal(bad.ent_parent_epos, arrays.ent_parent_epos), name
             got = compile_on("native", lambda: compile_from_arrays(bad, ported))
@@ -1039,7 +1043,7 @@ class TestPoolRanges:
                 got = cluster_trees_native(graph, ported, keys, dist)
             assert sorted(got) == sorted(want)
             for name, col in want.items():
-                assert got[name].dtype == one[name].dtype == np.int64, name
+                assert got[name].dtype == one[name].dtype == COLUMN_DTYPES[name], name
                 assert np.array_equal(col, got[name]), (
                     f"{name} in {parts} ranges {context}"
                 )

@@ -100,9 +100,9 @@ def instance(family, k, ports):
 # ----------------------------------------------------------------------
 def random_splice(seed, still=False):
     """Random runs over a parent and a rebuild, with one column of every
-    kind, as a patch lays them out: dirty runs read the rebuild in
-    order, clean runs the parent, anywhere — or, when ``still``, at
-    their own rows."""
+    kind and width, as a patch lays them out: dirty runs read the
+    rebuild in order, clean runs the parent, anywhere — or, when
+    ``still``, at their own rows."""
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, 40))
     lens = rng.integers(0, 30, size=count)
@@ -118,9 +118,11 @@ def random_splice(seed, still=False):
     def both(make):
         return make(old_rows), make(new_rows)
 
-    links = both(lambda m: rng.integers(-1, 500, size=m))
+    links = both(lambda m: rng.integers(-1, 500, size=m).astype(np.int32))
     columns = {
         "copy": both(lambda m: rng.integers(-9, 9, size=m)) + (splice.COPY,),
+        "copy32": both(lambda m: rng.integers(-9, 9, size=m).astype(np.int32))
+        + (splice.COPY,),
         "real": both(lambda m: rng.random(m)) + (splice.REAL,),
         "link": links + (splice.LINK,),
         "offset": both(lambda m: rng.integers(0, 1000, size=m)) + (splice.OFFSET,),

@@ -119,7 +119,7 @@ def _retype(name: str, dtype: str):
 
 def _narrow(name: str, width: int):
     """Header edit: the rows of record blob ``name`` read ``width`` int64
-    wide (nbytes kept consistent)."""
+    words wide, one fewer than its record's (nbytes kept consistent)."""
 
     def edit(header):
         spec = header["arrays"][name]
@@ -143,8 +143,13 @@ SHAPE_CORRUPTIONS = {
     "short-step-table": _short("cs_step"),
     "short-g-indptr": _short("cs_g_indptr"),
     "int32-entry-keys": _retype("arr_entry_keys", "<i4"),
-    "narrow-entry-records": _narrow("cs_ent", 12),
-    "narrow-step-records": _narrow("cs_step", 2),
+    "int64-lp-data": _retype("arr_lp_data", "<i8"),
+    "int64-mem-epos": _retype("arr_mem_epos", "<i8"),
+    "int64-bunch-epos": _retype("arr_bunch_epos", "<i8"),
+    "int64-parent-ports": _retype("arr_tr_parent_port", "<i8"),
+    "int64-label-bits": _retype("cs_ent_label_bits", "<i8"),
+    "narrow-entry-records": _narrow("cs_ent", ENT_DTYPE.itemsize // 8 - 1),
+    "narrow-step-records": _narrow("cs_step", STEP_DTYPE.itemsize // 8 - 1),
 }
 
 
@@ -327,7 +332,7 @@ class TestContainer:
             {"hello": "world"},
         )
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "e10247501883dd25336190305d9c6ddf940b215d6d59ccc19db5515a0031dc1a"
+            "1c1a67a9436efd61686867072a8f1f6f199ebe9aafb1a397b5b3aee462fe15dc"
         )
 
 
@@ -473,7 +478,7 @@ class TestSingleRepresentation:
     def test_compile_binds_the_array_columns(self, saved):
         _, ported, arrays, _, _ = saved
         compiled = compile_from_arrays(arrays, ported)
-        assert len(ARRAY_BOUND) == 7 and len(DERIVED) == 4 and len(ARRAYS_IN_RECORD) == 5
+        assert len(ARRAY_BOUND) == 7 and len(DERIVED) == 4 and len(ARRAYS_IN_RECORD) == 8
         for name, get in ARRAY_BOUND.items():
             assert np.shares_memory(getattr(compiled, name), get(arrays)), name
         assert compiled.ent.dtype == ENT_DTYPE and compiled.step.dtype == STEP_DTYPE
@@ -495,16 +500,17 @@ class TestSingleRepresentation:
     def test_container_holds_only_derived_compiled_columns(self, saved):
         _, _, arrays, _, path = saved
         header, blobs = read_container(path)
-        assert header["format_version"] == FORMAT_VERSION == 4
+        assert header["format_version"] == FORMAT_VERSION == 5
         assert sorted(n for n in blobs if n.startswith("cs_")) == sorted(
             "cs_" + name for name in DERIVED
         )
         assert not {"arr_" + name for name in ARRAYS_IN_RECORD} & set(blobs)
-        # The records are stored as plain int64 rows, one per record.
+        # The records are stored as plain int64 rows, one per record:
+        # 8 words for a 64-byte entry record, 2 for a 16-byte step.
         assert blobs["cs_ent"].dtype == np.int64
-        assert blobs["cs_ent"].shape == (arrays.entry_count, 13)
+        assert blobs["cs_ent"].shape == (arrays.entry_count, 8)
         assert blobs["cs_step"].dtype == np.int64
-        assert blobs["cs_step"].shape == (2 * header["meta"]["m"], 3)
+        assert blobs["cs_step"].shape == (2 * header["meta"]["m"], 2)
 
     def test_save_refuses_a_foreign_compile(self, saved):
         graph, ported, arrays, store, _ = saved
@@ -545,6 +551,9 @@ class TestSingleRepresentation:
 
     def test_format_3_refused_and_rebuilt(self, saved):
         self._refused_and_rebuilt(saved, 3)
+
+    def test_format_4_refused_and_rebuilt(self, saved):
+        self._refused_and_rebuilt(saved, 4)
 
     def test_materialized_scheme_compiles_from_stored_arrays(self, saved):
         graph, ported, _, store, path = saved
@@ -628,6 +637,74 @@ class TestSingleRepresentation:
 # ----------------------------------------------------------------------
 # Strict verification: the bit-exact codec replay
 # ----------------------------------------------------------------------
+class TestPublishOverhead:
+    """A publish hashes the graph and the ports once, and the version
+    layer reads container headers without mapping any container."""
+
+    @staticmethod
+    def _chain(tmp_path, epochs):
+        from repro.core.build import patch_arrays
+        from repro.graphs.delta import GraphDelta
+
+        store = SchemeStore(tmp_path)
+        graph = family_from_seed(3, "gnp", n=60)
+        ported = assign_ports(graph, "random", rng=3)
+        arrays = build_arrays(graph, 2, ported=ported, rng=3)
+        key = store.publish(graph, ported, arrays, seed=0)
+        for i in range(epochs):
+            u, v = (int(x) for x in graph.edges[i])
+            delta = GraphDelta(weight_updates=((u, v, graph.edge_weight(u, v) + 1.0),))
+            patched = patch_arrays(arrays, graph, delta, ported=ported)
+            yield store, key, patched, delta
+            graph, ported, arrays = patched.graph, patched.ported, patched.arrays
+            key = store.current(store.lineages()[0])
+
+    def test_one_hash_of_each_per_publish_patch(self, tmp_path, monkeypatch):
+        from repro.store import store as store_mod
+
+        calls = {"graph": 0, "ports": 0}
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return spy
+
+        monkeypatch.setattr(
+            store_mod, "graph_content_hash", counted("graph", store_mod.graph_content_hash)
+        )
+        monkeypatch.setattr(store_mod, "port_hash", counted("ports", store_mod.port_hash))
+        for store, parent, patched, delta in self._chain(tmp_path, 3):
+            before = dict(calls)
+            store.publish_patch(
+                parent, patched.graph, patched.ported, patched.arrays,
+                delta=delta, seed=0, max_versions=2,
+            )
+            assert {name: calls[name] - before[name] for name in calls} == {
+                "graph": 1,
+                "ports": 1,
+            }
+
+    def test_versions_info_and_gc_map_no_container(self, tmp_path, monkeypatch):
+        from repro.store import store as store_mod
+
+        for store, parent, patched, delta in self._chain(tmp_path, 3):
+            store.publish_patch(
+                parent, patched.graph, patched.ported, patched.arrays, delta=delta, seed=0
+            )
+        lineage = store.lineages()[0]
+        mapped = []
+        real = store_mod.read_container
+        monkeypatch.setattr(
+            store_mod, "read_container", lambda *a, **kw: mapped.append(a) or real(*a, **kw)
+        )
+        assert [m["version"] for m in store.versions(lineage)] == [0, 1, 2, 3]
+        assert store.info(store.current(lineage))["version"] == 3
+        assert len(store.gc(lineage, 2)) == 2
+        assert mapped == []
+
+
 class TestStrictVerify:
     def test_strict_round_trip(self, tmp_path):
         graph, ported = _build_instance("ba", seed=5, k=2)
