@@ -34,12 +34,14 @@ __all__ = [
 ]
 
 
+#: The span attribute shown in its own column rather than in the label.
+_RSS = "maxrss_mb"
+
+
 def _attr_suffix(attrs: Dict[str, object]) -> str:
     """``[k=v,...]`` label suffix of a span's attributes ('' if none)."""
-    if not attrs:
-        return ""
-    inner = ",".join(f"{k}={v}" for k, v in sorted(attrs.items()))
-    return f"[{inner}]"
+    inner = ",".join(f"{k}={v}" for k, v in sorted(attrs.items()) if k != _RSS)
+    return f"[{inner}]" if inner else ""
 
 
 def span_coverage(span: Span) -> float:
@@ -57,21 +59,26 @@ def span_rows(tm: Optional[Telemetry] = None) -> List[Dict[str, object]]:
     """Table rows of the span forest: name, cum/self seconds, % of root.
 
     Percentages are of the first root span's cumulative time (the
-    conventional "whole run" span the CLI opens).
+    conventional "whole run" span the CLI opens).  When any span carries
+    a ``maxrss_mb`` attribute (:meth:`Telemetry.stamp_child_rss`), a
+    ``maxrss MB`` column shows it: the peak RSS as that span closed.
     """
     tm = TELEMETRY if tm is None else tm
     total_ns = tm.roots[0].duration_ns if tm.roots else 0
+    spans = list(tm.spans())
+    with_rss = any(_RSS in sp.attrs for sp, _ in spans)
     rows: List[Dict[str, object]] = []
-    for sp, depth in tm.spans():
+    for sp, depth in spans:
         share = 100.0 * sp.duration_ns / total_ns if total_ns else 0.0
-        rows.append(
-            {
-                "span": "  " * depth + sp.name + _attr_suffix(sp.attrs),
-                "cum s": f"{sp.seconds:.3f}",
-                "self s": f"{sp.self_ns / 1e9:.3f}",
-                "%cum": f"{share:.1f}",
-            }
-        )
+        row = {
+            "span": "  " * depth + sp.name + _attr_suffix(sp.attrs),
+            "cum s": f"{sp.seconds:.3f}",
+            "self s": f"{sp.self_ns / 1e9:.3f}",
+            "%cum": f"{share:.1f}",
+        }
+        if with_rss:
+            row["maxrss MB"] = f"{sp.attrs[_RSS]:.0f}" if _RSS in sp.attrs else ""
+        rows.append(row)
     return rows
 
 

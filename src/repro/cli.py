@@ -594,6 +594,7 @@ def _cmd_profile(args) -> int:
         store_dir = tmp.name
     try:
         with timed("profile", graph=args.graph, k=args.k) as tsp:
+            TELEMETRY.stamp_child_rss()
             with TELEMETRY.span("graphs.generate", family=args.graph, n=args.n):
                 graph = reference_graph(
                     args.graph, args.n, args.seed

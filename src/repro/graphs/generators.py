@@ -20,6 +20,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import GraphError
+from ..kernels import resolve_kernel
+from ..kernels.draws import gnp_edges_native
 from ..rng import RngLike, make_rng
 from .graph import Graph, GraphBuilder
 
@@ -33,7 +35,7 @@ def _apply_weights(graph: Graph, weights: WeightSpec, rng: np.random.Generator) 
     if not (1 <= lo <= hi):
         raise GraphError(f"weight range must satisfy 1 <= lo <= hi, got {weights}")
     w = rng.integers(lo, hi + 1, size=graph.m).astype(np.float64)
-    return Graph(graph.n, graph.edges, w)
+    return graph.with_edge_weights(w)
 
 
 def _finalize(
@@ -57,37 +59,47 @@ def gnp(
 ) -> Graph:
     """Erdős–Rényi ``G(n, p)``.
 
-    Sampled by geometric edge skipping (O(n + m) expected), so large
-    sparse instances are cheap.
+    Sampled by geometric edge skipping (Batagelj & Brandes 2005; O(n + m)
+    expected), so large sparse instances are cheap.  The skip loop runs
+    as one native pass (:mod:`repro.kernels.draws`) drawing from ``rng``
+    itself, or as :func:`_gnp_loop` when the platform has no native
+    kernels; both give the same edges and leave ``rng`` in the same state.
     """
     gen = make_rng(rng)
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"p must be in [0, 1], got {p}")
-    builder = GraphBuilder(n)
-    if p > 0:
-        total = n * (n - 1) // 2
-        if p >= 1.0:
-            for u in range(n):
-                for v in range(u + 1, n):
-                    builder.add_edge(u, v)
-        else:
-            # Skip-sampling over the linearized upper triangle.
-            log_q = math.log1p(-p)
-            idx = -1
-            while True:
-                r = gen.random()
-                idx += 1 + int(math.floor(math.log(1.0 - r) / log_q))
-                if idx >= total:
-                    break
-                u = int((1 + math.isqrt(1 + 8 * idx)) // 2)
-                # Correct u so that u*(u-1)/2 <= idx < (u+1)*u/2.
-                while u * (u - 1) // 2 > idx:
-                    u -= 1
-                while (u + 1) * u // 2 <= idx:
-                    u += 1
-                v = idx - u * (u - 1) // 2
-                builder.add_edge(u, v)
-    return _finalize(builder.build(), connected, weights, gen)
+    if p <= 0:
+        edges = np.zeros((0, 2), dtype=np.int64)
+    elif p >= 1.0:
+        edges = np.stack(np.triu_indices(n, 1), axis=1)
+    elif resolve_kernel("auto") == "native":
+        edges = gnp_edges_native(n, p, gen)
+    else:
+        edges = _gnp_loop(n, p, gen)
+    return _finalize(Graph(n, edges), connected, weights, gen)
+
+
+def _gnp_loop(n: int, p: float, gen: np.random.Generator) -> np.ndarray:
+    """The reference skip loop over the linearized lower triangle: edges
+    ``(v, u)``, ``v < u``, ascending in ``u*(u-1)/2 + v``, one
+    ``gen.random()`` per skip (and one more for the skip past the end)."""
+    total = n * (n - 1) // 2
+    log_q = math.log1p(-p)
+    edges = []
+    idx = -1
+    while True:
+        r = gen.random()
+        idx += 1 + int(math.floor(math.log(1.0 - r) / log_q))
+        if idx >= total:
+            break
+        u = int((1 + math.isqrt(1 + 8 * idx)) // 2)
+        # Correct u so that u*(u-1)/2 <= idx < (u+1)*u/2.
+        while u * (u - 1) // 2 > idx:
+            u -= 1
+        while (u + 1) * u // 2 <= idx:
+            u += 1
+        edges.append((idx - u * (u - 1) // 2, u))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def gnm(

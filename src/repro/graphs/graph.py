@@ -84,29 +84,31 @@ class Graph:
                 raise GraphError("edge endpoint out of range")
             if np.any(edge_arr[:, 0] == edge_arr[:, 1]):
                 raise GraphError("self loops are not allowed")
-            canon = np.sort(edge_arr, axis=1)
-            keys = canon[:, 0] * n + canon[:, 1]
-            if np.unique(keys).size != m:
-                raise GraphError("parallel edges are not allowed")
+        # Canonical (sorted-endpoint) edge list, original order preserved.
+        lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
+        hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
+        # CSR: each undirected edge contributes two directed arcs, with
+        # rows sorted by neighbor id (deterministic iteration order,
+        # binary-search neighbor lookup).  In a simple graph the arc keys
+        # tail * n + head are distinct, so one sort of them forces the
+        # layout, and a key that repeats is a parallel edge.
+        tail = np.concatenate((lo, hi))
+        head = np.concatenate((hi, lo))
+        arc_key = tail * n + head
+        order = np.argsort(arc_key)
+        sorted_keys = arc_key[order]
+        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            raise GraphError("parallel edges are not allowed")
 
         self.n = int(n)
         self.m = int(m)
-        # Canonical (sorted-endpoint) edge list, original order preserved.
-        self.edges = np.sort(edge_arr, axis=1) if m else edge_arr
+        self.edges = np.stack((lo, hi), axis=1)
         self.edge_weights = weight_arr
-
-        # Build CSR: each undirected edge contributes two directed arcs,
-        # with rows sorted by neighbor id (deterministic iteration order,
-        # binary-search neighbor lookup).  A row holds distinct neighbors,
-        # so one lexsort of the arcs by (tail, head) forces the layout.
-        tail = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
-        head = np.concatenate((self.edges[:, 1], self.edges[:, 0]))
-        order = np.lexsort((head, tail))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
         self.indptr = indptr
         self.adj = head[order]
-        self.arc_edge = np.tile(np.arange(m, dtype=np.int64), 2)[order]
+        self.arc_edge = np.where(order < m, order, order - m)
         self.adj_weights = weight_arr[self.arc_edge]
         self._edge_index: Optional[Dict[Tuple[int, int], int]] = None
         self._csr = None
@@ -262,19 +264,23 @@ class Graph:
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, vertices relabeled ``0..len(vertices)-1`` in
-        the iteration order given (which must contain no duplicates)."""
-        verts = list(int(v) for v in vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        if len(index) != len(verts):
+        the iteration order given (which must contain no duplicates; an
+        id outside ``0..n-1`` becomes an isolated vertex).
+
+        One gather relabels every edge; the kept edges keep their order."""
+        if isinstance(vertices, np.ndarray):
+            verts = vertices.astype(np.int64).reshape(-1)
+        else:
+            verts = np.array([int(v) for v in vertices], dtype=np.int64)
+        ordered = np.sort(verts)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise GraphError("duplicate vertices in subgraph selection")
-        edges: List[Tuple[int, int]] = []
-        weights: List[float] = []
-        for eid in range(self.m):
-            u, v = int(self.edges[eid, 0]), int(self.edges[eid, 1])
-            if u in index and v in index:
-                edges.append((index[u], index[v]))
-                weights.append(float(self.edge_weights[eid]))
-        return Graph(len(verts), edges, weights)
+        relabel = np.full(self.n, -1, dtype=np.int64)
+        inside = (verts >= 0) & (verts < self.n)
+        relabel[verts[inside]] = np.flatnonzero(inside)
+        ends = relabel[self.edges]
+        keep = (ends[:, 0] >= 0) & (ends[:, 1] >= 0)
+        return Graph(verts.size, ends[keep], self.edge_weights[keep])
 
     def apply_delta(self, delta) -> Tuple["Graph", np.ndarray]:
         """Apply a :class:`~repro.graphs.delta.GraphDelta`; returns the

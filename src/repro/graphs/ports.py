@@ -23,6 +23,8 @@ from typing import Dict
 import numpy as np
 
 from ..errors import GraphError, PortError
+from ..kernels import resolve_kernel
+from ..kernels.draws import permute_rows_native
 from ..rng import RngLike, make_rng
 from .graph import Graph
 from .trees import RootedTree
@@ -42,30 +44,27 @@ class PortedGraph:
         if port_of_arc.shape != (2 * graph.m,):
             raise GraphError("port_of_arc must have one entry per directed arc")
         self.graph = graph
-        self.port_of_arc = port_of_arc.astype(np.int64)
-        arc_of_port = np.full(2 * graph.m, -1, dtype=np.int64)
+        self.port_of_arc = ports = port_of_arc.astype(np.int64)
         indptr = graph.indptr
-        for u in range(graph.n):
-            lo, hi = int(indptr[u]), int(indptr[u + 1])
-            deg = hi - lo
-            seen = np.zeros(deg, dtype=bool)
-            for arc in range(lo, hi):
-                p = int(self.port_of_arc[arc])
-                if not 1 <= p <= deg:
-                    raise PortError(
-                        f"port {p} at vertex {u} outside 1..deg={deg}"
-                    )
-                if seen[p - 1]:
-                    raise PortError(f"duplicate port {p} at vertex {u}")
-                seen[p - 1] = True
-                arc_of_port[lo + p - 1] = arc
+        deg = np.diff(indptr)
+        # Arc a of row u belongs in slot indptr[u] + port - 1; a row's
+        # ports are a permutation of 1..deg exactly when they all lie in
+        # range and fill every slot of the row.
+        slot = np.repeat(indptr[:-1] - 1, deg) + ports
+        inside = (ports >= 1) & (ports <= np.repeat(deg, deg))
+        in_range = bool(inside.all())
+        arc_of_port = np.full(2 * graph.m, -1, dtype=np.int64)
+        if in_range:
+            arc_of_port[slot] = np.arange(2 * graph.m, dtype=np.int64)
+        if not in_range or np.any(arc_of_port < 0):
+            raise _first_offender(indptr, ports, slot, inside)
         self.arc_of_port = arc_of_port
 
     def rebind(self, new_graph) -> "PortedGraph":
         """This port assignment attached to a topology-identical graph.
 
         O(1): shares ``port_of_arc``/``arc_of_port`` verbatim (both are
-        treated as immutable), skipping the per-vertex validation loop.
+        treated as immutable), skipping the port checks.
         The graphs must share CSR topology — weight-only rebuilds via
         :meth:`Graph.with_edge_weights` qualify; anything else is
         rejected.
@@ -139,28 +138,59 @@ def assign_ports(
     ``"random"``
         An independent uniformly random permutation per vertex — the
         fixed-port adversary used in experiments (a scheme must not rely
-        on lucky numbering).
+        on lucky numbering).  Row ``u`` is ``rng.permutation(deg(u)) + 1``,
+        rows in vertex order, drawn by one native pass
+        (:mod:`repro.kernels.draws`) or by :func:`_permute_rows_loop`
+        without native kernels; both leave ``rng`` in the same state.
     ``"reversed"``
         Port ``i`` goes to the ``i``-th *largest* neighbor id.
     """
-    n, indptr = graph.n, graph.indptr
-    port_of_arc = np.zeros(2 * graph.m, dtype=np.int64)
-    gen = make_rng(rng) if kind == "random" else None
-    for u in range(n):
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        deg = hi - lo
-        if deg == 0:
-            continue
-        if kind == "sorted":
-            ports = np.arange(1, deg + 1)
-        elif kind == "reversed":
-            ports = np.arange(deg, 0, -1)
-        elif kind == "random":
-            ports = gen.permutation(deg) + 1
+    indptr = graph.indptr
+    if kind == "random":
+        gen = make_rng(rng)
+        if resolve_kernel("auto") == "native":
+            port_of_arc = permute_rows_native(indptr, gen)
         else:
-            raise GraphError(f"unknown port assignment kind {kind!r}")
-        port_of_arc[lo:hi] = ports
+            port_of_arc = _permute_rows_loop(indptr, gen)
+    elif kind in ("sorted", "reversed"):
+        deg = np.diff(indptr)
+        arcs = np.arange(2 * graph.m, dtype=np.int64)
+        if kind == "sorted":
+            port_of_arc = arcs - np.repeat(indptr[:-1], deg) + 1
+        else:
+            port_of_arc = np.repeat(indptr[1:], deg) - arcs
+    else:
+        raise GraphError(f"unknown port assignment kind {kind!r}")
     return PortedGraph(graph, port_of_arc)
+
+
+def _permute_rows_loop(indptr: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """The reference random assignment: ``gen.permutation(deg) + 1`` per
+    vertex with edges, in vertex order."""
+    port_of_arc = np.zeros(int(indptr[-1]), dtype=np.int64)
+    for u in range(indptr.shape[0] - 1):
+        lo, hi = int(indptr[u]), int(indptr[u + 1])
+        if hi > lo:
+            port_of_arc[lo:hi] = gen.permutation(hi - lo) + 1
+    return port_of_arc
+
+
+def _first_offender(
+    indptr: np.ndarray, ports: np.ndarray, slot: np.ndarray, inside: np.ndarray
+) -> PortError:
+    """The error for the first arc, in arc order, whose port lies outside
+    ``1..deg`` or repeats an earlier port of its row — the arc a
+    per-vertex scan of the rows would stop at."""
+    arcs = np.flatnonzero(inside)
+    by_slot = arcs[np.argsort(slot[arcs], kind="stable")]
+    repeats = by_slot[1:][slot[by_slot[1:]] == slot[by_slot[:-1]]]
+    arc = int(np.concatenate((np.flatnonzero(~inside), repeats)).min())
+    u = int(np.searchsorted(indptr, arc, side="right")) - 1
+    p = int(ports[arc])
+    if inside[arc]:
+        return PortError(f"duplicate port {p} at vertex {u}")
+    deg = int(indptr[u + 1] - indptr[u])
+    return PortError(f"port {p} at vertex {u} outside 1..deg={deg}")
 
 
 def designer_ports_for_tree(graph: Graph, tree: RootedTree) -> PortedGraph:

@@ -165,6 +165,18 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.tz_member_counts.argtypes = [_I64, _I64, _I64, _PTR, _PTR]
     lib.tz_bunch_scatter.restype = None
     lib.tz_bunch_scatter.argtypes = [_I64, _I64, _PTR, _PTR, _PTR]
+    lib.tz_gnp_edges.restype = _I64
+    lib.tz_gnp_edges.argtypes = (
+        [_I64, ctypes.c_double]  # n, log1p(-p)
+        + [_PTR, _PTR]  # bit generator state, its next_double
+        + [_PPTR]  # out edges
+    )
+    lib.tz_permute_rows.restype = None
+    lib.tz_permute_rows.argtypes = (
+        [_I64, _PTR]  # n, indptr
+        + [_PTR, _PTR]  # bit generator state, its next_uint32
+        + [_PTR]  # out ports
+    )
     lib.tz_record_layout.restype = _I64
     lib.tz_record_layout.argtypes = [_PTR]
     lib.tz_free.restype = None

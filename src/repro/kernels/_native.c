@@ -5,7 +5,9 @@
  * pass that writes the entry records and label bits
  * (sim/engine/compile.py), and the passes a patch makes over every
  * entry: the splice (core/build/patch.py) and the derived structures
- * of assemble_arrays (core/build/arrays.py).
+ * of assemble_arrays (core/build/arrays.py), and the setup path's two
+ * draw loops: gnp's edge skipping (graphs/generators.py) and the random
+ * port permutations (graphs/ports.py).
  *
  * Deliberately plain C + libc (and POSIX mmap), no Python.h: the
  * library is loaded through ctypes, so a bare `cc -O3 -fPIC -shared`
@@ -54,6 +56,11 @@
  *   numpy splice; the assemble passes make the same comparisons as
  *   numpy's masks, find the same unique keys as its searchsorted, and a
  *   stable counting sort orders entries as a stable argsort does.
+ * - tz_gnp_edges and tz_permute_rows call the caller's bit generator
+ *   once per draw the Python loops make, through the same function
+ *   pointers numpy calls, and do the same arithmetic on the draws:
+ *   libm's log and floor for a skip (Python's math.log is libm's log),
+ *   numpy's random_interval for a swap.
  *
  * The hop loop is memory-latency-bound (every hop gathers from tables
  * far larger than cache), so it interleaves a block of rows and issues
@@ -1577,7 +1584,118 @@ void tz_bunch_scatter(
         order[cursor[member[e]]++] = (int32_t)e;
 }
 
-/* Release a buffer handed out by tz_frontier_sweep. */
+/* ------------------------------------------------------------------ */
+/* Draw passes: gnp edge skipping and per-row port permutations        */
+/* ------------------------------------------------------------------ */
+
+/* Both passes draw from a numpy BitGenerator through the function
+ * pointers of its `ctypes` interface, one call per draw, as numpy's own
+ * C code calls them, so they consume the stream draw for draw like the
+ * numpy loops they replace and leave the generator in the same state.
+ * The caller holds the generator's lock for the whole pass. */
+typedef double (*next_double_fn)(void *state);
+typedef uint32_t (*next_uint32_fn)(void *state);
+
+/* Return code of tz_gnp_edges: keep in sync with kernels/draws.py. */
+#define GNP_OOM (-1)      /* the edge buffer could not grow */
+#define GNP_INF_SKIP (-2) /* a skip of +inf (p below ~1e-307) */
+
+/* Edges of G(n, p), 0 < p < 1, by geometric skipping over the
+ * linearized lower triangle (Batagelj & Brandes 2005): the same
+ * arithmetic as generators._gnp_loop, libm's log (Python's math.log)
+ * and floor on the same doubles, every integer exact in int64 (n <
+ * 2^31).  Writes (v, u) with v < u per edge, ascending in u*(u-1)/2 + v,
+ * into *out (free it with tz_free) and returns the edge count. */
+int64_t tz_gnp_edges(
+    int64_t n,
+    double log_q,                    /* log1p(-p) < 0 */
+    void *state,
+    next_double_fn next_double,
+    int64_t **out)
+{
+    const int64_t total = n * (n - 1) / 2;
+    int64_t *edges = NULL;
+    int64_t count = 0, cap = 0, idx = -1;
+    for (;;) {
+        const double skip = floor(log(1.0 - next_double(state)) / log_q);
+        if (isinf(skip)) {
+            os_free(edges);
+            return GNP_INF_SKIP;
+        }
+        /* The loop ends once idx + 1 + skip >= total; skip is integral
+         * and below 2^62 compares exactly as an int64. */
+        const int64_t room = total - idx - 1;
+        if (skip >= 0x1p62 || (int64_t)skip >= room)
+            break;
+        idx += 1 + (int64_t)skip;
+        int64_t u = (int64_t)((1.0 + sqrt(1.0 + 8.0 * (double)idx)) / 2.0);
+        while (u * (u - 1) / 2 > idx)
+            u--;
+        while ((u + 1) * u / 2 <= idx)
+            u++;
+        if (count == cap) {
+            const int64_t nc = cap ? 2 * cap : 4096;
+            int64_t *ne = os_grow(edges, (size_t)count * 2 * sizeof(int64_t),
+                                  (size_t)nc * 2 * sizeof(int64_t));
+            if (!ne) {
+                os_free(edges);
+                return GNP_OOM;
+            }
+            edges = ne;
+            cap = nc;
+        }
+        edges[2 * count] = idx - u * (u - 1) / 2;
+        edges[2 * count + 1] = u;
+        count++;
+    }
+    *out = edges;
+    return count;
+}
+
+/* numpy's random_interval: uniform in [0, max] by masked rejection on
+ * 32-bit draws (every max here is a degree below 2^31). */
+static inline int64_t draw_interval(void *state, next_uint32_fn next_uint32,
+                                    uint32_t max)
+{
+    uint32_t mask = max, value;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    while ((value = next_uint32(state) & mask) > max)
+        ;
+    return value;
+}
+
+/* port_of_arc for the "random" assignment: row u's ports are
+ * Generator.permutation(deg(u)) + 1, rows in vertex order — the
+ * Fisher-Yates pass numpy's shuffle makes over arange(deg), one
+ * random_interval(i) per i from deg-1 down to 1. */
+void tz_permute_rows(
+    int64_t n,
+    const int64_t *indptr,           /* (n+1) */
+    void *state,
+    next_uint32_fn next_uint32,
+    int64_t *ports)                  /* out (indptr[n]) */
+{
+    for (int64_t u = 0; u < n; u++) {
+        int64_t *row = ports + indptr[u];
+        const int64_t deg = indptr[u + 1] - indptr[u];
+        for (int64_t i = 0; i < deg; i++)
+            row[i] = i;
+        for (int64_t i = deg - 1; i >= 1; i--) {
+            const int64_t j = draw_interval(state, next_uint32, (uint32_t)i);
+            const int64_t t = row[i];
+            row[i] = row[j];
+            row[j] = t;
+        }
+        for (int64_t i = 0; i < deg; i++)
+            row[i] += 1;
+    }
+}
+
+/* Release a buffer handed out by tz_frontier_sweep or tz_gnp_edges. */
 void tz_free(void *p)
 {
     os_free(p);

@@ -55,6 +55,7 @@ __all__ = [
     "count",
     "gauge",
     "observe",
+    "peak_rss_mb",
     "span",
     "timed",
 ]
@@ -72,7 +73,8 @@ class Span:
     """
 
     __slots__ = (
-        "name", "attrs", "start_ns", "end_ns", "children", "_tm", "_parent", "_token"
+        "name", "attrs", "start_ns", "end_ns", "children", "child_rss",
+        "_tm", "_parent", "_token",
     )
 
     def __init__(self, tm: "Telemetry", name: str, attrs: Dict[str, object]) -> None:
@@ -82,6 +84,9 @@ class Span:
         self.start_ns = 0
         self.end_ns = 0
         self.children: List["Span"] = []
+        #: Set by :meth:`Telemetry.stamp_child_rss`: each child span then
+        #: records the process's peak RSS as it closes.
+        self.child_rss = False
         self._tm = tm
         self._parent: Optional["Span"] = None
         self._token = None
@@ -104,6 +109,8 @@ class Span:
         self._tm._current.reset(self._token)
         if exc_type is not None:
             self.attrs = dict(self.attrs, error=exc_type.__name__)
+        if self._parent is not None and self._parent.child_rss:
+            self.attrs = dict(self.attrs, maxrss_mb=peak_rss_mb())
         return False
 
     # -- derived timings ------------------------------------------------
@@ -211,6 +218,15 @@ class Telemetry:
             return NOOP_SPAN
         return Span(self, name, attrs)
 
+    def stamp_child_rss(self) -> None:
+        """Make each child of the span open in this context record a
+        ``maxrss_mb`` attribute, :func:`peak_rss_mb` read as the child
+        closes, so a profile names the phase that set the peak (no-op
+        while disabled or outside any span)."""
+        span = self._current.get()
+        if self.enabled and span is not None:
+            span.child_rss = True
+
     def spans(self):
         """Yield every recorded ``(span, depth)``, preorder across roots."""
         for root in self.roots:
@@ -239,6 +255,18 @@ class Telemetry:
 
 #: The process-wide registry every instrumented layer reports to.
 TELEMETRY = Telemetry()
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (``ru_maxrss``
+    of ``getrusage(RUSAGE_SELF)``, which macOS reports in bytes and Linux
+    and the BSDs in KiB)."""
+    import resource
+    import sys
+
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    unit = 1.0 if sys.platform == "darwin" else 1024.0
+    return round(maxrss * unit / (1 << 20), 1)
 
 
 class TimedSpan:

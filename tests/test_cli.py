@@ -332,6 +332,7 @@ class TestCli:
         ):
             assert name in out, f"span {name!r} missing from profile output"
         assert "route.pairs_routed" in out  # and the counters table
+        assert "maxrss MB" in out  # each top-level phase's peak RSS
         coverage = float(
             re.search(r"\((\d+(?:\.\d+)?)% coverage\)", out).group(1)
         )

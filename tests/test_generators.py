@@ -7,9 +7,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import reference_graph
 from repro.errors import GraphError
 from repro.graphs import generators as gen
 from repro.graphs.validation import check_graph
+from repro.store.store import graph_content_hash
+
+#: ``graph_content_hash(reference_graph(family, 2000, 0))``: any change to
+#: a generator's draws, its edge order or its weights moves these.
+FAMILY_PINS = {
+    "gnp": "23961d1bbd515bb27b153498cf6369108a78d388c827a751b1bbf762b36fecee",
+    "ba": "7bd0f151289bb836f5afa725b0176a4c7f6b68b7d52613ebf64275f9ab73703c",
+    "as-like": "20d03096066e05351a47791ff7d7521e5d33302171e705eba02193e9f43935fa",
+    "grid": "2751da3f5e3b13ee5120d87ada7bebaadfedc470aca42260dfdea35cfb59968a",
+    "geometric": "ee077b0cd21bc6e02e87010ab4989fa1ff2b938573e694e8284a14316dde3e88",
+}
+
+#: ``graph_content_hash(reference_graph("gnp", 10_000, seed))``, the
+#: size perfbench builds: the skip loop, the largest component and the
+#: weights drawn after the loop, per seed.
+GNP_10K_PINS = {
+    0: "ceb0bc2ed284ba338c30942b6e1b2d0b5930338c67733d3b82bf4542c82988a0",
+    1: "27bb071acaaa52e283a40ffa98c5e3bd13cb6a4507713262d16bcd469c4ea90a",
+    7: "12b17d43b15e68b1e9557ea752452b0501c7b6397cfc5145e69fca955bb2d863",
+}
+
+
+class TestPinnedContent:
+    """Byte-identical generation, on either kernel."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PINS))
+    def test_reference_family_pinned(self, family):
+        g = reference_graph(family, 2000, 0)
+        assert graph_content_hash(g) == FAMILY_PINS[family]
+
+    @pytest.mark.parametrize("seed", sorted(GNP_10K_PINS))
+    def test_gnp_10k_pinned(self, seed):
+        g = reference_graph("gnp", 10_000, seed)
+        assert graph_content_hash(g) == GNP_10K_PINS[seed]
 
 
 class TestRandomFamilies:

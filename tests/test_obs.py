@@ -33,7 +33,7 @@ from repro.obs import (
     write_metrics,
     write_trace,
 )
-from repro.obs.telemetry import NOOP_SPAN
+from repro.obs.telemetry import NOOP_SPAN, peak_rss_mb
 
 
 @pytest.fixture
@@ -159,6 +159,53 @@ def test_reset_clears_but_keeps_enabled(tm):
     tm.reset()
     assert tm.enabled
     assert tm.roots == [] and tm.counters == {}
+
+
+def test_stamp_child_rss_marks_direct_children(tm):
+    with tm.span("root"):
+        tm.stamp_child_rss()
+        with tm.span("a"):
+            with tm.span("a.inner"):
+                held = np.ones(4 << 20)  # 32 MB, resident while "a" closes
+            del held
+        with tm.span("b", kind="x"):
+            pass
+    root = tm.roots[0]
+    a, b = root.children
+    assert "maxrss_mb" not in root.attrs
+    assert "maxrss_mb" not in a.children[0].attrs
+    assert a.attrs["maxrss_mb"] >= 32
+    # The peak never falls: "b" closes after "a" released its block.
+    assert b.attrs["maxrss_mb"] >= a.attrs["maxrss_mb"]
+    rows = span_rows(tm)
+    assert [r["maxrss MB"] != "" for r in rows] == [False, True, False, True]
+    assert rows[3]["span"].strip() == "b[kind=x]"  # not in the label
+
+
+@pytest.mark.parametrize(
+    "platform, maxrss", [("linux", 3 << 10), ("darwin", 3 << 20), ("freebsd14", 3 << 10)]
+)
+def test_peak_rss_mb_reads_the_platforms_unit(monkeypatch, platform, maxrss):
+    import resource
+    import sys
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss))
+    assert peak_rss_mb() == 3.0
+
+
+def test_stamp_child_rss_is_a_noop_when_disabled_or_outside_a_span(tm):
+    tm.stamp_child_rss()  # no span open
+    with tm.span("root"):
+        with tm.span("a"):
+            pass
+    assert "maxrss_mb" not in tm.roots[0].children[0].attrs
+    assert "maxrss MB" not in span_rows(tm)[0]
+    off = Telemetry()
+    with off.span("root"):
+        off.stamp_child_rss()
+    assert off.roots == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,45 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.analysis.experiments import reference_graph
 from repro.errors import GraphError, PortError
 from repro.graphs import generators as gen
 from repro.graphs.ports import PortedGraph, assign_ports, designer_ports_for_tree
 from repro.graphs.validation import check_ports
+from repro.rng import derive
+from repro.store.store import port_hash
 
 from test_trees import rooted_from_graph
+
+#: ``port_hash(assign_ports(reference_graph("gnp", 10_000, seed), kind,
+#: rng=derive(seed, "ports")))``: store keys and golden fixtures depend
+#: on every port, so no assignment may move one.
+PORT_PINS = {
+    (0, "random"): "ffe2e2aa9755527f0f041858a2fabd1e7359a7ecfeba5fdc5820d3349688e21c",
+    (0, "sorted"): "89f4bfee32f00f3178e01264325e537526ebc954de1cdf5344d322174dbbaea2",
+    (0, "reversed"): "6bb6168f7f0039449572093e089d491a28f21209f5b2027f85c47c0685ce0a35",
+    (1, "random"): "3ca5f7878ad4c6bc6ac8a627d5925d2654e93a02c4f128f71623b6125b291cd8",
+    (1, "sorted"): "eadb498d1331b941f887c62d03caecb8897065936300e97dbb81e95d801785a9",
+    (1, "reversed"): "97418edda63cf43812dcbf60dfc2ddc76ffc493883001031c05c76862fdcdd33",
+    (7, "random"): "2530ff0a747241a6f31d192558580245b6aa83ebfef1a73afcbe79df969852ab",
+    (7, "sorted"): "68aaf8f2edd8fa20796b2f859f59559b1f5c292edeb6060d5fb24e6a1369b049",
+    (7, "reversed"): "97a02bb334213d24758eeeca4ca7597b8f2406e2a831fd02fc293b25912a9dc3",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _gnp_10k(seed: int):
+    return reference_graph("gnp", 10_000, seed)
+
+
+@pytest.mark.parametrize("seed,kind", sorted(PORT_PINS))
+def test_port_assignment_pinned(seed, kind):
+    ported = assign_ports(_gnp_10k(seed), kind, rng=derive(seed, "ports"))
+    assert port_hash(ported) == PORT_PINS[(seed, kind)]
 
 
 class TestAssignments:
