@@ -218,19 +218,20 @@ def test_kernels_speedup(setup):
         compiled.g_indptr,
         compiled.step,
     )
-    # Byte for byte: 8 int64 words per 64-byte record, the pad and the
-    # weights' bits included.
-    words = _ent_records(*record_args, "numpy").view(np.int64)
-    assert np.array_equal(words, _ent_records(*record_args, "native").view(np.int64))
+    light = (arrays.lp_indptr, arrays.lp_data, None)
+    # Byte for byte: 8 int64 words per 64-byte record, the weights' bits
+    # included.
+    words = _ent_records(*record_args, "numpy", light).view(np.int64)
+    assert np.array_equal(words, _ent_records(*record_args, "native", light).view(np.int64))
     assert np.array_equal(words, compiled.ent.view(np.int64))
     del words
 
     def one_worker_records(args):
         out = np.empty(args[0].shape[0], dtype=ENT_DTYPE)
-        return on_one_worker(compile_records_native, *args, out)
+        return on_one_worker(compile_records_native, *args, out, light)
 
     t_compile_numpy, t_compile_native = best_of_interleaved(
-        lambda: _ent_records(*record_args, "numpy"),
+        lambda: _ent_records(*record_args, "numpy", light),
         lambda: one_worker_records(record_args),
         repeats=5,
     )
@@ -238,7 +239,7 @@ def test_kernels_speedup(setup):
 
     # The hints' worth: without them every link searches its tree's slice.
     bare_args = record_args[:3] + (None,) + record_args[4:]
-    bare = _ent_records(*bare_args, "native")
+    bare = _ent_records(*bare_args, "native", light)
     assert np.array_equal(bare.view(np.int64), compiled.ent.view(np.int64))
     del bare
     t_hinted, t_bare = best_of_interleaved(

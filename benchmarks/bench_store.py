@@ -11,10 +11,15 @@ longer stored beside them, and drops the two bunch columns that were
 gathers of entry columns: 221.5 B/entry.  Format 5 narrows every
 per-entry integer column to int32, makes the entry record one 64-byte
 line and the step record 16 bytes, and stores the SPT parents and both
-entry links once, in the records: 125.0 B/entry.
+entry links once, in the records: 125.0 B/entry.  Format 6 stores each
+fact once: the record holds the ports and the light-port offset, the
+keys give way to an int32 member column, and the distances, centers,
+label bits and offsets are derived on load: 87.1 B/entry.
 :data:`BYTES_PER_ENTRY_CEILING` sits 2% above that, so a second copy of
-any per-entry column (4 B) fails it.  The bytes per entry of each blob
-are printed beside the total.
+any per-entry column (4 B) fails it.  The dtype and bytes per entry of
+each blob, read from the container's header
+(:func:`~repro.store.format.blob_bytes`, as ``repro store info``
+prints them), are printed beside the total.
 
 The load speedup — header parse + zero-copy memory map, ready to route,
 against re-running the vectorized builder — is reported, not gated: it
@@ -48,10 +53,11 @@ from repro.graphs.ports import assign_ports
 from repro.rng import make_rng, sample_pairs
 from repro.sim.engine.batch import BatchRouter
 from repro.sim.engine.compile import compile_from_arrays
-from repro.store import SchemeStore, read_container
+from repro.store import SchemeStore
+from repro.store.format import blob_bytes, read_header
 
-#: Container bytes per scheme entry at the default size (measured 125.0).
-BYTES_PER_ENTRY_CEILING = 127.5
+#: Container bytes per scheme entry at the default size (measured 87.1).
+BYTES_PER_ENTRY_CEILING = 88.8
 N_DEFAULT = 20_000
 K = 2
 SEED = 2025
@@ -79,15 +85,11 @@ def test_store_bytes_per_entry(setup, tmp_path):
     path = store.save(graph, ported, arrays, seed=SEED, compiled=compiled)
     size_mb = path.stat().st_size / 1e6
     bytes_per_entry = path.stat().st_size / arrays.entry_count
-    blobs = read_container(path)[1]
-    per_blob = {
-        name: blob.nbytes / arrays.entry_count
-        for name, blob in sorted(blobs.items(), key=lambda kv: -kv[1].nbytes)
-    }
-    del blobs  # the map
+    blobs = blob_bytes(read_header(path), arrays.entry_count)
+    per_blob = {name: row["bytes_per_entry"] for name, row in blobs.items()}
     print("\nbytes per entry, by blob:")
-    for name, share in per_blob.items():
-        print(f"  {name:<22} {share:7.2f}")
+    for name, row in blobs.items():
+        print(f"  {name:<22} {row['dtype']:<4} {row['bytes_per_entry']:7.2f}")
 
     # -- the cost with the store: open + mmap, ready to route -----------
     t_load = best_of(

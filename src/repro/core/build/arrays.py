@@ -36,7 +36,7 @@ builder made it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +44,9 @@ from ...errors import PreprocessingError
 from ...graphs.graph import Graph
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
+from ...kernels.records import derive_entries_native, derive_refusal
 from ...kernels.splice import assemble_native
-from ...trees.label_codec import TreeLabel, tree_label_bits_array
+from ...trees.label_codec import TreeLabel, _bit_length_array, tree_label_bits_array
 from ...trees.tz_tree import TreeLocalRecord
 from ..labels import LabelEntry, TZLabel
 from ..landmarks import Hierarchy
@@ -87,10 +88,14 @@ COLUMN_DTYPES: Dict[str, np.dtype] = {
 INDEX_LIMIT = 2**31
 
 
-def check_index_sizes(n: int, arcs: int, entries: int, error=PreprocessingError) -> None:
-    """Raise ``error`` unless ``n`` vertices, ``arcs`` arcs (2m) and
-    ``entries`` entries all fit the int32 columns of the width rule."""
-    sizes = {"vertices": n, "arcs": arcs, "entries": entries}
+def check_index_sizes(
+    n: int, arcs: int, entries: int, error=PreprocessingError, *, light_ports: int = 0
+) -> None:
+    """Raise ``error`` unless ``n`` vertices, ``arcs`` arcs (2m),
+    ``entries`` entries and ``light_ports`` light ports (the int32
+    ``lp_off`` record field indexes them) all fit the int32 columns of
+    the width rule."""
+    sizes = {"vertices": n, "arcs": arcs, "entries": entries, "light ports": light_ports}
     over = {what: int(size) for what, size in sizes.items() if size >= INDEX_LIMIT}
     if over:
         raise error(
@@ -128,6 +133,114 @@ def _locate(entry_keys: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
     if not np.all(entry_keys[pos] == keys):
         raise PreprocessingError(f"{what} is not a cluster entry (scheme invariant violated)")
     return pos
+
+
+#: The columns a scheme container does not store: each is an exact
+#: function of stored columns and the ``ent`` records, and a loaded
+#: :class:`SchemeArrays` derives it the first time a caller reads it
+#: (:func:`derive_entries`).  The keys and centers come from the tree
+#: slices ``cl_indptr`` and the members; the SPT parent is the member of
+#: the parent link; ``ent_dist`` is summed top down, ``d(e) =
+#: d(parent_epos(e)) + parent_wt(e)``, 0 at a root, which the build's
+#: tight-arc parents satisfy exactly in float64; ``lp_indptr`` is the
+#: records' ``lp_off`` column (the prefix sums of the light depths);
+#: ``mem_keys`` is ``entry_keys[mem_epos]``.
+DERIVED_COLUMNS = ("entry_keys", "ent_center", "ent_dist", "ent_parent", "lp_indptr", "mem_keys")
+
+
+def derive_entries_numpy(
+    tree_indptr: np.ndarray,
+    member: np.ndarray,
+    ent: np.ndarray,
+    lp_data: np.ndarray,
+    want: Tuple[str, ...],
+) -> Dict[str, np.ndarray]:
+    """The numpy reference of
+    :func:`~repro.kernels.records.derive_entries_native`: the same
+    columns, byte for byte, and the same refusals.  Only the refusal is
+    shared: this runs each check over every entry in turn, naming the
+    first entry of the first failing check, where the C pass meets the
+    faults tree by tree, so on records with several faults the two may
+    name different ones."""
+    n = tree_indptr.shape[0] - 1
+    E = member.shape[0]
+    sizes = np.diff(tree_indptr)
+    center = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    start, end = tree_indptr[:-1][center], tree_indptr[1:][center]
+    member64 = member.astype(np.int64)
+    pe = ent["parent_epos"].astype(np.int64)
+    f = ent["f"].astype(np.int64)
+    off = ent["lp_off"].astype(np.int64)
+    depth = ent["light_depth"].astype(np.int64)
+    inside = (pe >= start) & (pe < end)
+    checks = []
+    if "entry_keys" in want or "ent_parent" in want:
+        checks.append(("member", (member64 < 0) | (member64 >= n)))
+    if "ent_dist" in want or "ent_parent" in want:
+        checks.append(("link", (pe != -1) & ~(inside & (f[np.where(inside, pe, 0)] < f))))
+    if "ent_dist" in want:
+        slot = start + f
+        ranged = (f >= 0) & (f < sizes[center])
+        seen = np.zeros(E, dtype=bool)
+        if E:
+            order = np.flatnonzero(ranged)
+            _, index = np.unique(slot[order], return_index=True)
+            seen[order] = True
+            seen[order[index]] = False  # the first holder of each slot
+        checks.append(("dfs", ~ranged | seen))
+    light = "lp_indptr" in want or "label_bits" in want
+    if light:
+        expect = np.zeros(E, dtype=np.int64)
+        np.add(off[:-1], depth[:-1], out=expect[1:])
+        checks.append(("light", (off != expect) | (depth < 0) | (off + depth > lp_data.shape[0])))
+    for what, mask in checks:
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            raise derive_refusal(what, int(bad[0]))
+    out: Dict[str, np.ndarray] = {}
+    if "entry_keys" in want:
+        out["entry_keys"] = center.astype(np.int64) * np.int64(n) + member64
+    if "ent_center" in want:
+        out["ent_center"] = center
+    if "ent_parent" in want:
+        out["ent_parent"] = np.where(pe < 0, -1, member[np.maximum(pe, 0)]).astype(np.int32)
+    if "ent_dist" in want:
+        dist = np.zeros(E)
+        wt = ent["parent_wt"]
+        known = pe < 0
+        while not known.all():  # one depth of every tree per step
+            ready = ~known & known[np.maximum(pe, 0)]
+            dist[ready] = dist[pe[ready]] + wt[ready]
+            known |= ready
+        out["ent_dist"] = dist
+    if light:
+        total = int(off[-1] + depth[-1]) if E else 0
+        if total != lp_data.shape[0]:
+            raise derive_refusal("light", max(E - 1, 0))
+        lp_indptr = np.append(off, np.int64(total))
+        if "lp_indptr" in want:
+            out["lp_indptr"] = lp_indptr
+        if "label_bits" in want:
+            f_width = _bit_length_array(sizes - 1)[center]
+            out["label_bits"] = tree_label_bits_array(f_width, lp_indptr, lp_data).astype(np.int32)
+    return out
+
+
+def derive_entries(
+    tree_indptr: np.ndarray,
+    member: np.ndarray,
+    ent: np.ndarray,
+    lp_data: np.ndarray,
+    want: Tuple[str, ...],
+) -> Dict[str, np.ndarray]:
+    """The :data:`~repro.kernels.records.DERIVABLE` columns named in
+    ``want``, from a scheme's tree slices, members, ``ent`` records and
+    light ports, on the platform's kernel: the native derive pass, else
+    :func:`derive_entries_numpy`.  Refuses records it cannot read
+    through with :class:`~repro.errors.EncodingError`."""
+    if resolve_kernel("auto") == "native":
+        return derive_entries_native(tree_indptr, member, ent, lp_data, want)
+    return derive_entries_numpy(tree_indptr, member, ent, lp_data, want)
 
 
 @dataclass
@@ -173,20 +286,52 @@ class SchemeArrays:
 
     def __post_init__(self) -> None:
         """Refuse any column off the width rule (:data:`COLUMN_DTYPES`),
-        so no pass downstream meets a second dtype."""
+        so no pass downstream meets a second dtype.  A
+        :data:`DERIVED_COLUMNS` column given as None is derived on first
+        read (:meth:`__getattr__`)."""
+        cols = self.__dict__
+        for name in DERIVED_COLUMNS:
+            if cols[name] is None:
+                del cols[name]
         bad = [
             name
             for name, dtype in COLUMN_DTYPES.items()
-            if getattr(self, name).dtype != dtype
+            if name in cols and cols[name].dtype != dtype
         ]
         if bad:
             raise PreprocessingError(
                 f"scheme columns {bad} are not of their width-rule dtypes"
             )
 
+    #: The ``ent`` records of a loaded scheme, which its record-held
+    #: columns are fields of and its derived columns are computed from
+    #: (None for a built or patched scheme, which holds every column).
+    _records = None
+
+    def __getattr__(self, name: str):
+        """A :data:`DERIVED_COLUMNS` column given as None, derived from
+        the loaded records the first time it is read; from then on it is
+        an instance attribute like any given column (columns are
+        append-only, so the cache is safe).  The keys and centers come
+        together."""
+        if name not in DERIVED_COLUMNS:
+            raise AttributeError(name)
+        cols = self.__dict__
+        if name == "mem_keys":
+            cols[name] = self.entry_keys[self.mem_epos]
+        else:
+            if self._records is None:
+                raise AttributeError(f"{name} was neither given nor derivable")
+            pair = ("entry_keys", "ent_center")
+            want = tuple(w for w in pair if w not in cols) if name in pair else (name,)
+            cols.update(
+                derive_entries(self.cl_indptr, self.ent_member, self._records, self.lp_data, want)
+            )
+        return cols[name]
+
     @property
     def entry_count(self) -> int:
-        return int(self.entry_keys.shape[0])
+        return int(self.ent_member.shape[0])
 
     def tree_sizes(self) -> np.ndarray:
         """``|C(w)|`` per center, ``(n,)``."""
@@ -203,16 +348,23 @@ class SchemeArrays:
         all need this column, and at scale it dominates their shared
         cost (arrays are append-only once assembled, so the cache is
         safe).  :func:`~repro.sim.engine.compile.compile_from_arrays`
-        fills the cache from its record pass when it is empty.
+        fills the cache from its record pass when it is empty; a loaded
+        scheme, which stores no label bits, derives them from its records
+        (:func:`derive_entries`).
         """
-        cached = getattr(self, "_entry_label_bits", None)
+        cached = self.__dict__.get("_entry_label_bits")
         if cached is not None:
             return cached
-        sizes = self.tree_sizes()[self.ent_center]
-        # frexp exponent == bit_length; sizes - 1 == 0 -> 0-bit DFS field
-        # (single-vertex trees), matching label_codec._f_width.
-        f_width = np.frexp((sizes - 1).astype(np.float64))[1].astype(np.int64)
-        elb = tree_label_bits_array(f_width, self.lp_indptr, self.lp_data).astype(np.int32)
+        if self._records is not None:
+            elb = derive_entries(
+                self.cl_indptr, self.ent_member, self._records, self.lp_data, ("label_bits",)
+            )["label_bits"]
+        else:
+            sizes = self.tree_sizes()[self.ent_center]
+            # frexp exponent == bit_length; sizes - 1 == 0 -> 0-bit DFS field
+            # (single-vertex trees), matching label_codec._f_width.
+            f_width = np.frexp((sizes - 1).astype(np.float64))[1].astype(np.int64)
+            elb = tree_label_bits_array(f_width, self.lp_indptr, self.lp_data).astype(np.int32)
         self._entry_label_bits = elb
         return elb
 

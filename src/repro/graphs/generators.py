@@ -15,7 +15,7 @@ all distance arithmetic exact in float64 (see
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -205,6 +205,16 @@ def powerlaw_cluster(
     if m_attach < 1 or n <= m_attach:
         raise GraphError("need 1 <= m_attach < n")
     builder = GraphBuilder(n)
+    # Each vertex's neighbors in the order add_edge accepted its edges.
+    neighbors: List[List[int]] = [[] for _ in range(n)]
+
+    def attach(v: int, w: int) -> bool:
+        if not builder.add_edge(v, w):
+            return False
+        neighbors[v].append(w)
+        neighbors[w].append(v)
+        return True
+
     repeated: list = list(range(m_attach))
     for v in range(m_attach, n):
         count = 0
@@ -217,31 +227,19 @@ def powerlaw_cluster(
             if last_target >= 0 and gen.random() < triangle_p:
                 # Triangle step: attach to a random neighbor of the last
                 # target, closing a triangle.
-                nbrs = [u for u in builder_neighbors(builder, last_target) if u != v]
+                nbrs = [u for u in neighbors[last_target] if u != v]
                 if nbrs:
                     w = int(nbrs[int(gen.integers(0, len(nbrs)))])
-                    if builder.add_edge(v, w):
+                    if attach(v, w):
                         repeated.extend([w, v])
                         count += 1
                         continue
             t = int(repeated[int(gen.integers(0, len(repeated)))])
-            if builder.add_edge(v, t):
+            if attach(v, t):
                 repeated.extend([t, v])
                 last_target = t
                 count += 1
     return _apply_weights(builder.build(), weights, gen)
-
-
-def builder_neighbors(builder: GraphBuilder, u: int) -> Sequence[int]:
-    """Neighbors of ``u`` accumulated so far in a :class:`GraphBuilder`
-    (linear scan; only used by generators on modest sizes)."""
-    out = []
-    for a, b in builder._edges:
-        if a == u:
-            out.append(b)
-        elif b == u:
-            out.append(a)
-    return out
 
 
 def waxman(

@@ -5,8 +5,9 @@ The router's tree commit and synchronized hop loop
 thresholded frontier sweep and cluster-tree pass
 (``core/build/vectorized.py``, wrapped in :mod:`.frontier` and
 :mod:`.trees`), the compile pass that writes the entry records and
-label bits (``sim/engine/compile.py``, wrapped in :mod:`.records`) and
-the passes a patch makes over every entry, its splice and the derived
+label bits (``sim/engine/compile.py``, wrapped in :mod:`.records`), the
+pass that derives what a loaded container does not store
+(``core/build/arrays.py``, also in :mod:`.records`), the passes a patch makes over every entry, its splice and the derived
 structures of ``assemble_arrays`` (``core/build/patch.py`` and
 ``arrays.py``, wrapped in :mod:`.splice`), and the setup path's two
 draw loops, gnp's edge skipping and the random port permutations
@@ -15,9 +16,9 @@ draw loops, gnp's edge skipping and the random port permutations
 system C toolchain and loaded through ctypes (:mod:`._build`).  The
 numpy paths remain the bit-for-bit differential reference — the same
 contract the vectorized builder holds against the per-node reference
-builder — enforced by ``tests/test_kernels.py`` (and, for the patch and
-setup passes, ``tests/test_patch_passes.py`` and
-``tests/test_setup_passes.py``).  The kernels keep no
+builder — enforced by ``tests/test_kernels.py`` (and, for the patch,
+derive and setup passes, ``tests/test_patch_passes.py``,
+``tests/test_derived_columns.py`` and ``tests/test_setup_passes.py``).  The kernels keep no
 global state and ctypes releases the GIL for each call, which is what
 lets the worker pool (:mod:`repro.pool`) run the router's row chunks
 and the build and compile passes' entry ranges at once.

@@ -82,17 +82,17 @@ def _declare(lib: ctypes.CDLL) -> None:
         [_I64]  # count
         + [_PTR] * 2  # src, dst
         + [_PTR] * 8  # fail, tree, header, dest_f, lp_lo, lp_hi, epos_src, epos_dst
-        + [_I64] * 4  # n, k, id_bits, handshake
-        + [_PTR] * 10  # ent records, keys, tree_indptr, label bits, lp_indptr,
-        #                mem_keys, mem_epos, mem_indptr, root_epos, pivot
+        + [_I64] * 6  # n, k, id_bits, handshake, entry count, lp_data length
+        + [_PTR] * 9  # ent records, members, tree_indptr, lp_data, mem_member,
+        #               mem_epos, mem_indptr, root_epos, pivot
     )
     lib.tz_hop_loop.restype = _I64
     lib.tz_hop_loop.argtypes = (
         [_I64]  # count
         + [_PTR] * 7  # start..lp_hi
         + [_PTR] * 4  # delivered, weight, hops, fail
-        + [_I64]  # n
-        + [_PTR] * 6  # ent records, keys, tree_indptr, lp_data, g_indptr, steps
+        + [_I64, _I64]  # n, entry count
+        + [_PTR] * 6  # ent records, members, tree_indptr, lp_data, g_indptr, steps
         + [_PTR, _PTR]  # dead_masks, trial
         + [_I64, _I64]  # mask_width, ttl
     )
@@ -130,6 +130,14 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_PTR, _PTR, _I64]  # lp_indptr, lp_data, lp_data length
         + [_PTR] * 4  # out ent records, label bits (or NULL), refused entry,
         #               rejected hints
+    )
+    lib.tz_derive_entries.restype = _I64
+    lib.tz_derive_entries.argtypes = (
+        [_I64, _I64, _I64]  # n, entry range lo, hi
+        + [_PTR] * 4  # tree_indptr, members, ent records, lp_data
+        + [_I64]  # lp_data length
+        + [_PTR] * 8  # scratch order, out keys, centers, parents, dist,
+        #               lp_indptr, label bits (each or NULL), refused entry
     )
     lib.tz_splice.restype = None
     lib.tz_splice.argtypes = (

@@ -51,7 +51,12 @@
  *   links each neighbour by an exact-key lookup on strictly ascending
  *   keys, where a checked hint, a slice search and numpy's global
  *   searchsorted can only name the same unique entry.  Its label bits
- *   are integer sums of the same bit lengths numpy reads off frexp.
+ *   (and tz_commit's, and tz_derive_entries') are integer sums of the
+ *   same bit lengths numpy reads off frexp.
+ * - tz_derive_entries sums each distance as one float64 addition of
+ *   the parent's distance and the parent weight, as numpy does level by
+ *   level; every parent is summed before its child (DFS order), so each
+ *   addend is the same double.
  * - tz_splice copies rows and adds the same integer shifts as the
  *   numpy splice; the assemble passes make the same comparisons as
  *   numpy's masks, find the same unique keys as its searchsorted, and a
@@ -69,9 +74,12 @@
  * from vectorization, without the per-round array traffic.  Entry
  * records are one struct per entry — the layout the scheme is compiled
  * into and stored in, read here where it lies, memory-mapped or not —
- * so a hop touches one 64-byte cache line instead of thirteen columns, and the
- * record lookup after a light-port crossing binary-searches only the
- * committed tree's entry slice, not the global key table.
+ * so a parent or heavy hop touches one 64-byte cache line and nothing
+ * else, and the record lookup after a light-port crossing
+ * binary-searches only the committed tree's slice of the int32 member
+ * column.  The route kernels read a map nobody may have verified, so
+ * every index they take out of it is checked before it is read
+ * through (FAIL_CORRUPT).
  */
 
 #define _GNU_SOURCE /* mremap */
@@ -98,6 +106,7 @@
 #define FAIL_PORT 5
 #define FAIL_DEAD_LINK 6
 #define FAIL_TTL 7
+#define FAIL_CORRUPT 8
 
 /* Entry-position sentinel: crossed into a vertex with no record. */
 #define LOST (-2)
@@ -107,23 +116,27 @@
 /* ------------------------------------------------------------------ */
 
 /* One tree entry, one 64-byte cache line: field order and widths must
- * match ENT_DTYPE in repro/sim/engine/compile.py exactly (eleven int32
- * fields, a 4-byte pad the compile writes as zero, two doubles), which
- * tz_record_layout lets a test check field by field.  Its key lives in
- * the separate dense key array, which searches read. */
+ * match ENT_DTYPE in repro/sim/engine/compile.py exactly (twelve int32
+ * fields, two doubles), which tz_record_layout lets a test check field
+ * by field.  A parent or heavy hop reads nothing beyond this line: the
+ * entry link, edge id and weight of each move.  The ports are read only
+ * on the rare LOST path, where the neighbour is a step-row read, and
+ * lp_off/light_depth locate the entry's light-port slice in lp_data for
+ * the commit.  Its member is also kept in the separate dense member
+ * column, which slice searches read. */
 typedef struct {
     int32_t vertex;
     int32_t f;           /* DFS number */
     int32_t finish;
     int32_t heavy_finish;
-    int32_t light_depth;
+    int32_t light_depth; /* light edges above the member = slice length */
     int32_t parent_epos;
     int32_t parent_edge;
-    int32_t parent_next;
+    int32_t parent_port; /* 0 at the root */
     int32_t heavy_epos;
     int32_t heavy_edge;
-    int32_t heavy_next;
-    int32_t pad;         /* always 0, so a record's bytes are its fields' */
+    int32_t heavy_port;  /* 0 at a leaf */
+    int32_t lp_off;      /* first light port in lp_data */
     double parent_wt;
     double heavy_wt;
 } ent_rec;
@@ -139,9 +152,8 @@ _Static_assert(sizeof(ent_rec) == 64, "an entry record is one cache line");
 _Static_assert(sizeof(step_rec) == 16, "a step record is 16 bytes");
 
 /* The record layouts as this compiler lays them out: (offset, size) of
- * every ent_rec field but the pad, in declaration order, then
- * sizeof(ent_rec), then the same for step_rec.  Returns the count of
- * values written (31). */
+ * every ent_rec field, in declaration order, then sizeof(ent_rec), then
+ * the same for step_rec.  Returns the count of values written (33). */
 int64_t tz_record_layout(int64_t *out)
 {
     int64_t i = 0;
@@ -157,10 +169,11 @@ int64_t tz_record_layout(int64_t *out)
     FIELD(ent_rec, light_depth);
     FIELD(ent_rec, parent_epos);
     FIELD(ent_rec, parent_edge);
-    FIELD(ent_rec, parent_next);
+    FIELD(ent_rec, parent_port);
     FIELD(ent_rec, heavy_epos);
     FIELD(ent_rec, heavy_edge);
-    FIELD(ent_rec, heavy_next);
+    FIELD(ent_rec, heavy_port);
+    FIELD(ent_rec, lp_off);
     FIELD(ent_rec, parent_wt);
     FIELD(ent_rec, heavy_wt);
     out[i++] = (int64_t)sizeof(ent_rec);
@@ -187,6 +200,68 @@ static int64_t find_key(const int64_t *keys, int64_t lo, int64_t hi,
     return (lo < end && keys[lo] == key) ? lo : -1;
 }
 
+/* The same search over one tree's (or one source's) slice of an int32
+ * member column: the members of a slice strictly ascend, so the entry of
+ * (tree, v) is where v is. */
+static int64_t find_member(const int32_t *member, int64_t lo, int64_t hi,
+                           int64_t v)
+{
+    const int64_t end = hi;
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (member[mid] < v)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return (lo < end && member[lo] == v) ? lo : -1;
+}
+
+/* The bit length of |x|: frexp's exponent of (double)x for |x| < 2^53,
+ * which is how the numpy label-bit reference takes bit lengths
+ * (np.frexp(x.astype(float64))[1]); every value here is an int32 or a
+ * tree size, far below 2^53. */
+static inline int64_t bit_length(int64_t x)
+{
+    const uint64_t u = x < 0 ? -(uint64_t)x : (uint64_t)x;
+#if defined(__GNUC__) || defined(__clang__)
+    return u ? 64 - __builtin_clzll(u) : 0;
+#else
+    int64_t bits = 0;
+    for (uint64_t v = u; v; v >>= 1)
+        bits++;
+    return bits;
+#endif
+}
+
+/* Encoded tree-label bits (label_codec.tree_label_bits) of an entry of
+ * a tree with `size` members whose light ports are ports[0 .. count):
+ * the DFS number at the tree's width, bit_length(size - 1), then the
+ * port count Elias-delta coded as count + 1 and each port Elias-gamma
+ * coded. */
+static int64_t label_bits_of(int64_t size, const int32_t *ports, int64_t count)
+{
+    const int64_t bl = bit_length(count + 1);
+    int64_t bits = bit_length(size - 1) + 2 * (bit_length(bl) - 1) + 1 + bl - 1;
+    for (int64_t p = 0; p < count; p++)
+        bits += 2 * (bit_length(ports[p]) - 1) + 1;
+    return bits;
+}
+
+/* The neighbour a parent or heavy move of record r lands on, through
+ * its port's step row, for a move whose link is LOST (the neighbour has
+ * no record in the tree); -1 when the member, the port or the step
+ * row's neighbour is out of range (a damaged record). */
+static int64_t lost_neighbour(const ent_rec *r, int64_t port, int64_t n,
+                              const int64_t *g_indptr, const step_rec *step)
+{
+    const int64_t v = r->vertex;
+    if (v < 0 || v >= n || port < 1 || port > g_indptr[v + 1] - g_indptr[v])
+        return -1;
+    const int64_t next = step[g_indptr[v] + port - 1].next;
+    return next >= 0 && next < n ? next : -1;
+}
+
 /* Interleaving width: enough in-flight rows to keep the memory system
  * saturated with independent loads, small enough that all slot state
  * stays in registers/L1. */
@@ -196,7 +271,15 @@ static int64_t find_key(const int64_t *keys, int64_t lo, int64_t hi,
  * synchronized rounds the numpy loop would have executed (the maximum
  * over rows of the iteration count while that row was in flight), which
  * feeds the route.hop_iterations counter.  `fail` is read for rows that
- * failed at commit time (skipped) and written with the outcome code. */
+ * failed at commit time (skipped) and written with the outcome code.
+ *
+ * The records may come from an unverified map, so every index read out
+ * of one is checked before anything is read through it: an entry link
+ * in {-2, -1} or [0, E), a member and a landed neighbour in [0, n), a
+ * LOST move's port in [1, deg], a light depth >= 0 and an edge id below
+ * the dead-mask width.  A failed check retires the row with
+ * FAIL_CORRUPT.  The commit checked the start entry and the light-port
+ * slice [lp_lo, lp_hi) against the columns. */
 int64_t tz_hop_loop(
     int64_t count,
     const int64_t *start,            /* committed source entry per row */
@@ -211,8 +294,9 @@ int64_t tz_hop_loop(
     int64_t *hops,                   /* out (count) */
     int8_t *fail,                    /* in/out (count) */
     int64_t n,
+    int64_t E,
     const ent_rec *ent,              /* (E) entry records */
-    const int64_t *keys,             /* (E) sorted entry keys */
+    const int32_t *member,           /* (E) member per entry */
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
     const int32_t *lp_data,
     const int64_t *g_indptr,
@@ -226,7 +310,6 @@ int64_t tz_hop_loop(
     int64_t s_h[HOP_BATCH], s_it[HOP_BATCH], s_de[HOP_BATCH];
     int64_t s_dv[HOP_BATCH], s_tf[HOP_BATCH], s_lo[HOP_BATCH];
     int64_t s_hi[HOP_BATCH], s_tlo[HOP_BATCH], s_thi[HOP_BATCH];
-    int64_t s_key[HOP_BATCH];
     double s_w[HOP_BATCH];
     const uint8_t *s_mask[HOP_BATCH];
     int64_t rounds = 0, next_row = 0;
@@ -259,11 +342,12 @@ int64_t tz_hop_loop(
             s_hi[s] = lp_hi[row_];                                       \
             s_tlo[s] = tr_ >= 0 ? tree_indptr[tr_] : 0;                  \
             s_thi[s] = tr_ >= 0 ? tree_indptr[tr_ + 1] : 0;              \
-            s_key[s] = tr_ >= 0 ? tr_ * n : 0;                           \
             s_mask[s] =                                                  \
                 dead_masks ? dead_masks + trial[row_] * mask_width : 0;  \
             if (s_cur[s] >= 0)                                           \
                 PREFETCH(&ent[s_cur[s]]);                                \
+            if (s_hi[s] > s_lo[s])                                       \
+                PREFETCH(lp_data + s_lo[s]);                             \
         }                                                                \
     } while (0)
 
@@ -311,8 +395,12 @@ int64_t tz_hop_loop(
                     edge = r->parent_edge;
                     if (nxt == -1)
                         code = FAIL_ROOT_EXIT;
-                    else if (nxt == LOST)
-                        new_lost = r->parent_next;
+                    else if (nxt == LOST) {
+                        new_lost = lost_neighbour(r, r->parent_port, n, g_indptr, step);
+                        if (new_lost < 0)
+                            code = FAIL_CORRUPT;
+                    } else if (nxt < 0 || nxt >= E)
+                        code = FAIL_CORRUPT;
                 } else if (tf >= rec_f + 1 && tf <= r->heavy_finish) {
                     /* inside the heavy child's interval */
                     nxt = r->heavy_epos;
@@ -320,47 +408,60 @@ int64_t tz_hop_loop(
                     edge = r->heavy_edge;
                     if (nxt == -1)
                         code = FAIL_PORT;
-                    else if (nxt == LOST)
-                        new_lost = r->heavy_next;
+                    else if (nxt == LOST) {
+                        new_lost = lost_neighbour(r, r->heavy_port, n, g_indptr, step);
+                        if (new_lost < 0)
+                            code = FAIL_CORRUPT;
+                    } else if (nxt < 0 || nxt >= E)
+                        code = FAIL_CORRUPT;
                 } else {
                     /* light child: next port from the destination label */
-                    const int64_t lp_pos = s_lo[s] + r->light_depth;
-                    if (lp_pos >= s_hi[s]) {
+                    const int64_t depth = r->light_depth;
+                    const int64_t lp_pos = s_lo[s] + depth;
+                    const int64_t at = r->vertex;
+                    if (depth < 0) {
+                        code = FAIL_CORRUPT;
+                    } else if (lp_pos >= s_hi[s]) {
                         code = FAIL_LABEL;
+                    } else if (at < 0 || at >= n) {
+                        code = FAIL_CORRUPT;
                     } else {
                         const int64_t port = lp_data[lp_pos];
-                        const int64_t at = r->vertex;
                         const int64_t sp = g_indptr[at] + port - 1;
                         if (port < 1 || sp >= g_indptr[at + 1]) {
                             code = FAIL_PORT;
                         } else {
                             const step_rec *st = &step[sp];
                             const int64_t landed = st->next;
-                            /* A tree whose slice holds all n vertices
-                             * (a top-level landmark tree — the common
-                             * commit for far pairs) indexes directly:
-                             * slice keys are tr*n + 0..n-1 in order. */
-                            const int64_t pos =
-                                s_thi[s] - s_tlo[s] == n
-                                    ? s_tlo[s] + landed
-                                    : find_key(keys, s_tlo[s], s_thi[s],
-                                               s_key[s] + landed);
-                            if (pos >= 0) {
-                                nxt = pos;
+                            if (landed < 0 || landed >= n) {
+                                code = FAIL_CORRUPT;
                             } else {
-                                nxt = LOST;
-                                new_lost = landed;
+                                /* A tree whose slice holds all n vertices
+                                 * (a top-level landmark tree — the common
+                                 * commit for far pairs) indexes directly:
+                                 * its members are 0..n-1 in order. */
+                                const int64_t pos =
+                                    s_thi[s] - s_tlo[s] == n
+                                        ? s_tlo[s] + landed
+                                        : find_member(member, s_tlo[s], s_thi[s],
+                                                      landed);
+                                if (pos >= 0) {
+                                    nxt = pos;
+                                } else {
+                                    nxt = LOST;
+                                    new_lost = landed;
+                                }
+                                wt = st->wt;
+                                edge = st->edge;
                             }
-                            wt = st->wt;
-                            edge = st->edge;
                         }
                     }
                 }
+                if (code == FAIL_NONE && s_mask[s] && edge >= 0)
+                    code = edge >= mask_width ? FAIL_CORRUPT
+                           : s_mask[s][edge] ? FAIL_DEAD_LINK
+                                             : FAIL_NONE;
                 if (code != FAIL_NONE) {
-                    retire = 1;
-                    alive = s_it[s] + 1;
-                } else if (s_mask[s] && edge >= 0 && s_mask[s][edge]) {
-                    code = FAIL_DEAD_LINK;
                     retire = 1;
                     alive = s_it[s] + 1;
                 } else {
@@ -401,7 +502,6 @@ int64_t tz_hop_loop(
                         s_hi[s] = s_hi[nslots];
                         s_tlo[s] = s_tlo[nslots];
                         s_thi[s] = s_thi[nslots];
-                        s_key[s] = s_key[nslots];
                         s_mask[s] = s_mask[nslots];
                     }
                 }
@@ -419,10 +519,10 @@ int64_t tz_hop_loop(
 /* ------------------------------------------------------------------ */
 
 /* Entry index of (tree w, vertex v), or -1 when v has no record in T_w.
- * Only T_w's slice is searched; a slice holding all n vertices is
- * indexed directly, as in tz_hop_loop.  A w outside [0, n) names no
- * tree (its keys could not be in the table either). */
-static int64_t tree_entry(const int64_t *keys, const int64_t *tree_indptr,
+ * Only T_w's slice of the member column is searched; a slice holding
+ * all n vertices is indexed directly, as in tz_hop_loop.  A w outside
+ * [0, n) names no tree. */
+static int64_t tree_entry(const int32_t *member, const int64_t *tree_indptr,
                           int64_t n, int64_t w, int64_t v)
 {
     if (w < 0 || w >= n)
@@ -430,12 +530,24 @@ static int64_t tree_entry(const int64_t *keys, const int64_t *tree_indptr,
     const int64_t lo = tree_indptr[w], hi = tree_indptr[w + 1];
     if (hi - lo == n)
         return lo + v;
-    return find_key(keys, lo, hi, w * n + v);
+    return find_member(member, lo, hi, v);
 }
+
+/* Rows the commit carries through each of its three phases at once: its
+ * record reads and light-port reads depend on the selection, so each
+ * phase prefetches what the next reads for the whole block. */
+#define COMMIT_BLOCK 64
 
 /* Commit every row to a tree and write the eight columns the numpy
  * BatchRouter._commit returns.  Trivial rows (s == t) and rows with no
- * usable tree get the same defaults as the numpy path. */
+ * usable tree get the same defaults as the numpy path.  The header's
+ * label bits are computed here, from the committed tree's slice length
+ * and the destination's light ports: lp_off and light_depth sit on the
+ * record line read for f, and the ports are the slice the hop loop
+ * reads next.  Entry indices read from the member map and root_epos,
+ * and the destination's light-port slice, are checked against E and
+ * lp_len first; a row that fails a check gets FAIL_CORRUPT and the
+ * defaults. */
 void tz_commit(
     int64_t count,
     const int64_t *src,
@@ -452,84 +564,113 @@ void tz_commit(
     int64_t k,
     int64_t id_bits,
     int64_t handshake,
-    const ent_rec *ent,              /* (E) entry records (for f) */
-    const int64_t *keys,             /* (E) sorted entry keys */
+    int64_t E,
+    int64_t lp_len,
+    const ent_rec *ent,              /* (E) entry records */
+    const int32_t *member,           /* (E) member per entry */
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
-    const int32_t *label_bits,       /* (E) tree-label bits per entry */
-    const int64_t *lp_indptr,        /* (E+1) light-port CSR */
-    const int64_t *mem_keys,         /* (M) sorted source*n + member */
+    const int32_t *lp_data,          /* (lp_len) light ports */
+    const int32_t *mem_member,       /* (M) member-map members, by source */
     const int32_t *mem_epos,         /* (M) entry of (source, member) */
     const int64_t *mem_indptr,       /* (n+1) member-map slice per source */
     const int64_t *root_epos,        /* (n) entry of (v, v) */
     const int64_t *pivot)            /* (k, n) row-major */
 {
-    for (int64_t i = 0; i < count; i++) {
-        const int64_t s = src[i], t = dst[i];
-        int64_t w = -1, ep = -1, sp = -1;
-        if (s == t) {
-            /* trivial: no tree, both entries share a sentinel */
-        } else if (handshake) {
-            /* start at T_s; while the passive endpoint has no record,
-             * swap roles and move to the active one's next pivot */
-            int64_t x = s, y = t, cw = s;
-            int found = tree_entry(keys, tree_indptr, n, cw, y) >= 0;
-            for (int64_t level = 1; !found && level < k; level++) {
-                const int64_t tmp = x;
-                x = y;
-                y = tmp;
-                cw = pivot[level * n + x];
-                found = tree_entry(keys, tree_indptr, n, cw, y) >= 0;
-            }
-            if (found) {
-                ep = tree_entry(keys, tree_indptr, n, cw, t);
-                sp = tree_entry(keys, tree_indptr, n, cw, s);
-                if (ep >= 0 && sp >= 0)
-                    w = cw;
-            }
-        } else {
-            /* level 0: the destination is in the source's own cluster */
-            const int64_t j =
-                find_key(mem_keys, mem_indptr[s], mem_indptr[s + 1], s * n + t);
-            if (j >= 0) {
-                w = s;
-                ep = mem_epos[j];
-                sp = root_epos[s];
-            } else {
-                /* levels 1..k-1: the first pivot tree holding the
-                 * source decides; a missing destination record there
-                 * fails the row */
-                for (int64_t level = 1; level < k; level++) {
-                    const int64_t cw = pivot[level * n + t];
-                    const int64_t spos = tree_entry(keys, tree_indptr, n, cw, s);
-                    if (spos < 0)
-                        continue;
-                    const int64_t dpos = tree_entry(keys, tree_indptr, n, cw, t);
-                    if (dpos >= 0) {
+    for (int64_t i0 = 0; i0 < count; i0 += COMMIT_BLOCK) {
+        const int64_t i1 = i0 + COMMIT_BLOCK < count ? i0 + COMMIT_BLOCK : count;
+        /* selection: each row's tree and entries, its record prefetched */
+        for (int64_t i = i0; i < i1; i++) {
+            const int64_t s = src[i], t = dst[i];
+            int64_t w = -1, ep = -1, sp = -1;
+            int corrupt = 0;
+            if (s == t) {
+                /* trivial: no tree, both entries share a sentinel */
+            } else if (handshake) {
+                /* start at T_s; while the passive endpoint has no record,
+                 * swap roles and move to the active one's next pivot */
+                int64_t x = s, y = t, cw = s;
+                int found = tree_entry(member, tree_indptr, n, cw, y) >= 0;
+                for (int64_t level = 1; !found && level < k; level++) {
+                    const int64_t tmp = x;
+                    x = y;
+                    y = tmp;
+                    cw = pivot[level * n + x];
+                    found = tree_entry(member, tree_indptr, n, cw, y) >= 0;
+                }
+                if (found) {
+                    ep = tree_entry(member, tree_indptr, n, cw, t);
+                    sp = tree_entry(member, tree_indptr, n, cw, s);
+                    if (ep >= 0 && sp >= 0)
                         w = cw;
-                        ep = dpos;
-                        sp = spos;
+                }
+            } else {
+                /* level 0: the destination is in the source's own cluster */
+                const int64_t j =
+                    find_member(mem_member, mem_indptr[s], mem_indptr[s + 1], t);
+                if (j >= 0) {
+                    w = s;
+                    ep = mem_epos[j];
+                    sp = root_epos[s];
+                    corrupt = ep < 0 || ep >= E || sp < 0 || sp >= E;
+                } else {
+                    /* levels 1..k-1: the first pivot tree holding the
+                     * source decides; a missing destination record there
+                     * fails the row */
+                    for (int64_t level = 1; level < k; level++) {
+                        const int64_t cw = pivot[level * n + t];
+                        const int64_t spos = tree_entry(member, tree_indptr, n, cw, s);
+                        if (spos < 0)
+                            continue;
+                        const int64_t dpos = tree_entry(member, tree_indptr, n, cw, t);
+                        if (dpos >= 0) {
+                            w = cw;
+                            ep = dpos;
+                            sp = spos;
+                        }
+                        break;
                     }
-                    break;
                 }
             }
-        }
-        tree[i] = w;
-        if (w >= 0) {
-            fail[i] = FAIL_NONE;
-            header[i] = 2 * id_bits + label_bits[ep];
-            dest_f[i] = ent[ep].f;
-            lp_lo[i] = lp_indptr[ep];
-            lp_hi[i] = lp_indptr[ep + 1];
-            epos_src[i] = sp;
+            if (w >= 0 && !corrupt)
+                PREFETCH(&ent[ep]);
+            tree[i] = corrupt ? -1 : w;
+            fail[i] = corrupt ? FAIL_CORRUPT : w >= 0 || s == t ? FAIL_NONE : FAIL_NO_TREE;
             epos_dst[i] = ep;
-        } else {
-            fail[i] = s == t ? FAIL_NONE : FAIL_NO_TREE;
-            header[i] = 2 * id_bits;
-            dest_f[i] = 0;
-            lp_lo[i] = 0;
-            lp_hi[i] = 0;
-            epos_src[i] = -7;
-            epos_dst[i] = -7;
+            epos_src[i] = sp;
+        }
+        /* the destination's record: its light-port slice, prefetched */
+        for (int64_t i = i0; i < i1; i++) {
+            int64_t lo = 0, depth = 0;
+            if (tree[i] >= 0) {
+                const ent_rec *r = &ent[epos_dst[i]];
+                lo = r->lp_off;
+                depth = r->light_depth;
+                dest_f[i] = r->f;
+                if (lo < 0 || depth < 0 || lo + depth > lp_len) {
+                    tree[i] = -1;
+                    fail[i] = FAIL_CORRUPT;
+                } else if (depth) {
+                    PREFETCH(lp_data + lo);
+                }
+            }
+            lp_lo[i] = lo;
+            lp_hi[i] = lo + depth;
+        }
+        /* the header, or the defaults of a row with no tree */
+        for (int64_t i = i0; i < i1; i++) {
+            const int64_t w = tree[i];
+            if (w >= 0) {
+                header[i] = 2 * id_bits +
+                            label_bits_of(tree_indptr[w + 1] - tree_indptr[w],
+                                          lp_data + lp_lo[i], lp_hi[i] - lp_lo[i]);
+            } else {
+                header[i] = 2 * id_bits;
+                dest_f[i] = 0;
+                lp_lo[i] = 0;
+                lp_hi[i] = 0;
+                epos_src[i] = -7;
+                epos_dst[i] = -7;
+            }
         }
     }
 }
@@ -1139,20 +1280,20 @@ typedef struct {
 
 /* Resolve one parent or heavy move of member v through its step row
  * (port 0 = no move) and link the neighbour back to its entry in the
- * same tree: the hint when it lies in the slice and holds the key,
- * else a search of the slice, else LOST.  Both shortcuts are measured:
- * under the build's own ports the hint halves the pass, and the full-n
- * index halves a hint-less one (bench_kernels gates the hint). */
-static void resolve_move(const tree_slice *t, const step_rec *row,
-                         int64_t port, int64_t hint, int32_t *epos,
-                         double *wt, int32_t *edge, int32_t *next)
+ * same tree: the hint when it lies in the slice and holds the member,
+ * else a search of the slice, else LOST.  Returns the neighbour (-1 for
+ * no move).  Both shortcuts are measured: under the build's own ports
+ * the hint halves the pass, and the full-n index halves a hint-less one
+ * (bench_kernels gates the hint). */
+static int64_t resolve_move(const tree_slice *t, const step_rec *row,
+                            int64_t port, int64_t hint, int32_t *epos,
+                            double *wt, int32_t *edge)
 {
     if (port == 0) {
         *epos = -1;
         *wt = 0.0;
         *edge = -1;
-        *next = -1;
-        return;
+        return -1;
     }
     const step_rec *st = &row[port - 1];
     const int64_t key = t->base + st->next;
@@ -1166,45 +1307,29 @@ static void resolve_move(const tree_slice *t, const step_rec *row,
     *epos = (int32_t)(pos >= 0 ? pos : LOST);
     *wt = st->wt;
     *edge = st->edge;
-    *next = st->next;
-}
-
-/* frexp's exponent of (double)x, which is x's bit length for
- * 0 <= x < 2^53: the numpy label-bit reference takes bit lengths as
- * np.frexp(x.astype(float64))[1], so this reads the same field of the
- * same double (every int64 converts to 0 or a normal double). */
-static inline int64_t frexp_exp(int64_t x)
-{
-    union {
-        double d;
-        uint64_t b;
-    } u;
-    u.d = (double)x;
-    const int64_t biased = (int64_t)((u.b >> 52) & 0x7ff);
-    return biased ? biased - 1022 : 0;
+    return st->next;
 }
 
 /* Write every entry record of a compiled scheme in one pass over the
  * key-sorted entries, tree slice by tree slice: the five tree-record
- * fields as given, then each parent and heavy port resolved through
- * step[g_indptr[v] + port - 1] to neighbour, weight and edge, and the
- * neighbour linked to its entry in the same tree.  The hints (NULL when
- * the caller has none) are the build's own entry links; they are
- * checked, never trusted, so any hint yields the same record.  The
- * range's *rejected counts the entries whose record differs from a
- * hint: a parent or heavy link other than the hinted one, or a parent
- * neighbour other than parent_vertex (the build's SPT parent).  A pass
- * that rejects none wrote those three record fields equal, value for
- * value, to the three hint columns, which a save then need not store
- * or compare twice.  Without hints every entry counts as rejected.
+ * fields and the two ports as given, each port resolved through
+ * step[g_indptr[v] + port - 1] to weight and edge and its neighbour
+ * linked to its entry in the same tree, and the offset of the entry's
+ * light-port slice.  The hints (NULL when the caller has none) are the
+ * build's own entry links; they are checked, never trusted, so any hint
+ * yields the same record.  The range's *rejected counts the entries
+ * whose record differs from a hint: a parent or heavy link other than
+ * the hinted one, or a parent neighbour other than parent_vertex (the
+ * build's SPT parent).  A pass that rejects none wrote the two links
+ * equal, value for value, to the two link columns, and the SPT parent
+ * is then the member of the parent link, which a save need store or
+ * compare nowhere else.  Without hints every entry counts as rejected.
  *
- * Given the light-port CSR (lp_indptr may be NULL), the pass checks
- * every entry's slice lp_indptr[e] .. lp_indptr[e+1] against
- * [0, lp_len] and, unless label_bits is NULL, writes the entry's
- * encoded tree-label bits (label_codec.tree_label_bits): the DFS number
- * at the width of its tree, bit_length(slice length - 1), then the
- * light-port count Elias-delta coded as count + 1 and each port of the
- * slice Elias-gamma coded.
+ * The pass checks every entry's light-port slice lp_indptr[e] ..
+ * lp_indptr[e+1] against [0, lp_len] and its length against the light
+ * depth, and writes lp_indptr[e] as the record's lp_off (the caller
+ * refuses lp_len >= 2^31).  Unless label_bits is NULL it also writes
+ * the entry's encoded tree-label bits (label_bits_of).
  *
  * Keys strictly ascend, so each is unique: a checked hint, a search of
  * the tree's slice and numpy's global searchsorted name the same entry,
@@ -1214,8 +1339,8 @@ static inline int64_t frexp_exp(int64_t x)
  * Refuses, before resolving the entry at fault, what numpy would
  * resolve wrongly: keys out of order or range, a member that is not
  * its key mod n, a port past its member's row, and a light-port slice
- * outside lp_data.  Returns 0 or a RECORDS_* code with the entry at
- * *bad.
+ * outside lp_data or not light_depth long.  Returns 0 or a RECORDS_*
+ * code with the entry at *bad.
  *
  * Every array is the whole entry column and the pass covers only
  * entries [lo, hi), which the caller cuts where the tree id strictly
@@ -1240,7 +1365,7 @@ int64_t tz_compile_records(
     const int32_t *parent_vertex,
     const int64_t *g_indptr,         /* (n+1) step row per vertex */
     const step_rec *step,            /* (2m) half-arc records */
-    const int64_t *lp_indptr,        /* NULL or (E+1) light-port slices */
+    const int64_t *lp_indptr,        /* (E+1) light-port slices */
     const int32_t *lp_data,          /* (lp_len) light ports */
     int64_t lp_len,
     ent_rec *ent,                    /* out (E) */
@@ -1267,7 +1392,6 @@ int64_t tz_compile_records(
         t.hi = b;
         t.base = base;
         t.full = b - a == n;
-        const int64_t f_width = frexp_exp(b - a - 1);
         for (int64_t e = a; e < b; e++) {
             const int64_t v = vertex[e];
             if (v != keys[e] - base) {
@@ -1284,19 +1408,13 @@ int64_t tz_compile_records(
                 *bad = e;
                 return RECORDS_HEAVY;
             }
-            const int64_t p0 = lp_indptr ? lp_indptr[e] : 0;
-            const int64_t p1 = lp_indptr ? lp_indptr[e + 1] : 0;
-            if (p0 < 0 || p1 < p0 || p1 > lp_len) {
+            const int64_t p0 = lp_indptr[e], p1 = lp_indptr[e + 1];
+            if (p0 < 0 || p1 < p0 || p1 > lp_len || p1 - p0 != light_depth[e]) {
                 *bad = e;
                 return RECORDS_LIGHT;
             }
-            if (label_bits) {
-                const int64_t bl = frexp_exp(p1 - p0 + 1);
-                int64_t bits = f_width + 2 * (frexp_exp(bl) - 1) + 1 + bl - 1;
-                for (int64_t p = p0; p < p1; p++)
-                    bits += 2 * (frexp_exp(lp_data[p]) - 1) + 1;
-                label_bits[e] = (int32_t)bits;
-            }
+            if (label_bits)
+                label_bits[e] = (int32_t)label_bits_of(b - a, lp_data + p0, p1 - p0);
             const step_rec *row = step + g_indptr[v];
             ent_rec *r = &ent[e];
             r->vertex = (int32_t)v;
@@ -1304,20 +1422,150 @@ int64_t tz_compile_records(
             r->finish = finish[e];
             r->heavy_finish = heavy_finish[e];
             r->light_depth = light_depth[e];
-            r->pad = 0;
-            resolve_move(&t, row, pp, parent_hint ? parent_hint[e] : -1,
-                         &r->parent_epos, &r->parent_wt, &r->parent_edge,
-                         &r->parent_next);
+            r->parent_port = (int32_t)pp;
+            r->heavy_port = (int32_t)hp;
+            r->lp_off = (int32_t)p0;
+            const int64_t parent =
+                resolve_move(&t, row, pp, parent_hint ? parent_hint[e] : -1,
+                             &r->parent_epos, &r->parent_wt, &r->parent_edge);
             resolve_move(&t, row, hp, heavy_hint ? heavy_hint[e] : -1,
-                         &r->heavy_epos, &r->heavy_wt, &r->heavy_edge,
-                         &r->heavy_next);
+                         &r->heavy_epos, &r->heavy_wt, &r->heavy_edge);
             if (parent_hint)
                 differ += r->parent_epos != parent_hint[e] ||
                           r->heavy_epos != heavy_hint[e] ||
-                          r->parent_next != parent_vertex[e];
+                          parent != parent_vertex[e];
         }
     }
     *rejected = differ;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Load: the columns a container derives instead of storing            */
+/* ------------------------------------------------------------------ */
+
+/* Block of row e: the largest c with cl_indptr[c] <= e, c in [0, n). */
+static int64_t block_of(int64_t n, const int64_t *cl_indptr, int64_t e)
+{
+    int64_t a = 0, b = n;
+    while (b - a > 1) {
+        const int64_t mid = a + ((b - a) >> 1);
+        if (cl_indptr[mid] <= e)
+            a = mid;
+        else
+            b = mid;
+    }
+    return a;
+}
+
+/* Return codes of tz_derive_entries: keep in sync with
+ * kernels/records.py.  Each names what the pass refused at *bad. */
+#define DERIVE_MEMBER (-1) /* a member outside [0, n) */
+#define DERIVE_DFS (-2)    /* DFS numbers not a permutation of the tree */
+#define DERIVE_LINK (-3)   /* a parent link outside its tree or below it */
+#define DERIVE_LIGHT (-4)  /* light-port slices not back to back in lp_data */
+
+/* Derive, for entries [lo, hi) (cut where a tree of tree_indptr ends),
+ * what a scheme container does not store, each output NULL when not
+ * wanted:
+ *
+ * - keys = tree * n + member and center = tree, the tree being the
+ *   block of tree_indptr holding the entry;
+ * - parent = the member of the parent link, -1 at the root (the SPT
+ *   parent, since the links are the build's own);
+ * - dist, top down in DFS order (a parent's DFS number is below its
+ *   child's): 0 at the root, else dist(parent link) + parent_wt, the
+ *   float64 sum the build's tight-arc parents satisfy exactly;
+ * - lp_indptr = lp_off of each entry (the caller writes row E);
+ * - label_bits, as tz_compile_records writes them.
+ *
+ * The records may come from an unverified map, so whatever is read
+ * through is checked first, in this order per tree: members (for keys
+ * and parent), DFS numbers and parent links (for dist and parent),
+ * light-port slices, each starting where the last ends and inside
+ * lp_data (for lp_indptr and label_bits).  order is scratch of E int32
+ * rows, written only inside the range (NULL unless dist is wanted).
+ * Returns 0 or a DERIVE_* code with the entry at *bad. */
+int64_t tz_derive_entries(
+    int64_t n,
+    int64_t lo,
+    int64_t hi,
+    const int64_t *tree_indptr,      /* (n+1) entry slice per tree */
+    const int32_t *member,           /* (E) member per entry */
+    const ent_rec *ent,              /* (E) entry records */
+    const int32_t *lp_data,          /* (lp_len) light ports */
+    int64_t lp_len,
+    int32_t *order,                  /* scratch (E), or NULL */
+    int64_t *keys,                   /* out (E), or NULL */
+    int32_t *center,                 /* out (E), or NULL */
+    int32_t *parent,                 /* out (E), or NULL */
+    double *dist,                    /* out (E), or NULL */
+    int64_t *lp_indptr,              /* out (E+1), or NULL */
+    int32_t *label_bits,             /* out (E), or NULL */
+    int64_t *bad)                    /* out: the refused entry */
+{
+    if (lo >= hi)
+        return 0;
+    const int light = lp_indptr || label_bits;
+    /* slices lie back to back from 0: the range's first one starts where
+     * the entry before it ends, as in a one-range pass */
+    int64_t next_off = lo ? (int64_t)ent[lo - 1].lp_off + ent[lo - 1].light_depth : 0;
+    for (int64_t c = block_of(n, tree_indptr, lo); c < n && tree_indptr[c] < hi; c++) {
+        const int64_t a = tree_indptr[c], b = tree_indptr[c + 1], size = b - a;
+        for (int64_t e = a; e < b; e++) {
+            const int64_t v = member[e];
+            if ((keys || parent) && (v < 0 || v >= n)) {
+                *bad = e;
+                return DERIVE_MEMBER;
+            }
+            if (keys)
+                keys[e] = c * n + v;
+            if (center)
+                center[e] = (int32_t)c;
+        }
+        if (dist || parent) {
+            for (int64_t e = a; e < b; e++) {
+                const int64_t pe = ent[e].parent_epos;
+                if (pe != -1 && (pe < a || pe >= b || ent[pe].f >= ent[e].f)) {
+                    *bad = e;
+                    return DERIVE_LINK;
+                }
+                if (parent)
+                    parent[e] = pe < 0 ? -1 : member[pe];
+            }
+        }
+        if (dist) {
+            for (int64_t e = a; e < b; e++)
+                order[e] = -1;
+            for (int64_t e = a; e < b; e++) {
+                const int64_t at = ent[e].f;
+                if (at < 0 || at >= size || order[a + at] >= 0) {
+                    *bad = e;
+                    return DERIVE_DFS;
+                }
+                order[a + at] = (int32_t)e;
+            }
+            /* DFS order: every parent link is summed before its child */
+            for (int64_t i = a; i < b; i++) {
+                const int64_t e = order[i], pe = ent[e].parent_epos;
+                dist[e] = pe < 0 ? 0.0 : dist[pe] + ent[e].parent_wt;
+            }
+        }
+        if (light) {
+            for (int64_t e = a; e < b; e++) {
+                const int64_t off = ent[e].lp_off, depth = ent[e].light_depth;
+                if (off != next_off || depth < 0 || off + depth > lp_len) {
+                    *bad = e;
+                    return DERIVE_LIGHT;
+                }
+                next_off = off + depth;
+                if (lp_indptr)
+                    lp_indptr[e] = off;
+                if (label_bits)
+                    label_bits[e] = (int32_t)label_bits_of(size, lp_data + off, depth);
+            }
+        }
+    }
     return 0;
 }
 
@@ -1448,20 +1696,6 @@ void tz_splice_same(
 /* Return codes of the assemble passes: keep in sync with
  * kernels/splice.py. */
 #define ASSEMBLE_MEMBER (-1) /* a member outside [0, n) */
-
-/* Block of row e: the largest c with cl_indptr[c] <= e, c in [0, n). */
-static int64_t block_of(int64_t n, const int64_t *cl_indptr, int64_t e)
-{
-    int64_t a = 0, b = n;
-    while (b - a > 1) {
-        const int64_t mid = a + ((b - a) >> 1);
-        if (cl_indptr[mid] <= e)
-            a = mid;
-        else
-            b = mid;
-    }
-    return a;
-}
 
 /* ent_center and entry_keys = center * n + member of rows [lo, hi),
  * the center of row e being the block of cl_indptr holding it. */

@@ -11,14 +11,20 @@ is bit-for-bit equal (``tests/test_kernels.py``).
 Both wrappers take the :class:`~repro.sim.engine.compile.CompiledScheme`
 itself and hand the kernels pointers to its own memory, fresh compile
 or mapped container alike: its ``ent`` and ``step`` columns already
-are the record tables the C structs describe (so a hop touches one
-64-byte cache line instead of thirteen scattered columns), and its
-other columns are C-contiguous int64 or, per entry, int32 — the
-scheme's construction check guarantees both, so nothing is converted
-or copied before a route.
-Every lookup either kernel makes binary-searches one slice of a sorted
-key table — the scheme's ``tree_indptr`` per tree root, ``mem_indptr``
-per source's member map — or indexes a full-n tree slice directly.
+are the record tables the C structs describe (so a parent or heavy hop
+touches one 64-byte cache line and nothing else), and its other columns
+are C-contiguous int64 or, per entry, int32 — the scheme's construction
+check guarantees both, so nothing is converted or copied before a
+route.  Every lookup either kernel makes binary-searches one slice of
+an int32 member column — ``ent_member`` inside ``tree_indptr``'s slice
+of a tree root, ``mem_member`` inside ``mem_indptr``'s slice of a
+source's member map — or indexes a full-n tree slice directly.  The
+commit computes each header's label bits from the destination's record
+and light ports; no per-entry label-bit column is read.
+
+The columns may be views of an unverified map: both kernels check every
+index they read out of a record, the member map or ``root_epos`` before
+reading through it, and fail the row with ``FAIL_CORRUPT`` instead.
 
 The kernels only read the scheme, so any number of threads may route
 through one at once; and because they read the scheme's own memory, an
@@ -86,12 +92,13 @@ def commit_native(cs, src: np.ndarray, dst: np.ndarray, state: Tuple[np.ndarray,
         cs.k,
         cs.id_bits,
         int(bool(cs.handshake)),
+        cs.entry_count,
+        int(cs.lp_data.shape[0]),
         _ptr(cs.ent),
-        _ptr(cs.entry_keys),
+        _ptr(cs.ent_member),
         _ptr(cs.tree_indptr),
-        _ptr(cs.ent_label_bits),
-        _ptr(cs.lp_indptr),
-        _ptr(cs.mem_keys),
+        _ptr(cs.lp_data),
+        _ptr(cs.mem_member),
         _ptr(cs.mem_epos),
         _ptr(cs.mem_indptr),
         _ptr(cs.root_epos),
@@ -157,8 +164,9 @@ def hop_loop_native(
         _ptr(hops),
         _ptr(fail),
         cs.n,
+        cs.entry_count,
         _ptr(cs.ent),
-        _ptr(cs.entry_keys),
+        _ptr(cs.ent_member),
         _ptr(cs.tree_indptr),
         _ptr(cs.lp_data),
         _ptr(cs.g_indptr),

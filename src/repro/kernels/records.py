@@ -1,15 +1,16 @@
-"""ctypes wrapper for the native compile pass over the entry records.
+"""ctypes wrappers for the native passes over the entry records.
 
 ``tz_compile_records`` walks the key-sorted ``(tree * n + member)``
 entries one tree slice at a time and writes each ``ENT_DTYPE`` record:
-the five tree-record fields, then the parent and heavy ports resolved
-through the step records to neighbour, weight and edge id, and each
-neighbour linked back to its entry in the same tree — the records the
-numpy ``_resolve_ports`` + ``_link_entries`` of ``sim/engine/compile.py``
-write, bit for bit (``tests/test_kernels.py`` holds every byte to
-equality).  The same pass writes each entry's encoded tree-label bits,
-the f-width read off its slice's length, as numpy's ``_label_bits``
-computes them.
+the five tree-record fields and the two ports, each port resolved
+through the step records to weight and edge id and its neighbour linked
+back to an entry in the same tree, and the offset of the entry's
+light-port slice — the records the numpy ``_resolve_ports`` +
+``_link_entries`` of ``sim/engine/compile.py`` write, bit for bit
+(``tests/test_kernels.py`` holds every byte to equality).  The same pass
+checks each light-port slice and writes each entry's encoded tree-label
+bits, the f-width read off its slice's length, as numpy's
+``_label_bits`` computes them.
 
 A link is the caller's hint (the build's own ``ent_parent_epos`` /
 ``ent_heavy_epos``) when the hint lies in the entry's tree slice and
@@ -22,19 +23,26 @@ the build's own links, which a save then stores once.  What numpy would
 resolve wrongly is refused inline with the :data:`REFUSALS` the numpy
 path raises too.
 
+``tz_derive_entries`` is the load side: from a container's tree slices,
+member column and records it derives the columns a scheme container
+does not store (:func:`derive_entries_native`; the numpy reference is
+``core/build/arrays.py::derive_entries_numpy``).  Its input may be an
+unverified map, so it checks what it reads through and refuses with
+:data:`DERIVE_REFUSALS`.
+
 Every entry column is int32 and every key int64 (the width rule of
 :data:`~repro.core.build.arrays.COLUMN_DTYPES`); :func:`record_layout`
 reads back how the C compiler laid out the two record structs.
 
-The pass runs on the worker pool (:mod:`repro.pool`), one range of whole
-trees per worker (:func:`~repro.kernels.trees.tree_ranges`), each
-writing its own rows of ``out``; a refusal names its global entry
-index, from the first refusing range.
+Both passes run on the worker pool (:mod:`repro.pool`), one range of
+whole trees per worker (:func:`~repro.kernels.trees.tree_ranges`), each
+writing its own rows; a refusal names its global entry index, from the
+first refusing range.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +51,17 @@ from ..errors import EncodingError
 from . import _build
 from .trees import tree_ranges
 
-__all__ = ["REFUSALS", "compile_records_native", "record_layout", "refusal"]
+#: One past the largest light-port offset the int32 ``lp_off`` holds.
+_LP_LIMIT = 2**31
+
+__all__ = [
+    "DERIVE_REFUSALS",
+    "REFUSALS",
+    "compile_records_native",
+    "derive_entries_native",
+    "record_layout",
+    "refusal",
+]
 
 #: What the compile pass refuses, on either kernel, by name.
 REFUSALS = {
@@ -51,7 +69,7 @@ REFUSALS = {
     "member": "its member is not its key mod n",
     "parent": "its parent port lies outside [0, deg(member)]",
     "heavy": "its heavy port lies outside [0, deg(member)]",
-    "light": "its light-port slice lies outside lp_data",
+    "light": "its light-port slice lies outside lp_data or is not its light depth long",
 }
 
 #: Return codes of ``tz_compile_records`` (``RECORDS_*`` in ``_native.c``).
@@ -67,12 +85,12 @@ def refusal(what: str, entry: int) -> EncodingError:
 
 
 #: The fields of ``ent_rec`` and ``step_rec`` in declaration order, as
-#: ``tz_record_layout`` reports them (the pad of ``ent_rec`` excepted).
+#: ``tz_record_layout`` reports them.
 _LAYOUT_FIELDS = {
     "ent": (
         "vertex", "f", "finish", "heavy_finish", "light_depth", "parent_epos",
-        "parent_edge", "parent_next", "heavy_epos", "heavy_edge", "heavy_next",
-        "parent_wt", "heavy_wt",
+        "parent_edge", "parent_port", "heavy_epos", "heavy_edge", "heavy_port",
+        "lp_off", "parent_wt", "heavy_wt",
     ),
     "step": ("next", "edge", "wt"),
 }
@@ -82,9 +100,7 @@ def record_layout() -> Dict[str, Tuple[Dict[str, Tuple[int, int]], int]]:
     """How the C compiler laid out the record structs: per record
     column (``"ent"``, ``"step"``), each field's ``(offset, size)`` in
     bytes and the struct's size."""
-    lib = _build.load()
-    if lib is None:  # pragma: no cover - callers resolve the kernel first
-        raise RuntimeError(f"native kernels unavailable: {_build.native_error()}")
+    lib = _lib()
     values = np.zeros(64, dtype=np.int64)
     used = lib.tz_record_layout(values.ctypes.data)
     words = iter(values[:used].tolist())
@@ -103,7 +119,7 @@ def compile_records_native(
     g_indptr: np.ndarray,
     step: np.ndarray,
     out: np.ndarray,
-    light: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
+    light: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
     rejected: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Fill ``out``, one entry record per key, and return it.
@@ -111,22 +127,21 @@ def compile_records_native(
     ``keys`` is int64; ``record`` holds the int32 tree-record fields
     (``vertex`` through ``light_depth``), ``ports`` the int32 parent and
     heavy ports (0 = none), ``links`` the int32 parent-link, heavy-link
-    and parent-vertex hints or None.  ``light``, when given, is
-    ``(lp_indptr, lp_data, bits)``: the int64/int32 light-port CSR,
-    whose slices the pass checks, and a contiguous int32 column it fills
-    with each entry's tree-label bits (or None).  ``step`` and ``out``
-    must be contiguous record columns of 16 and 64 bytes a row.
-    ``rejected``, when given, is a one-element int64 column that
-    receives the count of entries whose record differs from a hint
-    (every entry without hints).  The records are written in one tree
-    range per pool worker (:func:`repro.pool.size`); neither they nor a
-    refusal nor the count depend on the ranges.  Raises
-    :class:`~repro.errors.EncodingError` (see :func:`refusal`), and
-    ValueError for a column of any other dtype or length.
+    and parent-vertex hints or None.  ``light`` is ``(lp_indptr,
+    lp_data, bits)``: the int64/int32 light-port CSR, whose slices the
+    pass checks and whose offsets it writes as ``lp_off``, and a
+    contiguous int32 column it fills with each entry's tree-label bits
+    (or None).  ``step`` and ``out`` must be contiguous record columns of
+    16 and 64 bytes a row.  ``rejected``, when given, is a one-element
+    int64 column that receives the count of entries whose record differs
+    from a hint (every entry without hints).  The records are written in
+    one tree range per pool worker (:func:`repro.pool.size`); neither
+    they nor a refusal nor the count depend on the ranges.  Raises
+    :class:`~repro.errors.EncodingError` (see :func:`refusal`, and for
+    ``lp_data`` too long for the int32 ``lp_off``), and ValueError for a
+    column of any other dtype or length.
     """
-    lib = _build.load()
-    if lib is None:  # pragma: no cover - callers resolve the kernel first
-        raise RuntimeError(f"native kernels unavailable: {_build.native_error()}")
+    lib = _lib()
     keys = _build.column(keys, np.int64, "keys")
     E = int(keys.shape[0])
     g_indptr = _build.column(g_indptr, np.int64, "g_indptr")
@@ -138,12 +153,15 @@ def compile_records_native(
         c.shape != (E,) for c in cols + [h for h in hints if h is not None]
     ):
         raise ValueError("every entry column must hold one row per key")
-    lp_indptr, lp_data, bits = (None, None, None) if light is None else light
-    if light is not None:
-        lp_indptr = _build.column(lp_indptr, np.int64, "lp_indptr")
-        lp_data = _build.column(lp_data, np.int32, "lp_data")
-        if lp_indptr.shape != (E + 1,):
-            raise ValueError("lp_indptr must hold one row per key, plus one")
+    lp_indptr, lp_data, bits = light
+    lp_indptr = _build.column(lp_indptr, np.int64, "lp_indptr")
+    lp_data = _build.column(lp_data, np.int32, "lp_data")
+    if lp_indptr.shape != (E + 1,):
+        raise ValueError("lp_indptr must hold one row per key, plus one")
+    if lp_data.shape[0] >= _LP_LIMIT:
+        raise EncodingError(
+            f"{lp_data.shape[0]} light ports exceed the int32 lp_off field (must be < 2^31)"
+        )
     if not (
         out.shape == (E,)
         and out.dtype.itemsize == 64
@@ -170,9 +188,7 @@ def compile_records_native(
             *(a.ctypes.data for a in columns),
             *(None if h is None else h.ctypes.data for h in hints),
             g_indptr.ctypes.data, step.ctypes.data,
-            *((None, None, 0) if light is None else (
-                lp_indptr.ctypes.data, lp_data.ctypes.data, int(lp_data.shape[0])
-            )),
+            lp_indptr.ctypes.data, lp_data.ctypes.data, int(lp_data.shape[0]),
             out.ctypes.data, None if bits is None else bits.ctypes.data,
             bad[j:].ctypes.data, differ[j:].ctypes.data,
         )
@@ -184,3 +200,102 @@ def compile_records_native(
     if rejected is not None:
         rejected[0] = int(differ.sum())
     return out
+
+
+#: What the derive pass refuses, on either kernel, by name.
+DERIVE_REFUSALS = {
+    "member": "its member lies outside [0, n)",
+    "dfs": "its DFS number is outside its tree or repeats one",
+    "link": "its parent link lies outside its tree or not above it",
+    "light": "its light-port slice does not follow the last one inside lp_data",
+}
+
+#: Return codes of ``tz_derive_entries`` (``DERIVE_*`` in ``_native.c``).
+_DERIVE_CODES = {-1: "member", -2: "dfs", -3: "link", -4: "light"}
+
+#: What :func:`derive_entries_native` can derive, with each column's dtype.
+DERIVABLE = {
+    "entry_keys": np.dtype(np.int64),
+    "ent_center": np.dtype(np.int32),
+    "ent_parent": np.dtype(np.int32),
+    "ent_dist": np.dtype(np.float64),
+    "lp_indptr": np.dtype(np.int64),
+    "label_bits": np.dtype(np.int32),
+}
+
+
+def derive_refusal(what: str, entry: int) -> EncodingError:
+    """The error for derive refusal ``what`` at ``entry``."""
+    return EncodingError(f"cannot derive entry {entry}: {DERIVE_REFUSALS[what]}")
+
+
+def slice_ranges(tree_indptr: np.ndarray, parts: int) -> List[Tuple[int, int]]:
+    """At most ``parts`` contiguous ``[lo, hi)`` entry ranges of about
+    equal length, each cut where a tree slice of ``tree_indptr`` ends."""
+    count = int(tree_indptr[-1])
+    targets = [count * j // parts for j in range(1, parts)]
+    cuts = sorted(set([0, count] + tree_indptr[np.searchsorted(tree_indptr, targets)].tolist()))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def derive_entries_native(
+    tree_indptr: np.ndarray,
+    member: np.ndarray,
+    ent: np.ndarray,
+    lp_data: np.ndarray,
+    want: Tuple[str, ...],
+) -> Dict[str, np.ndarray]:
+    """The :data:`DERIVABLE` columns named in ``want``, from a scheme's
+    tree slices (int64, ``n + 1`` offsets from 0 to ``E``, non-decreasing:
+    the caller's construction check), its int32 member column, its
+    ``ent`` records and its int32 light ports, on the worker pool.
+
+    Raises :class:`~repro.errors.EncodingError` (:func:`derive_refusal`)
+    for records the derivation cannot read through, and ValueError for a
+    column of another dtype or length.
+    """
+    lib = _lib()
+    tree_indptr = _build.column(tree_indptr, np.int64, "tree_indptr")
+    member = _build.column(member, np.int32, "member")
+    lp_data = _build.column(lp_data, np.int32, "lp_data")
+    n = int(tree_indptr.shape[0]) - 1
+    E = int(member.shape[0])
+    if not (
+        ent.shape == (E,) and ent.dtype.itemsize == 64 and ent.flags.c_contiguous
+    ) or int(tree_indptr[-1]) != E:
+        raise ValueError("ent and member must hold one row per entry of tree_indptr")
+    out = {name: np.empty(E + (name == "lp_indptr"), dtype=DERIVABLE[name]) for name in want}
+    order = np.empty(E, dtype=np.int32) if "ent_dist" in out else None
+    ranges = slice_ranges(tree_indptr, pool.size())
+    bad = np.zeros(len(ranges), dtype=np.int64)
+    names = ("entry_keys", "ent_center", "ent_parent", "ent_dist", "lp_indptr", "label_bits")
+
+    def task(lo: int, hi: int, j: int) -> int:
+        return lib.tz_derive_entries(
+            n, lo, hi, tree_indptr.ctypes.data, member.ctypes.data, ent.ctypes.data,
+            lp_data.ctypes.data, int(lp_data.shape[0]),
+            None if order is None else order.ctypes.data,
+            *(out[name].ctypes.data if name in out else None for name in names),
+            bad[j:].ctypes.data,
+        )
+
+    codes = pool.run(task, [(lo, hi, j) for j, (lo, hi) in enumerate(ranges)])
+    for j, code in enumerate(codes):
+        if code:
+            raise derive_refusal(_DERIVE_CODES[int(code)], int(bad[j]))
+    if "lp_indptr" in out or "label_bits" in out:
+        # the slices lie back to back from 0 (checked by the pass); the
+        # last one must end where lp_data does
+        end = int(ent["lp_off"][-1]) + int(ent["light_depth"][-1]) if E else 0
+        if end != lp_data.shape[0]:
+            raise derive_refusal("light", max(E - 1, 0))
+        if "lp_indptr" in out:
+            out["lp_indptr"][E] = end
+    return out
+
+
+def _lib():
+    lib = _build.load()
+    if lib is None:  # pragma: no cover - callers resolve the kernel first
+        raise RuntimeError(f"native kernels unavailable: {_build.native_error()}")
+    return lib

@@ -68,6 +68,7 @@ from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
 from ...kernels.hop import commit_native, hop_loop_native
 from ...obs import TELEMETRY
+from ...trees.label_codec import _bit_length_array, tree_label_bits_array
 from ..network import RouteResult
 from .compile import CompiledScheme, compile_scheme
 
@@ -80,6 +81,7 @@ FAIL_LABEL = 4  # light-port index beyond the destination label
 FAIL_PORT = 5  # label carried a port the vertex does not have
 FAIL_DEAD_LINK = 6  # next hop crosses a failed edge
 FAIL_TTL = 7  # TTL exhausted (routing loop)
+FAIL_CORRUPT = 8  # an index read out of the scheme is out of range
 
 FAILURE_TEXT = {
     FAIL_NONE: None,
@@ -90,6 +92,7 @@ FAILURE_TEXT = {
     FAIL_PORT: "label carried an out-of-range port",
     FAIL_DEAD_LINK: "dead link",
     FAIL_TTL: "TTL exhausted (routing loop?)",
+    FAIL_CORRUPT: "scheme record index out of range (damaged container?)",
 }
 
 #: ``cur`` sentinel: the message crossed into a vertex with no record in
@@ -227,6 +230,21 @@ class TrialSweepResult:
         )
 
 
+def _label_bits_of(
+    cs: CompiledScheme, tree: np.ndarray, lo: np.ndarray, depth: np.ndarray
+) -> np.ndarray:
+    """Tree-label bits of committed destinations, numpy, as ``tz_commit``
+    computes them: the DFS field at the width of the committed tree's
+    slice, then the light ports ``lp_data[lo : lo + depth]``
+    (:func:`~repro.trees.label_codec.tree_label_bits_array` over a CSR
+    of just these rows)."""
+    indptr = np.zeros(depth.shape[0] + 1, dtype=np.int64)
+    np.cumsum(depth, out=indptr[1:])
+    at = np.arange(int(indptr[-1]), dtype=np.int64) + np.repeat(lo - indptr[:-1], depth)
+    f_width = _bit_length_array(cs.tree_indptr[tree + 1] - cs.tree_indptr[tree] - 1)
+    return tree_label_bits_array(f_width, indptr, cs.lp_data[at])
+
+
 class BatchRouter:
     """Route traffic matrices through a compiled scheme, vectorized.
 
@@ -348,15 +366,27 @@ class BatchRouter:
                 sel = cs.select_trees(src[nontrivial], dst[nontrivial])
             sel_tree, sel_epos, sel_spos, sel_ok = sel
             fail[nontrivial[~sel_ok]] = FAIL_NO_TREE
-            good = nontrivial[sel_ok]
-            epos = sel_epos[sel_ok]
-            tree[good] = sel_tree[sel_ok]
-            header[good] = 2 * cs.id_bits + cs.ent_label_bits[epos]
-            dest_f[good] = cs.ent["f"][epos]
-            lp_lo[good] = cs.lp_indptr[epos]
-            lp_hi[good] = cs.lp_indptr[epos + 1]
-            epos_src[good] = sel_spos[sel_ok]
-            epos_dst[good] = epos
+            rows = nontrivial[sel_ok]
+            w, epos, spos = sel_tree[sel_ok], sel_epos[sel_ok], sel_spos[sel_ok]
+            # The member map's and root_epos' entry indices, then the
+            # destination's light-port slice, are checked before use.
+            E, L = cs.entry_count, cs.lp_data.shape[0]
+            corrupt = (epos < 0) | (epos >= E) | (spos < 0) | (spos >= E)
+            rec = cs.ent[np.where(corrupt, 0, epos)]
+            lo = rec["lp_off"].astype(np.int64)
+            depth = rec["light_depth"].astype(np.int64)
+            corrupt |= (lo < 0) | (depth < 0) | (lo + depth > L)
+            fail[rows[corrupt]] = FAIL_CORRUPT
+            good = ~corrupt
+            rows, w, epos, rec = rows[good], w[good], epos[good], rec[good]
+            lo, depth = lo[good], depth[good]
+            tree[rows] = w
+            header[rows] = 2 * cs.id_bits + _label_bits_of(cs, w, lo, depth)
+            dest_f[rows] = rec["f"]
+            lp_lo[rows] = lo
+            lp_hi[rows] = lo + depth
+            epos_src[rows] = spos[good]
+            epos_dst[rows] = epos
         return fail, tree, header, dest_f, lp_lo, lp_hi, epos_src, epos_dst
 
     def _chunks(self, count: int) -> List[Tuple[int, int]]:
@@ -575,6 +605,23 @@ class BatchRouter:
             failure_code=fail,
         )
 
+    def _step_next(self, vertex: np.ndarray, port: np.ndarray) -> np.ndarray:
+        """The neighbor behind ``port`` at ``vertex``, through the step
+        rows; -1 where the vertex, the port or the neighbor is out of
+        range (a damaged record), as ``lost_neighbour`` in ``_native.c``."""
+        cs = self.compiled
+        n = cs.n
+        v = vertex.astype(np.int64)
+        port = port.astype(np.int64)
+        ok = (v >= 0) & (v < n)
+        v = np.where(ok, v, 0)
+        ok &= (port >= 1) & (port <= cs.g_indptr[v + 1] - cs.g_indptr[v])
+        if not cs.step.shape[0]:
+            return np.full(v.shape[0], -1, dtype=np.int64)
+        nxt = cs.step["next"][np.where(ok, cs.g_indptr[v] + port - 1, 0)].astype(np.int64)
+        ok &= (nxt >= 0) & (nxt < n)
+        return np.where(ok, nxt, -1)
+
     def _hop_loop_numpy(
         self,
         src: np.ndarray,
@@ -587,6 +634,7 @@ class BatchRouter:
         """The synchronized numpy reference loop (one hop per array step)."""
         cs = self.compiled
         ent = cs.ent
+        n, E = cs.n, cs.entry_count
         count = src.shape[0]
         fail, tree, header, dest_f, lp_lo, lp_hi, epos_src, epos_dst = state
         delivered = np.zeros(count, dtype=bool)
@@ -671,26 +719,37 @@ class BatchRouter:
             # (heavy_finish > f on a leaf); the reference hits PortError
             # stepping on port 0, before crossing — match that.
             code[heavy & (nxt == -1)] = FAIL_PORT
+            moved = outside | heavy
+            code[moved & ((nxt < _LOST) | (nxt >= E))] = FAIL_CORRUPT
             # A _LOST transition still crosses the physical edge (the
             # reference only discovers the missing record at the next
-            # decide); record the landed vertex and keep the row moving.
-            went_lost = (outside | heavy) & (nxt == _LOST)
-            if went_lost.any():
-                om = outside & went_lost
-                new_lost[om] = ent["parent_next"][cur[om]]
-                hm = heavy & went_lost
-                new_lost[hm] = ent["heavy_next"][cur[hm]]
+            # decide); resolve the landed vertex through the move's port
+            # and keep the row moving.
+            went_lost = np.flatnonzero(moved & (nxt == _LOST))
+            if went_lost.size:
+                at = cur[went_lost]
+                port = np.where(
+                    outside[went_lost], ent["parent_port"][at], ent["heavy_port"][at]
+                )
+                landed = self._step_next(ent["vertex"][at], port)
+                new_lost[went_lost] = landed
+                code[went_lost[landed < 0]] = FAIL_CORRUPT
 
             if light.any():
                 li = np.flatnonzero(light)
-                lp_pos = lo[li] + ent["light_depth"][cur[li]]
-                in_label = lp_pos < hi[li]
-                code[li[~in_label]] = FAIL_LABEL
+                depth = ent["light_depth"][cur[li]].astype(np.int64)
+                code[li[depth < 0]] = FAIL_CORRUPT
+                lp_pos = lo[li] + depth
+                in_label = (depth >= 0) & (lp_pos < hi[li])
+                code[li[(depth >= 0) & ~in_label]] = FAIL_LABEL
                 li = li[in_label]
                 lp_pos = lp_pos[in_label]
+                at = ent["vertex"][cur[li]].astype(np.int64)
+                at_ok = (at >= 0) & (at < n)
+                code[li[~at_ok]] = FAIL_CORRUPT
+                li, lp_pos, at = li[at_ok], lp_pos[at_ok], at[at_ok]
                 if li.size:
                     port = cs.lp_data[lp_pos]
-                    at = ent["vertex"][cur[li]]
                     step = cs.g_indptr[at] + port - 1
                     port_ok = (port >= 1) & (step < cs.g_indptr[at + 1])
                     code[li[~port_ok]] = FAIL_PORT
@@ -698,7 +757,10 @@ class BatchRouter:
                     hop = cs.step[step[port_ok]]
                     # Light hops cross a physical port; resolve the
                     # landed vertex back to its entry in the tree.
-                    landed_v = hop["next"]
+                    landed_v = hop["next"].astype(np.int64)
+                    landed_ok = (landed_v >= 0) & (landed_v < n)
+                    code[li[~landed_ok]] = FAIL_CORRUPT
+                    li, hop, landed_v = li[landed_ok], hop[landed_ok], landed_v[landed_ok]
                     landed, found = cs.entry_pos(trees[li], landed_v)
                     nxt[li] = np.where(found, landed, _LOST)
                     new_lost[li] = np.where(found, -1, landed_v)
@@ -708,7 +770,10 @@ class BatchRouter:
 
             if dead_masks is not None:
                 crossing = (code == FAIL_NONE) & (edge >= 0)
-                dead_hit = crossing & dead_masks[tri, np.maximum(edge, 0)]
+                outside_mask = crossing & (edge >= dead_masks.shape[1])
+                code[outside_mask] = FAIL_CORRUPT
+                crossing &= ~outside_mask
+                dead_hit = crossing & dead_masks[tri, np.where(crossing, edge, 0)]
                 code[dead_hit] = FAIL_DEAD_LINK
 
             bad = code != FAIL_NONE

@@ -7,23 +7,26 @@ read of the destination's light-port sequence.  That makes the whole
 runtime state *columnar*: a :class:`CompiledScheme` materializes
 
 * one **entry record** per (tree ``w``, member ``u``) pair — the §2
-  record fields plus the parent/heavy next-hop **resolved to entry
-  links, weights, edge ids and neighbors** through the shared port
-  assignment — in the :data:`ENT_DTYPE` layout the native kernels read;
-* the light-port sequences of every member-as-destination, flattened
-  into a CSR-style ``(lp_indptr, lp_data)`` pair;
+  record fields, the parent/heavy ports **resolved to entry links,
+  weights and edge ids** through the shared port assignment, and the
+  offset of the member's light-port sequence — in the
+  :data:`ENT_DTYPE` layout the native kernels read;
+* the dense int32 **member** column and the per-tree slices of the
+  entries (``tree_indptr``), which every "does ``u`` have a record for
+  ``T_w``" lookup searches: the member-as-destination's light-port
+  sequences, flattened into ``lp_data``;
 * the level-0 **member maps** (the source-side "is the destination in my
-  cluster?" check) as a sorted key array;
+  cluster?" check), one int32 member column sliced per source;
 * the **pivot matrix** of the hierarchy (which trees a destination's
   label advertises, level by level);
 * the ``(vertex, port) -> (neighbor, edge, weight)`` **step records** of
   the ported graph (:data:`STEP_DTYPE`), so label-carried light ports
   resolve with one gather.
 
-Entries are keyed by ``w * n + u`` in one sorted int64 array, so "does
-``u`` have a record for ``T_w``" — the membership test behind both the
-4k−5 commit strategy and the §4 handshake alternation — is a vectorized
-``searchsorted`` over arbitrarily many messages at once.
+Entries are sorted by ``w * n + u``, so the membership test behind both
+the 4k−5 commit strategy and the §4 handshake alternation is a binary
+search of one tree's slice of the member column (the native kernels)
+or a vectorized ``searchsorted`` over the derived int64 keys (numpy).
 
 One record layout from compile to kernel: :func:`_resolve_columns`
 writes the ``ent`` and ``step`` records once, the numpy reference reads
@@ -36,32 +39,36 @@ writes every record in one linear pass over the key-sorted entries and
 links each neighbor through the build's own ``ent_parent_epos`` /
 ``ent_heavy_epos`` when that hint lies in the entry's tree slice and
 holds the neighbor's key, else by searching that slice — a hint is
-checked, never trusted.  The same pass writes ``ent_label_bits``.  The
+checked, never trusted.  The same pass writes the label bits.  The
 numpy :func:`_resolve_ports` + :func:`_link_entries` +
 :func:`_label_bits` stay the byte-for-byte reference (two global
 ``searchsorted`` calls, hints unread).  Both refuse, with
 :class:`~repro.errors.EncodingError`, what they would resolve wrongly:
 keys not strictly ascending in ``[0, n*n)``, a member that is not its
 key mod ``n``, a port outside its member's row, or a light-port slice
-outside ``lp_data``.
+outside ``lp_data`` or not ``light_depth`` long.
 
 One representation: a :class:`CompiledScheme` is a
 :class:`~repro.core.build.arrays.SchemeArrays` plus what a port
-assignment derives.  The seven columns of :data:`ARRAY_BOUND` *are*
+assignment derives.  The six columns of :data:`ARRAY_BOUND` *are*
 array columns — :func:`compile_from_arrays` binds the very objects, and
-a scheme container stores them once — and the eight array columns of
+a scheme container stores them once — and the nine array columns of
 :data:`ARRAYS_IN_RECORD` are fields of the ``ent`` records, which a
-container stores in the records only: five copied as they are, and the
-SPT parent, parent link and heavy link, which the record's resolved
-``parent_next``, ``parent_epos`` and ``heavy_epos`` equal whenever the
-compile ran through the build's own ports (a save refuses any other).  The four others
-(:data:`DERIVED`: the two record columns, label bits and the graph's
-row index) are computed here; the label bits also fill the arrays' own
-cache (:meth:`~repro.core.build.arrays.SchemeArrays.entry_label_bits`).
-A compile records which array objects it wrote into the records
-(:attr:`CompiledScheme.written_from`), so a save of those arrays need
-not compare the records with them.  Every TZ scheme carries its arrays, so
-:func:`compile_scheme` is :func:`compile_from_arrays` behind the §4
+container stores in the records only (the member excepted, whose dense
+column is bound): seven copied as they are, and the parent and heavy
+links, which the records' resolved ``parent_epos`` and ``heavy_epos``
+equal whenever the compile ran through the build's own ports (a save
+refuses any other).  The four others (:data:`DERIVED`: the two record
+columns, the member-map members and the graph's row index) are
+computed here.  What is an exact function of all these
+(:data:`COMPILED_DERIVED`: the int64 keys, the light-port offsets, the
+label bits, the member-map keys) is no column: a compile keeps the ones
+it computed anyway, and a loaded scheme derives each on first read; the
+native route reads none of them.  A compile records which array objects
+it wrote into the records (:attr:`CompiledScheme.written_from`), so a
+save of those arrays need not compare the records with them.  Every TZ
+scheme carries its arrays, so :func:`compile_scheme` is
+:func:`compile_from_arrays` behind the §4
 :class:`HandshakeRoutingScheme` unwrap; only :func:`compile_single_tree`
 lays out its own entries, through the same resolution pass.
 """
@@ -74,7 +81,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...core.build.arrays import COLUMN_DTYPES, check_index_sizes
+from ...core.build.arrays import COLUMN_DTYPES, check_index_sizes, derive_entries
 from ...errors import EncodingError, RoutingError
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
@@ -87,12 +94,14 @@ from ...trees.tz_tree import records_to_arrays
 #: The §2 record of one (tree, member) entry, one 64-byte cache line,
 #: laid out exactly as ``ent_rec`` in ``kernels/_native.c`` reads it
 #: (``tz_record_layout`` reports the C offsets, and a test holds the two
-#: equal): eleven int32 fields — the member and its tree-record fields,
-#: then the parent and heavy-child moves resolved through a port
-#: assignment to the entry link (``-1`` absent, ``-2`` the neighbor has
-#: no record in the tree), canonical edge id (``-1`` absent) and
-#: neighbor — a 4-byte pad, always zero, and the two edge weights as
-#: float64 at offsets 48 and 56.
+#: equal): twelve int32 fields — the member and its tree-record fields,
+#: then the parent and heavy-child moves as the entry link (``-1``
+#: absent, ``-2`` the neighbor has no record in the tree), canonical
+#: edge id (``-1`` absent) and port (0 absent), and ``lp_off``, the
+#: offset of the entry's light-port slice in ``lp_data``, ``light_depth``
+#: ports long — and the two move weights as float64 at offsets 48 and 56.
+#: A parent or heavy hop reads nothing beyond its record; the neighbor of
+#: a move is a step-row read, made only on the LOST path.
 ENT_DTYPE = np.dtype(
     {
         "names": [
@@ -103,15 +112,16 @@ ENT_DTYPE = np.dtype(
             "light_depth",  # light edges above the member
             "parent_epos",
             "parent_edge",
-            "parent_next",
+            "parent_port",
             "heavy_epos",
             "heavy_edge",
-            "heavy_next",
+            "heavy_port",
+            "lp_off",  # first light port in lp_data
             "parent_wt",
             "heavy_wt",
         ],
-        "formats": ["<i4"] * 11 + ["<f8"] * 2,
-        "offsets": [4 * i for i in range(11)] + [48, 56],
+        "formats": ["<i4"] * 12 + ["<f8"] * 2,
+        "offsets": [4 * i for i in range(12)] + [48, 56],
         "itemsize": 64,
     }
 )
@@ -127,6 +137,9 @@ RECORDS = {"ent": ENT_DTYPE, "step": STEP_DTYPE}
 #: Byte alignment of a compile's ``ent`` records: one record per cache
 #: line, as the mapped container blob already is.
 RECORD_ALIGN = 64
+
+#: The largest int32 entry index.
+INT32_MAX = 2**31 - 1
 
 
 def _aligned_records(count: int, dtype: np.dtype) -> np.ndarray:
@@ -175,23 +188,24 @@ def _link_entries(
 
 def _check_entries(
     keys: np.ndarray,
-    vertex: np.ndarray,
+    record: Dict[str, np.ndarray],
     ports: Tuple[np.ndarray, np.ndarray],
     g_indptr: np.ndarray,
-    light: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
+    lp_indptr: np.ndarray,
+    lp_len: int,
 ) -> None:
     """Refuse what :func:`_resolve_ports`, :func:`_link_entries` and
     :func:`_label_bits` would resolve wrongly, with vectorized compares:
     keys not strictly ascending in ``[0, n*n)``, a member that is not
     its key mod ``n``, a parent or heavy port outside
     ``[0, deg(member)]`` (which would read the next vertex's step row),
-    and, when ``light`` holds the light-port CSR, a slice outside
-    ``lp_data``.  ``tz_compile_records`` refuses the
-    same inline; raises :class:`~repro.errors.EncodingError` naming the
-    first entry of the first failing check.  Only the refusal is shared:
-    this runs each check over every entry in turn, the C pass meets the
-    faults tree slice by tree slice, so on an input with several faults
-    the two kernels may name different ones."""
+    and a light-port slice outside ``lp_data`` or not ``light_depth``
+    long.  ``tz_compile_records`` refuses the same inline; raises
+    :class:`~repro.errors.EncodingError` naming the first entry of the
+    first failing check.  Only the refusal is shared: this runs each
+    check over every entry in turn, the C pass meets the faults tree
+    slice by tree slice, so on an input with several faults the two
+    kernels may name different ones."""
 
     def refuse_first(what: str, mask: np.ndarray) -> None:
         bad = np.flatnonzero(mask)
@@ -201,6 +215,7 @@ def _check_entries(
     if not keys.size:
         return
     n = g_indptr.shape[0] - 1
+    vertex = record["vertex"]
     ascending = np.empty(keys.shape[0], dtype=bool)
     ascending[0] = keys[0] >= 0
     np.greater(keys[1:], keys[:-1], out=ascending[1:])
@@ -209,9 +224,10 @@ def _check_entries(
     deg = np.diff(g_indptr)[vertex]
     for what, port in zip(("parent", "heavy"), ports):
         refuse_first(what, (port < 0) | (port > deg))
-    if light is not None:
-        lo, hi = light[0][:-1], light[0][1:]
-        refuse_first("light", (lo < 0) | (hi < lo) | (hi > light[1].shape[0]))
+    lo, hi = lp_indptr[:-1], lp_indptr[1:]
+    refuse_first(
+        "light", (lo < 0) | (hi < lo) | (hi > lp_len) | (hi - lo != record["light_depth"])
+    )
 
 
 def _label_bits(
@@ -233,7 +249,7 @@ def _ent_records(
     g_indptr: np.ndarray,
     step: np.ndarray,
     kernel: str,
-    light: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
+    light: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
     rejected: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The ``ent`` records of key-sorted entries on ``kernel``, in a
@@ -241,23 +257,24 @@ def _ent_records(
 
     ``record`` holds the tree-record fields of :data:`ENT_DTYPE`
     (``vertex`` through ``light_depth``, int32) and ``ports`` the parent
-    and heavy ports (0 = none), resolved through the ``step`` records to
-    neighbors, weights and edge ids; each neighbor is then linked to its
-    entry row in the same tree.  ``light``, when given, is
-    ``(lp_indptr, lp_data, bits)``: the light-port CSR, checked, and an
-    int32 column the pass fills with each entry's tree-label bits (or
-    None: check only).  The native kernel does all of it in one C pass
-    and tries ``links`` (the build's own parent and heavy entry links
-    and SPT parents, or None) before searching the tree's slice; numpy
-    runs :func:`_resolve_ports`, :func:`_link_entries` and
-    :func:`_label_bits`, the differential reference it must match byte
-    for byte, and reads ``links`` only to count against them.  Both
-    refuse the same malformed entries (:func:`_check_entries`), each
-    naming the first fault it meets.  ``rejected``, when given, is a
-    one-element int64 column that receives the count of entries whose
-    parent link, heavy link or parent neighbor differs from its hint
-    (every entry without hints), the same on both kernels: 0 exactly
-    when the records hold the build's own links.
+    and heavy ports (0 = none), stored as they are and resolved through
+    the ``step`` records to weights and edge ids; each neighbor is then
+    linked to its entry row in the same tree.  ``light`` is
+    ``(lp_indptr, lp_data, bits)``: the light-port CSR, checked, whose
+    offsets become ``lp_off``, and an int32 column the pass fills with
+    each entry's tree-label bits (or None).  The native kernel does all
+    of it in one C pass and tries ``links`` (the build's own parent and
+    heavy entry links and SPT parents, or None) before searching the
+    tree's slice; numpy runs :func:`_resolve_ports`,
+    :func:`_link_entries` and :func:`_label_bits`, the differential
+    reference it must match byte for byte, and reads ``links`` only to
+    count against them.  Both refuse the same malformed entries
+    (:func:`_check_entries`), each naming the first fault it meets.
+    ``rejected``, when given, is a one-element int64 column that
+    receives the count of entries whose parent link, heavy link or
+    parent neighbor differs from its hint (every entry without hints),
+    the same on both kernels: 0 exactly when the records hold the
+    build's own links.
     """
     ent = _aligned_records(keys.shape[0], ENT_DTYPE)
     with TELEMETRY.span("kernel.compile_records", impl=kernel, entries=int(keys.shape[0])):
@@ -265,26 +282,28 @@ def _ent_records(
             return compile_records_native(
                 keys, record, ports, links, g_indptr, step, ent, light, rejected
             )
+        lp_indptr, lp_data, bits = light
         vertex = record["vertex"]
-        _check_entries(keys, vertex, ports, g_indptr, light)
-        ent.view(np.uint8)[:] = 0  # the pad
+        _check_entries(keys, record, ports, g_indptr, lp_indptr, lp_data.shape[0])
         for name in RECORD_FIELDS:
             ent[name] = record[name]
+        neighbor = {}
         for side, port in zip(("parent", "heavy"), ports):
             nxt, wt, edge = _resolve_ports(g_indptr, vertex, port, step)
-            ent[side + "_next"] = nxt
+            ent[side + "_port"] = port
             ent[side + "_wt"] = wt
             ent[side + "_edge"] = edge
             ent[side + "_epos"] = _link_entries(keys, vertex, nxt)
-        if light is not None and light[2] is not None:
-            light[2][:] = _label_bits(keys, g_indptr.shape[0] - 1, light[0], light[1])
+            neighbor[side] = nxt
+        ent["lp_off"] = lp_indptr[:-1]
+        if bits is not None:
+            bits[:] = _label_bits(keys, g_indptr.shape[0] - 1, lp_indptr, lp_data)
         if rejected is not None:
             rejected[0] = keys.shape[0]
             if links is not None:
-                fields = ("parent_epos", "heavy_epos", "parent_next")
-                differ = np.zeros(keys.shape[0], dtype=bool)
-                for name, hint in zip(fields, links):
-                    differ |= ent[name] != hint
+                differ = ent["parent_epos"] != links[0]
+                differ |= ent["heavy_epos"] != links[1]
+                differ |= neighbor["parent"] != links[2]
                 rejected[0] = np.count_nonzero(differ)
         return ent
 
@@ -298,56 +317,81 @@ def _slice_starts(keys: np.ndarray, n: int) -> np.ndarray:
 class CompiledScheme:
     """Dense-array export of a compiled TZ routing scheme (see module doc).
 
-    ``ent`` and ``ent_label_bits`` are aligned with ``entry_keys``
-    (sorted by ``tree * n + vertex``).  Construction checks every
-    column's dtype, layout and shape (:func:`_check_columns`, also on
-    :func:`dataclasses.replace`), then computes the two slice indexes
-    the native kernels search.
+    ``ent`` and ``ent_member`` are aligned with the entries, sorted by
+    ``tree * n + member``; ``tree_indptr`` slices them by tree root.
+    Construction checks every column's dtype, layout and shape and the
+    two offset columns (:func:`_check_columns`, also on
+    :func:`dataclasses.replace`), then computes ``mem_indptr``, the
+    member map's slice per source.  The :data:`COMPILED_DERIVED`
+    columns are no fields: each is derived from the fields the first
+    time it is read (:meth:`__getattr__`), and only the numpy kernel and
+    the size accounting read them.
     """
 
     n: int
     k: int
     handshake: bool
     # -- entries: one record per (tree, member) pair --------------------
-    entry_keys: np.ndarray  # (E,) int64, sorted: tree * n + vertex
     ent: np.ndarray  # (E,) ENT_DTYPE records
-    ent_label_bits: np.ndarray  # (E,) int32 encoded tree-label bits (as dest)
+    ent_member: np.ndarray  # (E,) int32 member, what slice searches read
+    tree_indptr: np.ndarray  # (n+1,) int64 entry slice per tree root
     root_epos: np.ndarray  # (n,) entry index of (tree=v, v), -1 if none
     # -- light-port sequences of members-as-destinations ----------------
-    lp_indptr: np.ndarray  # (E+1,) int64
     lp_data: np.ndarray  # (L,) int32 port numbers, root-to-leaf order
     # -- source-side level-0 member maps --------------------------------
-    mem_keys: np.ndarray  # (M,) int64, sorted: source * n + member
+    mem_member: np.ndarray  # (M,) int32 member, sorted within each source
     mem_epos: np.ndarray  # (M,) int32 entry index of (tree=source, member)
     # -- destination labels: pivots per level ---------------------------
     pivot: np.ndarray  # (k, n) int64; row 0 unused
     # -- ported-graph step records (row indptr[u] + port - 1) -----------
     g_indptr: np.ndarray  # (n+1,)
     step: np.ndarray  # (2m,) STEP_DTYPE records
-    # -- slice indexes, computed from the keys at construction ----------
-    tree_indptr: np.ndarray = field(init=False, repr=False)  # (n+1,) per tree root
+    # -- slice index, computed from the member map at construction ------
     mem_indptr: np.ndarray = field(init=False, repr=False)  # (n+1,) per source
     #: Weak references to the array columns :func:`compile_from_arrays`
     #: wrote into ``ent``, by :data:`ARRAYS_IN_RECORD` name (None for any
-    #: other compile): the :data:`RECORD_FIELDS` always, the
+    #: other compile): the copied fields always, the
     #: :data:`RECORD_LINKS` only when the native pass used every hint as
     #: it is.  A save of those very objects skips comparing them.  A
     #: plain attribute, not a column.
     written_from = None
 
     def __post_init__(self) -> None:
-        """Check the columns, then index each tree's slice of the
-        key-sorted entries (keys are ``w * n + member``) and each
-        source's slice of its level-0 member map, the same shape of
-        slice of ``mem_keys``."""
+        """Check the columns, then index each source's slice of its
+        level-0 member map: the member-map rows ascend by entry, so the
+        rows of source ``w`` are those whose entry lies in ``w``'s tree
+        slice."""
         _check_columns(self)
-        self.tree_indptr = _slice_starts(self.entry_keys, self.n)
-        self.mem_indptr = _slice_starts(self.mem_keys, self.n)
+        # searched as int32, as mem_epos is: a wider needle would make
+        # numpy copy the whole member map to int64 first, a pass over it
+        # at every open; no entry index reaches 2^31
+        bounds = np.minimum(self.tree_indptr, INT32_MAX).astype(np.int32)
+        self.mem_indptr = np.searchsorted(self.mem_epos, bounds).astype(np.int64)
+
+    def __getattr__(self, name: str):
+        """A :data:`COMPILED_DERIVED` column, derived from the fields the
+        first time it is read and kept as an instance attribute
+        (:func:`~repro.core.build.arrays.derive_entries` for the keys,
+        light-port offsets and label bits; the member-map keys from
+        ``mem_indptr`` and ``mem_member``, whatever the member map's
+        entry indices hold)."""
+        if name not in COMPILED_DERIVED:
+            raise AttributeError(name)
+        if name == "mem_keys":
+            sources = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.mem_indptr))
+            value = sources * np.int64(self.n) + self.mem_member
+        else:
+            want = {"ent_label_bits": "label_bits"}.get(name, name)
+            value = derive_entries(
+                self.tree_indptr, self.ent_member, self.ent, self.lp_data, (want,)
+            )[want]
+        self.__dict__[name] = value
+        return value
 
     @property
     def entry_count(self) -> int:
         """Total number of (tree, member) entries in the scheme."""
-        return int(self.entry_keys.shape[0])
+        return int(self.ent.shape[0])
 
     @property
     def id_bits(self) -> int:
@@ -473,57 +517,65 @@ COLUMNS = tuple(
     f.name for f in fields(CompiledScheme) if f.init and f.name not in ("n", "k", "handshake")
 )
 
-#: The seven :class:`CompiledScheme` columns that *are*
+#: The :class:`CompiledScheme` columns derived from the others on first
+#: read, never stored: the int64 entry keys ``tree * n + member``, the
+#: light-port CSR offsets (the records' ``lp_off`` plus the end), the
+#: per-entry tree-label bits, and the member-map keys ``source * n +
+#: member``.
+COMPILED_DERIVED = ("entry_keys", "lp_indptr", "ent_label_bits", "mem_keys")
+
+#: The six :class:`CompiledScheme` columns that *are*
 #: :class:`~repro.core.build.arrays.SchemeArrays` columns, each with the
 #: accessor of the array column it is bound to.
 ARRAY_BOUND = {
-    "entry_keys": lambda a: a.entry_keys,
+    "ent_member": lambda a: a.ent_member,
+    "tree_indptr": lambda a: a.cl_indptr,
     "root_epos": lambda a: a.lab_epos[0],
-    "lp_indptr": lambda a: a.lp_indptr,
     "lp_data": lambda a: a.lp_data,
-    "mem_keys": lambda a: a.mem_keys,
     "mem_epos": lambda a: a.mem_epos,
     "pivot": lambda a: a.hierarchy.pivot,
 }
 
-#: The eight :class:`~repro.core.build.arrays.SchemeArrays` columns the
+#: The nine :class:`~repro.core.build.arrays.SchemeArrays` columns the
 #: ``ent`` records hold, by the :data:`ENT_DTYPE` field holding each.  A
-#: compile copies the first five in (:data:`RECORD_FIELDS`); the last
-#: three (:data:`RECORD_LINKS`) it resolves through a port assignment,
-#: and they equal the array columns exactly when that assignment is the
-#: build's own.
+#: compile copies the member, the four DFS fields and the two ports in
+#: as they are (:data:`RECORD_FIELDS` and the ports); the two links
+#: (:data:`RECORD_LINKS`) it resolves through a port assignment, and
+#: they equal the array columns exactly when that assignment is the
+#: build's own.  The member is also the bound ``ent_member`` column.
 ARRAYS_IN_RECORD = {
     "ent_member": "vertex",
     "tr_f": "f",
     "tr_finish": "finish",
     "tr_heavy_finish": "heavy_finish",
     "tr_light_depth": "light_depth",
-    "ent_parent": "parent_next",
+    "tr_parent_port": "parent_port",
+    "tr_heavy_port": "heavy_port",
     "ent_parent_epos": "parent_epos",
     "ent_heavy_epos": "heavy_epos",
 }
 
-#: The record fields a compile copies from the array columns as they are.
+#: The record fields the compile pass copies from array columns as they are.
 RECORD_FIELDS = ("vertex", "f", "finish", "heavy_finish", "light_depth")
 
 #: The array columns the records hold as resolved links.
-RECORD_LINKS = ("ent_parent", "ent_parent_epos", "ent_heavy_epos")
+RECORD_LINKS = ("ent_parent_epos", "ent_heavy_epos")
 
-#: The four columns compiling derives through a port assignment.
+#: The four columns compiling derives: the records, the member-map
+#: members the level-0 search reads, and the ported graph's step rows.
 DERIVED = tuple(name for name in COLUMNS if name not in ARRAY_BOUND)
 
 #: Every :class:`CompiledScheme` column's dtype: the record layouts, the
 #: width rule (:data:`~repro.core.build.arrays.COLUMN_DTYPES`) for the
-#: columns bound to array columns, int32 label bits, and int64 for the
-#: per-vertex columns.
+#: columns bound to array columns, int32 member-map members, and int64
+#: for the per-vertex columns.
 COMPILED_DTYPES = {
-    "entry_keys": COLUMN_DTYPES["entry_keys"],
     "ent": ENT_DTYPE,
-    "ent_label_bits": np.dtype(np.int32),
+    "ent_member": COLUMN_DTYPES["ent_member"],
+    "tree_indptr": COLUMN_DTYPES["cl_indptr"],
     "root_epos": COLUMN_DTYPES["lab_epos"],
-    "lp_indptr": COLUMN_DTYPES["lp_indptr"],
     "lp_data": COLUMN_DTYPES["lp_data"],
-    "mem_keys": COLUMN_DTYPES["mem_keys"],
+    "mem_member": COLUMN_DTYPES["ent_member"],
     "mem_epos": COLUMN_DTYPES["mem_epos"],
     "pivot": np.dtype(np.int64),
     "g_indptr": np.dtype(np.int64),
@@ -536,12 +588,25 @@ def array_columns(arrays) -> Dict[str, np.ndarray]:
     return {name: get(arrays) for name, get in ARRAY_BOUND.items()}
 
 
+def _offsets_ok(indptr: np.ndarray, end: int) -> bool:
+    """``indptr`` runs from 0 to ``end`` and never decreases (O(n))."""
+    return (
+        int(indptr[0]) == 0
+        and int(indptr[-1]) == end
+        and not np.any(indptr[1:] < indptr[:-1])
+    )
+
+
 def _check_columns(cs: CompiledScheme) -> None:
-    """O(1) per column: every column has its dtype
-    (:data:`COMPILED_DTYPES`), is C-contiguous, and agrees in shape
-    with ``entry_keys``, ``lp_indptr``, ``g_indptr`` and ``(k, n)``, so
-    no kernel — the C ones read the memory raw — can read past the end
-    of a column or misread one.
+    """Every column has its dtype (:data:`COMPILED_DTYPES`), is
+    C-contiguous and agrees in shape with ``ent``, ``mem_member``,
+    ``g_indptr`` and ``(k, n)``, both offset columns run from 0 to
+    their column's length without decreasing, and the last record's
+    light-port slice ends where ``lp_data`` does — O(n) in all, no pass
+    over the entries — so no kernel (the C ones read the memory raw)
+    reads past the end of a column through a slice or misreads one.
+    What the kernels read out of the records is checked where they read
+    it.
 
     Raises :class:`~repro.errors.EncodingError`: the failure a damaged
     container would otherwise surface only at route time, or not at all.
@@ -555,24 +620,28 @@ def _check_columns(cs: CompiledScheme) -> None:
         or col.dtype != COMPILED_DTYPES[name]
         or not col.flags.c_contiguous
     ]
-    entries = int(np.size(cols["entry_keys"]))
+    entries = int(np.size(cols["ent"]))
     if not bad:
-        members = cols["mem_keys"].size
+        members = cols["mem_member"].size
         expect = dict(
-            entry_keys=(entries,),
             ent=(entries,),
-            ent_label_bits=(entries,),
-            lp_indptr=(entries + 1,),
-            mem_keys=(members,),
+            ent_member=(entries,),
+            lp_data=cols["lp_data"].shape[:1],
+            mem_member=(members,),
             mem_epos=(members,),
             pivot=(k, n),
             root_epos=(n,),
+            tree_indptr=(n + 1,),
             g_indptr=(n + 1,),
         )
         bad = [name for name, shape in expect.items() if cols[name].shape != shape]
     if not bad:
-        ends = {"lp_data": cs.lp_indptr[-1], "step": cs.g_indptr[-1]}
-        bad = [name for name, end in ends.items() if cols[name].shape != (int(end),)]
+        ends = {"tree_indptr": entries, "g_indptr": cols["step"].shape[0]}
+        bad = [name for name, end in ends.items() if not _offsets_ok(cols[name], end)]
+        # the light-port slices end where lp_data does: one record read
+        last = cs.ent[entries - 1] if entries else None
+        end = int(last["lp_off"]) + int(last["light_depth"]) if entries else 0
+        bad += [] if end == cols["lp_data"].shape[0] else ["lp_data"]
     if bad:
         raise EncodingError(
             f"compiled scheme columns {bad} do not have the dtype, layout or "
@@ -610,27 +679,36 @@ def _resolve_columns(
     k: int,
     ported: PortedGraph,
     *,
+    keys: np.ndarray,
     record: Dict[str, np.ndarray],
     ports: Tuple[np.ndarray, np.ndarray],
     links: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    lp_indptr: np.ndarray,
     label_bits: Optional[np.ndarray],
     rejected: Optional[np.ndarray] = None,
 ) -> CompiledScheme:
     """Write the ``ent`` and ``step`` records of an entry layout through
     ``ported`` and bind them next to the given ``columns``.
 
-    ``record``, ``ports``, ``links`` and ``rejected`` are
+    ``keys``, ``record``, ``ports``, ``links`` and ``rejected`` are
     :func:`_ent_records`' inputs: the records' ports are resolved to
-    neighbors, weights and edge ids through the target port assignment's
-    step records, and the neighbors back to entry rows of the same tree
-    (one lookup at compile time saves one per hop at route time), on the
-    platform's kernel.  The same pass computes the label bits from the
-    columns' light ports unless ``label_bits`` already holds them.  A
-    graph or entry count the int32 record fields cannot hold is refused
-    (:class:`~repro.errors.EncodingError`) before any is written.
+    weights and edge ids through the target port assignment's step
+    records, and the neighbors back to entry rows of the same tree (one
+    lookup at compile time saves one per hop at route time), on the
+    platform's kernel.  The same pass checks the light-port CSR
+    ``lp_indptr`` and computes the label bits from it unless
+    ``label_bits`` already holds them.  The member-map members are
+    gathered from the records' members.  A graph, entry count or
+    light-port count the int32 record fields cannot hold is refused
+    (:class:`~repro.errors.EncodingError`) before any is written.  The
+    keys, light-port offsets and label bits stay on the compile as its
+    derived columns, computed already.
     """
     graph = ported.graph
-    check_index_sizes(ported.n, graph.adj.shape[0], columns["entry_keys"].shape[0], EncodingError)
+    check_index_sizes(
+        ported.n, graph.adj.shape[0], keys.shape[0], EncodingError,
+        light_ports=columns["lp_data"].shape[0],
+    )
     arc = ported.arc_of_port
     step = np.empty(arc.shape[0], dtype=STEP_DTYPE)
     step["next"] = graph.adj[arc]
@@ -638,28 +716,30 @@ def _resolve_columns(
     step["wt"] = graph.adj_weights[arc]
     fill = label_bits is None
     if fill:
-        label_bits = np.empty(columns["entry_keys"].shape[0], dtype=np.int32)
+        label_bits = np.empty(keys.shape[0], dtype=np.int32)
     ent = _ent_records(
-        columns["entry_keys"],
+        keys,
         record,
         ports,
         links,
         graph.indptr,
         step,
         resolve_kernel("auto"),
-        (columns["lp_indptr"], columns["lp_data"], label_bits if fill else None),
+        (lp_indptr, columns["lp_data"], label_bits if fill else None),
         rejected,
     )
-    return CompiledScheme(
+    compiled = CompiledScheme(
         n=ported.n,
         k=k,
         handshake=False,
         ent=ent,
-        ent_label_bits=label_bits,
+        mem_member=record["vertex"][columns["mem_epos"]],
         g_indptr=graph.indptr,
         step=step,
         **columns,
     )
+    compiled.__dict__.update(entry_keys=keys, lp_indptr=lp_indptr, ent_label_bits=label_bits)
+    return compiled
 
 
 def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
@@ -668,14 +748,15 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
     Single-tree routing is the degenerate TZ scheme with exactly one
     tree: every vertex holds a record for ``T_r`` and every destination
     label advertises ``r``.  Encoding it that way — entries keyed
-    ``r * n + v``, an *empty* level-0 member map, and pivot row 1 pinned
-    to ``r`` — makes :meth:`CompiledScheme.select_trees` commit every
-    pair to ``T_r`` at level 1 and the unchanged hop loop do the rest,
-    so the baseline rides the same vectorized runtime as the real
-    schemes (delivered/weight/hops bit-for-bit the reference simulator).
-    A lone spanning tree gives no vertex a cluster of its own, so this
-    layout is not a :class:`~repro.core.build.arrays.SchemeArrays`; it
-    shares only the resolution pass.
+    ``r * n + v`` (the whole entry range is ``r``'s tree slice), an
+    *empty* level-0 member map, and pivot row 1 pinned to ``r`` — makes
+    :meth:`CompiledScheme.select_trees` commit every pair to ``T_r`` at
+    level 1 and the unchanged hop loop do the rest, so the baseline
+    rides the same vectorized runtime as the real schemes
+    (delivered/weight/hops bit-for-bit the reference simulator).  A lone
+    spanning tree gives no vertex a cluster of its own, so this layout
+    is not a :class:`~repro.core.build.arrays.SchemeArrays`; it shares
+    only the resolution pass.
 
     ``router`` is a spanning :class:`~repro.trees.tz_tree.TreeRouter`
     over ``ported`` (every vertex must have a record).
@@ -704,12 +785,13 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
     root_epos[r] = r
     pivot = np.zeros((2, n), dtype=np.int64)
     pivot[1] = r
+    tree_indptr = np.zeros(n + 1, dtype=np.int64)
+    tree_indptr[r + 1 :] = n
     columns = {
-        "entry_keys": r * np.int64(n) + members,  # ascending: sorted by vertex
+        "ent_member": members,
+        "tree_indptr": tree_indptr,
         "root_epos": root_epos,
-        "lp_indptr": lp_indptr,
         "lp_data": lp_data,
-        "mem_keys": np.zeros(0, dtype=np.int64),
         "mem_epos": np.zeros(0, dtype=np.int32),
         "pivot": pivot,
     }
@@ -717,6 +799,7 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
         columns,
         2,
         ported,
+        keys=r * np.int64(n) + members,  # ascending: sorted by vertex
         record=dict(
             vertex=members,
             f=recs["f"],
@@ -726,6 +809,7 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
         ),
         ports=(recs["parent_port"], recs["heavy_port"]),
         links=None,
+        lp_indptr=lp_indptr,
         label_bits=None,
     )
 
@@ -747,7 +831,8 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
     objects it wrote into the records (:attr:`CompiledScheme.written_from`):
     the copied fields always, the resolved links when the record pass
     used every one of the build's own links as it is, which it does
-    exactly when ``ported`` is the build's assignment.
+    exactly when ``ported`` is the build's assignment.  The compile's
+    derived keys and light-port offsets are the arrays' own.
     """
     with TELEMETRY.span(
         "engine.compile", source="arrays", entries=int(arrays.entry_keys.shape[0])
@@ -758,6 +843,7 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
             array_columns(arrays),
             arrays.k,
             ported,
+            keys=arrays.entry_keys,
             record={
                 name: getattr(arrays, col)
                 for col, name in ARRAYS_IN_RECORD.items()
@@ -765,11 +851,14 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
             },
             ports=(arrays.tr_parent_port, arrays.tr_heavy_port),
             links=(arrays.ent_parent_epos, arrays.ent_heavy_epos, arrays.ent_parent),
+            lp_indptr=arrays.lp_indptr,
             label_bits=cached,
             rejected=rejected,
         )
         if cached is None:  # the arrays' cache: columns are append-only
             arrays._entry_label_bits = compiled.ent_label_bits
+        if "mem_keys" in arrays.__dict__:
+            compiled.mem_keys = arrays.mem_keys
         written = [
             col
             for col in ARRAYS_IN_RECORD

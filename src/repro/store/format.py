@@ -62,6 +62,12 @@ from .. import pool
 from ..errors import EncodingError
 
 MAGIC = b"TZSCHEME"
+#: 6: each fact is stored once: the entry record holds the parent and
+#: heavy ports and the light-port offset (in place of the two neighbours
+#: and the pad), the keys and the member-map keys give way to int32
+#: member columns, and every column that is an exact function of others
+#: (the keys, centers, distances, SPT parents, light-port offsets, label
+#: bits) is derived on load, on first use.
 #: 5: the entry columns are int32 by the width rule, the entry record is
 #: one 64-byte line and the step record 16 bytes, and the SPT parents and
 #: the parent and heavy entry links are stored once, in the records.
@@ -69,7 +75,7 @@ MAGIC = b"TZSCHEME"
 #: (see :data:`DIGEST_CHUNK`), not of the section itself.  3: scheme
 #: containers store the compiled entry and step records as the native
 #: kernels read them, and each array column the records hold only there.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 #: Bytes per data-section chunk of ``data_sha256``; a format constant.
 DIGEST_CHUNK = 4 << 20
 #: Byte alignment of every blob, relative to the start of its data section.
@@ -347,6 +353,21 @@ def read_header(path: Union[str, Path]) -> dict:
             return _parse_header(path, size, read)[0]
     except OSError as exc:
         raise _fail(path, str(exc)) from exc
+
+
+def blob_bytes(header: dict, entries: Optional[int] = None) -> Dict[str, dict]:
+    """Each blob a container header lists, largest first: its dtype,
+    its byte count and, given the scheme's entry count, its bytes per
+    entry.  Reads nothing but the header (:func:`read_header`)."""
+    out = {}
+    specs = header.get("arrays", {})
+    for name in sorted(specs, key=lambda name: (-int(specs[name]["nbytes"]), name)):
+        spec = specs[name]
+        row = {"dtype": spec["dtype"], "bytes": int(spec["nbytes"])}
+        if entries:
+            row["bytes_per_entry"] = round(int(spec["nbytes"]) / entries, 4)
+        out[name] = row
+    return out
 
 
 def read_container(

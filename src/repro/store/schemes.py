@@ -13,15 +13,19 @@ views the rows as the record dtypes again.  Loading reverses the walk
 over memory-mapped views — the reconstructed objects are backed by the
 file, byte for byte, with nothing copied.
 
-A scheme container stores each column once: the ``arr_`` blobs, except
-the :data:`~repro.sim.engine.compile.ARRAYS_IN_RECORD` columns the
-``ent`` records hold, plus only the
-:data:`~repro.sim.engine.compile.DERIVED` compiled columns as ``cs_``
-blobs.  Loading binds the compiled form's
+A scheme container (format 6) stores each fact once: the ``arr_``
+blobs, except the :data:`~repro.sim.engine.compile.ARRAYS_IN_RECORD`
+columns the ``ent`` records hold (the member excepted: the kernels
+search its dense column) and the
+:data:`~repro.core.build.arrays.DERIVED_COLUMNS` a load derives, plus
+only the :data:`~repro.sim.engine.compile.DERIVED` compiled columns as
+``cs_`` blobs.  Loading binds the compiled form's
 :data:`~repro.sim.engine.compile.ARRAY_BOUND` columns to the loaded
 arrays and the arrays' record-held columns to fields of the loaded
-records, so both forms view one region of the map.  Backend containers
-hold no arrays and keep the full compiled manifest.
+records, so both forms view one region of the map; it reads no entry
+and derives nothing (each derived column is computed the first time a
+caller reads it).  Backend containers hold no arrays and keep the full
+compiled manifest.
 
 Field sets are validated both ways: a container that is missing a field
 (or carries an unknown one) raises
@@ -38,7 +42,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..core.build.arrays import COLUMN_DTYPES, SchemeArrays
+from ..core.build.arrays import COLUMN_DTYPES, DERIVED_COLUMNS, SchemeArrays
 from ..core.landmarks import Hierarchy
 from ..errors import EncodingError
 from ..sim.engine.compile import (
@@ -64,8 +68,13 @@ def _ndarray_fields(cls) -> tuple:
 
 
 ARRAYS_FIELDS = _ndarray_fields(SchemeArrays)
+#: The array columns only the ``ent`` records hold: the member is also
+#: a stored column of its own, the dense one slice searches read.
+RECORD_ONLY = tuple(name for name in ARRAYS_IN_RECORD if name != "ent_member")
 #: The array columns a scheme container stores as ``arr_`` blobs.
-STORED_ARRAYS_FIELDS = tuple(name for name in ARRAYS_FIELDS if name not in ARRAYS_IN_RECORD)
+STORED_ARRAYS_FIELDS = tuple(
+    name for name in ARRAYS_FIELDS if name not in RECORD_ONLY and name not in DERIVED_COLUMNS
+)
 
 
 def _strip(blobs: Dict[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
@@ -120,7 +129,8 @@ def hierarchy_from_manifest(blobs: Dict[str, np.ndarray]) -> Hierarchy:
 
 def arrays_to_manifest(arrays: SchemeArrays) -> Dict[str, np.ndarray]:
     """The ``arr_``-prefixed blobs of the canonical scheme-array form:
-    every column but the ones the compiled ``ent`` records hold."""
+    every column but the ones only the compiled ``ent`` records hold and
+    the derived ones (none of which this reads)."""
     out = {ARRAYS_PREFIX + name: getattr(arrays, name) for name in STORED_ARRAYS_FIELDS}
     for name, blob in hierarchy_to_manifest(arrays.hierarchy).items():
         out[ARRAYS_PREFIX + name] = blob
@@ -131,7 +141,9 @@ def arrays_from_manifest(
     blobs: Dict[str, np.ndarray], n: int, k: int, ent: np.ndarray
 ) -> SchemeArrays:
     """Rebuild :class:`SchemeArrays` from container blobs, validated; its
-    record-held columns are fields of the loaded ``ent`` records."""
+    record-held columns are fields of the loaded ``ent`` records, and its
+    :data:`~repro.core.build.arrays.DERIVED_COLUMNS` are derived from
+    them on first read."""
     found = _strip(blobs, ARRAYS_PREFIX)
     _check_fields(found, STORED_ARRAYS_FIELDS + _HIERARCHY_FIELDS, "SchemeArrays")
     hierarchy = hierarchy_from_manifest(found)
@@ -147,22 +159,23 @@ def arrays_from_manifest(
         )
     _check_array_columns(found, n, ent.shape[0])
     kwargs = {name: found[name] for name in STORED_ARRAYS_FIELDS}
-    kwargs.update({name: ent[field] for name, field in ARRAYS_IN_RECORD.items()})
-    return SchemeArrays(n=n, k=k, hierarchy=hierarchy, **kwargs)
+    kwargs.update({name: ent[ARRAYS_IN_RECORD[name]] for name in RECORD_ONLY})
+    kwargs.update(dict.fromkeys(DERIVED_COLUMNS))
+    arrays = SchemeArrays(n=n, k=k, hierarchy=hierarchy, **kwargs)
+    arrays._records = ent
+    return arrays
 
 
 def _check_array_columns(found: Dict[str, np.ndarray], n: int, entries: int) -> None:
     """Every stored array column has its width-rule dtype, and every
-    per-entry one ``entries`` rows (one more for ``lp_indptr``, ``n + 1``
-    for the two per-vertex offsets); else :class:`EncodingError`."""
-    members = found["mem_keys"].shape[:1]
+    per-entry one ``entries`` rows (``n + 1`` for the two per-vertex
+    offsets, any length for the light ports and the member map); else
+    :class:`EncodingError`."""
     rows = {
         "cl_indptr": (n + 1,),
         "bunch_indptr": (n + 1,),
-        "lp_indptr": (entries + 1,),
         "lp_data": found["lp_data"].shape[:1],
-        "mem_keys": members,
-        "mem_epos": members,
+        "mem_epos": found["mem_epos"].shape[:1],
         "lab_epos": found["lab_epos"].shape,
     }
     bad = [

@@ -65,6 +65,7 @@ from ..sim.engine.compile import CompiledScheme, compile_from_arrays
 from .format import (
     FORMAT_VERSION,
     _tmp_counter,
+    blob_bytes,
     container_version,
     read_container,
     read_header,
@@ -522,13 +523,20 @@ class SchemeStore:
         return out
 
     def info(self, key: str) -> dict:
-        """Header meta plus file facts for one stored container."""
+        """Header meta plus file facts for one stored container: its
+        size and data digest, each blob's dtype, bytes and bytes per
+        entry (:func:`~repro.store.format.blob_bytes`), and the file's
+        bytes per entry — all read from the header alone."""
         path = self.path_for(key)
         header = read_header(path)
         meta = dict(header.get("meta", {}))
+        entries = meta.get("entries")
         meta["path"] = str(path)
         meta["file_bytes"] = int(path.stat().st_size)
         meta["data_sha256"] = header.get("data_sha256")
+        meta["blobs"] = blob_bytes(header, entries)
+        if entries:
+            meta["bytes_per_entry"] = round(meta["file_bytes"] / entries, 4)
         return meta
 
     def gc(self, lineage: str, max_versions: int) -> List[str]:

@@ -415,7 +415,7 @@ class TestCompiledSchemeShape:
             "ent": cs.ent[:-1],
             "step": cs.step.astype([("next", "<i8"), ("wt", "<f8"), ("edge", "<i8")]),
             "lp_data": cs.lp_data.astype(np.int64),
-            "mem_keys": np.repeat(cs.mem_keys, 2)[::2],
+            "mem_member": np.repeat(cs.mem_member, 2)[::2],
         }
         for name, col in damaged.items():
             with pytest.raises(EncodingError, match=name):

@@ -244,6 +244,18 @@ class TestCli:
         assert main(["store", "info", last_key, "--dir", str(store_dir)]) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["version"] == 2 and info["lineage"] == doc["lineage"]
+        # ...and each blob's dtype, bytes and bytes per entry, from the
+        # header: they add up to the data section, and the record blob
+        # is 64 bytes an entry
+        blobs, entries = info["blobs"], info["entries"]
+        assert blobs["cs_ent"] == {
+            "dtype": "<i8", "bytes": 64 * entries, "bytes_per_entry": 64.0,
+        }
+        for row in blobs.values():
+            assert row["bytes_per_entry"] == round(row["bytes"] / entries, 4)
+        total = sum(row["bytes"] for row in blobs.values())
+        assert total <= info["file_bytes"] < total + 64 * len(blobs) + 4096
+        assert info["bytes_per_entry"] == round(info["file_bytes"] / entries, 4)
 
         # gc to one version; ls shows exactly the current one
         assert main(

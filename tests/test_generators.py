@@ -32,6 +32,11 @@ GNP_10K_PINS = {
     7: "12b17d43b15e68b1e9557ea752452b0501c7b6397cfc5145e69fca955bb2d863",
 }
 
+#: ``graph_content_hash(reference_graph("as-like", 20_000, 0))``, recorded
+#: with the generator's per-edge neighbor scan: the neighbor lists that
+#: replace it must draw the same triangle steps.
+AS_LIKE_20K_PIN = "8fbd3ccf9689193d114aba88187e83cedf73a20ef70ec636faf1fd156de49c41"
+
 
 class TestPinnedContent:
     """Byte-identical generation, on either kernel."""
@@ -45,6 +50,10 @@ class TestPinnedContent:
     def test_gnp_10k_pinned(self, seed):
         g = reference_graph("gnp", 10_000, seed)
         assert graph_content_hash(g) == GNP_10K_PINS[seed]
+
+    def test_as_like_20k_pinned(self):
+        g = reference_graph("as-like", 20_000, 0)
+        assert graph_content_hash(g) == AS_LIKE_20K_PIN
 
 
 class TestRandomFamilies:

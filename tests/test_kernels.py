@@ -403,12 +403,12 @@ class TestCommitDifferential:
         empty = {
             f.name: getattr(cs, f.name)[:0]
             for f in dataclasses.fields(cs)
-            if f.name.startswith("ent") or f.name in ("lp_data", "mem_keys", "mem_epos")
+            if f.name.startswith("ent") or f.name in ("lp_data", "mem_member", "mem_epos")
         }
         bare = dataclasses.replace(
             cs,
             root_epos=np.full(cs.n, -1, dtype=np.int64),
-            lp_indptr=np.zeros(1, dtype=np.int64),
+            tree_indptr=np.zeros(cs.n + 1, dtype=np.int64),
             **empty,
         )
         assert bare.entry_count == 0
@@ -760,6 +760,11 @@ def compiled_both(compile_on, fn, context=""):
     return got
 
 
+def light_of(arrays):
+    """The arrays' light-port CSR as ``_ent_records`` takes it (no label bits)."""
+    return (arrays.lp_indptr, arrays.lp_data, None)
+
+
 def record_inputs(arrays, links=True):
     """The arrays' ``_ent_records`` inputs before ``g_indptr``/``step``."""
     record = {
@@ -793,7 +798,8 @@ class TestCompileDifferential:
             )
             # without hints every link is a search of its tree's slice
             bare = _ent_records(
-                *record_inputs(arrays, links=False), got.g_indptr, got.step, "native"
+                *record_inputs(arrays, links=False), got.g_indptr, got.step, "native",
+                light_of(arrays),
             )
             assert bare.tobytes() == got.ent.tobytes()
             if name == "own":  # every hint holds: the build's links verbatim
@@ -832,8 +838,9 @@ class TestCompileDifferential:
             cs.g_indptr,
             cs.step,
         )
-        want = _ent_records(*empty, "numpy")
-        got = _ent_records(*empty, "native")
+        light = (np.zeros(1, dtype=np.int64), arrays.lp_data[:0], None)
+        want = _ent_records(*empty, "numpy", light)
+        got = _ent_records(*empty, "native", light)
         assert want.shape == got.shape == (0,) and want.dtype == got.dtype
 
     @needs_native
@@ -1051,11 +1058,11 @@ class TestPoolRanges:
         arrays = vectorized_arrays(graph, ported, hierarchy)
         cs = compile_from_arrays(arrays, ported)
         inputs = record_inputs(arrays) + (cs.g_indptr, cs.step)
-        words = _ent_records(*inputs, "numpy").view(np.int64)
+        words = _ent_records(*inputs, "numpy", light_of(arrays)).view(np.int64)
         for parts in (1, 2, 3, 4):
             out = np.empty(arrays.entry_count, dtype=compile_mod.ENT_DTYPE)
             with in_ranges(parts):
-                got = compile_records_native(*inputs, out)
+                got = compile_records_native(*inputs, out, light_of(arrays))
             assert got.dtype == compile_mod.ENT_DTYPE
             assert np.array_equal(got.view(np.int64), words), f"records in {parts} ranges"
 
@@ -1119,11 +1126,11 @@ def test_a_refusal_in_a_later_range_names_its_global_entry(kernel):
         args = (keys, rec, prt, hints, cs.g_indptr, cs.step)
         with pytest.raises(EncodingError, match=f"entry {e}: {fault}"):
             if kernel == "numpy":
-                _ent_records(*args, "numpy")
+                _ent_records(*args, "numpy", light_of(arrays))
             else:
                 out = np.empty(keys.shape[0], dtype=compile_mod.ENT_DTYPE)
                 with in_ranges(3):
-                    compile_records_native(*args, out)
+                    compile_records_native(*args, out, light_of(arrays))
 
 
 # ----------------------------------------------------------------------

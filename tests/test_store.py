@@ -24,6 +24,7 @@ import pytest
 
 from repro.analysis.experiments import reference_graph
 from repro.core.build import build_arrays
+from repro.core.build.arrays import DERIVED_COLUMNS
 from repro.errors import EncodingError
 from repro.graphs.ports import assign_ports
 from repro.kernels import available, native_error
@@ -48,7 +49,8 @@ from repro.store import (
     scheme_key,
     write_container,
 )
-from repro.store.format import DIGEST_CHUNK
+from repro.store.format import DIGEST_CHUNK, read_header
+from repro.store.schemes import RECORD_ONLY
 from strategies import FAMILIES, family_from_seed
 
 ROUTE_FIELDS = ("delivered", "weight", "hops", "max_header_bits", "failure_code")
@@ -134,20 +136,20 @@ def _narrow(name: str, width: int):
 #: silent misread) at route time.
 SHAPE_CORRUPTIONS = {
     "short-derived-entry-column": _short("cs_ent"),
-    "short-bound-entry-column": _short("arr_entry_keys"),
+    "short-bound-entry-column": _short("arr_ent_member"),
     "short-lp-data": _short("arr_lp_data"),
-    "short-lp-indptr": _short("arr_lp_indptr"),
+    "short-mem-members": _short("cs_mem_member"),
     "short-mem-epos": _short("arr_mem_epos"),
     "short-pivot": _short("arr_h_pivot"),
     "short-label-positions": _short("arr_lab_epos"),
     "short-step-table": _short("cs_step"),
     "short-g-indptr": _short("cs_g_indptr"),
-    "int32-entry-keys": _retype("arr_entry_keys", "<i4"),
+    "int64-members": _retype("arr_ent_member", "<i8"),
+    "int32-tree-slices": _retype("arr_cl_indptr", "<i4"),
     "int64-lp-data": _retype("arr_lp_data", "<i8"),
     "int64-mem-epos": _retype("arr_mem_epos", "<i8"),
     "int64-bunch-epos": _retype("arr_bunch_epos", "<i8"),
-    "int64-parent-ports": _retype("arr_tr_parent_port", "<i8"),
-    "int64-label-bits": _retype("cs_ent_label_bits", "<i8"),
+    "int64-mem-members": _retype("cs_mem_member", "<i8"),
     "narrow-entry-records": _narrow("cs_ent", ENT_DTYPE.itemsize // 8 - 1),
     "narrow-step-records": _narrow("cs_step", STEP_DTYPE.itemsize // 8 - 1),
 }
@@ -331,8 +333,15 @@ class TestContainer:
             },
             {"hello": "world"},
         )
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "1c1a67a9436efd61686867072a8f1f6f199ebe9aafb1a397b5b3aee462fe15dc"
+        raw = path.read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == (
+            "8d30bad0bc6b9cd559abe3e7e3cd64f73573f33c95b35ef6a1489a031c193718"
+        )
+        # the data section alone, unchanged since format 5: only the
+        # preamble's and the header's format version moved
+        start = len(raw) - read_header(path)["data_bytes"]
+        assert hashlib.sha256(raw[start:]).hexdigest() == (
+            "5b54457c6d5dc59db718a2e6e561af94c7d55af8f069fbd834cb3a0dc7253e91"
         )
 
 
@@ -478,7 +487,7 @@ class TestSingleRepresentation:
     def test_compile_binds_the_array_columns(self, saved):
         _, ported, arrays, _, _ = saved
         compiled = compile_from_arrays(arrays, ported)
-        assert len(ARRAY_BOUND) == 7 and len(DERIVED) == 4 and len(ARRAYS_IN_RECORD) == 8
+        assert len(ARRAY_BOUND) == 6 and len(DERIVED) == 4 and len(ARRAYS_IN_RECORD) == 9
         for name, get in ARRAY_BOUND.items():
             assert np.shares_memory(getattr(compiled, name), get(arrays)), name
         assert compiled.ent.dtype == ENT_DTYPE and compiled.step.dtype == STEP_DTYPE
@@ -492,19 +501,20 @@ class TestSingleRepresentation:
             assert np.shares_memory(
                 getattr(stored.compiled, name), get(stored.arrays)
             ), name
-        # ...and the other way round: the record-held array columns are
-        # fields of the loaded records.
-        for name in ARRAYS_IN_RECORD:
+        # ...and the other way round: the array columns only the records
+        # hold are fields of the loaded records (the member is the bound
+        # dense column above).
+        for name in RECORD_ONLY:
             assert np.shares_memory(stored.compiled.ent, getattr(stored.arrays, name)), name
 
     def test_container_holds_only_derived_compiled_columns(self, saved):
         _, _, arrays, _, path = saved
         header, blobs = read_container(path)
-        assert header["format_version"] == FORMAT_VERSION == 5
+        assert header["format_version"] == FORMAT_VERSION == 6
         assert sorted(n for n in blobs if n.startswith("cs_")) == sorted(
             "cs_" + name for name in DERIVED
         )
-        assert not {"arr_" + name for name in ARRAYS_IN_RECORD} & set(blobs)
+        assert not {"arr_" + name for name in RECORD_ONLY + DERIVED_COLUMNS} & set(blobs)
         # The records are stored as plain int64 rows, one per record:
         # 8 words for a 64-byte entry record, 2 for a 16-byte step.
         assert blobs["cs_ent"].dtype == np.int64
@@ -555,6 +565,9 @@ class TestSingleRepresentation:
     def test_format_4_refused_and_rebuilt(self, saved):
         self._refused_and_rebuilt(saved, 4)
 
+    def test_format_5_refused_and_rebuilt(self, saved):
+        self._refused_and_rebuilt(saved, 5)
+
     def test_materialized_scheme_compiles_from_stored_arrays(self, saved):
         graph, ported, _, store, path = saved
         stored = store.load(path)
@@ -598,7 +611,7 @@ class TestSingleRepresentation:
                 a = a.base
             return a
 
-        container_map = root(stored.arrays.entry_keys)
+        container_map = root(stored.arrays.ent_member)
         assert isinstance(container_map, mmap.mmap)
         assert root(cs.ent) is container_map and root(cs.step) is container_map
         router = BatchRouter.from_compiled(cs, kernel="native")
