@@ -14,12 +14,14 @@ line and the step record 16 bytes, and stores the SPT parents and both
 entry links once, in the records: 125.0 B/entry.  Format 6 stores each
 fact once: the record holds the ports and the light-port offset, the
 keys give way to an int32 member column, and the distances, centers,
-label bits and offsets are derived on load: 87.1 B/entry.
+label bits and offsets are derived on load: 87.1 B/entry.  Format 7
+drops the two level-0 member-map blobs, which the tree slices and the
+level-1 pivots already imply: 83.4 B/entry.
 :data:`BYTES_PER_ENTRY_CEILING` sits 2% above that, so a second copy of
-any per-entry column (4 B) fails it.  The dtype and bytes per entry of
-each blob, read from the container's header
-(:func:`~repro.store.format.blob_bytes`, as ``repro store info``
-prints them), are printed beside the total.
+any per-entry column (4 B), or the member maps back (3.7 B), fails it.
+The dtype and bytes per entry of each blob, read from the container's
+header (:func:`~repro.store.format.blob_bytes`, as ``repro store
+info`` prints them), are printed beside the total.
 
 The load speedup — header parse + zero-copy memory map, ready to route,
 against re-running the vectorized builder — is reported, not gated: it
@@ -56,8 +58,8 @@ from repro.sim.engine.compile import compile_from_arrays
 from repro.store import SchemeStore
 from repro.store.format import blob_bytes, read_header
 
-#: Container bytes per scheme entry at the default size (measured 87.1).
-BYTES_PER_ENTRY_CEILING = 88.8
+#: Container bytes per scheme entry at the default size (measured 83.4).
+BYTES_PER_ENTRY_CEILING = 85.1
 N_DEFAULT = 20_000
 K = 2
 SEED = 2025

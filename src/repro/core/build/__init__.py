@@ -37,13 +37,14 @@ from those, shared by both builders:
   entries ``bunch_epos`` lists for ``v``, distances likewise through
   ``ent_dist`` (bunch/cluster duality is ``bunch_epos`` being a
   permutation of the entries);
-* **member maps** — ``mem_keys``/``mem_epos``: the source-side level-0
-  cluster check;
 * **labels** — ``lab_epos[i, v]``: the entry of ``v`` in its level-``i``
   pivot's tree (row 0 = ``v``'s own root entry).
 
-Sorted keys make every membership question ("does ``u`` have a record
-for ``T_w``?") a batched ``searchsorted`` — the same trick the batch
+No member map is stored: a source's level-0 cluster ``{v : d(u, v) <
+d(A_1, v)}`` is its own tree slice, or just itself when it is a
+landmark (:func:`~repro.core.landmarks.level0_sources`).  Sorted keys
+make every membership question ("does ``u`` have a record for
+``T_w``?") a batched ``searchsorted`` — the same trick the batch
 routing engine uses, which is why :func:`compile_from_arrays
 <repro.sim.engine.compile.compile_from_arrays>` exports these arrays
 directly, and every scheme either builder makes carries them.

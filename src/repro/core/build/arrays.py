@@ -10,12 +10,12 @@ suite (``tests/test_builder_equivalence.py``) can compare them
 field-by-field with ``np.array_equal`` — bit-identical or it fails.
 
 :func:`assemble_arrays` derives the *shared* structures (entry keys,
-parent/heavy entry links, level-0 member maps, label entry positions,
-the bunch CSR) from the builder-specific core fields, so a disagreement
-between builders can only originate in what they actually compute
-independently: membership, distances, parents, tree records and light
-ports.  A patch hands it the scheme it spliced from, whose derived
-structures it shares wherever their inputs are that scheme's own.
+parent/heavy entry links, label entry positions, the bunch CSR) from
+the builder-specific core fields, so a disagreement between builders
+can only originate in what they actually compute independently:
+membership, distances, parents, tree records and light ports.  A patch
+hands it the scheme it spliced from, whose derived structures it
+shares wherever their inputs are that scheme's own.
 
 Every column has one dtype, :data:`COLUMN_DTYPES`, from the pass that
 makes it to the container that stores it: per-entry integers are
@@ -46,10 +46,10 @@ from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
 from ...kernels.records import derive_entries_native, derive_refusal
 from ...kernels.splice import assemble_native
-from ...trees.label_codec import TreeLabel, _bit_length_array, tree_label_bits_array
+from ...trees.label_codec import TreeLabel, f_width_array, tree_label_bits_array
 from ...trees.tz_tree import TreeLocalRecord
 from ..labels import LabelEntry, TZLabel
-from ..landmarks import Hierarchy
+from ..landmarks import Hierarchy, level0_sources
 from ..tables import VertexTable
 
 
@@ -76,8 +76,6 @@ COLUMN_DTYPES: Dict[str, np.dtype] = {
     "tr_heavy_port": _I32,
     "lp_indptr": _I64,
     "lp_data": _I32,
-    "mem_keys": _I64,
-    "mem_epos": _I32,
     "lab_epos": _I64,
     "bunch_indptr": _I64,
     "bunch_epos": _I32,
@@ -143,9 +141,8 @@ def _locate(entry_keys: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
 #: the parent link; ``ent_dist`` is summed top down, ``d(e) =
 #: d(parent_epos(e)) + parent_wt(e)``, 0 at a root, which the build's
 #: tight-arc parents satisfy exactly in float64; ``lp_indptr`` is the
-#: records' ``lp_off`` column (the prefix sums of the light depths);
-#: ``mem_keys`` is ``entry_keys[mem_epos]``.
-DERIVED_COLUMNS = ("entry_keys", "ent_center", "ent_dist", "ent_parent", "lp_indptr", "mem_keys")
+#: records' ``lp_off`` column (the prefix sums of the light depths).
+DERIVED_COLUMNS = ("entry_keys", "ent_center", "ent_dist", "ent_parent", "lp_indptr")
 
 
 def derive_entries_numpy(
@@ -221,8 +218,9 @@ def derive_entries_numpy(
         if "lp_indptr" in want:
             out["lp_indptr"] = lp_indptr
         if "label_bits" in want:
-            f_width = _bit_length_array(sizes - 1)[center]
-            out["label_bits"] = tree_label_bits_array(f_width, lp_indptr, lp_data).astype(np.int32)
+            out["label_bits"] = tree_label_bits_array(
+                sizes[center], lp_indptr, lp_data
+            ).astype(np.int32)
     return out
 
 
@@ -273,9 +271,6 @@ class SchemeArrays:
     # -- light-port sequences (the member as a destination) -------------
     lp_indptr: np.ndarray  # (E+1,)
     lp_data: np.ndarray  # (L,) root-to-leaf light-edge ports
-    # -- source-side level-0 member maps --------------------------------
-    mem_keys: np.ndarray  # (M,) sorted subset of entry_keys
-    mem_epos: np.ndarray  # (M,) entry index of each member-map pair
     # -- label entry positions: row 0 = (v, v), row i = (p_i(v), v) ------
     lab_epos: np.ndarray  # (k, n)
     # -- bunches: the transpose of the cluster CSR ----------------------
@@ -316,17 +311,14 @@ class SchemeArrays:
         together."""
         if name not in DERIVED_COLUMNS:
             raise AttributeError(name)
+        if self._records is None:
+            raise AttributeError(f"{name} was neither given nor derivable")
         cols = self.__dict__
-        if name == "mem_keys":
-            cols[name] = self.entry_keys[self.mem_epos]
-        else:
-            if self._records is None:
-                raise AttributeError(f"{name} was neither given nor derivable")
-            pair = ("entry_keys", "ent_center")
-            want = tuple(w for w in pair if w not in cols) if name in pair else (name,)
-            cols.update(
-                derive_entries(self.cl_indptr, self.ent_member, self._records, self.lp_data, want)
-            )
+        pair = ("entry_keys", "ent_center")
+        want = tuple(w for w in pair if w not in cols) if name in pair else (name,)
+        cols.update(
+            derive_entries(self.cl_indptr, self.ent_member, self._records, self.lp_data, want)
+        )
         return cols[name]
 
     @property
@@ -360,13 +352,19 @@ class SchemeArrays:
                 self.cl_indptr, self.ent_member, self._records, self.lp_data, ("label_bits",)
             )["label_bits"]
         else:
-            sizes = self.tree_sizes()[self.ent_center]
-            # frexp exponent == bit_length; sizes - 1 == 0 -> 0-bit DFS field
-            # (single-vertex trees), matching label_codec._f_width.
-            f_width = np.frexp((sizes - 1).astype(np.float64))[1].astype(np.int64)
-            elb = tree_label_bits_array(f_width, self.lp_indptr, self.lp_data).astype(np.int32)
+            elb = tree_label_bits_array(
+                self.tree_sizes()[self.ent_center], self.lp_indptr, self.lp_data
+            ).astype(np.int32)
         self._entry_label_bits = elb
         return elb
+
+    def level0_entries(self) -> np.ndarray:
+        """Mask of the entries ``(source, v)`` with ``v`` in the source's
+        level-0 cluster, ``(E,)`` bool: every entry of a source that
+        checks level 0 (:func:`~repro.core.landmarks.level0_sources`),
+        and each other source's root."""
+        level0 = level0_sources(self.hierarchy.pivot)
+        return level0[self.ent_center] | (self.ent_member == self.ent_center)
 
     def table_bits(self, max_port: int) -> np.ndarray:
         """Per-vertex measured table bits, ``(n,)`` — the vectorized
@@ -376,20 +374,22 @@ class SchemeArrays:
         off the entry columns), one id, the fixed-width §2 record (four
         DFS fields at the tree's width, two ports at the graph's port
         width) and its own encoded tree label; per level-0 member, one id
-        plus the member's label; plus ``k−1`` pivot ids.  Bit-identical
-        to the dict-world sum (the backend contract suite enforces it).
+        plus the member's label; plus ``k−1`` pivot ids.  The level-0
+        members are the whole tree slice of a source that checks level 0
+        (:func:`~repro.core.landmarks.level0_sources`) and the root alone
+        of any other.  Bit-identical to the dict-world sum (the backend
+        contract suite enforces it).
         """
         id_bits = (max(self.n - 1, 0)).bit_length()
         pw = max(1, int(max_port).bit_length())
-        sizes = self.tree_sizes()
-        f_width = np.frexp((sizes - 1).astype(np.float64))[1].astype(np.int64)
+        f_width = f_width_array(self.tree_sizes())
         elb = self.entry_label_bits()
         per_entry = id_bits + 4 * f_width[self.ent_center] + 2 * pw + elb
         # Weighted bincount is exact here: every sum stays far below 2^53.
         bits = np.bincount(
             self.ent_member, weights=per_entry.astype(np.float64), minlength=self.n
         ).astype(np.int64)
-        mem = self.mem_epos
+        mem = self.level0_entries()
         bits += np.bincount(
             self.ent_center[mem],
             weights=(id_bits + elb[mem]).astype(np.float64),
@@ -449,13 +449,9 @@ def _derive_numpy(
     k: int,
     cl_indptr: np.ndarray,
     ent_member: np.ndarray,
-    ent_dist: np.ndarray,
-    d1: np.ndarray,
     pivot: np.ndarray,
     *,
     entry_keys: Optional[np.ndarray],
-    ent_center: Optional[np.ndarray],
-    maps: bool,
     labels: bool,
     bunch: bool,
 ) -> Dict[str, object]:
@@ -466,11 +462,6 @@ def _derive_numpy(
         ent_center = np.repeat(np.arange(n, dtype=np.int32), np.diff(cl_indptr))
         entry_keys = ent_center.astype(np.int64) * np.int64(n) + ent_member
         out.update(entry_keys=entry_keys, ent_center=ent_center)
-    if maps:
-        # Level-0 member maps: the source-side "is v in my cluster?" check is
-        # deliberately restricted to d(u, v) < d(A_1, v) — see core.tables.
-        mem_epos = np.flatnonzero((ent_member == ent_center) | (ent_dist < d1[ent_member]))
-        out.update(mem_epos=mem_epos.astype(np.int32), mem_keys=entry_keys[mem_epos])
     if labels:
         verts = np.arange(n, dtype=np.int64)
         lab_epos = np.empty((k, n), dtype=np.int64)
@@ -505,10 +496,9 @@ def _same_values(mine: np.ndarray, theirs: np.ndarray) -> bool:
 
 
 #: The structures assemble derives from the entry keys, by the part of
-#: the derivation that makes them (the ``maps``/``labels``/``bunch``
-#: switches of :func:`_derive_numpy` and ``assemble_native``).
+#: the derivation that makes them (the ``labels``/``bunch`` switches of
+#: :func:`_derive_numpy` and ``assemble_native``).
 _DERIVED_PARTS = {
-    "maps": ("mem_keys", "mem_epos"),
     "labels": ("lab_epos",),
     "bunch": ("bunch_indptr", "bunch_epos"),
 }
@@ -544,21 +534,20 @@ def assemble_arrays(
     parents/heavy children are resolved back to entry positions here
     (builders that already hold the entry links pass them through — when
     ``ent_heavy_epos`` is supplied ``heavy_vertex`` may be omitted), and
-    the entry keys, member maps, label positions and bunch CSR are
-    computed the same way for both builders (so they cannot mask a
-    core-field mismatch), on the platform's kernel: natively in two
-    pool runs (:func:`~repro.kernels.splice.assemble_native`), else by
+    the entry keys, label positions and bunch CSR are computed the same
+    way for both builders (so they cannot mask a core-field mismatch),
+    on the platform's kernel: natively in two pool runs
+    (:func:`~repro.kernels.splice.assemble_native`), else by
     :func:`_derive_numpy`, the reference.
 
     A caller that already holds ``entry_keys`` and ``ent_center`` (the
     patch splice) passes both; they are trusted to match ``(cl_indptr,
     ent_member)``.  ``parent`` is the scheme a patch spliced these
     columns from: every derived structure whose inputs are the parent's
-    own column objects (or equal hierarchy rows) is the parent's, not a
-    copy — the member maps when the keys and ``ent_dist`` are and
-    ``d(A_1, ·)`` is equal, the label positions when the keys are and
-    the pivots equal, the bunch CSR when the members are.  Columns are
-    append-only once assembled, so sharing is safe.
+    own column objects (or equal pivots) is the parent's, not a copy —
+    the label positions when the keys are and the pivots equal, the
+    bunch CSR when the members are.  Columns are append-only once
+    assembled, so sharing is safe.
 
     Every column comes out in its :data:`COLUMN_DTYPES` dtype (builders
     hand most of them over in it already); a graph or scheme too large
@@ -569,7 +558,6 @@ def assemble_arrays(
     E = ent_member.shape[0]
     check_index_sizes(n, graph.adj.shape[0], E)
     ent_member = _column("ent_member", ent_member)
-    ent_dist = _column("ent_dist", ent_dist)
     if ent_center is not None:
         entry_keys = _column("entry_keys", entry_keys)
         ent_center = _column("ent_center", ent_center)
@@ -578,11 +566,7 @@ def assemble_arrays(
     if ent_center is None:
         entry_keys = None  # derived together
     same_keys = parent is not None and entry_keys is parent.entry_keys
-    d1 = hierarchy.dist[1] if k >= 2 else np.full(n, np.inf)
     keep = dict(
-        maps=same_keys
-        and ent_dist is parent.ent_dist
-        and (k < 2 or _same_values(d1, parent.hierarchy.dist[1])),
         labels=same_keys and _same_values(hierarchy.pivot, parent.hierarchy.pivot),
         bunch=parent is not None and ent_member is parent.ent_member,
     )
@@ -594,11 +578,8 @@ def assemble_arrays(
             k,
             cl_indptr,
             ent_member,
-            ent_dist,
-            d1,
             hierarchy.pivot,
             entry_keys=entry_keys,
-            ent_center=ent_center,
             **{part: not kept for part, kept in keep.items()},
         )
     if got.get("missing_level") is not None:
@@ -662,8 +643,10 @@ def scheme_from_arrays(graph: Graph, ported: PortedGraph, arrays: SchemeArrays):
 
     Produces exactly what :func:`repro.core.scheme_k.build_tz_scheme`
     builds per-node (the differential suite asserts this): same records,
-    tree labels, member maps, pivots and destination labels.  The scheme
-    carries ``arrays`` itself, so its batch compile reads them directly.
+    tree labels, level-0 members (read off the tree slices,
+    :meth:`SchemeArrays.level0_entries`), pivots and destination labels.
+    The scheme carries ``arrays`` itself, so its batch compile reads
+    them directly.
     """
     from ..scheme_k import TZRoutingScheme
 
@@ -703,7 +686,7 @@ def scheme_from_arrays(graph: Graph, ported: PortedGraph, arrays: SchemeArrays):
         tables[v].trees[w] = record
         tables[v].own_labels[w] = mu
         tree_labels[w][v] = mu
-    for e in arrays.mem_epos.tolist():
+    for e in np.flatnonzero(arrays.level0_entries()).tolist():
         tables[center_l[e]].members[member_l[e]] = entry_label[e]
 
     pivot_rows = [hierarchy.pivot[i].tolist() for i in range(k)]

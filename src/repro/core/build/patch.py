@@ -39,8 +39,8 @@ platform's kernel: its level engines (the native ``tz_frontier_sweep``,
 or numpy's frontier sweep and chunked full Dijkstra rows) and its
 cluster-tree pass (``tz_cluster_trees``, or numpy's parent and
 heavy-light stages).  Per-center results are engine- and
-batching-independent by the float64-exact determinism contract, so the
-dirty subset may be rebuilt with whichever engine fits its size.
+batching-independent by the float64-exact determinism contract, so a
+dirty subset of centers gets the very columns a fresh build gives them.
 
 Weight-only deltas get two refinements before the rebuild.  The
 conservative witness set would dirty every *top-level* cluster (a
@@ -518,7 +518,7 @@ def patch_arrays(
             if centers.shape[0] == 0:
                 continue
             thr = h_new.dist[i + 1]
-            engine = _level_engine(kernel, "auto", centers, thr)
+            engine = _level_engine(kernel, thr)
             keys, dist = _level_clusters(new_graph, centers, thr, i, engine, kernel)
             key_parts.append(keys)
             dist_parts.append(dist)

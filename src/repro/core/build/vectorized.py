@@ -23,8 +23,7 @@ compiled C passes when ``_native.c`` loads, numpy/scipy otherwise.
    * *full* — chunked batched single-source Dijkstra over the level's
      centers (one C-level scipy call per chunk), membership by a
      row-wise threshold comparison.  The numpy kernel uses it for
-     unbounded levels and for levels with few centers; ``mode="full"``
-     forces it everywhere.
+     unbounded levels, where infinite thresholds never prune.
 
 2. **SPT parents and heavy-light trees**, after one global key sort of
    the entries.  The reference truncated Dijkstra relaxes ties toward
@@ -65,12 +64,6 @@ from ...obs import TELEMETRY
 from ..landmarks import Hierarchy
 from .arrays import SchemeArrays, assemble_arrays, check_index_sizes
 from .reference import reference_arrays
-
-#: On the numpy kernel, levels with at most this many centers use the
-#: *full* engine even when their thresholds are finite (a handful of
-#: C-level Dijkstra rows beats the numpy frontier machinery; the native
-#: sweep beats both).
-FULL_CENTER_LIMIT = 32
 
 #: Cap on materialized cells / arc expansions per chunk (memory bound).
 CHUNK_CELLS = 1 << 22
@@ -435,23 +428,17 @@ def _tree_arrays(
     }
 
 
-def _level_engine(kernel: str, mode: str, centers: np.ndarray, thr: np.ndarray) -> str:
-    """``"full"`` (scipy rows) or ``"pruned"`` (the frontier sweep).
+def _level_engine(kernel: str, thr: np.ndarray) -> str:
+    """``"full"`` (scipy rows) or ``"pruned"`` (the frontier sweep) for a
+    level whose clusters ``thr`` bounds.
 
     The native sweep is faster than scipy rows on every level, unbounded
-    ones included, so only ``mode="full"`` sends it to scipy; the numpy
-    sweep gives way to scipy on unbounded levels (infinite thresholds
-    never prune) and, under ``"auto"``, on levels with few centers.
+    ones included; the numpy sweep gives way to scipy rows on an
+    unbounded level, where infinite thresholds never prune.
     """
-    if mode == "full":
-        return "full"
-    if kernel == "native":
+    if kernel == "native" or not bool(np.all(np.isinf(thr))):
         return "pruned"
-    if bool(np.all(np.isinf(thr))) or (
-        mode == "auto" and centers.shape[0] <= FULL_CENTER_LIMIT
-    ):
-        return "full"
-    return "pruned"
+    return "full"
 
 
 def _level_clusters(
@@ -501,18 +488,14 @@ def vectorized_arrays(
     ported: PortedGraph,
     hierarchy: Hierarchy,
     *,
-    mode: str = "auto",
     kernel: str = "auto",
 ) -> SchemeArrays:
     """Construct the whole scheme as array programs (see module docstring).
 
-    ``mode`` selects the per-level cluster engine: ``"auto"`` (default),
-    ``"full"`` (always scipy's batched full-graph rows) or ``"pruned"``
-    (always the frontier sweep, except that the numpy kernel still runs
-    unbounded levels as full rows, since infinite thresholds never
-    prune).  Under ``"auto"`` the native kernel sweeps every level, the
-    unbounded top level included; the numpy kernel uses full rows for
-    unbounded levels and levels of at most ``FULL_CENTER_LIMIT`` centers.
+    The cluster engine of each level follows from the kernel and the
+    level (:func:`_level_engine`): the native kernel sweeps every level,
+    the unbounded top level included; the numpy kernel sweeps bounded
+    levels and runs unbounded ones as scipy's full rows.
 
     ``kernel`` selects the backend of the frontier sweep and the
     cluster-tree pass — ``"numpy"`` (the differential reference),
@@ -520,8 +503,6 @@ def vectorized_arrays(
     :mod:`repro.kernels`); the resulting arrays are bit-for-bit identical
     either way.
     """
-    if mode not in ("auto", "full", "pruned"):
-        raise PreprocessingError(f"unknown vectorized builder mode {mode!r}")
     kernel = resolve_kernel(kernel)
     if not _is_float64_exact(graph):
         # Same determinism contract as CSRKernel.multi_source: when float
@@ -539,7 +520,7 @@ def vectorized_arrays(
         if centers.shape[0] == 0:
             continue
         thr = hierarchy.dist[i + 1]
-        engine = _level_engine(kernel, mode, centers, thr)
+        engine = _level_engine(kernel, thr)
         with tm.span(
             "build.clusters", level=i, engine=engine, centers=int(centers.shape[0])
         ):

@@ -68,6 +68,28 @@ class Hierarchy:
         return [int(a.size) for a in self.levels]
 
 
+def level0_sources(pivot: np.ndarray) -> np.ndarray:
+    """The sources that check level 0, ``(n,)`` bool, from the ``(k, n)``
+    pivot matrix: every vertex when ``k == 1``, else each vertex that is
+    not its own level-1 pivot.
+
+    A source table of the paper stores the level-0 cluster ``C_0(u) =
+    {v : d(u, v) < d(A_1, v)}``, and the scheme already holds it: for
+    ``u ∉ A_1`` it is ``u``'s own cluster ``C(u)``, whose threshold is
+    the same ``d(A_1, ·)``, so the source searches its own tree slice;
+    for a landmark ``u ∈ A_1`` it is ``{u}``, since ``d(A_1, v) ≤ d(u,
+    v)``, and a route never asks for ``u`` itself (``s == t`` is
+    trivial).  A landmark is exactly a vertex that is its own level-1
+    pivot: weights are positive, so ``d(A_1, u) = 0`` only on ``A_1``,
+    where ``u`` is its own nearest witness.  The levels must nest (see
+    :func:`hierarchy_from_levels`); ``tz_commit`` in ``kernels/_native.c``
+    mirrors this rule inline."""
+    k, n = pivot.shape
+    if k == 1:
+        return np.ones(n, dtype=bool)
+    return pivot[1] != np.arange(n)
+
+
 def sample_hierarchy(
     n: int,
     k: int,
@@ -210,6 +232,29 @@ def compute_pivots(
     return dist, pivot
 
 
+def _check_nested(n: int, levels: List[np.ndarray]) -> None:
+    """Raise :class:`PreprocessingError`, naming the first level at
+    fault, unless ``levels`` nest as the paper's do: ``A_0 = V ⊇ A_1 ⊇
+    … ⊇ A_{k-1} ≠ ∅`` over the ids ``[0, n)``."""
+    if not levels:
+        raise PreprocessingError("a hierarchy needs at least level 0")
+    below = np.ones(n, dtype=bool)  # A_{i-1} as a mask; V under level 0
+    for i, level in enumerate(levels):
+        if level.ndim != 1 or np.any((level < 0) | (level >= n)):
+            raise PreprocessingError(f"level {i} holds ids outside [0, {n})")
+        here = np.zeros(n, dtype=bool)
+        here[level] = True
+        if i == 0 and not here.all():
+            raise PreprocessingError("level 0 is not every vertex: A_0 must be V")
+        if np.any(here & ~below):
+            raise PreprocessingError(
+                f"level {i} is not a subset of level {i - 1}: the levels must nest"
+            )
+        below = here
+    if levels[-1].size == 0:
+        raise PreprocessingError(f"the top level {len(levels) - 1} is empty")
+
+
 def hierarchy_from_levels(
     graph: Graph,
     levels: Sequence[np.ndarray],
@@ -217,8 +262,15 @@ def hierarchy_from_levels(
     consistent: bool = True,
 ) -> Hierarchy:
     """Resolve explicit level sets into a full :class:`Hierarchy`
-    (distances, consistent pivots, top level per vertex)."""
+    (distances, consistent pivots, top level per vertex).
+
+    The levels must nest, ``A_0 = V ⊇ A_1 ⊇ … ⊇ A_{k-1} ≠ ∅``, or
+    :class:`PreprocessingError` names the first level at fault: each
+    vertex's top level, and with it the threshold of its cluster, is
+    only the paper's on nested levels (and :func:`level0_sources` reads
+    the level-0 clusters off the tree slices only then)."""
     levels = [np.asarray(a, dtype=np.int64) for a in levels]
+    _check_nested(graph.n, levels)
     k = len(levels)
     dist, pivot = compute_pivots(graph, levels, consistent=consistent)
     level_of = np.zeros(graph.n, dtype=np.int64)

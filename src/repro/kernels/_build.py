@@ -83,8 +83,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_PTR] * 2  # src, dst
         + [_PTR] * 8  # fail, tree, header, dest_f, lp_lo, lp_hi, epos_src, epos_dst
         + [_I64] * 6  # n, k, id_bits, handshake, entry count, lp_data length
-        + [_PTR] * 9  # ent records, members, tree_indptr, lp_data, mem_member,
-        #               mem_epos, mem_indptr, root_epos, pivot
+        + [_PTR] * 6  # ent records, members, tree_indptr, lp_data, root_epos, pivot
     )
     lib.tz_hop_loop.restype = _I64
     lib.tz_hop_loop.argtypes = (
@@ -156,12 +155,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         [_I64, _I64, _I64]  # n, entry range lo, hi
         + [_PTR] * 2  # cl_indptr, member
         + [_PTR] * 2  # out center, keys
-    )
-    lib.tz_member_maps.restype = _I64
-    lib.tz_member_maps.argtypes = (
-        [_I64, _I64, _I64]  # n, entry range lo, hi
-        + [_PTR] * 5  # center, member, dist, d1, keys
-        + [_I64, _PTR, _PTR]  # first output row, out epos (or NULL: count), keys
     )
     lib.tz_label_positions.restype = _I64
     lib.tz_label_positions.argtypes = (

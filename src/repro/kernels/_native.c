@@ -58,9 +58,9 @@
  *   level; every parent is summed before its child (DFS order), so each
  *   addend is the same double.
  * - tz_splice copies rows and adds the same integer shifts as the
- *   numpy splice; the assemble passes make the same comparisons as
- *   numpy's masks, find the same unique keys as its searchsorted, and a
- *   stable counting sort orders entries as a stable argsort does.
+ *   numpy splice; the assemble passes find the same unique keys as
+ *   numpy's searchsorted, and a stable counting sort orders entries as
+ *   a stable argsort does.
  * - tz_gnp_edges and tz_permute_rows call the caller's bit generator
  *   once per draw the Python loops make, through the same function
  *   pointers numpy calls, and do the same arithmetic on the draws:
@@ -544,10 +544,12 @@ static int64_t tree_entry(const int32_t *member, const int64_t *tree_indptr,
  * label bits are computed here, from the committed tree's slice length
  * and the destination's light ports: lp_off and light_depth sit on the
  * record line read for f, and the ports are the slice the hop loop
- * reads next.  Entry indices read from the member map and root_epos,
- * and the destination's light-port slice, are checked against E and
- * lp_len first; a row that fails a check gets FAIL_CORRUPT and the
- * defaults. */
+ * reads next.  A source checks level 0 in its own tree slice unless it
+ * is its own level-1 pivot (a landmark), the rule of
+ * repro.core.landmarks.level0_sources.  The entry index read from
+ * root_epos, and the destination's light-port slice, are checked
+ * against E and lp_len first; a row that fails a check gets
+ * FAIL_CORRUPT and the defaults. */
 void tz_commit(
     int64_t count,
     const int64_t *src,
@@ -570,9 +572,6 @@ void tz_commit(
     const int32_t *member,           /* (E) member per entry */
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
     const int32_t *lp_data,          /* (lp_len) light ports */
-    const int32_t *mem_member,       /* (M) member-map members, by source */
-    const int32_t *mem_epos,         /* (M) entry of (source, member) */
-    const int64_t *mem_indptr,       /* (n+1) member-map slice per source */
     const int64_t *root_epos,        /* (n) entry of (v, v) */
     const int64_t *pivot)            /* (k, n) row-major */
 {
@@ -604,14 +603,17 @@ void tz_commit(
                         w = cw;
                 }
             } else {
-                /* level 0: the destination is in the source's own cluster */
-                const int64_t j =
-                    find_member(mem_member, mem_indptr[s], mem_indptr[s + 1], t);
+                /* level 0: the destination is in the source's level-0
+                 * cluster, its own tree slice unless the source is a
+                 * landmark (its own level-1 pivot) */
+                const int64_t j = k == 1 || pivot[n + s] != s
+                                      ? tree_entry(member, tree_indptr, n, s, t)
+                                      : -1;
                 if (j >= 0) {
                     w = s;
-                    ep = mem_epos[j];
+                    ep = j;
                     sp = root_epos[s];
-                    corrupt = ep < 0 || ep >= E || sp < 0 || sp >= E;
+                    corrupt = sp < 0 || sp >= E;
                 } else {
                     /* levels 1..k-1: the first pivot tree holding the
                      * source decides; a missing destination record there
@@ -1717,39 +1719,6 @@ void tz_entry_keys(
             keys[e] = c * n + member[e];
         }
     }
-}
-
-/* Count (epos NULL) or write the level-0 member-map rows among entries
- * [lo, hi): the entries whose member is its center or lies closer to
- * it than to level 1, d(center, member) < d1[member].  Writes epos and
- * mkeys from row `base` on; returns the count, or ASSEMBLE_MEMBER. */
-int64_t tz_member_maps(
-    int64_t n,
-    int64_t lo,
-    int64_t hi,
-    const int32_t *center,           /* (E) */
-    const int32_t *member,           /* (E) */
-    const double *dist,              /* (E) */
-    const double *d1,                /* (n) d(A_1, v) */
-    const int64_t *keys,             /* (E) */
-    int64_t base,
-    int32_t *epos,                   /* out, or NULL to count */
-    int64_t *mkeys)                  /* out */
-{
-    int64_t count = 0;
-    for (int64_t e = lo; e < hi; e++) {
-        const int64_t v = member[e];
-        if (v < 0 || v >= n)
-            return ASSEMBLE_MEMBER;
-        if (v == center[e] || dist[e] < d1[v]) {
-            if (epos) {
-                epos[base + count] = (int32_t)e;
-                mkeys[base + count] = keys[e];
-            }
-            count++;
-        }
-    }
-    return count;
 }
 
 /* Label entry positions of vertices [lo, hi): row 0 the entry (v, v),

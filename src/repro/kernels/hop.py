@@ -15,16 +15,16 @@ are the record tables the C structs describe (so a parent or heavy hop
 touches one 64-byte cache line and nothing else), and its other columns
 are C-contiguous int64 or, per entry, int32 — the scheme's construction
 check guarantees both, so nothing is converted or copied before a
-route.  Every lookup either kernel makes binary-searches one slice of
-an int32 member column — ``ent_member`` inside ``tree_indptr``'s slice
-of a tree root, ``mem_member`` inside ``mem_indptr``'s slice of a
-source's member map — or indexes a full-n tree slice directly.  The
-commit computes each header's label bits from the destination's record
-and light ports; no per-entry label-bit column is read.
+route.  Every lookup either kernel makes binary-searches one tree's
+slice of the int32 member column ``ent_member`` inside ``tree_indptr``
+(a source's own slice for the level-0 check) or indexes a full-n tree
+slice directly.  The commit computes each header's label bits from the
+destination's record and light ports; no per-entry label-bit column is
+read.
 
 The columns may be views of an unverified map: both kernels check every
-index they read out of a record, the member map or ``root_epos`` before
-reading through it, and fail the row with ``FAIL_CORRUPT`` instead.
+index they read out of a record or ``root_epos`` before reading through
+it, and fail the row with ``FAIL_CORRUPT`` instead.
 
 The kernels only read the scheme, so any number of threads may route
 through one at once; and because they read the scheme's own memory, an
@@ -98,9 +98,6 @@ def commit_native(cs, src: np.ndarray, dst: np.ndarray, state: Tuple[np.ndarray,
         _ptr(cs.ent_member),
         _ptr(cs.tree_indptr),
         _ptr(cs.lp_data),
-        _ptr(cs.mem_member),
-        _ptr(cs.mem_epos),
-        _ptr(cs.mem_indptr),
         _ptr(cs.root_epos),
         _ptr(cs.pivot),
     )

@@ -15,8 +15,7 @@ patch then shares.
 
 :func:`assemble_arrays <repro.core.build.arrays.assemble_arrays>` then
 derives what the core columns imply: ``tz_entry_keys`` the center and
-key of every entry, ``tz_member_maps`` the level-0 member maps,
-``tz_label_positions`` the label entry positions, and
+key of every entry, ``tz_label_positions`` the label entry positions, and
 ``tz_member_counts`` + ``tz_bunch_scatter`` the bunch CSR as a stable
 counting sort by member.
 
@@ -201,23 +200,18 @@ def assemble_native(
     k: int,
     cl_indptr: np.ndarray,
     ent_member: np.ndarray,
-    ent_dist: np.ndarray,
-    d1: np.ndarray,
     pivot: np.ndarray,
     *,
     entry_keys: Optional[np.ndarray],
-    ent_center: Optional[np.ndarray],
-    maps: bool,
     labels: bool,
     bunch: bool,
 ) -> Dict[str, object]:
     """Derive the structures ``assemble_arrays`` asks for, in two pool
     runs over row ranges.
 
-    Without ``entry_keys`` (given with ``ent_center`` or not at all) the
-    first run writes both; ``maps`` adds ``mem_epos`` and ``mem_keys``,
-    ``labels`` ``lab_epos`` (plus ``missing_level``, the lowest level
-    some vertex has no label entry at, or None), ``bunch``
+    Without ``entry_keys`` the first run writes them and ``ent_center``;
+    ``labels`` adds ``lab_epos`` (plus ``missing_level``, the lowest
+    level some vertex has no label entry at, or None), ``bunch``
     ``bunch_indptr`` and ``bunch_epos``, each in its width-rule dtype
     (int32 entry indices and centers, int64 keys and offsets).  Raises
     :class:`PreprocessingError` for a member outside ``[0, n)``.
@@ -225,29 +219,25 @@ def assemble_native(
     lib = _lib()
     cl_indptr = _i64(cl_indptr)
     member = _build.column(ent_member, np.int32, "ent_member")
-    dist = np.ascontiguousarray(ent_dist, dtype=np.float64)
-    d1 = np.ascontiguousarray(d1, dtype=np.float64)
     pivot = _i64(pivot)
     E = int(member.shape[0])
     if cl_indptr.shape != (n + 1,) or cl_indptr[0] != 0 or cl_indptr[-1] != E:
         raise ValueError("cl_indptr must hold n + 1 offsets from 0 to the entry count")
     if np.any(np.diff(cl_indptr) < 0):
         raise ValueError("cl_indptr must not decrease")
-    if dist.shape != (E,) or d1.shape != (n,) or pivot.shape != (k, n):
-        raise ValueError("entry and vertex columns disagree in shape")
+    if pivot.shape != (k, n):
+        raise ValueError("the pivots are not a (k, n) matrix")
     out: Dict[str, object] = {}
     if entry_keys is None:
         keys, center = np.empty(E, dtype=np.int64), np.empty(E, dtype=np.int32)
         out.update(entry_keys=keys, ent_center=center)
     else:
         keys = _build.column(entry_keys, np.int64, "entry_keys")
-        center = _build.column(ent_center, np.int32, "ent_center")
-        if keys.shape != (E,) or center.shape != (E,):
-            raise ValueError("entry keys and centers need one row per entry")
+        if keys.shape != (E,):
+            raise ValueError("entry keys need one row per entry")
     parts = pool.size()
     ranges = row_ranges(E, parts)
     counts = np.zeros((parts, n if bunch else 0), dtype=np.int64)
-    found = np.zeros(parts, dtype=np.int64)
 
     def first(j: int, lo: int, hi: int) -> int:
         if entry_keys is None:
@@ -259,24 +249,11 @@ def assemble_native(
             n, lo, hi, member.ctypes.data, counts[j].ctypes.data
         ):
             return _BAD_MEMBER
-        if maps:
-            found[j] = lib.tz_member_maps(
-                n, lo, hi, center.ctypes.data, member.ctypes.data, dist.ctypes.data,
-                d1.ctypes.data, keys.ctypes.data, 0, None, None,
-            )
-            if found[j] < 0:
-                return _BAD_MEMBER
         return 0
 
     if any(pool.run(first, [(j, lo, hi) for j, (lo, hi) in enumerate(ranges)])):
         raise PreprocessingError("an entry's member lies outside [0, n)")
 
-    if maps:
-        base = np.zeros(parts + 1, dtype=np.int64)
-        np.cumsum(found, out=base[1:])
-        mem_epos = np.empty(int(base[-1]), dtype=np.int32)
-        mem_keys = np.empty(int(base[-1]), dtype=np.int64)
-        out.update(mem_epos=mem_epos, mem_keys=mem_keys)
     if bunch:
         bunch_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts.sum(axis=0), out=bunch_indptr[1:])
@@ -291,12 +268,6 @@ def assemble_native(
     vertex_ranges = row_ranges(n, parts)
 
     def second(j: int, lo: int, hi: int) -> int:
-        if maps:
-            lib.tz_member_maps(
-                n, lo, hi, center.ctypes.data, member.ctypes.data, dist.ctypes.data,
-                d1.ctypes.data, keys.ctypes.data, int(base[j]),
-                mem_epos.ctypes.data, mem_keys.ctypes.data,
-            )
         if bunch:
             lib.tz_bunch_scatter(
                 lo, hi, member.ctypes.data, cursor[j].ctypes.data, bunch_epos.ctypes.data

@@ -104,13 +104,18 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        """Close the span (exception-safe; exceptions propagate)."""
+        """Close the span (exception-safe; exceptions propagate).  A
+        peak-RSS stamp is read before the clock stops, so its cost (the
+        first one imports ``resource``) is this span's own time, not an
+        unspanned gap in the parent."""
+        stamp = self._parent is not None and self._parent.child_rss
+        rss = peak_rss_mb() if stamp else None
         self.end_ns = perf_counter_ns()
         self._tm._current.reset(self._token)
         if exc_type is not None:
             self.attrs = dict(self.attrs, error=exc_type.__name__)
-        if self._parent is not None and self._parent.child_rss:
-            self.attrs = dict(self.attrs, maxrss_mb=peak_rss_mb())
+        if stamp:
+            self.attrs = dict(self.attrs, maxrss_mb=rss)
         return False
 
     # -- derived timings ------------------------------------------------

@@ -68,7 +68,7 @@ from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
 from ...kernels.hop import commit_native, hop_loop_native
 from ...obs import TELEMETRY
-from ...trees.label_codec import _bit_length_array, tree_label_bits_array
+from ...trees.label_codec import tree_label_bits_array
 from ..network import RouteResult
 from .compile import CompiledScheme, compile_scheme
 
@@ -241,8 +241,8 @@ def _label_bits_of(
     indptr = np.zeros(depth.shape[0] + 1, dtype=np.int64)
     np.cumsum(depth, out=indptr[1:])
     at = np.arange(int(indptr[-1]), dtype=np.int64) + np.repeat(lo - indptr[:-1], depth)
-    f_width = _bit_length_array(cs.tree_indptr[tree + 1] - cs.tree_indptr[tree] - 1)
-    return tree_label_bits_array(f_width, indptr, cs.lp_data[at])
+    size = cs.tree_indptr[tree + 1] - cs.tree_indptr[tree]
+    return tree_label_bits_array(size, indptr, cs.lp_data[at])
 
 
 class BatchRouter:
@@ -368,8 +368,9 @@ class BatchRouter:
             fail[nontrivial[~sel_ok]] = FAIL_NO_TREE
             rows = nontrivial[sel_ok]
             w, epos, spos = sel_tree[sel_ok], sel_epos[sel_ok], sel_spos[sel_ok]
-            # The member map's and root_epos' entry indices, then the
-            # destination's light-port slice, are checked before use.
+            # The entry indices (a level-0 row's source entry is read out
+            # of root_epos), then the destination's light-port slice, are
+            # checked before use.
             E, L = cs.entry_count, cs.lp_data.shape[0]
             corrupt = (epos < 0) | (epos >= E) | (spos < 0) | (spos >= E)
             rec = cs.ent[np.where(corrupt, 0, epos)]

@@ -13,10 +13,11 @@ runtime state *columnar*: a :class:`CompiledScheme` materializes
   :data:`ENT_DTYPE` layout the native kernels read;
 * the dense int32 **member** column and the per-tree slices of the
   entries (``tree_indptr``), which every "does ``u`` have a record for
-  ``T_w``" lookup searches: the member-as-destination's light-port
-  sequences, flattened into ``lp_data``;
-* the level-0 **member maps** (the source-side "is the destination in my
-  cluster?" check), one int32 member column sliced per source;
+  ``T_w``" lookup searches, the source-side "is the destination in my
+  level-0 cluster?" check included (a source's own slice, unless it is
+  a landmark: :func:`~repro.core.landmarks.level0_sources`);
+* the member-as-destination's light-port sequences, flattened into
+  ``lp_data``;
 * the **pivot matrix** of the hierarchy (which trees a destination's
   label advertises, level by level);
 * the ``(vertex, port) -> (neighbor, edge, weight)`` **step records** of
@@ -50,7 +51,7 @@ outside ``lp_data`` or not ``light_depth`` long.
 
 One representation: a :class:`CompiledScheme` is a
 :class:`~repro.core.build.arrays.SchemeArrays` plus what a port
-assignment derives.  The six columns of :data:`ARRAY_BOUND` *are*
+assignment derives.  The five columns of :data:`ARRAY_BOUND` *are*
 array columns — :func:`compile_from_arrays` binds the very objects, and
 a scheme container stores them once — and the nine array columns of
 :data:`ARRAYS_IN_RECORD` are fields of the ``ent`` records, which a
@@ -58,13 +59,12 @@ container stores in the records only (the member excepted, whose dense
 column is bound): seven copied as they are, and the parent and heavy
 links, which the records' resolved ``parent_epos`` and ``heavy_epos``
 equal whenever the compile ran through the build's own ports (a save
-refuses any other).  The four others (:data:`DERIVED`: the two record
-columns, the member-map members and the graph's row index) are
-computed here.  What is an exact function of all these
-(:data:`COMPILED_DERIVED`: the int64 keys, the light-port offsets, the
-label bits, the member-map keys) is no column: a compile keeps the ones
-it computed anyway, and a loaded scheme derives each on first read; the
-native route reads none of them.  A compile records which array objects
+refuses any other).  The three others (:data:`DERIVED`: the two record
+columns and the graph's row index) are computed here.  What is an
+exact function of all these (:data:`COMPILED_DERIVED`: the int64 keys,
+the light-port offsets, the label bits) is no column: a compile keeps
+the ones it computed anyway, and a loaded scheme derives each on first
+read; the native route reads none of them.  A compile records which array objects
 it wrote into the records (:attr:`CompiledScheme.written_from`), so a
 save of those arrays need not compare the records with them.  Every TZ
 scheme carries its arrays, so :func:`compile_scheme` is
@@ -76,12 +76,13 @@ lays out its own entries, through the same resolution pass.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ...core.build.arrays import COLUMN_DTYPES, check_index_sizes, derive_entries
+from ...core.landmarks import level0_sources
 from ...errors import EncodingError, RoutingError
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
@@ -137,9 +138,6 @@ RECORDS = {"ent": ENT_DTYPE, "step": STEP_DTYPE}
 #: Byte alignment of a compile's ``ent`` records: one record per cache
 #: line, as the mapped container blob already is.
 RECORD_ALIGN = 64
-
-#: The largest int32 entry index.
-INT32_MAX = 2**31 - 1
 
 
 def _aligned_records(count: int, dtype: np.dtype) -> np.ndarray:
@@ -234,11 +232,10 @@ def _label_bits(
     keys: np.ndarray, n: int, lp_indptr: np.ndarray, lp_data: np.ndarray
 ) -> np.ndarray:
     """Tree-label bits of key-sorted entries, numpy: each entry's DFS
-    field at its tree's width, ``bit_length(slice length - 1)``, then its
-    light ports (:func:`~repro.trees.label_codec.tree_label_bits_array`)."""
+    field at the width its tree's slice length sets, then its light
+    ports (:func:`~repro.trees.label_codec.tree_label_bits_array`)."""
     sizes = np.diff(_slice_starts(keys, n))
-    f_width = np.frexp((sizes - 1).astype(np.float64))[1].astype(np.int64)
-    return tree_label_bits_array(f_width[keys // n], lp_indptr, lp_data)
+    return tree_label_bits_array(sizes[keys // n], lp_indptr, lp_data)
 
 
 def _ent_records(
@@ -321,11 +318,10 @@ class CompiledScheme:
     ``tree * n + member``; ``tree_indptr`` slices them by tree root.
     Construction checks every column's dtype, layout and shape and the
     two offset columns (:func:`_check_columns`, also on
-    :func:`dataclasses.replace`), then computes ``mem_indptr``, the
-    member map's slice per source.  The :data:`COMPILED_DERIVED`
-    columns are no fields: each is derived from the fields the first
-    time it is read (:meth:`__getattr__`), and only the numpy kernel and
-    the size accounting read them.
+    :func:`dataclasses.replace`).  The :data:`COMPILED_DERIVED` columns
+    are no fields: each is derived from the fields the first time it is
+    read (:meth:`__getattr__`), and only the numpy kernel and the size
+    accounting read them.
     """
 
     n: int
@@ -338,16 +334,11 @@ class CompiledScheme:
     root_epos: np.ndarray  # (n,) entry index of (tree=v, v), -1 if none
     # -- light-port sequences of members-as-destinations ----------------
     lp_data: np.ndarray  # (L,) int32 port numbers, root-to-leaf order
-    # -- source-side level-0 member maps --------------------------------
-    mem_member: np.ndarray  # (M,) int32 member, sorted within each source
-    mem_epos: np.ndarray  # (M,) int32 entry index of (tree=source, member)
     # -- destination labels: pivots per level ---------------------------
     pivot: np.ndarray  # (k, n) int64; row 0 unused
     # -- ported-graph step records (row indptr[u] + port - 1) -----------
     g_indptr: np.ndarray  # (n+1,)
     step: np.ndarray  # (2m,) STEP_DTYPE records
-    # -- slice index, computed from the member map at construction ------
-    mem_indptr: np.ndarray = field(init=False, repr=False)  # (n+1,) per source
     #: Weak references to the array columns :func:`compile_from_arrays`
     #: wrote into ``ent``, by :data:`ARRAYS_IN_RECORD` name (None for any
     #: other compile): the copied fields always, the
@@ -357,34 +348,19 @@ class CompiledScheme:
     written_from = None
 
     def __post_init__(self) -> None:
-        """Check the columns, then index each source's slice of its
-        level-0 member map: the member-map rows ascend by entry, so the
-        rows of source ``w`` are those whose entry lies in ``w``'s tree
-        slice."""
+        """Check the columns (:func:`_check_columns`)."""
         _check_columns(self)
-        # searched as int32, as mem_epos is: a wider needle would make
-        # numpy copy the whole member map to int64 first, a pass over it
-        # at every open; no entry index reaches 2^31
-        bounds = np.minimum(self.tree_indptr, INT32_MAX).astype(np.int32)
-        self.mem_indptr = np.searchsorted(self.mem_epos, bounds).astype(np.int64)
 
     def __getattr__(self, name: str):
         """A :data:`COMPILED_DERIVED` column, derived from the fields the
         first time it is read and kept as an instance attribute
-        (:func:`~repro.core.build.arrays.derive_entries` for the keys,
-        light-port offsets and label bits; the member-map keys from
-        ``mem_indptr`` and ``mem_member``, whatever the member map's
-        entry indices hold)."""
+        (:func:`~repro.core.build.arrays.derive_entries`)."""
         if name not in COMPILED_DERIVED:
             raise AttributeError(name)
-        if name == "mem_keys":
-            sources = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.mem_indptr))
-            value = sources * np.int64(self.n) + self.mem_member
-        else:
-            want = {"ent_label_bits": "label_bits"}.get(name, name)
-            value = derive_entries(
-                self.tree_indptr, self.ent_member, self.ent, self.lp_data, (want,)
-            )[want]
+        want = {"ent_label_bits": "label_bits"}.get(name, name)
+        value = derive_entries(
+            self.tree_indptr, self.ent_member, self.ent, self.lp_data, (want,)
+        )[want]
         self.__dict__[name] = value
         return value
 
@@ -429,8 +405,8 @@ class CompiledScheme:
     def select_trees(
         self, s: np.ndarray, t: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The 4k−5 source strategy, batched: own cluster first, then the
-        destination's pivots by increasing level.
+        """The 4k−5 source strategy, batched: own level-0 cluster first,
+        then the destination's pivots by increasing level.
 
         Returns ``(tree, epos_dest, epos_src, ok)``: the committed tree
         root, the entry indices of the destination (its tree label) and
@@ -443,20 +419,16 @@ class CompiledScheme:
         epos = np.zeros(count, dtype=np.int64)
         spos = np.zeros(count, dtype=np.int64)
         ok = np.zeros(count, dtype=bool)
-        # Level 0: destination in the source's own (level-0) cluster.
-        if self.mem_keys.shape[0]:
-            keys = s * self.n + t
-            j = np.minimum(
-                np.searchsorted(self.mem_keys, keys), self.mem_keys.shape[0] - 1
-            )
-            hit = self.mem_keys[j] == keys
-            tree[hit] = s[hit]
-            epos[hit] = self.mem_epos[j[hit]]
-            spos[hit] = self.root_epos[s[hit]]
-            ok[hit] = True
-        else:
-            hit = np.zeros(count, dtype=bool)
-        undecided = ~hit
+        # Level 0: the destination in the source's own level-0 cluster,
+        # its own tree slice unless it is a landmark.
+        rows = np.flatnonzero(level0_sources(self.pivot)[s])
+        pos, found = self.entry_pos(s[rows], t[rows])
+        hit, pos = rows[found], pos[found]
+        tree[hit] = s[hit]
+        epos[hit] = pos
+        spos[hit] = self.root_epos[s[hit]]
+        ok[hit] = True
+        undecided = ~ok
         # Levels 1..k-1: commit to the first pivot tree the source is in.
         for level in range(1, self.k):
             if not undecided.any():
@@ -514,17 +486,16 @@ class CompiledScheme:
 
 #: Every ndarray column a :class:`CompiledScheme` is built from, in field order.
 COLUMNS = tuple(
-    f.name for f in fields(CompiledScheme) if f.init and f.name not in ("n", "k", "handshake")
+    f.name for f in fields(CompiledScheme) if f.name not in ("n", "k", "handshake")
 )
 
 #: The :class:`CompiledScheme` columns derived from the others on first
 #: read, never stored: the int64 entry keys ``tree * n + member``, the
-#: light-port CSR offsets (the records' ``lp_off`` plus the end), the
-#: per-entry tree-label bits, and the member-map keys ``source * n +
-#: member``.
-COMPILED_DERIVED = ("entry_keys", "lp_indptr", "ent_label_bits", "mem_keys")
+#: light-port CSR offsets (the records' ``lp_off`` plus the end) and the
+#: per-entry tree-label bits.
+COMPILED_DERIVED = ("entry_keys", "lp_indptr", "ent_label_bits")
 
-#: The six :class:`CompiledScheme` columns that *are*
+#: The five :class:`CompiledScheme` columns that *are*
 #: :class:`~repro.core.build.arrays.SchemeArrays` columns, each with the
 #: accessor of the array column it is bound to.
 ARRAY_BOUND = {
@@ -532,7 +503,6 @@ ARRAY_BOUND = {
     "tree_indptr": lambda a: a.cl_indptr,
     "root_epos": lambda a: a.lab_epos[0],
     "lp_data": lambda a: a.lp_data,
-    "mem_epos": lambda a: a.mem_epos,
     "pivot": lambda a: a.hierarchy.pivot,
 }
 
@@ -561,22 +531,19 @@ RECORD_FIELDS = ("vertex", "f", "finish", "heavy_finish", "light_depth")
 #: The array columns the records hold as resolved links.
 RECORD_LINKS = ("ent_parent_epos", "ent_heavy_epos")
 
-#: The four columns compiling derives: the records, the member-map
-#: members the level-0 search reads, and the ported graph's step rows.
+#: The three columns compiling derives: the records and the ported
+#: graph's row index and step rows.
 DERIVED = tuple(name for name in COLUMNS if name not in ARRAY_BOUND)
 
 #: Every :class:`CompiledScheme` column's dtype: the record layouts, the
 #: width rule (:data:`~repro.core.build.arrays.COLUMN_DTYPES`) for the
-#: columns bound to array columns, int32 member-map members, and int64
-#: for the per-vertex columns.
+#: columns bound to array columns, and int64 for the per-vertex columns.
 COMPILED_DTYPES = {
     "ent": ENT_DTYPE,
     "ent_member": COLUMN_DTYPES["ent_member"],
     "tree_indptr": COLUMN_DTYPES["cl_indptr"],
     "root_epos": COLUMN_DTYPES["lab_epos"],
     "lp_data": COLUMN_DTYPES["lp_data"],
-    "mem_member": COLUMN_DTYPES["ent_member"],
-    "mem_epos": COLUMN_DTYPES["mem_epos"],
     "pivot": np.dtype(np.int64),
     "g_indptr": np.dtype(np.int64),
     "step": STEP_DTYPE,
@@ -599,8 +566,8 @@ def _offsets_ok(indptr: np.ndarray, end: int) -> bool:
 
 def _check_columns(cs: CompiledScheme) -> None:
     """Every column has its dtype (:data:`COMPILED_DTYPES`), is
-    C-contiguous and agrees in shape with ``ent``, ``mem_member``,
-    ``g_indptr`` and ``(k, n)``, both offset columns run from 0 to
+    C-contiguous and agrees in shape with ``ent``, ``g_indptr`` and
+    ``(k, n)``, both offset columns run from 0 to
     their column's length without decreasing, and the last record's
     light-port slice ends where ``lp_data`` does — O(n) in all, no pass
     over the entries — so no kernel (the C ones read the memory raw)
@@ -622,13 +589,10 @@ def _check_columns(cs: CompiledScheme) -> None:
     ]
     entries = int(np.size(cols["ent"]))
     if not bad:
-        members = cols["mem_member"].size
         expect = dict(
             ent=(entries,),
             ent_member=(entries,),
             lp_data=cols["lp_data"].shape[:1],
-            mem_member=(members,),
-            mem_epos=(members,),
             pivot=(k, n),
             root_epos=(n,),
             tree_indptr=(n + 1,),
@@ -697,8 +661,7 @@ def _resolve_columns(
     lookup at compile time saves one per hop at route time), on the
     platform's kernel.  The same pass checks the light-port CSR
     ``lp_indptr`` and computes the label bits from it unless
-    ``label_bits`` already holds them.  The member-map members are
-    gathered from the records' members.  A graph, entry count or
+    ``label_bits`` already holds them.  A graph, entry count or
     light-port count the int32 record fields cannot hold is refused
     (:class:`~repro.errors.EncodingError`) before any is written.  The
     keys, light-port offsets and label bits stay on the compile as its
@@ -733,7 +696,6 @@ def _resolve_columns(
         k=k,
         handshake=False,
         ent=ent,
-        mem_member=record["vertex"][columns["mem_epos"]],
         g_indptr=graph.indptr,
         step=step,
         **columns,
@@ -748,10 +710,11 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
     Single-tree routing is the degenerate TZ scheme with exactly one
     tree: every vertex holds a record for ``T_r`` and every destination
     label advertises ``r``.  Encoding it that way — entries keyed
-    ``r * n + v`` (the whole entry range is ``r``'s tree slice), an
-    *empty* level-0 member map, and pivot row 1 pinned to ``r`` — makes
-    :meth:`CompiledScheme.select_trees` commit every pair to ``T_r`` at
-    level 1 and the unchanged hop loop do the rest, so the baseline
+    ``r * n + v`` (the whole entry range is ``r``'s tree slice, every
+    other tree slice empty) and pivot row 1 pinned to ``r``, so ``r`` is
+    the one landmark and every other source's level-0 slice is empty —
+    makes :meth:`CompiledScheme.select_trees` commit every pair to
+    ``T_r`` at level 1 and the unchanged hop loop do the rest, so the baseline
     rides the same vectorized runtime as the real schemes
     (delivered/weight/hops bit-for-bit the reference simulator).  A lone
     spanning tree gives no vertex a cluster of its own, so this layout
@@ -792,7 +755,6 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
         "tree_indptr": tree_indptr,
         "root_epos": root_epos,
         "lp_data": lp_data,
-        "mem_epos": np.zeros(0, dtype=np.int32),
         "pivot": pivot,
     }
     return _resolve_columns(
@@ -819,7 +781,7 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
 
     The array form already *is* the entry layout the engine routes on
     (sorted ``tree * n + vertex`` keys, record columns, light-port CSR,
-    member maps, pivots): its :data:`ARRAY_BOUND` columns are bound as
+    pivots): its :data:`ARRAY_BOUND` columns are bound as
     they are, its :data:`ARRAYS_IN_RECORD` columns are written into the
     ``ent`` records, and what remains is resolving the stored parent and
     heavy ports through ``ported``'s step records — so routing over a
@@ -857,8 +819,6 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
         )
         if cached is None:  # the arrays' cache: columns are append-only
             arrays._entry_label_bits = compiled.ent_label_bits
-        if "mem_keys" in arrays.__dict__:
-            compiled.mem_keys = arrays.mem_keys
         written = [
             col
             for col in ARRAYS_IN_RECORD

@@ -62,6 +62,9 @@ from .. import pool
 from ..errors import EncodingError
 
 MAGIC = b"TZSCHEME"
+#: 7: the two level-0 member-map blobs are gone: a source's level-0
+#: cluster is its own tree slice unless it is a landmark, which its
+#: level-1 pivot tells.
 #: 6: each fact is stored once: the entry record holds the parent and
 #: heavy ports and the light-port offset (in place of the two neighbours
 #: and the pad), the keys and the member-map keys give way to int32
@@ -75,7 +78,7 @@ MAGIC = b"TZSCHEME"
 #: (see :data:`DIGEST_CHUNK`), not of the section itself.  3: scheme
 #: containers store the compiled entry and step records as the native
 #: kernels read them, and each array column the records hold only there.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 #: Bytes per data-section chunk of ``data_sha256``; a format constant.
 DIGEST_CHUNK = 4 << 20
 #: Byte alignment of every blob, relative to the start of its data section.

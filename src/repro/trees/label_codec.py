@@ -90,20 +90,26 @@ def _bit_length_array(a: np.ndarray) -> np.ndarray:
     return np.frexp(a.astype(np.float64))[1].astype(np.int64)
 
 
-def tree_label_bits_array(
-    f_width: np.ndarray, lp_indptr: np.ndarray, lp_data: np.ndarray
-) -> np.ndarray:
-    """Batched :func:`tree_label_bits` over a light-port CSR.
+def f_width_array(tree_size: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`_f_width`: the DFS field's width per tree size
+    (0 bits for a single-vertex tree), int64."""
+    return _bit_length_array(np.asarray(tree_size, dtype=np.int64) - 1)
 
-    ``f_width[e]`` is the fixed DFS-field width of entry ``e``'s tree;
-    the formula mirrors the scalar one exactly: Elias-delta coded
-    ``len(light_ports) + 1``, then one Elias-gamma code per port
-    (``delta_cost(c + 1) = gamma_cost(bl) + bl - 1`` with
-    ``bl = bit_length(c + 1)``).
+
+def tree_label_bits_array(
+    tree_size: np.ndarray, lp_indptr: np.ndarray, lp_data: np.ndarray
+) -> np.ndarray:
+    """Batched :func:`tree_label_bits` over a light-port CSR, int64.
+
+    ``tree_size[e]`` is the size of entry ``e``'s tree, which fixes its
+    DFS field's width (:func:`f_width_array`); the formula mirrors the
+    scalar one exactly: Elias-delta coded ``len(light_ports) + 1``, then
+    one Elias-gamma code per port (``delta_cost(c + 1) =
+    gamma_cost(bl) + bl - 1`` with ``bl = bit_length(c + 1)``).
     """
     counts = np.diff(lp_indptr)
     bl = _bit_length_array(counts + 1)
     delta = (2 * (_bit_length_array(bl) - 1) + 1) + bl - 1
     gamma = 2 * (_bit_length_array(lp_data) - 1) + 1
     gsum = np.concatenate(([0], np.cumsum(gamma)))
-    return f_width + delta + gsum[lp_indptr[1:]] - gsum[lp_indptr[:-1]]
+    return f_width_array(tree_size) + delta + gsum[lp_indptr[1:]] - gsum[lp_indptr[:-1]]

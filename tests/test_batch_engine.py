@@ -415,7 +415,7 @@ class TestCompiledSchemeShape:
             "ent": cs.ent[:-1],
             "step": cs.step.astype([("next", "<i8"), ("wt", "<f8"), ("edge", "<i8")]),
             "lp_data": cs.lp_data.astype(np.int64),
-            "mem_member": np.repeat(cs.mem_member, 2)[::2],
+            "ent_member": np.repeat(cs.ent_member, 2)[::2],
         }
         for name, col in damaged.items():
             with pytest.raises(EncodingError, match=name):
@@ -438,9 +438,9 @@ class TestCompiledSchemeShape:
         )
         assert np.all(np.diff(cs.entry_keys) > 0)  # strictly sorted keys
         assert cs.lp_indptr[-1] == cs.lp_data.shape[0]
-        assert cs.mem_keys.shape == cs.mem_epos.shape
-        # Every member-map entry points at its own (tree, member) row.
-        assert np.array_equal(cs.entry_keys[cs.mem_epos], cs.mem_keys)
+        # Every vertex's own root entry is its (tree, member) row.
+        verts = np.arange(cs.n)
+        assert np.array_equal(cs.entry_keys[cs.root_epos], verts * cs.n + verts)
 
     def test_label_bits_match_scalar_codec(self):
         from repro.trees.label_codec import tree_label_bits

@@ -3,18 +3,19 @@
 The vectorized pipeline (:mod:`repro.core.build.vectorized`) must
 reproduce the per-node reference **bit-for-bit** — same cluster sets and
 distances, same SPT parents, same heavy-light records and ports, same
-light-port sequences, same member maps and encoded labels — across a
+light-port sequences, same level-0 members and encoded labels — across a
 sweep of generator families × k × seeds, in the same spirit
 ``test_batch_engine.py`` gates the batch router against the hop-by-hop
 simulator.
 
 Three layers of comparison:
 
-1. **arrays** — ``reference_arrays`` vs ``vectorized_arrays`` (both
-   cluster engines), every :class:`SchemeArrays` field via
+1. **arrays** — ``reference_arrays`` vs ``vectorized_arrays`` (the
+   platform kernel's cluster engines), every :class:`SchemeArrays` field via
    ``np.array_equal``;
 2. **schemes** — ``build_scheme(builder=...)`` outputs: records, tree
-   labels, member maps, pivots, destination labels, measured *and
+   labels, level-0 members (explicit ``d(u,v) < d(A_1,v)`` per node, the
+   tree-slice rule from arrays), pivots, destination labels, measured *and
    encoded* label bits, table bits;
 3. **engine export** — the arrays the per-node builder attaches to its
    scheme equal both builders' arrays, and ``compile_scheme`` of either
@@ -78,9 +79,8 @@ class TestArrayEquivalence:
         hierarchy = build_hierarchy(g, k, seed)
         ref = reference_arrays(g, pg, hierarchy)
         ref.validate()
-        for mode in ("auto", "full", "pruned"):
-            vec = vectorized_arrays(g, pg, hierarchy, mode=mode)
-            assert_arrays_equal(ref, vec, f"({family}, k={k}, seed={seed}, {mode})")
+        vec = vectorized_arrays(g, pg, hierarchy)
+        assert_arrays_equal(ref, vec, f"({family}, k={k}, seed={seed})")
 
     @given(family_graphs(n=40), ks(1, 4), seeds())
     @settings(max_examples=15, deadline=None)
@@ -95,8 +95,7 @@ class TestArrayEquivalence:
         g, pg = _instance("gnp", 7, n=90)
         hierarchy = build_hierarchy(g, 4, 3)
         ref = reference_arrays(g, pg, hierarchy)
-        for mode in ("full", "pruned"):
-            assert_arrays_equal(ref, vectorized_arrays(g, pg, hierarchy, mode=mode))
+        assert_arrays_equal(ref, vectorized_arrays(g, pg, hierarchy))
 
     def test_unit_weights_maximal_ties(self):
         # Unit weights maximize equal-distance ties: the tie-break
@@ -106,8 +105,7 @@ class TestArrayEquivalence:
         pg = assign_ports(g, "random", rng=2)
         hierarchy = build_hierarchy(g, 3, 5)
         ref = reference_arrays(g, pg, hierarchy)
-        for mode in ("full", "pruned"):
-            assert_arrays_equal(ref, vectorized_arrays(g, pg, hierarchy, mode=mode))
+        assert_arrays_equal(ref, vectorized_arrays(g, pg, hierarchy))
 
     def test_inexact_weights_fall_back_to_reference(self):
         from repro.graphs.graph import Graph
@@ -125,8 +123,8 @@ class TestArrayEquivalence:
         with pytest.raises(PreprocessingError):
             build_arrays(g, 2, ported=pg, builder="quantum")
         hierarchy = build_hierarchy(g, 2, 0)
-        with pytest.raises(PreprocessingError):
-            vectorized_arrays(g, pg, hierarchy, mode="bogus")
+        with pytest.raises(TypeError):  # the input decides each level's engine
+            vectorized_arrays(g, pg, hierarchy, mode="pruned")
 
     def test_build_arrays_same_rng_same_hierarchy(self):
         g, pg = _instance("ba", 3)

@@ -1,10 +1,10 @@
-"""Format 6 stores each fact once: every column it drops is derived, bit
-for bit.
+"""A scheme container stores each fact once: every column it drops is
+derived, bit for bit.
 
 A scheme container stores neither the int64 keys, the centers, the
-distances, the SPT parents, the light-port offsets, the label bits nor
-the member-map keys (:data:`~repro.core.build.arrays.DERIVED_COLUMNS`
-and :data:`~repro.sim.engine.compile.COMPILED_DERIVED`).  Over the
+distances, the SPT parents, the light-port offsets nor the label bits
+(:data:`~repro.core.build.arrays.DERIVED_COLUMNS` and
+:data:`~repro.sim.engine.compile.COMPILED_DERIVED`).  Over the
 reference families × k ∈ 1..4 × {sorted, random} ports, on a fresh build
 and along a 10-epoch patch chain, each published version is loaded back
 and must give, on both kernels:

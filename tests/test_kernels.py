@@ -15,14 +15,13 @@ Four layers:
    ``REPRO_NATIVE_KERNELS=0`` disables the backend outright;
 2. **router differential** — the native tree commit's eight state
    columns equal numpy ``_commit``'s (dtypes included, for the 4k−5 and
-   handshake strategies, failing rows, an empty member map and an
-   entry-less scheme); ``route_pairs``/``route_trials`` column equality
+   handshake strategies, failing rows, a single tree whose one landmark
+   is its root and an entry-less scheme); ``route_pairs``/``route_trials`` column equality
    between kernels, including dead-edge trials, tiny ttls and batches
    cut into threaded row chunks; and many threads meeting a freshly
    loaded scheme at once;
-3. **builder differential** — ``vectorized_arrays(mode="pruned")``
-   field equality between kernels (``mode`` forced past
-   ``FULL_CENTER_LIMIT`` so small graphs exercise the sweep), and the
+3. **builder differential** — ``vectorized_arrays`` field equality
+   between kernels (both sweep every bounded level), and the
    native cluster-tree pass ≡ numpy ``_level_parents`` +
    ``_tree_arrays`` column by column: ties, long child lists, a
    200,000-deep path, a single vertex, and orphan entries; and the
@@ -55,15 +54,10 @@ from strategies import FAMILIES, family_from_seed, ks, seeds
 from repro.baselines.tree_spanner import build_single_tree_scheme
 from repro.core.build import SchemeArrays, build_arrays, build_scheme, patch_arrays
 from repro.core.build.arrays import COLUMN_DTYPES, scheme_from_arrays
-from repro.core.build.vectorized import (
-    FULL_CENTER_LIMIT,
-    _cluster_trees,
-    _pruned_level,
-    vectorized_arrays,
-)
+from repro.core.build.vectorized import _cluster_trees, _pruned_level, vectorized_arrays
 from repro import pool
 from repro.analysis.experiments import reference_graph
-from repro.core.landmarks import build_hierarchy
+from repro.core.landmarks import build_hierarchy, level0_sources
 from repro.errors import EncodingError, KernelError, PreprocessingError, RoutingError
 from repro.graphs import generators as gen
 from repro.graphs.delta import GraphDelta
@@ -128,12 +122,12 @@ def assert_results_equal(a, b, context=""):
         assert np.array_equal(x, y), f"{name} differs {context}"
 
 
-def arrays_on(graph, k, ported, seed, kernel, mode="auto"):
+def arrays_on(graph, k, ported, seed, kernel):
     """``build_arrays(graph, k, ported=ported, rng=seed)``, with its
     frontier sweep on ``kernel``: the same hierarchy, drawn the same way,
     fed to the builder's kernel fork."""
     hierarchy = build_hierarchy(graph, k, make_rng(seed))
-    return vectorized_arrays(graph, ported, hierarchy, mode=mode, kernel=kernel)
+    return vectorized_arrays(graph, ported, hierarchy, kernel=kernel)
 
 
 def scheme_on(graph, k, ported, seed, kernel):
@@ -378,12 +372,35 @@ class TestCommitDifferential:
             "(corrupted pivots)",
         )
 
+    def test_level0_rows_and_landmark_sources_that_skip_them(self):
+        """A source checks level 0 in its own tree slice unless it is a
+        landmark: both paths run, on both kernels.  At k = 2 a
+        landmark's slice holds every vertex, so a landmark that did not
+        skip level 0 would commit every row to its own tree."""
+        graph = family_from_seed(5, "gnp", n=80)
+        _, routers = routers_for(graph, 2, 5, kernels=("numpy",))
+        cs = routers["numpy"].compiled
+        pairs = sample_pairs(graph, 800, 5)
+        s, t = pairs[:, 0], pairs[:, 1]
+        fail, tree = assert_commit_equal(cs, pairs, "(level 0)")[:2]
+        assert not fail.any()
+        level0 = level0_sources(cs.pivot)
+        _, in_own = cs.entry_pos(s, t)
+        at0 = (s != t) & level0[s] & in_own
+        assert at0.sum() > 10 and np.array_equal(tree[at0], s[at0])
+        skipped = (s != t) & ~level0[s] & in_own & (cs.pivot[1, t] != s)
+        assert skipped.sum() > 10
+        assert np.array_equal(tree[skipped], cs.pivot[1, t[skipped]])
+
     @pytest.mark.parametrize("handshake", [False, True])
     def test_single_tree_scheme_without_member_map(self, handshake):
         graph = family_from_seed(6, "grid", n=49)
         ported = assign_ports(graph, "sorted")
         cs = build_single_tree_scheme(graph, ported).compile_batch()
-        assert cs.mem_keys.size == 0
+        # the root is the one landmark; every other source's own tree
+        # slice, which it checks at level 0, is empty
+        root = int(cs.pivot[1, 0])
+        assert np.array_equal(np.flatnonzero(np.diff(cs.tree_indptr)), [root])
         if handshake:
             cs = cs.with_handshake()
         pairs = sample_pairs(graph, 200, 6)
@@ -399,11 +416,11 @@ class TestCommitDifferential:
         graph = family_from_seed(2, "gnp", n=30)
         ported, routers = routers_for(graph, 2, 2, kernels=("numpy",))
         cs = routers["numpy"].compiled
-        # E = 0: every entry column (and the member map) empty.
+        # E = 0: every entry column empty.
         empty = {
             f.name: getattr(cs, f.name)[:0]
             for f in dataclasses.fields(cs)
-            if f.name.startswith("ent") or f.name in ("lp_data", "mem_member", "mem_epos")
+            if f.name.startswith("ent") or f.name == "lp_data"
         }
         bare = dataclasses.replace(
             cs,
@@ -551,15 +568,13 @@ class TestFrontierSweepDifferential:
         graph = family_from_seed(seed, family, n=44)
         ported = assign_ports(graph, "sorted")
         hierarchy = build_hierarchy(graph, k, make_rng(seed))
-        # mode="pruned" forces the sweep even below FULL_CENTER_LIMIT
-        # (these graphs are far smaller than 32-center levels require).
-        ref = vectorized_arrays(graph, ported, hierarchy, mode="pruned", kernel="numpy")
-        nat = vectorized_arrays(graph, ported, hierarchy, mode="pruned", kernel="native")
+        ref = vectorized_arrays(graph, ported, hierarchy, kernel="numpy")
+        nat = vectorized_arrays(graph, ported, hierarchy, kernel="native")
         assert_arrays_equal(ref, nat, f"(family={family} k={k} seed={seed})")
 
     def test_auto_mode_large_level_paths_agree(self):
-        # A graph big enough that mode="auto" actually picks "pruned".
-        graph = gen.gnp(3 * FULL_CENTER_LIMIT, 0.08, rng=5, weights=(1, 7))
+        # The default engines on levels of many centers.
+        graph = gen.gnp(96, 0.08, rng=5, weights=(1, 7))
         ported = assign_ports(graph, "sorted")
         hierarchy = build_hierarchy(graph, 3, make_rng(5))
         ref = vectorized_arrays(graph, ported, hierarchy, kernel="numpy")
@@ -567,8 +582,8 @@ class TestFrontierSweepDifferential:
         assert_arrays_equal(ref, nat)
 
     def test_native_sweeps_every_level(self):
-        # The native sweep serves the unbounded top level and small levels
-        # too; numpy keeps scipy's full rows for them.
+        # The native sweep serves the unbounded top level too; numpy
+        # sweeps the bounded levels and keeps scipy's full rows for it.
         graph = family_from_seed(9, "gnp", n=40)
         ported = assign_ports(graph, "sorted")
         hierarchy = build_hierarchy(graph, 3, make_rng(9))
@@ -587,7 +602,7 @@ class TestFrontierSweepDifferential:
                 TELEMETRY.disable()
                 TELEMETRY.reset()
         assert engines["native"] == ["pruned"] * len(engines["numpy"])
-        assert engines["numpy"][-1] == "full"
+        assert engines["numpy"] == ["pruned"] * (len(engines["numpy"]) - 1) + ["full"]
 
     def test_frontier_span_and_counters(self):
         graph = family_from_seed(9, "gnp", n=40)
@@ -596,7 +611,7 @@ class TestFrontierSweepDifferential:
         TELEMETRY.reset()
         TELEMETRY.enable()
         try:
-            vectorized_arrays(graph, ported, hierarchy, mode="pruned", kernel="native")
+            vectorized_arrays(graph, ported, hierarchy, kernel="native")
             impls = {
                 sp.attrs["impl"]
                 for sp, _ in TELEMETRY.spans()
@@ -1194,7 +1209,7 @@ class TestDegenerateInputs:
     def test_single_vertex_pruned_builder(self, kernel):
         graph = Graph(1, [], [])
         ported = assign_ports(graph, "sorted")
-        arrays = arrays_on(graph, 2, ported, 0, kernel, mode="pruned")
+        arrays = arrays_on(graph, 2, ported, 0, kernel)
         assert arrays.entry_count == 1
 
     def test_all_dead_edge_masks(self, kernel):

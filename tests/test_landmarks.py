@@ -13,6 +13,8 @@ from repro.core.landmarks import (
     build_hierarchy,
     center,
     compute_pivots,
+    hierarchy_from_levels,
+    level0_sources,
     sample_hierarchy,
 )
 from repro.errors import PreprocessingError
@@ -210,3 +212,40 @@ class TestBuildHierarchy:
     def test_unknown_sampling_rejected(self, small_weighted_graph):
         with pytest.raises(PreprocessingError):
             build_hierarchy(small_weighted_graph, 2, sampling="nope")
+
+
+class TestNestedLevels:
+    """``hierarchy_from_levels`` refuses level sets that do not nest as
+    ``A_0 = V ⊇ A_1 ⊇ … ⊇ A_{k-1} ≠ ∅``, naming the first level at fault:
+    a vertex's top level (its cluster's threshold) and the level-0 rule
+    (:func:`~repro.core.landmarks.level0_sources`) hold only on nested
+    levels."""
+
+    def test_nested_levels_resolve(self, small_weighted_graph):
+        n = small_weighted_graph.n
+        levels = [np.arange(n), np.array([1, 4, 7]), np.array([4])]
+        h = hierarchy_from_levels(small_weighted_graph, levels)
+        assert h.level_of.tolist() == [0, 1, 0, 0, 2, 0, 0, 1] + [0] * (n - 8)
+        assert np.array_equal(level0_sources(h.pivot), h.level_of == 0)
+
+    def test_a_level_outside_the_one_below_is_refused(self, small_weighted_graph):
+        n = small_weighted_graph.n
+        levels = [np.arange(n), np.array([1, 4, 7]), np.array([4, 5])]
+        with pytest.raises(PreprocessingError, match="level 2 is not a subset of level 1"):
+            hierarchy_from_levels(small_weighted_graph, levels)
+
+    def test_level_0_must_be_every_vertex(self, small_weighted_graph):
+        n = small_weighted_graph.n
+        with pytest.raises(PreprocessingError, match="level 0 is not every vertex"):
+            hierarchy_from_levels(small_weighted_graph, [np.arange(n - 1), np.array([2])])
+
+    def test_an_empty_top_level_is_refused(self, small_weighted_graph):
+        n = small_weighted_graph.n
+        levels = [np.arange(n), np.array([3, 5]), np.zeros(0, dtype=np.int64)]
+        with pytest.raises(PreprocessingError, match="top level 2 is empty"):
+            hierarchy_from_levels(small_weighted_graph, levels)
+
+    def test_ids_outside_the_graph_are_refused(self, small_weighted_graph):
+        n = small_weighted_graph.n
+        with pytest.raises(PreprocessingError, match="level 1 holds ids outside"):
+            hierarchy_from_levels(small_weighted_graph, [np.arange(n), np.array([n])])

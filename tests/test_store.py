@@ -138,8 +138,6 @@ SHAPE_CORRUPTIONS = {
     "short-derived-entry-column": _short("cs_ent"),
     "short-bound-entry-column": _short("arr_ent_member"),
     "short-lp-data": _short("arr_lp_data"),
-    "short-mem-members": _short("cs_mem_member"),
-    "short-mem-epos": _short("arr_mem_epos"),
     "short-pivot": _short("arr_h_pivot"),
     "short-label-positions": _short("arr_lab_epos"),
     "short-step-table": _short("cs_step"),
@@ -147,9 +145,7 @@ SHAPE_CORRUPTIONS = {
     "int64-members": _retype("arr_ent_member", "<i8"),
     "int32-tree-slices": _retype("arr_cl_indptr", "<i4"),
     "int64-lp-data": _retype("arr_lp_data", "<i8"),
-    "int64-mem-epos": _retype("arr_mem_epos", "<i8"),
     "int64-bunch-epos": _retype("arr_bunch_epos", "<i8"),
-    "int64-mem-members": _retype("cs_mem_member", "<i8"),
     "narrow-entry-records": _narrow("cs_ent", ENT_DTYPE.itemsize // 8 - 1),
     "narrow-step-records": _narrow("cs_step", STEP_DTYPE.itemsize // 8 - 1),
 }
@@ -335,10 +331,11 @@ class TestContainer:
         )
         raw = path.read_bytes()
         assert hashlib.sha256(raw).hexdigest() == (
-            "8d30bad0bc6b9cd559abe3e7e3cd64f73573f33c95b35ef6a1489a031c193718"
+            "147f2fac19c00469c714fdba2812b96b9e107179f4aef817631ee4d7ab0abf27"
         )
         # the data section alone, unchanged since format 5: only the
-        # preamble's and the header's format version moved
+        # preamble's and the header's format version (and the header's
+        # CRC) moved
         start = len(raw) - read_header(path)["data_bytes"]
         assert hashlib.sha256(raw[start:]).hexdigest() == (
             "5b54457c6d5dc59db718a2e6e561af94c7d55af8f069fbd834cb3a0dc7253e91"
@@ -487,7 +484,7 @@ class TestSingleRepresentation:
     def test_compile_binds_the_array_columns(self, saved):
         _, ported, arrays, _, _ = saved
         compiled = compile_from_arrays(arrays, ported)
-        assert len(ARRAY_BOUND) == 6 and len(DERIVED) == 4 and len(ARRAYS_IN_RECORD) == 9
+        assert len(ARRAY_BOUND) == 5 and len(DERIVED) == 3 and len(ARRAYS_IN_RECORD) == 9
         for name, get in ARRAY_BOUND.items():
             assert np.shares_memory(getattr(compiled, name), get(arrays)), name
         assert compiled.ent.dtype == ENT_DTYPE and compiled.step.dtype == STEP_DTYPE
@@ -510,7 +507,7 @@ class TestSingleRepresentation:
     def test_container_holds_only_derived_compiled_columns(self, saved):
         _, _, arrays, _, path = saved
         header, blobs = read_container(path)
-        assert header["format_version"] == FORMAT_VERSION == 6
+        assert header["format_version"] == FORMAT_VERSION == 7
         assert sorted(n for n in blobs if n.startswith("cs_")) == sorted(
             "cs_" + name for name in DERIVED
         )
@@ -567,6 +564,9 @@ class TestSingleRepresentation:
 
     def test_format_5_refused_and_rebuilt(self, saved):
         self._refused_and_rebuilt(saved, 5)
+
+    def test_format_6_refused_and_rebuilt(self, saved):
+        self._refused_and_rebuilt(saved, 6)
 
     def test_materialized_scheme_compiles_from_stored_arrays(self, saved):
         graph, ported, _, store, path = saved

@@ -4,9 +4,10 @@ The native kernels and their numpy references produce the same tables,
 labels and routes bit for bit, so the platform picks the kernel
 (:mod:`repro.kernels`).  A ``kernel=`` selector survives only at the two
 forks the differential suites compare — the router's commit and hop loop
-and the builder's frontier sweep — and ``mode=`` only at the builder's
-cluster-engine fork.  These tests walk every ``repro`` module's
-signatures so the deleted options cannot grow back unnoticed.
+and the builder's frontier sweep — and no ``mode=`` survives anywhere
+(the input decides each cluster level's engine).  These tests walk
+every ``repro`` module's signatures so the deleted options cannot grow
+back unnoticed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ ALLOWED = {
         # The resolver itself: its argument is the request it resolves.
         "repro.kernels.resolve_kernel",
     },
-    "mode": {"repro.core.build.vectorized.vectorized_arrays"},
+    "mode": set(),
     "mmap": set(),
     "follow": set(),
 }

@@ -150,7 +150,7 @@ def test_the_tree_pass_and_the_compile_refuse_before_narrowing():
         lab_epos=np.zeros((2, 10), dtype=np.int64),
         hierarchy=SimpleNamespace(pivot=np.zeros((2, 10), dtype=np.int64)),
         **dict.fromkeys(
-            ("cl_indptr", "lp_indptr", "lp_data", "mem_keys", "mem_epos", "ent_member", "tr_f",
+            ("cl_indptr", "lp_indptr", "lp_data", "ent_member", "tr_f",
              "tr_finish", "tr_heavy_finish", "tr_light_depth", "ent_parent",
              "ent_parent_epos", "ent_heavy_epos", "tr_parent_port", "tr_heavy_port"),
             keys,
