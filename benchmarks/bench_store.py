@@ -16,9 +16,12 @@ fact once: the record holds the ports and the light-port offset, the
 keys give way to an int32 member column, and the distances, centers,
 label bits and offsets are derived on load: 87.1 B/entry.  Format 7
 drops the two level-0 member-map blobs, which the tree slices and the
-level-1 pivots already imply: 83.4 B/entry.
-:data:`BYTES_PER_ENTRY_CEILING` sits 2% above that, so a second copy of
-any per-entry column (4 B), or the member maps back (3.7 B), fails it.
+level-1 pivots already imply: 83.4 B/entry.  Format 8 drops the two
+bunch blobs, the clusters read the other way round, which only a
+patch's dirty-cluster lookup read and one pass over the members
+replaces: 79.4 B/entry.  :data:`BYTES_PER_ENTRY_CEILING` sits 2% above
+that, so a second copy of any per-entry column (4 B), or the bunches
+back (4.1 B), fails it.
 The dtype and bytes per entry of each blob, read from the container's
 header (:func:`~repro.store.format.blob_bytes`, as ``repro store
 info`` prints them), are printed beside the total.
@@ -58,8 +61,8 @@ from repro.sim.engine.compile import compile_from_arrays
 from repro.store import SchemeStore
 from repro.store.format import blob_bytes, read_header
 
-#: Container bytes per scheme entry at the default size (measured 83.4).
-BYTES_PER_ENTRY_CEILING = 85.1
+#: Container bytes per scheme entry at the default size (measured 79.4).
+BYTES_PER_ENTRY_CEILING = 81.0
 N_DEFAULT = 20_000
 K = 2
 SEED = 2025

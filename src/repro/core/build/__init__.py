@@ -30,19 +30,16 @@ Aligned with the entries are the §2 tree-record columns (``tr_f``,
 ``tr_parent_port``, ``tr_heavy_port``), the light-port sequences as a
 nested CSR (``lp_indptr``/``lp_data``, root-to-leaf order), and the
 entry-to-entry links ``ent_parent_epos``/``ent_heavy_epos``.  Derived
-from those, shared by both builders:
+from those, shared by both builders, are the **label positions**
+``lab_epos[i, v]``: the entry of ``v`` in its level-``i`` pivot's tree
+(row 0 = ``v``'s own root entry).
 
-* **bunches** — the transpose CSR ``bunch_indptr`` / ``bunch_epos``:
-  ``B(v) = {w : v ∈ C(w)}`` is ``ent_center`` gathered through the
-  entries ``bunch_epos`` lists for ``v``, distances likewise through
-  ``ent_dist`` (bunch/cluster duality is ``bunch_epos`` being a
-  permutation of the entries);
-* **labels** — ``lab_epos[i, v]``: the entry of ``v`` in its level-``i``
-  pivot's tree (row 0 = ``v``'s own root entry).
-
-No member map is stored: a source's level-0 cluster ``{v : d(u, v) <
-d(A_1, v)}`` is its own tree slice, or just itself when it is a
-landmark (:func:`~repro.core.landmarks.level0_sources`).  Sorted keys
+No bunch is stored: ``B(v) = {w : v ∈ C(w)}`` is the clusters read the
+other way round, the centers of the entries whose member is ``v``
+(:meth:`SchemeArrays.bunch_sizes` counts them).  No member map is
+stored: a source's level-0 cluster ``{v : d(u, v) < d(A_1, v)}`` is its
+own tree slice, or just itself when it is a landmark
+(:func:`~repro.core.landmarks.level0_sources`).  Sorted keys
 make every membership question ("does ``u`` have a record for
 ``T_w``?") a batched ``searchsorted`` — the same trick the batch
 routing engine uses, which is why :func:`compile_from_arrays

@@ -10,12 +10,14 @@ suite (``tests/test_builder_equivalence.py``) can compare them
 field-by-field with ``np.array_equal`` — bit-identical or it fails.
 
 :func:`assemble_arrays` derives the *shared* structures (entry keys,
-parent/heavy entry links, label entry positions, the bunch CSR) from
-the builder-specific core fields, so a disagreement between builders
-can only originate in what they actually compute independently:
+parent/heavy entry links, label entry positions) from the
+builder-specific core fields, so a disagreement between builders can
+only originate in what they actually compute independently:
 membership, distances, parents, tree records and light ports.  A patch
-hands it the scheme it spliced from, whose derived structures it
-shares wherever their inputs are that scheme's own.
+hands it the scheme it spliced from, whose label positions it shares
+when their inputs are that scheme's own.  No bunch is stored: ``B(v) =
+{w : v ∈ C(w)}`` is the clusters read the other way round, the centers
+of the entries whose member is ``v``.
 
 Every column has one dtype, :data:`COLUMN_DTYPES`, from the pass that
 makes it to the container that stores it: per-entry integers are
@@ -77,8 +79,6 @@ COLUMN_DTYPES: Dict[str, np.dtype] = {
     "lp_indptr": _I64,
     "lp_data": _I32,
     "lab_epos": _I64,
-    "bunch_indptr": _I64,
-    "bunch_epos": _I32,
 }
 
 #: One past the largest vertex id, arc index or entry index an int32
@@ -273,11 +273,6 @@ class SchemeArrays:
     lp_data: np.ndarray  # (L,) root-to-leaf light-edge ports
     # -- label entry positions: row 0 = (v, v), row i = (p_i(v), v) ------
     lab_epos: np.ndarray  # (k, n)
-    # -- bunches: the transpose of the cluster CSR ----------------------
-    # B(v) = {w : v ∈ C(w)} is ent_center[bunch_epos[lo:hi]] (distances
-    # likewise through ent_dist), lo:hi = bunch_indptr[v]:bunch_indptr[v+1]
-    bunch_indptr: np.ndarray  # (n+1,)
-    bunch_epos: np.ndarray  # (E,) entry index of each (w, v) pair, by v
 
     def __post_init__(self) -> None:
         """Refuse any column off the width rule (:data:`COLUMN_DTYPES`),
@@ -330,8 +325,8 @@ class SchemeArrays:
         return np.diff(self.cl_indptr)
 
     def bunch_sizes(self) -> np.ndarray:
-        """``|B(v)|`` per vertex, ``(n,)``."""
-        return np.diff(self.bunch_indptr)
+        """``|B(v)|`` per vertex, ``(n,)``: the entries whose member is ``v``."""
+        return np.bincount(self.ent_member, minlength=self.n)
 
     def entry_label_bits(self) -> np.ndarray:
         """Encoded tree-label bits of every entry-as-destination, ``(E,)`` int32.
@@ -452,36 +447,27 @@ def _derive_numpy(
     pivot: np.ndarray,
     *,
     entry_keys: Optional[np.ndarray],
-    labels: bool,
-    bunch: bool,
 ) -> Dict[str, object]:
     """The numpy reference of :func:`~repro.kernels.splice.assemble_native`:
-    the same structures, byte for byte, under the same keys."""
+    the same structures, byte for byte, under the same keys, and the
+    same refusal of a member outside ``[0, n)``."""
     out: Dict[str, object] = {}
     if entry_keys is None:
+        if ent_member.size and (ent_member.min() < 0 or ent_member.max() >= n):
+            raise PreprocessingError("an entry's member lies outside [0, n)")
         ent_center = np.repeat(np.arange(n, dtype=np.int32), np.diff(cl_indptr))
         entry_keys = ent_center.astype(np.int64) * np.int64(n) + ent_member
         out.update(entry_keys=entry_keys, ent_center=ent_center)
-    if labels:
-        verts = np.arange(n, dtype=np.int64)
-        lab_epos = np.empty((k, n), dtype=np.int64)
-        out.update(lab_epos=lab_epos, missing_level=None)
-        for i in range(k):
-            w = verts if i == 0 else pivot[i]
-            try:
-                lab_epos[i] = _locate(entry_keys, w * np.int64(n) + verts, "a label entry")
-            except PreprocessingError:
-                out["missing_level"] = i
-                break
-    if bunch:
-        # Bunches are the transpose of the cluster CSR: a stable sort by
-        # member keeps each member's centers ascending (the entry order).
-        bunch_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ent_member, minlength=n), out=bunch_indptr[1:])
-        out.update(
-            bunch_indptr=bunch_indptr,
-            bunch_epos=np.argsort(ent_member, kind="stable").astype(np.int32),
-        )
+    verts = np.arange(n, dtype=np.int64)
+    lab_epos = np.empty((k, n), dtype=np.int64)
+    out.update(lab_epos=lab_epos, missing_level=None)
+    for i in range(k):
+        w = verts if i == 0 else pivot[i]
+        try:
+            lab_epos[i] = _locate(entry_keys, w * np.int64(n) + verts, "a label entry")
+        except PreprocessingError:
+            out["missing_level"] = i
+            break
     return out
 
 
@@ -493,15 +479,6 @@ def _column(name: str, col: np.ndarray) -> np.ndarray:
 
 def _same_values(mine: np.ndarray, theirs: np.ndarray) -> bool:
     return mine is theirs or np.array_equal(mine, theirs)
-
-
-#: The structures assemble derives from the entry keys, by the part of
-#: the derivation that makes them (the ``labels``/``bunch`` switches of
-#: :func:`_derive_numpy` and ``assemble_native``).
-_DERIVED_PARTS = {
-    "labels": ("lab_epos",),
-    "bunch": ("bunch_indptr", "bunch_epos"),
-}
 
 
 def assemble_arrays(
@@ -534,20 +511,19 @@ def assemble_arrays(
     parents/heavy children are resolved back to entry positions here
     (builders that already hold the entry links pass them through — when
     ``ent_heavy_epos`` is supplied ``heavy_vertex`` may be omitted), and
-    the entry keys, label positions and bunch CSR are computed the same
-    way for both builders (so they cannot mask a core-field mismatch),
-    on the platform's kernel: natively in two pool runs
+    the entry keys and label positions are computed the same way for
+    both builders (so they cannot mask a core-field mismatch), on the
+    platform's kernel: natively in one pool run each
     (:func:`~repro.kernels.splice.assemble_native`), else by
-    :func:`_derive_numpy`, the reference.
+    :func:`_derive_numpy`, the reference.  Deriving the keys refuses a
+    member outside ``[0, n)`` with :class:`PreprocessingError`.
 
     A caller that already holds ``entry_keys`` and ``ent_center`` (the
     patch splice) passes both; they are trusted to match ``(cl_indptr,
     ent_member)``.  ``parent`` is the scheme a patch spliced these
-    columns from: every derived structure whose inputs are the parent's
-    own column objects (or equal pivots) is the parent's, not a copy —
-    the label positions when the keys are and the pivots equal, the
-    bunch CSR when the members are.  Columns are append-only once
-    assembled, so sharing is safe.
+    columns from: when the keys are the parent's own column object and
+    the pivots equal, the label positions are the parent's, not a copy.
+    Columns are append-only once assembled, so sharing is safe.
 
     Every column comes out in its :data:`COLUMN_DTYPES` dtype (builders
     hand most of them over in it already); a graph or scheme too large
@@ -565,30 +541,20 @@ def assemble_arrays(
         parent = None
     if ent_center is None:
         entry_keys = None  # derived together
-    same_keys = parent is not None and entry_keys is parent.entry_keys
-    keep = dict(
-        labels=same_keys and _same_values(hierarchy.pivot, parent.hierarchy.pivot),
-        bunch=parent is not None and ent_member is parent.ent_member,
+    keep_labels = (
+        parent is not None
+        and entry_keys is parent.entry_keys
+        and _same_values(hierarchy.pivot, parent.hierarchy.pivot)
     )
-    got: Dict[str, object] = {}
-    if entry_keys is None or not all(keep.values()):
+    if keep_labels:
+        got: Dict[str, object] = {"lab_epos": parent.lab_epos}
+    else:
         derive = assemble_native if resolve_kernel("auto") == "native" else _derive_numpy
-        got = derive(
-            n,
-            k,
-            cl_indptr,
-            ent_member,
-            hierarchy.pivot,
-            entry_keys=entry_keys,
-            **{part: not kept for part, kept in keep.items()},
-        )
-    if got.get("missing_level") is not None:
-        raise _label_fault(got["missing_level"])
+        got = derive(n, k, cl_indptr, ent_member, hierarchy.pivot, entry_keys=entry_keys)
+        if got["missing_level"] is not None:
+            raise _label_fault(got["missing_level"])
     entry_keys = got.get("entry_keys", entry_keys)
     ent_center = got.get("ent_center", ent_center)
-    for part, names in _DERIVED_PARTS.items():
-        if keep[part]:
-            got.update((name, getattr(parent, name)) for name in names)
 
     ent_parent = _column("ent_parent", ent_parent)
     if ent_parent_epos is None:
@@ -628,7 +594,7 @@ def assemble_arrays(
         tr_heavy_port=tr_heavy_port,
         lp_indptr=lp_indptr,
         lp_data=lp_data,
-        **{name: got[name] for names in _DERIVED_PARTS.values() for name in names},
+        lab_epos=got["lab_epos"],
     )
     return SchemeArrays(
         n=n,

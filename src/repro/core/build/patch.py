@@ -28,11 +28,12 @@ a witness **inside the old cluster**:
 Collect the set ``S`` of all such witnesses (delta endpoints, dropped
 nodes' neighbors, added nodes, threshold-changed vertices ``X`` and
 their new-graph neighbors, port-changed vertices); every cluster whose
-data changes has ``S ∩ C_old(w) ≠ ∅``.  The stored bunches are exactly
-the transpose of cluster membership, so the dirty centers are one ragged
-gather: ``∪_{o ∈ S} bunch(o)``.  Everything else is spliced verbatim
-(modulo the monotone vertex relabeling node removal induces, which
-preserves sorted adjacency rows and hence ``"sorted"`` port values).
+data changes has ``S ∩ C_old(w) ≠ ∅``.  So the dirty centers are
+``∪_{o ∈ S} B(o)``, the tree slices whose members hold a witness, and
+one pass over the member column finds them.  Everything else is
+spliced verbatim (modulo the monotone vertex relabeling node removal
+induces, which preserves sorted adjacency rows and hence ``"sorted"``
+port values).
 
 The rebuild itself reuses the vectorized builder's stages on the
 platform's kernel: its level engines (the native ``tz_frontier_sweep``,
@@ -68,9 +69,8 @@ natively one ``memcpy`` per run and column, each pool worker writing
 one row range of every column (:mod:`repro.kernels.splice`), with
 :func:`_splice` and :func:`_splice_same` as the numpy reference.
 :func:`~repro.core.build.arrays.assemble_arrays` then gets the parent
-and shares every derived structure whose inputs the parent's columns
-are — the bunch permutation when the members are, the label positions
-when the keys and pivots are — and derives the rest.
+and shares its label positions when the keys and pivots are the
+parent's, and derives them otherwise.
 """
 
 from __future__ import annotations
@@ -476,18 +476,15 @@ def patch_arrays(
         s_new = _touched_set(
             arrays, graph, new_graph, delta, id_map, h_new, ported, new_ported, old_of
         )
-        # Dirty centers: every cluster that contains a witness, read off
-        # the stored bunches (the membership transpose), plus the
-        # clusters of dropped vertices and the added nodes' own clusters.
-        s_old = old_of[s_new[s_new < n_keep]]
-        sources = np.unique(
-            np.concatenate([s_old, np.asarray(delta.drop_nodes, dtype=np.int64)])
-        ).astype(np.int64)
-        bi = arrays.bunch_indptr
-        dirty_old = np.unique(
-            arrays.ent_center[
-                arrays.bunch_epos[_segment_indices(bi[sources], bi[sources + 1] - bi[sources])]
-            ]
+        # Dirty centers: every cluster that holds a witness or a dropped
+        # vertex, in one pass over the members (every tree slice holds
+        # its own center, so none is empty), plus the added nodes' own
+        # clusters.
+        marked = np.zeros(graph.n, dtype=bool)
+        marked[old_of[s_new[s_new < n_keep]]] = True
+        marked[np.asarray(delta.drop_nodes, dtype=np.int64)] = True
+        dirty_old = np.flatnonzero(
+            np.logical_or.reduceat(np.take(marked, arrays.ent_member), arrays.cl_indptr[:-1])
         )
         mapped_dirty = id_map[dirty_old] if dirty_old.shape[0] else dirty_old
         dirty_new = np.unique(

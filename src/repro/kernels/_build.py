@@ -150,7 +150,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_I64] + [_PTR] * 4  # column count, kinds, widths, old, fresh (tables)
         + [_PTR]  # out same flag per column
     )
-    lib.tz_entry_keys.restype = None
+    lib.tz_entry_keys.restype = _I64
     lib.tz_entry_keys.argtypes = (
         [_I64, _I64, _I64]  # n, entry range lo, hi
         + [_PTR] * 2  # cl_indptr, member
@@ -162,10 +162,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_PTR] * 3  # cl_indptr, keys, pivot
         + [_PTR]  # out label positions
     )
-    lib.tz_member_counts.restype = _I64
-    lib.tz_member_counts.argtypes = [_I64, _I64, _I64, _PTR, _PTR]
-    lib.tz_bunch_scatter.restype = None
-    lib.tz_bunch_scatter.argtypes = [_I64, _I64, _PTR, _PTR, _PTR]
     lib.tz_gnp_edges.restype = _I64
     lib.tz_gnp_edges.argtypes = (
         [_I64, ctypes.c_double]  # n, log1p(-p)

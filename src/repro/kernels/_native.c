@@ -59,8 +59,7 @@
  *   addend is the same double.
  * - tz_splice copies rows and adds the same integer shifts as the
  *   numpy splice; the assemble passes find the same unique keys as
- *   numpy's searchsorted, and a stable counting sort orders entries as
- *   a stable argsort does.
+ *   numpy's searchsorted.
  * - tz_gnp_edges and tz_permute_rows call the caller's bit generator
  *   once per draw the Python loops make, through the same function
  *   pointers numpy calls, and do the same arithmetic on the draws:
@@ -1695,13 +1694,13 @@ void tz_splice_same(
 /* Patch and build: assemble                                           */
 /* ------------------------------------------------------------------ */
 
-/* Return codes of the assemble passes: keep in sync with
- * kernels/splice.py. */
+/* Return code of tz_entry_keys: keep in sync with kernels/splice.py. */
 #define ASSEMBLE_MEMBER (-1) /* a member outside [0, n) */
 
 /* ent_center and entry_keys = center * n + member of rows [lo, hi),
- * the center of row e being the block of cl_indptr holding it. */
-void tz_entry_keys(
+ * the center of row e being the block of cl_indptr holding it; returns
+ * 0 or ASSEMBLE_MEMBER. */
+int64_t tz_entry_keys(
     int64_t n,
     int64_t lo,
     int64_t hi,
@@ -1711,14 +1710,18 @@ void tz_entry_keys(
     int64_t *keys)                   /* out (E) */
 {
     if (lo >= hi)
-        return;
+        return 0;
     for (int64_t c = block_of(n, cl_indptr, lo), e = lo; e < hi; c++) {
         const int64_t end = cl_indptr[c + 1] < hi ? cl_indptr[c + 1] : hi;
         for (; e < end; e++) {
+            const int64_t v = member[e];
+            if (v < 0 || v >= n)
+                return ASSEMBLE_MEMBER;
             center[e] = (int32_t)c;
-            keys[e] = c * n + member[e];
+            keys[e] = c * n + v;
         }
     }
+    return 0;
 }
 
 /* Label entry positions of vertices [lo, hi): row 0 the entry (v, v),
@@ -1751,40 +1754,6 @@ int64_t tz_label_positions(
             lab[i * n + v] = pos;
         }
     return 0;
-}
-
-/* Per-member entry counts of rows [lo, hi), added into counts (n);
- * returns 0 or ASSEMBLE_MEMBER. */
-int64_t tz_member_counts(
-    int64_t n,
-    int64_t lo,
-    int64_t hi,
-    const int32_t *member,           /* (E) */
-    int64_t *counts)                 /* in/out (n) */
-{
-    for (int64_t e = lo; e < hi; e++) {
-        const int64_t v = member[e];
-        if (v < 0 || v >= n)
-            return ASSEMBLE_MEMBER;
-        counts[v]++;
-    }
-    return 0;
-}
-
-/* Bunch order of rows [lo, hi): a stable counting sort of the entries
- * by member.  cursor[v] is the first slot of this range's member-v rows
- * (the rows of earlier ranges and lower members before it); entries go
- * in row order, so each member's centers come out ascending, as
- * numpy's stable argsort puts them. */
-void tz_bunch_scatter(
-    int64_t lo,
-    int64_t hi,
-    const int32_t *member,           /* (E), checked by tz_member_counts */
-    int64_t *cursor,                 /* in/out (n), this range's own */
-    int32_t *order)                  /* out (E) */
-{
-    for (int64_t e = lo; e < hi; e++)
-        order[cursor[member[e]]++] = (int32_t)e;
 }
 
 /* ------------------------------------------------------------------ */

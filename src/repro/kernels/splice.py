@@ -15,9 +15,8 @@ patch then shares.
 
 :func:`assemble_arrays <repro.core.build.arrays.assemble_arrays>` then
 derives what the core columns imply: ``tz_entry_keys`` the center and
-key of every entry, ``tz_label_positions`` the label entry positions, and
-``tz_member_counts`` + ``tz_bunch_scatter`` the bunch CSR as a stable
-counting sort by member.
+key of every entry, and ``tz_label_positions`` the label entry
+positions.
 
 Both run on the worker pool (:mod:`repro.pool`), one row range per
 worker (:func:`repro.pool.size`), each writing its own rows of shared
@@ -61,7 +60,7 @@ _KIND_DTYPES = {
     OFFSET: (np.dtype(np.int64),),
 }
 
-#: Return code of the assemble passes (``ASSEMBLE_MEMBER`` in ``_native.c``).
+#: Return code of ``tz_entry_keys`` (``ASSEMBLE_MEMBER`` in ``_native.c``).
 _BAD_MEMBER = -1
 
 #: A splice's runs: ``(dirty, src, at)``, ``at`` one row longer.
@@ -203,18 +202,13 @@ def assemble_native(
     pivot: np.ndarray,
     *,
     entry_keys: Optional[np.ndarray],
-    labels: bool,
-    bunch: bool,
 ) -> Dict[str, object]:
-    """Derive the structures ``assemble_arrays`` asks for, in two pool
-    runs over row ranges.
-
-    Without ``entry_keys`` the first run writes them and ``ent_center``;
-    ``labels`` adds ``lab_epos`` (plus ``missing_level``, the lowest
-    level some vertex has no label entry at, or None), ``bunch``
-    ``bunch_indptr`` and ``bunch_epos``, each in its width-rule dtype
-    (int32 entry indices and centers, int64 keys and offsets).  Raises
-    :class:`PreprocessingError` for a member outside ``[0, n)``.
+    """Derive what ``assemble_arrays`` asks for, one pool run over row
+    ranges each: without ``entry_keys``, those keys (int64) and
+    ``ent_center`` (int32), refusing a member outside ``[0, n)`` with
+    :class:`PreprocessingError`; then ``lab_epos`` and
+    ``missing_level``, the lowest level some vertex has no label entry
+    at (or None).
     """
     lib = _lib()
     cl_indptr = _i64(cl_indptr)
@@ -228,59 +222,31 @@ def assemble_native(
     if pivot.shape != (k, n):
         raise ValueError("the pivots are not a (k, n) matrix")
     out: Dict[str, object] = {}
+    parts = pool.size()
     if entry_keys is None:
         keys, center = np.empty(E, dtype=np.int64), np.empty(E, dtype=np.int32)
         out.update(entry_keys=keys, ent_center=center)
+
+        def derive_keys(lo: int, hi: int) -> int:
+            return lib.tz_entry_keys(
+                n, lo, hi, cl_indptr.ctypes.data, member.ctypes.data,
+                center.ctypes.data, keys.ctypes.data,
+            )
+
+        if _BAD_MEMBER in pool.run(derive_keys, row_ranges(E, parts)):
+            raise PreprocessingError("an entry's member lies outside [0, n)")
     else:
         keys = _build.column(entry_keys, np.int64, "entry_keys")
         if keys.shape != (E,):
             raise ValueError("entry keys need one row per entry")
-    parts = pool.size()
-    ranges = row_ranges(E, parts)
-    counts = np.zeros((parts, n if bunch else 0), dtype=np.int64)
+    lab_epos = np.empty((k, n), dtype=np.int64)
 
-    def first(j: int, lo: int, hi: int) -> int:
-        if entry_keys is None:
-            lib.tz_entry_keys(
-                n, lo, hi, cl_indptr.ctypes.data, member.ctypes.data,
-                center.ctypes.data, keys.ctypes.data,
-            )
-        if bunch and lib.tz_member_counts(
-            n, lo, hi, member.ctypes.data, counts[j].ctypes.data
-        ):
-            return _BAD_MEMBER
-        return 0
+    def positions(lo: int, hi: int) -> int:
+        return lib.tz_label_positions(
+            n, k, lo, hi, cl_indptr.ctypes.data, keys.ctypes.data,
+            pivot.ctypes.data, lab_epos.ctypes.data,
+        )
 
-    if any(pool.run(first, [(j, lo, hi) for j, (lo, hi) in enumerate(ranges)])):
-        raise PreprocessingError("an entry's member lies outside [0, n)")
-
-    if bunch:
-        bunch_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts.sum(axis=0), out=bunch_indptr[1:])
-        # each range's first slot per member: the member's own offset plus
-        # the rows earlier ranges hold of it
-        cursor = np.cumsum(counts, axis=0) - counts + bunch_indptr[:-1]
-        bunch_epos = np.empty(E, dtype=np.int32)
-        out.update(bunch_indptr=bunch_indptr, bunch_epos=bunch_epos)
-    if labels:
-        lab_epos = np.empty((k, n), dtype=np.int64)
-        out["lab_epos"] = lab_epos
-    vertex_ranges = row_ranges(n, parts)
-
-    def second(j: int, lo: int, hi: int) -> int:
-        if bunch:
-            lib.tz_bunch_scatter(
-                lo, hi, member.ctypes.data, cursor[j].ctypes.data, bunch_epos.ctypes.data
-            )
-        if labels:
-            v0, v1 = vertex_ranges[j]
-            return lib.tz_label_positions(
-                n, k, v0, v1, cl_indptr.ctypes.data, keys.ctypes.data,
-                pivot.ctypes.data, lab_epos.ctypes.data,
-            )
-        return 0
-
-    missing = pool.run(second, [(j, lo, hi) for j, (lo, hi) in enumerate(ranges)])
-    if labels:
-        out["missing_level"] = min(m for m in missing if m) - 1 if any(missing) else None
+    missing = [m for m in pool.run(positions, row_ranges(n, parts)) if m]
+    out.update(lab_epos=lab_epos, missing_level=min(missing) - 1 if missing else None)
     return out

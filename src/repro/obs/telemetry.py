@@ -118,6 +118,10 @@ class Span:
             self.attrs = dict(self.attrs, maxrss_mb=rss)
         return False
 
+    def stamp(self, **attrs) -> None:
+        """Add labels known only once the span is open."""
+        self.attrs = dict(self.attrs, **attrs)
+
     # -- derived timings ------------------------------------------------
     @property
     def duration_ns(self) -> int:
@@ -167,6 +171,9 @@ class _NoopSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         """No-op (exceptions propagate)."""
         return False
+
+    def stamp(self, **attrs) -> None:
+        """No-op: the shared instance keeps no labels."""
 
 
 #: The shared disabled-mode span instance.

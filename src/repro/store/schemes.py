@@ -13,7 +13,7 @@ views the rows as the record dtypes again.  Loading reverses the walk
 over memory-mapped views — the reconstructed objects are backed by the
 file, byte for byte, with nothing copied.
 
-A scheme container (format 7) stores each fact once: the ``arr_``
+A scheme container (format 8) stores each fact once: the ``arr_``
 blobs, except the :data:`~repro.sim.engine.compile.ARRAYS_IN_RECORD`
 columns the ``ent`` records hold (the member excepted: the kernels
 search its dense column) and the
@@ -168,12 +168,10 @@ def arrays_from_manifest(
 
 def _check_array_columns(found: Dict[str, np.ndarray], n: int, entries: int) -> None:
     """Every stored array column has its width-rule dtype, and every
-    per-entry one ``entries`` rows (``n + 1`` for the two per-vertex
-    offsets, any length for the light ports); else
-    :class:`EncodingError`."""
+    per-entry one ``entries`` rows (``n + 1`` for the tree offsets, any
+    length for the light ports); else :class:`EncodingError`."""
     rows = {
         "cl_indptr": (n + 1,),
-        "bunch_indptr": (n + 1,),
         "lp_data": found["lp_data"].shape[:1],
         "lab_epos": found["lab_epos"].shape,
     }

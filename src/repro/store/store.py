@@ -477,16 +477,17 @@ class SchemeStore:
             raise EncodingError(
                 f"cannot publish a patch of {parent_key}: no such stored scheme"
             )
-        parent_meta = read_header(parent_path).get("meta", {})
-        lineage = parent_meta.get("lineage") or parent_key
-        version = int(parent_meta.get("version", 0)) + 1
-        if compiled is None:
-            compiled = compile_from_arrays(arrays, ported)
-        hashes = (graph_content_hash(graph), port_hash(ported))
-        key = scheme_key(
-            hashes[0], arrays.k, seed, hashes[1], handshake=compiled.handshake
-        )
-        with TELEMETRY.span("store.publish_patch", lineage=lineage, version=version):
+        with TELEMETRY.span("store.publish_patch") as span:
+            parent_meta = read_header(parent_path).get("meta", {})
+            lineage = parent_meta.get("lineage") or parent_key
+            version = int(parent_meta.get("version", 0)) + 1
+            span.stamp(lineage=lineage, version=version)
+            if compiled is None:
+                compiled = compile_from_arrays(arrays, ported)
+            hashes = (graph_content_hash(graph), port_hash(ported))
+            key = scheme_key(
+                hashes[0], arrays.k, seed, hashes[1], handshake=compiled.handshake
+            )
             self._save(
                 graph,
                 ported,
@@ -688,15 +689,16 @@ class SchemeStore:
         A container of an older format at the key's path is a miss: it
         is rebuilt and replaced, never served.
         """
-        if ported is None:
-            ported = assign_ports(graph, "sorted")
-        key = self.key_for(graph, k, seed, ported)
-        path = self.path_for(key)
-        hit = container_version(path) == FORMAT_VERSION
         tm = TELEMETRY
-        if tm.enabled:
-            tm.count("store.hits" if hit else "store.misses")
-        with tm.span("store.get_or_build", k=k, hit=hit):
+        with tm.span("store.get_or_build", k=k) as span:
+            if ported is None:
+                ported = assign_ports(graph, "sorted")
+            key = self.key_for(graph, k, seed, ported)
+            path = self.path_for(key)
+            hit = container_version(path) == FORMAT_VERSION
+            span.stamp(hit=hit)
+            if tm.enabled:
+                tm.count("store.hits" if hit else "store.misses")
             return self._get_or_build(graph, k, seed, ported, strict, path, hit)
 
     def _get_or_build(self, graph, k, seed, ported, strict, path, hit) -> StoredScheme:

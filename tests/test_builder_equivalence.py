@@ -238,13 +238,15 @@ class TestConstructionInvariants:
         """v ∈ C(w) ⇔ w ∈ B(v), with identical distances."""
         pg = assign_ports(g, "sorted")
         arrays = build_arrays(g, k, ported=pg, rng=seed)
-        # The bunch CSR is a permutation of the entries, grouped by member;
-        # a bunch's centers and distances are the entries' own, gathered.
-        assert np.array_equal(np.sort(arrays.bunch_epos), np.arange(arrays.entry_count))
+        # A bunch is the entries grouped by member: a stable sort keeps
+        # each member's centers ascending, and bunch_sizes counts them.
+        by_member = np.argsort(arrays.ent_member, kind="stable")
+        indptr = np.zeros(g.n + 1, dtype=np.int64)
+        np.cumsum(arrays.bunch_sizes(), out=indptr[1:])
         members_of_bunches = np.repeat(np.arange(g.n), arrays.bunch_sizes())
-        assert np.array_equal(members_of_bunches, arrays.ent_member[arrays.bunch_epos])
-        centers = arrays.ent_center[arrays.bunch_epos]
-        dists = arrays.ent_dist[arrays.bunch_epos]
+        assert np.array_equal(members_of_bunches, arrays.ent_member[by_member])
+        centers = arrays.ent_center[by_member]
+        dists = arrays.ent_dist[by_member]
         # Every bunch against the set definition via dict-world bunches.
         from repro.core.clusters import bunches as bunches_dict
         from repro.core.clusters import compute_all_clusters
@@ -257,7 +259,7 @@ class TestConstructionInvariants:
         )
         B = bunches_dict(clusters)
         for v in range(g.n):
-            lo, hi = arrays.bunch_indptr[v], arrays.bunch_indptr[v + 1]
+            lo, hi = indptr[v], indptr[v + 1]
             got = dict(zip(centers[lo:hi].tolist(), dists[lo:hi].tolist()))
             assert got == B[v]
 

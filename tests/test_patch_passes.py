@@ -3,15 +3,16 @@
 Three native passes run on every patch, compile and save: the patch's
 splice (``tz_splice``, wrapped in :mod:`repro.kernels.splice`), the
 derived structures of :func:`~repro.core.build.arrays.assemble_arrays`
-(entry keys, member maps, label positions, bunch CSR) and the label
-bits ``tz_compile_records`` writes beside the records.  Each must equal
-its numpy reference byte for byte:
+(entry keys and label positions) and the label bits
+``tz_compile_records`` writes beside the records.  Each must equal its
+numpy reference byte for byte:
 
 1. **splice primitives** on random runs of every column kind, cut into
    1–4 pool ranges;
 2. **assemble** on the reference families × k = 1..4 × {own random,
    sorted} ports, and **label bits** on the same grid, against the
-   uncached :meth:`SchemeArrays.entry_label_bits`;
+   uncached :meth:`SchemeArrays.entry_label_bits`; and one refusal of
+   a member outside ``[0, n)`` on both kernels;
 3. **patches** on the same grid and over chained weight-only epochs
    under random ports, with the numpy half run under ``veto_native`` —
    moved and kept epochs both required;
@@ -199,6 +200,24 @@ def test_assemble_and_label_bits(family, k, ports, veto_native):
 
 
 @needs_native
+@pytest.mark.parametrize("member", ["-1", "n"])
+def test_assemble_refuses_a_member_outside_the_vertices(member, veto_native):
+    """Deriving the keys, both kernels refuse an entry whose member is
+    -1 or n with the same error."""
+    graph, ported, arrays = instance("gnp", 2, "sorted")
+    core = {name: getattr(arrays, name) for name in CORE}
+    core["ent_member"] = core["ent_member"].copy()
+    core["ent_member"][arrays.entry_count // 2] = -1 if member == "-1" else graph.n
+
+    def assemble():
+        return assemble_arrays(graph, ported, arrays.hierarchy, **core)
+
+    for run in (veto_native, lambda fn: fn()):
+        with pytest.raises(PreprocessingError, match=r"an entry's member lies outside \[0, n\)"):
+            run(assemble)
+
+
+@needs_native
 def test_missing_label_entry_names_its_level(veto_native):
     graph, ported, arrays = instance("gnp", 3, "sorted")
     core = {name: getattr(arrays, name) for name in CORE}
@@ -300,8 +319,7 @@ def test_kept_blocks_share_what_did_not_change():
     u, v = (int(x) for x in graph.edges[6])
     delta = GraphDelta(weight_updates=((u, v, float(graph.edge_weights[6] + 1)),))
     got = patch_arrays(arrays, graph, delta, ported=ported).arrays
-    for name in ("cl_indptr", "ent_center", "entry_keys", "ent_member", "bunch_indptr",
-                 "bunch_epos", "lab_epos"):
+    for name in ("cl_indptr", "ent_center", "entry_keys", "ent_member", "lab_epos"):
         assert getattr(got, name) is getattr(arrays, name), name
     assert got.tr_light_depth is not arrays.tr_light_depth
     assert got.lp_indptr is not arrays.lp_indptr

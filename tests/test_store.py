@@ -50,7 +50,7 @@ from repro.store import (
     write_container,
 )
 from repro.store.format import DIGEST_CHUNK, read_header
-from repro.store.schemes import RECORD_ONLY
+from repro.store.schemes import RECORD_ONLY, STORED_ARRAYS_FIELDS
 from strategies import FAMILIES, family_from_seed
 
 ROUTE_FIELDS = ("delivered", "weight", "hops", "max_header_bits", "failure_code")
@@ -145,7 +145,6 @@ SHAPE_CORRUPTIONS = {
     "int64-members": _retype("arr_ent_member", "<i8"),
     "int32-tree-slices": _retype("arr_cl_indptr", "<i4"),
     "int64-lp-data": _retype("arr_lp_data", "<i8"),
-    "int64-bunch-epos": _retype("arr_bunch_epos", "<i8"),
     "narrow-entry-records": _narrow("cs_ent", ENT_DTYPE.itemsize // 8 - 1),
     "narrow-step-records": _narrow("cs_step", STEP_DTYPE.itemsize // 8 - 1),
 }
@@ -331,7 +330,7 @@ class TestContainer:
         )
         raw = path.read_bytes()
         assert hashlib.sha256(raw).hexdigest() == (
-            "147f2fac19c00469c714fdba2812b96b9e107179f4aef817631ee4d7ab0abf27"
+            "c704e0b9a5e23a913a8c7b468ad26b254c6b6a9107776941149486d8f2389298"
         )
         # the data section alone, unchanged since format 5: only the
         # preamble's and the header's format version (and the header's
@@ -507,9 +506,15 @@ class TestSingleRepresentation:
     def test_container_holds_only_derived_compiled_columns(self, saved):
         _, _, arrays, _, path = saved
         header, blobs = read_container(path)
-        assert header["format_version"] == FORMAT_VERSION == 7
+        assert header["format_version"] == FORMAT_VERSION == 8
         assert sorted(n for n in blobs if n.startswith("cs_")) == sorted(
             "cs_" + name for name in DERIVED
+        )
+        # Exactly these array blobs: a column added back fails here.
+        hierarchy = ("h_dist", "h_pivot", "h_level_of", "h_levels_data", "h_levels_indptr")
+        assert STORED_ARRAYS_FIELDS == ("cl_indptr", "ent_member", "lp_data", "lab_epos")
+        assert sorted(n for n in blobs if n.startswith("arr_")) == sorted(
+            "arr_" + name for name in STORED_ARRAYS_FIELDS + hierarchy
         )
         assert not {"arr_" + name for name in RECORD_ONLY + DERIVED_COLUMNS} & set(blobs)
         # The records are stored as plain int64 rows, one per record:
@@ -532,8 +537,11 @@ class TestSingleRepresentation:
             setattr(copied, name, np.array(getattr(copied, name)))
         store.save(graph, ported, arrays, seed=4, compiled=copied)
 
-    @staticmethod
-    def _refused_and_rebuilt(saved, version: int) -> None:
+    @pytest.mark.parametrize("version", range(1, FORMAT_VERSION))
+    def test_format_refused_and_rebuilt(self, saved, version):
+        """A container of any older format is refused by its version,
+        and ``get_or_build`` rebuilds it in place; no older reader is
+        kept."""
         graph, ported, _, store, _ = saved
         stored = store.get_or_build(graph, 2, 6, ported=ported)
         path = stored.path
@@ -549,24 +557,6 @@ class TestSingleRepresentation:
         assert again.path == path
         assert read_container(path)[0]["format_version"] == FORMAT_VERSION
         _assert_routes_equal(want, again.router().route_pairs(pairs))
-
-    def test_format_1_refused_and_rebuilt(self, saved):
-        self._refused_and_rebuilt(saved, 1)
-
-    def test_format_2_refused_and_rebuilt(self, saved):
-        self._refused_and_rebuilt(saved, 2)
-
-    def test_format_3_refused_and_rebuilt(self, saved):
-        self._refused_and_rebuilt(saved, 3)
-
-    def test_format_4_refused_and_rebuilt(self, saved):
-        self._refused_and_rebuilt(saved, 4)
-
-    def test_format_5_refused_and_rebuilt(self, saved):
-        self._refused_and_rebuilt(saved, 5)
-
-    def test_format_6_refused_and_rebuilt(self, saved):
-        self._refused_and_rebuilt(saved, 6)
 
     def test_materialized_scheme_compiles_from_stored_arrays(self, saved):
         graph, ported, _, store, path = saved
@@ -698,6 +688,45 @@ class TestPublishOverhead:
                 "graph": 1,
                 "ports": 1,
             }
+
+    def test_store_spans_open_before_the_key_is_hashed(self, tmp_path, monkeypatch):
+        """``get_or_build`` and ``publish_patch`` hash the graph for the
+        content key inside their own spans, and stamp what they learn
+        there (the hit, the lineage and version) on the span; a
+        disabled registry's shared span keeps no label."""
+        from repro.obs import TELEMETRY
+        from repro.obs.telemetry import NOOP_SPAN
+        from repro.store import store as store_mod
+
+        opened = []
+        real = store_mod.graph_content_hash
+
+        def spy(graph):
+            opened.append(getattr(TELEMETRY._current.get(), "name", None))
+            return real(graph)
+
+        monkeypatch.setattr(store_mod, "graph_content_hash", spy)
+        ((store, parent, patched, delta),) = self._chain(tmp_path, 1)
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            opened.clear()
+            store.publish_patch(
+                parent, patched.graph, patched.ported, patched.arrays, delta=delta, seed=0
+            )
+            assert opened == ["store.publish_patch"]
+            for hit in (False, True):
+                opened.clear()
+                store.get_or_build(patched.graph, 2, 5, ported=patched.ported)
+                assert opened[0] == "store.get_or_build"
+                assert TELEMETRY.roots[-1].attrs == {"k": 2, "hit": hit}
+            assert TELEMETRY.roots[0].name == "store.publish_patch"
+            assert TELEMETRY.roots[0].attrs == {"lineage": store.lineages()[0], "version": 1}
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        store.get_or_build(patched.graph, 2, 5, ported=patched.ported)
+        assert NOOP_SPAN.attrs == {}
 
     def test_versions_info_and_gc_map_no_container(self, tmp_path, monkeypatch):
         from repro.store import store as store_mod

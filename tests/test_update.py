@@ -573,7 +573,7 @@ class TestPatchKernelParity:
         """A weight bump that re-shapes dirty trees without changing any
         member set: no block moves, so the splice writes only the dirty
         runs, moving the light-port payload around several of them, and
-        shares the member column and the bunch permutation."""
+        shares the member column."""
         graph = family_from_seed(0, "gnp")
         ported = assign_ports(graph, "sorted")
         arrays = build_arrays(graph, 3, ported=ported, rng=0)
@@ -585,7 +585,6 @@ class TestPatchKernelParity:
 
         patched = patch()
         assert patched.arrays.ent_member is arrays.ent_member
-        assert patched.arrays.bunch_epos is arrays.bunch_epos
         assert patched.stats["dirty_clusters"] > 1
         assert not np.array_equal(patched.arrays.tr_light_depth, arrays.tr_light_depth)
         assert_matches_fresh(patched)
@@ -604,7 +603,7 @@ class TestPatchSplice:
         "cl_indptr", "ent_member", "ent_dist", "ent_parent",
         "ent_parent_epos", "ent_heavy_epos", "tr_f", "tr_finish",
         "tr_heavy_finish", "tr_light_depth", "tr_parent_port",
-        "tr_heavy_port", "lp_indptr", "lp_data", "bunch_epos",
+        "tr_heavy_port", "lp_indptr", "lp_data",
     )
 
     @pytest.mark.parametrize("family", GATE_FAMILIES)
@@ -663,8 +662,8 @@ class TestPatchSplice:
 
     def test_kept_block_lengths_around_a_member_swap(self):
         """Swapping two weights swaps ``a`` for ``b`` in ``C(w)``: no
-        block moves, yet the member column and the bunch permutation
-        must be rebuilt, not shared."""
+        block moves, yet the member column must be rebuilt, not
+        shared."""
         w, a, b, landmark = 0, 1, 2, 3
         graph = Graph(4, [(w, a), (w, b), (a, landmark), (b, landmark)], [1.0, 1.0, 2.0, 1.0])
         ported = assign_ports(graph, "sorted")
@@ -677,7 +676,6 @@ class TestPatchSplice:
         lo, hi = arrays.cl_indptr[w], arrays.cl_indptr[w + 1]
         assert arrays.ent_member[lo:hi].tolist() == [w, a]
         assert patched.arrays.ent_member[lo:hi].tolist() == [w, b]
-        assert patched.arrays.bunch_epos is not arrays.bunch_epos
         assert_matches_fresh(patched)
 
 

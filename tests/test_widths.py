@@ -167,7 +167,7 @@ def test_arrays_refuse_a_column_off_the_width_rule():
     graph = reference_graph("gnp", 80, 3).largest_component()
     ported = assign_ports(graph, "sorted")
     arrays = vectorized_arrays(graph, ported, build_hierarchy(graph, 2, make_rng(3)))
-    for name in ("ent_member", "lp_data", "bunch_epos"):
+    for name in ("ent_member", "lp_data"):
         with pytest.raises(PreprocessingError, match=name):
             dataclasses.replace(arrays, **{name: getattr(arrays, name).astype(np.int64)})
     with pytest.raises(PreprocessingError, match="entry_keys"):
