@@ -218,7 +218,7 @@ def test_kernels_speedup(setup):
         compiled.g_indptr,
         compiled.step,
     )
-    light = (arrays.lp_indptr, arrays.lp_data, None)
+    light = (arrays.lp_indptr, arrays.lp_data)
     # Byte for byte: 8 int64 words per 64-byte record, the weights' bits
     # included.
     words = _ent_records(*record_args, "numpy", light).view(np.int64)

@@ -42,12 +42,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...errors import PreprocessingError
+from ...errors import EncodingError, PreprocessingError
 from ...graphs.graph import Graph
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
 from ...kernels.records import derive_entries_native, derive_refusal
-from ...kernels.splice import assemble_native
+from ...kernels.splice import label_positions_native
 from ...trees.label_codec import TreeLabel, f_width_array, tree_label_bits_array
 from ...trees.tz_tree import TreeLocalRecord
 from ..labels import LabelEntry, TZLabel
@@ -148,13 +148,14 @@ DERIVED_COLUMNS = ("entry_keys", "ent_center", "ent_dist", "ent_parent", "lp_ind
 def derive_entries_numpy(
     tree_indptr: np.ndarray,
     member: np.ndarray,
-    ent: np.ndarray,
-    lp_data: np.ndarray,
+    ent: Optional[np.ndarray],
+    lp_data: Optional[np.ndarray],
     want: Tuple[str, ...],
 ) -> Dict[str, np.ndarray]:
     """The numpy reference of
     :func:`~repro.kernels.records.derive_entries_native`: the same
-    columns, byte for byte, and the same refusals.  Only the refusal is
+    columns, byte for byte, and the same refusals, reading ``ent`` and
+    ``lp_data`` only for the columns that need them.  Only the refusal is
     shared: this runs each check over every entry in turn, naming the
     first entry of the first failing check, where the C pass meets the
     faults tree by tree, so on records with several faults the two may
@@ -163,17 +164,15 @@ def derive_entries_numpy(
     E = member.shape[0]
     sizes = np.diff(tree_indptr)
     center = np.repeat(np.arange(n, dtype=np.int32), sizes)
-    start, end = tree_indptr[:-1][center], tree_indptr[1:][center]
     member64 = member.astype(np.int64)
-    pe = ent["parent_epos"].astype(np.int64)
-    f = ent["f"].astype(np.int64)
-    off = ent["lp_off"].astype(np.int64)
-    depth = ent["light_depth"].astype(np.int64)
-    inside = (pe >= start) & (pe < end)
     checks = []
     if "entry_keys" in want or "ent_parent" in want:
         checks.append(("member", (member64 < 0) | (member64 >= n)))
     if "ent_dist" in want or "ent_parent" in want:
+        start, end = tree_indptr[:-1][center], tree_indptr[1:][center]
+        pe = ent["parent_epos"].astype(np.int64)
+        f = ent["f"].astype(np.int64)
+        inside = (pe >= start) & (pe < end)
         checks.append(("link", (pe != -1) & ~(inside & (f[np.where(inside, pe, 0)] < f))))
     if "ent_dist" in want:
         slot = start + f
@@ -187,6 +186,8 @@ def derive_entries_numpy(
         checks.append(("dfs", ~ranged | seen))
     light = "lp_indptr" in want or "label_bits" in want
     if light:
+        off = ent["lp_off"].astype(np.int64)
+        depth = ent["light_depth"].astype(np.int64)
         expect = np.zeros(E, dtype=np.int64)
         np.add(off[:-1], depth[:-1], out=expect[1:])
         checks.append(("light", (off != expect) | (depth < 0) | (off + depth > lp_data.shape[0])))
@@ -227,15 +228,17 @@ def derive_entries_numpy(
 def derive_entries(
     tree_indptr: np.ndarray,
     member: np.ndarray,
-    ent: np.ndarray,
-    lp_data: np.ndarray,
+    ent: Optional[np.ndarray],
+    lp_data: Optional[np.ndarray],
     want: Tuple[str, ...],
 ) -> Dict[str, np.ndarray]:
     """The :data:`~repro.kernels.records.DERIVABLE` columns named in
     ``want``, from a scheme's tree slices, members, ``ent`` records and
     light ports, on the platform's kernel: the native derive pass, else
-    :func:`derive_entries_numpy`.  Refuses records it cannot read
-    through with :class:`~repro.errors.EncodingError`."""
+    :func:`derive_entries_numpy`.  The keys and centers read the tree
+    slices and members alone (``ent`` and ``lp_data`` may then be None):
+    that is how :func:`assemble_arrays` makes them.  Refuses records it
+    cannot read through with :class:`~repro.errors.EncodingError`."""
     if resolve_kernel("auto") == "native":
         return derive_entries_native(tree_indptr, member, ent, lp_data, want)
     return derive_entries_numpy(tree_indptr, member, ent, lp_data, want)
@@ -331,13 +334,15 @@ class SchemeArrays:
     def entry_label_bits(self) -> np.ndarray:
         """Encoded tree-label bits of every entry-as-destination, ``(E,)`` int32.
 
-        Cached: the builder, the engine compile and the size accounting
-        all need this column, and at scale it dominates their shared
-        cost (arrays are append-only once assembled, so the cache is
-        safe).  :func:`~repro.sim.engine.compile.compile_from_arrays`
-        fills the cache from its record pass when it is empty; a loaded
-        scheme, which stores no label bits, derives them from its records
-        (:func:`derive_entries`).
+        Cached: :meth:`table_bits` and :meth:`label_bits` both read
+        this column, and at scale it dominates their cost (arrays are
+        append-only once assembled, so the cache is safe).  A built or
+        patched scheme computes it with the numpy formula
+        (:func:`~repro.trees.label_codec.tree_label_bits_array`); a
+        loaded scheme, which stores no label bits, derives them from its
+        records (:func:`derive_entries`).  Neither a compile nor a route
+        reads it: a route's header bits come from the commit, per
+        committed destination.
         """
         cached = self.__dict__.get("_entry_label_bits")
         if cached is not None:
@@ -439,28 +444,15 @@ def _label_fault(level: int) -> PreprocessingError:
     )
 
 
-def _derive_numpy(
-    n: int,
-    k: int,
-    cl_indptr: np.ndarray,
-    ent_member: np.ndarray,
-    pivot: np.ndarray,
-    *,
-    entry_keys: Optional[np.ndarray],
+def _label_positions_numpy(
+    n: int, k: int, entry_keys: np.ndarray, pivot: np.ndarray
 ) -> Dict[str, object]:
-    """The numpy reference of :func:`~repro.kernels.splice.assemble_native`:
-    the same structures, byte for byte, under the same keys, and the
-    same refusal of a member outside ``[0, n)``."""
-    out: Dict[str, object] = {}
-    if entry_keys is None:
-        if ent_member.size and (ent_member.min() < 0 or ent_member.max() >= n):
-            raise PreprocessingError("an entry's member lies outside [0, n)")
-        ent_center = np.repeat(np.arange(n, dtype=np.int32), np.diff(cl_indptr))
-        entry_keys = ent_center.astype(np.int64) * np.int64(n) + ent_member
-        out.update(entry_keys=entry_keys, ent_center=ent_center)
+    """The numpy reference of
+    :func:`~repro.kernels.splice.label_positions_native`: the same
+    ``lab_epos``, byte for byte, and the same ``missing_level``."""
     verts = np.arange(n, dtype=np.int64)
     lab_epos = np.empty((k, n), dtype=np.int64)
-    out.update(lab_epos=lab_epos, missing_level=None)
+    out: Dict[str, object] = {"lab_epos": lab_epos, "missing_level": None}
     for i in range(k):
         w = verts if i == 0 else pivot[i]
         try:
@@ -513,10 +505,12 @@ def assemble_arrays(
     ``ent_heavy_epos`` is supplied ``heavy_vertex`` may be omitted), and
     the entry keys and label positions are computed the same way for
     both builders (so they cannot mask a core-field mismatch), on the
-    platform's kernel: natively in one pool run each
-    (:func:`~repro.kernels.splice.assemble_native`), else by
-    :func:`_derive_numpy`, the reference.  Deriving the keys refuses a
-    member outside ``[0, n)`` with :class:`PreprocessingError`.
+    platform's kernel, in one pool run each natively: the keys and
+    centers by the derive pass (:func:`derive_entries`, which reads the
+    tree slices and members only), the label positions by
+    :func:`~repro.kernels.splice.label_positions_native`, else by
+    :func:`_label_positions_numpy`, the reference.  Deriving the keys
+    refuses a member outside ``[0, n)`` with :class:`PreprocessingError`.
 
     A caller that already holds ``entry_keys`` and ``ent_center`` (the
     patch splice) passes both; they are trusted to match ``(cl_indptr,
@@ -533,28 +527,34 @@ def assemble_arrays(
     k = hierarchy.k
     E = ent_member.shape[0]
     check_index_sizes(n, graph.adj.shape[0], E)
+    cl_indptr = _column("cl_indptr", cl_indptr)
     ent_member = _column("ent_member", ent_member)
     if ent_center is not None:
         entry_keys = _column("entry_keys", entry_keys)
         ent_center = _column("ent_center", ent_center)
+    else:  # derived together, from the tree slices and members alone
+        try:
+            keyed = derive_entries(cl_indptr, ent_member, None, None, ("entry_keys", "ent_center"))
+        except EncodingError as exc:  # the only refusal these two can meet
+            raise PreprocessingError("an entry's member lies outside [0, n)") from exc
+        entry_keys, ent_center = keyed["entry_keys"], keyed["ent_center"]
     if parent is not None and (parent.n, parent.k) != (n, k):
         parent = None
-    if ent_center is None:
-        entry_keys = None  # derived together
     keep_labels = (
         parent is not None
         and entry_keys is parent.entry_keys
         and _same_values(hierarchy.pivot, parent.hierarchy.pivot)
     )
     if keep_labels:
-        got: Dict[str, object] = {"lab_epos": parent.lab_epos}
+        lab_epos = parent.lab_epos
     else:
-        derive = assemble_native if resolve_kernel("auto") == "native" else _derive_numpy
-        got = derive(n, k, cl_indptr, ent_member, hierarchy.pivot, entry_keys=entry_keys)
+        if resolve_kernel("auto") == "native":
+            got = label_positions_native(n, k, cl_indptr, entry_keys, hierarchy.pivot)
+        else:
+            got = _label_positions_numpy(n, k, entry_keys, hierarchy.pivot)
         if got["missing_level"] is not None:
             raise _label_fault(got["missing_level"])
-    entry_keys = got.get("entry_keys", entry_keys)
-    ent_center = got.get("ent_center", ent_center)
+        lab_epos = got["lab_epos"]
 
     ent_parent = _column("ent_parent", ent_parent)
     if ent_parent_epos is None:
@@ -594,7 +594,7 @@ def assemble_arrays(
         tr_heavy_port=tr_heavy_port,
         lp_indptr=lp_indptr,
         lp_data=lp_data,
-        lab_epos=got["lab_epos"],
+        lab_epos=lab_epos,
     )
     return SchemeArrays(
         n=n,

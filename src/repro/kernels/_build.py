@@ -126,14 +126,13 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_PTR] * 6  # keys, vertex, f, finish, heavy finish, light depth
         + [_PTR] * 5  # parent/heavy port, parent/heavy/vertex hint (or NULL)
         + [_PTR] * 2  # g_indptr, step records
-        + [_PTR, _PTR, _I64]  # lp_indptr, lp_data, lp_data length
-        + [_PTR] * 4  # out ent records, label bits (or NULL), refused entry,
-        #               rejected hints
+        + [_PTR, _I64]  # lp_indptr, lp_data length
+        + [_PTR] * 3  # out ent records, refused entry, rejected hints
     )
     lib.tz_derive_entries.restype = _I64
     lib.tz_derive_entries.argtypes = (
         [_I64, _I64, _I64]  # n, entry range lo, hi
-        + [_PTR] * 4  # tree_indptr, members, ent records, lp_data
+        + [_PTR] * 4  # tree_indptr, members, ent records, lp_data (the last two or NULL)
         + [_I64]  # lp_data length
         + [_PTR] * 8  # scratch order, out keys, centers, parents, dist,
         #               lp_indptr, label bits (each or NULL), refused entry
@@ -149,12 +148,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         [_I64] + [_PTR] * 3  # run count, dirty, src, at (count + 1)
         + [_I64] + [_PTR] * 4  # column count, kinds, widths, old, fresh (tables)
         + [_PTR]  # out same flag per column
-    )
-    lib.tz_entry_keys.restype = _I64
-    lib.tz_entry_keys.argtypes = (
-        [_I64, _I64, _I64]  # n, entry range lo, hi
-        + [_PTR] * 2  # cl_indptr, member
-        + [_PTR] * 2  # out center, keys
     )
     lib.tz_label_positions.restype = _I64
     lib.tz_label_positions.argtypes = (

@@ -2,12 +2,14 @@
  * the router's tree commit and synchronized hop loop
  * (sim/engine/batch.py), the builder's thresholded frontier sweep
  * and cluster-tree pass (core/build/vectorized.py), the compile
- * pass that writes the entry records and label bits
- * (sim/engine/compile.py), and the passes a patch makes over every
- * entry: the splice (core/build/patch.py) and the derived structures
- * of assemble_arrays (core/build/arrays.py), and the setup path's two
- * draw loops: gnp's edge skipping (graphs/generators.py) and the random
- * port permutations (graphs/ports.py).
+ * pass that writes the entry records (sim/engine/compile.py), the
+ * derive pass that makes the columns a container does not store and
+ * every build's entry keys (core/build/arrays.py), the passes a patch
+ * makes over every entry: the splice (core/build/patch.py) and the
+ * label positions of assemble_arrays (core/build/arrays.py), and the
+ * setup path's two draw loops: gnp's edge skipping
+ * (graphs/generators.py) and the random port permutations
+ * (graphs/ports.py).
  *
  * Deliberately plain C + libc (and POSIX mmap), no Python.h: the
  * library is loaded through ctypes, so a bare `cc -O3 -fPIC -shared`
@@ -50,15 +52,14 @@
  * - tz_compile_records copies each resolved step record as it lies and
  *   links each neighbour by an exact-key lookup on strictly ascending
  *   keys, where a checked hint, a slice search and numpy's global
- *   searchsorted can only name the same unique entry.  Its label bits
- *   (and tz_commit's, and tz_derive_entries') are integer sums of the
- *   same bit lengths numpy reads off frexp.
+ *   searchsorted can only name the same unique entry.
  * - tz_derive_entries sums each distance as one float64 addition of
  *   the parent's distance and the parent weight, as numpy does level by
  *   level; every parent is summed before its child (DFS order), so each
- *   addend is the same double.
+ *   addend is the same double.  Its label bits, and tz_commit's, are
+ *   integer sums of the same bit lengths numpy reads off frexp.
  * - tz_splice copies rows and adds the same integer shifts as the
- *   numpy splice; the assemble passes find the same unique keys as
+ *   numpy splice; tz_label_positions finds the same unique keys as
  *   numpy's searchsorted.
  * - tz_gnp_edges and tz_permute_rows call the caller's bit generator
  *   once per draw the Python loops make, through the same function
@@ -1329,8 +1330,8 @@ static int64_t resolve_move(const tree_slice *t, const step_rec *row,
  * The pass checks every entry's light-port slice lp_indptr[e] ..
  * lp_indptr[e+1] against [0, lp_len] and its length against the light
  * depth, and writes lp_indptr[e] as the record's lp_off (the caller
- * refuses lp_len >= 2^31).  Unless label_bits is NULL it also writes
- * the entry's encoded tree-label bits (label_bits_of).
+ * refuses lp_len >= 2^31).  It writes the records and nothing else: the
+ * label bits are the derive pass's (tz_derive_entries).
  *
  * Keys strictly ascend, so each is unique: a checked hint, a search of
  * the tree's slice and numpy's global searchsorted name the same entry,
@@ -1367,10 +1368,8 @@ int64_t tz_compile_records(
     const int64_t *g_indptr,         /* (n+1) step row per vertex */
     const step_rec *step,            /* (2m) half-arc records */
     const int64_t *lp_indptr,        /* (E+1) light-port slices */
-    const int32_t *lp_data,          /* (lp_len) light ports */
-    int64_t lp_len,
+    int64_t lp_len,                  /* length of lp_data */
     ent_rec *ent,                    /* out (E) */
-    int32_t *label_bits,             /* out (E), or NULL: not wanted */
     int64_t *bad,                    /* out: the refused entry */
     int64_t *rejected)               /* out: entries that differ from a hint */
 {
@@ -1414,8 +1413,6 @@ int64_t tz_compile_records(
                 *bad = e;
                 return RECORDS_LIGHT;
             }
-            if (label_bits)
-                label_bits[e] = (int32_t)label_bits_of(b - a, lp_data + p0, p1 - p0);
             const step_rec *row = step + g_indptr[v];
             ent_rec *r = &ent[e];
             r->vertex = (int32_t)v;
@@ -1442,7 +1439,7 @@ int64_t tz_compile_records(
 }
 
 /* ------------------------------------------------------------------ */
-/* Load: the columns a container derives instead of storing            */
+/* Load and build: the columns derived instead of stored              */
 /* ------------------------------------------------------------------ */
 
 /* Block of row e: the largest c with cl_indptr[c] <= e, c in [0, n). */
@@ -1467,8 +1464,8 @@ static int64_t block_of(int64_t n, const int64_t *cl_indptr, int64_t e)
 #define DERIVE_LIGHT (-4)  /* light-port slices not back to back in lp_data */
 
 /* Derive, for entries [lo, hi) (cut where a tree of tree_indptr ends),
- * what a scheme container does not store, each output NULL when not
- * wanted:
+ * what a scheme container does not store, and a build's entry keys and
+ * centers, each output NULL when not wanted:
  *
  * - keys = tree * n + member and center = tree, the tree being the
  *   block of tree_indptr holding the entry;
@@ -1478,23 +1475,25 @@ static int64_t block_of(int64_t n, const int64_t *cl_indptr, int64_t e)
  *   child's): 0 at the root, else dist(parent link) + parent_wt, the
  *   float64 sum the build's tight-arc parents satisfy exactly;
  * - lp_indptr = lp_off of each entry (the caller writes row E);
- * - label_bits, as tz_compile_records writes them.
+ * - label_bits, each entry's encoded tree-label bits (label_bits_of).
  *
- * The records may come from an unverified map, so whatever is read
- * through is checked first, in this order per tree: members (for keys
- * and parent), DFS numbers and parent links (for dist and parent),
- * light-port slices, each starting where the last ends and inside
- * lp_data (for lp_indptr and label_bits).  order is scratch of E int32
- * rows, written only inside the range (NULL unless dist is wanted).
- * Returns 0 or a DERIVE_* code with the entry at *bad. */
+ * Keys and centers read the members only: ent and lp_data may then be
+ * NULL, and are read only for the outputs that need them.  The records
+ * may come from an unverified map, so whatever is read through is
+ * checked first, in this order per tree: members (for keys and parent),
+ * DFS numbers and parent links (for dist and parent), light-port
+ * slices, each starting where the last ends and inside lp_data (for
+ * lp_indptr and label_bits).  order is scratch of E int32 rows, written
+ * only inside the range (NULL unless dist is wanted).  Returns 0 or a
+ * DERIVE_* code with the entry at *bad. */
 int64_t tz_derive_entries(
     int64_t n,
     int64_t lo,
     int64_t hi,
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree */
     const int32_t *member,           /* (E) member per entry */
-    const ent_rec *ent,              /* (E) entry records */
-    const int32_t *lp_data,          /* (lp_len) light ports */
+    const ent_rec *ent,              /* (E) entry records, or NULL */
+    const int32_t *lp_data,          /* (lp_len) light ports, or NULL */
     int64_t lp_len,
     int32_t *order,                  /* scratch (E), or NULL */
     int64_t *keys,                   /* out (E), or NULL */
@@ -1510,7 +1509,9 @@ int64_t tz_derive_entries(
     const int light = lp_indptr || label_bits;
     /* slices lie back to back from 0: the range's first one starts where
      * the entry before it ends, as in a one-range pass */
-    int64_t next_off = lo ? (int64_t)ent[lo - 1].lp_off + ent[lo - 1].light_depth : 0;
+    int64_t next_off = 0;
+    if (light && lo)
+        next_off = (int64_t)ent[lo - 1].lp_off + ent[lo - 1].light_depth;
     for (int64_t c = block_of(n, tree_indptr, lo); c < n && tree_indptr[c] < hi; c++) {
         const int64_t a = tree_indptr[c], b = tree_indptr[c + 1], size = b - a;
         for (int64_t e = a; e < b; e++) {
@@ -1691,38 +1692,8 @@ void tz_splice_same(
 }
 
 /* ------------------------------------------------------------------ */
-/* Patch and build: assemble                                           */
+/* Patch and build: label positions                                   */
 /* ------------------------------------------------------------------ */
-
-/* Return code of tz_entry_keys: keep in sync with kernels/splice.py. */
-#define ASSEMBLE_MEMBER (-1) /* a member outside [0, n) */
-
-/* ent_center and entry_keys = center * n + member of rows [lo, hi),
- * the center of row e being the block of cl_indptr holding it; returns
- * 0 or ASSEMBLE_MEMBER. */
-int64_t tz_entry_keys(
-    int64_t n,
-    int64_t lo,
-    int64_t hi,
-    const int64_t *cl_indptr,        /* (n+1) */
-    const int32_t *member,           /* (E) */
-    int32_t *center,                 /* out (E) */
-    int64_t *keys)                   /* out (E) */
-{
-    if (lo >= hi)
-        return 0;
-    for (int64_t c = block_of(n, cl_indptr, lo), e = lo; e < hi; c++) {
-        const int64_t end = cl_indptr[c + 1] < hi ? cl_indptr[c + 1] : hi;
-        for (; e < end; e++) {
-            const int64_t v = member[e];
-            if (v < 0 || v >= n)
-                return ASSEMBLE_MEMBER;
-            center[e] = (int32_t)c;
-            keys[e] = c * n + v;
-        }
-    }
-    return 0;
-}
 
 /* Label entry positions of vertices [lo, hi): row 0 the entry (v, v),
  * row i the entry (pivot[i][v], v), each found in its tree's block of

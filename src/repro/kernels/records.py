@@ -8,9 +8,7 @@ back to an entry in the same tree, and the offset of the entry's
 light-port slice — the records the numpy ``_resolve_ports`` +
 ``_link_entries`` of ``sim/engine/compile.py`` write, bit for bit
 (``tests/test_kernels.py`` holds every byte to equality).  The same pass
-checks each light-port slice and writes each entry's encoded tree-label
-bits, the f-width read off its slice's length, as numpy's
-``_label_bits`` computes them.
+checks each light-port slice; it writes the records and nothing else.
 
 A link is the caller's hint (the build's own ``ent_parent_epos`` /
 ``ent_heavy_epos``) when the hint lies in the entry's tree slice and
@@ -23,12 +21,14 @@ the build's own links, which a save then stores once.  What numpy would
 resolve wrongly is refused inline with the :data:`REFUSALS` the numpy
 path raises too.
 
-``tz_derive_entries`` is the load side: from a container's tree slices,
+``tz_derive_entries`` is the other side: from a scheme's tree slices,
 member column and records it derives the columns a scheme container
-does not store (:func:`derive_entries_native`; the numpy reference is
-``core/build/arrays.py::derive_entries_numpy``).  Its input may be an
-unverified map, so it checks what it reads through and refuses with
-:data:`DERIVE_REFUSALS`.
+does not store, each entry's tree-label bits among them
+(:func:`derive_entries_native`; the numpy reference is
+``core/build/arrays.py::derive_entries_numpy``).  It is also where a
+build's entry keys and centers come from, which read the tree slices and
+members only.  Its input may be an unverified map, so it checks what it
+reads through and refuses with :data:`DERIVE_REFUSALS`.
 
 Every entry column is int32 and every key int64 (the width rule of
 :data:`~repro.core.build.arrays.COLUMN_DTYPES`); :func:`record_layout`
@@ -119,7 +119,7 @@ def compile_records_native(
     g_indptr: np.ndarray,
     step: np.ndarray,
     out: np.ndarray,
-    light: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+    light: Tuple[np.ndarray, np.ndarray],
     rejected: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Fill ``out``, one entry record per key, and return it.
@@ -128,10 +128,9 @@ def compile_records_native(
     (``vertex`` through ``light_depth``), ``ports`` the int32 parent and
     heavy ports (0 = none), ``links`` the int32 parent-link, heavy-link
     and parent-vertex hints or None.  ``light`` is ``(lp_indptr,
-    lp_data, bits)``: the int64/int32 light-port CSR, whose slices the
-    pass checks and whose offsets it writes as ``lp_off``, and a
-    contiguous int32 column it fills with each entry's tree-label bits
-    (or None).  ``step`` and ``out`` must be contiguous record columns of
+    lp_data)``, the light-port CSR: the pass checks each int64 slice of
+    ``lp_indptr`` against ``lp_data``'s length and writes its offset as
+    ``lp_off``.  ``step`` and ``out`` must be contiguous record columns of
     16 and 64 bytes a row.  ``rejected``, when given, is a one-element
     int64 column that receives the count of entries whose record differs
     from a hint (every entry without hints).  The records are written in
@@ -153,14 +152,14 @@ def compile_records_native(
         c.shape != (E,) for c in cols + [h for h in hints if h is not None]
     ):
         raise ValueError("every entry column must hold one row per key")
-    lp_indptr, lp_data, bits = light
+    lp_indptr, lp_data = light
     lp_indptr = _build.column(lp_indptr, np.int64, "lp_indptr")
-    lp_data = _build.column(lp_data, np.int32, "lp_data")
+    lp_len = int(lp_data.shape[0])
     if lp_indptr.shape != (E + 1,):
         raise ValueError("lp_indptr must hold one row per key, plus one")
-    if lp_data.shape[0] >= _LP_LIMIT:
+    if lp_len >= _LP_LIMIT:
         raise EncodingError(
-            f"{lp_data.shape[0]} light ports exceed the int32 lp_off field (must be < 2^31)"
+            f"{lp_len} light ports exceed the int32 lp_off field (must be < 2^31)"
         )
     if not (
         out.shape == (E,)
@@ -171,10 +170,6 @@ def compile_records_native(
         and step.shape == (int(g_indptr[-1]),)
     ):
         raise ValueError("step and out must be contiguous record columns")
-    if bits is not None and not (
-        bits.shape == (E,) and bits.dtype == np.int32 and bits.flags.c_contiguous
-    ):
-        raise ValueError("bits must be a contiguous int32 column, one row per key")
     ranges = tree_ranges(keys, n, pool.size())
     bad = np.zeros(len(ranges), dtype=np.int64)
     differ = np.zeros(len(ranges), dtype=np.int64)
@@ -187,10 +182,8 @@ def compile_records_native(
             n, lo, hi,
             *(a.ctypes.data for a in columns),
             *(None if h is None else h.ctypes.data for h in hints),
-            g_indptr.ctypes.data, step.ctypes.data,
-            lp_indptr.ctypes.data, lp_data.ctypes.data, int(lp_data.shape[0]),
-            out.ctypes.data, None if bits is None else bits.ctypes.data,
-            bad[j:].ctypes.data, differ[j:].ctypes.data,
+            g_indptr.ctypes.data, step.ctypes.data, lp_indptr.ctypes.data, lp_len,
+            out.ctypes.data, bad[j:].ctypes.data, differ[j:].ctypes.data,
         )
 
     codes = pool.run(task, [(lo, hi, j) for j, (lo, hi) in enumerate(ranges)])
@@ -223,6 +216,10 @@ DERIVABLE = {
     "label_bits": np.dtype(np.int32),
 }
 
+#: The :data:`DERIVABLE` columns read off the tree slices and members
+#: alone; every other one reads the records and light ports too.
+FROM_MEMBERS = ("entry_keys", "ent_center")
+
 
 def derive_refusal(what: str, entry: int) -> EncodingError:
     """The error for derive refusal ``what`` at ``entry``."""
@@ -241,14 +238,16 @@ def slice_ranges(tree_indptr: np.ndarray, parts: int) -> List[Tuple[int, int]]:
 def derive_entries_native(
     tree_indptr: np.ndarray,
     member: np.ndarray,
-    ent: np.ndarray,
-    lp_data: np.ndarray,
+    ent: Optional[np.ndarray],
+    lp_data: Optional[np.ndarray],
     want: Tuple[str, ...],
 ) -> Dict[str, np.ndarray]:
     """The :data:`DERIVABLE` columns named in ``want``, from a scheme's
-    tree slices (int64, ``n + 1`` offsets from 0 to ``E``, non-decreasing:
-    the caller's construction check), its int32 member column, its
-    ``ent`` records and its int32 light ports, on the worker pool.
+    tree slices (int64, ``n + 1`` offsets from 0 to ``E``, non-decreasing),
+    its int32 member column, its ``ent`` records and its int32 light
+    ports, on the worker pool.  ``ent`` and ``lp_data`` are read only for
+    the columns not in :data:`FROM_MEMBERS`, and may be None when ``want``
+    holds none of those.
 
     Raises :class:`~repro.errors.EncodingError` (:func:`derive_refusal`)
     for records the derivation cannot read through, and ValueError for a
@@ -257,13 +256,17 @@ def derive_entries_native(
     lib = _lib()
     tree_indptr = _build.column(tree_indptr, np.int64, "tree_indptr")
     member = _build.column(member, np.int32, "member")
-    lp_data = _build.column(lp_data, np.int32, "lp_data")
     n = int(tree_indptr.shape[0]) - 1
     E = int(member.shape[0])
-    if not (
-        ent.shape == (E,) and ent.dtype.itemsize == 64 and ent.flags.c_contiguous
-    ) or int(tree_indptr[-1]) != E:
-        raise ValueError("ent and member must hold one row per entry of tree_indptr")
+    if n < 0 or tree_indptr[0] != 0 or tree_indptr[-1] != E or np.any(np.diff(tree_indptr) < 0):
+        raise ValueError("tree_indptr must run from 0 to the member count without decreasing")
+    reads = any(name not in FROM_MEMBERS for name in want)
+    if reads:
+        lp_data = _build.column(lp_data, np.int32, "lp_data")
+        if ent is None or not (
+            ent.shape == (E,) and ent.dtype.itemsize == 64 and ent.flags.c_contiguous
+        ):
+            raise ValueError("ent must hold one contiguous record per member")
     out = {name: np.empty(E + (name == "lp_indptr"), dtype=DERIVABLE[name]) for name in want}
     order = np.empty(E, dtype=np.int32) if "ent_dist" in out else None
     ranges = slice_ranges(tree_indptr, pool.size())
@@ -272,8 +275,9 @@ def derive_entries_native(
 
     def task(lo: int, hi: int, j: int) -> int:
         return lib.tz_derive_entries(
-            n, lo, hi, tree_indptr.ctypes.data, member.ctypes.data, ent.ctypes.data,
-            lp_data.ctypes.data, int(lp_data.shape[0]),
+            n, lo, hi, tree_indptr.ctypes.data, member.ctypes.data,
+            ent.ctypes.data if reads else None, lp_data.ctypes.data if reads else None,
+            int(lp_data.shape[0]) if reads else 0,
             None if order is None else order.ctypes.data,
             *(out[name].ctypes.data if name in out else None for name in names),
             bad[j:].ctypes.data,

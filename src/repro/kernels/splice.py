@@ -14,14 +14,14 @@ columns whose dirty runs already equal the parent's rows, which the
 patch then shares.
 
 :func:`assemble_arrays <repro.core.build.arrays.assemble_arrays>` then
-derives what the core columns imply: ``tz_entry_keys`` the center and
-key of every entry, and ``tz_label_positions`` the label entry
-positions.
+finds the label entry positions with ``tz_label_positions``; the keys
+and centers it reads them from are the derive pass's
+(``tz_derive_entries``, :mod:`repro.kernels.records`).
 
 Both run on the worker pool (:mod:`repro.pool`), one row range per
 worker (:func:`repro.pool.size`), each writing its own rows of shared
 outputs, so no result depends on the ranges.  The numpy splice and
-derivations stay the byte-for-byte reference
+label positions stay the byte-for-byte reference
 (``tests/test_patch_passes.py``).
 """
 
@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import pool
-from ..errors import PreprocessingError
 from . import _build
 
 __all__ = [
@@ -40,7 +39,7 @@ __all__ = [
     "LINK",
     "OFFSET",
     "REAL",
-    "assemble_native",
+    "label_positions_native",
     "row_ranges",
     "splice_native",
     "splice_same_native",
@@ -59,9 +58,6 @@ _KIND_DTYPES = {
     LINK: (np.dtype(np.int32),),
     OFFSET: (np.dtype(np.int64),),
 }
-
-#: Return code of ``tz_entry_keys`` (``ASSEMBLE_MEMBER`` in ``_native.c``).
-_BAD_MEMBER = -1
 
 #: A splice's runs: ``(dirty, src, at)``, ``at`` one row longer.
 Runs = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -194,51 +190,30 @@ def splice_native(
     return out
 
 
-def assemble_native(
+def label_positions_native(
     n: int,
     k: int,
     cl_indptr: np.ndarray,
-    ent_member: np.ndarray,
+    entry_keys: np.ndarray,
     pivot: np.ndarray,
-    *,
-    entry_keys: Optional[np.ndarray],
 ) -> Dict[str, object]:
-    """Derive what ``assemble_arrays`` asks for, one pool run over row
-    ranges each: without ``entry_keys``, those keys (int64) and
-    ``ent_center`` (int32), refusing a member outside ``[0, n)`` with
-    :class:`PreprocessingError`; then ``lab_epos`` and
+    """What ``assemble_arrays`` asks of its label pass, in one pool run
+    over vertex ranges: ``lab_epos``, the entry of ``(v, v)`` and of
+    each ``(pivot[i][v], v)`` in the key-sorted ``entry_keys``, and
     ``missing_level``, the lowest level some vertex has no label entry
     at (or None).
     """
     lib = _lib()
     cl_indptr = _i64(cl_indptr)
-    member = _build.column(ent_member, np.int32, "ent_member")
+    keys = _build.column(entry_keys, np.int64, "entry_keys")
     pivot = _i64(pivot)
-    E = int(member.shape[0])
+    E = int(keys.shape[0])
     if cl_indptr.shape != (n + 1,) or cl_indptr[0] != 0 or cl_indptr[-1] != E:
         raise ValueError("cl_indptr must hold n + 1 offsets from 0 to the entry count")
     if np.any(np.diff(cl_indptr) < 0):
         raise ValueError("cl_indptr must not decrease")
     if pivot.shape != (k, n):
         raise ValueError("the pivots are not a (k, n) matrix")
-    out: Dict[str, object] = {}
-    parts = pool.size()
-    if entry_keys is None:
-        keys, center = np.empty(E, dtype=np.int64), np.empty(E, dtype=np.int32)
-        out.update(entry_keys=keys, ent_center=center)
-
-        def derive_keys(lo: int, hi: int) -> int:
-            return lib.tz_entry_keys(
-                n, lo, hi, cl_indptr.ctypes.data, member.ctypes.data,
-                center.ctypes.data, keys.ctypes.data,
-            )
-
-        if _BAD_MEMBER in pool.run(derive_keys, row_ranges(E, parts)):
-            raise PreprocessingError("an entry's member lies outside [0, n)")
-    else:
-        keys = _build.column(entry_keys, np.int64, "entry_keys")
-        if keys.shape != (E,):
-            raise ValueError("entry keys need one row per entry")
     lab_epos = np.empty((k, n), dtype=np.int64)
 
     def positions(lo: int, hi: int) -> int:
@@ -247,6 +222,5 @@ def assemble_native(
             pivot.ctypes.data, lab_epos.ctypes.data,
         )
 
-    missing = [m for m in pool.run(positions, row_ranges(n, parts)) if m]
-    out.update(lab_epos=lab_epos, missing_level=min(missing) - 1 if missing else None)
-    return out
+    missing = [m for m in pool.run(positions, row_ranges(n, pool.size())) if m]
+    return {"lab_epos": lab_epos, "missing_level": min(missing) - 1 if missing else None}

@@ -419,8 +419,7 @@ class RouteDaemon:
         elapsed = perf_counter() - item.enqueued_at
         self.stats["requests"] += 1
         self.stats["routed_pairs"] += int(pairs.shape[0])
-        if tm.enabled:
-            tm.count("serve.requests")
+        if tm.enabled:  # the route counted itself (RouteService.route)
             tm.observe("serve.request_seconds", elapsed)
             tm.gauge("serve.queue_depth", self._queue.qsize())
         return self._echo_id(

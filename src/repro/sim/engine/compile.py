@@ -40,10 +40,10 @@ writes every record in one linear pass over the key-sorted entries and
 links each neighbor through the build's own ``ent_parent_epos`` /
 ``ent_heavy_epos`` when that hint lies in the entry's tree slice and
 holds the neighbor's key, else by searching that slice — a hint is
-checked, never trusted.  The same pass writes the label bits.  The
-numpy :func:`_resolve_ports` + :func:`_link_entries` +
-:func:`_label_bits` stay the byte-for-byte reference (two global
-``searchsorted`` calls, hints unread).  Both refuse, with
+checked, never trusted.  The pass writes the records and nothing else.
+The numpy :func:`_resolve_ports` + :func:`_link_entries` stay the
+byte-for-byte reference (two global ``searchsorted`` calls, hints
+unread).  Both refuse, with
 :class:`~repro.errors.EncodingError`, what they would resolve wrongly:
 keys not strictly ascending in ``[0, n*n)``, a member that is not its
 key mod ``n``, a port outside its member's row, or a light-port slice
@@ -63,8 +63,9 @@ refuses any other).  The three others (:data:`DERIVED`: the two record
 columns and the graph's row index) are computed here.  What is an
 exact function of all these (:data:`COMPILED_DERIVED`: the int64 keys,
 the light-port offsets, the label bits) is no column: a compile keeps
-the ones it computed anyway, and a loaded scheme derives each on first
-read; the native route reads none of them.  A compile records which array objects
+the keys and offsets it was given, and derives the label bits on first
+read, as a loaded scheme derives all three; the native route reads none
+of them.  A compile records which array objects
 it wrote into the records (:attr:`CompiledScheme.written_from`), so a
 save of those arrays need not compare the records with them.  Every TZ
 scheme carries its arrays, so :func:`compile_scheme` is
@@ -88,7 +89,6 @@ from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
 from ...kernels.records import compile_records_native, refusal
 from ...obs import TELEMETRY
-from ...trees.label_codec import tree_label_bits_array
 from ...trees.tz_tree import records_to_arrays
 
 
@@ -192,13 +192,13 @@ def _check_entries(
     lp_indptr: np.ndarray,
     lp_len: int,
 ) -> None:
-    """Refuse what :func:`_resolve_ports`, :func:`_link_entries` and
-    :func:`_label_bits` would resolve wrongly, with vectorized compares:
-    keys not strictly ascending in ``[0, n*n)``, a member that is not
-    its key mod ``n``, a parent or heavy port outside
-    ``[0, deg(member)]`` (which would read the next vertex's step row),
-    and a light-port slice outside ``lp_data`` or not ``light_depth``
-    long.  ``tz_compile_records`` refuses the same inline; raises
+    """Refuse what :func:`_resolve_ports` and :func:`_link_entries`
+    would resolve wrongly, with vectorized compares: keys not strictly
+    ascending in ``[0, n*n)``, a member that is not its key mod ``n``, a
+    parent or heavy port outside ``[0, deg(member)]`` (which would read
+    the next vertex's step row), and a light-port slice outside
+    ``lp_data`` or not ``light_depth`` long, whose offset no record may
+    hold.  ``tz_compile_records`` refuses the same inline; raises
     :class:`~repro.errors.EncodingError` naming the first entry of the
     first failing check.  Only the refusal is shared: this runs each
     check over every entry in turn, the C pass meets the faults tree
@@ -228,16 +228,6 @@ def _check_entries(
     )
 
 
-def _label_bits(
-    keys: np.ndarray, n: int, lp_indptr: np.ndarray, lp_data: np.ndarray
-) -> np.ndarray:
-    """Tree-label bits of key-sorted entries, numpy: each entry's DFS
-    field at the width its tree's slice length sets, then its light
-    ports (:func:`~repro.trees.label_codec.tree_label_bits_array`)."""
-    sizes = np.diff(_slice_starts(keys, n))
-    return tree_label_bits_array(sizes[keys // n], lp_indptr, lp_data)
-
-
 def _ent_records(
     keys: np.ndarray,
     record: Dict[str, np.ndarray],
@@ -246,7 +236,7 @@ def _ent_records(
     g_indptr: np.ndarray,
     step: np.ndarray,
     kernel: str,
-    light: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+    light: Tuple[np.ndarray, np.ndarray],
     rejected: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The ``ent`` records of key-sorted entries on ``kernel``, in a
@@ -257,13 +247,11 @@ def _ent_records(
     and heavy ports (0 = none), stored as they are and resolved through
     the ``step`` records to weights and edge ids; each neighbor is then
     linked to its entry row in the same tree.  ``light`` is
-    ``(lp_indptr, lp_data, bits)``: the light-port CSR, checked, whose
-    offsets become ``lp_off``, and an int32 column the pass fills with
-    each entry's tree-label bits (or None).  The native kernel does all
-    of it in one C pass and tries ``links`` (the build's own parent and
-    heavy entry links and SPT parents, or None) before searching the
-    tree's slice; numpy runs :func:`_resolve_ports`,
-    :func:`_link_entries` and :func:`_label_bits`, the differential
+    ``(lp_indptr, lp_data)``: the light-port CSR, checked, whose offsets
+    become ``lp_off``.  The native kernel does all of it in one C pass
+    and tries ``links`` (the build's own parent and heavy entry links and
+    SPT parents, or None) before searching the tree's slice; numpy runs
+    :func:`_resolve_ports` and :func:`_link_entries`, the differential
     reference it must match byte for byte, and reads ``links`` only to
     count against them.  Both refuse the same malformed entries
     (:func:`_check_entries`), each naming the first fault it meets.
@@ -279,7 +267,7 @@ def _ent_records(
             return compile_records_native(
                 keys, record, ports, links, g_indptr, step, ent, light, rejected
             )
-        lp_indptr, lp_data, bits = light
+        lp_indptr, lp_data = light
         vertex = record["vertex"]
         _check_entries(keys, record, ports, g_indptr, lp_indptr, lp_data.shape[0])
         for name in RECORD_FIELDS:
@@ -293,8 +281,6 @@ def _ent_records(
             ent[side + "_epos"] = _link_entries(keys, vertex, nxt)
             neighbor[side] = nxt
         ent["lp_off"] = lp_indptr[:-1]
-        if bits is not None:
-            bits[:] = _label_bits(keys, g_indptr.shape[0] - 1, lp_indptr, lp_data)
         if rejected is not None:
             rejected[0] = keys.shape[0]
             if links is not None:
@@ -303,11 +289,6 @@ def _ent_records(
                 differ |= neighbor["parent"] != links[2]
                 rejected[0] = np.count_nonzero(differ)
         return ent
-
-
-def _slice_starts(keys: np.ndarray, n: int) -> np.ndarray:
-    """``(n+1)`` start of each ``w * n + ·`` key slice in sorted ``keys``."""
-    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * np.int64(n))
 
 
 @dataclass
@@ -648,7 +629,6 @@ def _resolve_columns(
     ports: Tuple[np.ndarray, np.ndarray],
     links: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     lp_indptr: np.ndarray,
-    label_bits: Optional[np.ndarray],
     rejected: Optional[np.ndarray] = None,
 ) -> CompiledScheme:
     """Write the ``ent`` and ``step`` records of an entry layout through
@@ -660,12 +640,11 @@ def _resolve_columns(
     records, and the neighbors back to entry rows of the same tree (one
     lookup at compile time saves one per hop at route time), on the
     platform's kernel.  The same pass checks the light-port CSR
-    ``lp_indptr`` and computes the label bits from it unless
-    ``label_bits`` already holds them.  A graph, entry count or
-    light-port count the int32 record fields cannot hold is refused
+    ``lp_indptr``.  A graph, entry count or light-port count the int32
+    record fields cannot hold is refused
     (:class:`~repro.errors.EncodingError`) before any is written.  The
-    keys, light-port offsets and label bits stay on the compile as its
-    derived columns, computed already.
+    keys and light-port offsets stay on the compile as its derived
+    columns, given already; the label bits it derives on first read.
     """
     graph = ported.graph
     check_index_sizes(
@@ -677,9 +656,6 @@ def _resolve_columns(
     step["next"] = graph.adj[arc]
     step["edge"] = graph.arc_edge[arc]
     step["wt"] = graph.adj_weights[arc]
-    fill = label_bits is None
-    if fill:
-        label_bits = np.empty(keys.shape[0], dtype=np.int32)
     ent = _ent_records(
         keys,
         record,
@@ -688,7 +664,7 @@ def _resolve_columns(
         graph.indptr,
         step,
         resolve_kernel("auto"),
-        (lp_indptr, columns["lp_data"], label_bits if fill else None),
+        (lp_indptr, columns["lp_data"]),
         rejected,
     )
     compiled = CompiledScheme(
@@ -700,7 +676,7 @@ def _resolve_columns(
         step=step,
         **columns,
     )
-    compiled.__dict__.update(entry_keys=keys, lp_indptr=lp_indptr, ent_label_bits=label_bits)
+    compiled.__dict__.update(entry_keys=keys, lp_indptr=lp_indptr)
     return compiled
 
 
@@ -772,7 +748,6 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
         ports=(recs["parent_port"], recs["heavy_port"]),
         links=None,
         lp_indptr=lp_indptr,
-        label_bits=None,
     )
 
 
@@ -788,9 +763,8 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
     foreign port assignment crosses exactly the links the hop-by-hop
     simulator would.
 
-    The label bits come from the arrays' cache, else from the record
-    pass, which then fills the cache.  The compile remembers the column
-    objects it wrote into the records (:attr:`CompiledScheme.written_from`):
+    The compile remembers the column objects it wrote into the records
+    (:attr:`CompiledScheme.written_from`):
     the copied fields always, the resolved links when the record pass
     used every one of the build's own links as it is, which it does
     exactly when ``ported`` is the build's assignment.  The compile's
@@ -799,7 +773,6 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
     with TELEMETRY.span(
         "engine.compile", source="arrays", entries=int(arrays.entry_keys.shape[0])
     ):
-        cached = getattr(arrays, "_entry_label_bits", None)
         rejected = np.zeros(1, dtype=np.int64)
         compiled = _resolve_columns(
             array_columns(arrays),
@@ -814,11 +787,8 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
             ports=(arrays.tr_parent_port, arrays.tr_heavy_port),
             links=(arrays.ent_parent_epos, arrays.ent_heavy_epos, arrays.ent_parent),
             lp_indptr=arrays.lp_indptr,
-            label_bits=cached,
             rejected=rejected,
         )
-        if cached is None:  # the arrays' cache: columns are append-only
-            arrays._entry_label_bits = compiled.ent_label_bits
         written = [
             col
             for col in ARRAYS_IN_RECORD

@@ -423,30 +423,34 @@ class SchemeStore:
 
         The lineage id is the root's own content key; the ``.current``
         pointer is created atomically pointing at it.  Returns the key.
+        The compile, the hashes, the save and the pointer write all run
+        under one ``store.publish`` span, stamped with the lineage.
         """
-        if compiled is None:
-            compiled = compile_from_arrays(arrays, ported)
-        hashes = (graph_content_hash(graph), port_hash(ported))
-        key = scheme_key(
-            hashes[0], arrays.k, seed, hashes[1], handshake=compiled.handshake
-        )
-        self._save(
-            graph,
-            ported,
-            arrays,
-            seed=seed,
-            compiled=compiled,
-            strict=strict,
-            builder=builder,
-            extra_meta={
-                "lineage": key,
-                "version": 0,
-                "parent_key": None,
-                "delta_sha256": None,
-            },
-            hashes=hashes,
-        )
-        self.set_current(key, key)
+        with TELEMETRY.span("store.publish") as span:
+            if compiled is None:
+                compiled = compile_from_arrays(arrays, ported)
+            hashes = (graph_content_hash(graph), port_hash(ported))
+            key = scheme_key(
+                hashes[0], arrays.k, seed, hashes[1], handshake=compiled.handshake
+            )
+            span.stamp(lineage=key)
+            self._save(
+                graph,
+                ported,
+                arrays,
+                seed=seed,
+                compiled=compiled,
+                strict=strict,
+                builder=builder,
+                extra_meta={
+                    "lineage": key,
+                    "version": 0,
+                    "parent_key": None,
+                    "delta_sha256": None,
+                },
+                hashes=hashes,
+            )
+            self.set_current(key, key)
         return key
 
     def publish_patch(
@@ -657,13 +661,14 @@ class SchemeStore:
         """
         from ..backends.registry import build_backend
 
-        key = self.backend_key_for(name, graph, k, seed)
-        path = self.path_for(key)
-        hit = container_version(path) == FORMAT_VERSION
         tm = TELEMETRY
-        if tm.enabled:
-            tm.count("store.backend_hits" if hit else "store.backend_misses")
-        with tm.span("store.get_or_build_backend", backend=name, k=k):
+        with tm.span("store.get_or_build_backend", backend=name, k=k) as span:
+            key = self.backend_key_for(name, graph, k, seed)
+            path = self.path_for(key)
+            hit = container_version(path) == FORMAT_VERSION
+            span.stamp(hit=hit)
+            if tm.enabled:
+                tm.count("store.backend_hits" if hit else "store.backend_misses")
             if not hit:
                 backend = build_backend(name, graph, k, seed, ported=ported)
                 self.save_backend(backend, graph, k=k, seed=seed)

@@ -776,8 +776,8 @@ def compiled_both(compile_on, fn, context=""):
 
 
 def light_of(arrays):
-    """The arrays' light-port CSR as ``_ent_records`` takes it (no label bits)."""
-    return (arrays.lp_indptr, arrays.lp_data, None)
+    """The arrays' light-port CSR as ``_ent_records`` takes it."""
+    return (arrays.lp_indptr, arrays.lp_data)
 
 
 def record_inputs(arrays, links=True):
@@ -853,7 +853,7 @@ class TestCompileDifferential:
             cs.g_indptr,
             cs.step,
         )
-        light = (np.zeros(1, dtype=np.int64), arrays.lp_data[:0], None)
+        light = (np.zeros(1, dtype=np.int64), arrays.lp_data[:0])
         want = _ent_records(*empty, "numpy", light)
         got = _ent_records(*empty, "native", light)
         assert want.shape == got.shape == (0,) and want.dtype == got.dtype

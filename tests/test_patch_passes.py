@@ -1,18 +1,19 @@
 """The passes a churn epoch makes over every entry: native ≡ numpy.
 
-Three native passes run on every patch, compile and save: the patch's
-splice (``tz_splice``, wrapped in :mod:`repro.kernels.splice`), the
-derived structures of :func:`~repro.core.build.arrays.assemble_arrays`
-(entry keys and label positions) and the label bits
-``tz_compile_records`` writes beside the records.  Each must equal its
+Native passes run on every patch, compile and save: the patch's splice
+(``tz_splice``, wrapped in :mod:`repro.kernels.splice`), the derived
+structures of :func:`~repro.core.build.arrays.assemble_arrays` (entry
+keys from the derive pass ``tz_derive_entries``, label positions from
+``tz_label_positions``) and the label bits a compile derives on first
+read, from its records, with that same derive pass.  Each must equal its
 numpy reference byte for byte:
 
 1. **splice primitives** on random runs of every column kind, cut into
    1–4 pool ranges;
 2. **assemble** on the reference families × k = 1..4 × {own random,
-   sorted} ports, and **label bits** on the same grid, against the
-   uncached :meth:`SchemeArrays.entry_label_bits`; and one refusal of
-   a member outside ``[0, n)`` on both kernels;
+   sorted} ports, and a compile's **label bits** on the same grid,
+   against the uncached :meth:`SchemeArrays.entry_label_bits`; and one
+   refusal of a member outside ``[0, n)`` on both kernels;
 3. **patches** on the same grid and over chained weight-only epochs
    under random ports, with the numpy half run under ``veto_native`` —
    moved and kept epochs both required;
@@ -190,13 +191,12 @@ def test_assemble_and_label_bits(family, k, ports, veto_native):
             got = assemble()
         assert_bytes_equal(want, got, f"({family} k={k} {ports} parts={parts})")
 
-    # label bits: the compile's own pass on each kernel, never a cache
+    # label bits: the compile's derive pass on each kernel, never a cache
     reference = SchemeArrays.entry_label_bits(dataclasses.replace(arrays))
     for run in (veto_native, lambda fn: fn()):
         fresh = dataclasses.replace(arrays)
         compiled = run(lambda: compile_from_arrays(fresh, ported))
-        assert compiled.ent_label_bits.tobytes() == reference.tobytes()
-        assert fresh.entry_label_bits() is compiled.ent_label_bits  # the cache, filled
+        assert run(lambda: compiled.ent_label_bits).tobytes() == reference.tobytes()
 
 
 @needs_native

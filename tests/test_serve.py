@@ -742,6 +742,28 @@ class TestDaemon:
             assert inside.count("serve.route") == 1, inside
             assert "serve.request" not in inside, inside
 
+    def test_each_route_request_counts_once(self, tmp_path):
+        """With telemetry on, N route requests to an in-process daemon
+        count N ``serve.requests`` (the route's own count, not a second
+        one from the daemon) and every pair once in ``serve.pairs``."""
+        from repro.obs import TELEMETRY
+
+        store, key, graph, *_ = publish_scheme(tmp_path, seed=92)
+        pairs = [[0, 1], [1, graph.n - 1]]
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            with running_daemon(tmp_path, default_scheme=key) as rd:
+                with rd.client() as c:
+                    for _ in range(3):
+                        assert c.request({"op": "route", "pairs": pairs})["ok"]
+            counters = dict(TELEMETRY.counters)
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert counters["serve.requests"] == 3
+        assert counters["serve.pairs"] == 6
+
 
 class TestRouteValidation:
     """Malformed route fields are refused with ``bad-request``, unrouted."""

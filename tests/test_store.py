@@ -690,10 +690,11 @@ class TestPublishOverhead:
             }
 
     def test_store_spans_open_before_the_key_is_hashed(self, tmp_path, monkeypatch):
-        """``get_or_build`` and ``publish_patch`` hash the graph for the
-        content key inside their own spans, and stamp what they learn
-        there (the hit, the lineage and version) on the span; a
-        disabled registry's shared span keeps no label."""
+        """``get_or_build``, ``get_or_build_backend``, ``publish`` and
+        ``publish_patch`` hash the graph for the content key inside their
+        own spans, and stamp what they learn there (the hit, the lineage
+        and version) on the span; a disabled registry's shared span keeps
+        no label."""
         from repro.obs import TELEMETRY
         from repro.obs.telemetry import NOOP_SPAN
         from repro.store import store as store_mod
@@ -720,12 +721,26 @@ class TestPublishOverhead:
                 store.get_or_build(patched.graph, 2, 5, ported=patched.ported)
                 assert opened[0] == "store.get_or_build"
                 assert TELEMETRY.roots[-1].attrs == {"k": 2, "hit": hit}
+            for hit in (False, True):
+                opened.clear()
+                store.get_or_build_backend("tz", patched.graph, 2, seed=5)
+                assert opened[0] == "store.get_or_build_backend"
+                assert TELEMETRY.roots[-1].attrs == {"backend": "tz", "k": 2, "hit": hit}
             assert TELEMETRY.roots[0].name == "store.publish_patch"
             assert TELEMETRY.roots[0].attrs == {"lineage": store.lineages()[0], "version": 1}
+            opened.clear()
+            root = store.publish(patched.graph, patched.ported, patched.arrays, seed=1)
+            assert opened == ["store.publish"]
+            assert TELEMETRY.roots[-1].name == "store.publish"
+            assert TELEMETRY.roots[-1].attrs == {"lineage": root}
+            assert [sp.name for sp in TELEMETRY.roots[-1].children] == [
+                "engine.compile", "store.save",
+            ]
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
         store.get_or_build(patched.graph, 2, 5, ported=patched.ported)
+        store.get_or_build_backend("tz", patched.graph, 2, seed=5)
         assert NOOP_SPAN.attrs == {}
 
     def test_versions_info_and_gc_map_no_container(self, tmp_path, monkeypatch):
