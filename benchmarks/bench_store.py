@@ -19,9 +19,11 @@ drops the two level-0 member-map blobs, which the tree slices and the
 level-1 pivots already imply: 83.4 B/entry.  Format 8 drops the two
 bunch blobs, the clusters read the other way round, which only a
 patch's dirty-cluster lookup read and one pass over the members
-replaces: 79.4 B/entry.  :data:`BYTES_PER_ENTRY_CEILING` sits 2% above
-that, so a second copy of any per-entry column (4 B), or the bunches
-back (4.1 B), fails it.
+replaces: 79.4 B/entry.  Format 9 stores the light ports one byte each
+while every degree of the graph is at most 255 (int32 past that):
+71.6 B/entry.  :data:`BYTES_PER_ENTRY_CEILING` sits 2% above that, so a
+second copy of any per-entry column (4 B), or int32 light ports back
+(+7.7 B), fails it.
 The dtype and bytes per entry of each blob, read from the container's
 header (:func:`~repro.store.format.blob_bytes`, as ``repro store
 info`` prints them), are printed beside the total.
@@ -61,8 +63,8 @@ from repro.sim.engine.compile import compile_from_arrays
 from repro.store import SchemeStore
 from repro.store.format import blob_bytes, read_header
 
-#: Container bytes per scheme entry at the default size (measured 79.4).
-BYTES_PER_ENTRY_CEILING = 81.0
+#: Container bytes per scheme entry at the default size (measured 71.6).
+BYTES_PER_ENTRY_CEILING = 73.0
 N_DEFAULT = 20_000
 K = 2
 SEED = 2025

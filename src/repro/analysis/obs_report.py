@@ -34,13 +34,15 @@ __all__ = [
 ]
 
 
-#: The span attribute shown in its own column rather than in the label.
-_RSS = "maxrss_mb"
+#: The span attributes shown in columns of their own rather than in the
+#: label, by column name.
+_RSS = {"maxrss MB": "maxrss_mb", "anon MB": "rss_anon_mb"}
 
 
 def _attr_suffix(attrs: Dict[str, object]) -> str:
     """``[k=v,...]`` label suffix of a span's attributes ('' if none)."""
-    inner = ",".join(f"{k}={v}" for k, v in sorted(attrs.items()) if k != _RSS)
+    shown = _RSS.values()
+    inner = ",".join(f"{k}={v}" for k, v in sorted(attrs.items()) if k not in shown)
     return f"[{inner}]" if inner else ""
 
 
@@ -61,12 +63,16 @@ def span_rows(tm: Optional[Telemetry] = None) -> List[Dict[str, object]]:
     Percentages are of the first root span's cumulative time (the
     conventional "whole run" span the CLI opens).  When any span carries
     a ``maxrss_mb`` attribute (:meth:`Telemetry.stamp_child_rss`), a
-    ``maxrss MB`` column shows it: the peak RSS as that span closed.
+    ``maxrss MB`` column shows it: the peak RSS as that span closed; and
+    likewise an ``anon MB`` column its ``rss_anon_mb``, the anonymous
+    memory resident then.
     """
     tm = TELEMETRY if tm is None else tm
     total_ns = tm.roots[0].duration_ns if tm.roots else 0
     spans = list(tm.spans())
-    with_rss = any(_RSS in sp.attrs for sp, _ in spans)
+    columns = {
+        col: attr for col, attr in _RSS.items() if any(attr in sp.attrs for sp, _ in spans)
+    }
     rows: List[Dict[str, object]] = []
     for sp, depth in spans:
         share = 100.0 * sp.duration_ns / total_ns if total_ns else 0.0
@@ -76,8 +82,8 @@ def span_rows(tm: Optional[Telemetry] = None) -> List[Dict[str, object]]:
             "self s": f"{sp.self_ns / 1e9:.3f}",
             "%cum": f"{share:.1f}",
         }
-        if with_rss:
-            row["maxrss MB"] = f"{sp.attrs[_RSS]:.0f}" if _RSS in sp.attrs else ""
+        for col, attr in columns.items():
+            row[col] = f"{sp.attrs[attr]:.0f}" if attr in sp.attrs else ""
         rows.append(row)
     return rows
 

@@ -22,7 +22,10 @@ of the entries whose member is ``v``.
 Every column has one dtype, :data:`COLUMN_DTYPES`, from the pass that
 makes it to the container that stores it: per-entry integers are
 int32, the entry keys ``tree * n + member`` and the offsets into
-entry-sized columns int64, distances float64.  :func:`check_index_sizes`
+entry-sized columns int64, distances float64.  The light ports
+``lp_data`` are the one column whose width follows the graph
+(:func:`light_port_dtype`): uint8 while every degree is at most 255,
+else int32.  :func:`check_index_sizes`
 refuses a scheme whose vertex, arc or entry count the int32 columns
 cannot hold, before any column is narrowed; and every key is formed in
 int64 (an int32 column times a Python ``int`` stays int32 under NumPy
@@ -46,7 +49,7 @@ from ...errors import EncodingError, PreprocessingError
 from ...graphs.graph import Graph
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
-from ...kernels.records import derive_entries_native, derive_refusal
+from ...kernels.records import derive_entries_native, derive_refusal, label_bits_native
 from ...kernels.splice import label_positions_native
 from ...trees.label_codec import TreeLabel, f_width_array, tree_label_bits_array
 from ...trees.tz_tree import TreeLocalRecord
@@ -55,12 +58,16 @@ from ..landmarks import Hierarchy, level0_sources
 from ..tables import VertexTable
 
 
-_I32, _I64, _F64 = np.dtype(np.int32), np.dtype(np.int64), np.dtype(np.float64)
+_U8, _I32, _I64, _F64 = (
+    np.dtype(np.uint8), np.dtype(np.int32), np.dtype(np.int64), np.dtype(np.float64)
+)
 
 #: The width rule: each :class:`SchemeArrays` column's dtype, everywhere
 #: (build, patch, compile and load).  int32 for per-entry integers, int64
 #: for keys and offsets whose values can pass 2^31 and for the per-vertex
-#: label positions, float64 for distances.
+#: label positions, float64 for distances.  ``lp_data`` is not here: its
+#: dtype is one of :data:`LIGHT_PORT_DTYPES`, chosen per graph by
+#: :func:`light_port_dtype`.
 COLUMN_DTYPES: Dict[str, np.dtype] = {
     "cl_indptr": _I64,
     "entry_keys": _I64,
@@ -77,9 +84,37 @@ COLUMN_DTYPES: Dict[str, np.dtype] = {
     "tr_parent_port": _I32,
     "tr_heavy_port": _I32,
     "lp_indptr": _I64,
-    "lp_data": _I32,
     "lab_epos": _I64,
 }
+
+#: The two widths of ``lp_data``: one byte a port while every port fits
+#: one, else int32 like every other per-entry integer.
+LIGHT_PORT_DTYPES = (_U8, _I32)
+
+
+def light_port_dtype(g_indptr: np.ndarray) -> np.dtype:
+    """The width rule of ``lp_data`` on the graph of CSR row offsets
+    ``g_indptr``: uint8 when its maximum degree is at most 255, else
+    int32.  A port never exceeds its vertex's degree, so every light
+    port fits the width this picks."""
+    degrees = np.diff(g_indptr)
+    return _U8 if degrees.size == 0 or int(degrees.max()) <= np.iinfo(_U8).max else _I32
+
+
+def fit_light_ports(lp_data: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``lp_data`` as a contiguous column of ``dtype``, one of
+    :data:`LIGHT_PORT_DTYPES` (itself when it already is one); raises
+    :class:`PreprocessingError` for a port that ``dtype`` cannot hold,
+    before converting."""
+    lp_data = np.asarray(lp_data)
+    if lp_data.dtype != dtype and lp_data.size:
+        info = np.iinfo(dtype)
+        if int(lp_data.min()) < info.min or int(lp_data.max()) > info.max:
+            raise PreprocessingError(
+                f"a light port does not fit lp_data's {np.dtype(dtype).name} width"
+            )
+    return np.ascontiguousarray(lp_data, dtype=dtype)
+
 
 #: One past the largest vertex id, arc index or entry index an int32
 #: column holds.
@@ -273,15 +308,18 @@ class SchemeArrays:
     tr_heavy_port: np.ndarray  # (E,) port toward the heavy child (0 at leaves)
     # -- light-port sequences (the member as a destination) -------------
     lp_indptr: np.ndarray  # (E+1,)
-    lp_data: np.ndarray  # (L,) root-to-leaf light-edge ports
+    lp_data: np.ndarray  # (L,) root-to-leaf light-edge ports, uint8 or int32
     # -- label entry positions: row 0 = (v, v), row i = (p_i(v), v) ------
     lab_epos: np.ndarray  # (k, n)
 
     def __post_init__(self) -> None:
-        """Refuse any column off the width rule (:data:`COLUMN_DTYPES`),
-        so no pass downstream meets a second dtype.  A
-        :data:`DERIVED_COLUMNS` column given as None is derived on first
-        read (:meth:`__getattr__`)."""
+        """Refuse any column off the width rule (:data:`COLUMN_DTYPES`,
+        and one of :data:`LIGHT_PORT_DTYPES` for ``lp_data``), so no pass
+        downstream meets another dtype.  Which of the two light-port
+        widths the graph calls for is checked where the graph is known:
+        :func:`assemble_arrays` writes it, a compile and a load refuse
+        any other.  A :data:`DERIVED_COLUMNS` column given as None is
+        derived on first read (:meth:`__getattr__`)."""
         cols = self.__dict__
         for name in DERIVED_COLUMNS:
             if cols[name] is None:
@@ -291,6 +329,8 @@ class SchemeArrays:
             for name, dtype in COLUMN_DTYPES.items()
             if name in cols and cols[name].dtype != dtype
         ]
+        if self.lp_data.dtype not in LIGHT_PORT_DTYPES:
+            bad.append("lp_data")
         if bad:
             raise PreprocessingError(
                 f"scheme columns {bad} are not of their width-rule dtypes"
@@ -336,13 +376,16 @@ class SchemeArrays:
 
         Cached: :meth:`table_bits` and :meth:`label_bits` both read
         this column, and at scale it dominates their cost (arrays are
-        append-only once assembled, so the cache is safe).  A built or
-        patched scheme computes it with the numpy formula
-        (:func:`~repro.trees.label_codec.tree_label_bits_array`); a
-        loaded scheme, which stores no label bits, derives them from its
-        records (:func:`derive_entries`).  Neither a compile nor a route
-        reads it: a route's header bits come from the commit, per
-        committed destination.
+        append-only once assembled, so the cache is safe).  A loaded
+        scheme, which stores no label bits, derives them from its
+        records (:func:`derive_entries`); a built or patched scheme
+        computes them from its light-port CSR, on the platform's kernel:
+        natively on the pool
+        (:func:`~repro.kernels.records.label_bits_native`, the derive
+        pass's C formula), else with the numpy formula
+        (:func:`~repro.trees.label_codec.tree_label_bits_array`), the
+        reference.  Neither a compile nor a route reads it: a route's
+        header bits come from the commit, per committed destination.
         """
         cached = self.__dict__.get("_entry_label_bits")
         if cached is not None:
@@ -351,6 +394,8 @@ class SchemeArrays:
             elb = derive_entries(
                 self.cl_indptr, self.ent_member, self._records, self.lp_data, ("label_bits",)
             )["label_bits"]
+        elif resolve_kernel("auto") == "native":
+            elb = label_bits_native(self.cl_indptr, self.lp_indptr, self.lp_data)
         else:
             elb = tree_label_bits_array(
                 self.tree_sizes()[self.ent_center], self.lp_indptr, self.lp_data
@@ -520,13 +565,17 @@ def assemble_arrays(
     Columns are append-only once assembled, so sharing is safe.
 
     Every column comes out in its :data:`COLUMN_DTYPES` dtype (builders
-    hand most of them over in it already); a graph or scheme too large
-    for the int32 columns raises :class:`PreprocessingError` first.
+    hand most of them over in it already), and ``lp_data`` at the
+    graph's :func:`light_port_dtype` (refused, with
+    :class:`PreprocessingError`, if a port does not fit it); a graph or
+    scheme too large for the int32 columns raises
+    :class:`PreprocessingError` first.
     """
     n = graph.n
     k = hierarchy.k
     E = ent_member.shape[0]
     check_index_sizes(n, graph.adj.shape[0], E)
+    lp_data = fit_light_ports(lp_data, light_port_dtype(graph.indptr))
     cl_indptr = _column("cl_indptr", cl_indptr)
     ent_member = _column("ent_member", ent_member)
     if ent_center is not None:
@@ -593,13 +642,13 @@ def assemble_arrays(
         tr_parent_port=tr_parent_port,
         tr_heavy_port=tr_heavy_port,
         lp_indptr=lp_indptr,
-        lp_data=lp_data,
         lab_epos=lab_epos,
     )
     return SchemeArrays(
         n=n,
         k=k,
         hierarchy=hierarchy,
+        lp_data=lp_data,
         **{name: _column(name, col) for name, col in columns.items()},
     )
 

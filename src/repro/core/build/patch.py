@@ -121,6 +121,22 @@ def _segment_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return starts[rep] + np.arange(total, dtype=np.int64) - ex[rep]
 
 
+#: Rows per block of :func:`_gather`: an intp copy of one block of int32
+#: indices stays in cache.
+GATHER_BLOCK = 1 << 16
+
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]`` into one preallocated column, one block of
+    :data:`GATHER_BLOCK` rows at a time: numpy casts an int32 index to
+    intp before it gathers, and a whole entry column's cast costs more
+    than the gather itself."""
+    out = np.empty(index.shape[0], dtype=values.dtype)
+    for lo in range(0, index.shape[0], GATHER_BLOCK):
+        np.take(values, index[lo : lo + GATHER_BLOCK], out=out[lo : lo + GATHER_BLOCK])
+    return out
+
+
 def _moved(seg: np.ndarray, kind: int, link_shift: int, offset: int) -> np.ndarray:
     """A run's source rows ``seg`` as they land: int32 entry links (−1 =
     none) never leave their block, so each moves by the run's ``at −
@@ -484,7 +500,7 @@ def patch_arrays(
         marked[old_of[s_new[s_new < n_keep]]] = True
         marked[np.asarray(delta.drop_nodes, dtype=np.int64)] = True
         dirty_old = np.flatnonzero(
-            np.logical_or.reduceat(np.take(marked, arrays.ent_member), arrays.cl_indptr[:-1])
+            np.logical_or.reduceat(_gather(marked, arrays.ent_member), arrays.cl_indptr[:-1])
         )
         mapped_dirty = id_map[dirty_old] if dirty_old.shape[0] else dirty_old
         dirty_new = np.unique(
@@ -581,11 +597,16 @@ def patch_arrays(
         if not relabel and n_new == graph.n:  # ids and keys survive as they are
             columns["entry_keys"] = (arrays.entry_keys, d_keys, COPY)
             columns["ent_center"] = (arrays.ent_center, d_center, COPY)
+        old_data, new_data = arrays.lp_data, tree["lp_data"]
+        if old_data.dtype != new_data.dtype:  # the maximum degree crossed 255
+            # splice at the wider width; assemble_arrays fits the result
+            # to the new graph's, refusing a port that does not fit
+            old_data, new_data = old_data.astype(np.int32), new_data.astype(np.int32)
         spliced = _splice_columns(
             runs,
             columns,
             still,
-            (arrays.lp_indptr, arrays.lp_data, tree["lp_indptr"], tree["lp_data"]),
+            (arrays.lp_indptr, old_data, tree["lp_indptr"], new_data),
             kernel,
         )
         if relabel and E and spliced["ent_member"].min() < 0:

@@ -27,7 +27,7 @@ from ...graphs.ports import PortedGraph
 from ...trees.tz_tree import TreeRouter, build_tree_router, records_to_arrays
 from ..clusters import Cluster, compute_all_clusters
 from ..landmarks import Hierarchy
-from .arrays import SchemeArrays, assemble_arrays
+from .arrays import SchemeArrays, assemble_arrays, light_port_dtype
 
 
 def hierarchy_clusters(
@@ -106,7 +106,7 @@ def pack_clusters(
         tr_parent_port=recs["parent_port"],
         tr_heavy_port=recs["heavy_port"],
         lp_indptr=lp_indptr,
-        lp_data=np.asarray(lp_flat, dtype=np.int32),
+        lp_data=np.asarray(lp_flat, dtype=light_port_dtype(graph.indptr)),
     )
     return arrays, routers
 

@@ -62,7 +62,7 @@ from ...kernels.frontier import frontier_sweep_native
 from ...kernels.trees import cluster_trees_native
 from ...obs import TELEMETRY
 from ..landmarks import Hierarchy
-from .arrays import SchemeArrays, assemble_arrays, check_index_sizes
+from .arrays import SchemeArrays, assemble_arrays, check_index_sizes, light_port_dtype
 from .reference import reference_arrays
 
 #: Cap on materialized cells / arc expansions per chunk (memory bound).
@@ -304,7 +304,8 @@ def _tree_arrays(
 
     Entry indices, DFS numbers, sizes and ports all fit 32 bits (the
     caller has checked n, 2m and E against the width rule), so every
-    column is int32 from here on, but the int64 ``lp_indptr``.
+    column is int32 from here on but two: ``lp_indptr``, int64, and
+    ``lp_data``, at the graph's :func:`light_port_dtype`.
     """
     n = np.int64(graph.n)
     E = entry_keys.shape[0]
@@ -384,7 +385,7 @@ def _tree_arrays(
     # one forward fill (maximum.accumulate) per light level.
     lp_indptr = np.zeros(E + 1, dtype=np.int64)
     np.cumsum(light_depth, out=lp_indptr[1:])
-    lp_data = np.zeros(int(lp_indptr[-1]), dtype=idx)
+    lp_data = np.zeros(int(lp_indptr[-1]), dtype=light_port_dtype(graph.indptr))
     if lp_data.shape[0]:
         # dfs is a permutation within each cluster block, so (tree, dfs)
         # order is one scatter — no sort.

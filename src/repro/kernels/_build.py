@@ -82,7 +82,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         [_I64]  # count
         + [_PTR] * 2  # src, dst
         + [_PTR] * 8  # fail, tree, header, dest_f, lp_lo, lp_hi, epos_src, epos_dst
-        + [_I64] * 6  # n, k, id_bits, handshake, entry count, lp_data length
+        + [_I64] * 7  # n, k, id_bits, handshake, entry count, lp_data length, width
         + [_PTR] * 6  # ent records, members, tree_indptr, lp_data, root_epos, pivot
     )
     lib.tz_hop_loop.restype = _I64
@@ -91,7 +91,9 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_PTR] * 7  # start..lp_hi
         + [_PTR] * 4  # delivered, weight, hops, fail
         + [_I64, _I64]  # n, entry count
-        + [_PTR] * 6  # ent records, members, tree_indptr, lp_data, g_indptr, steps
+        + [_PTR] * 4  # ent records, members, tree_indptr, lp_data
+        + [_I64]  # lp_data width
+        + [_PTR] * 2  # g_indptr, steps
         + [_PTR, _PTR]  # dead_masks, trial
         + [_I64, _I64]  # mask_width, ttl
     )
@@ -119,6 +121,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         [_I64, _I64, _I64, _I64]  # n, entry range lo, hi, lp_data offset
         + [_PTR] * 4  # keys, parent epos, f, light depth
         + [_PTR] * 2  # lp_indptr (down ports in), out lp_data
+        + [_I64]  # lp_data width
     )
     lib.tz_compile_records.restype = _I64
     lib.tz_compile_records.argtypes = (
@@ -133,9 +136,16 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.tz_derive_entries.argtypes = (
         [_I64, _I64, _I64]  # n, entry range lo, hi
         + [_PTR] * 4  # tree_indptr, members, ent records, lp_data (the last two or NULL)
-        + [_I64]  # lp_data length
+        + [_I64, _I64]  # lp_data width, length
         + [_PTR] * 8  # scratch order, out keys, centers, parents, dist,
         #               lp_indptr, label bits (each or NULL), refused entry
+    )
+    lib.tz_label_bits.restype = _I64
+    lib.tz_label_bits.argtypes = (
+        [_I64, _I64, _I64]  # n, entry range lo, hi
+        + [_PTR] * 3  # tree_indptr, lp_indptr, lp_data
+        + [_I64, _I64]  # lp_data width, length
+        + [_PTR]  # out label bits
     )
     lib.tz_splice.restype = None
     lib.tz_splice.argtypes = (
@@ -183,6 +193,17 @@ def column(a, dtype, what: str):
     if a.dtype != dtype:
         raise ValueError(f"{what} must be {np.dtype(dtype).name}, not {a.dtype}")
     return a
+
+
+def port_width(lp_data) -> int:
+    """The bytes per light port the C passes read ``lp_data`` at
+    (``port_at`` in ``_native.c``): 1 for uint8, 4 for int32, the two
+    widths of the light-port rule; ValueError for any other dtype."""
+    import numpy as np
+
+    if lp_data.dtype not in (np.dtype(np.uint8), np.dtype(np.int32)):
+        raise ValueError(f"lp_data must be uint8 or int32, not {lp_data.dtype}")
+    return lp_data.dtype.itemsize
 
 
 def artifact() -> Path:

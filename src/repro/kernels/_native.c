@@ -4,7 +4,8 @@
  * and cluster-tree pass (core/build/vectorized.py), the compile
  * pass that writes the entry records (sim/engine/compile.py), the
  * derive pass that makes the columns a container does not store and
- * every build's entry keys (core/build/arrays.py), the passes a patch
+ * every build's entry keys, and the label-bit pass over a built
+ * scheme's light ports (core/build/arrays.py), the passes a patch
  * makes over every entry: the splice (core/build/patch.py) and the
  * label positions of assemble_arrays (core/build/arrays.py), and the
  * setup path's two draw loops: gnp's edge skipping
@@ -21,7 +22,11 @@
  * layouts below.  Every per-entry integer column is int32 (the callers
  * refuse n, 2m or E >= 2^31 first); keys (tree * n + member) and
  * offsets into entry-sized columns are int64, and every key is formed
- * in int64 arithmetic.
+ * in int64 arithmetic.  The light ports lp_data are the one column of
+ * two widths: one byte a port while every degree of the graph is at
+ * most 255, else int32 (light_port_dtype in core/build/arrays.py).
+ * Each pass that touches them takes the width from its wrapper
+ * (lp_data.dtype.itemsize) and reads through port_at.
  * No kernel keeps global state, so threads may run any of them at once
  * on disjoint output rows (ctypes releases the GIL for the call).
  *
@@ -56,8 +61,9 @@
  * - tz_derive_entries sums each distance as one float64 addition of
  *   the parent's distance and the parent weight, as numpy does level by
  *   level; every parent is summed before its child (DFS order), so each
- *   addend is the same double.  Its label bits, and tz_commit's, are
- *   integer sums of the same bit lengths numpy reads off frexp.
+ *   addend is the same double.  Its label bits, tz_label_bits' and
+ *   tz_commit's are integer sums of the same bit lengths numpy reads
+ *   off frexp.
  * - tz_splice copies rows and adds the same integer shifts as the
  *   numpy splice; tz_label_positions finds the same unique keys as
  *   numpy's searchsorted.
@@ -234,17 +240,39 @@ static inline int64_t bit_length(int64_t x)
 #endif
 }
 
+/* Light port i of lp_data, whose rows are `width` bytes: 1 (uint8) or 4
+ * (int32), the two widths of the light-port rule (light_port_dtype in
+ * core/build/arrays.py: one byte while every degree is <= 255).  Every
+ * reader of lp_data goes through here; the wrappers pass the width as
+ * lp_data.dtype.itemsize. */
+static inline int64_t port_at(const void *lp_data, int64_t width, int64_t i)
+{
+    return width == 1 ? (int64_t)((const uint8_t *)lp_data)[i]
+                      : (int64_t)((const int32_t *)lp_data)[i];
+}
+
+/* The tree pass's writer of the same: port p at light port i (the
+ * caller picked a width every port fits). */
+static inline void port_put(void *lp_data, int64_t width, int64_t i, int64_t p)
+{
+    if (width == 1)
+        ((uint8_t *)lp_data)[i] = (uint8_t)p;
+    else
+        ((int32_t *)lp_data)[i] = (int32_t)p;
+}
+
 /* Encoded tree-label bits (label_codec.tree_label_bits) of an entry of
- * a tree with `size` members whose light ports are ports[0 .. count):
- * the DFS number at the tree's width, bit_length(size - 1), then the
- * port count Elias-delta coded as count + 1 and each port Elias-gamma
- * coded. */
-static int64_t label_bits_of(int64_t size, const int32_t *ports, int64_t count)
+ * a tree with `size` members whose light ports are lp_data[off ..
+ * off + count): the DFS number at the tree's width, bit_length(size -
+ * 1), then the port count Elias-delta coded as count + 1 and each port
+ * Elias-gamma coded. */
+static int64_t label_bits_of(int64_t size, const void *lp_data, int64_t width,
+                             int64_t off, int64_t count)
 {
     const int64_t bl = bit_length(count + 1);
     int64_t bits = bit_length(size - 1) + 2 * (bit_length(bl) - 1) + 1 + bl - 1;
-    for (int64_t p = 0; p < count; p++)
-        bits += 2 * (bit_length(ports[p]) - 1) + 1;
+    for (int64_t p = off; p < off + count; p++)
+        bits += 2 * (bit_length(port_at(lp_data, width, p)) - 1) + 1;
     return bits;
 }
 
@@ -298,7 +326,8 @@ int64_t tz_hop_loop(
     const ent_rec *ent,              /* (E) entry records */
     const int32_t *member,           /* (E) member per entry */
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
-    const int32_t *lp_data,
+    const void *lp_data,             /* light ports, lp_width bytes each */
+    int64_t lp_width,
     const int64_t *g_indptr,
     const step_rec *step,            /* (2m) half-arc records */
     const uint8_t *dead_masks,       /* NULL or (T, mask_width) row-major */
@@ -347,7 +376,7 @@ int64_t tz_hop_loop(
             if (s_cur[s] >= 0)                                           \
                 PREFETCH(&ent[s_cur[s]]);                                \
             if (s_hi[s] > s_lo[s])                                       \
-                PREFETCH(lp_data + s_lo[s]);                             \
+                PREFETCH((const char *)lp_data + s_lo[s] * lp_width);    \
         }                                                                \
     } while (0)
 
@@ -426,7 +455,7 @@ int64_t tz_hop_loop(
                     } else if (at < 0 || at >= n) {
                         code = FAIL_CORRUPT;
                     } else {
-                        const int64_t port = lp_data[lp_pos];
+                        const int64_t port = port_at(lp_data, lp_width, lp_pos);
                         const int64_t sp = g_indptr[at] + port - 1;
                         if (port < 1 || sp >= g_indptr[at + 1]) {
                             code = FAIL_PORT;
@@ -568,10 +597,11 @@ void tz_commit(
     int64_t handshake,
     int64_t E,
     int64_t lp_len,
+    int64_t lp_width,                /* bytes per light port: 1 or 4 */
     const ent_rec *ent,              /* (E) entry records */
     const int32_t *member,           /* (E) member per entry */
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree root */
-    const int32_t *lp_data,          /* (lp_len) light ports */
+    const void *lp_data,             /* (lp_len) light ports */
     const int64_t *root_epos,        /* (n) entry of (v, v) */
     const int64_t *pivot)            /* (k, n) row-major */
 {
@@ -652,7 +682,7 @@ void tz_commit(
                     tree[i] = -1;
                     fail[i] = FAIL_CORRUPT;
                 } else if (depth) {
-                    PREFETCH(lp_data + lo);
+                    PREFETCH((const char *)lp_data + lo * lp_width);
                 }
             }
             lp_lo[i] = lo;
@@ -663,8 +693,8 @@ void tz_commit(
             const int64_t w = tree[i];
             if (w >= 0) {
                 header[i] = 2 * id_bits +
-                            label_bits_of(tree_indptr[w + 1] - tree_indptr[w],
-                                          lp_data + lp_lo[i], lp_hi[i] - lp_lo[i]);
+                            label_bits_of(tree_indptr[w + 1] - tree_indptr[w], lp_data,
+                                          lp_width, lp_lo[i], lp_hi[i] - lp_lo[i]);
             } else {
                 header[i] = 2 * id_bits;
                 dest_f[i] = 0;
@@ -1213,8 +1243,9 @@ int64_t tz_cluster_trees(
  * parent), by the port at the parent toward x, which tz_cluster_trees
  * left in lp_indptr[x + 1].  Replaces lp_indptr[lo+1 .. hi] with
  * running sums of the light depths from lp_base (the lp_data length of
- * all earlier entries) and fills lp_data there, parents before
- * children in DFS order.  Returns 0 or TREES_OOM. */
+ * all earlier entries) and fills lp_data there, lp_width bytes a port
+ * (port_put), parents before children in DFS order.  Returns 0 or
+ * TREES_OOM. */
 int64_t tz_light_ports(
     int64_t n,
     int64_t lo,                      /* entry range [lo, hi) */
@@ -1225,13 +1256,15 @@ int64_t tz_light_ports(
     const int32_t *f,
     const int32_t *light_depth,
     int64_t *lp_indptr,              /* in: down ports; out (E+1) */
-    int32_t *lp_data)                /* out */
+    void *lp_data,                   /* out */
+    int64_t lp_width)
 {
     const size_t cap = (size_t)max_cluster(n, keys, lo, hi) + 1;
     int64_t *by_f = malloc(cap * sizeof(int64_t)); /* DFS number -> local */
     int64_t *down = malloc(cap * sizeof(int64_t));
     int64_t rc = (!by_f || !down) ? TREES_OOM : 0;
     int64_t at = lp_base;
+    char *const ports = (char *)lp_data;
     for (int64_t a = lo, b; rc == 0 && a < hi; a = b) {
         const int64_t w = keys[a] / n;
         for (b = a + 1; b < hi && keys[b] / n == w; b++)
@@ -1247,12 +1280,12 @@ int64_t tz_light_ports(
             const int64_t ld = light_depth[x], lp = light_depth[p];
             if (ld == 0)
                 continue;
-            int32_t *dst = lp_data + (lp_indptr[x + 1] - ld);
+            const int64_t at_x = lp_indptr[x + 1] - ld;
             if (lp)
-                memcpy(dst, lp_data + (lp_indptr[p + 1] - lp),
-                       (size_t)lp * sizeof(int32_t));
+                memcpy(ports + at_x * lp_width, ports + (lp_indptr[p + 1] - lp) * lp_width,
+                       (size_t)(lp * lp_width));
             if (ld > lp)
-                dst[lp] = (int32_t)down[x - a];
+                port_put(lp_data, lp_width, at_x + lp, down[x - a]);
         }
     }
     free(by_f);
@@ -1493,7 +1526,8 @@ int64_t tz_derive_entries(
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree */
     const int32_t *member,           /* (E) member per entry */
     const ent_rec *ent,              /* (E) entry records, or NULL */
-    const int32_t *lp_data,          /* (lp_len) light ports, or NULL */
+    const void *lp_data,             /* (lp_len) light ports, or NULL */
+    int64_t lp_width,                /* bytes per light port: 1 or 4 */
     int64_t lp_len,
     int32_t *order,                  /* scratch (E), or NULL */
     int64_t *keys,                   /* out (E), or NULL */
@@ -1564,8 +1598,40 @@ int64_t tz_derive_entries(
                 if (lp_indptr)
                     lp_indptr[e] = off;
                 if (label_bits)
-                    label_bits[e] = (int32_t)label_bits_of(size, lp_data + off, depth);
+                    label_bits[e] = (int32_t)label_bits_of(size, lp_data, lp_width, off, depth);
             }
+        }
+    }
+    return 0;
+}
+
+/* Encoded tree-label bits (label_bits_of) of entries [lo, hi), cut
+ * where a tree of tree_indptr ends, from a light-port CSR: entry e's
+ * ports are lp_data[lp_indptr[e] .. lp_indptr[e+1]).  A built or patched
+ * scheme holds that CSR and no records, so this is its label-bit
+ * column; the derive pass makes the same column from a loaded scheme's
+ * records.  Returns 0, or -1 at the first slice that does not ascend
+ * inside [0, lp_len]. */
+int64_t tz_label_bits(
+    int64_t n,
+    int64_t lo,
+    int64_t hi,
+    const int64_t *tree_indptr,      /* (n+1) entry slice per tree */
+    const int64_t *lp_indptr,        /* (E+1) light-port slices */
+    const void *lp_data,             /* (lp_len) light ports */
+    int64_t lp_width,                /* bytes per light port: 1 or 4 */
+    int64_t lp_len,
+    int32_t *label_bits)             /* out (E) */
+{
+    if (lo >= hi)
+        return 0;
+    for (int64_t c = block_of(n, tree_indptr, lo); c < n && tree_indptr[c] < hi; c++) {
+        const int64_t a = tree_indptr[c], b = tree_indptr[c + 1];
+        for (int64_t e = a; e < b; e++) {
+            const int64_t p0 = lp_indptr[e], p1 = lp_indptr[e + 1];
+            if (p0 < 0 || p1 < p0 || p1 > lp_len)
+                return -1;
+            label_bits[e] = (int32_t)label_bits_of(b - a, lp_data, lp_width, p0, p1 - p0);
         }
     }
     return 0;
@@ -1576,9 +1642,10 @@ int64_t tz_derive_entries(
 /* ------------------------------------------------------------------ */
 
 /* How tz_splice moves a column's rows: keep in sync with
- * kernels/splice.py.  A column is 4 or 8 bytes a row (widths[c]): entry
- * links are int32 and light-port offsets int64 by the width rule, a
- * plain or float column either. */
+ * kernels/splice.py.  A column is 1, 4 or 8 bytes a row (widths[c]):
+ * entry links are int32 and light-port offsets int64 by the width rule,
+ * a float column 8 bytes, a plain column any of the three (the light
+ * ports are uint8 or int32). */
 #define SPLICE_COPY 0   /* integer rows as they lie */
 #define SPLICE_REAL 1   /* float64 rows as they lie (compared as doubles) */
 #define SPLICE_LINK 2   /* int32 entry links: v >= 0 moves by at - src, else -1 */
@@ -1601,7 +1668,7 @@ void tz_splice(
     const int64_t *shift,            /* (nruns) SPLICE_OFFSET shift, or NULL */
     int64_t ncols,
     const int64_t *kinds,            /* (ncols) SPLICE_* */
-    const int64_t *widths,           /* (ncols) bytes a row: 4 or 8 */
+    const int64_t *widths,           /* (ncols) bytes a row: 1, 4 or 8 */
     const void *const *old,          /* (ncols) the parent's columns */
     const void *const *fresh,        /* (ncols) the rebuild's columns */
     void *const *out)                /* (ncols) output columns */
@@ -1659,7 +1726,7 @@ void tz_splice_same(
     const int64_t *at,
     int64_t ncols,
     const int64_t *kinds,
-    const int64_t *widths,           /* (ncols) bytes a row: 4 or 8 */
+    const int64_t *widths,           /* (ncols) bytes a row: 1, 4 or 8 */
     const void *const *old,
     const void *const *fresh,
     int64_t *same)                   /* out (ncols) */

@@ -13,8 +13,10 @@ itself and hand the kernels pointers to its own memory, fresh compile
 or mapped container alike: its ``ent`` and ``step`` columns already
 are the record tables the C structs describe (so a parent or heavy hop
 touches one 64-byte cache line and nothing else), and its other columns
-are C-contiguous int64 or, per entry, int32 — the scheme's construction
-check guarantees both, so nothing is converted or copied before a
+are C-contiguous int64 or, per entry, int32, and its light ports uint8
+or int32 as the graph's degrees call for (the kernels read their width
+as ``lp_data.dtype.itemsize``) — the scheme's construction check
+guarantees all three, so nothing is converted or copied before a
 route.  Every lookup either kernel makes binary-searches one tree's
 slice of the int32 member column ``ent_member`` inside ``tree_indptr``
 (a source's own slice for the level-0 check) or indexes a full-n tree
@@ -94,6 +96,7 @@ def commit_native(cs, src: np.ndarray, dst: np.ndarray, state: Tuple[np.ndarray,
         int(bool(cs.handshake)),
         cs.entry_count,
         int(cs.lp_data.shape[0]),
+        cs.lp_data.dtype.itemsize,
         _ptr(cs.ent),
         _ptr(cs.ent_member),
         _ptr(cs.tree_indptr),
@@ -166,6 +169,7 @@ def hop_loop_native(
         _ptr(cs.ent_member),
         _ptr(cs.tree_indptr),
         _ptr(cs.lp_data),
+        cs.lp_data.dtype.itemsize,
         _ptr(cs.g_indptr),
         _ptr(cs.step),
         _ptr(masks_u8),

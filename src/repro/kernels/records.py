@@ -28,13 +28,18 @@ does not store, each entry's tree-label bits among them
 ``core/build/arrays.py::derive_entries_numpy``).  It is also where a
 build's entry keys and centers come from, which read the tree slices and
 members only.  Its input may be an unverified map, so it checks what it
-reads through and refuses with :data:`DERIVE_REFUSALS`.
+reads through and refuses with :data:`DERIVE_REFUSALS`.  A built or
+patched scheme, which holds its light-port CSR and no records, gets the
+same label bits from ``tz_label_bits`` (:func:`label_bits_native`).
 
 Every entry column is int32 and every key int64 (the width rule of
-:data:`~repro.core.build.arrays.COLUMN_DTYPES`); :func:`record_layout`
-reads back how the C compiler laid out the two record structs.
+:data:`~repro.core.build.arrays.COLUMN_DTYPES`), and the light ports
+uint8 or int32 as the graph's degrees call for (the passes read them
+through ``port_at`` at ``lp_data.dtype.itemsize`` bytes a port);
+:func:`record_layout` reads back how the C compiler laid out the two
+record structs.
 
-Both passes run on the worker pool (:mod:`repro.pool`), one range of
+The passes run on the worker pool (:mod:`repro.pool`), one range of
 whole trees per worker (:func:`~repro.kernels.trees.tree_ranges`), each
 writing its own rows; a refusal names its global entry index, from the
 first refusing range.
@@ -59,6 +64,7 @@ __all__ = [
     "REFUSALS",
     "compile_records_native",
     "derive_entries_native",
+    "label_bits_native",
     "record_layout",
     "refusal",
 ]
@@ -226,6 +232,18 @@ def derive_refusal(what: str, entry: int) -> EncodingError:
     return EncodingError(f"cannot derive entry {entry}: {DERIVE_REFUSALS[what]}")
 
 
+def _tree_slices(tree_indptr: np.ndarray, entries: int) -> Tuple[np.ndarray, int]:
+    """``tree_indptr`` as int64 and its tree count ``n``; ValueError
+    unless it runs from 0 to ``entries`` without decreasing."""
+    tree_indptr = _build.column(tree_indptr, np.int64, "tree_indptr")
+    n = int(tree_indptr.shape[0]) - 1
+    if n < 0 or tree_indptr[0] != 0 or tree_indptr[-1] != entries or np.any(
+        np.diff(tree_indptr) < 0
+    ):
+        raise ValueError("tree_indptr must run from 0 to the entry count without decreasing")
+    return tree_indptr, n
+
+
 def slice_ranges(tree_indptr: np.ndarray, parts: int) -> List[Tuple[int, int]]:
     """At most ``parts`` contiguous ``[lo, hi)`` entry ranges of about
     equal length, each cut where a tree slice of ``tree_indptr`` ends."""
@@ -244,8 +262,8 @@ def derive_entries_native(
 ) -> Dict[str, np.ndarray]:
     """The :data:`DERIVABLE` columns named in ``want``, from a scheme's
     tree slices (int64, ``n + 1`` offsets from 0 to ``E``, non-decreasing),
-    its int32 member column, its ``ent`` records and its int32 light
-    ports, on the worker pool.  ``ent`` and ``lp_data`` are read only for
+    its int32 member column, its ``ent`` records and its uint8 or int32
+    light ports, on the worker pool.  ``ent`` and ``lp_data`` are read only for
     the columns not in :data:`FROM_MEMBERS`, and may be None when ``want``
     holds none of those.
 
@@ -254,15 +272,13 @@ def derive_entries_native(
     column of another dtype or length.
     """
     lib = _lib()
-    tree_indptr = _build.column(tree_indptr, np.int64, "tree_indptr")
     member = _build.column(member, np.int32, "member")
-    n = int(tree_indptr.shape[0]) - 1
     E = int(member.shape[0])
-    if n < 0 or tree_indptr[0] != 0 or tree_indptr[-1] != E or np.any(np.diff(tree_indptr) < 0):
-        raise ValueError("tree_indptr must run from 0 to the member count without decreasing")
+    tree_indptr, n = _tree_slices(tree_indptr, E)
     reads = any(name not in FROM_MEMBERS for name in want)
     if reads:
-        lp_data = _build.column(lp_data, np.int32, "lp_data")
+        lp_data = np.ascontiguousarray(lp_data)
+        width = _build.port_width(lp_data)
         if ent is None or not (
             ent.shape == (E,) and ent.dtype.itemsize == 64 and ent.flags.c_contiguous
         ):
@@ -277,7 +293,7 @@ def derive_entries_native(
         return lib.tz_derive_entries(
             n, lo, hi, tree_indptr.ctypes.data, member.ctypes.data,
             ent.ctypes.data if reads else None, lp_data.ctypes.data if reads else None,
-            int(lp_data.shape[0]) if reads else 0,
+            width if reads else 0, int(lp_data.shape[0]) if reads else 0,
             None if order is None else order.ctypes.data,
             *(out[name].ctypes.data if name in out else None for name in names),
             bad[j:].ctypes.data,
@@ -295,6 +311,38 @@ def derive_entries_native(
             raise derive_refusal("light", max(E - 1, 0))
         if "lp_indptr" in out:
             out["lp_indptr"][E] = end
+    return out
+
+
+def label_bits_native(
+    tree_indptr: np.ndarray, lp_indptr: np.ndarray, lp_data: np.ndarray
+) -> np.ndarray:
+    """Each entry's encoded tree-label bits, int32, from a scheme's tree
+    slices (as :func:`derive_entries_native` takes them) and its
+    light-port CSR (int64 ``lp_indptr``, one row per entry plus one;
+    uint8 or int32 ``lp_data``), on the worker pool: the column
+    :func:`derive_entries_native` derives as ``label_bits`` from a loaded
+    scheme's records, for a built or patched scheme, which holds the CSR
+    instead.  The numpy reference is
+    :func:`~repro.trees.label_codec.tree_label_bits_array`.  Raises
+    ValueError for a column of another dtype or length, or a slice that
+    does not ascend inside ``lp_data``."""
+    lib = _lib()
+    lp_indptr = _build.column(lp_indptr, np.int64, "lp_indptr")
+    lp_data = np.ascontiguousarray(lp_data)
+    width = _build.port_width(lp_data)
+    E = int(lp_indptr.shape[0]) - 1
+    tree_indptr, n = _tree_slices(tree_indptr, E)
+    out = np.empty(E, dtype=DERIVABLE["label_bits"])
+
+    def task(lo: int, hi: int) -> int:
+        return lib.tz_label_bits(
+            n, lo, hi, tree_indptr.ctypes.data, lp_indptr.ctypes.data,
+            lp_data.ctypes.data, width, int(lp_data.shape[0]), out.ctypes.data,
+        )
+
+    if any(pool.run(task, slice_ranges(tree_indptr, pool.size()))):
+        raise ValueError("lp_indptr's slices must ascend inside lp_data")
     return out
 
 

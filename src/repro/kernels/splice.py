@@ -7,9 +7,10 @@ output rows ``at[r] .. at[r+1]``.  ``tz_splice`` writes one range of
 output rows of every column: a plain column one ``memcpy`` per run, an
 entry-link column shifted by its run's ``at - src`` (``-1`` stays
 ``-1``), a light-port offset column by the run's own shift.  A column's
-rows are 4 or 8 bytes wide, as its dtype is (the width rule of
+rows are 1, 4 or 8 bytes wide, as its dtype is (the width rule of
 :data:`~repro.core.build.arrays.COLUMN_DTYPES`): links are int32,
-offsets int64.  When no block moves, ``tz_splice_same`` first finds the
+offsets int64, and the light ports uint8 or int32 as the graph's
+degrees call for.  When no block moves, ``tz_splice_same`` first finds the
 columns whose dirty runs already equal the parent's rows, which the
 patch then shares.
 
@@ -51,9 +52,10 @@ __all__ = [
 #: the run's shift.
 COPY, REAL, LINK, OFFSET = 0, 1, 2, 3
 
-#: The dtypes each kind of column may hold.
+#: The dtypes each kind of column may hold (a plain column's rows are
+#: 1, 4 or 8 bytes: the light ports are uint8 or int32).
 _KIND_DTYPES = {
-    COPY: (np.dtype(np.int32), np.dtype(np.int64)),
+    COPY: (np.dtype(np.uint8), np.dtype(np.int32), np.dtype(np.int64)),
     REAL: (np.dtype(np.float64),),
     LINK: (np.dtype(np.int32),),
     OFFSET: (np.dtype(np.int64),),

@@ -78,13 +78,16 @@ def cluster_trees_native(graph, ported, keys: np.ndarray, dist: np.ndarray) -> d
     """Parents, tree records and light ports of key-sorted entries.
 
     Returns the dict ``_tree_arrays`` returns, plus ``ent_parent``: the
-    entry columns and ``lp_data`` int32, ``lp_indptr`` int64 (the width
-    rule of :data:`~repro.core.build.arrays.COLUMN_DTYPES`; the caller
-    has checked that E fits), computed in one range per pool worker
-    (:func:`repro.pool.size`); the columns do not depend on the ranges.
-    Raises :class:`PreprocessingError` when some entry has no tight
-    in-cluster predecessor, as the numpy path does.
+    entry columns int32, ``lp_indptr`` int64 (the width rule of
+    :data:`~repro.core.build.arrays.COLUMN_DTYPES`; the caller has
+    checked that E fits) and ``lp_data`` at the graph's light-port width
+    (:func:`~repro.core.build.arrays.light_port_dtype`), computed in one
+    range per pool worker (:func:`repro.pool.size`); the columns do not
+    depend on the ranges.  Raises :class:`PreprocessingError` when some
+    entry has no tight in-cluster predecessor, as the numpy path does.
     """
+    from ..core.build.arrays import light_port_dtype  # the rule's one home
+
     lib = _build.load()
     if lib is None:  # pragma: no cover - callers resolve the kernel first
         raise RuntimeError(f"native kernels unavailable: {_build.native_error()}")
@@ -124,13 +127,14 @@ def cluster_trees_native(graph, ported, keys: np.ndarray, dist: np.ndarray) -> d
                 "not float64-exact (the builder should have fallen back)"
             )
 
-    lp_data = np.empty(sum(lens), dtype=np.int32)
+    lp_data = np.empty(sum(lens), dtype=light_port_dtype(indptr))
+    width = _build.port_width(lp_data)
     lp_args = (keys, out["ent_parent_epos"], out["tr_f"], out["tr_light_depth"])
     lp_args += (lp_indptr, lp_data)
     bases = np.cumsum([0] + lens[:-1]).tolist()
     codes = pool.run(
         lambda lo, hi, base: lib.tz_light_ports(
-            n, lo, hi, base, *(a.ctypes.data for a in lp_args)
+            n, lo, hi, base, *(a.ctypes.data for a in lp_args), width
         ),
         [(lo, hi, base) for (lo, hi), base in zip(ranges, bases)],
     )

@@ -56,6 +56,7 @@ __all__ = [
     "gauge",
     "observe",
     "peak_rss_mb",
+    "rss_anon_mb",
     "span",
     "timed",
 ]
@@ -104,18 +105,22 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        """Close the span (exception-safe; exceptions propagate).  A
-        peak-RSS stamp is read before the clock stops, so its cost (the
+        """Close the span (exception-safe; exceptions propagate).  The
+        RSS stamps are read before the clock stops, so their cost (the
         first one imports ``resource``) is this span's own time, not an
         unspanned gap in the parent."""
         stamp = self._parent is not None and self._parent.child_rss
-        rss = peak_rss_mb() if stamp else None
+        if stamp:
+            rss = {"maxrss_mb": peak_rss_mb()}
+            anon = rss_anon_mb()
+            if anon is not None:
+                rss["rss_anon_mb"] = anon
         self.end_ns = perf_counter_ns()
         self._tm._current.reset(self._token)
         if exc_type is not None:
             self.attrs = dict(self.attrs, error=exc_type.__name__)
         if stamp:
-            self.attrs = dict(self.attrs, maxrss_mb=rss)
+            self.attrs = dict(self.attrs, **rss)
         return False
 
     def stamp(self, **attrs) -> None:
@@ -233,7 +238,9 @@ class Telemetry:
     def stamp_child_rss(self) -> None:
         """Make each child of the span open in this context record a
         ``maxrss_mb`` attribute, :func:`peak_rss_mb` read as the child
-        closes, so a profile names the phase that set the peak (no-op
+        closes, so a profile names the phase that set the peak, and
+        beside it ``rss_anon_mb``, :func:`rss_anon_mb` (where the
+        platform reports it), the anonymous memory resident then (no-op
         while disabled or outside any span)."""
         span = self._current.get()
         if self.enabled and span is not None:
@@ -279,6 +286,21 @@ def peak_rss_mb() -> float:
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     unit = 1.0 if sys.platform == "darwin" else 1024.0
     return round(maxrss * unit / (1 << 20), 1)
+
+
+def rss_anon_mb() -> Optional[float]:
+    """This process's resident anonymous memory now, in MB: ``RssAnon``
+    of ``/proc/self/status`` (Linux), or None where that file or line is
+    missing.  Unlike :func:`peak_rss_mb` it counts no page cache, so a
+    memory-mapped container that was read does not inflate it."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"RssAnon:"):
+                    return round(int(line.split()[1]) / 1024.0, 1)  # kB
+    except OSError:
+        pass
+    return None
 
 
 class TimedSpan:

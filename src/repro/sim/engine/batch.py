@@ -750,7 +750,7 @@ class BatchRouter:
                 code[li[~at_ok]] = FAIL_CORRUPT
                 li, lp_pos, at = li[at_ok], lp_pos[at_ok], at[at_ok]
                 if li.size:
-                    port = cs.lp_data[lp_pos]
+                    port = cs.lp_data[lp_pos].astype(np.int64)  # uint8 - 1 would wrap
                     step = cs.g_indptr[at] + port - 1
                     port_ok = (port >= 1) & (step < cs.g_indptr[at + 1])
                     code[li[~port_ok]] = FAIL_PORT

@@ -82,7 +82,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...core.build.arrays import COLUMN_DTYPES, check_index_sizes, derive_entries
+from ...core.build.arrays import (
+    COLUMN_DTYPES,
+    check_index_sizes,
+    derive_entries,
+    light_port_dtype,
+)
 from ...core.landmarks import level0_sources
 from ...errors import EncodingError, RoutingError
 from ...graphs.ports import PortedGraph
@@ -314,7 +319,7 @@ class CompiledScheme:
     tree_indptr: np.ndarray  # (n+1,) int64 entry slice per tree root
     root_epos: np.ndarray  # (n,) entry index of (tree=v, v), -1 if none
     # -- light-port sequences of members-as-destinations ----------------
-    lp_data: np.ndarray  # (L,) int32 port numbers, root-to-leaf order
+    lp_data: np.ndarray  # (L,) port numbers, root-to-leaf order, at light_port_dtype(g_indptr)
     # -- destination labels: pivots per level ---------------------------
     pivot: np.ndarray  # (k, n) int64; row 0 unused
     # -- ported-graph step records (row indptr[u] + port - 1) -----------
@@ -516,15 +521,17 @@ RECORD_LINKS = ("ent_parent_epos", "ent_heavy_epos")
 #: graph's row index and step rows.
 DERIVED = tuple(name for name in COLUMNS if name not in ARRAY_BOUND)
 
-#: Every :class:`CompiledScheme` column's dtype: the record layouts, the
-#: width rule (:data:`~repro.core.build.arrays.COLUMN_DTYPES`) for the
-#: columns bound to array columns, and int64 for the per-vertex columns.
+#: Every :class:`CompiledScheme` column's dtype but ``lp_data``'s: the
+#: record layouts, the width rule
+#: (:data:`~repro.core.build.arrays.COLUMN_DTYPES`) for the columns bound
+#: to array columns, and int64 for the per-vertex columns.  ``lp_data``
+#: is at the width its own ``g_indptr`` calls for
+#: (:func:`~repro.core.build.arrays.light_port_dtype`).
 COMPILED_DTYPES = {
     "ent": ENT_DTYPE,
     "ent_member": COLUMN_DTYPES["ent_member"],
     "tree_indptr": COLUMN_DTYPES["cl_indptr"],
     "root_epos": COLUMN_DTYPES["lab_epos"],
-    "lp_data": COLUMN_DTYPES["lp_data"],
     "pivot": np.dtype(np.int64),
     "g_indptr": np.dtype(np.int64),
     "step": STEP_DTYPE,
@@ -546,7 +553,8 @@ def _offsets_ok(indptr: np.ndarray, end: int) -> bool:
 
 
 def _check_columns(cs: CompiledScheme) -> None:
-    """Every column has its dtype (:data:`COMPILED_DTYPES`), is
+    """Every column has its dtype (:data:`COMPILED_DTYPES`, and for
+    ``lp_data`` the light-port width its ``g_indptr`` calls for), is
     C-contiguous and agrees in shape with ``ent``, ``g_indptr`` and
     ``(k, n)``, both offset columns run from 0 to
     their column's length without decreasing, and the last record's
@@ -561,11 +569,15 @@ def _check_columns(cs: CompiledScheme) -> None:
     """
     n, k = cs.n, cs.k
     cols = {name: getattr(cs, name) for name in COLUMNS}
+    dtypes = dict(COMPILED_DTYPES)
+    g_indptr = cols["g_indptr"]
+    if isinstance(g_indptr, np.ndarray) and g_indptr.dtype == dtypes["g_indptr"]:
+        dtypes["lp_data"] = light_port_dtype(g_indptr)
     bad = [
         name
         for name, col in cols.items()
         if not isinstance(col, np.ndarray)
-        or col.dtype != COMPILED_DTYPES[name]
+        or col.dtype != dtypes.get(name)
         or not col.flags.c_contiguous
     ]
     entries = int(np.size(cols["ent"]))
@@ -717,7 +729,7 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
     np.cumsum(lp_counts, out=lp_indptr[1:])
     lp_data = np.fromiter(
         (p for v in range(n) for p in router.labels[int(v)].light_ports),
-        np.int32,
+        light_port_dtype(ported.graph.indptr),
         int(lp_indptr[-1]),
     )
     root_epos = np.full(n, -1, dtype=np.int64)

@@ -62,6 +62,9 @@ from .. import pool
 from ..errors import EncodingError
 
 MAGIC = b"TZSCHEME"
+#: 9: the light ports are one byte each while every degree of the graph
+#: is at most 255 (int32 past that), the one column whose width follows
+#: the graph (``light_port_dtype`` in ``core/build/arrays.py``).
 #: 8: the two bunch blobs are gone: a bunch is the clusters read the
 #: other way round, and the one reader that asked (a patch's dirty
 #: clusters) finds them in one pass over the member column.
@@ -81,7 +84,7 @@ MAGIC = b"TZSCHEME"
 #: (see :data:`DIGEST_CHUNK`), not of the section itself.  3: scheme
 #: containers store the compiled entry and step records as the native
 #: kernels read them, and each array column the records hold only there.
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 #: Bytes per data-section chunk of ``data_sha256``; a format constant.
 DIGEST_CHUNK = 4 << 20
 #: Byte alignment of every blob, relative to the start of its data section.

@@ -13,7 +13,7 @@ views the rows as the record dtypes again.  Loading reverses the walk
 over memory-mapped views — the reconstructed objects are backed by the
 file, byte for byte, with nothing copied.
 
-A scheme container (format 8) stores each fact once: the ``arr_``
+A scheme container (format 9) stores each fact once: the ``arr_``
 blobs, except the :data:`~repro.sim.engine.compile.ARRAYS_IN_RECORD`
 columns the ``ent`` records hold (the member excepted: the kernels
 search its dense column) and the
@@ -31,7 +31,9 @@ Field sets are validated both ways: a container that is missing a field
 (or carries an unknown one) raises
 :class:`~repro.errors.EncodingError` instead of building a half-formed
 scheme, and so does a column whose dtype (the width rule of
-:data:`~repro.core.build.arrays.COLUMN_DTYPES`), width or length
+:data:`~repro.core.build.arrays.COLUMN_DTYPES`, and for the light ports
+the width the stored graph's degrees call for,
+:func:`~repro.core.build.arrays.light_port_dtype`), width or length
 disagrees with the scheme's shape.
 """
 
@@ -42,7 +44,12 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..core.build.arrays import COLUMN_DTYPES, DERIVED_COLUMNS, SchemeArrays
+from ..core.build.arrays import (
+    COLUMN_DTYPES,
+    DERIVED_COLUMNS,
+    LIGHT_PORT_DTYPES,
+    SchemeArrays,
+)
 from ..core.landmarks import Hierarchy
 from ..errors import EncodingError
 from ..sim.engine.compile import (
@@ -167,9 +174,12 @@ def arrays_from_manifest(
 
 
 def _check_array_columns(found: Dict[str, np.ndarray], n: int, entries: int) -> None:
-    """Every stored array column has its width-rule dtype, and every
-    per-entry one ``entries`` rows (``n + 1`` for the tree offsets, any
-    length for the light ports); else :class:`EncodingError`."""
+    """Every stored array column has its width-rule dtype (for the light
+    ports one of the two light-port widths: which one the graph calls
+    for, the compiled form's construction checks against its
+    ``g_indptr``), and every per-entry one ``entries`` rows (``n + 1``
+    for the tree offsets, any length for the light ports); else
+    :class:`EncodingError`."""
     rows = {
         "cl_indptr": (n + 1,),
         "lp_data": found["lp_data"].shape[:1],
@@ -178,7 +188,11 @@ def _check_array_columns(found: Dict[str, np.ndarray], n: int, entries: int) -> 
     bad = [
         name
         for name in STORED_ARRAYS_FIELDS
-        if found[name].dtype != COLUMN_DTYPES[name]
+        if (
+            found[name].dtype not in LIGHT_PORT_DTYPES
+            if name == "lp_data"
+            else found[name].dtype != COLUMN_DTYPES[name]
+        )
         or found[name].shape != rows.get(name, (entries,))
     ]
     if bad:

@@ -77,6 +77,17 @@ def family_from_seed(
     raise ValueError(f"unknown graph family {family!r}")
 
 
+def hub_graph(hub_degree: int, n: int = 300) -> Graph:
+    """Vertex 0 tied to vertices 1..hub_degree at weight 1, and a ring of
+    weight 3 through every other vertex: the hub's own tree, and every
+    tree it is an inner vertex of, branch at it into light children whose
+    ports run up to its degree, so the light ports need one byte exactly
+    while ``hub_degree`` is at most 255."""
+    edges = [(0, v) for v in range(1, hub_degree + 1)]
+    edges += [(v, v + 1) for v in range(1, n - 1)] + [(n - 1, 1)]
+    return Graph(n, edges, [1.0] * hub_degree + [3.0] * (n - 1))
+
+
 def rooted_from_graph(tree_graph: Graph, root: int = 0) -> RootedTree:
     """Root a tree-shaped graph at ``root`` via its SPT parents."""
     _, parent = dijkstra(tree_graph, root)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -345,6 +346,8 @@ class TestCli:
             assert name in out, f"span {name!r} missing from profile output"
         assert "route.pairs_routed" in out  # and the counters table
         assert "maxrss MB" in out  # each top-level phase's peak RSS
+        if sys.platform.startswith("linux"):
+            assert "anon MB" in out  # and its resident anonymous memory
         coverage = float(
             re.search(r"\((\d+(?:\.\d+)?)% coverage\)", out).group(1)
         )

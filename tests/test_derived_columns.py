@@ -11,6 +11,8 @@ and must give, on both kernels:
 
 * every derived array column equal to the build's in-memory column,
   dtype included, and the same label bits, table bits and label sizes;
+* the built or patched scheme's own label bits (no records: its
+  light-port CSR) the same on both kernels;
 * the compiled form's derived columns equal to a fresh compile's;
 * route columns, ``max_header_bits`` included, equal to the fresh
   compile's, on both routers.
@@ -25,18 +27,21 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import pool
 from repro.analysis.experiments import reference_graph
 from repro.core.build import SchemeArrays, build_arrays, patch_arrays
 from repro.core.build.arrays import DERIVED_COLUMNS, derive_entries, derive_entries_numpy
 from repro.errors import EncodingError
 from repro.graphs.ports import assign_ports
 from repro.kernels import available, native_error
-from repro.kernels.records import derive_entries_native
+from repro.kernels.records import derive_entries_native, label_bits_native
 from repro.rng import derive, make_rng, sample_pairs
 from repro.scenarios import random_delta
 from repro.sim.engine.batch import BatchRouter
 from repro.sim.engine.compile import COMPILED_DERIVED, compile_from_arrays
 from repro.store import SchemeStore
+
+from strategies import hub_graph
 
 needs_native = pytest.mark.skipif(
     not available(), reason=f"native kernels unavailable: {native_error()}"
@@ -67,6 +72,9 @@ def _check_version(stored, arrays, ported, pairs, on_kernels, context):
         kernel: BatchRouter.from_compiled(fresh, ported, kernel=kernel).route_pairs(pairs)
         for kernel in ("numpy", "native")
     }
+    for run in on_kernels:  # the in-memory scheme's own label bits, uncached
+        got = run(lambda: SchemeArrays.entry_label_bits(dataclasses.replace(arrays)))
+        assert _same(got, want["entry_label_bits"]), f"in-memory label bits {context}"
     for run in on_kernels:
         loaded = run(lambda: stored.store.load(stored.path))
         for name in DERIVED_COLUMNS:
@@ -127,6 +135,29 @@ def test_loaded_versions_derive_the_build_columns(tmp_path, veto_native, family,
             _Stored(store, store.path_for(key)), arrays, ported, pairs, on_kernels,
             f"({family} k={k} {ports} epoch {epoch})",
         )
+
+
+@needs_native
+@pytest.mark.parametrize("hub_degree", [255, 256])
+def test_label_bits_of_a_built_scheme_at_either_width(veto_native, hub_degree):
+    """The native label-bit pass of a built scheme equals the numpy
+    formula byte for byte, in 1–4 ranges, for one-byte and int32 light
+    ports, and refuses a slice that leaves ``lp_data``."""
+    graph = hub_graph(hub_degree)
+    ported = assign_ports(graph, "random", rng=derive(3, "label-bits"))
+    arrays = build_arrays(graph, 3, ported=ported, rng=3)
+    assert arrays.lp_data.dtype == (np.uint8 if hub_degree == 255 else np.int32)
+    assert int(arrays.lp_data.max()) == hub_degree  # the hub's last port is a light one
+    want = veto_native(lambda: SchemeArrays.entry_label_bits(dataclasses.replace(arrays)))
+    for parts in (1, 2, 3, 4):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(pool, "size", lambda: parts)
+            got = label_bits_native(arrays.cl_indptr, arrays.lp_indptr, arrays.lp_data)
+        assert _same(got, want), parts
+    past = arrays.lp_indptr.copy()
+    past[-1] += 1
+    with pytest.raises(ValueError, match="inside lp_data"):
+        label_bits_native(arrays.cl_indptr, past, arrays.lp_data)
 
 
 def _loaded(tmp_path):

@@ -53,7 +53,7 @@ from strategies import FAMILIES, family_from_seed, ks, seeds
 
 from repro.baselines.tree_spanner import build_single_tree_scheme
 from repro.core.build import SchemeArrays, build_arrays, build_scheme, patch_arrays
-from repro.core.build.arrays import COLUMN_DTYPES, scheme_from_arrays
+from repro.core.build.arrays import COLUMN_DTYPES, light_port_dtype, scheme_from_arrays
 from repro.core.build.vectorized import _cluster_trees, _pruned_level, vectorized_arrays
 from repro import pool
 from repro.analysis.experiments import reference_graph
@@ -1060,12 +1060,13 @@ class TestPoolRanges:
         want = _cluster_trees(graph, ported, keys, dist, "numpy")
         with in_ranges(1):
             one = cluster_trees_native(graph, ported, keys, dist)
+        dtypes = dict(COLUMN_DTYPES, lp_data=light_port_dtype(graph.indptr))
         for parts in (1, 2, 3, 4):
             with in_ranges(parts):
                 got = cluster_trees_native(graph, ported, keys, dist)
             assert sorted(got) == sorted(want)
             for name, col in want.items():
-                assert got[name].dtype == one[name].dtype == COLUMN_DTYPES[name], name
+                assert got[name].dtype == one[name].dtype == dtypes[name], name
                 assert np.array_equal(col, got[name]), (
                     f"{name} in {parts} ranges {context}"
                 )

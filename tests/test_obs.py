@@ -12,6 +12,7 @@ Pins the three contracts the observability layer makes:
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from repro.obs import (
     write_metrics,
     write_trace,
 )
-from repro.obs.telemetry import NOOP_SPAN, peak_rss_mb
+from repro.obs import telemetry
+from repro.obs.telemetry import NOOP_SPAN, peak_rss_mb, rss_anon_mb
 
 
 @pytest.fixture
@@ -193,6 +195,38 @@ def test_peak_rss_mb_reads_the_platforms_unit(monkeypatch, platform, maxrss):
     monkeypatch.setattr(sys, "platform", platform)
     monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss))
     assert peak_rss_mb() == 3.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RssAnon is Linux's")
+def test_stamp_child_rss_stamps_the_resident_anonymous_memory_on_linux(tm):
+    with tm.span("root"):
+        tm.stamp_child_rss()
+        with tm.span("a", kind="x"):
+            held = np.ones(4 << 20)  # 32 MB of anonymous memory, resident
+            held[::512] = 2.0
+            anon_held = rss_anon_mb()
+        del held
+    a = tm.roots[0].children[0]
+    assert 0 < a.attrs["rss_anon_mb"] and anon_held >= 32
+    assert "rss_anon_mb" not in tm.roots[0].attrs
+    rows = span_rows(tm)
+    assert [r["anon MB"] != "" for r in rows] == [False, True]
+    assert rows[1]["span"].strip() == "a[kind=x]"  # a column, not in the label
+
+
+def test_rss_anon_is_absent_where_the_status_file_is(tm, monkeypatch):
+    def missing(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/status")
+
+    monkeypatch.setattr(telemetry, "open", missing, raising=False)
+    assert rss_anon_mb() is None
+    with tm.span("root"):
+        tm.stamp_child_rss()
+        with tm.span("a"):
+            pass
+    assert "rss_anon_mb" not in tm.roots[0].children[0].attrs
+    assert tm.roots[0].children[0].attrs["maxrss_mb"] > 0
+    assert "anon MB" not in span_rows(tm)[0]
 
 
 def test_stamp_child_rss_is_a_noop_when_disabled_or_outside_a_span(tm):

@@ -192,7 +192,7 @@ def test_assemble_and_label_bits(family, k, ports, veto_native):
         assert_bytes_equal(want, got, f"({family} k={k} {ports} parts={parts})")
 
     # label bits: the compile's derive pass on each kernel, never a cache
-    reference = SchemeArrays.entry_label_bits(dataclasses.replace(arrays))
+    reference = veto_native(lambda: SchemeArrays.entry_label_bits(dataclasses.replace(arrays)))
     for run in (veto_native, lambda fn: fn()):
         fresh = dataclasses.replace(arrays)
         compiled = run(lambda: compile_from_arrays(fresh, ported))

@@ -7,10 +7,11 @@ records hold.  Each kernel checks every index it reads out of a record
 before reading through it (an entry link, a member, a landed neighbour,
 a port, a light-port slice) and fails the row with ``FAIL_CORRUPT``.
 Here a subprocess flips seeded random bytes in the ``ent`` and ``step``
-blobs of a small container, and sets whole fields to out-of-range
-values, then opens each copy as a service and routes; it must exit 0
-every time, on either kernel, and ``verify_data`` must refuse every
-damaged copy.
+blobs of a small container and in its light ports (a uint8 map: every
+degree of the graph is at most 255), and sets whole fields, and every
+light port, to out-of-range values, then opens each copy as a service
+and routes; it must exit 0 every time, on either kernel, and
+``verify_data`` must refuse every damaged copy.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import reference_graph
@@ -46,7 +48,7 @@ src, work, seed, flips = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3]),
 header = read_header(src)
 raw = src.read_bytes()
 start = len(raw) - header["data_bytes"]
-blobs = {name: header["arrays"][name] for name in ("cs_ent", "cs_step")}
+blobs = {name: header["arrays"][name] for name in ("cs_ent", "cs_step", "arr_lp_data")}
 n = header["meta"]["n"]
 rng = np.random.default_rng(seed)
 pairs = rng.integers(0, n, size=(3000, 2))
@@ -66,6 +68,9 @@ fields = [
     ("cs_step", 16, [(0, 2**31 - 1)]), ("cs_step", 16, [(0, -3)]),
 ]
 cases = [("field", f) for f in fields] + [("flip", i) for i in range(flips)]
+# the light ports: every one 0 (no port) or 255 (past every degree),
+# then random flips
+cases += [("ports", 0), ("ports", 255)] + [("port-flip", i) for i in range(flips // 4)]
 corrupt_rows = refused = 0
 for j, (kind, what) in enumerate(cases):
     data = bytearray(raw)
@@ -77,6 +82,15 @@ for j, (kind, what) in enumerate(cases):
         rows = rows.reshape(-1, width)
         for at, value in sets:
             rows[:, at:at + 4] = np.frombuffer(np.int32(value).tobytes(), dtype=np.uint8)
+    elif kind == "ports":
+        spec = blobs["arr_lp_data"]
+        at0 = start + spec["offset"]
+        data[at0:at0 + spec["nbytes"]] = bytes([what]) * spec["nbytes"]
+    elif kind == "port-flip":
+        spec = blobs["arr_lp_data"]
+        for _ in range(int(rng.integers(1, 9))):
+            at = start + spec["offset"] + int(rng.integers(0, spec["nbytes"]))
+            data[at] ^= int(rng.integers(1, 256))
     else:
         for _ in range(int(rng.integers(1, 9))):
             spec = blobs["cs_ent" if rng.random() < 0.75 else "cs_step"]
@@ -121,6 +135,7 @@ def container(tmp_path_factory):
     graph = reference_graph("gnp", 300, 2).largest_component()
     ported = assign_ports(graph, "random", rng=2)
     arrays = build_arrays(graph, 3, ported=ported, rng=2)
+    assert arrays.lp_data.dtype == np.uint8  # the fuzz flips bytes of a uint8 map
     store = SchemeStore(root / "store")
     return store.save(graph, ported, arrays, seed=2), root
 

@@ -51,7 +51,7 @@ from repro.store import (
 )
 from repro.store.format import DIGEST_CHUNK, read_header
 from repro.store.schemes import RECORD_ONLY, STORED_ARRAYS_FIELDS
-from strategies import FAMILIES, family_from_seed
+from strategies import FAMILIES, family_from_seed, hub_graph
 
 ROUTE_FIELDS = ("delivered", "weight", "hops", "max_header_bits", "failure_code")
 
@@ -145,6 +145,7 @@ SHAPE_CORRUPTIONS = {
     "int64-members": _retype("arr_ent_member", "<i8"),
     "int32-tree-slices": _retype("arr_cl_indptr", "<i4"),
     "int64-lp-data": _retype("arr_lp_data", "<i8"),
+    "int32-lp-data-where-bytes-fit": _retype("arr_lp_data", "<i4"),
     "narrow-entry-records": _narrow("cs_ent", ENT_DTYPE.itemsize // 8 - 1),
     "narrow-step-records": _narrow("cs_step", STEP_DTYPE.itemsize // 8 - 1),
 }
@@ -330,7 +331,7 @@ class TestContainer:
         )
         raw = path.read_bytes()
         assert hashlib.sha256(raw).hexdigest() == (
-            "c704e0b9a5e23a913a8c7b468ad26b254c6b6a9107776941149486d8f2389298"
+            "9ab79976b6c6ad1694aa66a0dc677dc25a80309699facef3e5ce4bc6c7f75d3f"
         )
         # the data section alone, unchanged since format 5: only the
         # preamble's and the header's format version (and the header's
@@ -506,7 +507,9 @@ class TestSingleRepresentation:
     def test_container_holds_only_derived_compiled_columns(self, saved):
         _, _, arrays, _, path = saved
         header, blobs = read_container(path)
-        assert header["format_version"] == FORMAT_VERSION == 8
+        assert header["format_version"] == FORMAT_VERSION == 9
+        # one byte a light port: every degree of the graph is <= 255
+        assert blobs["arr_lp_data"].dtype == np.uint8
         assert sorted(n for n in blobs if n.startswith("cs_")) == sorted(
             "cs_" + name for name in DERIVED
         )
@@ -574,6 +577,23 @@ class TestSingleRepresentation:
         store.load(path, verify_data=True)  # the rewrite itself is sound
         _rewrite_header(path, SHAPE_CORRUPTIONS[corruption])
         with pytest.raises(EncodingError):
+            store.load(path)
+
+    @pytest.mark.parametrize(
+        "hub_degree, stored, wrong", [(255, "|u1", "<i4"), (256, "<i4", "|u1")]
+    )
+    def test_light_ports_off_their_width_are_refused(self, tmp_path, hub_degree, stored, wrong):
+        """The light ports are one byte each while every degree is at
+        most 255, int32 past that: a container holding them at the other
+        width is refused on load, for either graph."""
+        graph = hub_graph(hub_degree)
+        ported = assign_ports(graph, "sorted")
+        store = SchemeStore(tmp_path)
+        path = store.save(graph, ported, build_arrays(graph, 2, ported=ported, rng=1), seed=1)
+        assert read_header(path)["arrays"]["arr_lp_data"]["dtype"] == stored
+        store.load(path, verify_data=True)
+        _rewrite_header(path, _retype("arr_lp_data", wrong))
+        with pytest.raises(EncodingError, match="lp_data"):
             store.load(path)
 
     @pytest.mark.skipif(not available(), reason=f"native kernels unavailable: {native_error()}")

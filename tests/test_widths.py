@@ -1,4 +1,5 @@
-"""The width rule where it bites: keys past 2^31, and the size guards.
+"""The width rule where it bites: keys past 2^31, the size guards, and
+the light ports' two widths.
 
 Every per-entry integer column is int32 and every key ``tree * n +
 member`` int64 (:data:`repro.core.build.arrays.COLUMN_DTYPES`).  On more
@@ -11,6 +12,12 @@ graph or scheme the int32 columns cannot hold; they are checked on
 stand-ins that report sizes past 2^31 without allocating them.  And the
 record dtypes are held to the C structs the kernels read, field by
 field, as the compiler lays them out.
+
+The light ports ``lp_data`` are uint8 while every degree is at most 255
+and int32 past that (:func:`~repro.core.build.arrays.light_port_dtype`):
+a patch chain moves a hub's degree 255 → 256 → 255 and must match a
+fresh build at every version, and a graph with a vertex of degree 257
+routes through ports past 255 as the hop-by-hop simulator does.
 """
 
 from __future__ import annotations
@@ -22,16 +29,20 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import reference_graph
-from repro.core.build import patch_arrays, vectorized_arrays
+from repro.core.build import build_arrays, patch_arrays, vectorized_arrays
 from repro.core.build.arrays import (
     COLUMN_DTYPES,
     INDEX_LIMIT,
     assemble_arrays,
     check_index_sizes,
+    fit_light_ports,
+    light_port_dtype,
+    scheme_from_arrays,
 )
 from repro.core.build.vectorized import _cluster_trees
 from repro.core.landmarks import build_hierarchy
 from repro.errors import EncodingError, PreprocessingError
+from repro.graphs.delta import GraphDelta
 from repro.graphs.ports import assign_ports
 from repro.kernels import available, native_error
 from repro.rng import derive, make_rng, sample_pairs
@@ -39,7 +50,11 @@ from repro.scenarios import random_delta
 from repro.sim.engine.batch import BatchRouter
 from repro.kernels.records import record_layout
 from repro.sim.engine.compile import COLUMNS, ENT_DTYPE, STEP_DTYPE, compile_from_arrays
+from repro.sim.network import Network
 from repro.sim.runner import pair_true_distances
+
+from strategies import hub_graph
+from test_update import assert_matches_fresh
 
 needs_native = pytest.mark.skipif(
     not available(), reason=f"native kernels unavailable: {native_error()}"
@@ -68,8 +83,8 @@ def _pipeline(graph, ported, hierarchy, delta):
     return built, patched, compile_from_arrays(patched.arrays, patched.ported)
 
 
-def _assert_arrays_equal(got, want, what):
-    for name, dtype in COLUMN_DTYPES.items():
+def _assert_arrays_equal(got, want, what, graph):
+    for name, dtype in dict(COLUMN_DTYPES, lp_data=light_port_dtype(graph.indptr)).items():
         mine, theirs = getattr(got, name), getattr(want, name)
         assert mine.dtype == theirs.dtype == dtype, f"{what}: {name}"
         assert np.array_equal(mine, theirs), f"{what}: {name}"
@@ -82,8 +97,8 @@ def test_keys_past_2_31_build_patch_and_compile_alike_on_both_kernels(wide, veto
     native = _pipeline(graph, ported, hierarchy, delta)
     numpy = veto_native(lambda: _pipeline(graph, ported, hierarchy, delta))
     assert int(native[0].entry_keys[-1]) >= 2**31  # the keys need 64 bits
-    _assert_arrays_equal(native[0], numpy[0], "build")
-    _assert_arrays_equal(native[1].arrays, numpy[1].arrays, "patch")
+    _assert_arrays_equal(native[0], numpy[0], "build", graph)
+    _assert_arrays_equal(native[1].arrays, numpy[1].arrays, "patch", native[1].graph)
     for name in COLUMNS:
         mine, theirs = getattr(native[2], name), getattr(numpy[2], name)
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
@@ -185,3 +200,105 @@ def test_record_layouts_match_the_c_structs():
             field_dtype, field_offset = dtype.fields[name][:2]
             assert (offset, width) == (field_offset, field_dtype.itemsize), (record, name)
     assert ENT_DTYPE.itemsize == 64 and STEP_DTYPE.itemsize == 16
+
+
+# ----------------------------------------------------------------------
+# The light ports' width: uint8 while every degree is <= 255
+# ----------------------------------------------------------------------
+def test_the_rule_picks_one_byte_up_to_degree_255():
+    assert light_port_dtype(hub_graph(255).indptr) == np.uint8
+    assert light_port_dtype(hub_graph(256).indptr) == np.int32
+    assert light_port_dtype(np.zeros(1, dtype=np.int64)) == np.uint8  # no vertex
+    ports = np.array([1, 255], dtype=np.int32)
+    assert fit_light_ports(ports, np.dtype(np.uint8)).dtype == np.uint8
+    for bad in ([1, 256], [0, -1]):
+        with pytest.raises(PreprocessingError, match="does not fit"):
+            fit_light_ports(np.array(bad, dtype=np.int32), np.dtype(np.uint8))
+
+
+def test_assemble_refuses_a_port_past_the_width_the_graph_calls_for():
+    graph = hub_graph(255)
+    ported = assign_ports(graph, "sorted")
+    arrays = build_arrays(graph, 2, ported=ported, rng=0)
+    assert arrays.lp_data.dtype == np.uint8
+    columns = {
+        f.name: getattr(arrays, f.name)
+        for f in dataclasses.fields(arrays)
+        if f.name not in ("n", "k", "hierarchy", "lab_epos")
+    }
+    lp_data = columns["lp_data"].astype(np.int32)
+    lp_data[0] = 256  # no vertex of this graph has a port 256
+    columns["lp_data"] = lp_data
+    with pytest.raises(PreprocessingError, match="does not fit"):
+        assemble_arrays(graph, ported, arrays.hierarchy, **columns)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_hub_crossing_degree_255_patches_like_a_fresh_build(k, veto_native):
+    """Add an edge at a hub of degree 255 (the new port 256 is a light
+    port in its tree), then drop another: ``lp_data`` goes uint8 → int32
+    → uint8 through the patch, clean clusters spliced across each
+    change, and every version equals a fresh build on both kernels."""
+    graph = hub_graph(255)
+    ported = assign_ports(graph, "sorted")
+    arrays = build_arrays(graph, k, ported=ported, rng=0)
+    deltas = (
+        GraphDelta(add_edges=((0, 299, 1.0),)),  # the hub's port 256 leads to 299
+        GraphDelta(drop_edges=((0, 5),)),
+    )
+    widths = []
+    for delta in deltas:
+        def patch():
+            return patch_arrays(arrays, graph, delta, ported=ported)
+
+        patched = patch()
+        lp_data = patched.arrays.lp_data
+        assert lp_data.dtype == light_port_dtype(patched.graph.indptr)
+        assert patched.stats["entries_reused"] > 0  # the splice carried some rows across
+        assert_matches_fresh(patched)
+        if available():
+            numpy = veto_native(patch).arrays
+            assert numpy.lp_data.dtype == lp_data.dtype
+            assert np.array_equal(numpy.lp_data, lp_data)
+        widths.append((int(np.diff(patched.graph.indptr).max()), lp_data.dtype, int(lp_data.max())))
+        graph, ported, arrays = patched.graph, patched.ported, patched.arrays
+    assert widths == [(256, np.int32, 256), (255, np.uint8, 255)]
+
+
+@pytest.fixture(scope="module")
+def wide_ports():
+    """ba on 4,000 vertices, seed 8: one vertex has degree 257, and 97
+    light ports of the k = 4 scheme are past 255."""
+    graph = reference_graph("ba", 4000, 8).largest_component()
+    ported = assign_ports(graph, "random", rng=derive(8, "wide-ports"))
+    arrays = build_arrays(graph, 4, ported=ported, rng=8)
+    return graph, ported, arrays
+
+
+def test_ports_past_255_route_as_the_hop_by_hop_simulator_does(wide_ports):
+    graph, ported, arrays = wide_ports
+    assert int(np.diff(graph.indptr).max()) == 257
+    assert arrays.lp_data.dtype == np.int32 and int(arrays.lp_data.max()) > 255
+    # destinations whose light ports include one past 255
+    wide = np.flatnonzero(arrays.lp_data > 255)
+    dests = np.unique(arrays.ent_member[np.searchsorted(arrays.lp_indptr, wide, "right") - 1])
+    rng = make_rng(8)
+    pairs = np.stack([rng.integers(0, graph.n, 30 * dests.size), np.repeat(dests, 30)], axis=1)
+    scheme = scheme_from_arrays(graph, ported, arrays)
+    net = Network(ported, scheme)
+    refs = [net.route(int(s), int(t)) for s, t in pairs]
+    hub = int(np.argmax(np.diff(graph.indptr)))
+    crossed = sum(
+        x == hub and ported.port(x, y) > 255
+        for ref in refs
+        for x, y in zip(ref.path[:-1], ref.path[1:])
+    )
+    assert crossed > 0  # some routes leave the hub through a port past 255
+    kernels = ("native", "numpy") if available() else ("numpy",)
+    for kernel in kernels:
+        batch = BatchRouter(ported, scheme, kernel=kernel).route_pairs(pairs)
+        for i, ref in enumerate(refs):
+            assert bool(batch.delivered[i]) == ref.delivered, (kernel, i)
+            assert float(batch.weight[i]) == ref.weight, (kernel, i)
+            assert int(batch.hops[i]) == ref.hops, (kernel, i)
+            assert int(batch.max_header_bits[i]) == ref.max_header_bits, (kernel, i)
