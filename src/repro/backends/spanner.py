@@ -3,8 +3,8 @@
 The spanner *is* a graph — the union of all cluster-tree edges — so its
 query is exact shortest-path distance **inside the subgraph**: at most
 (2k−1)× the original distance by the TZ cluster argument.  ``query_many``
-runs one batched Dijkstra over the pair set's unique sources (the same
-trick :func:`repro.sim.runner.pair_true_distances` uses), and the
+and ``query_one`` are :func:`repro.sim.runner.pair_true_distances` on the
+spanner (one Dijkstra per unique source, in bounded memory), and the
 serialized form is simply the weighted edge list.
 """
 
@@ -18,6 +18,7 @@ from ..graphs.graph import Graph
 from ..graphs.ports import PortedGraph
 from ..oracles.spanner import build_spanner
 from ..rng import derive
+from ..sim.runner import pair_true_distances
 from .accounting import DIST_BITS, edge_bits
 from .base import Backend, Capabilities, Manifest
 from .registry import register_backend
@@ -54,14 +55,10 @@ class SpannerBackend(Backend):
         src, dst = self._pair_columns(pairs)
         if src.size == 0:
             return np.zeros(0, dtype=np.float64)
-        sources = np.unique(src)
-        dist, _ = self.spanner.csr().sssp_batch(sources)
-        rows = np.searchsorted(sources, src)
-        return dist[rows, dst].astype(np.float64)
+        return pair_true_distances(self.spanner, np.stack((src, dst), axis=1))
 
     def query_one(self, u: int, v: int) -> float:
-        dist, _ = self.spanner.csr().sssp_batch([int(u)])
-        return float(dist[0, int(v)])
+        return float(pair_true_distances(self.spanner, [[int(u), int(v)]])[0])
 
     # -- declared semantics --------------------------------------------
     @property

@@ -217,11 +217,10 @@ def compute_pivots(
     n = graph.n
     dist = np.full((k + 1, n), np.inf)
     witness = np.full((k, n), -1, dtype=np.int64)
-    kernel = graph.csr()
-    for i in range(k):
-        # Batched multi-source sweep per level: the landmark distance
-        # table d(A_i, ·) plus the deterministic nearest-landmark witness.
-        di, wi = kernel.multi_source(levels[i])
+    # One multi-source sweep per level, the levels at once on the pool:
+    # the landmark distance table d(A_i, ·) plus the deterministic
+    # nearest-landmark witness.
+    for i, (di, wi) in enumerate(graph.csr().multi_source_sets(levels)):
         dist[i] = di
         witness[i] = wi
     pivot = witness.copy()

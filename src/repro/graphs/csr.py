@@ -8,22 +8,31 @@ primitive the Thorup–Zwick pipeline is built on:
   CSR arrays, with the package's deterministic ``(dist, id)`` tie-break
   (the pure-Python reference path; also used for early-stop queries).
 * :meth:`CSRKernel.sssp_batch` — batched single-source runs from a whole
-  vertex set in one ``scipy.sparse.csgraph`` call (one C-level pass),
-  returning per-source distance and predecessor matrices.  This is the
-  landmark-distance-table primitive.
+  vertex set in one ``scipy.sparse.csgraph`` call, returning per-source
+  distance and predecessor matrices (landmark shortest-path trees).
 * :meth:`CSRKernel.multi_source` — the bunch/cluster primitive of TZ:
   ``dist[v] = d(A, v)`` together with the argmin center (*witness*)
-  realizing it, computed as one C-level multi-source sweep followed by a
-  vectorized tight-arc witness propagation that reproduces the
-  deterministic ``(priority, id)`` tie-break of the pure-Python
-  implementation *exactly*.
+  under the deterministic ``(priority, id)`` tie-break of the
+  pure-Python implementation, *exactly*.  On the native kernel it is
+  one Dijkstra over lexicographic (distance, witness rank) labels
+  (``tz_multi_source``); the numpy kernel runs one scipy multi-source
+  sweep followed by a vectorized tight-arc witness propagation.
+* :meth:`CSRKernel.pair_distances` — exact distances of a pair set in
+  bounded memory: the native ``tz_pair_distances`` (one early-stopping
+  Dijkstra per unique source on each pool worker's n-long workspace),
+  or scipy distance rows in blocks of bounded size.
 * :meth:`CSRKernel.all_pairs` — vectorized APSP.
 
-Determinism contract: for integer-valued (hence float64-exact) edge
-weights the fast paths return bit-identical results to the heap-based
-reference (``method="heap"``).  If exactness is unavailable (irrational
-float weights can make ``d(u) + w != d(v)`` for a tight arc), witness
-propagation detects the gap and transparently falls back to the heap.
+Determinism contract: the native passes return scipy's distances and
+the heap reference's witnesses for any positive weights.  The scipy
+references are bit-identical to them for integer-valued (hence
+float64-exact) edge weights; where exactness is unavailable (irrational
+float weights can make ``d(u) + w != d(v)`` for a tight arc, or leave
+``d(u) + w == d(u)``), witness propagation detects the gap and
+transparently falls back to the heap.  scipy is imported only by the
+numpy-kernel references and by the predecessor and all-pairs
+primitives, none of which a build, patch, route or stretch check on
+the native kernel calls.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import GraphError
+from ..kernels import resolve_kernel
+from ..kernels.sssp import multi_source_native, pair_distances_native
 from ..obs import TELEMETRY
 
 if TYPE_CHECKING:
@@ -45,13 +56,36 @@ INF = np.inf
 _SCIPY_NULL = -9999
 
 
+#: Cells (sources × n) of one block of distance rows in the numpy
+#: reference of :meth:`CSRKernel.pair_distances`: 8 MB of float64.
+PAIR_BLOCK_CELLS = 1 << 20
+
+
 def _scipy_dijkstra(*args, **kwargs):
-    """``scipy.sparse.csgraph.dijkstra``, imported on first call: scipy
-    costs a process ~0.3 s to import, which paths that never run a
-    shortest-path sweep (the serving daemon) should not pay."""
+    """``scipy.sparse.csgraph.dijkstra``, imported on first call.
+
+    The numpy-kernel reference of the native shortest-path passes
+    (``REPRO_NATIVE_KERNELS=0``), and the engine of the predecessor
+    (:meth:`CSRKernel.sssp_batch`) and all-pairs primitives.  No build,
+    patch, route or stretch check on the native kernel calls it, so
+    such a process never pays scipy's import (~0.3 s and ~34 MB of
+    RSS)."""
     from scipy.sparse.csgraph import dijkstra
 
     return dijkstra(*args, **kwargs)
+
+
+def _ranked_sources(
+    src: np.ndarray, witness_priority: Optional[Dict[int, int]]
+) -> np.ndarray:
+    """The distinct sorted sources ``src`` in rank order: by
+    ``(priority, id)``, priority defaulting to the id itself."""
+    if not witness_priority:
+        return src
+    prio = np.array(
+        [witness_priority.get(int(a), int(a)) for a in src], dtype=np.int64
+    )
+    return src[np.lexsort((src, prio))]
 
 
 class CSRKernel:
@@ -197,16 +231,12 @@ class CSRKernel:
         per-tree tie-breaking is scipy's (any valid SPT), which is what
         the landmark tables need — distances are exact either way.
         """
-        src = np.asarray(sources, dtype=np.int64)
-        if src.ndim != 1:
-            raise GraphError("sources must be a 1-D sequence")
+        src = self._row_sources(sources)
         if src.size == 0:
             return (
                 np.zeros((0, self.n)),
                 np.zeros((0, self.n), dtype=np.int64),
             )
-        if np.any(src < 0) or np.any(src >= self.n):
-            raise GraphError("source out of range")
         tm = TELEMETRY
         with tm.span("csr.sssp_batch", sources=int(src.size)):
             dist, pred = _scipy_dijkstra(
@@ -214,6 +244,58 @@ class CSRKernel:
             )
         tm.count("csr.batch_sources", int(src.size))
         return np.atleast_2d(dist), np.atleast_2d(pred).astype(np.int64)
+
+    def _row_sources(self, sources: Sequence[int]) -> np.ndarray:
+        """``sources`` as a 1-D int64 array of vertex ids, one row each."""
+        src = np.asarray(sources, dtype=np.int64)
+        if src.ndim != 1:
+            raise GraphError("sources must be a 1-D sequence")
+        if np.any(src < 0) or np.any(src >= self.n):
+            raise GraphError("source out of range")
+        return src
+
+    def distance_rows(self, sources: Sequence[int]) -> np.ndarray:
+        """``(len(sources), n)`` distance rows from one scipy call, with
+        no predecessors (the numpy-kernel reference; callers keep the
+        row count bounded)."""
+        src = self._row_sources(sources)
+        if src.size == 0:
+            return np.zeros((0, self.n))
+        return np.atleast_2d(
+            _scipy_dijkstra(
+                self.matrix(), directed=False, indices=src, return_predecessors=False
+            )
+        )
+
+    def pair_distances(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """``d(src[j], dst[j])`` for every j, inf where unreachable.
+
+        Memory stays O(pool workers · n + pairs) on the native kernel:
+        ``tz_pair_distances`` sweeps one unique source at a time per
+        worker and writes only the requested cells.  The numpy reference
+        takes scipy's distance rows of at most
+        :data:`PAIR_BLOCK_CELLS` cells at a time and gathers the
+        requested cells out of each block.
+        """
+        src = np.ascontiguousarray(src, dtype=np.int64).reshape(-1)
+        dst = np.ascontiguousarray(dst, dtype=np.int64).reshape(-1)
+        if src.shape != dst.shape:
+            raise GraphError("src and dst must have the same length")
+        if src.size == 0:
+            return np.zeros(0)
+        for end in (src, dst):
+            if end.min() < 0 or end.max() >= self.n:
+                raise GraphError("pair endpoint out of range")
+        if resolve_kernel("auto") == "native":
+            return pair_distances_native(self, src, dst)
+        sources, row = np.unique(src, return_inverse=True)
+        out = np.empty(src.shape[0], dtype=np.float64)
+        step = max(1, PAIR_BLOCK_CELLS // max(self.n, 1))
+        for lo in range(0, sources.shape[0], step):
+            rows = self.distance_rows(sources[lo : lo + step])
+            here = np.flatnonzero((row >= lo) & (row < lo + step))
+            out[here] = rows[row[here] - lo, dst[here]]
+        return out
 
     def all_pairs(self) -> np.ndarray:
         """All-pairs distances as an ``(n, n)`` float array."""
@@ -233,6 +315,8 @@ class CSRKernel:
         src = self._check_sources(sources)
         if src.size == 0 or self.n == 0:
             return np.full(self.n, INF)
+        if resolve_kernel("auto") == "native":
+            return multi_source_native(self, [src])[0][0]
         return np.asarray(
             _scipy_dijkstra(self.matrix(), directed=False, indices=src, min_only=True)
         )
@@ -255,27 +339,66 @@ class CSRKernel:
 
         ``method``:
 
-        * ``"auto"`` — C-level sweep + vectorized witness propagation,
-          falling back to the heap if float inexactness breaks the
-          tight-arc test (impossible for integer-valued weights);
-        * ``"scipy"`` — the fast path, error if propagation is incomplete;
+        * ``"auto"`` — the platform's kernel (:mod:`repro.kernels`): the
+          native ``tz_multi_source``, exact for any positive weights; on
+          the numpy kernel the ``"scipy"`` path, falling back to the heap
+          if float inexactness breaks the tight-arc test (impossible for
+          integer-valued weights);
+        * ``"scipy"`` — one scipy sweep + vectorized witness propagation
+          (the numpy reference), error if propagation is incomplete;
         * ``"heap"`` — the pure-Python reference implementation.
+        """
+        return self.multi_source_sets(
+            [sources], witness_priority=witness_priority, method=method
+        )[0]
+
+    def multi_source_sets(
+        self,
+        source_sets: Sequence[Sequence[int]],
+        *,
+        witness_priority: Optional[Dict[int, int]] = None,
+        method: str = "auto",
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """:meth:`multi_source` of every set, in order.
+
+        On the native kernel the sets' sweeps run at once, one pool
+        worker taking every ``pool.size()``-th set: this is how the
+        hierarchy's levels get ``d(A_i, ·)`` and their witnesses
+        (:func:`~repro.core.landmarks.compute_pivots`).
         """
         if method not in ("auto", "scipy", "heap"):
             raise GraphError(f"unknown multi_source method {method!r}")
-        src = self._check_sources(sources)
-        n = self.n
-        if src.size == 0 or n == 0:
-            return np.full(n, INF), np.full(n, -1, dtype=np.int64)
+        sets = [self._check_sources(s) for s in source_sets]
         if method == "heap":
-            return self._multi_source_heap(src, witness_priority)
-        with TELEMETRY.span("csr.multi_source", sources=int(src.size)):
-            dist = np.asarray(
-                _scipy_dijkstra(
-                    self.matrix(), directed=False, indices=src, min_only=True
+            return [self._multi_source_heap(src, witness_priority) for src in sets]
+        native = method == "auto" and resolve_kernel("auto") == "native"
+        with TELEMETRY.span(
+            "csr.multi_source",
+            sources=sum(int(src.size) for src in sets),
+            sets=len(sets),
+            impl="native" if native else "numpy",
+        ):
+            if native:
+                return multi_source_native(
+                    self, [_ranked_sources(src, witness_priority) for src in sets]
                 )
-            )
-            witness, complete = self._propagate_witnesses(dist, src, witness_priority)
+            return [self._multi_source_scipy(src, witness_priority, method) for src in sets]
+
+    def _multi_source_scipy(
+        self,
+        src: np.ndarray,
+        witness_priority: Optional[Dict[int, int]],
+        method: str,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The numpy reference: one scipy sweep, then the witnesses by
+        :meth:`_propagate_witnesses`, or the heap when that is incomplete
+        (``method="auto"``; ``"scipy"`` raises instead)."""
+        if src.size == 0:
+            return np.full(self.n, INF), np.full(self.n, -1, dtype=np.int64)
+        dist = np.asarray(
+            _scipy_dijkstra(self.matrix(), directed=False, indices=src, min_only=True)
+        )
+        witness, complete = self._propagate_witnesses(dist, src, witness_priority)
         if complete:
             return dist, witness
         if method == "scipy":
@@ -286,7 +409,11 @@ class CSRKernel:
         return self._multi_source_heap(src, witness_priority)
 
     def _check_sources(self, sources: Sequence[int]) -> np.ndarray:
-        src = np.unique(np.asarray(sources, dtype=np.int64).ravel())
+        """The distinct sources in ascending order (a strictly ascending
+        input, such as a hierarchy level, is taken as it is)."""
+        src = np.asarray(sources, dtype=np.int64).ravel()
+        if src.size > 1 and not bool(np.all(src[1:] > src[:-1])):
+            src = np.unique(src)
         if src.size and (src[0] < 0 or src[-1] >= self.n):
             bad = src[0] if src[0] < 0 else src[-1]
             raise GraphError(f"source {bad} out of range")
@@ -310,14 +437,7 @@ class CSRKernel:
         """
         n = self.n
         # Rank sources by (priority, id); propagate small ranks.
-        if witness_priority:
-            prio = np.array(
-                [witness_priority.get(int(a), int(a)) for a in src], dtype=np.int64
-            )
-            order = np.lexsort((src, prio))
-        else:
-            order = np.arange(src.size)
-        ranked = src[order]
+        ranked = _ranked_sources(src, witness_priority)
         sentinel = src.size
         rank = np.full(n, sentinel, dtype=np.int64)
         rank[ranked] = np.arange(src.size, dtype=np.int64)

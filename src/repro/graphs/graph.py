@@ -4,8 +4,9 @@ The whole package operates on :class:`Graph`: an immutable, undirected,
 positively-weighted multigraph-free graph stored as three contiguous numpy
 arrays (``indptr``, ``adj``, ``weights``).  The CSR layout follows the HPC
 guide idioms used throughout this reproduction: contiguous memory, O(1)
-neighbor *views* (never copies), and direct hand-off to
-``scipy.sparse.csgraph`` for the vectorized all-pairs computations.
+neighbor *views* (never copies), and every shortest-path and
+connectivity pass run over them in C (:mod:`repro.kernels`), with
+``scipy.sparse.csgraph`` as the numpy-kernel reference.
 
 Vertices are ``0..n-1``.  Each undirected edge ``{u, v}`` has a canonical
 *edge id* in ``0..m-1``; the two directed arcs it induces both carry that
@@ -19,9 +20,38 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..errors import GraphError
+from ..kernels import resolve_kernel
+from ..kernels.sssp import components_native
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
+
+
+def edge_components(
+    n: int, edges: np.ndarray, keep: Optional[np.ndarray] = None
+) -> Tuple[int, np.ndarray]:
+    """Component count and int64 labels of the undirected graph on
+    ``[0, n)`` with the ``(m, 2)`` int64 ``edges`` (only the rows the
+    boolean ``keep`` marks, when given).
+
+    Components are numbered in the order of their smallest vertex.  The
+    native kernel runs ``tz_components``, a union-find over the edge
+    list; the numpy kernel runs scipy's ``connected_components``, which
+    numbers them the same way.
+    """
+    if keep is not None and np.shape(keep) != (edges.shape[0],):
+        raise ValueError(f"keep must have shape ({edges.shape[0]},), got {np.shape(keep)}")
+    if resolve_kernel("auto") == "native":
+        return components_native(n, edges, keep)
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    kept = edges if keep is None else edges[keep]
+    adj = coo_matrix(
+        (np.ones(kept.shape[0]), (kept[:, 0], kept[:, 1])), shape=(n, n)
+    )
+    count, labels = connected_components(adj, directed=False)
+    return int(count), labels.astype(np.int64)
 
 
 class Graph:
@@ -196,7 +226,8 @@ class Graph:
 
         Built lazily on first use (an O(1) wrap — the kernel shares this
         graph's CSR arrays) and reused for every shortest-path call, so
-        repeated scipy hand-offs reuse one ``csr_matrix``.
+        repeated scipy hand-offs (the numpy-kernel references) reuse one
+        ``csr_matrix``.
         """
         if self._csr is None:
             from .csr import CSRKernel
@@ -237,15 +268,10 @@ class Graph:
     # Connectivity and subgraphs
     # ------------------------------------------------------------------
     def connected_components(self) -> Tuple[int, np.ndarray]:
-        """Number of components and per-vertex component labels."""
-        if self.n == 0:
-            return 0, np.zeros(0, dtype=np.int64)
-        if self.m == 0:
-            return self.n, np.arange(self.n, dtype=np.int64)
-        from scipy.sparse.csgraph import connected_components
-
-        count, labels = connected_components(self.to_scipy(), directed=False)
-        return int(count), labels.astype(np.int64)
+        """Number of components and per-vertex component labels,
+        numbered in the order of their smallest vertex
+        (:func:`edge_components`)."""
+        return edge_components(self.n, self.edges)
 
     def is_connected(self) -> bool:
         count, _ = self.connected_components()

@@ -9,16 +9,21 @@ label bits (``sim/engine/compile.py``, wrapped in :mod:`.records`), the
 pass that derives what a loaded container does not store
 (``core/build/arrays.py``, also in :mod:`.records`), the passes a patch makes over every entry, its splice and the derived
 structures of ``assemble_arrays`` (``core/build/patch.py`` and
-``arrays.py``, wrapped in :mod:`.splice`), and the setup path's two
+``arrays.py``, wrapped in :mod:`.splice`), the setup path's two
 draw loops, gnp's edge skipping and the random port permutations
 (``graphs/generators.py`` and ``graphs/ports.py``, wrapped in
-:mod:`.draws`) each have a native implementation in ``_native.c``, compiled on demand with the
+:mod:`.draws`), and the shortest-path passes behind ``graphs/csr.py``
+and ``graphs/graph.py`` — the hierarchy's multi-source sweep, exact
+pair distances and connected components, wrapped in :mod:`.sssp` —
+each have a native implementation in ``_native.c``, compiled on demand with the
 system C toolchain and loaded through ctypes (:mod:`._build`).  The
-numpy paths remain the bit-for-bit differential reference — the same
+numpy paths (scipy's, for the shortest-path passes) remain the
+bit-for-bit differential reference — the same
 contract the vectorized builder holds against the per-node reference
 builder — enforced by ``tests/test_kernels.py`` (and, for the patch,
-derive and setup passes, ``tests/test_patch_passes.py``,
-``tests/test_derived_columns.py`` and ``tests/test_setup_passes.py``).  The kernels keep no
+derive, setup and shortest-path passes, ``tests/test_patch_passes.py``,
+``tests/test_derived_columns.py``, ``tests/test_setup_passes.py`` and
+``tests/test_native_sssp.py``).  The kernels keep no
 global state and ctypes releases the GIL for each call, which is what
 lets the worker pool (:mod:`repro.pool`) run the router's row chunks
 and the build and compile passes' entry ranges at once.

@@ -109,6 +109,25 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_I64, _PTR, _PTR]  # center count, centers, thr
         + [_PPTR, _PPTR, _PTR]  # out keys, out dist, stats
     )
+    lib.tz_multi_source.restype = _I64
+    lib.tz_multi_source.argtypes = (
+        [_I64] + [_PTR] * 3  # n, indptr, adj, wts
+        + [_I64, _PTR]  # source count, sources in rank order
+        + [_PTR] * 3  # out dist, out witness, stats
+    )
+    lib.tz_pair_distances.restype = _I64
+    lib.tz_pair_distances.argtypes = (
+        [_I64] + [_PTR] * 3  # n, indptr, adj, wts
+        + [_I64, _I64]  # source range lo, hi
+        + [_PTR] * 3  # sources, target indptr, targets
+        + [_PTR] * 2  # out distances, stats
+    )
+    lib.tz_components.restype = _I64
+    lib.tz_components.argtypes = (
+        [_I64, _I64]  # n, edge count
+        + [_PTR] * 2  # edges, keep mask (or NULL)
+        + [_PTR]  # out labels
+    )
     lib.tz_cluster_trees.restype = _I64
     lib.tz_cluster_trees.argtypes = (
         [_I64, _I64, _I64]  # n, entry range lo, hi

@@ -10,7 +10,9 @@
  * label positions of assemble_arrays (core/build/arrays.py), and the
  * setup path's two draw loops: gnp's edge skipping
  * (graphs/generators.py) and the random port permutations
- * (graphs/ports.py).
+ * (graphs/ports.py), and the shortest-path passes that keep scipy off
+ * the native path: the hierarchy's multi-source sweep, exact pair
+ * distances and connected components (graphs/csr.py, graphs/graph.py).
  *
  * Deliberately plain C + libc (and POSIX mmap), no Python.h: the
  * library is loaded through ctypes, so a bare `cc -O3 -fPIC -shared`
@@ -67,6 +69,10 @@
  * - tz_splice copies rows and adds the same integer shifts as the
  *   numpy splice; tz_label_positions finds the same unique keys as
  *   numpy's searchsorted.
+ * - tz_multi_source settles vertices in the (distance, source rank)
+ *   order the heap reference pops its tuples in, so each settles with
+ *   the same label; tz_pair_distances' settled distances and
+ *   tz_components' labels are scipy's (see each pass).
  * - tz_gnp_edges and tz_permute_rows call the caller's bit generator
  *   once per draw the Python loops make, through the same function
  *   pointers numpy calls, and do the same arithmetic on the draws:
@@ -1016,6 +1022,312 @@ int64_t tz_frontier_sweep(
         stats[0] = settled;
         stats[1] = relaxed;
     }
+    return count;
+}
+
+/* ------------------------------------------------------------------ */
+/* Shortest paths: multi-source labels, pair distances, components     */
+/* ------------------------------------------------------------------ */
+
+/* Return code of tz_multi_source and tz_pair_distances: keep in sync
+ * with kernels/sssp.py. */
+#define SSSP_OOM (-1)
+
+/* pos[] of a vertex never offered to the heap, and of one popped. */
+#define UNREACHED (-1)
+#define SETTLED (-2)
+
+/* One heap entry: a tentative distance and key = rank << 32 | vertex
+ * (the callers refuse n or a source count >= 2^31), so entries order
+ * as the heap reference's (dist, priority, id, vertex) tuples do, rank
+ * standing for (priority, id).  The key's low half names the vertex. */
+typedef struct {
+    double d;
+    int64_t key;
+} hent;
+
+#define KEY_VERTEX(k) ((k) & 0xffffffffLL)
+
+static inline int hent_less(hent a, hent b)
+{
+    return a.d < b.d || (a.d == b.d && a.key < b.key);
+}
+
+/* 4-ary heap of entries, at most one per vertex, with each vertex's
+ * slot in pos[]: half the depth of a binary heap, and a pop's four
+ * children share one or two cache lines.  Place e at slot i or
+ * above. */
+static void heap_up(hent *heap, int64_t *pos, int64_t i, hent e)
+{
+    while (i > 0) {
+        const int64_t p = (i - 1) >> 2;
+        if (!hent_less(e, heap[p]))
+            break;
+        heap[i] = heap[p];
+        pos[KEY_VERTEX(heap[i].key)] = i;
+        i = p;
+    }
+    heap[i] = e;
+    pos[KEY_VERTEX(e.key)] = i;
+}
+
+/* The least entry, removed (*len > 0); its vertex's slot becomes
+ * SETTLED. */
+static hent heap_pop(hent *heap, int64_t *pos, int64_t *len)
+{
+    const hent top = heap[0];
+    pos[KEY_VERTEX(top.key)] = SETTLED;
+    const int64_t last = --*len;
+    if (last > 0) {
+        const hent e = heap[last];
+        int64_t i = 0;
+        for (;;) {
+            const int64_t first = 4 * i + 1;
+            if (first >= last)
+                break;
+            const int64_t end = first + 4 < last ? first + 4 : last;
+            int64_t c = first;
+            for (int64_t x = first + 1; x < end; x++)
+                if (hent_less(heap[x], heap[c]))
+                    c = x;
+            if (!hent_less(heap[c], e))
+                break;
+            heap[i] = heap[c];
+            pos[KEY_VERTEX(heap[i].key)] = i;
+            i = c;
+        }
+        heap[i] = e;
+        pos[KEY_VERTEX(e.key)] = i;
+    }
+    return top;
+}
+
+/* Relax arc (u -> v) to the entry e: a first entry for v, or a
+ * decrease of v's entry when e orders before it. */
+static inline void heap_offer(hent *heap, int64_t *pos, int64_t *len,
+                              int64_t v, hent e)
+{
+    const int64_t pv = pos[v];
+    if (pv == UNREACHED)
+        heap_up(heap, pos, (*len)++, e);
+    else if (pv != SETTLED && hent_less(e, heap[pv]))
+        heap_up(heap, pos, pv, e);
+}
+
+/* d(A, v) and the witness of every vertex from the sources `ranked`
+ * (distinct, in rank order: sorted by (priority, id)): one Dijkstra
+ * whose labels are (distance, source rank), settled in lexicographic
+ * order.  That is the order the heap reference pops its (dist,
+ * priority, id) tuples in (CSRKernel._multi_source_heap), so every
+ * vertex settles with the same label: the least over its in-arcs of
+ * (fl(d(u) + w), rank(u)), for any positive weights, float64-exact or
+ * not.  The distances are the least fixpoint of fl(d(u) + w), which
+ * every convergent schedule (scipy's Dijkstra too) reaches; on
+ * float64-exact weights the ranks are also what the tight-arc
+ * propagation of CSRKernel._propagate_witnesses computes.  A FIFO
+ * label-correcting pass like the frontier sweep's would not do: when
+ * fl(d1 + w) == fl(d2 + w) for d1 < d2, a label relaxed from a stale
+ * distance can keep a smaller rank than the settled one gives.
+ * Writes dist (inf where unreachable) and witness (-1 there); returns
+ * the settled count, or SSSP_OOM.  stats[0] collects pops, stats[1]
+ * relaxed arcs. */
+int64_t tz_multi_source(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *adj,
+    const double *wts,
+    int64_t nsrc,
+    const int64_t *ranked,
+    double *dist,                    /* out (n) */
+    int64_t *witness,                /* out (n) */
+    int64_t *stats)
+{
+    hent *heap = os_alloc((size_t)(n + 1) * sizeof(hent));
+    int64_t *pos = os_alloc((size_t)(n + 1) * sizeof(int64_t));
+    if (!heap || !pos) {
+        os_free(heap);
+        os_free(pos);
+        return SSSP_OOM;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        dist[v] = INFINITY;
+        witness[v] = -1;
+        pos[v] = UNREACHED;
+    }
+    int64_t len = 0, pops = 0, relaxed = 0;
+    /* Every source settles first, at distance 0 with its own label (an
+     * arc adds a positive weight, so no other label reaches 0), in any
+     * order: each vertex's label is the least offer it receives, and
+     * offers do not depend on the order they are made in.  A duplicate
+     * source makes only offers its first (least) rank beats. */
+    for (int64_t r = 0; r < nsrc; r++) {
+        const int64_t a = ranked[r];
+        if (pos[a] == SETTLED)
+            continue;
+        pos[a] = SETTLED;
+        dist[a] = 0.0;
+        witness[a] = a;
+        pops++;
+    }
+    for (int64_t r = 0; r < nsrc; r++) {
+        const int64_t u = ranked[r], a1 = indptr[u + 1];
+        relaxed += a1 - indptr[u];
+        for (int64_t a = indptr[u]; a < a1; a++) {
+            const hent e = {wts[a], (r << 32) | adj[a]};
+            heap_offer(heap, pos, &len, adj[a], e);
+        }
+    }
+    while (len > 0) {
+        const hent top = heap_pop(heap, pos, &len);
+        const int64_t u = KEY_VERTEX(top.key);
+        const int64_t rank_bits = top.key & ~0xffffffffLL;
+        dist[u] = top.d;
+        witness[u] = ranked[top.key >> 32];
+        pops++;
+        const int64_t a1 = indptr[u + 1];
+        relaxed += a1 - indptr[u];
+        for (int64_t a = indptr[u]; a < a1; a++) {
+            const int64_t v = adj[a];
+            const hent e = {top.d + wts[a], rank_bits | v};
+            heap_offer(heap, pos, &len, v, e);
+        }
+    }
+    os_free(heap);
+    os_free(pos);
+    if (stats) {
+        stats[0] = pops;
+        stats[1] = relaxed;
+    }
+    return pops;
+}
+
+/* Exact distances of the requested pairs of sources[lo .. hi): source
+ * i's targets are targets[tgt_indptr[i] .. tgt_indptr[i+1]), and out[j]
+ * receives d(sources[i], targets[j]) (inf when unreachable).  One
+ * Dijkstra per source, stopping once its last target has settled: a
+ * settled distance is final, the least fixpoint of fl(d(u) + w) that
+ * scipy's full rows hold too.  Only the vertices a source touched are
+ * reset after it, so a source costs what it reaches, and no row of
+ * distances outlives the call's n-long workspace.  Returns 0, or
+ * SSSP_OOM.  stats[0] collects pops, stats[1] relaxed arcs. */
+int64_t tz_pair_distances(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *adj,
+    const double *wts,
+    int64_t lo,
+    int64_t hi,
+    const int64_t *sources,
+    const int64_t *tgt_indptr,
+    const int64_t *targets,
+    double *out,                     /* out rows tgt_indptr[lo] .. [hi] */
+    int64_t *stats)
+{
+    hent *heap = os_alloc((size_t)(n + 1) * sizeof(hent));
+    int64_t *pos = os_alloc((size_t)(n + 1) * sizeof(int64_t));
+    double *dist = os_alloc((size_t)(n + 1) * sizeof(double));
+    int64_t *touched = os_alloc((size_t)(n + 1) * sizeof(int64_t));
+    uint8_t *want = os_alloc((size_t)(n + 1));
+    if (!heap || !pos || !dist || !touched || !want) {
+        os_free(heap);
+        os_free(pos);
+        os_free(dist);
+        os_free(touched);
+        os_free(want);
+        return SSSP_OOM;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        pos[v] = UNREACHED;
+        dist[v] = INFINITY;
+        want[v] = 0; /* mmap'd pages are zero already; keep it explicit */
+    }
+    int64_t pops = 0, relaxed = 0;
+    for (int64_t i = lo; i < hi; i++) {
+        int64_t left = 0, ntouched = 0, len = 0;
+        for (int64_t j = tgt_indptr[i]; j < tgt_indptr[i + 1]; j++) {
+            left += !want[targets[j]];
+            want[targets[j]] = 1;
+        }
+        const hent start = {0.0, sources[i]};
+        heap_up(heap, pos, len++, start);
+        touched[ntouched++] = sources[i];
+        while (len > 0) {
+            const hent top = heap_pop(heap, pos, &len);
+            const int64_t u = KEY_VERTEX(top.key);
+            dist[u] = top.d;
+            pops++;
+            if (want[u] && --left == 0)
+                break;
+            const int64_t a1 = indptr[u + 1];
+            relaxed += a1 - indptr[u];
+            for (int64_t a = indptr[u]; a < a1; a++) {
+                const int64_t v = adj[a];
+                const hent e = {top.d + wts[a], v};
+                if (pos[v] == UNREACHED)
+                    touched[ntouched++] = v;
+                heap_offer(heap, pos, &len, v, e);
+            }
+        }
+        for (int64_t j = tgt_indptr[i]; j < tgt_indptr[i + 1]; j++) {
+            out[j] = dist[targets[j]];
+            want[targets[j]] = 0;
+        }
+        for (int64_t t = 0; t < ntouched; t++) {
+            pos[touched[t]] = UNREACHED;
+            dist[touched[t]] = INFINITY;
+        }
+    }
+    os_free(heap);
+    os_free(pos);
+    os_free(dist);
+    os_free(touched);
+    os_free(want);
+    if (stats) {
+        stats[0] = pops;
+        stats[1] = relaxed;
+    }
+    return 0;
+}
+
+/* Connected components of the undirected graph on [0, n) whose edges
+ * are the rows (edges[2i], edges[2i+1]) with keep[i] set (every row
+ * when keep is NULL): a union-find that links the larger root under the
+ * smaller, with path halving, so parent[v] <= v always holds and each
+ * root is its component's smallest vertex.  One ascending pass then
+ * numbers the components by their smallest vertex, which is how scipy's
+ * connected_components numbers them: a root takes the next label, any
+ * other vertex its parent's, already relabelled.  labels is the
+ * union-find's parent array until then.  Returns the component count. */
+int64_t tz_components(
+    int64_t n,
+    int64_t m,
+    const int64_t *edges,            /* (m, 2) */
+    const uint8_t *keep,             /* (m) or NULL */
+    int64_t *labels)                 /* out (n) */
+{
+    int64_t *parent = labels;
+    for (int64_t v = 0; v < n; v++)
+        parent[v] = v;
+    for (int64_t i = 0; i < m; i++) {
+        if (keep && !keep[i])
+            continue;
+        int64_t a = edges[2 * i], b = edges[2 * i + 1];
+        while (parent[a] != a) {
+            parent[a] = parent[parent[a]];
+            a = parent[a];
+        }
+        while (parent[b] != b) {
+            parent[b] = parent[parent[b]];
+            b = parent[b];
+        }
+        if (a < b)
+            parent[b] = a;
+        else if (b < a)
+            parent[a] = b;
+    }
+    int64_t count = 0;
+    for (int64_t v = 0; v < n; v++)
+        labels[v] = parent[v] == v ? count++ : labels[parent[v]];
     return count;
 }
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..core.router import RoutingScheme
 from ..errors import RoutingError
-from ..graphs.graph import Graph
+from ..graphs.graph import Graph, edge_components
 from ..graphs.ports import PortedGraph
 from ..rng import RngLike, make_rng, spawn
 from .network import SCHEME_FAULTS, Network, RouteResult
@@ -252,7 +252,8 @@ def geographic_failure_trials(
     within shortest-path distance ``radius`` of it — the landmark-ball
     locality the TZ clusters themselves are built from, so a single
     outage takes out a coherent region instead of scattered links.
-    Balls come from one batched Dijkstra over all epicenters.
+    Balls come from one batched Dijkstra over all epicenters, distance
+    rows only.
     """
     _check_trials(trials)
     if radius < 0:
@@ -266,8 +267,7 @@ def geographic_failure_trials(
         raise ValueError(f"need {trials} epicenters, got shape {centers.shape}")
     if graph.m == 0:
         return np.zeros((trials, 0), dtype=bool)
-    dist, _ = graph.csr().sssp_batch(centers)
-    in_ball = dist <= radius
+    in_ball = graph.csr().distance_rows(centers) <= radius
     return in_ball[:, graph.edges[:, 0]] & in_ball[:, graph.edges[:, 1]]
 
 
@@ -405,23 +405,16 @@ def _connected_matrix(
     This is the *only* "pair connectivity under failures" implementation
     in the module — the classic :func:`survivability` routes through it
     with a one-row mask — so the sweep and the single-trial report can
-    never diverge.  Surviving edges go straight into one sparse CC pass
-    per trial (no ``Graph`` object is built: at 32+ trials the CSR/edge
-    -index construction would dominate the whole sweep).
+    never diverge.  Each trial is one pass of the package's components
+    pass (:func:`~repro.graphs.graph.edge_components`, the one that
+    ``Graph.connected_components`` runs) over ``graph.edges`` under the
+    trial's keep mask: no ``Graph`` object is built, since at 32+ trials
+    the CSR/edge-index construction would dominate the whole sweep.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     T = masks.shape[0]
     out = np.zeros((T, pair_arr.shape[0]), dtype=bool)
     for t in range(T):
-        keep = ~masks[t]
-        u = graph.edges[keep, 0]
-        v = graph.edges[keep, 1]
-        adj = coo_matrix(
-            (np.ones(u.shape[0]), (u, v)), shape=(graph.n, graph.n)
-        )
-        _, labels = connected_components(adj, directed=False)
+        _, labels = edge_components(graph.n, graph.edges, ~masks[t])
         out[t] = labels[pair_arr[:, 0]] == labels[pair_arr[:, 1]]
     return out
 

@@ -39,14 +39,19 @@ def pair_true_distances(
     pairs: np.ndarray,
     true_dist: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Exact shortest-path distance of every ``(s, t)`` row of ``pairs``.
+    """Exact shortest-path distance of every ``(s, t)`` row of ``pairs``
+    (inf for a pair in different components).
 
     With ``true_dist`` (a full all-pairs matrix, if the caller already
-    has one) this is a gather.  Without it, distances are computed with
-    one batched Dijkstra over the *unique sources only* —
-    ``O(k·m log n)`` for ``k`` distinct sources instead of the
-    ``O(n·m log n)`` full matrix, which is what keeps sampled pair sets
-    on large graphs cheap.
+    has one) this is a gather.  Without it, distances come from
+    :meth:`~repro.graphs.csr.CSRKernel.pair_distances`: one Dijkstra
+    per *unique source*, stopped once its last requested target has
+    settled — ``O(k·m log n)`` at most for ``k`` distinct sources
+    instead of the ``O(n·m log n)`` full matrix.  Memory is
+    O(pool workers · n + pairs) on the native kernel (no
+    ``k × n`` matrix, no predecessors), which keeps the stretch check
+    of a sampled pair set within reach at n = 10⁶; the numpy reference
+    takes scipy's distance rows in blocks of bounded size.
     """
     pair_arr = np.asarray(pairs, dtype=np.int64)
     if pair_arr.size == 0:
@@ -55,10 +60,7 @@ def pair_true_distances(
         return np.asarray(true_dist)[pair_arr[:, 0], pair_arr[:, 1]].astype(
             np.float64
         )
-    sources = np.unique(pair_arr[:, 0])
-    dist, _ = graph.csr().sssp_batch(sources)
-    rows = np.searchsorted(sources, pair_arr[:, 0])
-    return dist[rows, pair_arr[:, 1]].astype(np.float64)
+    return graph.csr().pair_distances(pair_arr[:, 0], pair_arr[:, 1])
 
 
 def _resolve_engine(scheme: RoutingScheme, ported: PortedGraph, engine: str):
