@@ -215,16 +215,16 @@ def test_kernels_speedup(setup):
     multi_source_speedup = t_ms_scipy / t_ms_native
 
     # ---- cluster-tree pass: every entry of the k=2 scheme ------------
-    keys, dist = scheme.arrays.entry_keys, scheme.arrays.ent_dist
-    tree_ref = _cluster_trees(graph, ported, keys, dist, "numpy")
-    tree_nat = _cluster_trees(graph, ported, keys, dist, "native")
+    slices = (scheme.arrays.cl_indptr, scheme.arrays.ent_member, scheme.arrays.ent_dist)
+    tree_ref = _cluster_trees(graph, ported, *slices, "numpy")
+    tree_nat = _cluster_trees(graph, ported, *slices, "native")
     assert sorted(tree_ref) == sorted(tree_nat)
     for name, want in tree_ref.items():
         assert np.array_equal(want, tree_nat[name]), name
 
     t_tree_numpy, t_tree_native = best_of_interleaved(
-        lambda: _cluster_trees(graph, ported, keys, dist, "numpy"),
-        lambda: on_one_worker(cluster_trees_native, graph, ported, keys, dist),
+        lambda: _cluster_trees(graph, ported, *slices, "numpy"),
+        lambda: on_one_worker(cluster_trees_native, graph, ported, *slices),
         repeats=3,
     )
     tree_speedup = t_tree_numpy / t_tree_native
@@ -232,7 +232,7 @@ def test_kernels_speedup(setup):
     # ---- compile pass: every entry record of the k=2 scheme ----------
     arrays, compiled = scheme.arrays, routers["native"].compiled
     record_args = (
-        arrays.entry_keys,
+        arrays.cl_indptr,
         {
             name: getattr(arrays, col)
             for col, name in ARRAYS_IN_RECORD.items()
@@ -252,7 +252,7 @@ def test_kernels_speedup(setup):
     del words
 
     def one_worker_records(args):
-        out = np.empty(args[0].shape[0], dtype=ENT_DTYPE)
+        out = np.empty(arrays.entry_count, dtype=ENT_DTYPE)
         return on_one_worker(compile_records_native, *args, out, light)
 
     t_compile_numpy, t_compile_native = best_of_interleaved(
@@ -287,7 +287,7 @@ def test_kernels_speedup(setup):
     def build_passes():
         for level_centers, level_thr in levels:
             frontier_sweep_native(graph, level_centers, level_thr)
-        cluster_trees_native(graph, ported, keys, dist)
+        cluster_trees_native(graph, ported, *slices)
 
     pool_skip = None
     t_pool_one = t_pool_all = pool_speedup = None
@@ -311,7 +311,7 @@ def test_kernels_speedup(setup):
         f"numpy {t_sweep_numpy:.3f}s native {t_sweep_native:.3f}s "
         f"({frontier_speedup:.1f}x); multi-source {len(hier_levels)} levels "
         f"scipy {t_ms_scipy:.4f}s native {t_ms_native:.4f}s "
-        f"({multi_source_speedup:.2f}x); tree pass {keys.shape[0]:,} entries "
+        f"({multi_source_speedup:.2f}x); tree pass {arrays.entry_count:,} entries "
         f"numpy {t_tree_numpy:.3f}s native {t_tree_native:.3f}s "
         f"({tree_speedup:.1f}x); compile records numpy {t_compile_numpy:.3f}s "
         f"native {t_compile_native:.3f}s ({compile_speedup:.1f}x), "
@@ -332,7 +332,7 @@ def test_kernels_speedup(setup):
             "pairs": N_PAIRS,
             "frontier_level": level,
             "frontier_centers": int(centers.size),
-            "tree_pass_entries": int(keys.shape[0]),
+            "tree_pass_entries": arrays.entry_count,
             "pool_workers": workers,
         },
         metrics={

@@ -21,9 +21,9 @@ Every vertex ``w`` owns exactly one cluster (grown at its top hierarchy
 level), so clusters form a CSR over centers::
 
     cl_indptr : (n+1,)  entries of C(w) at [cl_indptr[w], cl_indptr[w+1])
-    entry_keys: (E,)    sorted  w * n + v   — one entry per (center, member)
-    ent_member / ent_dist / ent_parent      — member id, exact d(w, v),
-                                              SPT parent (-1 at the center)
+    ent_member / ent_dist / ent_parent      — member id (ascending in each
+                                              slice), exact d(w, v), SPT
+                                              parent (-1 at the center)
 
 Aligned with the entries are the §2 tree-record columns (``tr_f``,
 ``tr_finish``, ``tr_heavy_finish``, ``tr_light_depth``,
@@ -39,12 +39,15 @@ other way round, the centers of the entries whose member is ``v``
 (:meth:`SchemeArrays.bunch_sizes` counts them).  No member map is
 stored: a source's level-0 cluster ``{v : d(u, v) < d(A_1, v)}`` is its
 own tree slice, or just itself when it is a landmark
-(:func:`~repro.core.landmarks.level0_sources`).  Sorted keys
-make every membership question ("does ``u`` have a record for
-``T_w``?") a batched ``searchsorted`` — the same trick the batch
-routing engine uses, which is why :func:`compile_from_arrays
+(:func:`~repro.core.landmarks.level0_sources`).  An entry is named by
+its tree slice and its member: every membership question ("does ``u``
+have a record for ``T_w``?") is a binary search of ``w``'s slice of the
+member column — the same search the batch routing engine makes, which
+is why :func:`compile_from_arrays
 <repro.sim.engine.compile.compile_from_arrays>` exports these arrays
-directly, and every scheme either builder makes carries them.
+directly, and every scheme either builder makes carries them.  The
+int64 keys ``w * n + v`` and the centers are no carried column: any
+scheme derives them the first time a caller reads them.
 """
 
 from __future__ import annotations

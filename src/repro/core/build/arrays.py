@@ -9,19 +9,22 @@ layout.  Because both builders emit the same format, the differential
 suite (``tests/test_builder_equivalence.py``) can compare them
 field-by-field with ``np.array_equal`` — bit-identical or it fails.
 
-:func:`assemble_arrays` derives the *shared* structures (entry keys,
-parent/heavy entry links, label entry positions) from the
-builder-specific core fields, so a disagreement between builders can
-only originate in what they actually compute independently:
-membership, distances, parents, tree records and light ports.  A patch
-hands it the scheme it spliced from, whose label positions it shares
-when their inputs are that scheme's own.  No bunch is stored: ``B(v) =
+:func:`assemble_arrays` derives the *shared* structure, the label
+entry positions, from the builder-specific core fields, so a
+disagreement between builders can only originate in what they actually
+compute independently: membership, distances, parents, entry links,
+tree records and light ports.  A patch hands it the scheme it spliced
+from, whose label positions it shares when their inputs are that
+scheme's own.  An entry is named by its tree slice ``cl_indptr`` and
+its member: no scheme carries the int64 keys ``tree * n + member`` or
+the centers, which any scheme derives the first time a caller reads
+them (:meth:`SchemeArrays.__getattr__`).  No bunch is stored: ``B(v) =
 {w : v ∈ C(w)}`` is the clusters read the other way round, the centers
 of the entries whose member is ``v``.
 
 Every column has one dtype, :data:`COLUMN_DTYPES`, from the pass that
 makes it to the container that stores it: per-entry integers are
-int32, the entry keys ``tree * n + member`` and the offsets into
+int32, the derived entry keys ``tree * n + member`` and the offsets into
 entry-sized columns int64, distances float64.  The light ports
 ``lp_data`` are the one column whose width follows the graph
 (:func:`light_port_dtype`): uint8 while every degree is at most 255,
@@ -45,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...errors import EncodingError, PreprocessingError
+from ...errors import PreprocessingError
 from ...graphs.graph import Graph
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
@@ -155,24 +158,12 @@ def port_lookup(ported: PortedGraph) -> Callable[[np.ndarray, np.ndarray], np.nd
     return port
 
 
-def _locate(entry_keys: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
-    """Positions of ``keys`` in the sorted ``entry_keys``; every key must
-    exist (raises :class:`PreprocessingError` otherwise)."""
-    if entry_keys.size == 0:
-        if keys.size:
-            raise PreprocessingError(f"no entries to locate {what} in")
-        return np.zeros(0, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(entry_keys, keys), entry_keys.size - 1)
-    if not np.all(entry_keys[pos] == keys):
-        raise PreprocessingError(f"{what} is not a cluster entry (scheme invariant violated)")
-    return pos
-
-
 #: The columns a scheme container does not store: each is an exact
 #: function of stored columns and the ``ent`` records, and a loaded
 #: :class:`SchemeArrays` derives it the first time a caller reads it
 #: (:func:`derive_entries`).  The keys and centers come from the tree
-#: slices ``cl_indptr`` and the members; the SPT parent is the member of
+#: slices ``cl_indptr`` and the members, and no scheme carries them, a
+#: built or patched one included; the SPT parent is the member of
 #: the parent link; ``ent_dist`` is summed top down, ``d(e) =
 #: d(parent_epos(e)) + parent_wt(e)``, 0 at a root, which the build's
 #: tight-arc parents satisfy exactly in float64; ``lp_indptr`` is the
@@ -272,7 +263,7 @@ def derive_entries(
     light ports, on the platform's kernel: the native derive pass, else
     :func:`derive_entries_numpy`.  The keys and centers read the tree
     slices and members alone (``ent`` and ``lp_data`` may then be None):
-    that is how :func:`assemble_arrays` makes them.  Refuses records it
+    that is how any scheme makes them on first read.  Refuses records it
     cannot read through with :class:`~repro.errors.EncodingError`."""
     if resolve_kernel("auto") == "native":
         return derive_entries_native(tree_indptr, member, ent, lp_data, want)
@@ -284,7 +275,8 @@ class SchemeArrays:
     """A complete TZ scheme as flat arrays (see module/package docstring).
 
     ``E`` is the total entry count ``Σ_w |C(w)|``; entry order is
-    ``(center, member)`` lexicographic, i.e. sorted ``entry_keys``.
+    ``(center, member)`` lexicographic: center ``w``'s tree slice
+    ``cl_indptr[w] .. cl_indptr[w+1]`` holds its members ascending.
     """
 
     n: int
@@ -292,8 +284,8 @@ class SchemeArrays:
     hierarchy: Hierarchy
     # -- cluster CSR: one cluster per vertex, at its top level ----------
     cl_indptr: np.ndarray  # (n+1,) entries of center w: [cl_indptr[w], cl_indptr[w+1])
-    entry_keys: np.ndarray  # (E,) sorted: center * n + member
-    ent_center: np.ndarray  # (E,)
+    entry_keys: np.ndarray  # (E,) sorted: center * n + member (derived, see __getattr__)
+    ent_center: np.ndarray  # (E,) (derived)
     ent_member: np.ndarray  # (E,)
     ent_dist: np.ndarray  # (E,) exact d(center, member)
     ent_parent: np.ndarray  # (E,) SPT parent vertex id, -1 at the center
@@ -338,21 +330,23 @@ class SchemeArrays:
 
     #: The ``ent`` records of a loaded scheme, which its record-held
     #: columns are fields of and its derived columns are computed from
-    #: (None for a built or patched scheme, which holds every column).
+    #: (None for a built or patched scheme, which holds every column but
+    #: the keys and centers).
     _records = None
 
     def __getattr__(self, name: str):
-        """A :data:`DERIVED_COLUMNS` column given as None, derived from
-        the loaded records the first time it is read; from then on it is
-        an instance attribute like any given column (columns are
-        append-only, so the cache is safe).  The keys and centers come
-        together."""
+        """A :data:`DERIVED_COLUMNS` column given as None, derived the
+        first time it is read; from then on it is an instance attribute
+        like any given column (columns are append-only, so the cache is
+        safe).  The keys and centers come together, from the tree slices
+        and members of any scheme; the others from a loaded scheme's
+        records."""
         if name not in DERIVED_COLUMNS:
             raise AttributeError(name)
-        if self._records is None:
+        pair = ("entry_keys", "ent_center")
+        if name not in pair and self._records is None:
             raise AttributeError(f"{name} was neither given nor derivable")
         cols = self.__dict__
-        pair = ("entry_keys", "ent_center")
         want = tuple(w for w in pair if w not in cols) if name in pair else (name,)
         cols.update(
             derive_entries(self.cl_indptr, self.ent_member, self._records, self.lp_data, want)
@@ -397,8 +391,9 @@ class SchemeArrays:
         elif resolve_kernel("auto") == "native":
             elb = label_bits_native(self.cl_indptr, self.lp_indptr, self.lp_data)
         else:
+            sizes = self.tree_sizes()
             elb = tree_label_bits_array(
-                self.tree_sizes()[self.ent_center], self.lp_indptr, self.lp_data
+                np.repeat(sizes, sizes), self.lp_indptr, self.lp_data
             ).astype(np.int32)
         self._entry_label_bits = elb
         return elb
@@ -490,21 +485,25 @@ def _label_fault(level: int) -> PreprocessingError:
 
 
 def _label_positions_numpy(
-    n: int, k: int, entry_keys: np.ndarray, pivot: np.ndarray
+    n: int, k: int, cl_indptr: np.ndarray, ent_member: np.ndarray, pivot: np.ndarray
 ) -> Dict[str, object]:
     """The numpy reference of
     :func:`~repro.kernels.splice.label_positions_native`: the same
-    ``lab_epos``, byte for byte, and the same ``missing_level``."""
+    ``lab_epos``, byte for byte, and the same ``missing_level``, found
+    by one ``searchsorted`` per level of the keys ``tree * n + member``
+    derived here."""
+    sizes = np.diff(cl_indptr)
+    keys = np.repeat(np.arange(n, dtype=np.int64) * np.int64(n), sizes) + ent_member
     verts = np.arange(n, dtype=np.int64)
     lab_epos = np.empty((k, n), dtype=np.int64)
     out: Dict[str, object] = {"lab_epos": lab_epos, "missing_level": None}
     for i in range(k):
-        w = verts if i == 0 else pivot[i]
-        try:
-            lab_epos[i] = _locate(entry_keys, w * np.int64(n) + verts, "a label entry")
-        except PreprocessingError:
+        want = (verts if i == 0 else pivot[i]) * np.int64(n) + verts
+        pos = np.minimum(np.searchsorted(keys, want), max(keys.size - 1, 0))
+        if keys.size == 0 or not np.array_equal(keys[pos], want):
             out["missing_level"] = i
             break
+        lab_epos[i] = pos
     return out
 
 
@@ -527,7 +526,8 @@ def assemble_arrays(
     ent_member: np.ndarray,
     ent_dist: np.ndarray,
     ent_parent: np.ndarray,
-    heavy_vertex: Optional[np.ndarray] = None,
+    ent_parent_epos: np.ndarray,
+    ent_heavy_epos: np.ndarray,
     tr_f: np.ndarray,
     tr_finish: np.ndarray,
     tr_heavy_finish: np.ndarray,
@@ -536,31 +536,22 @@ def assemble_arrays(
     tr_heavy_port: np.ndarray,
     lp_indptr: np.ndarray,
     lp_data: np.ndarray,
-    ent_parent_epos: Optional[np.ndarray] = None,
-    ent_heavy_epos: Optional[np.ndarray] = None,
-    entry_keys: Optional[np.ndarray] = None,
-    ent_center: Optional[np.ndarray] = None,
     parent: Optional[SchemeArrays] = None,
 ) -> SchemeArrays:
-    """Derive the shared structures from builder-specific core fields.
+    """Assemble a scheme from builder-specific core fields, deriving the
+    one shared structure, the label positions.
 
-    ``heavy_vertex[e]`` is the heavy child's *vertex id* (-1 at leaves);
-    parents/heavy children are resolved back to entry positions here
-    (builders that already hold the entry links pass them through — when
-    ``ent_heavy_epos`` is supplied ``heavy_vertex`` may be omitted), and
-    the entry keys and label positions are computed the same way for
-    both builders (so they cannot mask a core-field mismatch), on the
-    platform's kernel, in one pool run each natively: the keys and
-    centers by the derive pass (:func:`derive_entries`, which reads the
-    tree slices and members only), the label positions by
-    :func:`~repro.kernels.splice.label_positions_native`, else by
-    :func:`_label_positions_numpy`, the reference.  Deriving the keys
-    refuses a member outside ``[0, n)`` with :class:`PreprocessingError`.
+    The label positions are computed the same way for both builders (so
+    they cannot mask a core-field mismatch), on the platform's kernel:
+    natively by :func:`~repro.kernels.splice.label_positions_native` in
+    one pool run, each a search of a tree's slice of the members, else
+    by :func:`_label_positions_numpy`, the reference.  A member outside
+    ``[0, n)`` is refused with :class:`PreprocessingError`.  Neither the
+    entry keys nor the centers are made here: the scheme derives them
+    on first read.
 
-    A caller that already holds ``entry_keys`` and ``ent_center`` (the
-    patch splice) passes both; they are trusted to match ``(cl_indptr,
-    ent_member)``.  ``parent`` is the scheme a patch spliced these
-    columns from: when the keys are the parent's own column object and
+    ``parent`` is the scheme a patch spliced these columns from: when
+    the tree slices and members are the parent's own column objects and
     the pivots equal, the label positions are the parent's, not a copy.
     Columns are append-only once assembled, so sharing is safe.
 
@@ -578,58 +569,29 @@ def assemble_arrays(
     lp_data = fit_light_ports(lp_data, light_port_dtype(graph.indptr))
     cl_indptr = _column("cl_indptr", cl_indptr)
     ent_member = _column("ent_member", ent_member)
-    if ent_center is not None:
-        entry_keys = _column("entry_keys", entry_keys)
-        ent_center = _column("ent_center", ent_center)
-    else:  # derived together, from the tree slices and members alone
-        try:
-            keyed = derive_entries(cl_indptr, ent_member, None, None, ("entry_keys", "ent_center"))
-        except EncodingError as exc:  # the only refusal these two can meet
-            raise PreprocessingError("an entry's member lies outside [0, n)") from exc
-        entry_keys, ent_center = keyed["entry_keys"], keyed["ent_center"]
+    if E and (int(ent_member.min()) < 0 or int(ent_member.max()) >= n):
+        raise PreprocessingError("an entry's member lies outside [0, n)")
     if parent is not None and (parent.n, parent.k) != (n, k):
         parent = None
     keep_labels = (
         parent is not None
-        and entry_keys is parent.entry_keys
+        and cl_indptr is parent.cl_indptr
+        and ent_member is parent.ent_member
         and _same_values(hierarchy.pivot, parent.hierarchy.pivot)
     )
     if keep_labels:
         lab_epos = parent.lab_epos
     else:
         if resolve_kernel("auto") == "native":
-            got = label_positions_native(n, k, cl_indptr, entry_keys, hierarchy.pivot)
+            got = label_positions_native(n, k, cl_indptr, ent_member, hierarchy.pivot)
         else:
-            got = _label_positions_numpy(n, k, entry_keys, hierarchy.pivot)
+            got = _label_positions_numpy(n, k, cl_indptr, ent_member, hierarchy.pivot)
         if got["missing_level"] is not None:
             raise _label_fault(got["missing_level"])
         lab_epos = got["lab_epos"]
 
-    ent_parent = _column("ent_parent", ent_parent)
-    if ent_parent_epos is None:
-        ent_parent_epos = np.full(E, -1, dtype=np.int32)
-        hasp = ent_parent >= 0
-        ent_parent_epos[hasp] = _locate(
-            entry_keys,
-            ent_center[hasp] * np.int64(n) + ent_parent[hasp],
-            "an SPT parent",
-        )
-    if ent_heavy_epos is None:
-        if heavy_vertex is None:
-            raise PreprocessingError(
-                "assemble_arrays needs heavy_vertex when ent_heavy_epos is absent"
-            )
-        ent_heavy_epos = np.full(E, -1, dtype=np.int32)
-        hash_ = heavy_vertex >= 0
-        ent_heavy_epos[hash_] = _locate(
-            entry_keys,
-            ent_center[hash_] * np.int64(n) + heavy_vertex[hash_],
-            "a heavy child",
-        )
     columns = dict(
         cl_indptr=cl_indptr,
-        entry_keys=entry_keys,
-        ent_center=ent_center,
         ent_member=ent_member,
         ent_dist=ent_dist,
         ent_parent=ent_parent,
@@ -649,6 +611,8 @@ def assemble_arrays(
         k=k,
         hierarchy=hierarchy,
         lp_data=lp_data,
+        entry_keys=None,
+        ent_center=None,
         **{name: _column(name, col) for name, col in columns.items()},
     )
 

@@ -35,10 +35,11 @@ spliced verbatim (modulo the monotone vertex relabeling node removal
 induces, which preserves sorted adjacency rows and hence ``"sorted"``
 port values).
 
-The rebuild itself reuses the vectorized builder's stages on the
-platform's kernel: its level engines (the native ``tz_frontier_sweep``,
-or numpy's frontier sweep and chunked full Dijkstra rows) and its
-cluster-tree pass (``tz_cluster_trees``, or numpy's parent and
+The rebuild itself runs the vectorized builder's stages on the
+platform's kernel: its grow step (``_grow_clusters``: the level engines,
+the native ``tz_frontier_sweep`` or numpy's frontier sweep and chunked
+full Dijkstra rows, merged into tree slices) over the dirty centers, and
+its cluster-tree pass (``tz_cluster_trees``, or numpy's parent and
 heavy-light stages).  Per-center results are engine- and
 batching-independent by the float64-exact determinism contract, so a
 dirty subset of centers gets the very columns a fresh build gives them.
@@ -69,8 +70,8 @@ natively one ``memcpy`` per run and column, each pool worker writing
 one row range of every column (:mod:`repro.kernels.splice`), with
 :func:`_splice` and :func:`_splice_same` as the numpy reference.
 :func:`~repro.core.build.arrays.assemble_arrays` then gets the parent
-and shares its label positions when the keys and pivots are the
-parent's, and derives them otherwise.
+and shares its label positions when the tree slices, members and pivots
+are the parent's, and finds them otherwise.
 """
 
 from __future__ import annotations
@@ -89,12 +90,7 @@ from ...kernels.splice import COPY, LINK, OFFSET, REAL, splice_native, splice_sa
 from ...obs import TELEMETRY
 from ..landmarks import Hierarchy, hierarchy_from_levels
 from .arrays import SchemeArrays, assemble_arrays, check_index_sizes
-from .vectorized import (
-    _cluster_trees,
-    _is_float64_exact,
-    _level_clusters,
-    _level_engine,
-)
+from .vectorized import _cluster_trees, _grow_clusters, _is_float64_exact
 
 __all__ = ["PatchResult", "patch_arrays"]
 
@@ -479,8 +475,6 @@ def patch_arrays(
         )
     old_of = np.flatnonzero(id_map >= 0)
     n_keep = int(old_of.shape[0])
-    n2 = np.int64(new_graph.n)
-    k = arrays.k
 
     with tm.span("patch.classify"):
         if weight_only and not _moves_hierarchy(arrays.hierarchy, graph, delta):
@@ -521,28 +515,13 @@ def patch_arrays(
         clean_new = np.flatnonzero(~dirty_mask).astype(np.int64)
 
     # ------------------------------------------------------------------
-    # Rebuild: dirty clusters re-grown level by level with the same
-    # engines as a fresh build (per-center output is engine-invariant).
+    # Rebuild: dirty clusters re-grown through the build's own grow step
+    # (per-center output is engine-invariant), one tree slice per new
+    # vertex, empty for a clean one.
     # ------------------------------------------------------------------
     with tm.span("patch.rebuild", clusters=int(dirty_new.shape[0])):
-        key_parts, dist_parts = [], []
-        for i in range(k):
-            centers = dirty_new[h_new.level_of[dirty_new] == i]
-            if centers.shape[0] == 0:
-                continue
-            thr = h_new.dist[i + 1]
-            engine = _level_engine(kernel, thr)
-            keys, dist = _level_clusters(new_graph, centers, thr, i, engine, kernel)
-            key_parts.append(keys)
-            dist_parts.append(dist)
-        d_keys = np.concatenate(key_parts) if key_parts else np.zeros(0, dtype=np.int64)
-        d_dist = np.concatenate(dist_parts) if dist_parts else np.zeros(0)
-        order = np.argsort(d_keys, kind="stable")
-        d_keys, d_dist = d_keys[order], d_dist[order]
-        d_center = d_keys // n2
-        d_member = (d_keys - d_center * n2).astype(np.int32)
-        d_center = d_center.astype(np.int32)
-        tree = _cluster_trees(new_graph, new_ported, d_keys, d_dist, kernel)
+        d_indptr, d_member, d_dist = _grow_clusters(new_graph, h_new, dirty_new, kernel)
+        tree = _cluster_trees(new_graph, new_ported, d_indptr, d_member, d_dist, kernel)
 
     # ------------------------------------------------------------------
     # Splice: one block per new center, in center order — clean blocks
@@ -551,13 +530,13 @@ def patch_arrays(
     # ------------------------------------------------------------------
     n_new = new_graph.n
     ci = arrays.cl_indptr
-    ed = int(d_keys.shape[0])
+    ed = int(d_member.shape[0])
     with tm.span("patch.splice", clusters=int(clean_new.shape[0])):
         # Each block's length and first row in its source: the rebuild
         # for a dirty center, the parent's rows for a clean one.
         clean_old = old_of[clean_new]
-        lens = np.bincount(d_center, minlength=n_new)
-        src = np.cumsum(lens) - lens
+        lens = np.diff(d_indptr)
+        src = d_indptr[:-1].copy()
         lens[clean_new] = ci[clean_old + 1] - ci[clean_old]
         src[clean_new] = ci[clean_old]
         cl_indptr = np.zeros(n_new + 1, dtype=np.int64)
@@ -594,9 +573,6 @@ def patch_arrays(
         for name in ("tr_f", "tr_finish", "tr_heavy_finish", "tr_light_depth",
                      "tr_parent_port", "tr_heavy_port"):
             columns[name] = (getattr(arrays, name), tree[name], COPY)
-        if not relabel and n_new == graph.n:  # ids and keys survive as they are
-            columns["entry_keys"] = (arrays.entry_keys, d_keys, COPY)
-            columns["ent_center"] = (arrays.ent_center, d_center, COPY)
         old_data, new_data = arrays.lp_data, tree["lp_data"]
         if old_data.dtype != new_data.dtype:  # the maximum degree crossed 255
             # splice at the wider width; assemble_arrays fits the result

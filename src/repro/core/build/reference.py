@@ -65,7 +65,8 @@ def pack_clusters(
     member_l: List[int] = []
     dist_l: List[float] = []
     parent_l: List[int] = []
-    heavy_l: List[int] = []
+    parent_epos_l: List[int] = []
+    heavy_epos_l: List[int] = []
     records = []
     lp_counts: List[int] = []
     lp_flat: List[int] = []
@@ -75,11 +76,16 @@ def pack_clusters(
         router = routers[w] = build_tree_router(tree, ported, port_model="fixed")
         members = cluster.members()
         cl_counts[w] = len(members)
+        # the entry of (w, u): its rank in w's sorted members, past the
+        # entries of every earlier cluster
+        entry = {u: len(member_l) + i for i, u in enumerate(members)}
+        entry[-1] = -1  # no parent at the center, no heavy child at a leaf
         for v in members:
             member_l.append(v)
             dist_l.append(cluster.dist[v])
             parent_l.append(cluster.parent[v])
-            heavy_l.append(tree.heavy[v])
+            parent_epos_l.append(entry[cluster.parent[v]])
+            heavy_epos_l.append(entry[tree.heavy[v]])
             records.append(router.records[v])
             ports = router.labels[v].light_ports
             lp_counts.append(len(ports))
@@ -98,7 +104,8 @@ def pack_clusters(
         ent_member=np.asarray(member_l, dtype=np.int32),
         ent_dist=np.asarray(dist_l, dtype=np.float64),
         ent_parent=np.asarray(parent_l, dtype=np.int32),
-        heavy_vertex=np.asarray(heavy_l, dtype=np.int64),
+        ent_parent_epos=np.asarray(parent_epos_l, dtype=np.int32),
+        ent_heavy_epos=np.asarray(heavy_epos_l, dtype=np.int32),
         tr_f=recs["f"],
         tr_finish=recs["finish"],
         tr_heavy_finish=recs["heavy_finish"],

@@ -25,8 +25,12 @@ compiled C passes when ``_native.c`` loads, numpy/scipy otherwise.
      row-wise threshold comparison.  The numpy kernel uses it for
      unbounded levels, where infinite thresholds never prune.
 
-2. **SPT parents and heavy-light trees**, after one global key sort of
-   the entries.  The reference truncated Dijkstra relaxes ties toward
+   The levels' entries merge into one tree slice per center of the
+   int32 member column (:func:`_grow_clusters`, which a patch's rebuild
+   shares), by which every later pass names an entry.
+
+2. **SPT parents and heavy-light trees**, one cluster (tree slice) at a
+   time.  The reference truncated Dijkstra relaxes ties toward
    the smaller vertex id, which makes its parent of ``v`` exactly
    ``min{u member : d(w,u) + wt(u,v) = d(w,v)}``.  Natively,
    ``tz_cluster_trees`` makes one linear pass per cluster: the first
@@ -429,57 +433,92 @@ def _tree_arrays(
     }
 
 
-def _level_engine(kernel: str, thr: np.ndarray) -> str:
-    """``"full"`` (scipy rows) or ``"pruned"`` (the frontier sweep) for a
-    level whose clusters ``thr`` bounds.
-
-    The native sweep is faster than scipy rows on every level, unbounded
-    ones included; the numpy sweep gives way to scipy rows on an
-    unbounded level, where infinite thresholds never prune.
-    """
-    if kernel == "native" or not bool(np.all(np.isinf(thr))):
-        return "pruned"
-    return "full"
-
-
 def _level_clusters(
-    graph: Graph, centers: np.ndarray, thr: np.ndarray, level: int, engine: str, kernel: str
+    graph: Graph, centers: np.ndarray, thr: np.ndarray, level: int, kernel: str
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted ``(keys, dist)`` entries of one level's clusters."""
-    if engine == "full":
-        return _full_level(graph, centers, thr)
+    """Sorted ``(keys, dist)`` entries of one level's clusters, under a
+    ``build.clusters`` span naming the engine: ``"pruned"``, the frontier
+    sweep, or ``"full"``, scipy's rows.  The native sweep is faster than
+    scipy rows on every level, unbounded ones included; the numpy sweep
+    gives way to scipy rows on an unbounded level, where infinite
+    thresholds never prune."""
+    full = kernel != "native" and bool(np.all(np.isinf(thr)))
     with TELEMETRY.span(
-        "kernel.frontier_sweep", impl=kernel, level=level, centers=int(centers.shape[0])
+        "build.clusters",
+        level=level,
+        engine="full" if full else "pruned",
+        centers=int(centers.shape[0]),
     ):
-        if kernel == "native":
-            return frontier_sweep_native(graph, centers, thr)
-        return _pruned_level(graph, centers, thr)
+        if full:
+            return _full_level(graph, centers, thr)
+        with TELEMETRY.span(
+            "kernel.frontier_sweep", impl=kernel, level=level, centers=int(centers.shape[0])
+        ):
+            if kernel == "native":
+                return frontier_sweep_native(graph, centers, thr)
+            return _pruned_level(graph, centers, thr)
+
+
+def _grow_clusters(
+    graph: Graph, hierarchy: Hierarchy, centers: np.ndarray, kernel: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clusters of ``centers`` (sorted, distinct), each grown at its
+    top level: ``(cl_indptr, member, dist)``, one tree slice per vertex
+    of ``graph`` (empty for a vertex not in ``centers``), each slice's
+    int32 members ascending with their float64 distances.
+
+    The build grows every vertex's cluster, a patch its dirty ones; the
+    per-level sweeps (:func:`_level_clusters`) run level by level, and
+    their entries merge into one center-major order.
+    """
+    n = graph.n
+    key_parts, dist_parts = [], []
+    for i in range(hierarchy.k):
+        level = centers[hierarchy.level_of[centers] == i]
+        if level.shape[0] == 0:
+            continue
+        keys, dist = _level_clusters(graph, level, hierarchy.dist[i + 1], i, kernel)
+        TELEMETRY.count("build.cluster_entries", int(keys.shape[0]))
+        key_parts.append(keys)
+        dist_parts.append(dist)
+    keys = np.concatenate(key_parts) if key_parts else np.zeros(0, dtype=np.int64)
+    dist = np.concatenate(dist_parts) if dist_parts else np.zeros(0)
+    order = np.argsort(keys, kind="stable")
+    keys, dist = keys[order], dist[order]
+    center = keys // np.int64(n)
+    cl_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(center, minlength=n), out=cl_indptr[1:])
+    return cl_indptr, (keys - center * np.int64(n)).astype(np.int32), dist
 
 
 def _cluster_trees(
-    graph: Graph, ported: PortedGraph, keys: np.ndarray, dist: np.ndarray, kernel: str
+    graph: Graph,
+    ported: PortedGraph,
+    cl_indptr: np.ndarray,
+    member: np.ndarray,
+    dist: np.ndarray,
+    kernel: str,
 ) -> dict:
-    """SPT parents and heavy-light records of key-sorted entries.
+    """SPT parents and heavy-light records of the clusters whose tree
+    slices ``cl_indptr`` cut the ``member`` column (as
+    :func:`_grow_clusters` returns them).
 
     Returns the :func:`_tree_arrays` columns plus ``ent_parent``.  The
     native kernel runs one linear C pass per cluster; numpy runs
-    :func:`_level_parents` and :func:`_tree_arrays`, the differential
-    reference it must match bit for bit.  The columns are narrowed to
-    int32 here, so a graph or entry set the width rule cannot hold is
-    refused first.
+    :func:`_level_parents` and :func:`_tree_arrays` on the keys
+    ``center * n + member`` derived here, the differential reference it
+    must match bit for bit.  The columns are narrowed to int32 here, so
+    a graph or entry set the width rule cannot hold is refused first.
     """
-    check_index_sizes(graph.n, graph.adj.shape[0], keys.shape[0])
-    with TELEMETRY.span("kernel.tree_pass", impl=kernel, entries=int(keys.shape[0])):
+    check_index_sizes(graph.n, graph.adj.shape[0], member.shape[0])
+    with TELEMETRY.span("kernel.tree_pass", impl=kernel, entries=int(member.shape[0])):
         if kernel == "native":
-            return cluster_trees_native(graph, ported, keys, dist)
+            return cluster_trees_native(graph, ported, cl_indptr, member, dist)
         n = np.int64(graph.n)
+        center = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(cl_indptr))
+        keys = center * n + member
         ent_parent = _level_parents(graph, keys, dist)
-        center = keys // n
-        cl_indptr = np.zeros(graph.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(center, minlength=graph.n), out=cl_indptr[1:])
-        tree = _tree_arrays(
-            graph, ported, keys, center, keys - center * n, ent_parent, cl_indptr
-        )
+        tree = _tree_arrays(graph, ported, keys, center, member, ent_parent, cl_indptr)
         tree["ent_parent"] = ent_parent
         return tree
 
@@ -494,7 +533,7 @@ def vectorized_arrays(
     """Construct the whole scheme as array programs (see module docstring).
 
     The cluster engine of each level follows from the kernel and the
-    level (:func:`_level_engine`): the native kernel sweeps every level,
+    level (:func:`_level_clusters`): the native kernel sweeps every level,
     the unbounded top level included; the numpy kernel sweeps bounded
     levels and runs unbounded ones as scipy's full rows.
 
@@ -512,41 +551,13 @@ def vectorized_arrays(
         note_weight_fallback()
         return reference_arrays(graph, ported, hierarchy)
 
-    tm = TELEMETRY
-    n = graph.n
-    key_parts, dist_parts = [], []
-    for i in range(hierarchy.k):
-        lvl = hierarchy.levels[i]
-        centers = np.asarray(lvl[hierarchy.level_of[lvl] == i], dtype=np.int64)
-        if centers.shape[0] == 0:
-            continue
-        thr = hierarchy.dist[i + 1]
-        engine = _level_engine(kernel, thr)
-        with tm.span(
-            "build.clusters", level=i, engine=engine, centers=int(centers.shape[0])
-        ):
-            keys, dist = _level_clusters(graph, centers, thr, i, engine, kernel)
-        tm.count("build.cluster_entries", int(keys.shape[0]))
-        key_parts.append(keys)
-        dist_parts.append(dist)
-
-    keys = np.concatenate(key_parts) if key_parts else np.zeros(0, dtype=np.int64)
-    dist = np.concatenate(dist_parts) if dist_parts else np.zeros(0)
-    order = np.argsort(keys, kind="stable")
-    keys, dist = keys[order], dist[order]
-    ent_center = keys // np.int64(n)
-    cl_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ent_center, minlength=n), out=cl_indptr[1:])
-
-    with tm.span("build.trees", entries=int(keys.shape[0])):
-        tree = _cluster_trees(graph, ported, keys, dist, kernel)
-    with tm.span("build.assemble"):
+    cl_indptr, member, dist = _grow_clusters(
+        graph, hierarchy, np.arange(graph.n, dtype=np.int64), kernel
+    )
+    with TELEMETRY.span("build.trees", entries=int(member.shape[0])):
+        tree = _cluster_trees(graph, ported, cl_indptr, member, dist, kernel)
+    with TELEMETRY.span("build.assemble"):
         return assemble_arrays(
-            graph,
-            ported,
-            hierarchy,
-            cl_indptr=cl_indptr,
-            ent_member=(keys - ent_center * np.int64(n)).astype(np.int32),
-            ent_dist=dist,
+            graph, ported, hierarchy, cl_indptr=cl_indptr, ent_member=member, ent_dist=dist,
             **tree,
         )

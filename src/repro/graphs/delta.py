@@ -142,19 +142,6 @@ class GraphDelta:
         payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    # ------------------------------------------------------------------
-    def touched_old_vertices(self) -> np.ndarray:
-        """Old-id vertices directly named by the delta (endpoints of
-        changed edges plus dropped nodes), sorted unique."""
-        ids = set(self.drop_nodes)
-        for u, v, _ in self.weight_updates:
-            ids.update((u, v))
-        for u, v in self.drop_edges:
-            ids.update((u, v))
-        for u, v, _ in self.add_edges:
-            ids.update((u, v))
-        return np.array(sorted(ids), dtype=np.int64)
-
 
 def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, np.ndarray]:
     """Apply ``delta`` to ``graph``; returns ``(new_graph, id_map)``.

@@ -191,10 +191,6 @@ class Graph:
         """Weights aligned with :meth:`neighbors` (a CSR *view*)."""
         return self.adj_weights[self.indptr[u] : self.indptr[u + 1]]
 
-    def incident_arcs(self, u: int) -> range:
-        """Arc indices (CSR positions) of ``u``'s incident arcs."""
-        return range(int(self.indptr[u]), int(self.indptr[u + 1]))
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
         i = int(np.searchsorted(row, v))

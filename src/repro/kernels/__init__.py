@@ -7,9 +7,10 @@ thresholded frontier sweep and cluster-tree pass
 :mod:`.trees`), the compile pass that writes the entry records and
 label bits (``sim/engine/compile.py``, wrapped in :mod:`.records`), the
 pass that derives what a loaded container does not store
-(``core/build/arrays.py``, also in :mod:`.records`), the passes a patch makes over every entry, its splice and the derived
-structures of ``assemble_arrays`` (``core/build/patch.py`` and
-``arrays.py``, wrapped in :mod:`.splice`), the setup path's two
+(``core/build/arrays.py``, also in :mod:`.records`), the passes a patch
+makes over every entry, its splice and the label positions of
+``assemble_arrays`` (``core/build/patch.py`` and ``arrays.py``, wrapped
+in :mod:`.splice`), the setup path's two
 draw loops, gnp's edge skipping and the random port permutations
 (``graphs/generators.py`` and ``graphs/ports.py``, wrapped in
 :mod:`.draws`), and the shortest-path passes behind ``graphs/csr.py``

@@ -131,21 +131,21 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.tz_cluster_trees.restype = _I64
     lib.tz_cluster_trees.argtypes = (
         [_I64, _I64, _I64]  # n, entry range lo, hi
-        + [_PTR] * 6  # keys, dist, indptr, adj, wts, port_of_arc
+        + [_PTR] * 7  # tree_indptr, members, dist, indptr, adj, wts, port_of_arc
         + [_PTR] * 10  # parent, parent/heavy epos, f, finish, heavy finish,
         #                light depth, parent/heavy port, lp_indptr
     )
     lib.tz_light_ports.restype = _I64
     lib.tz_light_ports.argtypes = (
         [_I64, _I64, _I64, _I64]  # n, entry range lo, hi, lp_data offset
-        + [_PTR] * 4  # keys, parent epos, f, light depth
+        + [_PTR] * 4  # tree_indptr, parent epos, f, light depth
         + [_PTR] * 2  # lp_indptr (down ports in), out lp_data
         + [_I64]  # lp_data width
     )
     lib.tz_compile_records.restype = _I64
     lib.tz_compile_records.argtypes = (
         [_I64, _I64, _I64]  # n, entry range lo, hi
-        + [_PTR] * 6  # keys, vertex, f, finish, heavy finish, light depth
+        + [_PTR] * 6  # tree_indptr, vertex, f, finish, heavy finish, light depth
         + [_PTR] * 5  # parent/heavy port, parent/heavy/vertex hint (or NULL)
         + [_PTR] * 2  # g_indptr, step records
         + [_PTR, _I64]  # lp_indptr, lp_data length
@@ -181,7 +181,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.tz_label_positions.restype = _I64
     lib.tz_label_positions.argtypes = (
         [_I64, _I64, _I64, _I64]  # n, k, vertex range lo, hi
-        + [_PTR] * 3  # cl_indptr, keys, pivot
+        + [_PTR] * 3  # cl_indptr, members, pivot
         + [_PTR]  # out label positions
     )
     lib.tz_gnp_edges.restype = _I64
@@ -285,6 +285,16 @@ def load() -> Optional[ctypes.CDLL]:
             _error = str(exc)
             _lib = None
     return _lib
+
+
+def require() -> ctypes.CDLL:
+    """The loaded native library, for a wrapper whose caller resolved
+    the kernel first; RuntimeError, naming :func:`native_error`, when
+    it is unavailable."""
+    lib = load()
+    if lib is None:
+        raise RuntimeError(f"native kernels unavailable: {native_error()}")
+    return lib
 
 
 def native_error() -> Optional[str]:

@@ -4,7 +4,7 @@
  * and cluster-tree pass (core/build/vectorized.py), the compile
  * pass that writes the entry records (sim/engine/compile.py), the
  * derive pass that makes the columns a container does not store and
- * every build's entry keys, and the label-bit pass over a built
+ * every scheme's entry keys, and the label-bit pass over a built
  * scheme's light ports (core/build/arrays.py), the passes a patch
  * makes over every entry: the splice (core/build/patch.py) and the
  * label positions of assemble_arrays (core/build/arrays.py), and the
@@ -22,11 +22,14 @@
  * uint8, and the compiled scheme's own columns, which its construction
  * check guarantees to have exactly the dtypes named below or the record
  * layouts below.  Every per-entry integer column is int32 (the callers
- * refuse n, 2m or E >= 2^31 first); keys (tree * n + member) and
- * offsets into entry-sized columns are int64, and every key is formed
- * in int64 arithmetic.  The light ports lp_data are the one column of
- * two widths: one byte a port while every degree of the graph is at
- * most 255, else int32 (light_port_dtype in core/build/arrays.py).
+ * refuse n, 2m or E >= 2^31 first); offsets into entry-sized columns
+ * are int64.  An entry is named by its tree's slice of the entries
+ * (tree_indptr, int64) and its int32 member, in every pass after the
+ * frontier sweep; the sweep's own output keys (tree * n + member) and
+ * the derive pass's are int64, formed in int64 arithmetic.  The light
+ * ports lp_data are the one column of two widths: one byte a port while
+ * every degree of the graph is at most 255, else int32
+ * (light_port_dtype in core/build/arrays.py).
  * Each pass that touches them takes the width from its wrapper
  * (lp_data.dtype.itemsize) and reads through port_at.
  * No kernel keeps global state, so threads may run any of them at once
@@ -57,9 +60,10 @@
  *   (-size, id) key as the numpy lexsort; everything after that is
  *   integer arithmetic.
  * - tz_compile_records copies each resolved step record as it lies and
- *   links each neighbour by an exact-key lookup on strictly ascending
- *   keys, where a checked hint, a slice search and numpy's global
- *   searchsorted can only name the same unique entry.
+ *   links each neighbour by an exact lookup of its member in the tree's
+ *   slice, whose members strictly ascend, where a checked hint, a slice
+ *   search and numpy's global searchsorted of tree * n + member can
+ *   only name the same unique entry.
  * - tz_derive_entries sums each distance as one float64 addition of
  *   the parent's distance and the parent weight, as numpy does level by
  *   level; every parent is summed before its child (DFS order), so each
@@ -67,8 +71,8 @@
  *   tz_commit's are integer sums of the same bit lengths numpy reads
  *   off frexp.
  * - tz_splice copies rows and adds the same integer shifts as the
- *   numpy splice; tz_label_positions finds the same unique keys as
- *   numpy's searchsorted.
+ *   numpy splice; tz_label_positions finds the same unique members in
+ *   a tree's slice as numpy's searchsorted finds tree * n + member.
  * - tz_multi_source settles vertices in the (distance, source rank)
  *   order the heap reference pops its tuples in, so each settles with
  *   the same label; tz_pair_distances' settled distances and
@@ -197,24 +201,25 @@ int64_t tz_record_layout(int64_t *out)
     return i;
 }
 
-/* Lower-bound search for `key` inside the sorted key slice [lo, hi). */
-static int64_t find_key(const int64_t *keys, int64_t lo, int64_t hi,
-                        int64_t key)
+/* Lower-bound search for head v inside the sorted adjacency row
+ * adj[lo, hi): the arc u -> v of u's row, or -1. */
+static int64_t find_arc(const int64_t *adj, int64_t lo, int64_t hi, int64_t v)
 {
     const int64_t end = hi;
     while (lo < hi) {
         int64_t mid = lo + ((hi - lo) >> 1);
-        if (keys[mid] < key)
+        if (adj[mid] < v)
             lo = mid + 1;
         else
             hi = mid;
     }
-    return (lo < end && keys[lo] == key) ? lo : -1;
+    return (lo < end && adj[lo] == v) ? lo : -1;
 }
 
 /* The same search over one tree's (or one source's) slice of an int32
  * member column: the members of a slice strictly ascend, so the entry of
- * (tree, v) is where v is. */
+ * (tree, v) is where v is.  This is how every pass after the frontier
+ * sweep names an entry: the tree slice plus the member. */
 static int64_t find_member(const int32_t *member, int64_t lo, int64_t hi,
                            int64_t v)
 {
@@ -227,6 +232,24 @@ static int64_t find_member(const int32_t *member, int64_t lo, int64_t hi,
             hi = mid;
     }
     return (lo < end && member[lo] == v) ? lo : -1;
+}
+
+/* Block of row e: the largest c with cl_indptr[c] <= e, c in [0, n).
+ * For an e where a slice starts this is that slice's tree, past any
+ * empty slices before it, so a pass over the entries [lo, hi) of a
+ * range cut at slice ends walks the trees c = block_of(lo) .. while
+ * cl_indptr[c] < hi, each over [cl_indptr[c], cl_indptr[c + 1]). */
+static int64_t block_of(int64_t n, const int64_t *cl_indptr, int64_t e)
+{
+    int64_t a = 0, b = n;
+    while (b - a > 1) {
+        const int64_t mid = a + ((b - a) >> 1);
+        if (cl_indptr[mid] <= e)
+            a = mid;
+        else
+            b = mid;
+    }
+    return a;
 }
 
 /* The bit length of |x|: frexp's exponent of (double)x for |x| < 2^53,
@@ -1338,6 +1361,7 @@ int64_t tz_components(
 /* Return codes of tz_cluster_trees: keep in sync with kernels/trees.py. */
 #define TREES_OOM (-1)
 #define TREES_ORPHAN (-2)
+#define TREES_MEMBERS (-3) /* members not strictly ascending in [0, n) */
 
 /* Vertex -> entry slot of the cluster being built, valid while stamp
  * equals that cluster's first entry index. */
@@ -1346,25 +1370,23 @@ typedef struct {
     int64_t local;
 } vslot;
 
-/* Longest run of equal key / n in the key-sorted entries [lo, hi): the
- * largest cluster, which sizes the per-cluster scratch. */
-static int64_t max_cluster(int64_t n, const int64_t *keys, int64_t lo,
+/* Longest tree slice among the entries [lo, hi) (cut at slice ends):
+ * the largest cluster, which sizes the per-cluster scratch. */
+static int64_t max_cluster(int64_t n, const int64_t *tree_indptr, int64_t lo,
                            int64_t hi)
 {
     int64_t smax = 0;
-    for (int64_t a = lo, b; a < hi; a = b) {
-        const int64_t w = keys[a] / n;
-        for (b = a + 1; b < hi && keys[b] / n == w; b++)
-            ;
-        if (b - a > smax)
-            smax = b - a;
-    }
+    if (lo < hi)
+        for (int64_t c = block_of(n, tree_indptr, lo); c < n && tree_indptr[c] < hi; c++)
+            if (tree_indptr[c + 1] - tree_indptr[c] > smax)
+                smax = tree_indptr[c + 1] - tree_indptr[c];
     return smax;
 }
 
 /* SPT parents and §2 heavy-light records of the clusters in entries
- * [lo, hi) (cut at cluster boundaries), one linear pass per cluster
- * over its key-sorted entries [a, b):
+ * [lo, hi) (cut at slice ends), one linear pass per cluster w over its
+ * slice [a, b) = [tree_indptr[w], tree_indptr[w + 1]) of the members,
+ * which strictly ascend in [0, n) (checked first):
  *
  * 1. parent of member v: the smallest-id member u with
  *    dist(u) + wt(v,u) == dist(v).  v's adjacency row is sorted by head,
@@ -1384,14 +1406,16 @@ static int64_t max_cluster(int64_t n, const int64_t *keys, int64_t lo,
  * sequences follow in tz_light_ports, once the caller has placed each
  * range's share of lp_data; until then lp_indptr[e + 1] holds the port
  * at entry e's parent toward it (0 at a root).  Returns the sum of the
- * range's light depths (its lp_data length), TREES_OOM, or TREES_ORPHAN
- * when some non-center entry has no tight in-cluster predecessor (or is
- * not connected to its center through them). */
+ * range's light depths (its lp_data length), TREES_OOM, TREES_MEMBERS
+ * for a slice whose members do not strictly ascend in [0, n), or
+ * TREES_ORPHAN when some non-center entry has no tight in-cluster
+ * predecessor (or is not connected to its center through them). */
 int64_t tz_cluster_trees(
     int64_t n,
     int64_t lo,                      /* entry range [lo, hi) */
     int64_t hi,
-    const int64_t *keys,             /* (E) sorted center * n + member */
+    const int64_t *tree_indptr,      /* (n+1) entry slice per center */
+    const int32_t *member,           /* (E) member per entry */
     const double *dist,              /* (E) */
     const int64_t *indptr,
     const int64_t *adj,
@@ -1408,7 +1432,7 @@ int64_t tz_cluster_trees(
     int32_t *heavy_port,
     int64_t *lp_indptr)              /* out (E+1): down port at row e+1 */
 {
-    const size_t cap = (size_t)max_cluster(n, keys, lo, hi) + 1;
+    const size_t cap = (size_t)max_cluster(n, tree_indptr, lo, hi) + 1;
     vslot *slot = malloc((size_t)(n ? n : 1) * sizeof(vslot));
     int64_t *par = malloc(cap * sizeof(int64_t));       /* local parent */
     int64_t *cptr = malloc((cap + 1) * sizeof(int64_t)); /* child CSR */
@@ -1421,23 +1445,28 @@ int64_t tz_cluster_trees(
         rc = TREES_OOM;
     for (int64_t v = 0; rc == 0 && v < n; v++)
         slot[v].stamp = -1;
-    for (int64_t a = lo, b; rc == 0 && a < hi; a = b) {
-        const int64_t w = keys[a] / n, base = w * n;
-        for (b = a + 1; b < hi && keys[b] / n == w; b++)
-            ;
-        const int64_t s = b - a;
+    for (int64_t w = lo < hi ? block_of(n, tree_indptr, lo) : n;
+         rc == 0 && w < n && tree_indptr[w] < hi; w++) {
+        const int64_t a = tree_indptr[w], b = tree_indptr[w + 1], s = b - a;
+        if (s == 0)
+            continue;
+        for (int64_t e = a; e < b; e++)
+            if (member[e] < 0 || member[e] >= n || (e > a && member[e] <= member[e - 1]))
+                rc = TREES_MEMBERS;
+        if (rc)
+            break;
         const int full = s == n; /* member v sits at local index v */
         if (!full)
             for (int64_t i = 0; i < s; i++) {
-                slot[keys[a + i] - base].stamp = a;
-                slot[keys[a + i] - base].local = i;
+                slot[member[a + i]].stamp = a;
+                slot[member[a + i]].local = i;
             }
 
         /* 1. parents, ports, child counts */
         int64_t root = -1;
         memset(cptr, 0, (size_t)(s + 1) * sizeof(int64_t));
         for (int64_t i = 0; i < s; i++) {
-            const int64_t e = a + i, v = keys[e] - base;
+            const int64_t e = a + i, v = member[e];
             if (v == w) {
                 root = i;
                 par[i] = -1;
@@ -1468,7 +1497,7 @@ int64_t tz_cluster_trees(
             parent[e] = u;
             parent_epos[e] = a + j;
             parent_port[e] = port_of_arc[arc];
-            down[i] = port_of_arc[find_key(adj, indptr[u], indptr[u + 1], v)];
+            down[i] = port_of_arc[find_arc(adj, indptr[u], indptr[u + 1], v)];
         }
         if (rc == 0 && root < 0)
             rc = TREES_ORPHAN;
@@ -1563,7 +1592,7 @@ int64_t tz_light_ports(
     int64_t lo,                      /* entry range [lo, hi) */
     int64_t hi,
     int64_t lp_base,
-    const int64_t *keys,             /* (E) sorted center * n + member */
+    const int64_t *tree_indptr,      /* (n+1) entry slice per center */
     const int32_t *parent_epos,      /* (E) tz_cluster_trees columns */
     const int32_t *f,
     const int32_t *light_depth,
@@ -1571,16 +1600,15 @@ int64_t tz_light_ports(
     void *lp_data,                   /* out */
     int64_t lp_width)
 {
-    const size_t cap = (size_t)max_cluster(n, keys, lo, hi) + 1;
+    const size_t cap = (size_t)max_cluster(n, tree_indptr, lo, hi) + 1;
     int64_t *by_f = malloc(cap * sizeof(int64_t)); /* DFS number -> local */
     int64_t *down = malloc(cap * sizeof(int64_t));
     int64_t rc = (!by_f || !down) ? TREES_OOM : 0;
     int64_t at = lp_base;
     char *const ports = (char *)lp_data;
-    for (int64_t a = lo, b; rc == 0 && a < hi; a = b) {
-        const int64_t w = keys[a] / n;
-        for (b = a + 1; b < hi && keys[b] / n == w; b++)
-            ;
+    for (int64_t w = lo < hi ? block_of(n, tree_indptr, lo) : n;
+         rc == 0 && w < n && tree_indptr[w] < hi; w++) {
+        const int64_t a = tree_indptr[w], b = tree_indptr[w + 1];
         for (int64_t e = a; e < b; e++) {
             by_f[f[e]] = e - a;
             down[e - a] = lp_indptr[e + 1];
@@ -1611,27 +1639,27 @@ int64_t tz_light_ports(
 
 /* Return codes of tz_compile_records: keep in sync with
  * kernels/records.py.  Each names what the pass refused at *bad. */
-#define RECORDS_KEYS (-1)   /* keys not strictly ascending in [0, n*n) */
-#define RECORDS_MEMBER (-2) /* a member that is not its key mod n */
+#define RECORDS_RANGE (-1)  /* a member outside [0, n) */
+#define RECORDS_ORDER (-2)  /* members not strictly ascending in a tree slice */
 #define RECORDS_PARENT (-3) /* a parent port outside [0, deg(member)] */
 #define RECORDS_HEAVY (-4)  /* a heavy port outside [0, deg(member)] */
 #define RECORDS_LIGHT (-5)  /* a light-port slice outside [0, len(lp_data)] */
 
-/* One tree's slice [lo, hi) of the key-sorted entries; its keys are
- * base + member, and full marks a slice holding all n members. */
+/* One tree's slice [lo, hi) of the member column, whose members
+ * strictly ascend in [0, n); full marks a slice holding all n. */
 typedef struct {
-    const int64_t *keys;
-    int64_t lo, hi, base;
+    const int32_t *member;
+    int64_t lo, hi;
     int full;
 } tree_slice;
 
 /* Resolve one parent or heavy move of member v through its step row
  * (port 0 = no move) and link the neighbour back to its entry in the
- * same tree: the hint when it lies in the slice and holds the member,
- * else a search of the slice, else LOST.  Returns the neighbour (-1 for
- * no move).  Both shortcuts are measured: under the build's own ports
- * the hint halves the pass, and the full-n index halves a hint-less one
- * (bench_kernels gates the hint). */
+ * same tree: the hint when it lies in the slice and holds the
+ * neighbour, else a search of the slice, else LOST.  Returns the
+ * neighbour (-1 for no move).  Both shortcuts are measured: under the
+ * build's own ports the hint halves the pass, and the full-n index
+ * halves a hint-less one (bench_kernels gates the hint). */
 static int64_t resolve_move(const tree_slice *t, const step_rec *row,
                             int64_t port, int64_t hint, int32_t *epos,
                             double *wt, int32_t *edge)
@@ -1643,22 +1671,22 @@ static int64_t resolve_move(const tree_slice *t, const step_rec *row,
         return -1;
     }
     const step_rec *st = &row[port - 1];
-    const int64_t key = t->base + st->next;
+    const int64_t next = st->next;
     int64_t pos;
-    if (hint >= t->lo && hint < t->hi && t->keys[hint] == key)
+    if (hint >= t->lo && hint < t->hi && t->member[hint] == next)
         pos = hint;
     else if (t->full)
-        pos = t->lo + st->next;
+        pos = t->lo + next;
     else
-        pos = find_key(t->keys, t->lo, t->hi, key);
+        pos = find_member(t->member, t->lo, t->hi, next);
     *epos = (int32_t)(pos >= 0 ? pos : LOST);
     *wt = st->wt;
     *edge = st->edge;
-    return st->next;
+    return next;
 }
 
 /* Write every entry record of a compiled scheme in one pass over the
- * key-sorted entries, tree slice by tree slice: the five tree-record
+ * entries, tree slice by tree slice (tree_indptr): the five tree-record
  * fields and the two ports as given, each port resolved through
  * step[g_indptr[v] + port - 1] to weight and edge and its neighbour
  * linked to its entry in the same tree, and the offset of the entry's
@@ -1678,20 +1706,19 @@ static int64_t resolve_move(const tree_slice *t, const step_rec *row,
  * refuses lp_len >= 2^31).  It writes the records and nothing else: the
  * label bits are the derive pass's (tz_derive_entries).
  *
- * Keys strictly ascend, so each is unique: a checked hint, a search of
- * the tree's slice and numpy's global searchsorted name the same entry,
- * and a key missing from its slice is missing everywhere, since tree
- * w's keys all lie in [w*n, (w+1)*n).
+ * The members of a slice strictly ascend, so each names one entry: a
+ * checked hint, a search of the tree's slice and numpy's global
+ * searchsorted of tree * n + member name the same one, and a member
+ * missing from its slice is missing from the tree.
  *
  * Refuses, before resolving the entry at fault, what numpy would
- * resolve wrongly: keys out of order or range, a member that is not
- * its key mod n, a port past its member's row, and a light-port slice
- * outside lp_data or not light_depth long.  Returns 0 or a RECORDS_*
- * code with the entry at *bad.
+ * resolve wrongly: a slice whose members are out of range or order
+ * (checked over the whole slice first), a port past its member's row,
+ * and a light-port slice outside lp_data or not light_depth long.
+ * Returns 0 or a RECORDS_* code with the entry at *bad.
  *
  * Every array is the whole entry column and the pass covers only
- * entries [lo, hi), which the caller cuts where the tree id strictly
- * grows: those are slice boundaries of the one-range pass too, so a
+ * entries [lo, hi), which the caller cuts where a tree slice ends, so a
  * range's records, and the first fault it names, are the ones the
  * one-range pass would write and name, and threads may run disjoint
  * ranges at once. */
@@ -1699,8 +1726,8 @@ int64_t tz_compile_records(
     int64_t n,
     int64_t lo,                      /* entry range [lo, hi) */
     int64_t hi,
-    const int64_t *keys,             /* (E) tree * n + member */
-    const int32_t *vertex,           /* (E) tree-record fields */
+    const int64_t *tree_indptr,      /* (n+1) entry slice per tree */
+    const int32_t *vertex,           /* (E) member, then the tree-record fields */
     const int32_t *f,
     const int32_t *finish,
     const int32_t *heavy_finish,
@@ -1718,31 +1745,27 @@ int64_t tz_compile_records(
     int64_t *bad,                    /* out: the refused entry */
     int64_t *rejected)               /* out: entries that differ from a hint */
 {
-    const int64_t span = n * n;
-    tree_slice t = {keys, 0, 0, 0, 0};
+    tree_slice t = {vertex, 0, 0, 0};
     int64_t differ = parent_hint ? 0 : hi - lo;
     *rejected = differ;
-    for (int64_t a = lo, b; a < hi; a = b) {
-        if (keys[a] < 0 || keys[a] >= span) {
-            *bad = a;
-            return RECORDS_KEYS;
-        }
-        const int64_t base = keys[a] / n * n, end = base + n;
-        for (b = a + 1; b < hi && keys[b] < end; b++)
-            if (keys[b] <= keys[b - 1]) {
-                *bad = b;
-                return RECORDS_KEYS;
+    for (int64_t w = lo < hi ? block_of(n, tree_indptr, lo) : n;
+         w < n && tree_indptr[w] < hi; w++) {
+        const int64_t a = tree_indptr[w], b = tree_indptr[w + 1];
+        for (int64_t e = a; e < b; e++) {
+            if (vertex[e] < 0 || vertex[e] >= n) {
+                *bad = e;
+                return RECORDS_RANGE;
             }
+            if (e > a && vertex[e] <= vertex[e - 1]) {
+                *bad = e;
+                return RECORDS_ORDER;
+            }
+        }
         t.lo = a;
         t.hi = b;
-        t.base = base;
         t.full = b - a == n;
         for (int64_t e = a; e < b; e++) {
             const int64_t v = vertex[e];
-            if (v != keys[e] - base) {
-                *bad = e;
-                return RECORDS_MEMBER;
-            }
             const int64_t deg = g_indptr[v + 1] - g_indptr[v];
             const int64_t pp = parent_port[e], hp = heavy_port[e];
             if (pp < 0 || pp > deg) {
@@ -1787,20 +1810,6 @@ int64_t tz_compile_records(
 /* Load and build: the columns derived instead of stored              */
 /* ------------------------------------------------------------------ */
 
-/* Block of row e: the largest c with cl_indptr[c] <= e, c in [0, n). */
-static int64_t block_of(int64_t n, const int64_t *cl_indptr, int64_t e)
-{
-    int64_t a = 0, b = n;
-    while (b - a > 1) {
-        const int64_t mid = a + ((b - a) >> 1);
-        if (cl_indptr[mid] <= e)
-            a = mid;
-        else
-            b = mid;
-    }
-    return a;
-}
-
 /* Return codes of tz_derive_entries: keep in sync with
  * kernels/records.py.  Each names what the pass refused at *bad. */
 #define DERIVE_MEMBER (-1) /* a member outside [0, n) */
@@ -1809,8 +1818,8 @@ static int64_t block_of(int64_t n, const int64_t *cl_indptr, int64_t e)
 #define DERIVE_LIGHT (-4)  /* light-port slices not back to back in lp_data */
 
 /* Derive, for entries [lo, hi) (cut where a tree of tree_indptr ends),
- * what a scheme container does not store, and a build's entry keys and
- * centers, each output NULL when not wanted:
+ * what a scheme container does not store, and any scheme's entry keys
+ * and centers, each output NULL when not wanted:
  *
  * - keys = tree * n + member and center = tree, the tree being the
  *   block of tree_indptr holding the entry;
@@ -2075,16 +2084,16 @@ void tz_splice_same(
 /* ------------------------------------------------------------------ */
 
 /* Label entry positions of vertices [lo, hi): row 0 the entry (v, v),
- * row i the entry (pivot[i][v], v), each found in its tree's block of
- * the key-sorted entries.  Levels go in order, so the return is 0 or
+ * row i the entry (pivot[i][v], v), each found in its tree's slice of
+ * the member column.  Levels go in order, so the return is 0 or
  * 1 + the lowest level whose entry some vertex of the range lacks. */
 int64_t tz_label_positions(
     int64_t n,
     int64_t k,
     int64_t lo,
     int64_t hi,
-    const int64_t *cl_indptr,        /* (n+1) */
-    const int64_t *keys,             /* (E) sorted center * n + member */
+    const int64_t *cl_indptr,        /* (n+1) entry slice per center */
+    const int32_t *member,           /* (E) member per entry */
     const int64_t *pivot,            /* (k, n) row-major; row 0 unread */
     int64_t *lab)                    /* out (k, n) row-major */
 {
@@ -2095,9 +2104,9 @@ int64_t tz_label_positions(
             if (w >= 0 && w < n) {
                 const int64_t a = cl_indptr[w], b = cl_indptr[w + 1];
                 if (b - a == n)
-                    pos = keys[a + v] == w * n + v ? a + v : -1;
+                    pos = member[a + v] == v ? a + v : -1;
                 else
-                    pos = find_key(keys, a, b, w * n + v);
+                    pos = find_member(member, a, b, v);
             }
             if (pos < 0)
                 return 1 + i;

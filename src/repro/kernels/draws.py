@@ -37,12 +37,6 @@ _GNP_INF_SKIP = -2
 _MAX_N = 2**31
 
 
-def _lib() -> ctypes.CDLL:
-    lib = _build.load()
-    if lib is None:  # pragma: no cover - callers resolve the kernel first
-        raise RuntimeError(f"native kernels unavailable: {_build.native_error()}")
-    return lib
-
 
 def _draw_fn(fn) -> int:
     """The address of one of the bit generator's ``ctypes`` functions."""
@@ -57,7 +51,7 @@ def gnp_edges_native(n: int, p: float, gen: np.random.Generator) -> np.ndarray:
         raise ValueError(f"gnp needs 0 <= n < 2^31, got {n}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"the skip pass needs 0 < p < 1, got {p}")
-    lib = _lib()
+    lib = _build.require()
     bitgen = gen.bit_generator
     iface = bitgen.ctypes
     out = ctypes.c_void_p()
@@ -86,7 +80,7 @@ def permute_rows_native(indptr: np.ndarray, gen: np.random.Generator) -> np.ndar
     indptr = _build.column(indptr, np.int64, "indptr")
     if indptr.shape[0] == 0 or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
         raise ValueError("indptr must start at 0 and never decrease")
-    lib = _lib()
+    lib = _build.require()
     ports = np.empty(int(indptr[-1]), dtype=np.int64)
     bitgen = gen.bit_generator
     iface = bitgen.ctypes

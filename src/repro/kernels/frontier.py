@@ -42,9 +42,7 @@ def frontier_sweep_native(
     worker (:func:`repro.pool.size`); the entries do not depend on the
     ranges.  The work counters are summed and recorded on this thread.
     """
-    lib = _build.load()
-    if lib is None:  # pragma: no cover - callers resolve the kernel first
-        raise RuntimeError(f"native kernels unavailable: {_build.native_error()}")
+    lib = _build.require()
     centers = np.sort(np.ascontiguousarray(centers, dtype=np.int64))
     count = int(centers.shape[0])
     if count == 0:
@@ -62,7 +60,7 @@ def frontier_sweep_native(
             lo, hi, indptr.ctypes.data, adj.ctypes.data, wts.ctypes.data,
             thr.ctypes.data, arcs.ctypes.data,
         ),
-        [(n * i // workers, n * (i + 1) // workers) for i in range(workers)],
+        pool.even_ranges(n, workers),
     )
     parts = min(count, workers)
 
@@ -83,9 +81,7 @@ def frontier_sweep_native(
         )
         return int(found), keys_ptr, dist_ptr, stats
 
-    swept = pool.run(
-        sweep, [(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
-    )
+    swept = pool.run(sweep, pool.even_ranges(count, parts))
     try:
         if any(found < 0 for found, *_ in swept):
             raise MemoryError("native frontier sweep ran out of memory")

@@ -57,12 +57,6 @@ def _ptr(a: Optional[np.ndarray]):
     return a.ctypes.data_as(ctypes.c_void_p)
 
 
-def _lib() -> ctypes.CDLL:
-    lib = _build.load()
-    if lib is None:  # pragma: no cover - callers resolve the kernel first
-        raise RuntimeError(f"native kernels unavailable: {_build.native_error()}")
-    return lib
-
 
 def _check_columns(count: int, cols, dtypes, what: str) -> None:
     """Refuse any column the C side would index past or misread."""
@@ -85,7 +79,7 @@ def commit_native(cs, src: np.ndarray, dst: np.ndarray, state: Tuple[np.ndarray,
     )
     if count and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= cs.n):
         raise RoutingError("pair endpoint out of range")
-    _lib().tz_commit(
+    _build.require().tz_commit(
         count,
         _ptr(src),
         _ptr(dst),
@@ -150,7 +144,7 @@ def hop_loop_native(
         trial_i64 = _i64(trial)
         _check_columns(count, (trial_i64,), (np.int64,), "trial index")
         mask_width = int(masks_u8.shape[1])
-    rounds = _lib().tz_hop_loop(
+    rounds = _build.require().tz_hop_loop(
         count,
         _ptr(epos_src),
         _ptr(epos_dst),

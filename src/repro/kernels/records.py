@@ -1,7 +1,8 @@
 """ctypes wrappers for the native passes over the entry records.
 
-``tz_compile_records`` walks the key-sorted ``(tree * n + member)``
-entries one tree slice at a time and writes each ``ENT_DTYPE`` record:
+``tz_compile_records`` walks the entries one tree slice at a time (the
+slices of ``tree_indptr`` over the int32 member column, members strictly
+ascending in each) and writes each ``ENT_DTYPE`` record:
 the five tree-record fields and the two ports, each port resolved
 through the step records to weight and edge id and its neighbour linked
 back to an entry in the same tree, and the offset of the entry's
@@ -12,7 +13,8 @@ checks each light-port slice; it writes the records and nothing else.
 
 A link is the caller's hint (the build's own ``ent_parent_epos`` /
 ``ent_heavy_epos``) when the hint lies in the entry's tree slice and
-holds the neighbour's key; otherwise the pass searches that slice.
+holds the neighbour as its member; otherwise the pass searches that
+slice.
 Hints are checked, never trusted, so a wrong one costs a search, not a
 wrong record.  The pass also counts the entries whose parent link,
 heavy link or parent neighbour differs from its hint (the third hint is
@@ -25,9 +27,9 @@ path raises too.
 member column and records it derives the columns a scheme container
 does not store, each entry's tree-label bits among them
 (:func:`derive_entries_native`; the numpy reference is
-``core/build/arrays.py::derive_entries_numpy``).  It is also where a
-build's entry keys and centers come from, which read the tree slices and
-members only.  Its input may be an unverified map, so it checks what it
+``core/build/arrays.py::derive_entries_numpy``).  It is also where any
+scheme's entry keys and centers come from, on first read, which read the
+tree slices and members only.  Its input may be an unverified map, so it checks what it
 reads through and refuses with :data:`DERIVE_REFUSALS`.  A built or
 patched scheme, which holds its light-port CSR and no records, gets the
 same label bits from ``tz_label_bits`` (:func:`label_bits_native`).
@@ -40,21 +42,21 @@ through ``port_at`` at ``lp_data.dtype.itemsize`` bytes a port);
 record structs.
 
 The passes run on the worker pool (:mod:`repro.pool`), one range of
-whole trees per worker (:func:`~repro.kernels.trees.tree_ranges`), each
+whole trees per worker (:func:`~repro.kernels.trees.slice_ranges`), each
 writing its own rows; a refusal names its global entry index, from the
 first refusing range.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .. import pool
 from ..errors import EncodingError
 from . import _build
-from .trees import tree_ranges
+from .trees import slice_ranges, tree_slices
 
 #: One past the largest light-port offset the int32 ``lp_off`` holds.
 _LP_LIMIT = 2**31
@@ -71,15 +73,15 @@ __all__ = [
 
 #: What the compile pass refuses, on either kernel, by name.
 REFUSALS = {
-    "keys": "entry keys are not strictly ascending in [0, n*n)",
-    "member": "its member is not its key mod n",
+    "range": "its member lies outside [0, n)",
+    "order": "its member does not strictly ascend in its tree slice",
     "parent": "its parent port lies outside [0, deg(member)]",
     "heavy": "its heavy port lies outside [0, deg(member)]",
     "light": "its light-port slice lies outside lp_data or is not its light depth long",
 }
 
 #: Return codes of ``tz_compile_records`` (``RECORDS_*`` in ``_native.c``).
-_CODES = {-1: "keys", -2: "member", -3: "parent", -4: "heavy", -5: "light"}
+_CODES = {-1: "range", -2: "order", -3: "parent", -4: "heavy", -5: "light"}
 
 #: The tree-record fields the pass copies, in the kernel's argument order.
 _FIELDS = ("vertex", "f", "finish", "heavy_finish", "light_depth")
@@ -106,7 +108,7 @@ def record_layout() -> Dict[str, Tuple[Dict[str, Tuple[int, int]], int]]:
     """How the C compiler laid out the record structs: per record
     column (``"ent"``, ``"step"``), each field's ``(offset, size)`` in
     bytes and the struct's size."""
-    lib = _lib()
+    lib = _build.require()
     values = np.zeros(64, dtype=np.int64)
     used = lib.tz_record_layout(values.ctypes.data)
     words = iter(values[:used].tolist())
@@ -118,7 +120,7 @@ def record_layout() -> Dict[str, Tuple[Dict[str, Tuple[int, int]], int]]:
 
 
 def compile_records_native(
-    keys: np.ndarray,
+    tree_indptr: np.ndarray,
     record: Dict[str, np.ndarray],
     ports: Tuple[np.ndarray, np.ndarray],
     links: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -128,10 +130,12 @@ def compile_records_native(
     light: Tuple[np.ndarray, np.ndarray],
     rejected: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Fill ``out``, one entry record per key, and return it.
+    """Fill ``out``, one entry record per member, and return it.
 
-    ``keys`` is int64; ``record`` holds the int32 tree-record fields
-    (``vertex`` through ``light_depth``), ``ports`` the int32 parent and
+    ``tree_indptr`` holds the int64 tree slices of the entries, one per
+    vertex of the graph (:func:`~repro.kernels.trees.tree_slices`);
+    ``record`` holds the int32 tree-record fields (``vertex``, the
+    member column, through ``light_depth``), ``ports`` the int32 parent and
     heavy ports (0 = none), ``links`` the int32 parent-link, heavy-link
     and parent-vertex hints or None.  ``light`` is ``(lp_indptr,
     lp_data)``, the light-port CSR: the pass checks each int64 slice of
@@ -146,23 +150,24 @@ def compile_records_native(
     ``lp_data`` too long for the int32 ``lp_off``), and ValueError for a
     column of any other dtype or length.
     """
-    lib = _lib()
-    keys = _build.column(keys, np.int64, "keys")
-    E = int(keys.shape[0])
-    g_indptr = _build.column(g_indptr, np.int64, "g_indptr")
-    n = int(g_indptr.shape[0]) - 1
+    lib = _build.require()
     cols = [_build.column(record[name], np.int32, name) for name in _FIELDS]
     cols += [_build.column(p, np.int32, "ports") for p in ports]
+    E = int(cols[0].shape[0])
+    tree_indptr, n = tree_slices(tree_indptr, E)
+    g_indptr = _build.column(g_indptr, np.int64, "g_indptr")
+    if g_indptr.shape != (n + 1,):
+        raise ValueError("g_indptr must hold one row per tree, plus one")
     hints = [None] * 3 if links is None else [_build.column(h, np.int32, "hints") for h in links]
     if len(hints) != 3 or any(
         c.shape != (E,) for c in cols + [h for h in hints if h is not None]
     ):
-        raise ValueError("every entry column must hold one row per key")
+        raise ValueError("every entry column must hold one row per member")
     lp_indptr, lp_data = light
     lp_indptr = _build.column(lp_indptr, np.int64, "lp_indptr")
     lp_len = int(lp_data.shape[0])
     if lp_indptr.shape != (E + 1,):
-        raise ValueError("lp_indptr must hold one row per key, plus one")
+        raise ValueError("lp_indptr must hold one row per member, plus one")
     if lp_len >= _LP_LIMIT:
         raise EncodingError(
             f"{lp_len} light ports exceed the int32 lp_off field (must be < 2^31)"
@@ -176,12 +181,12 @@ def compile_records_native(
         and step.shape == (int(g_indptr[-1]),)
     ):
         raise ValueError("step and out must be contiguous record columns")
-    ranges = tree_ranges(keys, n, pool.size())
+    ranges = slice_ranges(tree_indptr, pool.size())
     bad = np.zeros(len(ranges), dtype=np.int64)
     differ = np.zeros(len(ranges), dtype=np.int64)
     # The task holds the arrays, not bare addresses, so no buffer can be
     # freed under a range that is still writing it.
-    columns = [keys] + cols
+    columns = [tree_indptr] + cols
 
     def task(lo: int, hi: int, j: int) -> int:
         return lib.tz_compile_records(
@@ -232,27 +237,6 @@ def derive_refusal(what: str, entry: int) -> EncodingError:
     return EncodingError(f"cannot derive entry {entry}: {DERIVE_REFUSALS[what]}")
 
 
-def _tree_slices(tree_indptr: np.ndarray, entries: int) -> Tuple[np.ndarray, int]:
-    """``tree_indptr`` as int64 and its tree count ``n``; ValueError
-    unless it runs from 0 to ``entries`` without decreasing."""
-    tree_indptr = _build.column(tree_indptr, np.int64, "tree_indptr")
-    n = int(tree_indptr.shape[0]) - 1
-    if n < 0 or tree_indptr[0] != 0 or tree_indptr[-1] != entries or np.any(
-        np.diff(tree_indptr) < 0
-    ):
-        raise ValueError("tree_indptr must run from 0 to the entry count without decreasing")
-    return tree_indptr, n
-
-
-def slice_ranges(tree_indptr: np.ndarray, parts: int) -> List[Tuple[int, int]]:
-    """At most ``parts`` contiguous ``[lo, hi)`` entry ranges of about
-    equal length, each cut where a tree slice of ``tree_indptr`` ends."""
-    count = int(tree_indptr[-1])
-    targets = [count * j // parts for j in range(1, parts)]
-    cuts = sorted(set([0, count] + tree_indptr[np.searchsorted(tree_indptr, targets)].tolist()))
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def derive_entries_native(
     tree_indptr: np.ndarray,
     member: np.ndarray,
@@ -271,10 +255,10 @@ def derive_entries_native(
     for records the derivation cannot read through, and ValueError for a
     column of another dtype or length.
     """
-    lib = _lib()
+    lib = _build.require()
     member = _build.column(member, np.int32, "member")
     E = int(member.shape[0])
-    tree_indptr, n = _tree_slices(tree_indptr, E)
+    tree_indptr, n = tree_slices(tree_indptr, E)
     reads = any(name not in FROM_MEMBERS for name in want)
     if reads:
         lp_data = np.ascontiguousarray(lp_data)
@@ -327,12 +311,12 @@ def label_bits_native(
     :func:`~repro.trees.label_codec.tree_label_bits_array`.  Raises
     ValueError for a column of another dtype or length, or a slice that
     does not ascend inside ``lp_data``."""
-    lib = _lib()
+    lib = _build.require()
     lp_indptr = _build.column(lp_indptr, np.int64, "lp_indptr")
     lp_data = np.ascontiguousarray(lp_data)
     width = _build.port_width(lp_data)
     E = int(lp_indptr.shape[0]) - 1
-    tree_indptr, n = _tree_slices(tree_indptr, E)
+    tree_indptr, n = tree_slices(tree_indptr, E)
     out = np.empty(E, dtype=DERIVABLE["label_bits"])
 
     def task(lo: int, hi: int) -> int:
@@ -344,10 +328,3 @@ def label_bits_native(
     if any(pool.run(task, slice_ranges(tree_indptr, pool.size()))):
         raise ValueError("lp_indptr's slices must ascend inside lp_data")
     return out
-
-
-def _lib():
-    lib = _build.load()
-    if lib is None:  # pragma: no cover - callers resolve the kernel first
-        raise RuntimeError(f"native kernels unavailable: {_build.native_error()}")
-    return lib

@@ -15,9 +15,8 @@ columns whose dirty runs already equal the parent's rows, which the
 patch then shares.
 
 :func:`assemble_arrays <repro.core.build.arrays.assemble_arrays>` then
-finds the label entry positions with ``tz_label_positions``; the keys
-and centers it reads them from are the derive pass's
-(``tz_derive_entries``, :mod:`repro.kernels.records`).
+finds the label entry positions with ``tz_label_positions``, each a
+search of its tree's slice of the member column.
 
 Both run on the worker pool (:mod:`repro.pool`), one row range per
 worker (:func:`repro.pool.size`), each writing its own rows of shared
@@ -28,7 +27,7 @@ label positions stay the byte-for-byte reference
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "OFFSET",
     "REAL",
     "label_positions_native",
-    "row_ranges",
     "splice_native",
     "splice_same_native",
 ]
@@ -67,12 +65,6 @@ Runs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: optionally the array to write into (at least as long as the output).
 Column = Tuple
 
-def _lib():
-    lib = _build.load()
-    if lib is None:  # pragma: no cover - callers resolve the kernel first
-        raise RuntimeError(f"native kernels unavailable: {_build.native_error()}")
-    return lib
-
 
 def _i64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
@@ -81,12 +73,6 @@ def _i64(a: np.ndarray) -> np.ndarray:
 def _table(columns: Sequence[np.ndarray]) -> np.ndarray:
     """The columns' addresses, as the C pointer table reads them."""
     return np.array([c.ctypes.data for c in columns], dtype=np.uintp)
-
-
-def row_ranges(count: int, parts: int) -> List[Tuple[int, int]]:
-    """``parts`` contiguous ``[lo, hi)`` ranges of about equal length
-    covering ``count`` rows (empty ranges included)."""
-    return [(count * j // parts, count * (j + 1) // parts) for j in range(parts)]
 
 
 class _Group:
@@ -147,7 +133,7 @@ def splice_same_native(runs: Runs, columns: Dict[str, Column]) -> Dict[str, bool
         raise ValueError("offset columns move with the blocks; they are never still")
     same = np.zeros(len(g.names), dtype=np.int64)
     old, fresh = _table(g.old), _table(g.fresh)
-    _lib().tz_splice_same(
+    _build.require().tz_splice_same(
         g.dirty.shape[0], g.dirty.ctypes.data, g.src.ctypes.data, g.at.ctypes.data,
         len(g.names), g.kinds.ctypes.data, g.widths.ctypes.data, old.ctypes.data,
         fresh.ctypes.data, same.ctypes.data,
@@ -164,22 +150,23 @@ def splice_native(
     :data:`OFFSET` columns (None when it has none).  Returns the written
     columns by name, each with its parent's dtype: a column's given
     output array, else a new one of the group's length."""
-    lib = _lib()
+    lib = _build.require()
     checked = [_Group(runs, columns, shift) for runs, columns, shift in groups]
     out: Dict[str, np.ndarray] = {}
     calls = []
+    parts = pool.size()
     for g in checked:
         if not g.names:
             continue
         out.update(zip(g.names, g.out))
         # The group holds the arrays, not bare addresses, so no buffer can
         # be freed under a range that is still writing it.
-        calls.append((g, (_table(g.old), _table(g.fresh), _table(g.out))))
-    parts = pool.size()
+        tables = (_table(g.old), _table(g.fresh), _table(g.out))
+        calls.append((g, tables, pool.even_ranges(g.total, parts)))
 
     def task(j: int) -> None:
-        for g, tables in calls:
-            lo, hi = g.total * j // parts, g.total * (j + 1) // parts
+        for g, tables, ranges in calls:
+            lo, hi = ranges[j]
             lib.tz_splice(
                 lo, hi, g.dirty.shape[0], g.dirty.ctypes.data, g.src.ctypes.data,
                 g.at.ctypes.data, None if g.shift is None else g.shift.ctypes.data,
@@ -196,20 +183,21 @@ def label_positions_native(
     n: int,
     k: int,
     cl_indptr: np.ndarray,
-    entry_keys: np.ndarray,
+    ent_member: np.ndarray,
     pivot: np.ndarray,
 ) -> Dict[str, object]:
     """What ``assemble_arrays`` asks of its label pass, in one pool run
     over vertex ranges: ``lab_epos``, the entry of ``(v, v)`` and of
-    each ``(pivot[i][v], v)`` in the key-sorted ``entry_keys``, and
+    each ``(pivot[i][v], v)``, found in the tree's slice of the int32
+    member column ``ent_member`` (members ascending in each slice), and
     ``missing_level``, the lowest level some vertex has no label entry
     at (or None).
     """
-    lib = _lib()
+    lib = _build.require()
     cl_indptr = _i64(cl_indptr)
-    keys = _build.column(entry_keys, np.int64, "entry_keys")
+    member = _build.column(ent_member, np.int32, "ent_member")
     pivot = _i64(pivot)
-    E = int(keys.shape[0])
+    E = int(member.shape[0])
     if cl_indptr.shape != (n + 1,) or cl_indptr[0] != 0 or cl_indptr[-1] != E:
         raise ValueError("cl_indptr must hold n + 1 offsets from 0 to the entry count")
     if np.any(np.diff(cl_indptr) < 0):
@@ -220,9 +208,9 @@ def label_positions_native(
 
     def positions(lo: int, hi: int) -> int:
         return lib.tz_label_positions(
-            n, k, lo, hi, cl_indptr.ctypes.data, keys.ctypes.data,
+            n, k, lo, hi, cl_indptr.ctypes.data, member.ctypes.data,
             pivot.ctypes.data, lab_epos.ctypes.data,
         )
 
-    missing = [m for m in pool.run(positions, row_ranges(n, pool.size())) if m]
+    missing = [m for m in pool.run(positions, pool.even_ranges(n, pool.size())) if m]
     return {"lab_epos": lab_epos, "missing_level": min(missing) - 1 if missing else None}

@@ -34,12 +34,6 @@ __all__ = ["components_native", "multi_source_native", "pair_distances_native"]
 _OOM = -1
 
 
-def _lib():
-    lib = _build.load()
-    if lib is None:  # pragma: no cover - callers resolve the kernel first
-        raise RuntimeError(f"native kernels unavailable: {_build.native_error()}")
-    return lib
-
 
 def _arrays(csr):
     """A :class:`~repro.graphs.csr.CSRKernel`'s arrays as the C passes
@@ -67,7 +61,7 @@ def multi_source_native(
     (every vertex a source) shares a worker with a costly level.  The
     pops and relaxed arcs of every sweep are counted on this thread.
     """
-    lib = _lib()
+    lib = _build.require()
     n = int(csr.n)
     indptr, adj, wts = _arrays(csr)
     sets = [_build.column(s, np.int64, "sources") for s in ranked_sets]
@@ -107,7 +101,7 @@ def pair_distances_native(csr, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     range's call sweeps its sources one at a time on its own n-long
     workspace, writing only the requested cells.
     """
-    lib = _lib()
+    lib = _build.require()
     n = int(csr.n)
     indptr, adj, wts = _arrays(csr)
     src = _build.column(src, np.int64, "src")
@@ -132,9 +126,7 @@ def pair_distances_native(csr, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             raise MemoryError("native pair-distance pass ran out of memory")
         return stats
 
-    swept = pool.run(
-        sweep, [(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
-    )
+    swept = pool.run(sweep, pool.even_ranges(count, parts))
     tm = TELEMETRY
     if tm.enabled:
         pops, relaxed = np.sum(swept, axis=0).tolist()
@@ -151,7 +143,7 @@ def components_native(
     """Component count and labels of the graph on ``[0, n)`` with the
     ``(m, 2)`` int64 ``edges`` (the rows ``keep`` marks, when given);
     each component is numbered by the rank of its smallest vertex."""
-    lib = _lib()
+    lib = _build.require()
     edges = _build.column(edges, np.int64, "edges")
     m = int(edges.shape[0])
     if keep is not None:

@@ -38,7 +38,9 @@ import threading
 from queue import SimpleQueue
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["Pending", "WorkerPool", "run", "shared", "size", "start", "start_steps"]
+__all__ = [
+    "Pending", "WorkerPool", "even_ranges", "run", "shared", "size", "start", "start_steps",
+]
 
 
 class _Task:
@@ -224,6 +226,14 @@ if hasattr(os, "register_at_fork"):
 def size() -> int:
     """Number of workers of the process's pool."""
     return shared().size
+
+
+def even_ranges(count: int, parts: int) -> List[Tuple[int, int]]:
+    """``parts`` contiguous ``[lo, hi)`` ranges of about equal length
+    covering ``count`` rows, in order, empty ones included: how a caller
+    cuts its rows into chunks for :func:`run` (the part count is the
+    caller's own, :func:`size` or fewer)."""
+    return [(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
 
 
 def run(fn: Callable, argsets: Iterable[Tuple]) -> list:

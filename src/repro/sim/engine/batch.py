@@ -120,8 +120,7 @@ def _usable_cpus() -> int:
 def _row_chunks(count: int) -> List[Tuple[int, int]]:
     """Contiguous ``[lo, hi)`` row ranges covering ``count`` rows: one
     per pool worker from :data:`ROUTE_CHUNK_FLOOR` rows up, else one."""
-    parts = _usable_cpus() if count >= ROUTE_CHUNK_FLOOR else 1
-    return [(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+    return pool.even_ranges(count, _usable_cpus() if count >= ROUTE_CHUNK_FLOOR else 1)
 
 
 @dataclass

@@ -24,10 +24,11 @@ runtime state *columnar*: a :class:`CompiledScheme` materializes
   the ported graph (:data:`STEP_DTYPE`), so label-carried light ports
   resolve with one gather.
 
-Entries are sorted by ``w * n + u``, so the membership test behind both
-the 4k−5 commit strategy and the §4 handshake alternation is a binary
-search of one tree's slice of the member column (the native kernels)
-or a vectorized ``searchsorted`` over the derived int64 keys (numpy).
+Entries are sorted by ``w * n + u``: tree ``w``'s slice holds its
+members ascending.  So the membership test behind both the 4k−5 commit
+strategy and the §4 handshake alternation is a binary search of one
+tree's slice of the member column (the native kernels) or a vectorized
+``searchsorted`` over the int64 keys derived on first read (numpy).
 
 One record layout from compile to kernel: :func:`_resolve_columns`
 writes the ``ent`` and ``step`` records once, the numpy reference reads
@@ -36,17 +37,17 @@ container stores them as they are — nothing is repacked before a route.
 
 Compiling runs on the platform's kernel (:func:`_ent_records`, under a
 ``kernel.compile_records`` span).  Natively, ``tz_compile_records``
-writes every record in one linear pass over the key-sorted entries and
-links each neighbor through the build's own ``ent_parent_epos`` /
+writes every record in one linear pass over the tree slices and links
+each neighbor through the build's own ``ent_parent_epos`` /
 ``ent_heavy_epos`` when that hint lies in the entry's tree slice and
-holds the neighbor's key, else by searching that slice — a hint is
-checked, never trusted.  The pass writes the records and nothing else.
-The numpy :func:`_resolve_ports` + :func:`_link_entries` stay the
-byte-for-byte reference (two global ``searchsorted`` calls, hints
-unread).  Both refuse, with
+holds the neighbor as its member, else by searching that slice — a hint
+is checked, never trusted.  The pass writes the records and nothing
+else.  The numpy :func:`_resolve_ports` + :func:`_link_entries` stay the
+byte-for-byte reference (two global ``searchsorted`` calls over keys
+derived there, hints unread).  Both refuse, with
 :class:`~repro.errors.EncodingError`, what they would resolve wrongly:
-keys not strictly ascending in ``[0, n*n)``, a member that is not its
-key mod ``n``, a port outside its member's row, or a light-port slice
+a member outside ``[0, n)``, members not strictly ascending in their
+tree slice, a port outside its member's row, or a light-port slice
 outside ``lp_data`` or not ``light_depth`` long.
 
 One representation: a :class:`CompiledScheme` is a
@@ -63,7 +64,7 @@ refuses any other).  The three others (:data:`DERIVED`: the two record
 columns and the graph's row index) are computed here.  What is an
 exact function of all these (:data:`COMPILED_DERIVED`: the int64 keys,
 the light-port offsets, the label bits) is no column: a compile keeps
-the keys and offsets it was given, and derives the label bits on first
+the offsets it was given, and derives the keys and label bits on first
 read, as a loaded scheme derives all three; the native route reads none
 of them.  A compile records which array objects
 it wrote into the records (:attr:`CompiledScheme.written_from`), so a
@@ -93,6 +94,7 @@ from ...errors import EncodingError, RoutingError
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
 from ...kernels.records import compile_records_native, refusal
+from ...kernels.trees import tree_slices
 from ...obs import TELEMETRY
 from ...trees.tz_tree import records_to_arrays
 
@@ -190,7 +192,7 @@ def _link_entries(
 
 
 def _check_entries(
-    keys: np.ndarray,
+    tree_indptr: np.ndarray,
     record: Dict[str, np.ndarray],
     ports: Tuple[np.ndarray, np.ndarray],
     g_indptr: np.ndarray,
@@ -198,32 +200,32 @@ def _check_entries(
     lp_len: int,
 ) -> None:
     """Refuse what :func:`_resolve_ports` and :func:`_link_entries`
-    would resolve wrongly, with vectorized compares: keys not strictly
-    ascending in ``[0, n*n)``, a member that is not its key mod ``n``, a
-    parent or heavy port outside ``[0, deg(member)]`` (which would read
-    the next vertex's step row), and a light-port slice outside
-    ``lp_data`` or not ``light_depth`` long, whose offset no record may
-    hold.  ``tz_compile_records`` refuses the same inline; raises
-    :class:`~repro.errors.EncodingError` naming the first entry of the
-    first failing check.  Only the refusal is shared: this runs each
-    check over every entry in turn, the C pass meets the faults tree
-    slice by tree slice, so on an input with several faults the two
-    kernels may name different ones."""
+    would resolve wrongly, with vectorized compares: a member outside
+    ``[0, n)``, a member not above the one before it in its tree slice
+    of ``tree_indptr``, a parent or heavy port outside ``[0,
+    deg(member)]`` (which would read the next vertex's step row), and a
+    light-port slice outside ``lp_data`` or not ``light_depth`` long,
+    whose offset no record may hold.  ``tz_compile_records`` refuses the
+    same inline; raises :class:`~repro.errors.EncodingError` naming the
+    first entry of the first failing check.  Only the refusal is shared:
+    this runs each check over every entry in turn, the C pass meets the
+    faults tree slice by tree slice, so on an input with several faults
+    the two kernels may name different ones."""
 
     def refuse_first(what: str, mask: np.ndarray) -> None:
         bad = np.flatnonzero(mask)
         if bad.size:
             raise refusal(what, int(bad[0]))
 
-    if not keys.size:
+    vertex = record["vertex"]
+    if not vertex.size:
         return
     n = g_indptr.shape[0] - 1
-    vertex = record["vertex"]
-    ascending = np.empty(keys.shape[0], dtype=bool)
-    ascending[0] = keys[0] >= 0
-    np.greater(keys[1:], keys[:-1], out=ascending[1:])
-    refuse_first("keys", ~ascending | (keys >= n * n))
-    refuse_first("member", vertex != keys % n)
+    refuse_first("range", (vertex < 0) | (vertex >= n))
+    ascending = np.ones(vertex.shape[0], dtype=bool)
+    np.greater(vertex[1:], vertex[:-1], out=ascending[1:])
+    ascending[tree_indptr[:-1][tree_indptr[:-1] < vertex.shape[0]]] = True  # slice starts
+    refuse_first("order", ~ascending)
     deg = np.diff(g_indptr)[vertex]
     for what, port in zip(("parent", "heavy"), ports):
         refuse_first(what, (port < 0) | (port > deg))
@@ -234,7 +236,7 @@ def _check_entries(
 
 
 def _ent_records(
-    keys: np.ndarray,
+    tree_indptr: np.ndarray,
     record: Dict[str, np.ndarray],
     ports: Tuple[np.ndarray, np.ndarray],
     links: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -244,11 +246,13 @@ def _ent_records(
     light: Tuple[np.ndarray, np.ndarray],
     rejected: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The ``ent`` records of key-sorted entries on ``kernel``, in a
-    :data:`RECORD_ALIGN`-aligned column.
+    """The ``ent`` records of the entries ``tree_indptr`` slices (one
+    tree per vertex) on ``kernel``, in a :data:`RECORD_ALIGN`-aligned
+    column.
 
     ``record`` holds the tree-record fields of :data:`ENT_DTYPE`
-    (``vertex`` through ``light_depth``, int32) and ``ports`` the parent
+    (``vertex``, the members, through ``light_depth``, int32) and
+    ``ports`` the parent
     and heavy ports (0 = none), stored as they are and resolved through
     the ``step`` records to weights and edge ids; each neighbor is then
     linked to its entry row in the same tree.  ``light`` is
@@ -256,25 +260,31 @@ def _ent_records(
     become ``lp_off``.  The native kernel does all of it in one C pass
     and tries ``links`` (the build's own parent and heavy entry links and
     SPT parents, or None) before searching the tree's slice; numpy runs
-    :func:`_resolve_ports` and :func:`_link_entries`, the differential
-    reference it must match byte for byte, and reads ``links`` only to
-    count against them.  Both refuse the same malformed entries
-    (:func:`_check_entries`), each naming the first fault it meets.
+    :func:`_resolve_ports` and :func:`_link_entries` over the keys
+    ``tree * n + member`` it derives, the differential reference it must
+    match byte for byte, and reads ``links`` only to count against them.
+    Both refuse the same malformed entries (:func:`_check_entries`), each
+    naming the first fault it meets.
     ``rejected``, when given, is a one-element int64 column that
     receives the count of entries whose parent link, heavy link or
     parent neighbor differs from its hint (every entry without hints),
     the same on both kernels: 0 exactly when the records hold the
     build's own links.
     """
-    ent = _aligned_records(keys.shape[0], ENT_DTYPE)
-    with TELEMETRY.span("kernel.compile_records", impl=kernel, entries=int(keys.shape[0])):
+    vertex = record["vertex"]
+    ent = _aligned_records(vertex.shape[0], ENT_DTYPE)
+    with TELEMETRY.span("kernel.compile_records", impl=kernel, entries=int(vertex.shape[0])):
         if kernel == "native":
             return compile_records_native(
-                keys, record, ports, links, g_indptr, step, ent, light, rejected
+                tree_indptr, record, ports, links, g_indptr, step, ent, light, rejected
             )
         lp_indptr, lp_data = light
-        vertex = record["vertex"]
-        _check_entries(keys, record, ports, g_indptr, lp_indptr, lp_data.shape[0])
+        tree_indptr, n = tree_slices(tree_indptr, vertex.shape[0])
+        if g_indptr.shape != (n + 1,):
+            raise ValueError("g_indptr must hold one row per tree, plus one")
+        _check_entries(tree_indptr, record, ports, g_indptr, lp_indptr, lp_data.shape[0])
+        keys = np.repeat(np.arange(n, dtype=np.int64) * np.int64(n), np.diff(tree_indptr))
+        keys += vertex
         for name in RECORD_FIELDS:
             ent[name] = record[name]
         neighbor = {}
@@ -287,7 +297,7 @@ def _ent_records(
             neighbor[side] = nxt
         ent["lp_off"] = lp_indptr[:-1]
         if rejected is not None:
-            rejected[0] = keys.shape[0]
+            rejected[0] = vertex.shape[0]
             if links is not None:
                 differ = ent["parent_epos"] != links[0]
                 differ |= ent["heavy_epos"] != links[1]
@@ -636,7 +646,6 @@ def _resolve_columns(
     k: int,
     ported: PortedGraph,
     *,
-    keys: np.ndarray,
     record: Dict[str, np.ndarray],
     ports: Tuple[np.ndarray, np.ndarray],
     links: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -646,8 +655,9 @@ def _resolve_columns(
     """Write the ``ent`` and ``step`` records of an entry layout through
     ``ported`` and bind them next to the given ``columns``.
 
-    ``keys``, ``record``, ``ports``, ``links`` and ``rejected`` are
-    :func:`_ent_records`' inputs: the records' ports are resolved to
+    The entries are the tree slices ``columns["tree_indptr"]`` of the
+    members ``record["vertex"]``; ``record``, ``ports``, ``links`` and
+    ``rejected`` are :func:`_ent_records`' inputs: the records' ports are resolved to
     weights and edge ids through the target port assignment's step
     records, and the neighbors back to entry rows of the same tree (one
     lookup at compile time saves one per hop at route time), on the
@@ -655,12 +665,12 @@ def _resolve_columns(
     ``lp_indptr``.  A graph, entry count or light-port count the int32
     record fields cannot hold is refused
     (:class:`~repro.errors.EncodingError`) before any is written.  The
-    keys and light-port offsets stay on the compile as its derived
-    columns, given already; the label bits it derives on first read.
+    light-port offsets stay on the compile as its derived column, given
+    already; the keys and label bits it derives on first read.
     """
     graph = ported.graph
     check_index_sizes(
-        ported.n, graph.adj.shape[0], keys.shape[0], EncodingError,
+        ported.n, graph.adj.shape[0], columns["ent_member"].shape[0], EncodingError,
         light_ports=columns["lp_data"].shape[0],
     )
     arc = ported.arc_of_port
@@ -669,7 +679,7 @@ def _resolve_columns(
     step["edge"] = graph.arc_edge[arc]
     step["wt"] = graph.adj_weights[arc]
     ent = _ent_records(
-        keys,
+        columns["tree_indptr"],
         record,
         ports,
         links,
@@ -688,7 +698,7 @@ def _resolve_columns(
         step=step,
         **columns,
     )
-    compiled.__dict__.update(entry_keys=keys, lp_indptr=lp_indptr)
+    compiled.__dict__.update(lp_indptr=lp_indptr)
     return compiled
 
 
@@ -697,9 +707,9 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
 
     Single-tree routing is the degenerate TZ scheme with exactly one
     tree: every vertex holds a record for ``T_r`` and every destination
-    label advertises ``r``.  Encoding it that way — entries keyed
-    ``r * n + v`` (the whole entry range is ``r``'s tree slice, every
-    other tree slice empty) and pivot row 1 pinned to ``r``, so ``r`` is
+    label advertises ``r``.  Encoding it that way — the whole entry range
+    is ``r``'s tree slice, members ``0 .. n-1``, every other tree slice
+    empty, and pivot row 1 pinned to ``r``, so ``r`` is
     the one landmark and every other source's level-0 slice is empty —
     makes :meth:`CompiledScheme.select_trees` commit every pair to
     ``T_r`` at level 1 and the unchanged hop loop do the rest, so the baseline
@@ -749,7 +759,6 @@ def compile_single_tree(router, ported: PortedGraph) -> CompiledScheme:
         columns,
         2,
         ported,
-        keys=r * np.int64(n) + members,  # ascending: sorted by vertex
         record=dict(
             vertex=members,
             f=recs["f"],
@@ -767,7 +776,7 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
     """Export a :class:`~repro.core.build.arrays.SchemeArrays` scheme.
 
     The array form already *is* the entry layout the engine routes on
-    (sorted ``tree * n + vertex`` keys, record columns, light-port CSR,
+    (tree slices of the members, record columns, light-port CSR,
     pivots): its :data:`ARRAY_BOUND` columns are bound as
     they are, its :data:`ARRAYS_IN_RECORD` columns are written into the
     ``ent`` records, and what remains is resolving the stored parent and
@@ -780,17 +789,14 @@ def compile_from_arrays(arrays, ported: PortedGraph) -> CompiledScheme:
     the copied fields always, the resolved links when the record pass
     used every one of the build's own links as it is, which it does
     exactly when ``ported`` is the build's assignment.  The compile's
-    derived keys and light-port offsets are the arrays' own.
+    derived light-port offsets are the arrays' own.
     """
-    with TELEMETRY.span(
-        "engine.compile", source="arrays", entries=int(arrays.entry_keys.shape[0])
-    ):
+    with TELEMETRY.span("engine.compile", source="arrays", entries=arrays.entry_count):
         rejected = np.zeros(1, dtype=np.int64)
         compiled = _resolve_columns(
             array_columns(arrays),
             arrays.k,
             ported,
-            keys=arrays.entry_keys,
             record={
                 name: getattr(arrays, col)
                 for col, name in ARRAYS_IN_RECORD.items()

@@ -399,11 +399,6 @@ class SchemeStore:
             return None
         return key or None
 
-    def current_path(self, lineage: str) -> Optional[Path]:
-        """Container path of the lineage's current version."""
-        key = self.current(lineage)
-        return None if key is None else self.path_for(key)
-
     def lineages(self) -> List[str]:
         """Sorted lineage ids that have a published pointer."""
         return sorted(p.name[: -len(POINTER_SUFFIX)] for p in self.root.glob(f"*{POINTER_SUFFIX}"))

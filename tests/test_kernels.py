@@ -54,7 +54,12 @@ from strategies import FAMILIES, family_from_seed, ks, seeds
 from repro.baselines.tree_spanner import build_single_tree_scheme
 from repro.core.build import SchemeArrays, build_arrays, build_scheme, patch_arrays
 from repro.core.build.arrays import COLUMN_DTYPES, light_port_dtype, scheme_from_arrays
-from repro.core.build.vectorized import _cluster_trees, _pruned_level, vectorized_arrays
+from repro.core.build.vectorized import (
+    _cluster_trees,
+    _grow_clusters,
+    _pruned_level,
+    vectorized_arrays,
+)
 from repro import pool
 from repro.analysis.experiments import reference_graph
 from repro.core.landmarks import build_hierarchy, level0_sources
@@ -74,7 +79,7 @@ from repro.kernels import (
 from repro.kernels.frontier import frontier_sweep_native
 from repro.kernels.hop import commit_native
 from repro.kernels.records import compile_records_native
-from repro.kernels.trees import cluster_trees_native, tree_ranges
+from repro.kernels.trees import cluster_trees_native, slice_ranges
 from repro.obs import TELEMETRY
 from repro.rng import derive, make_rng
 from repro.sim.engine import batch
@@ -628,16 +633,24 @@ class TestFrontierSweepDifferential:
 # ----------------------------------------------------------------------
 # 3b. Builder differential: native cluster-tree pass ≡ numpy stages
 # ----------------------------------------------------------------------
-def assert_tree_pass_equal(graph, ported, keys, dist, context=""):
+def assert_tree_pass_equal(graph, ported, cl_indptr, member, dist, context=""):
     """Native ``tz_cluster_trees`` ≡ numpy ``_level_parents`` +
-    ``_tree_arrays`` on the same key-sorted entries, column by column;
-    returns the native columns."""
-    want = _cluster_trees(graph, ported, keys, dist, "numpy")
-    got = _cluster_trees(graph, ported, keys, dist, "native")
+    ``_tree_arrays`` on the same tree slices of the members, column by
+    column; returns the native columns."""
+    want = _cluster_trees(graph, ported, cl_indptr, member, dist, "numpy")
+    got = _cluster_trees(graph, ported, cl_indptr, member, dist, "native")
     assert sorted(want) == sorted(got)
     for name, col in want.items():
         assert np.array_equal(col, got[name]), f"{name} differs {context}"
     return got
+
+
+def one_slice(n, center, size):
+    """Tree slices of ``n`` vertices in which only ``center`` holds
+    entries: the first ``size``."""
+    cl_indptr = np.zeros(n + 1, dtype=np.int64)
+    cl_indptr[center + 1 :] = size
+    return cl_indptr
 
 
 @needs_native
@@ -651,7 +664,7 @@ class TestTreePassDifferential:
         nat = arrays_on(graph, k, ported, seed, "native")
         context = f"(family={family} k={k} seed={seed})"
         assert_arrays_equal(ref, nat, context)
-        assert_tree_pass_equal(graph, ported, ref.entry_keys, ref.ent_dist, context)
+        assert_tree_pass_equal(graph, ported, ref.cl_indptr, ref.ent_member, ref.ent_dist, context)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_unit_weight_grid_ties(self, k):
@@ -676,9 +689,11 @@ class TestTreePassDifferential:
         n = 200_000
         graph = gen.path_tree(n)
         ported = assign_ports(graph, "sorted")
-        keys = np.arange(n, dtype=np.int64)  # one full cluster, center 0
-        got = assert_tree_pass_equal(graph, ported, keys, keys.astype(np.float64))
-        assert np.array_equal(got["tr_f"], keys)
+        member = np.arange(n, dtype=np.int32)  # one full cluster, center 0
+        got = assert_tree_pass_equal(
+            graph, ported, one_slice(n, 0, n), member, member.astype(np.float64)
+        )
+        assert np.array_equal(got["tr_f"], member)
         assert (got["tr_finish"] == n - 1).all()
         assert got["lp_data"].shape == (0,)
 
@@ -693,11 +708,11 @@ class TestTreePassDifferential:
     def test_orphan_member_raises_on_both_kernels(self):
         graph = gen.path_tree(3)  # 0 - 1 - 2, unit weights
         ported = assign_ports(graph, "sorted")
-        keys = np.arange(3, dtype=np.int64)  # C(0) = {0, 1, 2}
+        member = np.arange(3, dtype=np.int32)  # C(0) = {0, 1, 2}
         dist = np.array([0.0, 1.0, 5.0])  # 2 has no tight predecessor
         for kernel in ("numpy", "native"):
             with pytest.raises(PreprocessingError, match="orphan"):
-                _cluster_trees(graph, ported, keys, dist, kernel)
+                _cluster_trees(graph, ported, one_slice(3, 0, 3), member, dist, kernel)
 
     def test_tight_cycle_raises_natively(self):
         # inf + 1 == inf makes 1 and 2 each other's tight parent, so no
@@ -705,9 +720,20 @@ class TestTreePassDifferential:
         # never terminates on such input; the builder cannot emit it.)
         graph = gen.path_tree(3)
         ported = assign_ports(graph, "sorted")
-        keys = np.arange(3, dtype=np.int64)
+        member = np.arange(3, dtype=np.int32)
+        dist = np.array([0.0, np.inf, np.inf])
         with pytest.raises(PreprocessingError, match="orphan"):
-            _cluster_trees(graph, ported, keys, np.array([0.0, np.inf, np.inf]), "native")
+            _cluster_trees(graph, ported, one_slice(3, 0, 3), member, dist, "native")
+
+    def test_members_out_of_order_or_range_raise_natively(self):
+        graph = gen.path_tree(3)
+        ported = assign_ports(graph, "sorted")
+        dist = np.array([0.0, 1.0, 2.0])
+        for member in ([0, 2, 1], [0, 1, 1], [0, 1, 3], [-1, 1, 2]):
+            with pytest.raises(ValueError, match="strictly ascend in"):
+                cluster_trees_native(
+                    graph, ported, one_slice(3, 0, 3), np.array(member, dtype=np.int32), dist
+                )
 
     def test_tree_pass_span_under_build_and_patch(self):
         graph = family_from_seed(9, "gnp", n=40)
@@ -789,7 +815,7 @@ def record_inputs(arrays, links=True):
     }
     ports = (arrays.tr_parent_port, arrays.tr_heavy_port)
     hints = (arrays.ent_parent_epos, arrays.ent_heavy_epos, arrays.ent_parent) if links else None
-    return arrays.entry_keys, record, ports, hints
+    return arrays.cl_indptr, record, ports, hints
 
 
 class TestCompileDifferential:
@@ -844,9 +870,9 @@ class TestCompileDifferential:
         ported = assign_ports(graph, "sorted")
         arrays = build_arrays(graph, 2, ported=ported, rng=2)
         cs = compile_from_arrays(arrays, ported)
-        keys, record, ports, hints = record_inputs(arrays)
+        _, record, ports, hints = record_inputs(arrays)
         empty = (
-            keys[:0],
+            np.zeros(arrays.n + 1, dtype=np.int64),
             {name: col[:0] for name, col in record.items()},
             tuple(p[:0] for p in ports),
             tuple(h[:0] for h in hints),
@@ -916,51 +942,83 @@ class TestCompileDifferential:
             compile_on(kernel, lambda: compile_from_arrays(bad, ported))
 
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
-    def test_member_off_its_key_is_refused(self, compile_on, kernel):
-        graph = family_from_seed(4, "gnp", n=60)
-        ported = assign_ports(graph, "sorted")
-        arrays = build_arrays(graph, 2, ported=ported, rng=4)
-        member = arrays.ent_member.copy()
-        member[5] = (member[5] + 1) % graph.n
-        bad = dataclasses.replace(arrays, ent_member=member)
-        with pytest.raises(EncodingError, match="entry 5: its member is not its key"):
-            compile_on(kernel, lambda: compile_from_arrays(bad, ported))
-
-    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_keys_out_of_order_or_range_are_refused(self, compile_on, kernel):
+        # An entry's key is its tree times n plus its member (derived,
+        # never carried): the keys strictly ascend in [0, n*n) exactly
+        # when every slice's members strictly ascend in [0, n), so the
+        # compile refuses a key fault in either half as a member fault.
         graph = family_from_seed(4, "gnp", n=60)
         ported = assign_ports(graph, "sorted")
         arrays = build_arrays(graph, 2, ported=ported, rng=4)
         n, E = graph.n, arrays.entry_count
-        swapped = arrays.entry_keys.copy()
+        first = int(arrays.cl_indptr[1])  # the second tree's first entry
+        assert first > 8  # entries 7 and 8 share the first tree
+        assert arrays.ent_member[first] < arrays.ent_member[first - 1]
+        order, outside = "its member does not strictly ascend", r"its member lies outside \[0, n\)"
+        swapped = arrays.ent_member.copy()
         swapped[[7, 8]] = swapped[[8, 7]]
-        repeated = arrays.entry_keys.copy()
-        repeated[8] = repeated[7]
-        past = arrays.entry_keys.copy()
-        past[-1] = n * n
-        negative = arrays.entry_keys.copy()
+        past = arrays.ent_member.copy()
+        past[-1] = n
+        negative = arrays.ent_member.copy()
         negative[0] = -1
-        cases = ((swapped, 8), (repeated, 8), (past, E - 1), (negative, 0))
-        for keys, entry in cases:
-            bad = dataclasses.replace(arrays, entry_keys=keys)
-            with pytest.raises(EncodingError, match=f"entry {entry}: entry keys are not"):
+        cases = [
+            (dict(ent_member=swapped), 8, order),
+            (dict(ent_member=past), E - 1, outside),
+            (dict(ent_member=negative), 0, outside),
+        ]
+        # the tree half: the first tree's end moved one entry either way,
+        # so one entry's key lands in its neighbour tree
+        for shift in (1, -1):
+            cl_indptr = arrays.cl_indptr.copy()
+            cl_indptr[1] += shift
+            cases.append((dict(cl_indptr=cl_indptr), first, order))
+        for change, entry, fault in cases:
+            bad = dataclasses.replace(arrays, **change)
+            with pytest.raises(EncodingError, match=f"entry {entry}: {fault}"):
+                compile_on(kernel, lambda: compile_from_arrays(bad, ported))
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_member_off_its_key_is_refused(self, compile_on, kernel):
+        # The member is its key's low half, so a member moved off its
+        # place in the ascending slice is refused at the first entry out
+        # of order, and one moved out of [0, n) at itself.  (One moved to
+        # a free vertex between its neighbours names another entry of the
+        # tree: nothing in the layout tells it from a true one.)
+        graph = family_from_seed(4, "gnp", n=60)
+        ported = assign_ports(graph, "sorted")
+        arrays = build_arrays(graph, 2, ported=ported, rng=4)
+        n = graph.n
+        assert arrays.cl_indptr[1] > 6  # entries 4, 5 and 6 share the first tree
+        member = arrays.ent_member
+        order, outside = "its member does not strictly ascend", r"its member lies outside \[0, n\)"
+        cases = (
+            (member[6], 6, order),  # onto its successor's
+            (member[4], 5, order),  # onto its predecessor's
+            (n, 5, outside),
+            (-1, 5, outside),
+        )
+        for moved, entry, fault in cases:
+            bad_member = member.copy()
+            bad_member[5] = moved
+            bad = dataclasses.replace(arrays, ent_member=bad_member)
+            with pytest.raises(EncodingError, match=f"entry {entry}: {fault}"):
                 compile_on(kernel, lambda: compile_from_arrays(bad, ported))
 
     @pytest.mark.parametrize("kernel", BOTH_KERNELS)
     def test_two_faults_are_refused(self, compile_on, kernel):
-        # Only the refusal is pinned: numpy checks every key before any
-        # member, the C pass meets the member fault in the first tree first.
+        # Only the refusal is pinned: numpy checks every member's range
+        # before any order, the C pass meets the order fault in the
+        # first tree first.
         graph = family_from_seed(4, "gnp", n=60)
         ported = assign_ports(graph, "sorted")
         arrays = build_arrays(graph, 2, ported=ported, rng=4)
         E = arrays.entry_count
-        assert arrays.entry_keys[5] // graph.n < arrays.entry_keys[-2] // graph.n
+        assert arrays.cl_indptr[1] > 5 and arrays.cl_indptr[-2] < E - 1
         member = arrays.ent_member.copy()
-        member[5] = (member[5] + 1) % graph.n
-        keys = arrays.entry_keys.copy()
-        keys[[-2, -1]] = keys[[-1, -2]]
-        bad = dataclasses.replace(arrays, ent_member=member, entry_keys=keys)
-        faults = f"entry (5: its member is not its key|{E - 1}: entry keys are not)"
+        member[5] = member[4]
+        member[-1] = graph.n
+        bad = dataclasses.replace(arrays, ent_member=member)
+        faults = f"entry (5: its member does not strictly ascend|{E - 1}: its member lies outside)"
         with pytest.raises(EncodingError, match=faults):
             compile_on(kernel, lambda: compile_from_arrays(bad, ported))
 
@@ -1011,6 +1069,20 @@ class TestCompileDifferential:
 # ----------------------------------------------------------------------
 # 3d. Pool ranges: the build passes cut into 1–4 ranges
 # ----------------------------------------------------------------------
+def assert_tree_pass_in_ranges(graph, ported, slices, context):
+    """The native tree pass in 1–4 pool ranges ≡ the numpy pass over the
+    same ``(cl_indptr, member, dist)``, dtypes included."""
+    want = _cluster_trees(graph, ported, *slices, "numpy")
+    dtypes = dict(COLUMN_DTYPES, lp_data=light_port_dtype(graph.indptr))
+    for parts in (1, 2, 3, 4):
+        with in_ranges(parts):
+            got = cluster_trees_native(graph, ported, *slices)
+        assert sorted(got) == sorted(want)
+        for name, col in want.items():
+            assert got[name].dtype == dtypes[name], name
+            assert np.array_equal(col, got[name]), f"{name} in {parts} ranges {context}"
+
+
 def level_centers(hierarchy, i):
     """Centers of hierarchy level ``i`` (empty when the level has none)."""
     lvl = hierarchy.levels[i]
@@ -1036,7 +1108,6 @@ class TestPoolRanges:
         ported = assign_ports(graph, "random", rng=derive(k, "ranges"))
         hierarchy = build_hierarchy(graph, k, make_rng(k))
         context = f"(family={family} k={k})"
-        key_parts, dist_parts = [], []
         for i in range(k):
             centers = level_centers(hierarchy, i)
             if centers.size == 0:
@@ -1050,26 +1121,10 @@ class TestPoolRanges:
                     assert a.dtype == b.dtype and np.array_equal(a, b), (
                         f"level {i} sweep in {parts} ranges {context}"
                     )
-            key_parts.append(want[0])
-            dist_parts.append(want[1])
-        keys = np.concatenate(key_parts)
-        order = np.argsort(keys, kind="stable")
-        keys, dist = keys[order], np.concatenate(dist_parts)[order]
-        assert 1 < len(tree_ranges(keys, graph.n, 4)) <= 4  # the passes below are cut
-
-        want = _cluster_trees(graph, ported, keys, dist, "numpy")
-        with in_ranges(1):
-            one = cluster_trees_native(graph, ported, keys, dist)
-        dtypes = dict(COLUMN_DTYPES, lp_data=light_port_dtype(graph.indptr))
-        for parts in (1, 2, 3, 4):
-            with in_ranges(parts):
-                got = cluster_trees_native(graph, ported, keys, dist)
-            assert sorted(got) == sorted(want)
-            for name, col in want.items():
-                assert got[name].dtype == one[name].dtype == dtypes[name], name
-                assert np.array_equal(col, got[name]), (
-                    f"{name} in {parts} ranges {context}"
-                )
+        everyone = np.arange(graph.n, dtype=np.int64)
+        slices = _grow_clusters(graph, hierarchy, everyone, "numpy")
+        assert 1 < len(slice_ranges(slices[0], 4)) <= 4  # the passes below are cut
+        assert_tree_pass_in_ranges(graph, ported, slices, context)
 
         arrays = vectorized_arrays(graph, ported, hierarchy)
         cs = compile_from_arrays(arrays, ported)
@@ -1104,19 +1159,31 @@ class TestPoolRanges:
         assert counts[1][0] > centers.size
 
     def test_ranges_end_where_the_tree_id_grows(self):
-        n = 10
-        keys = np.array([3, 4, 5, 12, 13, 20, 21, 22, 23, 24, 55], dtype=np.int64)
-        assert tree_ranges(keys, n, 1) == [(0, 11)]
-        ranges = tree_ranges(keys, n, 3)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 11
-        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            assert hi == lo and keys[lo] // n > keys[lo - 1] // n
-        # keys out of order: a cut only where the tree id grows, never
-        # between the two keys that break the order
-        bad = np.array([30, 31, 12, 13, 40, 41, 42], dtype=np.int64)
-        for lo, _ in tree_ranges(bad, n, 3)[1:]:
-            assert bad[lo] // n > bad[lo - 1] // n
-        assert tree_ranges(keys[:0], n, 4) == [(0, 0)]
+        # tree slices with empty blocks between them, as a patch's
+        # rebuild has them: only its dirty centers hold entries
+        cl_indptr = np.array([0, 0, 0, 3, 5, 5, 5, 10, 10, 10, 11], dtype=np.int64)
+        ends = set(cl_indptr.tolist())
+        for parts in (1, 2, 3, 4):
+            ranges = slice_ranges(cl_indptr, parts)
+            assert 1 <= len(ranges) <= parts
+            assert ranges[0][0] == 0 and ranges[-1][1] == 11
+            for (lo, hi), (nxt, _) in zip(ranges, ranges[1:]):
+                assert lo < hi == nxt and hi in ends
+        assert slice_ranges(cl_indptr, 1) == [(0, 11)]
+        assert slice_ranges(np.zeros(5, dtype=np.int64), 4) == [(0, 0)]
+
+    @pytest.mark.parametrize("family", ["gnp", "grid"])
+    def test_tree_pass_on_a_patchs_slices(self, family):
+        """The clusters of some centers only, every other tree slice
+        empty: the shape a patch's rebuild hands the tree pass."""
+        graph = reference_graph(family, 150, 3).largest_component()
+        ported = assign_ports(graph, "random", rng=derive(3, "patch shape"))
+        hierarchy = build_hierarchy(graph, 3, make_rng(3))
+        dirty = np.flatnonzero(np.arange(graph.n) % 3 == 1).astype(np.int64)
+        slices = _grow_clusters(graph, hierarchy, dirty, "numpy")
+        sizes = np.diff(slices[0])
+        assert (sizes[dirty] > 0).all() and (sizes == 0).sum() == graph.n - dirty.size
+        assert_tree_pass_in_ranges(graph, ported, slices, f"({family} patch shape)")
 
 
 @pytest.mark.parametrize("kernel", BOTH_KERNELS)
@@ -1125,26 +1192,28 @@ def test_a_refusal_in_a_later_range_names_its_global_entry(kernel):
     ported = assign_ports(graph, "random", rng=4)
     arrays = build_arrays(graph, 3, ported=ported, rng=4)
     cs = compile_from_arrays(arrays, ported)
-    keys, record, ports, hints = record_inputs(arrays)
-    ranges = tree_ranges(keys, graph.n, 3)
+    tree_indptr, record, ports, hints = record_inputs(arrays)
+    ranges = slice_ranges(tree_indptr, 3)
     assert len(ranges) == 3
     e = ranges[2][0] + 5
+    # e - 1 lies in e's tree, so repeating its member is an order fault
+    assert tree_indptr[np.searchsorted(tree_indptr, e, side="right") - 1] < e
     deg = np.diff(graph.indptr)[record["vertex"][e]]
     member = record["vertex"].copy()
-    member[e] = (member[e] + 1) % graph.n
+    member[e] = member[e - 1]
     heavy = ports[1].copy()
     heavy[e] = deg + 1
     cases = {
-        "its member is not its key": (dict(record, vertex=member), ports),
+        "its member does not strictly ascend": (dict(record, vertex=member), ports),
         "its heavy port": (record, (ports[0], heavy)),
     }
     for fault, (rec, prt) in cases.items():
-        args = (keys, rec, prt, hints, cs.g_indptr, cs.step)
+        args = (tree_indptr, rec, prt, hints, cs.g_indptr, cs.step)
         with pytest.raises(EncodingError, match=f"entry {e}: {fault}"):
             if kernel == "numpy":
                 _ent_records(*args, "numpy", light_of(arrays))
             else:
-                out = np.empty(keys.shape[0], dtype=compile_mod.ENT_DTYPE)
+                out = np.empty(arrays.entry_count, dtype=compile_mod.ENT_DTYPE)
                 with in_ranges(3):
                     compile_records_native(*args, out, light_of(arrays))
 

@@ -1,12 +1,12 @@
 """The passes a churn epoch makes over every entry: native ≡ numpy.
 
 Native passes run on every patch, compile and save: the patch's splice
-(``tz_splice``, wrapped in :mod:`repro.kernels.splice`), the derived
-structures of :func:`~repro.core.build.arrays.assemble_arrays` (entry
-keys from the derive pass ``tz_derive_entries``, label positions from
-``tz_label_positions``) and the label bits a compile derives on first
-read, from its records, with that same derive pass.  Each must equal its
-numpy reference byte for byte:
+(``tz_splice``, wrapped in :mod:`repro.kernels.splice`), the label
+positions of :func:`~repro.core.build.arrays.assemble_arrays`
+(``tz_label_positions``, a search of a tree's slice of the members) and
+the label bits a compile derives on first read, from its records, with
+the derive pass ``tz_derive_entries``.  Each must equal its numpy
+reference byte for byte:
 
 1. **splice primitives** on random runs of every column kind, cut into
    1–4 pool ranges;
@@ -21,7 +21,10 @@ numpy reference byte for byte:
    ``hierarchy_from_levels(new graph, levels)``: the patch reuses the
    stored one when no updated edge can move a landmark field;
 5. **the save check**: a save of the arrays a compile was written from
-   compares no entry-length column, and any other compile still is.
+   compares no entry-length column, and any other compile still is;
+6. **no keys are carried**: a churn epoch from build to route leaves no
+   scheme holding the int64 entry keys or the centers, and no compile
+   the keys.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from repro.obs import TELEMETRY
 from repro.rng import derive
 from repro.scenarios import random_delta
 from repro.sim.engine.compile import compile_from_arrays
-from repro.store import SchemeStore
+from repro.store import RouteService, SchemeStore
 
 needs_native = pytest.mark.skipif(
     not available(), reason=f"native kernels unavailable: {native_error()}"
@@ -185,7 +188,7 @@ def test_assemble_and_label_bits(family, k, ports, veto_native):
 
     want = veto_native(assemble)
     assert_bytes_equal(want, arrays, "(numpy assemble vs the build)")
-    for parts in (1, 2, 3):
+    for parts in (1, 2, 3, 4):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(pool, "size", lambda: parts)
             got = assemble()
@@ -319,8 +322,10 @@ def test_kept_blocks_share_what_did_not_change():
     u, v = (int(x) for x in graph.edges[6])
     delta = GraphDelta(weight_updates=((u, v, float(graph.edge_weights[6] + 1)),))
     got = patch_arrays(arrays, graph, delta, ported=ported).arrays
-    for name in ("cl_indptr", "ent_center", "entry_keys", "ent_member", "lab_epos"):
+    for name in ("cl_indptr", "ent_member", "lab_epos"):
         assert getattr(got, name) is getattr(arrays, name), name
+    for scheme in (arrays, got):  # neither carries the keys or centers
+        assert not {"entry_keys", "ent_center"} & set(vars(scheme))
     assert got.tr_light_depth is not arrays.tr_light_depth
     assert got.lp_indptr is not arrays.lp_indptr
 
@@ -433,3 +438,36 @@ def test_save_compares_a_compile_of_other_column_objects(stored):
     tr_f[3] += 1  # a mutated copy: compared, and refused
     with pytest.raises(EncodingError, match="'tr_f' is not the given arrays"):
         store.save(graph, ported, arrays, seed=8, compiled=compile_from_arrays(equal, ported))
+
+
+# ----------------------------------------------------------------------
+# 6. No keys are carried
+# ----------------------------------------------------------------------
+@needs_native
+def test_a_churn_epoch_carries_no_entry_keys(tmp_path):
+    """Build, compile, publish, patch, compile, publish the patch and
+    route through the lineage's pointer: every pass names an entry by
+    its tree slice and member, so no scheme comes to hold the int64 keys
+    or the centers, and no compile the keys."""
+    graph = family_from_seed(8, "gnp", n=80)
+    ported = assign_ports(graph, "random", rng=8)
+    arrays = build_arrays(graph, 3, ported=ported, rng=8)
+    compiled = compile_from_arrays(arrays, ported)
+    store = SchemeStore(tmp_path)
+    lineage = store.publish(graph, ported, arrays, seed=8, compiled=compiled)
+    delta = random_delta(
+        graph, derive(8, "carried"), weight_updates=2, edge_adds=0, edge_drops=0
+    )
+    patched = patch_arrays(arrays, graph, delta, ported=ported)
+    recompiled = compile_from_arrays(patched.arrays, patched.ported)
+    store.publish_patch(
+        lineage, patched.graph, patched.ported, patched.arrays, delta=delta, seed=8,
+        compiled=recompiled,
+    )
+    service = RouteService(store.pointer_path(lineage))
+    ids = np.arange(0, patched.graph.n, 3)
+    assert service.route(np.stack([ids, ids[::-1]], axis=1)).delivered.all()
+    for scheme in (arrays, patched.arrays):
+        assert not {"entry_keys", "ent_center"} & set(vars(scheme))
+    for each in (compiled, recompiled, service.compiled):
+        assert "entry_keys" not in vars(each)

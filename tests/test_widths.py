@@ -145,8 +145,8 @@ def test_assemble_refuses_before_narrowing():
     }
     for what, (graph, member) in cases.items():
         columns = dict.fromkeys(
-            ("cl_indptr", "ent_dist", "ent_parent", "tr_f", "tr_finish",
-             "tr_heavy_finish", "tr_light_depth", "tr_parent_port",
+            ("cl_indptr", "ent_dist", "ent_parent", "ent_parent_epos", "ent_heavy_epos",
+             "tr_f", "tr_finish", "tr_heavy_finish", "tr_light_depth", "tr_parent_port",
              "tr_heavy_port", "lp_indptr", "lp_data"),
             member,
         )
@@ -155,20 +155,23 @@ def test_assemble_refuses_before_narrowing():
 
 
 def test_the_tree_pass_and_the_compile_refuse_before_narrowing():
-    keys = _unallocated(INDEX_LIMIT, np.int64)
+    big = _unallocated(INDEX_LIMIT, np.int64)
     graph = SimpleNamespace(n=10, adj=np.zeros(4, dtype=np.int64))
     with pytest.raises(PreprocessingError, match="entries"):
-        _cluster_trees(graph, None, keys, _unallocated(INDEX_LIMIT, np.float64), "numpy")
+        _cluster_trees(
+            graph, None, np.zeros(11, dtype=np.int64), _unallocated(INDEX_LIMIT, np.int32),
+            _unallocated(INDEX_LIMIT, np.float64), "numpy",
+        )
     arrays = SimpleNamespace(
         k=2,
-        entry_keys=keys,
+        entry_count=INDEX_LIMIT,
         lab_epos=np.zeros((2, 10), dtype=np.int64),
         hierarchy=SimpleNamespace(pivot=np.zeros((2, 10), dtype=np.int64)),
         **dict.fromkeys(
             ("cl_indptr", "lp_indptr", "lp_data", "ent_member", "tr_f",
              "tr_finish", "tr_heavy_finish", "tr_light_depth", "ent_parent",
              "ent_parent_epos", "ent_heavy_epos", "tr_parent_port", "tr_heavy_port"),
-            keys,
+            big,
         ),
     )
     ported = SimpleNamespace(n=10, graph=graph)
@@ -224,7 +227,7 @@ def test_assemble_refuses_a_port_past_the_width_the_graph_calls_for():
     columns = {
         f.name: getattr(arrays, f.name)
         for f in dataclasses.fields(arrays)
-        if f.name not in ("n", "k", "hierarchy", "lab_epos")
+        if f.name not in ("n", "k", "hierarchy", "lab_epos", "entry_keys", "ent_center")
     }
     lp_data = columns["lp_data"].astype(np.int32)
     lp_data[0] = 256  # no vertex of this graph has a port 256
