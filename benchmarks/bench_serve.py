@@ -1,7 +1,7 @@
 """Serving daemon under Zipf load: served throughput against in-process routing.
 
 A real ``repro serve --daemon`` subprocess (separate interpreter, real
-TCP, ``tz-serve/v2`` blob frames) answers the load generator's Zipf
+TCP, ``tz-serve/v3`` blob frames) answers the load generator's Zipf
 batches over one connection in a closed loop, and the same batches are
 routed in-process through :class:`~repro.store.RouteService`.  The gate
 is the ratio of the two pair rates: at :data:`GATED_BATCH` pairs per
@@ -10,6 +10,13 @@ at least :data:`RATIO_FLOOR` of the in-process rate.  The 512-pair
 ratio, where the fixed per-request cost (framing, queue, executor
 handoff) dominates, is reported beside it with the client-observed
 p50/p99 latencies.
+
+Beside the wall-time ratio sits a half that box drift cannot move: the
+request and answer bytes per pair of the same batches, counted off the
+frames, and the share of their pairs that are distinct (an answer
+carries each distinct pair once).  They are fixed by the seeds, up to
+the few bytes the answer's ``seconds`` field varies by, and the
+:data:`GATED_BATCH` total is gated at :data:`WIRE_BYTES_CEILING`.
 
 Each batch size runs :data:`ROUNDS` alternating in-process / served
 rounds over the same batches and keeps the best rate of each side, so
@@ -33,13 +40,18 @@ from _emit import emit
 from repro.core.build import build_arrays
 from repro.graphs import generators as gen
 from repro.graphs.ports import assign_ports
-from repro.serve import run_loadgen, zipf_traffic
+from repro.serve import DaemonClient, encode_frame, run_loadgen, zipf_traffic
 from repro.store import RouteService, SchemeStore
 
 #: Served pairs/s as a share of in-process pairs/s that CI requires at
 #: GATED_BATCH pairs per request.
 RATIO_FLOOR = 0.6
 GATED_BATCH = 65_536
+#: Request plus answer bytes per pair at GATED_BATCH, 2% over the
+#: reading of 19.08: 8.00 B of int32 pairs, then 11.08 B of answer, 30 B
+#: for each of the 23.5% of pairs that are distinct plus the 4 B rows
+#: index of every pair.  The v2 wire took 66 B.
+WIRE_BYTES_CEILING = 19.45
 
 N_DEFAULT = 2_000
 K = 2
@@ -72,8 +84,31 @@ def _inprocess_rate(service, matrices) -> float:
     return sum(m.shape[0] for m in matrices) / (time.perf_counter() - t0)
 
 
+def _wire_bytes(port, matrices) -> dict:
+    """Bytes per pair of the route requests ``run_loadgen`` sends for
+    ``matrices`` and of the daemon's answers (a decoded frame encodes
+    back to its own bytes), and the share of distinct pairs."""
+    pairs = sum(m.shape[0] for m in matrices)
+    sent = received = distinct = 0
+    with DaemonClient("127.0.0.1", port) as client:
+        for matrix in matrices:
+            request = {"op": "route", "scheme": None, "pairs": matrix, "ttl": None}
+            sent += len(encode_frame(request))
+            response = client.request(request)
+            assert response["ok"], response
+            received += len(encode_frame(response))
+            distinct += len(set(zip(matrix[:, 0].tolist(), matrix[:, 1].tolist())))
+    return {
+        "request_bytes_per_pair": sent / pairs,
+        "answer_bytes_per_pair": received / pairs,
+        "wire_bytes_per_pair": (sent + received) / pairs,
+        "distinct_share": distinct / pairs,
+    }
+
+
 def _measure(port, service, n, batch, requests) -> dict:
-    """Best in-process and served rates over ROUNDS alternating rounds."""
+    """Best in-process and served rates over ROUNDS alternating rounds,
+    and the batches' wire bytes."""
     matrices = zipf_traffic(
         n, users=USERS, requests=requests, batch=batch, s=ZIPF_S, rng=SEED
     )
@@ -96,6 +131,7 @@ def _measure(port, service, n, batch, requests) -> dict:
         "latency_p50_seconds": served.p50,
         "latency_p99_seconds": served.p99,
         "delivered_fraction": served.delivered_pairs / served.total_pairs,
+        **_wire_bytes(port, matrices),
     }
 
 
@@ -156,7 +192,9 @@ def test_served_rate_tracks_inprocess_rate(published_store):
             f"{row['inprocess_pairs_per_second']:,.0f} "
             f"(ratio {row['served_over_inprocess']:.2f}) | latency p50 "
             f"{row['latency_p50_seconds'] * 1e3:.1f} ms, "
-            f"p99 {row['latency_p99_seconds'] * 1e3:.1f} ms"
+            f"p99 {row['latency_p99_seconds'] * 1e3:.1f} ms | wire "
+            f"{row['request_bytes_per_pair']:.2f} + {row['answer_bytes_per_pair']:.2f} "
+            f"B/pair, {row['distinct_share']:.1%} distinct"
         )
 
     emit(
@@ -171,9 +209,17 @@ def test_served_rate_tracks_inprocess_rate(published_store):
             "zipf_s": ZIPF_S,
         },
         metrics={str(batch): row for batch, row in by_batch.items()},
-        floors={f"{GATED_BATCH}.served_over_inprocess": RATIO_FLOOR},
+        floors={
+            f"{GATED_BATCH}.served_over_inprocess": RATIO_FLOOR,
+            f"{GATED_BATCH}.wire_bytes_per_pair (ceiling)": WIRE_BYTES_CEILING,
+        },
     )
 
+    wire = by_batch[GATED_BATCH]["wire_bytes_per_pair"]
+    assert wire <= WIRE_BYTES_CEILING, (
+        f"a {GATED_BATCH}-pair request and its answer took {wire:.2f} B/pair "
+        f"(ceiling {WIRE_BYTES_CEILING})"
+    )
     ratio = by_batch[GATED_BATCH]["served_over_inprocess"]
     assert ratio >= RATIO_FLOOR, (
         f"daemon served {ratio:.2f} of the in-process pair rate at "

@@ -361,6 +361,13 @@ class SchemeArrays:
         """``|C(w)|`` per center, ``(n,)``."""
         return np.diff(self.cl_indptr)
 
+    def entry_centers(self) -> np.ndarray:
+        """The center of every entry, ``(E,)`` int32, made on each call
+        from the tree slices and never kept: the derived ``ent_center``
+        would stay on the scheme for its life, with the keys beside it
+        (:meth:`__getattr__`)."""
+        return np.repeat(np.arange(self.n, dtype=np.int32), self.tree_sizes())
+
     def bunch_sizes(self) -> np.ndarray:
         """``|B(v)|`` per vertex, ``(n,)``: the entries whose member is ``v``."""
         return np.bincount(self.ent_member, minlength=self.n)
@@ -398,13 +405,16 @@ class SchemeArrays:
         self._entry_label_bits = elb
         return elb
 
-    def level0_entries(self) -> np.ndarray:
+    def level0_entries(self, center: Optional[np.ndarray] = None) -> np.ndarray:
         """Mask of the entries ``(source, v)`` with ``v`` in the source's
         level-0 cluster, ``(E,)`` bool: every entry of a source that
         checks level 0 (:func:`~repro.core.landmarks.level0_sources`),
-        and each other source's root."""
+        and each other source's root.  ``center`` is
+        :meth:`entry_centers`, when the caller has it already."""
+        if center is None:
+            center = self.entry_centers()
         level0 = level0_sources(self.hierarchy.pivot)
-        return level0[self.ent_center] | (self.ent_member == self.ent_center)
+        return level0[center] | (self.ent_member == center)
 
     def table_bits(self, max_port: int) -> np.ndarray:
         """Per-vertex measured table bits, ``(n,)`` — the vectorized
@@ -422,16 +432,16 @@ class SchemeArrays:
         """
         id_bits = (max(self.n - 1, 0)).bit_length()
         pw = max(1, int(max_port).bit_length())
-        f_width = f_width_array(self.tree_sizes())
+        center = self.entry_centers()
         elb = self.entry_label_bits()
-        per_entry = id_bits + 4 * f_width[self.ent_center] + 2 * pw + elb
+        per_entry = id_bits + 4 * f_width_array(self.tree_sizes())[center] + 2 * pw + elb
         # Weighted bincount is exact here: every sum stays far below 2^53.
         bits = np.bincount(
             self.ent_member, weights=per_entry.astype(np.float64), minlength=self.n
         ).astype(np.int64)
-        mem = self.level0_entries()
+        mem = self.level0_entries(center)
         bits += np.bincount(
-            self.ent_center[mem],
+            center[mem],
             weights=(id_bits + elb[mem]).astype(np.float64),
             minlength=self.n,
         ).astype(np.int64)
@@ -454,8 +464,9 @@ class SchemeArrays:
     def validate(self) -> None:
         """Structural invariants both builders must satisfy; raises
         :class:`PreprocessingError` on violation.  Used by property tests."""
+        center = self.entry_centers()
         centers = self.ent_parent < 0
-        if not np.array_equal(self.ent_member[centers], self.ent_center[centers]):
+        if not np.array_equal(self.ent_member[centers], center[centers]):
             raise PreprocessingError("only cluster centers may lack an SPT parent")
         if np.any(self.ent_dist[centers] != 0.0):
             raise PreprocessingError("center distance must be 0")
@@ -465,7 +476,7 @@ class SchemeArrays:
         if np.any(self.ent_dist[self.ent_parent_epos[rest]] >= self.ent_dist[rest]):
             raise PreprocessingError("distances not strictly increasing along SPT edges")
         sizes = self.tree_sizes()
-        if np.any(self.tr_finish - self.tr_f + 1 > sizes[self.ent_center]):
+        if np.any(self.tr_finish - self.tr_f + 1 > sizes[center]):
             raise PreprocessingError("DFS interval exceeds its tree")
         if np.any(np.diff(self.lp_indptr) != self.tr_light_depth):
             raise PreprocessingError("light-port sequence length != light depth")
@@ -632,7 +643,7 @@ def scheme_from_arrays(graph: Graph, ported: PortedGraph, arrays: SchemeArrays):
     n, k = arrays.n, arrays.k
     hierarchy = arrays.hierarchy
     sizes = arrays.tree_sizes()
-    center_l = arrays.ent_center.tolist()
+    center_l = arrays.entry_centers().tolist()
     member_l = arrays.ent_member.tolist()
     f_l = arrays.tr_f.tolist()
     fin_l = arrays.tr_finish.tolist()

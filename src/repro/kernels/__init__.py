@@ -1,6 +1,6 @@
 """Compiled kernels for the hottest loops, behind a differential flag.
 
-The router's tree commit and synchronized hop loop
+The router's distinct-pair pass, tree commit and synchronized hop loop
 (``sim/engine/batch.py``, wrapped in :mod:`.hop`), the builder's
 thresholded frontier sweep and cluster-tree pass
 (``core/build/vectorized.py``, wrapped in :mod:`.frontier` and
@@ -22,9 +22,10 @@ numpy paths (scipy's, for the shortest-path passes) remain the
 bit-for-bit differential reference — the same
 contract the vectorized builder holds against the per-node reference
 builder — enforced by ``tests/test_kernels.py`` (and, for the patch,
-derive, setup and shortest-path passes, ``tests/test_patch_passes.py``,
-``tests/test_derived_columns.py``, ``tests/test_setup_passes.py`` and
-``tests/test_native_sssp.py``).  The kernels keep no
+derive, setup, shortest-path and distinct-pair passes,
+``tests/test_patch_passes.py``, ``tests/test_derived_columns.py``,
+``tests/test_setup_passes.py``, ``tests/test_native_sssp.py`` and
+``tests/test_distinct_pairs.py``).  The kernels keep no
 global state and ctypes releases the GIL for each call, which is what
 lets the worker pool (:mod:`repro.pool`) run the router's row chunks
 and the build and compile passes' entry ranges at once.

@@ -97,6 +97,12 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_PTR, _PTR]  # dead_masks, trial
         + [_I64, _I64]  # mask_width, ttl
     )
+    lib.tz_distinct_pairs.restype = _I64
+    lib.tz_distinct_pairs.argtypes = (
+        [_I64, _PTR, _PTR, _I64]  # count, src, dst, n
+        + [_PTR, _I64]  # table, its mask
+        + [_PTR, _PTR]  # out first, rows
+    )
     lib.tz_frontier_arcs.restype = None
     lib.tz_frontier_arcs.argtypes = (
         [_I64, _I64]  # vertex range lo, hi

@@ -1,6 +1,6 @@
 /* Native kernels for the inner loops that dominate every benchmark:
- * the router's tree commit and synchronized hop loop
- * (sim/engine/batch.py), the builder's thresholded frontier sweep
+ * the router's distinct-pair pass, tree commit and synchronized hop
+ * loop (sim/engine/batch.py), the builder's thresholded frontier sweep
  * and cluster-tree pass (core/build/vectorized.py), the compile
  * pass that writes the entry records (sim/engine/compile.py), the
  * derive pass that makes the columns a container does not store and
@@ -37,6 +37,9 @@
  *
  * All kernels replicate the numpy reference paths bit-for-bit:
  *
+ * - tz_distinct_pairs numbers a batch's pairs in order of first
+ *   appearance, the order numpy's reference sorts np.unique's first
+ *   occurrences into, so both write the same integers.
  * - tz_commit resolves each row's committed tree with the same 4k-5
  *   level order or section-4 handshake alternation as the numpy
  *   select_trees / select_trees_handshake.  Every lookup there is an
@@ -734,6 +737,70 @@ void tz_commit(
             }
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Router: the distinct pairs of a batch                               */
+/* ------------------------------------------------------------------ */
+
+/* Fibonacci hashing's multiplier: 2^64 over the golden ratio, odd. */
+#define PAIR_HASH 0x9E3779B97F4A7C15ULL
+
+/* Number the distinct (src, dst) pairs of a batch in order of first
+ * appearance: first[j] is the row where pair j first appears (the first
+ * `return` entries of first are written) and rows[i] the number of row
+ * i's pair, so (src[i], dst[i]) == (src[first[rows[i]]],
+ * dst[first[rows[i]]]).  This is the numbering numpy's reference,
+ * np.unique of s * n + t renumbered by first occurrence, arrives at.
+ *
+ * The table is open addressing with linear probing over `mask + 1`
+ * int32 slots, a power of two at least twice count, which the caller
+ * fills with -1: a slot holds the row where its pair first appears.  A
+ * pair's home slot is the top bits of key * PAIR_HASH, key = s * n + t;
+ * the callers check every endpoint lies in [0, n) with n < 2^31, so the
+ * key names the pair exactly, but the pass compares the endpoints
+ * themselves and computes the key in unsigned arithmetic, so no input
+ * makes it misbehave.  count < 2^31 (rows are int32).  Returns the
+ * number of distinct pairs, or -1 for a table of fewer than 2 * count
+ * slots or not a power of two of them. */
+int64_t tz_distinct_pairs(
+    int64_t count,
+    const int64_t *src,
+    const int64_t *dst,
+    int64_t n,
+    int32_t *table,                  /* (mask + 1) scratch, all -1 */
+    int64_t mask,
+    int64_t *first,                  /* out (count) */
+    int32_t *rows)                   /* out (count) */
+{
+    if (count <= 0)
+        return 0;
+    if (mask < 2 * count - 1 || (mask & (mask + 1)))
+        return -1; /* too small to stay sparse, or not a power of two */
+    int shift = 64;
+    for (uint64_t m = (uint64_t)mask; m; m >>= 1)
+        shift--;
+    int64_t distinct = 0;
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t s = src[i], t = dst[i];
+        const uint64_t key = (uint64_t)s * (uint64_t)n + (uint64_t)t;
+        uint64_t slot = (key * PAIR_HASH) >> shift;
+        for (;;) {
+            const int32_t r = table[slot];
+            if (r < 0) {
+                table[slot] = (int32_t)i;
+                first[distinct] = i;
+                rows[i] = (int32_t)distinct++;
+                break;
+            }
+            if (src[r] == s && dst[r] == t) {
+                rows[i] = rows[r];
+                break;
+            }
+            slot = (slot + 1) & (uint64_t)mask;
+        }
+    }
+    return distinct;
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,5 +1,10 @@
-"""ctypes wrappers for the native router kernels: ``tz_commit`` and ``tz_hop_loop``.
+"""ctypes wrappers for the native router kernels: ``tz_distinct_pairs``,
+``tz_commit`` and ``tz_hop_loop``.
 
+``tz_distinct_pairs`` numbers a batch's distinct ``(s, t)`` pairs in
+order of first appearance, so the router commits and walks each pair
+once; its numpy reference is
+:func:`~repro.sim.engine.batch.distinct_pairs_numpy`.
 ``tz_commit`` commits each row to its tree (the 4k−5 source strategy or
 the §4 handshake alternation) and writes the same eight state columns
 as the numpy ``BatchRouter._commit``; ``tz_hop_loop`` then walks each
@@ -44,7 +49,7 @@ import numpy as np
 from ..errors import RoutingError
 from . import _build
 
-__all__ = ["commit_native", "hop_loop_native"]
+__all__ = ["commit_native", "distinct_pairs_native", "hop_loop_native"]
 
 
 def _i64(a: np.ndarray) -> np.ndarray:
@@ -63,6 +68,35 @@ def _check_columns(count: int, cols, dtypes, what: str) -> None:
     for col, dtype in zip(cols, dtypes):
         if col.shape != (count,) or col.dtype != dtype or not col.flags.c_contiguous:
             raise RuntimeError(f"{what} must be contiguous columns of {count} rows")
+
+
+def distinct_pairs_native(
+    src: np.ndarray, dst: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, rows)`` of the pairs ``(src[i], dst[i])``, endpoints in
+    ``[0, n)``: ``first`` (int64) holds the row where each distinct pair
+    first appears, ascending, and ``rows`` (int32) the number of each
+    row's pair, so ``src[first][rows] == src``.  The hash table is
+    allocated here, int32 slots in a power of two at least twice the
+    row count (at most 16 B a row), and dropped on return; the pass
+    runs on the caller's thread."""
+    src = _build.column(src, np.int64, "src")
+    dst = _build.column(dst, np.int64, "dst")
+    count = int(src.shape[0])
+    if src.ndim != 1 or dst.shape != (count,):
+        raise ValueError("src and dst must be 1-D columns of one length")
+    if count >= 2**31 or n >= 2**31:
+        raise ValueError(f"{count} rows over n={n} do not fit the pass's int32 ids")
+    table = np.full(1 << max(1, (2 * count - 1).bit_length()), -1, dtype=np.int32)
+    first = np.empty(count, dtype=np.int64)
+    rows = np.empty(count, dtype=np.int32)
+    distinct = _build.require().tz_distinct_pairs(
+        count, _ptr(src), _ptr(dst), int(n), _ptr(table), table.shape[0] - 1,
+        _ptr(first), _ptr(rows),
+    )
+    if distinct < 0:
+        raise RuntimeError(f"tz_distinct_pairs refused a table of {table.shape[0]} slots")
+    return first[:distinct], rows
 
 
 def commit_native(cs, src: np.ndarray, dst: np.ndarray, state: Tuple[np.ndarray, ...]) -> None:

@@ -3,10 +3,11 @@
 This package promotes the batch-at-a-time
 :class:`~repro.store.RouteService` into a long-running server:
 
-* :mod:`repro.serve.protocol` — ``tz-serve/v2`` length-prefixed
+* :mod:`repro.serve.protocol` — ``tz-serve/v3`` length-prefixed
   frames (a JSON header plus raw array blobs in the store's blob
   layout), the request/response shapes, and the bit-exact
-  :class:`~repro.sim.engine.batch.BatchResult` wire codec;
+  :class:`~repro.sim.engine.batch.BatchResult` wire codec, which ships
+  each distinct pair's answer once;
 * :mod:`repro.serve.lru` — :class:`SchemeLRU`, the capacity bound on
   open ``(graph, k)`` tenants (evict → re-mmap on next hit);
 * :mod:`repro.serve.daemon` — :class:`RouteDaemon`, the asyncio TCP

@@ -11,9 +11,14 @@ server.  The moving parts, and the guarantees each one carries:
   :class:`~repro.serve.lru.SchemeLRU`; an evicted tenant is re-mmapped
   on its next hit with bit-identical answers.
 * **Admission checks** — a route request's ``pairs`` must be an
-  integer ``(m, 2)`` array, its ``ttl`` a non-negative int, and its
-  answer must fit one frame; anything else is answered
-  ``{"error": "bad-request"}`` and never routed.
+  integer ``(m, 2)`` array, its ``ttl`` a non-negative int below 2^31
+  (so hop counts fit the answer's int32 column), and its answer must
+  fit one frame; anything else is answered ``{"error": "bad-request"}``
+  and never routed.
+* **Each distinct pair once** — a batch is answered from
+  :meth:`RouteService.route_distinct <repro.store.RouteService.route_distinct>`:
+  its distinct pairs are routed and shipped once, with the ``rows``
+  index that expands them (:mod:`repro.serve.protocol`).
 * **Bounded queue + backpressure** — route requests land in one
   bounded :class:`asyncio.Queue`.  A full queue answers
   ``{"error": "backpressure"}`` immediately instead of stalling the
@@ -60,8 +65,8 @@ from .lru import SchemeLRU
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    encode_frame,
     error_response,
+    frame_parts,
     read_frame_async,
     result_to_wire,
     route_answer_bytes,
@@ -148,8 +153,15 @@ class RouteDaemon:
         self._workers = [
             asyncio.create_task(self._worker()) for _ in range(self.workers)
         ]
+        # A connection's reader pauses the socket once it buffers twice
+        # its limit: at half the frame ceiling a whole request streams in
+        # unpaused (the asyncio default pauses a 65,536-pair request every
+        # 128 KiB), and no connection buffers more than one frame's worth.
         self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port
+            self._handle_conn,
+            self.host,
+            self.port,
+            limit=max(1, self.max_frame_bytes // 2),
         )
         self.port = self._server.sockets[0].getsockname()[1]
         loop = asyncio.get_running_loop()
@@ -395,7 +407,7 @@ class RouteDaemon:
             # so the route's spans nest under this request's span.
             ctx = contextvars.copy_context()
             try:
-                result, version, key = await asyncio.wait_for(
+                (result, rows), version, key = await asyncio.wait_for(
                     loop.run_in_executor(
                         None, ctx.run, self._route_sync, service, pairs, ttl
                     ),
@@ -430,7 +442,7 @@ class RouteDaemon:
                 "version": version,
                 "key": key,
                 "seconds": elapsed,
-                "result": result_to_wire(result),
+                "result": result_to_wire(result, rows),
             },
         )
 
@@ -438,21 +450,26 @@ class RouteDaemon:
     def _route_sync(service: RouteService, pairs: np.ndarray, ttl):
         """Route one batch on the executor thread (tests hook here).
 
-        Returns ``(result, version, key)`` read *after* the route so the
-        reported version is the one that actually answered (the service
-        pins its mapping for the whole batch).
+        Returns ``((result, rows), version, key)``: the answers of the
+        distinct pairs with their ``rows`` index
+        (:meth:`RouteService.route_distinct`), then the version read
+        *after* the route, so the reported version is the one that
+        actually answered (the service pins its mapping for the whole
+        batch).
         """
-        result = service.route(pairs, ttl=ttl)
-        return result, service.version, service.meta.get("key")
+        answer = service.route_distinct(pairs, ttl=ttl)
+        return answer, service.version, service.meta.get("key")
 
     def _parse_route(self, request: dict) -> tuple:
         """Validate a route request's ``pairs`` and ``ttl`` at admission.
 
         ``pairs`` must be an integer-kind ``(m, 2)`` array (a blob, or a
         JSON list of ints) whose answer fits in one frame, and ``ttl``
-        absent, null or a non-negative int.  Returns ``(pairs as int64,
-        ttl)``; raises :class:`ProtocolError` otherwise.  Endpoint ranges
-        are checked against the tenant once a worker has opened it.
+        absent, null or a non-negative int below 2^31.  Returns ``(pairs,
+        ttl)``, the pairs at the width they came in (the router widens
+        them as it splits the columns); raises :class:`ProtocolError`
+        otherwise.  Endpoint ranges are checked against the tenant once a
+        worker has opened it.
         """
         raw = request.get("pairs")
         if raw is None:
@@ -477,9 +494,11 @@ class RouteDaemon:
                 f"limit; split the batch"
             )
         ttl = request.get("ttl")
-        if ttl is not None and (type(ttl) is not int or ttl < 0):
-            raise ProtocolError(f"ttl must be a non-negative integer, got {ttl!r}")
-        return pairs.astype(np.int64, copy=False), ttl
+        if ttl is not None and (type(ttl) is not int or not 0 <= ttl < 2**31):
+            raise ProtocolError(
+                f"ttl must be a non-negative integer below 2^31, got {ttl!r}"
+            )
+        return pairs, ttl
 
     @staticmethod
     def _echo_id(request: dict, response: dict) -> dict:
@@ -489,9 +508,12 @@ class RouteDaemon:
         return response
 
     async def _respond(self, conn: _Connection, obj: dict) -> None:
-        """Write one response frame under the connection's write lock."""
+        """Write one response frame under the connection's write lock,
+        its blobs straight from the answer's arrays (the transport copies
+        only what the socket does not take at once)."""
         async with conn.lock:
-            conn.writer.write(encode_frame(obj))
+            for part in frame_parts(obj):
+                conn.writer.write(part)
             await conn.writer.drain()
 
     # ------------------------------------------------------------------

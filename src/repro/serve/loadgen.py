@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import ProtocolError
 from ..rng import RngLike, make_rng
-from .protocol import MAX_FRAME_BYTES, read_frame, write_frame
+from .protocol import MAX_FRAME_BYTES, read_frame, result_from_wire, write_frame
 
 
 class DaemonClient:
@@ -257,13 +257,13 @@ def run_loadgen(
                 t0 = perf_counter()
                 response = client.request(request)
                 elapsed = perf_counter() - t0
+                ok = bool(response.get("ok"))
+                delivered = result_from_wire(response["result"]).delivered_count if ok else 0
                 with lock:
                     latencies.append(elapsed)
-                    if response.get("ok"):
+                    if ok:
                         totals["pairs"] += int(matrix.shape[0])
-                        totals["delivered"] += int(
-                            np.count_nonzero(response["result"]["delivered"])
-                        )
+                        totals["delivered"] += delivered
                         versions.append(response.get("version"))
                     else:
                         totals["errors"] += 1

@@ -1,4 +1,4 @@
-"""Wire protocol of the serving daemon (``tz-serve/v2``): length-prefixed
+"""Wire protocol of the serving daemon (``tz-serve/v3``): length-prefixed
 frames of a JSON header plus raw array blobs.
 
 One frame is a 4-byte big-endian payload length followed by that many
@@ -18,9 +18,25 @@ The blob layout and its validator are the ones the ``.tzs`` container
 uses (:func:`repro.store.format.pack_blobs` /
 :func:`~repro.store.format.unpack_blobs`), so disk and wire share one
 codec.  A nested array is named by its dotted path (``result.weight``).
-Arrays travel in their exact dtypes, so the codec is bit-exact by
-construction, and decoding copies nothing: every decoded array is a
-**view into the frame's payload buffer**.
+Arrays travel in their exact dtypes and decoding copies nothing: every
+decoded array is a **view into the frame's payload buffer**.
+
+Columns travel at the narrowest width their values always fit, the
+width rule the container's columns follow.  A route request's ``pairs``
+go as int32 whenever every value fits (the daemon widens any integer
+kind).  A route answer's ``source``, ``dest``, ``tree``, ``hops`` and
+``max_header_bits`` go as int32 (:data:`RESULT_COLUMNS`): ids and trees
+are below n < 2^31, hops below the ``ttl``, which the daemon refuses
+from 2^31 up, so a row costs 30 bytes.  And an answer carries each
+distinct pair once: its columns hold the answers of the request's
+distinct pairs, in order of first appearance, and an int32
+``result.rows`` of one entry per requested pair names the answer of
+each (:meth:`~repro.store.RouteService.route_distinct`).  ``rows`` is
+sent only when it makes the answer smaller; without it the columns
+answer the pairs in request order.  :func:`result_from_wire` checks
+``rows``, expands the columns through it and widens them back to
+:class:`~repro.sim.engine.batch.BatchResult`'s dtypes, so the decoded
+result is bit-identical to :meth:`~repro.store.RouteService.route`'s.
 
 The length prefix gives the server an *a-priori* bound check: a frame
 claiming more than ``max_bytes`` is rejected before a single payload
@@ -46,7 +62,7 @@ import asyncio
 import json
 import socket
 import struct
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -55,10 +71,11 @@ from ..sim.engine.batch import BatchResult
 from ..store.format import align, blob_chunks, pack_blobs, unpack_blobs
 
 #: Protocol revision carried in every ``ping`` response.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
-#: Default per-frame payload ceiling.  A route answer costs 50 bytes per
-#: pair, so this admits batches of up to ~670k pairs.
+#: Default per-frame payload ceiling.  A route answer costs at most 30
+#: bytes per pair (every pair distinct), so this admits batches of up
+#: to ~1.1M pairs.
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
@@ -68,9 +85,12 @@ _LEN = struct.Struct(">I")
 _MANIFEST = "arrays"
 
 #: Room reserved for a route answer's JSON header (ok/op/version/key/
-#: seconds/id and the eight-entry manifest), NUL and pad when sizing
-#: the answer in advance.
+#: seconds/id and the manifest of up to nine arrays), NUL and pad when
+#: sizing the answer in advance.
 _ANSWER_HEADER_BYTES = 4096
+
+#: The int32 range: request pairs that fit it travel as int32.
+_INT32 = np.iinfo(np.int32)
 
 #: Error codes a response's ``"error"`` field may carry.
 ERROR_CODES = (
@@ -84,17 +104,18 @@ ERROR_CODES = (
     "shutting-down",  # daemon is draining; no new work accepted
 )
 
-#: ``BatchResult`` columns in wire order, with their exact dtypes —
-#: the decode side accepts precisely these, for bit-identity.
+#: ``BatchResult`` columns in wire order: each name, its wire dtype —
+#: the decode side accepts precisely that one — and the dtype the
+#: router makes it in, which the decode widens it back to.
 RESULT_COLUMNS = (
-    ("source", np.dtype(np.int64)),
-    ("dest", np.dtype(np.int64)),
-    ("delivered", np.dtype(np.bool_)),
-    ("weight", np.dtype(np.float64)),
-    ("hops", np.dtype(np.int64)),
-    ("tree", np.dtype(np.int64)),
-    ("max_header_bits", np.dtype(np.int64)),
-    ("failure_code", np.dtype(np.int8)),
+    ("source", np.dtype(np.int32), np.dtype(np.int64)),
+    ("dest", np.dtype(np.int32), np.dtype(np.int64)),
+    ("delivered", np.dtype(np.bool_), np.dtype(np.bool_)),
+    ("weight", np.dtype(np.float64), np.dtype(np.float64)),
+    ("hops", np.dtype(np.int32), np.dtype(np.int64)),
+    ("tree", np.dtype(np.int32), np.dtype(np.int64)),
+    ("max_header_bits", np.dtype(np.int32), np.dtype(np.int64)),
+    ("failure_code", np.dtype(np.int8), np.dtype(np.int8)),
 )
 
 
@@ -112,7 +133,8 @@ def _split_arrays(obj: dict, prefix: str, arrays: dict) -> dict:
 
 
 def _pairs_array(obj: dict) -> dict:
-    """Route pairs given as a nested list of ints, as an int array.
+    """Route pairs, given as a nested list of ints or an integer array,
+    as an integer array: int32 when every value fits.
 
     Only an integer-kind conversion is taken: any other list travels as
     JSON, where the daemon rejects it with a clear ``bad-request``.
@@ -123,25 +145,37 @@ def _pairs_array(obj: dict) -> dict:
             arr = np.asarray(pairs)
         except ValueError:  # ragged
             return obj
-        if arr.dtype.kind in "iu":
-            return dict(obj, pairs=arr)
-    return obj
+    elif isinstance(pairs, np.ndarray):
+        arr = pairs
+    else:
+        return obj
+    if arr.dtype.kind not in "iu":
+        return obj
+    if arr.size == 0 or (_INT32.min <= arr.min() and arr.max() <= _INT32.max):
+        arr = arr.astype(np.int32, copy=False)
+    return dict(obj, pairs=arr)
 
 
-def encode_frame(obj: dict) -> bytes:
-    """Serialize one message to its on-wire form (length + payload)."""
+def frame_parts(obj: dict) -> List[memoryview]:
+    """One message's on-wire form (length + payload) as buffers to send
+    in order: the length and header, then the blobs and the zero gaps
+    between them, each blob a view of its array (no copy is made)."""
     arrays: Dict[str, np.ndarray] = {}
     header = _split_arrays(_pairs_array(obj), "", arrays)
     if not arrays:
         payload = json.dumps(obj, separators=(",", ":")).encode()
-        return _LEN.pack(len(payload)) + payload
+        return [memoryview(_LEN.pack(len(payload)) + payload)]
     header[_MANIFEST], blobs, data_bytes = pack_blobs(arrays)
     hjson = json.dumps(header, separators=(",", ":")).encode()
     data_start = align(len(hjson) + 1)
     # The zero run after the header is the NUL delimiter plus the pad.
-    parts = [_LEN.pack(data_start + data_bytes), hjson, bytes(data_start - len(hjson))]
-    parts.extend(blob_chunks(blobs))
-    return b"".join(parts)
+    head = _LEN.pack(data_start + data_bytes) + hjson + bytes(data_start - len(hjson))
+    return [memoryview(head)] + [memoryview(part) for part in blob_chunks(blobs)]
+
+
+def encode_frame(obj: dict) -> bytes:
+    """Serialize one message to its on-wire form (length + payload)."""
+    return b"".join(frame_parts(obj))
 
 
 def decode_payload(payload) -> dict:
@@ -204,7 +238,8 @@ async def read_frame_async(
 
 def write_frame(sock: socket.socket, obj: dict) -> None:
     """Send one message over a blocking socket (client side)."""
-    sock.sendall(encode_frame(obj))
+    for part in frame_parts(obj):
+        sock.sendall(part)
 
 
 def read_frame(
@@ -248,12 +283,40 @@ def _recv_exact(sock: socket.socket, count: int, *, eof_ok: bool):
     return buf
 
 
-def result_to_wire(result: BatchResult) -> Dict[str, np.ndarray]:
-    """A routing result's columns in their exact wire dtypes."""
-    return {
+def _answer_blob_bytes(answers: int, pairs: Optional[int] = None) -> int:
+    """Bytes of a route answer's blobs: the :data:`RESULT_COLUMNS` of
+    ``answers`` rows, and an int32 ``rows`` of ``pairs`` entries when
+    given, each blob 64-byte aligned."""
+    data = 0
+    for _, wire, _ in RESULT_COLUMNS:
+        data = align(data) + wire.itemsize * answers
+    if pairs is not None:
+        data = align(data) + 4 * pairs
+    return data
+
+
+def result_to_wire(
+    result: BatchResult, rows: Optional[np.ndarray] = None
+) -> Dict[str, np.ndarray]:
+    """A routing result's columns at their wire widths.
+
+    ``(result, rows)`` is :meth:`~repro.store.RouteService.route_distinct`'s
+    answer: with ``rows``, ``result`` answers the distinct pairs and
+    ``rows`` names each requested pair's answer.  ``rows`` joins the
+    columns only when that makes the answer smaller; otherwise the
+    answers are expanded to request order here and no ``rows`` is sent.
+    """
+    if rows is not None and _answer_blob_bytes(
+        result.attempted, rows.shape[0]
+    ) >= _answer_blob_bytes(rows.shape[0]):
+        result, rows = result.take(rows), None
+    wire = {
         name: np.asarray(getattr(result, name), dtype=dtype)
-        for name, dtype in RESULT_COLUMNS
+        for name, dtype, _ in RESULT_COLUMNS
     }
+    if rows is not None:
+        wire["rows"] = np.asarray(rows, dtype=np.int32)
+    return wire
 
 
 def result_from_wire(wire: Dict[str, np.ndarray]) -> BatchResult:
@@ -261,33 +324,48 @@ def result_from_wire(wire: Dict[str, np.ndarray]) -> BatchResult:
 
     The inverse of :func:`result_to_wire`: every column must be a 1-D
     array of exactly its :data:`RESULT_COLUMNS` dtype and all must have
-    one length, or :class:`ProtocolError` is raised.  The columns are
-    used as given (views into the frame), so the result is bit-identical
-    to the one encoded.
+    one length ``U``; a ``rows`` must be a 1-D int32 array with every
+    value in ``[0, U)``, or :class:`ProtocolError` is raised.  The
+    columns are expanded through ``rows`` when it is there and widened
+    to the router's dtypes, so the result is bit-identical to the one
+    :meth:`~repro.store.RouteService.route` returns.
     """
     try:
-        columns = {name: wire[name] for name, _ in RESULT_COLUMNS}
-    except (KeyError, TypeError) as exc:
+        columns = {name: wire[name] for name, _, _ in RESULT_COLUMNS}
+        rows = wire.get("rows")
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ProtocolError(f"route result lacks column {exc}") from exc
-    for name, dtype in RESULT_COLUMNS:
+    for name, dtype, _ in RESULT_COLUMNS:
         col = columns[name]
         if not isinstance(col, np.ndarray) or col.dtype != dtype or col.ndim != 1:
             raise ProtocolError(f"route result column {name!r} is not a 1-D {dtype} array")
     if len({col.shape[0] for col in columns.values()}) > 1:
         raise ProtocolError("route result columns have different lengths")
-    return BatchResult(**columns)
+    if rows is not None:
+        if not isinstance(rows, np.ndarray) or rows.dtype != np.int32 or rows.ndim != 1:
+            raise ProtocolError("route result rows is not a 1-D int32 array")
+        answers = columns["source"].shape[0]
+        if rows.size and (rows.min() < 0 or rows.max() >= answers):
+            raise ProtocolError(f"route result rows name answers outside [0, {answers})")
+        rows = rows.astype(np.intp)
+    out = {}
+    for name, _, wide in RESULT_COLUMNS:
+        col = columns[name]
+        if col.dtype != wide:
+            col = col.astype(wide)
+        out[name] = col if rows is None else np.take(col, rows)
+    return BatchResult(**out)
 
 
 def route_answer_bytes(pairs: int) -> int:
     """Upper bound on the frame that answers a route request of ``pairs`` rows.
 
-    The blobs are sized exactly (50 bytes per pair plus alignment); the
-    JSON header with its NUL and pad gets a fixed allowance.
+    The largest answer is one whose pairs are all distinct: 30 bytes per
+    pair plus alignment, sized exactly (an answer carries ``rows`` only
+    when that makes it smaller).  The JSON header with its NUL and pad
+    gets a fixed allowance.
     """
-    data = 0
-    for _, dtype in RESULT_COLUMNS:
-        data = align(data) + dtype.itemsize * pairs
-    return _LEN.size + _ANSWER_HEADER_BYTES + data
+    return _LEN.size + _ANSWER_HEADER_BYTES + _answer_blob_bytes(pairs)
 
 
 def error_response(code: str, message: str, **extra) -> dict:

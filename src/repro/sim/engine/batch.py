@@ -34,6 +34,18 @@ set alone (and hence bit-for-bit the reference
 :class:`~repro.sim.failures.FaultyNetwork` outcome) — enforced by
 ``tests/test_scenarios.py``.
 
+**Each distinct pair once.**  Routing is stateless: every repeat of an
+``(s, t)`` pair in a batch walks the same hops to the same answer.  So
+:meth:`BatchRouter.route_pairs` numbers the batch's distinct pairs in
+order of first appearance (``tz_distinct_pairs`` on the native kernel,
+:func:`distinct_pairs_numpy` its reference), commits and walks only
+those, and gathers the answers back into input order with
+:meth:`BatchResult.take` — skipped when no pair repeats.
+:meth:`BatchRouter.route_distinct` stops before the gather and returns
+the distinct answers with the ``rows`` index, which is what the serving
+daemon ships.  Each batch is deduplicated on its own; nothing is cached
+across calls.
+
 **Native kernel and row chunks.**  On the native kernel — the
 platform's choice whenever ``_native.c`` compiles and loads, see
 :mod:`repro.kernels` — both the tree commit and the hop loop run in C
@@ -56,7 +68,7 @@ new root, and the metric dicts take no locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -66,7 +78,7 @@ from ...core.router import RoutingScheme
 from ...errors import RoutingError
 from ...graphs.ports import PortedGraph
 from ...kernels import resolve_kernel
-from ...kernels.hop import commit_native, hop_loop_native
+from ...kernels.hop import commit_native, distinct_pairs_native, hop_loop_native
 from ...obs import TELEMETRY
 from ...trees.label_codec import tree_label_bits_array
 from ..network import RouteResult
@@ -100,9 +112,11 @@ FAILURE_TEXT = {
 #: scheme was not compiled for); the landed vertex lives in ``lost_v``.
 _LOST = -2
 
-#: Smallest ``route_pairs`` batch the native kernel cuts into one row
-#: chunk per pool worker; smaller batches run on the calling thread.
-#: Each threaded phase (a route has two) pays one pool round trip:
+#: Fewest distinct pairs a ``route_pairs`` batch must hold for the
+#: native kernel to cut them into one row chunk per pool worker (the
+#: commit and the walk see only the distinct pairs, so a batch of
+#: repeats counts once per pair); smaller batches run on the calling
+#: thread.  Each threaded phase (a route has two) pays one pool round trip:
 #: ~0.05 ms while the workers are awake, 0.17 ms at the median after
 #: an idle pause.  On Zipf batches over a gnp n=10⁴, k=3 scheme (2-CPU
 #: x86-64 container, best of 7 interleaved calls, eight readings per
@@ -121,6 +135,25 @@ def _row_chunks(count: int) -> List[Tuple[int, int]]:
     """Contiguous ``[lo, hi)`` row ranges covering ``count`` rows: one
     per pool worker from :data:`ROUTE_CHUNK_FLOOR` rows up, else one."""
     return pool.even_ranges(count, _usable_cpus() if count >= ROUTE_CHUNK_FLOOR else 1)
+
+
+def distinct_pairs_numpy(
+    src: np.ndarray, dst: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, rows)`` of the pairs ``(src[i], dst[i])``, endpoints in
+    ``[0, n)``, numpy: ``first`` (int64) holds the row where each
+    distinct pair first appears, ascending, and ``rows`` (int32) the
+    number of each row's pair.  ``np.unique`` of ``s·n + t`` numbers
+    the pairs by key; sorting its first occurrences renumbers them by
+    first appearance, which is the numbering of ``tz_distinct_pairs``
+    (:func:`~repro.kernels.hop.distinct_pairs_native`), held to this
+    reference by ``tests/test_distinct_pairs.py``."""
+    keys = np.asarray(src, dtype=np.int64) * np.int64(n) + np.asarray(dst, dtype=np.int64)
+    _, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(index)
+    number = np.empty(order.shape[0], dtype=np.int32)
+    number[order] = np.arange(order.shape[0], dtype=np.int32)
+    return index[order].astype(np.int64), number[inverse.reshape(-1)]
 
 
 @dataclass
@@ -154,6 +187,13 @@ class BatchResult:
     def failure(self, row: int) -> Optional[str]:
         """Human-readable failure reason of one row (None if delivered)."""
         return FAILURE_TEXT[int(self.failure_code[row])]
+
+    def take(self, rows: np.ndarray) -> "BatchResult":
+        """The result whose row ``i`` is this result's row ``rows[i]``,
+        every column gathered: the answers of a whole batch from the
+        answers of its distinct pairs (:meth:`BatchRouter.route_distinct`)."""
+        index = np.asarray(rows, dtype=np.intp)  # numpy gathers slowly through int32
+        return BatchResult(**{f.name: np.take(getattr(self, f.name), index) for f in fields(self)})
 
     def to_route_results(self) -> List[RouteResult]:
         """Materialize per-pair :class:`RouteResult` objects.
@@ -306,20 +346,22 @@ class BatchRouter:
     # Input validation / shared pieces
     # ------------------------------------------------------------------
     def _validate_pairs(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(src, dst)`` columns of a checked ``(P, 2)`` pair matrix."""
-        pair_arr = np.asarray(pairs, dtype=np.int64)
+        """``(src, dst)`` int64 columns of a checked ``(P, 2)`` pair
+        matrix, the two rows of one transposed copy: numpy copies the
+        matrix's transpose in one pass, widening an integer matrix of
+        any width on the way, where it copies a strided column several
+        times slower."""
+        pair_arr = np.asarray(pairs)
+        if pair_arr.dtype.kind not in "iu":
+            pair_arr = np.asarray(pair_arr, dtype=np.int64)
         if pair_arr.size == 0:
             pair_arr = pair_arr.reshape(0, 2)
         if pair_arr.ndim != 2 or pair_arr.shape[1] != 2:
             raise RoutingError("pairs must be an (m, 2) integer array")
-        src = np.ascontiguousarray(pair_arr[:, 0])
-        dst = np.ascontiguousarray(pair_arr[:, 1])
-        n = self.compiled.n
-        if src.shape[0] and (
-            src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n
-        ):
+        columns = np.ascontiguousarray(pair_arr.T, dtype=np.int64)
+        if columns.size and (columns.min() < 0 or columns.max() >= self.compiled.n):
             raise RoutingError("pair endpoint out of range")
-        return src, dst
+        return columns[0], columns[1]
 
     def _edge_mask(self, dead_edges: Iterable[Tuple[int, int]]) -> np.ndarray:
         """``(m,)`` boolean mask of the listed edges (canonical ids)."""
@@ -427,25 +469,79 @@ class BatchRouter:
         ``ttl`` matches the reference default (``4·n + 16`` forwarding
         decisions).  ``dead_edges`` drops any row whose next hop crosses
         a listed edge, mirroring :class:`~repro.sim.failures.FaultyNetwork`.
-        On the native kernel a batch of at least
-        :data:`ROUTE_CHUNK_FLOOR` pairs runs as one row chunk per pool
-        worker (module doc); the result does not depend on the chunking.
+        Each distinct pair is routed once and its answer copied to every
+        row that repeats it (module doc).  On the native kernel a batch
+        of at least :data:`ROUTE_CHUNK_FLOOR` distinct pairs runs as one
+        row chunk per pool worker; the result depends on neither.
         """
         tm = TELEMETRY
         with tm.span("route.route_pairs", pairs=int(np.asarray(pairs).shape[0])):
-            src, dst = self._validate_pairs(pairs)
-            dead_masks: Optional[np.ndarray] = None
-            trial: Optional[np.ndarray] = None
-            if dead_edges is not None:
-                dead_list = list(dead_edges)
-                if dead_list:
-                    dead_masks = self._edge_mask(dead_list)[None, :]
-                    trial = np.zeros(src.shape[0], dtype=np.int64)
-            chunks = self._chunks(src.shape[0])
-            with tm.span("route.commit"):
-                state = self._commit_rows(src, dst, chunks)
-            with tm.span("route.hop_loop"):
-                return self._hop_loop(src, dst, state, ttl, dead_masks, trial, chunks)
+            result, rows = self._route_distinct(pairs, ttl, dead_edges)
+            if rows is not None:
+                result = result.take(rows)
+            if tm.enabled:
+                tm.count("route.delivered", int(np.count_nonzero(result.delivered)))
+            return result
+
+    def route_distinct(
+        self,
+        pairs: np.ndarray,
+        *,
+        ttl: Optional[int] = None,
+        dead_edges: Optional[Iterable[Tuple[int, int]]] = None,
+    ) -> Tuple[BatchResult, Optional[np.ndarray]]:
+        """:meth:`route_pairs` without the final gather: ``(result,
+        rows)``, where ``result`` answers the distinct pairs of
+        ``pairs`` in order of first appearance and ``rows`` (int32) is
+        the number of each input row's pair, so ``result.take(rows)`` is
+        :meth:`route_pairs`' answer; ``rows`` is None when no pair
+        repeats, and ``result`` is then that answer itself."""
+        tm = TELEMETRY
+        with tm.span("route.route_pairs", pairs=int(np.asarray(pairs).shape[0])):
+            result, rows = self._route_distinct(pairs, ttl, dead_edges)
+            if tm.enabled:
+                delivered = result.delivered
+                if rows is not None:
+                    delivered = np.take(delivered, np.asarray(rows, dtype=np.intp))
+                tm.count("route.delivered", int(np.count_nonzero(delivered)))
+            return result, rows
+
+    def _route_distinct(
+        self,
+        pairs: np.ndarray,
+        ttl: Optional[int],
+        dead_edges: Optional[Iterable[Tuple[int, int]]],
+    ) -> Tuple[BatchResult, Optional[np.ndarray]]:
+        """Validate every row, then commit and walk each distinct pair
+        once (:meth:`route_distinct`).  ``route.pairs_routed`` counts the
+        answered rows, as the callers' ``route.delivered`` does, so both
+        read what routing every row would; ``route.pairs_distinct``
+        counts the rows walked."""
+        tm = TELEMETRY
+        src, dst = self._validate_pairs(pairs)
+        count = src.shape[0]
+        dead_masks: Optional[np.ndarray] = None
+        if dead_edges is not None:
+            dead_list = list(dead_edges)
+            if dead_list:
+                dead_masks = self._edge_mask(dead_list)[None, :]
+        with tm.span("route.distinct"):
+            distinct = distinct_pairs_native if self.kernel == "native" else distinct_pairs_numpy
+            first, rows = distinct(src, dst, self.compiled.n)
+        if first.shape[0] == count:
+            rows = None
+        else:
+            src, dst = src[first], dst[first]
+        trial = None if dead_masks is None else np.zeros(src.shape[0], dtype=np.int64)
+        chunks = self._chunks(src.shape[0])
+        with tm.span("route.commit"):
+            state = self._commit_rows(src, dst, chunks)
+        with tm.span("route.hop_loop"):
+            result = self._hop_loop(src, dst, state, ttl, dead_masks, trial, chunks)
+        if tm.enabled:
+            tm.count("route.pairs_routed", count)
+            tm.count("route.pairs_distinct", int(src.shape[0]))
+        return result, rows
 
     def route_trials(
         self,
@@ -502,6 +598,9 @@ class BatchRouter:
                     masks,
                     np.repeat(np.arange(T, dtype=np.int64), P),
                 )
+            if tm.enabled:
+                tm.count("route.pairs_routed", T * P)
+                tm.count("route.delivered", int(np.count_nonzero(flat.delivered)))
         return TrialSweepResult(
             source=src,
             dest=dst,
@@ -589,11 +688,8 @@ class BatchRouter:
         rounds = max(pool.run(run, chunks))
         delivered, weight, hops = out[0].view(np.bool_), out[1], out[2]
         fail, tree, header = state[:3]
-        tm = TELEMETRY
-        if tm.enabled:
-            tm.count("route.hop_iterations", rounds)
-            tm.count("route.pairs_routed", int(src.shape[0]))
-            tm.count("route.delivered", int(delivered.sum()))
+        if TELEMETRY.enabled:
+            TELEMETRY.count("route.hop_iterations", rounds)
         return BatchResult(
             source=src,
             dest=dst,
@@ -794,11 +890,8 @@ class BatchRouter:
 
         fail[rows] = FAIL_TTL
 
-        tm = TELEMETRY
-        if tm.enabled:
-            tm.count("route.hop_iterations", rounds)
-            tm.count("route.pairs_routed", count)
-            tm.count("route.delivered", int(delivered.sum()))
+        if TELEMETRY.enabled:
+            TELEMETRY.count("route.hop_iterations", rounds)
         return BatchResult(
             source=src,
             dest=dst,

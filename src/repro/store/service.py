@@ -7,6 +7,11 @@ the compiled arrays live in a shared file mapping, *any number of
 processes can serve the same scheme against the same physical pages* —
 the OS page cache is the only copy in the machine.
 
+Each batch routes its distinct pairs once: :meth:`RouteService.route_distinct`
+returns their answers with the index that expands them to the whole
+batch (what the serving daemon ships), and :meth:`RouteService.route`
+is that call followed by the expansion.
+
 Within one process, parallelism is the router's: on the native kernel
 a large batch is cut into one row chunk per usable CPU and the chunks
 run on threads that all read the mapping's own entry and step records
@@ -33,7 +38,7 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 from time import perf_counter
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -165,12 +170,24 @@ class RouteService:
         return None if v is None else int(v)
 
     def route(self, pairs: np.ndarray, *, ttl: Optional[int] = None) -> BatchResult:
-        """Route every ``(s, t)`` row of ``pairs``.
+        """Route every ``(s, t)`` row of ``pairs``: :meth:`route_distinct`,
+        then its answers gathered into input order.
 
         In hot-swap mode the serving version is pinned once per call, so
         the whole matrix is answered by exactly one scheme version.
         """
-        pair_arr = np.asarray(pairs, dtype=np.int64)
+        result, rows = self.route_distinct(pairs, ttl=ttl)
+        return result if rows is None else result.take(rows)
+
+    def route_distinct(
+        self, pairs: np.ndarray, *, ttl: Optional[int] = None
+    ) -> Tuple[BatchResult, Optional[np.ndarray]]:
+        """``(result, rows)``: the answers of the distinct pairs of
+        ``pairs`` and the int32 index of each row's answer, None when no
+        pair repeats (:meth:`BatchRouter.route_distinct
+        <repro.sim.engine.batch.BatchRouter.route_distinct>`), all from
+        one pinned version.  The ``serve.*`` counters count every row."""
+        pair_arr = np.asarray(pairs)
         if pair_arr.size == 0:
             pair_arr = pair_arr.reshape(0, 2)
         if pair_arr.ndim != 2 or pair_arr.shape[1] != 2:
@@ -179,13 +196,13 @@ class RouteService:
         tm = TELEMETRY
         with tm.span("serve.route", pairs=int(pair_arr.shape[0])):
             if not tm.enabled:
-                return router.route_pairs(pair_arr, ttl=ttl)
+                return router.route_distinct(pair_arr, ttl=ttl)
             tm.count("serve.requests")
             tm.count("serve.pairs", int(pair_arr.shape[0]))
             t0 = perf_counter()
-            result = router.route_pairs(pair_arr, ttl=ttl)
+            answer = router.route_distinct(pair_arr, ttl=ttl)
             elapsed = perf_counter() - t0
             tm.observe("serve.route_seconds", elapsed)
             if elapsed > 0:
                 tm.gauge("serve.pairs_per_second", pair_arr.shape[0] / elapsed)
-            return result
+            return answer

@@ -18,8 +18,8 @@ Four layers:
    handshake strategies, failing rows, a single tree whose one landmark
    is its root and an entry-less scheme); ``route_pairs``/``route_trials`` column equality
    between kernels, including dead-edge trials, tiny ttls and batches
-   cut into threaded row chunks; and many threads meeting a freshly
-   loaded scheme at once;
+   cut into threaded row chunks (a batch of repeats cut by its distinct
+   pairs); and many threads meeting a freshly loaded scheme at once;
 3. **builder differential** — ``vectorized_arrays`` field equality
    between kernels (both sweep every bounded level), and the
    native cluster-tree pass ≡ numpy ``_level_parents`` +
@@ -153,6 +153,14 @@ def sample_pairs(graph, count, seed):
     pairs = rng.integers(0, graph.n, size=(count, 2))
     pairs[: max(1, count // 8), 1] = pairs[: max(1, count // 8), 0]  # trivial rows
     return pairs
+
+
+def distinct_sample(graph, count, seed):
+    """``count`` distinct pairs over ``graph``'s vertices, self-pairs
+    among them, in random order."""
+    rng = make_rng(derive(seed, "kernel-distinct-pairs"))
+    keys = rng.choice(graph.n * graph.n, size=count, replace=False)
+    return np.stack(np.divmod(keys, graph.n), axis=1)
 
 
 def commit_columns(compiled, pairs, kernel, chunks=None):
@@ -479,9 +487,10 @@ def test_row_chunks_cover_the_batch_in_order(monkeypatch):
 class TestThreadedChunks:
     def test_batch_over_the_floor_matches_numpy_with_telemetry(self, monkeypatch):
         monkeypatch.setattr(batch, "_usable_cpus", lambda: 3)
-        graph = family_from_seed(12, "gnp", n=80)
+        # The floor counts distinct pairs: n=120 has 14,400 to draw from.
+        graph = family_from_seed(12, "gnp", n=120)
         _, routers = routers_for(graph, 3, 12)
-        pairs = sample_pairs(graph, batch.ROUTE_CHUNK_FLOOR + 123, 12)
+        pairs = distinct_sample(graph, batch.ROUTE_CHUNK_FLOOR + 123, 12)
         results, counts, roots = {}, {}, {}
         for kern in ("numpy", "native"):
             TELEMETRY.reset()
@@ -511,6 +520,37 @@ class TestThreadedChunks:
         spans = {sp.name: sp for sp, _ in root.walk()}
         assert {"route.commit", "route.hop_loop", "kernel.hop_step"} <= set(spans)
         assert spans["kernel.hop_step"].attrs["threads"] == 3
+
+    def test_repeated_pairs_chunk_by_their_distinct_count(self, monkeypatch):
+        """Every pair of a batch just over the floor, twice: the route
+        walks the distinct half on three threads, answers every row and
+        counts the answered rows and the distinct ones apart."""
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: 3)
+        graph = family_from_seed(12, "gnp", n=120)
+        _, routers = routers_for(graph, 3, 12)
+        once = distinct_sample(graph, batch.ROUTE_CHUNK_FLOOR + 123, 13)
+        twice = np.concatenate([once, once[::-1]])
+        results, counts = {}, {}
+        for kern in ("numpy", "native"):
+            TELEMETRY.reset()
+            TELEMETRY.enable()
+            try:
+                results[kern] = routers[kern].route_pairs(twice)
+                counts[kern] = dict(TELEMETRY.counters)
+                (root,) = TELEMETRY.roots
+                steps = [sp for sp, _ in root.walk() if sp.name == "kernel.hop_step"]
+            finally:
+                TELEMETRY.disable()
+                TELEMETRY.reset()
+            assert [sp.attrs["rows"] for sp in steps] == [once.shape[0]]
+            assert steps[0].attrs["threads"] == (3 if kern == "native" else 1)
+            assert counts[kern]["route.pairs_routed"] == twice.shape[0]
+            assert 2 * counts[kern]["route.pairs_distinct"] == twice.shape[0]
+            assert counts[kern]["route.delivered"] == results[kern].delivered_count
+        assert_results_equal(results["numpy"], results["native"], "(repeats, 3 row chunks)")
+        alone = routers["native"].route_pairs(once)
+        assert_results_equal(alone, results["native"].take(np.arange(once.shape[0])))
+        assert_results_equal(alone, results["native"].take(np.arange(2 * once.shape[0] - 1, once.shape[0] - 1, -1)))
 
     def test_chunked_dead_edges_and_ttl(self, forced_chunks):
         graph = family_from_seed(13, "grid", n=49)

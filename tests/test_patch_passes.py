@@ -471,3 +471,21 @@ def test_a_churn_epoch_carries_no_entry_keys(tmp_path):
         assert not {"entry_keys", "ent_center"} & set(vars(scheme))
     for each in (compiled, recompiled, service.compiled):
         assert "entry_keys" not in vars(each)
+
+
+def test_table_bits_leaves_no_keys_or_centers(veto_native):
+    """The table-bit count reads each entry's center from a column made
+    for the call: neither the keys nor the centers stay on the scheme,
+    built or loaded, on either kernel, and the bits are the ones the
+    derived centers give."""
+    graph = family_from_seed(9, "gnp", n=80)
+    ported = assign_ports(graph, "random", rng=9)
+    for run in (lambda f: f(), veto_native):
+        arrays = run(lambda: build_arrays(graph, 3, ported=ported, rng=9))
+        max_port = int(graph.degrees().max())
+        bits = run(lambda: arrays.table_bits(max_port))
+        mask = arrays.level0_entries()
+        assert not {"entry_keys", "ent_center"} & set(vars(arrays))
+        assert np.array_equal(arrays.entry_centers(), arrays.ent_center)
+        assert np.array_equal(mask, arrays.level0_entries(arrays.ent_center))
+        assert np.array_equal(bits, arrays.table_bits(max_port))

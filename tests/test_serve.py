@@ -2,10 +2,12 @@
 
 The load-bearing contracts:
 
-* the ``tz-serve/v2`` codec round-trips ``BatchResult`` **bit for bit**
-  (columns travel as raw little-endian blobs in their exact dtypes),
-  a frame with no arrays is exactly its v1 JSON encoding, and every
-  malformed manifest or route field is refused with a clean error;
+* the ``tz-serve/v3`` codec round-trips ``BatchResult`` **bit for bit**
+  (columns travel as raw little-endian blobs at their wire widths, each
+  distinct pair's answer once with the ``rows`` index that expands
+  them, and decode widens them back), a frame with no arrays is exactly
+  its v1 JSON encoding, and every malformed manifest, ``rows`` or route
+  field is refused with a clean error;
 * the scheme LRU never exceeds its capacity, evicts in LRU order, and
   an evicted tenant re-mmapped on its next hit answers bit-identically;
 * the daemon sheds overload with explicit ``backpressure`` errors and
@@ -165,6 +167,14 @@ def _result_columns(n, m, seed) -> BatchResult:
     )
 
 
+def _blob_bytes(arrays) -> int:
+    """Length of the blob section holding ``arrays``, each 64-byte aligned."""
+    end = 0
+    for arr in arrays:
+        end = -(-end // 64) * 64 + arr.nbytes
+    return end
+
+
 #: Named tamperings of a ``pairs`` frame's manifest entry; each must be refused.
 MANIFEST_CORRUPTIONS = {
     "negative-dims": lambda e: e.update(shape=[-2, -4]),
@@ -190,7 +200,7 @@ class TestProtocol:
         assert length == len(frame) - 4
         back = decode_payload(frame[4:])
         pairs = back.pop("pairs")  # an int list still travels as a blob
-        assert pairs.dtype == np.int64 and pairs.tolist() == obj["pairs"]
+        assert pairs.dtype == np.int32 and pairs.tolist() == obj["pairs"]
         assert back == {k: v for k, v in obj.items() if k != "pairs"}
 
     @pytest.mark.parametrize(
@@ -213,10 +223,10 @@ class TestProtocol:
         pairs = np.arange(10, dtype=np.int64).reshape(5, 2)
         frame = encode_frame({"op": "route", "pairs": pairs, "id": 1})
         header, payload, start = _frame_parts(frame)
-        assert header["arrays"] == {
-            "pairs": {"dtype": "<i8", "shape": [5, 2], "offset": 0, "nbytes": 80}
+        assert header["arrays"] == {  # pairs that fit int32 travel as int32
+            "pairs": {"dtype": "<i4", "shape": [5, 2], "offset": 0, "nbytes": 40}
         }
-        assert payload[start : start + 80] == pairs.tobytes()
+        assert payload[start : start + 40] == pairs.astype(np.int32).tobytes()
         buf = bytearray(payload)  # the client's receive buffer
         back = decode_payload(buf)["pairs"]
         assert np.array_equal(back, pairs)
@@ -292,12 +302,10 @@ class TestProtocol:
         if receive_buffer:
             payload = bytearray(payload)
         decoded = result_from_wire(decode_payload(payload)["result"])
-        expect = result_to_wire(_result_columns(n, m * stride, seed))
         for col in RESULT_COLS:
-            got = getattr(decoded, col)
-            want = expect[col][::stride]
-            assert got.dtype == want.dtype.newbyteorder("<"), col
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), col
+            got, want = getattr(decoded, col), getattr(result, col)
+            assert got.dtype == want.dtype.newbyteorder("="), col
+            assert got.tobytes() == np.ascontiguousarray(want, dtype=got.dtype).tobytes(), col
 
     def test_result_from_wire_rejects_malformed(self):
         with pytest.raises(ProtocolError):
@@ -310,13 +318,56 @@ class TestProtocol:
             ("weight", ["NaN-ish garbage"]),
             ("weight", [0.5, 1.5]),                     # a list, not a blob
             ("weight", good["weight"].astype(np.float32)),
-            ("source", good["source"].astype(np.int32)),
+            ("source", good["source"].astype(np.int64)),
             ("delivered", good["delivered"].astype(np.int8)),
             ("source", good["source"][:1]),             # ragged
             ("dest", good["dest"].reshape(1, 2)),       # not 1-D
         ):
             with pytest.raises(ProtocolError):
                 result_from_wire(dict(good, **{name: bad}))
+
+    @given(
+        answers=st.integers(min_value=0, max_value=30),
+        extra=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_distinct_answers_roundtrip_with_and_without_rows(self, answers, extra, seed):
+        """The answers of U distinct pairs and a rows index of P ≥ U
+        entries decode to the expanded result, whether ``rows`` travels
+        (it makes the answer smaller) or the encoder expanded them."""
+        distinct = _result_columns(50, answers, seed)
+        rng = np.random.default_rng(seed)
+        rows = np.concatenate([
+            np.arange(answers), rng.integers(0, max(answers, 1), extra if answers else 0)
+        ]).astype(np.int32)
+        rng.shuffle(rows)
+        wire = result_to_wire(distinct, rows)
+        with_rows = _blob_bytes([*result_to_wire(distinct).values(), rows])
+        expanded = _blob_bytes(result_to_wire(distinct.take(rows)).values())
+        assert ("rows" in wire) == (with_rows < expanded)
+        payload = encode_frame({"ok": True, "result": wire})[4:]
+        decoded = result_from_wire(decode_payload(payload)["result"])
+        assert_results_identical(distinct.take(rows), decoded)
+
+    def test_result_from_wire_rejects_malformed_rows(self):
+        good = result_to_wire(_result_columns(10, 4, 0), np.tile(np.arange(4, dtype=np.int32), 40))
+        assert "rows" in good
+        result_from_wire(good)
+        for bad in (
+            good["rows"].astype(np.int64),          # not int32
+            good["rows"].astype(np.uint32),
+            good["rows"].reshape(-1, 2),            # not 1-D
+            good["rows"].tolist(),                  # a list, not a blob
+            np.array([0, 4], dtype=np.int32),       # past the answers
+            np.array([-1, 0], dtype=np.int32),      # negative
+        ):
+            with pytest.raises(ProtocolError, match="rows"):
+                result_from_wire(dict(good, rows=bad))
+        no_answers = {name: col[:0] for name, col in good.items() if name != "rows"}
+        result_from_wire(dict(no_answers, rows=np.zeros(0, np.int32)))
+        with pytest.raises(ProtocolError, match="rows"):
+            result_from_wire(dict(no_answers, rows=np.zeros(1, np.int32)))
 
     @pytest.mark.parametrize("m", [0, 1, 63, 4097, 100_000])
     def test_route_answer_bytes_bounds_the_answer(self, m):
@@ -327,7 +378,7 @@ class TestProtocol:
         }
         size = len(encode_frame(response))
         assert size <= route_answer_bytes(m) <= size + 4096 + 64 * 9
-        assert route_answer_bytes(m) - route_answer_bytes(0) >= 50 * m
+        assert route_answer_bytes(m) - route_answer_bytes(0) >= 30 * m
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +526,7 @@ class TestDaemon:
             with rd.client() as c:
                 pong = c.request({"op": "ping"})
                 assert pong["ok"] and pong["pid"] == os.getpid()
-                assert pong["protocol"] == 2
+                assert pong["protocol"] == 3
                 desc = c.request({"op": "describe"})
                 assert desc["ok"] and desc["n"] == graph.n and desc["k"] == 2
                 resp = c.request(
@@ -562,7 +613,7 @@ class TestDaemon:
         in sync; the largest admitted batch's answer is readable."""
         store, key, graph, *_ = publish_scheme(tmp_path, seed=43)
         limit = 64 * 1024
-        fit = (limit - route_answer_bytes(0) - 8 * 64) // 50
+        fit = (limit - route_answer_bytes(0) - 8 * 64) // 30
         assert route_answer_bytes(fit) <= limit < route_answer_bytes(fit + 200)
         pairs = np.zeros((fit + 200, 2), dtype=np.int64)
         pairs[:, 1] = 1
@@ -574,8 +625,28 @@ class TestDaemon:
                 assert resp["error"] == "bad-request" and resp["id"] == 1
                 assert "frame limit" in resp["message"]
                 resp = c.request({"op": "route", "pairs": pairs[:fit]}, max_bytes=limit)
-                assert resp["ok"] and resp["result"]["source"].shape == (fit,)
+                assert resp["ok"] and result_from_wire(resp["result"]).attempted == fit
                 assert c.request({"op": "stats"})["stats"]["routed_pairs"] == fit
+
+    def test_duplicate_heavy_answers_decode_to_the_service_route(self, tmp_path):
+        """Zipf traffic repeats pairs: the daemon ships each distinct
+        answer once, with the ``rows`` index, and the client decodes
+        exactly what ``RouteService.route`` answers in process."""
+        store, key, graph, *_ = publish_scheme(tmp_path, seed=47)
+        batches = zipf_traffic(graph.n, users=8, requests=3, batch=2048, rng=47)
+        batches.append(np.array([[0, 1]] * 64))  # one pair, 64 times
+        service = RouteService(store.path_for(key))
+        with running_daemon(tmp_path, default_scheme=key) as rd:
+            with rd.client() as c:
+                for pairs in batches:
+                    resp = c.request({"op": "route", "pairs": pairs})
+                    assert resp["ok"], resp
+                    wire = resp["result"]
+                    assert wire["rows"].shape == (pairs.shape[0],)
+                    assert wire["source"].shape[0] == len({tuple(p) for p in pairs.tolist()})
+                    assert_results_identical(
+                        service.route(pairs), result_from_wire(wire)
+                    )
 
     def test_backpressure_sheds_and_stays_responsive(self, tmp_path):
         store, key, graph, *_ = publish_scheme(tmp_path, seed=51)
@@ -788,11 +859,12 @@ class TestRouteValidation:
             {"pairs": [[0, 1]], "ttl": 2.7},
             {"pairs": [[0, 1]], "ttl": -1},
             {"pairs": [[0, 1]], "ttl": True},
+            {"pairs": [[0, 1]], "ttl": 2**31},
         ],
         ids=[
             "float-list", "bool-list", "string-list", "ragged-list",
             "float-blob", "bool-blob", "ttl-string", "ttl-float",
-            "ttl-negative", "ttl-bool",
+            "ttl-negative", "ttl-bool", "ttl-2^31",
         ],
     )
     def test_malformed_route_input_is_refused(self, live, fields):
@@ -805,7 +877,7 @@ class TestRouteValidation:
             assert c.request({"op": "stats"})["stats"]["routed_pairs"] == before
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
-    @pytest.mark.parametrize("ttl", [None, 0, 5])
+    @pytest.mark.parametrize("ttl", [None, 0, 5, 2**31 - 1])
     def test_integer_pairs_of_any_width_route(self, live, dtype, ttl):
         rd, router = live
         pairs = np.array([[0, 1], [2, 0], [1, 1]])
