@@ -155,6 +155,7 @@ def _cmd_serve_daemon(args) -> int:
     from .graphs.ports import assign_ports
     from .rng import derive
     from .serve import run_daemon
+    from .serve.daemon import retain_freed_memory
     from .store import FORMAT_VERSION, SchemeStore
     from .store.format import container_version
 
@@ -200,6 +201,7 @@ def _cmd_serve_daemon(args) -> int:
         if args.port_file:
             Path(args.port_file).write_text(f"{port}\n")
 
+    retain_freed_memory()
     stats = run_daemon(
         args.store,
         host=args.host,

@@ -18,7 +18,8 @@ server.  The moving parts, and the guarantees each one carries:
 * **Each distinct pair once** — a batch is answered from
   :meth:`RouteService.route_distinct <repro.store.RouteService.route_distinct>`:
   its distinct pairs are routed and shipped once, with the ``rows``
-  index that expands them (:mod:`repro.serve.protocol`).
+  index that expands them (:mod:`repro.serve.protocol`), unless so few
+  repeat that the router walked every row.
 * **Bounded queue + backpressure** — route requests land in one
   bounded :class:`asyncio.Queue`.  A full queue answers
   ``{"error": "backpressure"}`` immediately instead of stalling the
@@ -49,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import contextvars
+import ctypes
 import os
 import signal
 from dataclasses import dataclass, field
@@ -553,6 +555,39 @@ class RouteDaemon:
             f"no lineage, container or file named {scheme!r} in "
             f"{self.store.root}"
         )
+
+
+#: ``mallopt`` parameter numbers of glibc's ``malloc.h``.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def retain_freed_memory() -> bool:
+    """Make this process's glibc malloc keep freed memory for reuse.
+
+    Every route allocates its columns afresh, and the pool workers
+    write them; glibc hands large freed blocks back to the system (an
+    mmap of its own, or the trimmed top of a thread's arena), so each
+    request faulted its columns' pages in again: ~580 minor faults per
+    65,536-pair Zipf request in a daemon, ~2 once freed memory up to a
+    frame's size stays mapped.  Both thresholds are set to fixed
+    values, which also ends glibc's own adjustment of them.  Returns
+    False, the allocator left as it is, where the C library has no
+    ``mallopt`` or refuses the values (a preloaded sanitizer allocator's
+    stub does).  The serving daemon's process calls this once (``repro
+    serve --daemon``); a library caller keeps its own allocator policy.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # glibc's largest mmap threshold (32 MiB on 64-bit) is the frame
+    # ceiling: a block of up to one frame's size comes from an arena.
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, MAX_FRAME_BYTES)
+        and mallopt(_M_TRIM_THRESHOLD, 2 * MAX_FRAME_BYTES)
+    )
 
 
 def run_daemon(

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import ProtocolError
 from ..rng import RngLike, make_rng
-from .protocol import MAX_FRAME_BYTES, read_frame, result_from_wire, write_frame
+from .protocol import MAX_FRAME_BYTES, delivered_from_wire, read_frame, write_frame
 
 
 class DaemonClient:
@@ -258,7 +258,7 @@ def run_loadgen(
                 response = client.request(request)
                 elapsed = perf_counter() - t0
                 ok = bool(response.get("ok"))
-                delivered = result_from_wire(response["result"]).delivered_count if ok else 0
+                delivered = delivered_from_wire(response["result"]) if ok else 0
                 with lock:
                     latencies.append(elapsed)
                     if ok:

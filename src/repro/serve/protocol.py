@@ -28,15 +28,18 @@ kind).  A route answer's ``source``, ``dest``, ``tree``, ``hops`` and
 ``max_header_bits`` go as int32 (:data:`RESULT_COLUMNS`): ids and trees
 are below n < 2^31, hops below the ``ttl``, which the daemon refuses
 from 2^31 up, so a row costs 30 bytes.  And an answer carries each
-distinct pair once: its columns hold the answers of the request's
-distinct pairs, in order of first appearance, and an int32
-``result.rows`` of one entry per requested pair names the answer of
-each (:meth:`~repro.store.RouteService.route_distinct`).  ``rows`` is
-sent only when it makes the answer smaller; without it the columns
-answer the pairs in request order.  :func:`result_from_wire` checks
-``rows``, expands the columns through it and widens them back to
-:class:`~repro.sim.engine.batch.BatchResult`'s dtypes, so the decoded
-result is bit-identical to :meth:`~repro.store.RouteService.route`'s.
+distinct pair once: when the router walked only a batch's distinct
+pairs (it does once enough of them repeat), the columns hold their
+answers, in order of first appearance, and an int32 ``result.rows`` of
+one entry per requested pair names the answer of each
+(:meth:`~repro.store.RouteService.route_distinct`); without ``rows`` the
+columns answer the pairs in request order.
+:func:`result_from_wire` checks ``rows``, expands the columns through
+it and widens them back to :class:`~repro.sim.engine.batch.BatchResult`'s
+dtypes, so the decoded result is bit-identical to
+:meth:`~repro.store.RouteService.route`'s; :func:`delivered_from_wire`
+counts an answer's delivered pairs with the same checks and no
+expansion.
 
 The length prefix gives the server an *a-priori* bound check: a frame
 claiming more than ``max_bytes`` is rejected before a single payload
@@ -73,9 +76,9 @@ from ..store.format import align, blob_chunks, pack_blobs, unpack_blobs
 #: Protocol revision carried in every ``ping`` response.
 PROTOCOL_VERSION = 3
 
-#: Default per-frame payload ceiling.  A route answer costs at most 30
-#: bytes per pair (every pair distinct), so this admits batches of up
-#: to ~1.1M pairs.
+#: Default per-frame payload ceiling.  A route answer costs at most 34
+#: bytes per pair (30 of columns and 4 of ``rows``), so this admits
+#: batches of up to ~987k pairs.
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
@@ -283,16 +286,14 @@ def _recv_exact(sock: socket.socket, count: int, *, eof_ok: bool):
     return buf
 
 
-def _answer_blob_bytes(answers: int, pairs: Optional[int] = None) -> int:
-    """Bytes of a route answer's blobs: the :data:`RESULT_COLUMNS` of
-    ``answers`` rows, and an int32 ``rows`` of ``pairs`` entries when
-    given, each blob 64-byte aligned."""
+def _answer_blob_bytes(pairs: int) -> int:
+    """Most bytes a route answer's blobs take for ``pairs`` requested
+    pairs: the :data:`RESULT_COLUMNS` of ``pairs`` answers plus an int32
+    ``rows`` of ``pairs`` entries, each blob 64-byte aligned."""
     data = 0
     for _, wire, _ in RESULT_COLUMNS:
-        data = align(data) + wire.itemsize * answers
-    if pairs is not None:
-        data = align(data) + 4 * pairs
-    return data
+        data = align(data) + wire.itemsize * pairs
+    return align(data) + 4 * pairs
 
 
 def result_to_wire(
@@ -302,14 +303,8 @@ def result_to_wire(
 
     ``(result, rows)`` is :meth:`~repro.store.RouteService.route_distinct`'s
     answer: with ``rows``, ``result`` answers the distinct pairs and
-    ``rows`` names each requested pair's answer.  ``rows`` joins the
-    columns only when that makes the answer smaller; otherwise the
-    answers are expanded to request order here and no ``rows`` is sent.
+    ``rows`` (sent as int32) names each requested pair's answer.
     """
-    if rows is not None and _answer_blob_bytes(
-        result.attempted, rows.shape[0]
-    ) >= _answer_blob_bytes(rows.shape[0]):
-        result, rows = result.take(rows), None
     wire = {
         name: np.asarray(getattr(result, name), dtype=dtype)
         for name, dtype, _ in RESULT_COLUMNS
@@ -319,17 +314,9 @@ def result_to_wire(
     return wire
 
 
-def result_from_wire(wire: Dict[str, np.ndarray]) -> BatchResult:
-    """Rebuild a :class:`BatchResult` from decoded result columns.
-
-    The inverse of :func:`result_to_wire`: every column must be a 1-D
-    array of exactly its :data:`RESULT_COLUMNS` dtype and all must have
-    one length ``U``; a ``rows`` must be a 1-D int32 array with every
-    value in ``[0, U)``, or :class:`ProtocolError` is raised.  The
-    columns are expanded through ``rows`` when it is there and widened
-    to the router's dtypes, so the result is bit-identical to the one
-    :meth:`~repro.store.RouteService.route` returns.
-    """
+def _checked_result(wire: Dict[str, np.ndarray]):
+    """``(columns, rows)`` of decoded result columns, checked as
+    :func:`result_from_wire` documents; ``rows`` is None when absent."""
     try:
         columns = {name: wire[name] for name, _, _ in RESULT_COLUMNS}
         rows = wire.get("rows")
@@ -347,6 +334,22 @@ def result_from_wire(wire: Dict[str, np.ndarray]) -> BatchResult:
         answers = columns["source"].shape[0]
         if rows.size and (rows.min() < 0 or rows.max() >= answers):
             raise ProtocolError(f"route result rows name answers outside [0, {answers})")
+    return columns, rows
+
+
+def result_from_wire(wire: Dict[str, np.ndarray]) -> BatchResult:
+    """Rebuild a :class:`BatchResult` from decoded result columns.
+
+    The inverse of :func:`result_to_wire`: every column must be a 1-D
+    array of exactly its :data:`RESULT_COLUMNS` dtype and all must have
+    one length ``U``; a ``rows`` must be a 1-D int32 array with every
+    value in ``[0, U)``, or :class:`ProtocolError` is raised.  The
+    columns are expanded through ``rows`` when it is there and widened
+    to the router's dtypes, so the result is bit-identical to the one
+    :meth:`~repro.store.RouteService.route` returns.
+    """
+    columns, rows = _checked_result(wire)
+    if rows is not None:
         rows = rows.astype(np.intp)
     out = {}
     for name, _, wide in RESULT_COLUMNS:
@@ -357,13 +360,24 @@ def result_from_wire(wire: Dict[str, np.ndarray]) -> BatchResult:
     return BatchResult(**out)
 
 
+def delivered_from_wire(wire: Dict[str, np.ndarray]) -> int:
+    """``result_from_wire(wire).delivered_count``, counted on the answer
+    as it came: the same checks, then the ``delivered`` column counted
+    through ``rows``, with no column widened or expanded."""
+    columns, rows = _checked_result(wire)
+    delivered = columns["delivered"]
+    if rows is not None:
+        delivered = np.take(delivered, rows.astype(np.intp))
+    return int(np.count_nonzero(delivered))
+
+
 def route_answer_bytes(pairs: int) -> int:
     """Upper bound on the frame that answers a route request of ``pairs`` rows.
 
-    The largest answer is one whose pairs are all distinct: 30 bytes per
-    pair plus alignment, sized exactly (an answer carries ``rows`` only
-    when that makes it smaller).  The JSON header with its NUL and pad
-    gets a fixed allowance.
+    An answer holds at most one row of columns per pair (30 bytes) and,
+    with a ``rows`` index, 4 bytes more per pair: 34 bytes per pair plus
+    alignment bound it, whichever rows the router walked.  The JSON
+    header with its NUL and pad gets a fixed allowance.
     """
     return _LEN.size + _ANSWER_HEADER_BYTES + _answer_blob_bytes(pairs)
 

@@ -36,15 +36,17 @@ set alone (and hence bit-for-bit the reference
 
 **Each distinct pair once.**  Routing is stateless: every repeat of an
 ``(s, t)`` pair in a batch walks the same hops to the same answer.  So
-:meth:`BatchRouter.route_pairs` numbers the batch's distinct pairs in
+:meth:`BatchRouter.route_distinct` numbers the batch's distinct pairs in
 order of first appearance (``tz_distinct_pairs`` on the native kernel,
 :func:`distinct_pairs_numpy` its reference), commits and walks only
-those, and gathers the answers back into input order with
-:meth:`BatchResult.take` — skipped when no pair repeats.
-:meth:`BatchRouter.route_distinct` stops before the gather and returns
-the distinct answers with the ``rows`` index, which is what the serving
-daemon ships.  Each batch is deduplicated on its own; nothing is cached
-across calls.
+those, and returns their answers with the ``rows`` index that expands
+them, which is what the serving daemon ships;
+:meth:`BatchRouter.route_pairs` is that call and the gather back into
+input order, :meth:`BatchResult.take`.  The gather costs every row, so
+a batch too few of whose pairs repeat — at least
+:data:`DISTINCT_WALK_SHARE` of them distinct — walks every row instead
+and has no ``rows``.  Each batch is deduplicated on its own; nothing is
+cached across calls.
 
 **Native kernel and row chunks.**  On the native kernel — the
 platform's choice whenever ``_native.c`` compiles and loads, see
@@ -112,10 +114,10 @@ FAILURE_TEXT = {
 #: scheme was not compiled for); the landed vertex lives in ``lost_v``.
 _LOST = -2
 
-#: Fewest distinct pairs a ``route_pairs`` batch must hold for the
-#: native kernel to cut them into one row chunk per pool worker (the
-#: commit and the walk see only the distinct pairs, so a batch of
-#: repeats counts once per pair); smaller batches run on the calling
+#: Fewest rows a ``route_pairs`` batch must walk for the native kernel
+#: to cut them into one row chunk per pool worker (the rows walked are
+#: the batch's distinct pairs unless too few of them repeat, see
+#: :data:`DISTINCT_WALK_SHARE`); smaller batches run on the calling
 #: thread.  Each threaded phase (a route has two) pays one pool round trip:
 #: ~0.05 ms while the workers are awake, 0.17 ms at the median after
 #: an idle pause.  On Zipf batches over a gnp n=10⁴, k=3 scheme (2-CPU
@@ -124,6 +126,19 @@ _LOST = -2
 #: at 16,384 and 1.64–1.80× at 32,768, but only by 0.92–1.32× at 4,096
 #: (slower in three of the eight readings) and 0.76–1.01× at 2,048.
 ROUTE_CHUNK_FLOOR = 8_192
+
+#: Share of a batch's rows that are distinct pairs from which
+#: :meth:`BatchRouter.route_distinct` walks every row, as if none
+#: repeated; below it only the distinct pairs are walked.  Walking only
+#: the distinct pairs saves the walk of their repeats but costs every
+#: row a gather of eight answer columns (:meth:`BatchResult.take`),
+#: 15–20 ns a row where a walk costs 170–340 ns on the gnp schemes the
+#: benchmarks route, so it pays once about a tenth of the rows repeat.
+#: On 65,536-pair batches over three such schemes (2-CPU x86-64
+#: container, medians of 16 interleaved calls) walking only the
+#: distinct pairs took 0.88–0.96× the time of walking every row at a
+#: 0.8 share, 0.98–1.03× at 0.9 and 1.05–1.11× at 1.0.
+DISTINCT_WALK_SHARE = 0.9
 
 
 def _usable_cpus() -> int:
@@ -469,19 +484,15 @@ class BatchRouter:
         ``ttl`` matches the reference default (``4·n + 16`` forwarding
         decisions).  ``dead_edges`` drops any row whose next hop crosses
         a listed edge, mirroring :class:`~repro.sim.failures.FaultyNetwork`.
-        Each distinct pair is routed once and its answer copied to every
-        row that repeats it (module doc).  On the native kernel a batch
-        of at least :data:`ROUTE_CHUNK_FLOOR` distinct pairs runs as one
-        row chunk per pool worker; the result depends on neither.
+        This is :meth:`route_distinct`, then its answers gathered into
+        input order: each distinct pair is routed once and its answer
+        copied to every row that repeats it (module doc).  On the native
+        kernel a batch that walks at least :data:`ROUTE_CHUNK_FLOOR` rows
+        runs as one row chunk per pool worker; the result depends on
+        neither.
         """
-        tm = TELEMETRY
-        with tm.span("route.route_pairs", pairs=int(np.asarray(pairs).shape[0])):
-            result, rows = self._route_distinct(pairs, ttl, dead_edges)
-            if rows is not None:
-                result = result.take(rows)
-            if tm.enabled:
-                tm.count("route.delivered", int(np.count_nonzero(result.delivered)))
-            return result
+        result, rows = self.route_distinct(pairs, ttl=ttl, dead_edges=dead_edges)
+        return result if rows is None else result.take(rows)
 
     def route_distinct(
         self,
@@ -490,58 +501,47 @@ class BatchRouter:
         ttl: Optional[int] = None,
         dead_edges: Optional[Iterable[Tuple[int, int]]] = None,
     ) -> Tuple[BatchResult, Optional[np.ndarray]]:
-        """:meth:`route_pairs` without the final gather: ``(result,
-        rows)``, where ``result`` answers the distinct pairs of
-        ``pairs`` in order of first appearance and ``rows`` (int32) is
-        the number of each input row's pair, so ``result.take(rows)`` is
-        :meth:`route_pairs`' answer; ``rows`` is None when no pair
-        repeats, and ``result`` is then that answer itself."""
+        """Validate every row, then commit and walk each distinct pair
+        once: ``(result, rows)``, where ``result`` answers the distinct
+        pairs of ``pairs`` in order of first appearance and ``rows``
+        (int32) is the number of each input row's pair, so
+        ``result.take(rows)`` is :meth:`route_pairs`' answer.  When at
+        least :data:`DISTINCT_WALK_SHARE` of the rows are distinct pairs,
+        every row is walked instead, ``rows`` is None and ``result`` is
+        that answer itself.  ``route.pairs_routed`` and
+        ``route.delivered`` count the input rows, so both read what
+        routing every row would; ``route.pairs_distinct`` counts the
+        rows walked."""
         tm = TELEMETRY
         with tm.span("route.route_pairs", pairs=int(np.asarray(pairs).shape[0])):
-            result, rows = self._route_distinct(pairs, ttl, dead_edges)
+            src, dst = self._validate_pairs(pairs)
+            count = src.shape[0]
+            dead_masks: Optional[np.ndarray] = None
+            if dead_edges is not None:
+                dead_list = list(dead_edges)
+                if dead_list:
+                    dead_masks = self._edge_mask(dead_list)[None, :]
+            with tm.span("route.distinct"):
+                distinct = distinct_pairs_native if self.kernel == "native" else distinct_pairs_numpy
+                first, rows = distinct(src, dst, self.compiled.n)
+            if first.shape[0] >= DISTINCT_WALK_SHARE * count:
+                rows = None
+            else:
+                src, dst = src[first], dst[first]
+            trial = None if dead_masks is None else np.zeros(src.shape[0], dtype=np.int64)
+            chunks = self._chunks(src.shape[0])
+            with tm.span("route.commit"):
+                state = self._commit_rows(src, dst, chunks)
+            with tm.span("route.hop_loop"):
+                result = self._hop_loop(src, dst, state, ttl, dead_masks, trial, chunks)
             if tm.enabled:
                 delivered = result.delivered
                 if rows is not None:
                     delivered = np.take(delivered, np.asarray(rows, dtype=np.intp))
+                tm.count("route.pairs_routed", count)
+                tm.count("route.pairs_distinct", int(src.shape[0]))
                 tm.count("route.delivered", int(np.count_nonzero(delivered)))
             return result, rows
-
-    def _route_distinct(
-        self,
-        pairs: np.ndarray,
-        ttl: Optional[int],
-        dead_edges: Optional[Iterable[Tuple[int, int]]],
-    ) -> Tuple[BatchResult, Optional[np.ndarray]]:
-        """Validate every row, then commit and walk each distinct pair
-        once (:meth:`route_distinct`).  ``route.pairs_routed`` counts the
-        answered rows, as the callers' ``route.delivered`` does, so both
-        read what routing every row would; ``route.pairs_distinct``
-        counts the rows walked."""
-        tm = TELEMETRY
-        src, dst = self._validate_pairs(pairs)
-        count = src.shape[0]
-        dead_masks: Optional[np.ndarray] = None
-        if dead_edges is not None:
-            dead_list = list(dead_edges)
-            if dead_list:
-                dead_masks = self._edge_mask(dead_list)[None, :]
-        with tm.span("route.distinct"):
-            distinct = distinct_pairs_native if self.kernel == "native" else distinct_pairs_numpy
-            first, rows = distinct(src, dst, self.compiled.n)
-        if first.shape[0] == count:
-            rows = None
-        else:
-            src, dst = src[first], dst[first]
-        trial = None if dead_masks is None else np.zeros(src.shape[0], dtype=np.int64)
-        chunks = self._chunks(src.shape[0])
-        with tm.span("route.commit"):
-            state = self._commit_rows(src, dst, chunks)
-        with tm.span("route.hop_loop"):
-            result = self._hop_loop(src, dst, state, ttl, dead_masks, trial, chunks)
-        if tm.enabled:
-            tm.count("route.pairs_routed", count)
-            tm.count("route.pairs_distinct", int(src.shape[0]))
-        return result, rows
 
     def route_trials(
         self,

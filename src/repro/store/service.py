@@ -9,8 +9,9 @@ the OS page cache is the only copy in the machine.
 
 Each batch routes its distinct pairs once: :meth:`RouteService.route_distinct`
 returns their answers with the index that expands them to the whole
-batch (what the serving daemon ships), and :meth:`RouteService.route`
-is that call followed by the expansion.
+batch (what the serving daemon ships; no index when so few pairs repeat
+that the router walked every row), and :meth:`RouteService.route` is
+that call followed by the expansion.
 
 Within one process, parallelism is the router's: on the native kernel
 a large batch is cut into one row chunk per usable CPU and the chunks
@@ -183,8 +184,8 @@ class RouteService:
         self, pairs: np.ndarray, *, ttl: Optional[int] = None
     ) -> Tuple[BatchResult, Optional[np.ndarray]]:
         """``(result, rows)``: the answers of the distinct pairs of
-        ``pairs`` and the int32 index of each row's answer, None when no
-        pair repeats (:meth:`BatchRouter.route_distinct
+        ``pairs`` and the int32 index of each row's answer, None when
+        every row was walked (:meth:`BatchRouter.route_distinct
         <repro.sim.engine.batch.BatchRouter.route_distinct>`), all from
         one pinned version.  The ``serve.*`` counters count every row."""
         pair_arr = np.asarray(pairs)

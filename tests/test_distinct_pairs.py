@@ -12,7 +12,9 @@ Two contracts:
   its pair alone would, on both kernels, with dead edges and a short
   ``ttl`` too, and as the hop-by-hop :class:`~repro.sim.network.Network`
   on a sample; its counters count every answered row, and
-  ``route.pairs_distinct`` the pairs walked.
+  ``route.pairs_distinct`` the pairs walked, which are every row from
+  a :data:`~repro.sim.engine.batch.DISTINCT_WALK_SHARE` of distinct
+  pairs up and only the distinct pairs below it.
 
 Native-only checks skip cleanly when no C toolchain is present.
 """
@@ -34,7 +36,12 @@ from repro.kernels.hop import distinct_pairs_native
 from repro.obs import TELEMETRY
 from repro.rng import derive, make_rng
 from repro.serve import zipf_traffic
-from repro.sim.engine.batch import BatchResult, BatchRouter, distinct_pairs_numpy
+from repro.sim.engine.batch import (
+    DISTINCT_WALK_SHARE,
+    BatchResult,
+    BatchRouter,
+    distinct_pairs_numpy,
+)
 from repro.sim.failures import FaultyNetwork
 from repro.sim.network import Network
 
@@ -212,6 +219,37 @@ def test_route_distinct_is_route_pairs_before_the_gather(instance, kernel):
     alone, none = router.route_distinct(pairs[first])
     assert none is None
     assert_results_equal(result, alone)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_batch_of_few_repeats_walks_every_row(instance, kernel):
+    """At the walk share of distinct pairs every row is walked and no
+    ``rows`` index is made; one distinct pair fewer and only the
+    distinct pairs are walked.  Both answer as each pair alone."""
+    graph, _, _, routers, _ = instance
+    router = routers[kernel]
+    n, count = graph.n, 200
+    keys = make_rng(derive(5, "walk-share")).choice(n * n, count, replace=False)
+    distinct = np.stack([keys // n, keys % n], axis=1)
+    at = int(np.ceil(DISTINCT_WALK_SHARE * count))
+    for walked, batch in (
+        (count, np.concatenate([distinct[:at], distinct[: count - at]])),
+        (at - 1, np.concatenate([distinct[: at - 1], distinct[: count - at + 1]])),
+    ):
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            result, rows = router.route_distinct(batch)
+            counters = dict(TELEMETRY.counters)
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert counters["route.pairs_distinct"] == walked
+        assert counters["route.pairs_routed"] == count
+        assert (rows is None) == (walked == count)
+        assert result.attempted == walked
+        got = result if rows is None else result.take(rows)
+        assert_results_equal(routed_alone(router, batch), got, f"({kernel}, {walked})")
 
 
 def test_repeats_match_the_hop_by_hop_network(instance):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import signal
 import socket
 import struct
@@ -56,6 +57,7 @@ from repro.serve import (
 from repro.serve.protocol import (
     ERROR_CODES,
     decode_payload,
+    delivered_from_wire,
     error_response,
     route_answer_bytes,
 )
@@ -165,14 +167,6 @@ def _result_columns(n, m, seed) -> BatchResult:
         max_header_bits=rng.integers(0, 200, m).astype(np.int64),
         failure_code=rng.integers(0, 4, m).astype(np.int8),
     )
-
-
-def _blob_bytes(arrays) -> int:
-    """Length of the blob section holding ``arrays``, each 64-byte aligned."""
-    end = 0
-    for arr in arrays:
-        end = -(-end // 64) * 64 + arr.nbytes
-    return end
 
 
 #: Named tamperings of a ``pairs`` frame's manifest entry; each must be refused.
@@ -334,21 +328,24 @@ class TestProtocol:
     @settings(max_examples=60, deadline=None)
     def test_distinct_answers_roundtrip_with_and_without_rows(self, answers, extra, seed):
         """The answers of U distinct pairs and a rows index of P ≥ U
-        entries decode to the expanded result, whether ``rows`` travels
-        (it makes the answer smaller) or the encoder expanded them."""
+        entries travel as they are and decode to the expanded result,
+        as the expanded result does without ``rows``;
+        ``delivered_from_wire`` counts what the decode delivers."""
         distinct = _result_columns(50, answers, seed)
         rng = np.random.default_rng(seed)
         rows = np.concatenate([
             np.arange(answers), rng.integers(0, max(answers, 1), extra if answers else 0)
         ]).astype(np.int32)
         rng.shuffle(rows)
-        wire = result_to_wire(distinct, rows)
-        with_rows = _blob_bytes([*result_to_wire(distinct).values(), rows])
-        expanded = _blob_bytes(result_to_wire(distinct.take(rows)).values())
-        assert ("rows" in wire) == (with_rows < expanded)
-        payload = encode_frame({"ok": True, "result": wire})[4:]
-        decoded = result_from_wire(decode_payload(payload)["result"])
-        assert_results_identical(distinct.take(rows), decoded)
+        expanded = distinct.take(rows)
+        for wire in (result_to_wire(distinct, rows), result_to_wire(expanded)):
+            payload = encode_frame({"ok": True, "result": wire})[4:]
+            sent = decode_payload(payload)["result"]
+            assert sent["source"].shape[0] == (answers if "rows" in wire else rows.shape[0])
+            decoded = result_from_wire(sent)
+            assert_results_identical(expanded, decoded)
+            assert delivered_from_wire(sent) == decoded.delivered_count
+        assert "rows" in result_to_wire(distinct, rows)
 
     def test_result_from_wire_rejects_malformed_rows(self):
         good = result_to_wire(_result_columns(10, 4, 0), np.tile(np.arange(4, dtype=np.int32), 40))
@@ -362,23 +359,34 @@ class TestProtocol:
             np.array([0, 4], dtype=np.int32),       # past the answers
             np.array([-1, 0], dtype=np.int32),      # negative
         ):
-            with pytest.raises(ProtocolError, match="rows"):
-                result_from_wire(dict(good, rows=bad))
+            for decode in (result_from_wire, delivered_from_wire):
+                with pytest.raises(ProtocolError, match="rows"):
+                    decode(dict(good, rows=bad))
         no_answers = {name: col[:0] for name, col in good.items() if name != "rows"}
         result_from_wire(dict(no_answers, rows=np.zeros(0, np.int32)))
-        with pytest.raises(ProtocolError, match="rows"):
-            result_from_wire(dict(no_answers, rows=np.zeros(1, np.int32)))
+        assert delivered_from_wire(dict(no_answers, rows=np.zeros(0, np.int32))) == 0
+        for decode in (result_from_wire, delivered_from_wire):
+            with pytest.raises(ProtocolError, match="rows"):
+                decode(dict(no_answers, rows=np.zeros(1, np.int32)))
 
     @pytest.mark.parametrize("m", [0, 1, 63, 4097, 100_000])
     def test_route_answer_bytes_bounds_the_answer(self, m):
-        response = {
-            "ok": True, "op": "route", "version": 12, "key": "k" * 64,
-            "seconds": 0.123456789, "id": "request-tag",
-            "result": result_to_wire(_result_columns(50, m, m)),
-        }
-        size = len(encode_frame(response))
-        assert size <= route_answer_bytes(m) <= size + 4096 + 64 * 9
-        assert route_answer_bytes(m) - route_answer_bytes(0) >= 30 * m
+        """The bound holds for both answer shapes — every pair distinct
+        (no ``rows``), and from two pairs up all but one distinct with
+        ``rows`` — and is tight for the larger: 34 bytes a pair."""
+        answers = [result_to_wire(_result_columns(50, m, m))]
+        if m >= 2:
+            rows = np.minimum(np.arange(m), m - 2).astype(np.int32)
+            answers.append(result_to_wire(_result_columns(50, m - 1, m), rows))
+        sizes = [
+            len(encode_frame({
+                "ok": True, "op": "route", "version": 12, "key": "k" * 64,
+                "seconds": 0.123456789, "id": "request-tag", "result": answer,
+            }))
+            for answer in answers
+        ]
+        assert max(sizes) <= route_answer_bytes(m) <= max(sizes) + 4096 + 64 * 10
+        assert route_answer_bytes(m) - route_answer_bytes(0) >= 34 * m
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +621,7 @@ class TestDaemon:
         in sync; the largest admitted batch's answer is readable."""
         store, key, graph, *_ = publish_scheme(tmp_path, seed=43)
         limit = 64 * 1024
-        fit = (limit - route_answer_bytes(0) - 8 * 64) // 30
+        fit = (limit - route_answer_bytes(0) - 9 * 64) // 34
         assert route_answer_bytes(fit) <= limit < route_answer_bytes(fit + 200)
         pairs = np.zeros((fit + 200, 2), dtype=np.int64)
         pairs[:, 1] = 1
@@ -1151,3 +1159,29 @@ def test_daemon_imports_load_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_daemon_process_keeps_freed_memory():
+    """``retain_freed_memory`` sets glibc's thresholds (in a fresh
+    process: it changes the allocator of the process that calls it)
+    and reports False where the C library has no working ``mallopt``,
+    as under a preloaded sanitizer allocator, whose stub refuses."""
+    code = (
+        "from repro.serve.daemon import retain_freed_memory; "
+        "print(retain_freed_memory())"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    got = out.stdout.strip()
+    glibc = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+    if glibc and not os.environ.get("LD_PRELOAD"):
+        assert got == "True"
+    else:
+        assert got in ("True", "False")
