@@ -25,7 +25,12 @@ On a 20k-node G(n, p) graph, for a 100k-pair uniform matrix:
   level of the k=2 scheme plus its cluster-tree pass must run
   **≥ 1.4×** faster than on one worker.  With fewer than
   two usable CPUs there is nothing to gate: the gate prints why and
-  skips.
+  skips;
+* the native field repair (``tz_repair_fields``) must give the k=2
+  scheme's top-level trees that a random weight delta leaves dirty
+  their new fields **≥ 60×** faster than the frontier sweep of those
+  trees on the new graph (``test_repair_speedup``, which runs alone
+  with ``-k repair``).
 
 Every pair is cross-checked for bit-for-bit agreement before any clock
 is trusted (the same differential contract ``tests/test_kernels.py``
@@ -58,16 +63,19 @@ from _emit import emit
 from conftest import best_of_interleaved
 
 from repro.core.build import build_scheme
+from repro.core.build.patch import _exonerate_unbounded, _field_repair
 from repro.core.build.vectorized import _cluster_trees, _pruned_level
 from repro.core.landmarks import build_hierarchy
 from repro.graphs import generators as gen
+from repro.graphs.delta import apply_delta
 from repro.graphs.ports import assign_ports
 from repro import pool
 from repro.kernels import available, native_error
 from repro.kernels.frontier import frontier_sweep_native
 from repro.kernels.records import compile_records_native
 from repro.kernels.trees import cluster_trees_native
-from repro.rng import make_rng
+from repro.rng import derive, make_rng
+from repro.scenarios import random_delta
 from repro.sim.engine import BatchRouter, batch
 from repro.sim.engine.compile import ARRAYS_IN_RECORD, ENT_DTYPE, RECORD_FIELDS, _ent_records
 from repro.sim.workloads import uniform_pairs
@@ -101,6 +109,11 @@ POOL_SPEEDUP_FLOOR = 1.4
 #: the witness propagation.  Measured 2.55×, 2.69× and 2.54× (best of
 #: 5, one thread, 2-CPU x86-64 container); the floor keeps about half.
 MULTI_SOURCE_SPEEDUP_FLOOR = 1.25
+#: Field repair of the dirty top-level trees over sweeping them (41 of
+#: 126 trees dirty).  Measured 124.6×, 140.5× and 118.6× (best of 5,
+#: one thread, 2-CPU x86-64 container); the floor keeps about half of
+#: the lowest.
+REPAIR_SPEEDUP_FLOOR = 60.0
 N_PAIRS = 100_000
 
 
@@ -121,11 +134,16 @@ def setup():
     return graph, ported
 
 
-def test_kernels_speedup(setup):
+@pytest.fixture(scope="module")
+def scheme(setup):
+    graph, ported = setup
+    return build_scheme(graph, 2, ported=ported, rng=11)
+
+
+def test_kernels_speedup(setup, scheme):
     graph, ported = setup
 
     # ---- hop loop: route the same matrix on both kernels -------------
-    scheme = build_scheme(graph, 2, ported=ported, rng=11)
     pairs = uniform_pairs(graph, N_PAIRS, rng=3)
     routers = {
         kern: BatchRouter(ported, scheme, kernel=kern)
@@ -409,4 +427,62 @@ def test_kernels_speedup(setup):
     assert pool_skip or pool_speedup >= POOL_SPEEDUP_FLOOR, (
         f"sweep + tree pass run {pool_speedup:.2f}x faster on {workers} pool "
         f"workers than on one, below the {POOL_SPEEDUP_FLOOR}x floor"
+    )
+
+
+def test_repair_speedup(setup, scheme):
+    """The top-level trees a random two-edge weight delta leaves dirty
+    (the first delta of the seed's stream that leaves any), repaired
+    from their stored fields against swept on the new graph, both on
+    one thread, after asserting equal fields."""
+    graph, _ported = setup
+    arrays = scheme.arrays
+    h = arrays.hierarchy
+    top = np.flatnonzero(h.level_of == h.k - 1).astype(np.int64)
+    for i in range(50):
+        delta = random_delta(
+            graph, derive(11, "bench-repair", i), weight_updates=2, edge_adds=0, edge_drops=0
+        )
+        _dirty, centers = _exonerate_unbounded(arrays, graph, delta, h, top)
+        if centers.shape[0]:
+            break
+    assert centers.shape[0], "no delta in 50 left a top-level tree dirty"
+    new_graph, _ = apply_delta(graph, delta)
+    n, count = graph.n, int(centers.shape[0])
+    fill = _field_repair(arrays, graph, new_graph, delta, centers)
+    at = np.arange(count, dtype=np.int64) * n
+    thr = np.full(n, np.inf)
+
+    def swept():
+        return frontier_sweep_native(new_graph, centers, thr)[1]
+
+    def repaired():
+        out = np.empty(count * n)
+        fill(out, at)
+        return out
+
+    assert np.array_equal(swept(), repaired())
+    t_sweep, t_repair = best_of_interleaved(
+        lambda: on_one_worker(swept), lambda: on_one_worker(repaired), repeats=5
+    )
+    repair_speedup = t_sweep / t_repair
+    print(
+        f"\nfield repair (n={n}, {count} of {top.shape[0]} top-level trees dirty, "
+        f"delta {i}): sweep {t_sweep * 1e3:.2f} ms, repair {t_repair * 1e3:.3f} ms "
+        f"({repair_speedup:.1f}x)"
+    )
+    out = emit(
+        "kernels_repair",
+        params={"n": n, "m": graph.m, "trees": count, "top_level_trees": int(top.shape[0])},
+        metrics={
+            "sweep_seconds": round(t_sweep, 5),
+            "repair_seconds": round(t_repair, 6),
+            "repair_speedup": round(repair_speedup, 1),
+        },
+        floors={"repair_speedup": REPAIR_SPEEDUP_FLOOR},
+    )
+    print(f"wrote {out}")
+    assert repair_speedup >= REPAIR_SPEEDUP_FLOOR, (
+        f"field repair {repair_speedup:.1f}x faster than the sweep, below the "
+        f"{REPAIR_SPEEDUP_FLOOR}x floor"
     )

@@ -163,13 +163,16 @@ class Backend(ABC):
     # -- shared helpers -------------------------------------------------
     @staticmethod
     def _pair_columns(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(src, dst)`` columns of a checked ``(P, 2)`` int matrix."""
+        """``(src, dst)`` columns of a checked ``(P, 2)`` int matrix, the
+        two rows of one transposed copy (a strided column copies several
+        times slower)."""
         arr = np.asarray(pairs, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("pairs must be a (P, 2) integer array")
-        return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
+        columns = np.ascontiguousarray(arr.T)
+        return columns[0], columns[1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         caps = self.capabilities

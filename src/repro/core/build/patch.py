@@ -38,20 +38,24 @@ port values).
 The rebuild itself runs the vectorized builder's stages on the
 platform's kernel: its grow step (``_grow_clusters``: the level engines,
 the native ``tz_frontier_sweep`` or numpy's frontier sweep and chunked
-full Dijkstra rows, merged into tree slices) over the dirty centers, and
-its cluster-tree pass (``tz_cluster_trees``, or numpy's parent and
-heavy-light stages).  Per-center results are engine- and
+full Dijkstra rows, placed at their tree slices) over the dirty
+centers, and its cluster-tree pass (``tz_cluster_trees``, or numpy's
+parent and heavy-light stages).  Per-center results are engine- and
 batching-independent by the float64-exact determinism contract, so a
 dirty subset of centers gets the very columns a fresh build gives them.
 
-Weight-only deltas get two refinements before the rebuild.  The
-conservative witness set would dirty every *top-level* cluster (a
-top-level center sits in every bunch), so those centers get an exact
-relevance test against their stored distances and are exonerated when
-no updated edge can carry a shortest path (:func:`_exonerate_unbounded`).
-The same test against the stored landmark fields keeps the stored
-hierarchy, and skips its multi-source sweeps, when no updated edge is
-relevant at any level (:func:`_moves_hierarchy`).
+Weight-only deltas get three refinements.  The conservative witness
+set would dirty every *top-level* cluster (a top-level center sits in
+every bunch), so those centers get an exact relevance test against
+their stored distances and are exonerated when no updated edge can
+carry a shortest path (:func:`_exonerate_unbounded`).  A top-level tree
+that stays dirty holds all n vertices, yet the delta moves few of its
+distances: on the native kernel its new field is repaired from the
+stored one (``tz_repair_fields``, :func:`_field_repair`), touching what
+the delta moves, and only the tree pass reruns on it.  The relevance
+test against the stored landmark fields keeps the stored hierarchy,
+and skips its multi-source sweeps, when no updated edge is relevant at
+any level (:func:`_moves_hierarchy`).
 
 The output is then one splice.  It holds one block of entries per new
 center, in center order: a clean block copied from the parent's rows
@@ -77,7 +81,7 @@ are the parent's, and finds them otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -86,6 +90,7 @@ from ...graphs.delta import GraphDelta, apply_delta
 from ...graphs.graph import Graph
 from ...graphs.ports import PortedGraph, assign_ports
 from ...kernels import resolve_kernel
+from ...kernels.frontier import repair_fields_native
 from ...kernels.splice import COPY, LINK, OFFSET, REAL, splice_native, splice_same_native
 from ...obs import TELEMETRY
 from ..landmarks import Hierarchy, hierarchy_from_levels
@@ -299,8 +304,12 @@ def _touched_set(
     ported: PortedGraph,
     new_ported: PortedGraph,
     old_of: np.ndarray,
+    weight_only: bool,
 ) -> np.ndarray:
-    """The witness set ``S`` in new ids (see module docstring)."""
+    """The witness set ``S`` in new ids (see module docstring).  A
+    weight-only delta keeps every adjacency row, so under the parent's
+    own port array (what ``PortedGraph.rebind`` hands it) no port row
+    can drift and the port diff is skipped."""
     n_old, n_new = graph.n, new_graph.n
     n_keep = old_of.shape[0]
     s = set()
@@ -330,9 +339,10 @@ def _touched_set(
         arcs = _segment_indices(new_graph.indptr[xs], np.diff(new_graph.indptr)[xs])
         s.update(np.unique(new_graph.adj[arcs]).tolist())
 
-    s.update(
-        _port_changed_vertices(graph, new_graph, ported, new_ported, id_map, n_keep).tolist()
-    )
+    if not (weight_only and new_ported.port_of_arc is ported.port_of_arc):
+        s.update(
+            _port_changed_vertices(graph, new_graph, ported, new_ported, id_map, n_keep).tolist()
+        )
     return np.array(sorted(x for x in s if 0 <= x < n_new), dtype=np.int64)
 
 
@@ -373,7 +383,7 @@ def _exonerate_unbounded(
     delta: GraphDelta,
     h_new: Hierarchy,
     dirty_new: np.ndarray,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Weight-only deltas: clear top-level centers no updated edge is
     *relevant* to.
 
@@ -395,16 +405,21 @@ def _exonerate_unbounded(
     patching requires float64-exact weights, so the distances are
     integer-valued.)  Bounded lower-level clusters stay conservative —
     their membership thresholds can move.
+
+    Returns the dirty centers left and, of them, the top-level ones
+    whose stored slice is full: their new fields can be repaired from
+    the stored ones (:func:`_field_repair`) instead of swept.
     """
     k = arrays.k
     top = dirty_new[h_new.level_of[dirty_new] == k - 1]
     if top.shape[0] == 0:
-        return dirty_new
+        return dirty_new, top
     ci = arrays.cl_indptr
     # A full cluster holds every vertex in member order, so (c, x) sits
     # at ``ci[c] + x`` — no search.  Anything smaller (impossible for a
     # top-level center, but cheap to verify) just stays dirty.
-    relevant = ci[top + 1] - ci[top] != arrays.n
+    partial = ci[top + 1] - ci[top] != arrays.n
+    relevant = partial.copy()
     base = ci[top]
     last = max(arrays.entry_count - 1, 0)
     for u, v, w_new in delta.weight_updates:
@@ -412,12 +427,42 @@ def _exonerate_unbounded(
         du = arrays.ent_dist[np.minimum(base + u, last)]
         dv = arrays.ent_dist[np.minimum(base + v, last)]
         relevant |= (du + w_min <= dv) | (dv + w_min <= du)
+    repair = top[relevant & ~partial]
     if relevant.all():
-        return dirty_new
+        return dirty_new, repair
     drop = np.zeros(arrays.n, dtype=bool)
     drop[top[~relevant]] = True
     TELEMETRY.count("patch.exonerated_clusters", int((~relevant).sum()))
-    return dirty_new[~drop[dirty_new]]
+    return dirty_new[~drop[dirty_new]], repair
+
+
+def _field_repair(
+    arrays: SchemeArrays, graph: Graph, new_graph: Graph, delta: GraphDelta, centers: np.ndarray
+):
+    """The ``fill`` that :func:`~repro.core.build.vectorized._grow_clusters`
+    calls for the full top-level trees of ``centers`` after a weight-only
+    delta: the native ``tz_repair_fields`` rewrites each stored field
+    into the new graph's, touching what the delta moves, in place of a
+    sweep of all n vertices.  Its fields are the sweep's bit for bit, so
+    the tree pass after it writes the columns a fresh build does."""
+    ends = np.array(
+        [(u, v) for u, v, _w in delta.weight_updates], dtype=np.int64
+    ).reshape(-1, 2)
+    w_old = np.array([graph.edge_weight(u, v) for u, v in ends.tolist()], dtype=np.float64)
+    w_new = np.array([w for *_uv, w in delta.weight_updates], dtype=np.float64)
+    old_at = arrays.cl_indptr[centers]
+
+    def fill(dist: np.ndarray, at: np.ndarray) -> None:
+        tm = TELEMETRY
+        with tm.span("kernel.repair", trees=int(centers.shape[0])) as span:
+            marked, settled = repair_fields_native(
+                new_graph, (ends, w_old, w_new), arrays.ent_dist, old_at, dist, at
+            )
+            span.stamp(marked=marked)
+        tm.count("patch.repaired_clusters", int(centers.shape[0]))
+        tm.count("patch.repaired_members", settled)
+
+    return fill
 
 
 def patch_arrays(
@@ -484,7 +529,8 @@ def patch_arrays(
                 new_graph, _map_levels(arrays.hierarchy, id_map, new_graph.n)
             )
         s_new = _touched_set(
-            arrays, graph, new_graph, delta, id_map, h_new, ported, new_ported, old_of
+            arrays, graph, new_graph, delta, id_map, h_new, ported, new_ported, old_of,
+            weight_only,
         )
         # Dirty centers: every cluster that holds a witness or a dropped
         # vertex, in one pass over the members (every tree slice holds
@@ -505,11 +551,12 @@ def patch_arrays(
                 ]
             )
         ).astype(np.int64)
+        repair = np.zeros(0, dtype=np.int64)
         if weight_only and (
             new_ported.port_of_arc is ported.port_of_arc
             or np.array_equal(ported.port_of_arc, new_ported.port_of_arc)
         ):
-            dirty_new = _exonerate_unbounded(arrays, graph, delta, h_new, dirty_new)
+            dirty_new, repair = _exonerate_unbounded(arrays, graph, delta, h_new, dirty_new)
         dirty_mask = np.zeros(new_graph.n, dtype=bool)
         dirty_mask[dirty_new] = True
         clean_new = np.flatnonzero(~dirty_mask).astype(np.int64)
@@ -517,10 +564,15 @@ def patch_arrays(
     # ------------------------------------------------------------------
     # Rebuild: dirty clusters re-grown through the build's own grow step
     # (per-center output is engine-invariant), one tree slice per new
-    # vertex, empty for a clean one.
+    # vertex, empty for a clean one.  On the native kernel the dirty
+    # top-level trees of a weight-only delta are repaired from their
+    # stored fields, not swept.
     # ------------------------------------------------------------------
     with tm.span("patch.rebuild", clusters=int(dirty_new.shape[0])):
-        d_indptr, d_member, d_dist = _grow_clusters(new_graph, h_new, dirty_new, kernel)
+        fields = None
+        if kernel == "native" and repair.shape[0]:
+            fields = (repair, _field_repair(arrays, graph, new_graph, delta, repair))
+        d_indptr, d_member, d_dist = _grow_clusters(new_graph, h_new, dirty_new, kernel, fields)
         tree = _cluster_trees(new_graph, new_ported, d_indptr, d_member, d_dist, kernel)
 
     # ------------------------------------------------------------------

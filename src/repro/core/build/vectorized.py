@@ -25,7 +25,7 @@ compiled C passes when ``_native.c`` loads, numpy/scipy otherwise.
      row-wise threshold comparison.  The numpy kernel uses it for
      unbounded levels, where infinite thresholds never prune.
 
-   The levels' entries merge into one tree slice per center of the
+   Each level's center blocks are copied to their tree slices of the
    int32 member column (:func:`_grow_clusters`, which a patch's rebuild
    shares), by which every later pass names an entry.
 
@@ -54,7 +54,7 @@ otherwise construction transparently falls back to the reference path.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -460,35 +460,68 @@ def _level_clusters(
 
 
 def _grow_clusters(
-    graph: Graph, hierarchy: Hierarchy, centers: np.ndarray, kernel: str
+    graph: Graph,
+    hierarchy: Hierarchy,
+    centers: np.ndarray,
+    kernel: str,
+    fields: Optional[Tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The clusters of ``centers`` (sorted, distinct), each grown at its
     top level: ``(cl_indptr, member, dist)``, one tree slice per vertex
     of ``graph`` (empty for a vertex not in ``centers``), each slice's
     int32 members ascending with their float64 distances.
 
-    The build grows every vertex's cluster, a patch its dirty ones; the
-    per-level sweeps (:func:`_level_clusters`) run level by level, and
-    their entries merge into one center-major order.
+    The build grows every vertex's cluster, a patch its dirty ones.  A
+    patch may hand ``fields = (full, fill)``: the sorted centers of
+    ``centers`` whose clusters are all of V, not swept here, and a
+    callable ``fill(dist, at)`` that writes the field of ``full[j]``
+    into ``dist[at[j] : at[j] + n]``.  Every other center is swept level
+    by level (:func:`_level_clusters`).  Each level's entries come out
+    center-major, so its blocks are copied to their ``cl_indptr``
+    offsets run by run, a run being the level's centers whose blocks
+    also lie side by side in the output; no merge sorts them.
     """
     n = graph.n
-    key_parts, dist_parts = [], []
+    full, fill = fields if fields is not None else (np.zeros(0, dtype=np.int64), None)
+    swept = np.setdiff1d(centers, full, assume_unique=True) if full.shape[0] else centers
+    counts = np.zeros(n, dtype=np.int64)
+    counts[full] = n
+    levels = []
     for i in range(hierarchy.k):
-        level = centers[hierarchy.level_of[centers] == i]
+        level = swept[hierarchy.level_of[swept] == i]
         if level.shape[0] == 0:
             continue
         keys, dist = _level_clusters(graph, level, hierarchy.dist[i + 1], i, kernel)
         TELEMETRY.count("build.cluster_entries", int(keys.shape[0]))
-        key_parts.append(keys)
-        dist_parts.append(dist)
-    keys = np.concatenate(key_parts) if key_parts else np.zeros(0, dtype=np.int64)
-    dist = np.concatenate(dist_parts) if dist_parts else np.zeros(0)
-    order = np.argsort(keys, kind="stable")
-    keys, dist = keys[order], dist[order]
-    center = keys // np.int64(n)
+        # Every slice holds its own center, so each block starts at
+        # its center's key.
+        base = level * np.int64(n)
+        starts = np.searchsorted(keys, base)
+        counts[level] = np.diff(np.append(starts, keys.shape[0]))
+        levels.append((level, base, starts, keys, dist))
     cl_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(center, minlength=n), out=cl_indptr[1:])
-    return cl_indptr, (keys - center * np.int64(n)).astype(np.int32), dist
+    np.cumsum(counts, out=cl_indptr[1:])
+    total = int(cl_indptr[-1])
+    member = np.empty(total, dtype=np.int32)
+    dist_out = np.empty(total, dtype=np.float64)
+    for level, base, starts, keys, dist in levels:
+        lens = counts[level]
+        at = cl_indptr[level]
+        # A run starts where a block does not follow its predecessor's
+        # in the output; it ends where the next run starts in ``keys``.
+        first = np.flatnonzero(np.append(True, at[1:] != at[:-1] + lens[:-1]))
+        src = np.append(starts[first], keys.shape[0])
+        local = keys - np.repeat(base, lens)
+        for lo, a, b in zip(at[first].tolist(), src[:-1].tolist(), src[1:].tolist()):
+            member[lo : lo + b - a] = local[a:b]
+            dist_out[lo : lo + b - a] = dist[a:b]
+    if full.shape[0]:
+        at = cl_indptr[full]
+        vertices = np.arange(n, dtype=np.int32)
+        for lo in at.tolist():
+            member[lo : lo + n] = vertices
+        fill(dist_out, at)
+    return cl_indptr, member, dist_out
 
 
 def _cluster_trees(

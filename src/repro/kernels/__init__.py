@@ -4,7 +4,10 @@ The router's distinct-pair pass, tree commit and synchronized hop loop
 (``sim/engine/batch.py``, wrapped in :mod:`.hop`), the builder's
 thresholded frontier sweep and cluster-tree pass
 (``core/build/vectorized.py``, wrapped in :mod:`.frontier` and
-:mod:`.trees`), the compile pass that writes the entry records and
+:mod:`.trees`), the field repair a weight-only patch runs on a dirty
+top-level tree in place of the sweep (``core/build/patch.py``, also in
+:mod:`.frontier`; the sweep is its reference, and the numpy kernel
+sweeps), the compile pass that writes the entry records and
 label bits (``sim/engine/compile.py``, wrapped in :mod:`.records`), the
 pass that derives what a loaded container does not store
 (``core/build/arrays.py``, also in :mod:`.records`), the passes a patch
@@ -24,8 +27,8 @@ contract the vectorized builder holds against the per-node reference
 builder — enforced by ``tests/test_kernels.py`` (and, for the patch,
 derive, setup, shortest-path and distinct-pair passes,
 ``tests/test_patch_passes.py``, ``tests/test_derived_columns.py``,
-``tests/test_setup_passes.py``, ``tests/test_native_sssp.py`` and
-``tests/test_distinct_pairs.py``).  The kernels keep no
+``tests/test_setup_passes.py``, ``tests/test_native_sssp.py``,
+``tests/test_distinct_pairs.py`` and ``tests/test_repair.py``).  The kernels keep no
 global state and ctypes releases the GIL for each call, which is what
 lets the worker pool (:mod:`repro.pool`) run the router's row chunks
 and the build and compile passes' entry ranges at once.

@@ -134,6 +134,14 @@ def _declare(lib: ctypes.CDLL) -> None:
         + [_PTR] * 2  # edges, keep mask (or NULL)
         + [_PTR]  # out labels
     )
+    lib.tz_repair_fields.restype = _I64
+    lib.tz_repair_fields.argtypes = (
+        [_I64] + [_PTR] * 3  # n, indptr, adj, wts
+        + [_I64] + [_PTR] * 3  # update count, endpoints, old and new weights
+        + [_I64, _I64]  # tree range lo, hi
+        + [_PTR] * 4  # old dist, its tree offsets, out dist, its tree offsets
+        + [_PTR]  # stats
+    )
     lib.tz_cluster_trees.restype = _I64
     lib.tz_cluster_trees.argtypes = (
         [_I64, _I64, _I64]  # n, entry range lo, hi

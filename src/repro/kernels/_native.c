@@ -1,7 +1,9 @@
 /* Native kernels for the inner loops that dominate every benchmark:
  * the router's distinct-pair pass, tree commit and synchronized hop
  * loop (sim/engine/batch.py), the builder's thresholded frontier sweep
- * and cluster-tree pass (core/build/vectorized.py), the compile
+ * and cluster-tree pass (core/build/vectorized.py), the field repair a
+ * weight-only patch runs on a dirty top-level tree in place of the
+ * sweep (core/build/patch.py), the compile
  * pass that writes the entry records (sim/engine/compile.py), the
  * derive pass that makes the columns a container does not store and
  * every scheme's entry keys, and the label-bit pass over a built
@@ -56,6 +58,11 @@
  *   schedule — Dijkstra, the numpy synchronized sweep, or this FIFO
  *   queue — reaches the identical least fixpoint, value by value, and
  *   the strict `nd < thr[v]` prune admits exactly the same pairs.
+ * - tz_repair_fields writes a top-level tree's new field from its
+ *   stored one (Ramalingam-Reps marking, then a heap Dijkstra over
+ *   what the delta moved).  On the float64-exact weights a patch
+ *   requires, every sum is exact, so its distances are the true ones,
+ *   which is the least fixpoint the sweep reaches.
  * - tz_cluster_trees computes each SPT parent from the same float64 sum
  *   d(w,u) + wt and exact equality as the numpy tight-arc sweep (the
  *   arc's weight is stored once per edge, addition commutes), takes the
@@ -1419,6 +1426,189 @@ int64_t tz_components(
     for (int64_t v = 0; v < n; v++)
         labels[v] = parent[v] == v ? count++ : labels[parent[v]];
     return count;
+}
+
+/* ------------------------------------------------------------------ */
+/* Top-level field repair                                              */
+/* ------------------------------------------------------------------ */
+
+/* The new shortest-path fields of full trees [lo, hi) after a
+ * weight-only delta, each repaired from its stored field in the style
+ * of Ramalingam and Reps instead of swept from scratch.  Tree t's old
+ * field is old_dist[old_at[t] .. + n) and its new one is written to
+ * out[new_at[t] .. + n), both in vertex order; (indptr, adj, wts) is
+ * the new graph and update i moves edge {upd[2i], upd[2i+1]} from
+ * w_old[i] to w_new[i].  Per tree, with D the old field:
+ *
+ * 1. Mark, in ascending D, every vertex an increase can leave without
+ *    support: a candidate x is supported by an in-arc (y -> x) from an
+ *    unmarked y with D[y] + w(y, x) <= D[x] (new weights), and is
+ *    marked otherwise.  Candidates are the heads of tight increased
+ *    arcs, then every z a marked x supported (D[x] + w(x, z) <= D[z]).
+ *    Weights are positive, so every possible supporter of x has a
+ *    smaller D and is decided before x.  By induction in D, every
+ *    unmarked vertex keeps a path no longer than D: its new distance
+ *    is at most D.
+ * 2. Start every unmarked vertex at D and every marked one at its best
+ *    offer from an unmarked neighbour, offer each decreased arc from an
+ *    unmarked tail, and run a heap Dijkstra from the vertices whose
+ *    label dropped.  That is a full Dijkstra from the labels D (inf
+ *    where marked), every one of them at least the new distance and
+ *    the center's 0 exact, with the relaxations of the vertices it
+ *    never pops made in advance: an unmarked y's arc to an unmarked z
+ *    can only improve D[z] if it decreased.  So every label ends at
+ *    the new distance, the least fixpoint of fl(d(u) + w) the frontier
+ *    sweep reaches (weights float64-exact, as a patch requires).
+ *
+ * Only the vertices a tree's repair touched are reset after it, so a
+ * tree costs its copy plus what the delta moves.  Returns 0, or
+ * SSSP_OOM.  stats[0] collects marked vertices, stats[1] settled ones
+ * (every marked vertex with a finite distance, and each one a decrease
+ * lowered). */
+int64_t tz_repair_fields(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *adj,
+    const double *wts,
+    int64_t nupd,
+    const int64_t *upd,              /* (nupd, 2) edge endpoints */
+    const double *w_old,
+    const double *w_new,
+    int64_t lo,
+    int64_t hi,
+    const double *old_dist,
+    const int64_t *old_at,
+    double *out,
+    const int64_t *new_at,
+    int64_t *stats)
+{
+    hent *heap = os_alloc((size_t)(n + 1) * sizeof(hent));
+    int64_t *pos = os_alloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *touched = os_alloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *marked = os_alloc((size_t)(n + 1) * sizeof(int64_t));
+    uint8_t *mark = os_alloc((size_t)(n + 1));
+    if (!heap || !pos || !touched || !marked || !mark) {
+        os_free(heap);
+        os_free(pos);
+        os_free(touched);
+        os_free(marked);
+        os_free(mark);
+        return SSSP_OOM;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        pos[v] = UNREACHED;
+        mark[v] = 0;
+    }
+    int64_t nmarked_all = 0, settled = 0;
+    for (int64_t t = lo; t < hi; t++) {
+        const double *D = old_dist + old_at[t];
+        double *N = out + new_at[t];
+        memcpy(N, D, (size_t)n * sizeof(double));
+        int64_t len = 0, ntouched = 0, nmarked = 0;
+
+        /* 1. Marking, candidates popped in (D, id) order. */
+        for (int64_t i = 0; i < nupd; i++) {
+            if (!(w_new[i] > w_old[i]))
+                continue;
+            const int64_t u = upd[2 * i], v = upd[2 * i + 1];
+            for (int s = 0; s < 2; s++) {
+                const int64_t y = s ? v : u, x = s ? u : v;
+                if (D[y] + w_old[i] == D[x] && pos[x] == UNREACHED) {
+                    const hent e = {D[x], x};
+                    touched[ntouched++] = x;
+                    heap_up(heap, pos, len++, e);
+                }
+            }
+        }
+        while (len > 0) {
+            const int64_t x = KEY_VERTEX(heap_pop(heap, pos, &len).key);
+            const double dx = D[x];
+            const int64_t a0 = indptr[x], a1 = indptr[x + 1];
+            int supported = 0;
+            for (int64_t a = a0; a < a1 && !supported; a++)
+                supported = !mark[adj[a]] && D[adj[a]] + wts[a] <= dx;
+            if (supported)
+                continue;
+            mark[x] = 1;
+            marked[nmarked++] = x;
+            for (int64_t a = a0; a < a1; a++) {
+                const int64_t z = adj[a];
+                if (dx + wts[a] <= D[z] && pos[z] == UNREACHED) {
+                    const hent e = {D[z], z};
+                    touched[ntouched++] = z;
+                    heap_up(heap, pos, len++, e);
+                }
+            }
+        }
+        for (int64_t i = 0; i < ntouched; i++)
+            pos[touched[i]] = UNREACHED;
+        ntouched = 0;
+
+        /* 2. Seeds, then Dijkstra over the labels that dropped. */
+        for (int64_t i = 0; i < nmarked; i++)
+            N[marked[i]] = INFINITY;
+        for (int64_t i = 0; i < nmarked; i++) {
+            const int64_t x = marked[i];
+            double best = INFINITY;
+            for (int64_t a = indptr[x]; a < indptr[x + 1]; a++)
+                if (!mark[adj[a]] && D[adj[a]] + wts[a] < best)
+                    best = D[adj[a]] + wts[a];
+            if (best < INFINITY) {
+                const hent e = {best, x};
+                N[x] = best;
+                touched[ntouched++] = x;
+                heap_up(heap, pos, len++, e);
+            }
+        }
+        for (int64_t i = 0; i < nupd; i++) {
+            if (!(w_new[i] < w_old[i]))
+                continue;
+            const int64_t u = upd[2 * i], v = upd[2 * i + 1];
+            for (int s = 0; s < 2; s++) {
+                const int64_t y = s ? v : u, x = s ? u : v;
+                const double nd = D[y] + w_new[i];
+                if (!mark[y] && nd < N[x]) {
+                    const hent e = {nd, x};
+                    N[x] = nd;
+                    if (pos[x] == UNREACHED)
+                        touched[ntouched++] = x;
+                    heap_offer(heap, pos, &len, x, e);
+                }
+            }
+        }
+        while (len > 0) {
+            const hent top = heap_pop(heap, pos, &len);
+            const int64_t x = KEY_VERTEX(top.key);
+            const int64_t a1 = indptr[x + 1];
+            settled++;
+            for (int64_t a = indptr[x]; a < a1; a++) {
+                const int64_t z = adj[a];
+                const double nd = top.d + wts[a];
+                if (nd < N[z]) {
+                    const hent e = {nd, z};
+                    N[z] = nd;
+                    if (pos[z] == UNREACHED)
+                        touched[ntouched++] = z;
+                    heap_offer(heap, pos, &len, z, e);
+                }
+            }
+        }
+        for (int64_t i = 0; i < ntouched; i++)
+            pos[touched[i]] = UNREACHED;
+        for (int64_t i = 0; i < nmarked; i++)
+            mark[marked[i]] = 0;
+        nmarked_all += nmarked;
+    }
+    os_free(heap);
+    os_free(pos);
+    os_free(touched);
+    os_free(marked);
+    os_free(mark);
+    if (stats) {
+        stats[0] = nmarked_all;
+        stats[1] = settled;
+    }
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */

@@ -560,11 +560,12 @@ def survivability_sweep(
             delivered[t, i] = res.delivered
             weight[t, i] = res.weight
             hops[t, i] = res.hops
+    columns = np.ascontiguousarray(pair_arr.T)  # both columns in one copy
     return SweepResult(
         dead_masks=masks,
         edges=graph.edges,
-        source=np.ascontiguousarray(pair_arr[:, 0]),
-        dest=np.ascontiguousarray(pair_arr[:, 1]),
+        source=columns[0],
+        dest=columns[1],
         delivered=delivered,
         weight=weight,
         hops=hops,

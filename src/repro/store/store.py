@@ -127,6 +127,14 @@ def scheme_key(
     return hashlib.sha256(payload.encode()).hexdigest()[:40]
 
 
+def _count_written(path: Path) -> None:
+    """Add the container just written at ``path`` (its file bytes) to
+    the ``store.bytes_written`` counter, so every save, a publish's and
+    a patch publish's too, reports what it wrote."""
+    if TELEMETRY.enabled:
+        TELEMETRY.count("store.bytes_written", path.stat().st_size)
+
+
 def serialize_digest(graph: Graph, ported: PortedGraph, arrays: SchemeArrays) -> str:
     """SHA-256 of the scheme's bit-exact serialization.
 
@@ -293,6 +301,7 @@ class SchemeStore:
             blobs = scheme_to_manifest(arrays, compiled)
             path = self.path_for(key)
             write_container(path, blobs, meta)
+            _count_written(path)
             return path
 
     def load(
@@ -609,6 +618,7 @@ class SchemeStore:
         }
         path = self.path_for(key)
         write_container(path, backend_to_blobs(backend_blobs), meta)
+        _count_written(path)
         return path
 
     def load_backend(

@@ -763,6 +763,36 @@ class TestPublishOverhead:
         store.get_or_build_backend("tz", patched.graph, 2, seed=5)
         assert NOOP_SPAN.attrs == {}
 
+    def test_publishes_count_the_bytes_they_write(self, tmp_path):
+        """``store.bytes_written`` adds each save's container file: a
+        root and one patch publish read as the two files' sizes."""
+        from repro.core.build import patch_arrays
+        from repro.graphs.delta import GraphDelta
+        from repro.obs import TELEMETRY
+
+        store = SchemeStore(tmp_path)
+        graph = family_from_seed(4, "gnp", n=60)
+        ported = assign_ports(graph, "random", rng=4)
+        arrays = build_arrays(graph, 2, ported=ported, rng=4)
+        u, v = (int(x) for x in graph.edges[0])
+        delta = GraphDelta(weight_updates=((u, v, graph.edge_weight(u, v) + 1.0),))
+        patched = patch_arrays(arrays, graph, delta, ported=ported)
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            root = store.publish(graph, ported, arrays, seed=0)
+            after_root = TELEMETRY.counters["store.bytes_written"]
+            key = store.publish_patch(
+                root, patched.graph, patched.ported, patched.arrays, delta=delta, seed=0
+            )
+            written = TELEMETRY.counters["store.bytes_written"]
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        sizes = [store.path_for(k).stat().st_size for k in (root, key)]
+        assert after_root == sizes[0]
+        assert written == sum(sizes)
+
     def test_versions_info_and_gc_map_no_container(self, tmp_path, monkeypatch):
         from repro.store import store as store_mod
 
