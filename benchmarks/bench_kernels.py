@@ -63,7 +63,7 @@ from _emit import emit
 from conftest import best_of_interleaved
 
 from repro.core.build import build_scheme
-from repro.core.build.patch import _exonerate_unbounded, _field_repair
+from repro.core.build.patch import _exonerate_unbounded, _field_repair, _weight_updates
 from repro.core.build.vectorized import _cluster_trees, _pruned_level
 from repro.core.landmarks import build_hierarchy
 from repro.graphs import generators as gen
@@ -203,9 +203,10 @@ def test_kernels_speedup(setup, scheme):
                 level, centers, thr = i, cand, t
     assert centers is not None, "hierarchy has no thresholded level to sweep"
 
-    keys_ref, dist_ref = _pruned_level(graph, centers, thr)
-    keys_nat, dist_nat = frontier_sweep_native(graph, centers, thr)
-    assert np.array_equal(keys_ref, keys_nat)
+    sizes_ref, member_ref, dist_ref = _pruned_level(graph, centers, thr)
+    sizes_nat, member_nat, dist_nat = frontier_sweep_native(graph, centers, thr)
+    assert np.array_equal(sizes_ref, sizes_nat)
+    assert np.array_equal(member_ref, member_nat)
     assert np.array_equal(dist_ref, dist_nat)
 
     t_sweep_numpy, t_sweep_native = best_of_interleaved(
@@ -443,18 +444,19 @@ def test_repair_speedup(setup, scheme):
         delta = random_delta(
             graph, derive(11, "bench-repair", i), weight_updates=2, edge_adds=0, edge_drops=0
         )
-        _dirty, centers = _exonerate_unbounded(arrays, graph, delta, h, top)
+        updates = _weight_updates(graph, delta)
+        _dirty, centers = _exonerate_unbounded(arrays, updates, h, top)
         if centers.shape[0]:
             break
     assert centers.shape[0], "no delta in 50 left a top-level tree dirty"
     new_graph, _ = apply_delta(graph, delta)
     n, count = graph.n, int(centers.shape[0])
-    fill = _field_repair(arrays, graph, new_graph, delta, centers)
+    fill = _field_repair(arrays, new_graph, updates, centers)
     at = np.arange(count, dtype=np.int64) * n
     thr = np.full(n, np.inf)
 
     def swept():
-        return frontier_sweep_native(new_graph, centers, thr)[1]
+        return frontier_sweep_native(new_graph, centers, thr)[2]
 
     def repaired():
         out = np.empty(count * n)

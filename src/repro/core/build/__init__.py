@@ -45,9 +45,10 @@ have a record for ``T_w``?") is a binary search of ``w``'s slice of the
 member column — the same search the batch routing engine makes, which
 is why :func:`compile_from_arrays
 <repro.sim.engine.compile.compile_from_arrays>` exports these arrays
-directly, and every scheme either builder makes carries them.  The
-int64 keys ``w * n + v`` and the centers are no carried column: any
-scheme derives them the first time a caller reads them.
+directly, and every scheme either builder makes carries them.  No
+scheme has a key or center column: ``entry_centers()`` makes the
+centers, and only the numpy references form the int64 keys ``w * n +
+v`` (:func:`~repro.core.build.arrays.entry_keys`).
 """
 
 from __future__ import annotations
@@ -178,7 +179,6 @@ def build_scheme(
     """
     from ..scheme_k import build_tz_scheme
 
-    builder = resolve_builder(builder)
     return build_tz_scheme(
         graph,
         ported,

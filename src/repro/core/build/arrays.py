@@ -16,23 +16,23 @@ compute independently: membership, distances, parents, entry links,
 tree records and light ports.  A patch hands it the scheme it spliced
 from, whose label positions it shares when their inputs are that
 scheme's own.  An entry is named by its tree slice ``cl_indptr`` and
-its member: no scheme carries the int64 keys ``tree * n + member`` or
-the centers, which any scheme derives the first time a caller reads
-them (:meth:`SchemeArrays.__getattr__`).  No bunch is stored: ``B(v) =
-{w : v ∈ C(w)}`` is the clusters read the other way round, the centers
-of the entries whose member is ``v``.
+its member, from the frontier sweep on: no scheme has a key or center
+column.  :meth:`SchemeArrays.entry_centers` makes the centers for a
+caller that needs them, and only the numpy references form the int64
+keys ``tree * n + member``, each through :func:`entry_keys`.  No bunch
+is stored: ``B(v) = {w : v ∈ C(w)}`` is the clusters read the other way
+round, the centers of the entries whose member is ``v``.
 
 Every column has one dtype, :data:`COLUMN_DTYPES`, from the pass that
 makes it to the container that stores it: per-entry integers are
-int32, the derived entry keys ``tree * n + member`` and the offsets into
-entry-sized columns int64, distances float64.  The light ports
-``lp_data`` are the one column whose width follows the graph
-(:func:`light_port_dtype`): uint8 while every degree is at most 255,
-else int32.  :func:`check_index_sizes`
-refuses a scheme whose vertex, arc or entry count the int32 columns
-cannot hold, before any column is narrowed; and every key is formed in
-int64 (an int32 column times a Python ``int`` stays int32 under NumPy
-2, and wraps silently once ``n`` passes 46,341).
+int32, the offsets into entry-sized columns int64, distances float64.
+The light ports ``lp_data`` are the one column whose width follows the
+graph (:func:`light_port_dtype`): uint8 while every degree is at most
+255, else int32.  :func:`check_index_sizes` refuses a scheme whose
+vertex, arc or entry count the int32 columns cannot hold, before any
+column is narrowed; and :func:`entry_keys` forms every key in int64 (an
+int32 column times a Python ``int`` stays int32 under NumPy 2, and
+wraps silently once ``n`` passes 46,341).
 
 :func:`scheme_from_arrays` materializes the dict-based
 :class:`~repro.core.scheme_k.TZRoutingScheme` the hop-by-hop simulator
@@ -67,14 +67,12 @@ _U8, _I32, _I64, _F64 = (
 
 #: The width rule: each :class:`SchemeArrays` column's dtype, everywhere
 #: (build, patch, compile and load).  int32 for per-entry integers, int64
-#: for keys and offsets whose values can pass 2^31 and for the per-vertex
-#: label positions, float64 for distances.  ``lp_data`` is not here: its
+#: for offsets whose values can pass 2^31 and for the per-vertex label
+#: positions, float64 for distances.  ``lp_data`` is not here: its
 #: dtype is one of :data:`LIGHT_PORT_DTYPES`, chosen per graph by
 #: :func:`light_port_dtype`.
 COLUMN_DTYPES: Dict[str, np.dtype] = {
     "cl_indptr": _I64,
-    "entry_keys": _I64,
-    "ent_center": _I32,
     "ent_member": _I32,
     "ent_dist": _F64,
     "ent_parent": _I32,
@@ -161,21 +159,32 @@ def port_lookup(ported: PortedGraph) -> Callable[[np.ndarray, np.ndarray], np.nd
 #: The columns a scheme container does not store: each is an exact
 #: function of stored columns and the ``ent`` records, and a loaded
 #: :class:`SchemeArrays` derives it the first time a caller reads it
-#: (:func:`derive_entries`).  The keys and centers come from the tree
-#: slices ``cl_indptr`` and the members, and no scheme carries them, a
-#: built or patched one included; the SPT parent is the member of
-#: the parent link; ``ent_dist`` is summed top down, ``d(e) =
+#: (:func:`derive_entries`).  The SPT parent is the member of the
+#: parent link; ``ent_dist`` is summed top down, ``d(e) =
 #: d(parent_epos(e)) + parent_wt(e)``, 0 at a root, which the build's
 #: tight-arc parents satisfy exactly in float64; ``lp_indptr`` is the
 #: records' ``lp_off`` column (the prefix sums of the light depths).
-DERIVED_COLUMNS = ("entry_keys", "ent_center", "ent_dist", "ent_parent", "lp_indptr")
+DERIVED_COLUMNS = ("ent_dist", "ent_parent", "lp_indptr")
+
+
+def entry_keys(tree_indptr: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """The int64 keys ``tree * n + member`` of the entries that the
+    ``n + 1`` tree slices cut from ``member``: how the numpy references,
+    and only they, name an entry.  A member outside ``[0, n)`` (a loaded
+    compile's members are an unverified map) is refused as the derive
+    pass refuses it, :class:`~repro.errors.EncodingError`."""
+    n = tree_indptr.shape[0] - 1
+    bad = np.flatnonzero((member < 0) | (member >= n))
+    if bad.size:
+        raise derive_refusal("member", int(bad[0]))
+    return np.repeat(np.arange(n, dtype=np.int64) * np.int64(n), np.diff(tree_indptr)) + member
 
 
 def derive_entries_numpy(
     tree_indptr: np.ndarray,
     member: np.ndarray,
-    ent: Optional[np.ndarray],
-    lp_data: Optional[np.ndarray],
+    ent: np.ndarray,
+    lp_data: np.ndarray,
     want: Tuple[str, ...],
 ) -> Dict[str, np.ndarray]:
     """The numpy reference of
@@ -190,10 +199,9 @@ def derive_entries_numpy(
     E = member.shape[0]
     sizes = np.diff(tree_indptr)
     center = np.repeat(np.arange(n, dtype=np.int32), sizes)
-    member64 = member.astype(np.int64)
     checks = []
-    if "entry_keys" in want or "ent_parent" in want:
-        checks.append(("member", (member64 < 0) | (member64 >= n)))
+    if "ent_parent" in want:
+        checks.append(("member", (member < 0) | (member >= n)))
     if "ent_dist" in want or "ent_parent" in want:
         start, end = tree_indptr[:-1][center], tree_indptr[1:][center]
         pe = ent["parent_epos"].astype(np.int64)
@@ -222,10 +230,6 @@ def derive_entries_numpy(
         if bad.size:
             raise derive_refusal(what, int(bad[0]))
     out: Dict[str, np.ndarray] = {}
-    if "entry_keys" in want:
-        out["entry_keys"] = center.astype(np.int64) * np.int64(n) + member64
-    if "ent_center" in want:
-        out["ent_center"] = center
     if "ent_parent" in want:
         out["ent_parent"] = np.where(pe < 0, -1, member[np.maximum(pe, 0)]).astype(np.int32)
     if "ent_dist" in want:
@@ -254,17 +258,15 @@ def derive_entries_numpy(
 def derive_entries(
     tree_indptr: np.ndarray,
     member: np.ndarray,
-    ent: Optional[np.ndarray],
-    lp_data: Optional[np.ndarray],
+    ent: np.ndarray,
+    lp_data: np.ndarray,
     want: Tuple[str, ...],
 ) -> Dict[str, np.ndarray]:
     """The :data:`~repro.kernels.records.DERIVABLE` columns named in
     ``want``, from a scheme's tree slices, members, ``ent`` records and
     light ports, on the platform's kernel: the native derive pass, else
-    :func:`derive_entries_numpy`.  The keys and centers read the tree
-    slices and members alone (``ent`` and ``lp_data`` may then be None):
-    that is how any scheme makes them on first read.  Refuses records it
-    cannot read through with :class:`~repro.errors.EncodingError`."""
+    :func:`derive_entries_numpy`.  Refuses records it cannot read
+    through with :class:`~repro.errors.EncodingError`."""
     if resolve_kernel("auto") == "native":
         return derive_entries_native(tree_indptr, member, ent, lp_data, want)
     return derive_entries_numpy(tree_indptr, member, ent, lp_data, want)
@@ -284,9 +286,7 @@ class SchemeArrays:
     hierarchy: Hierarchy
     # -- cluster CSR: one cluster per vertex, at its top level ----------
     cl_indptr: np.ndarray  # (n+1,) entries of center w: [cl_indptr[w], cl_indptr[w+1])
-    entry_keys: np.ndarray  # (E,) sorted: center * n + member (derived, see __getattr__)
-    ent_center: np.ndarray  # (E,) (derived)
-    ent_member: np.ndarray  # (E,)
+    ent_member: np.ndarray  # (E,) ascending in each tree slice
     ent_dist: np.ndarray  # (E,) exact d(center, member)
     ent_parent: np.ndarray  # (E,) SPT parent vertex id, -1 at the center
     ent_parent_epos: np.ndarray  # (E,) entry index of the parent, -1 at the center
@@ -330,31 +330,27 @@ class SchemeArrays:
 
     #: The ``ent`` records of a loaded scheme, which its record-held
     #: columns are fields of and its derived columns are computed from
-    #: (None for a built or patched scheme, which holds every column but
-    #: the keys and centers).
+    #: (None for a built or patched scheme, which holds every column).
     _records = None
 
     def __getattr__(self, name: str):
-        """A :data:`DERIVED_COLUMNS` column given as None, derived the
-        first time it is read; from then on it is an instance attribute
-        like any given column (columns are append-only, so the cache is
-        safe).  The keys and centers come together, from the tree slices
-        and members of any scheme; the others from a loaded scheme's
-        records."""
+        """A :data:`DERIVED_COLUMNS` column given as None, derived from a
+        loaded scheme's records the first time it is read; from then on
+        it is an instance attribute like any given column (columns are
+        append-only, so the cache is safe)."""
         if name not in DERIVED_COLUMNS:
             raise AttributeError(name)
-        pair = ("entry_keys", "ent_center")
-        if name not in pair and self._records is None:
+        if self._records is None:
             raise AttributeError(f"{name} was neither given nor derivable")
-        cols = self.__dict__
-        want = tuple(w for w in pair if w not in cols) if name in pair else (name,)
-        cols.update(
-            derive_entries(self.cl_indptr, self.ent_member, self._records, self.lp_data, want)
-        )
-        return cols[name]
+        value = derive_entries(
+            self.cl_indptr, self.ent_member, self._records, self.lp_data, (name,)
+        )[name]
+        self.__dict__[name] = value
+        return value
 
     @property
     def entry_count(self) -> int:
+        """Total number of (tree, member) entries, ``E``."""
         return int(self.ent_member.shape[0])
 
     def tree_sizes(self) -> np.ndarray:
@@ -363,9 +359,8 @@ class SchemeArrays:
 
     def entry_centers(self) -> np.ndarray:
         """The center of every entry, ``(E,)`` int32, made on each call
-        from the tree slices and never kept: the derived ``ent_center``
-        would stay on the scheme for its life, with the keys beside it
-        (:meth:`__getattr__`)."""
+        from the tree slices and never kept: no scheme has a center
+        column, so a caller holds this only as long as it needs it."""
         return np.repeat(np.arange(self.n, dtype=np.int32), self.tree_sizes())
 
     def bunch_sizes(self) -> np.ndarray:
@@ -501,10 +496,8 @@ def _label_positions_numpy(
     """The numpy reference of
     :func:`~repro.kernels.splice.label_positions_native`: the same
     ``lab_epos``, byte for byte, and the same ``missing_level``, found
-    by one ``searchsorted`` per level of the keys ``tree * n + member``
-    derived here."""
-    sizes = np.diff(cl_indptr)
-    keys = np.repeat(np.arange(n, dtype=np.int64) * np.int64(n), sizes) + ent_member
+    by one ``searchsorted`` per level of the keys (:func:`entry_keys`)."""
+    keys = entry_keys(cl_indptr, ent_member)
     verts = np.arange(n, dtype=np.int64)
     lab_epos = np.empty((k, n), dtype=np.int64)
     out: Dict[str, object] = {"lab_epos": lab_epos, "missing_level": None}
@@ -557,9 +550,7 @@ def assemble_arrays(
     natively by :func:`~repro.kernels.splice.label_positions_native` in
     one pool run, each a search of a tree's slice of the members, else
     by :func:`_label_positions_numpy`, the reference.  A member outside
-    ``[0, n)`` is refused with :class:`PreprocessingError`.  Neither the
-    entry keys nor the centers are made here: the scheme derives them
-    on first read.
+    ``[0, n)`` is refused with :class:`PreprocessingError`.
 
     ``parent`` is the scheme a patch spliced these columns from: when
     the tree slices and members are the parent's own column objects and
@@ -622,8 +613,6 @@ def assemble_arrays(
         k=k,
         hierarchy=hierarchy,
         lp_data=lp_data,
-        entry_keys=None,
-        ent_center=None,
         **{name: _column(name, col) for name, col in columns.items()},
     )
 

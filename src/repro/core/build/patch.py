@@ -346,13 +346,38 @@ def _touched_set(
     return np.array(sorted(x for x in s if 0 <= x < n_new), dtype=np.int64)
 
 
-def _moves_hierarchy(hierarchy: Hierarchy, graph: Graph, delta: GraphDelta) -> bool:
-    """Weight-only deltas: whether the landmark hierarchy might change.
+#: Updated edges: ``(U, 2)`` int64 endpoints, float64 old and new weights.
+WeightUpdates = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _weight_updates(graph: Graph, delta: GraphDelta) -> WeightUpdates:
+    """``delta``'s weight updates on ``graph``, each old weight read once."""
+    ends = np.array(
+        [(u, v) for u, v, _w in delta.weight_updates], dtype=np.int64
+    ).reshape(-1, 2)
+    w_old = np.array([graph.edge_weight(u, v) for u, v in ends.tolist()], dtype=np.float64)
+    w_new = np.array([w for *_uv, w in delta.weight_updates], dtype=np.float64)
+    return ends, w_old, w_new
+
+
+def _relevant(du: np.ndarray, dv: np.ndarray, updates: WeightUpdates) -> np.ndarray:
+    """Whether each update (the last axis) can make or break a shortest
+    path of a field ``d`` with ``du``, ``dv`` at its ends: ``d(u) +
+    min(w_old, w_new) <= d(v)`` or symmetrically (exact: a patch
+    requires float64-exact weights)."""
+    w_min = np.minimum(updates[1], updates[2])
+    return (du + w_min <= dv) | (dv + w_min <= du)
+
+
+def _moves_hierarchy(hierarchy: Hierarchy, updates: WeightUpdates) -> bool:
+    """Weight-only deltas: whether the landmark hierarchy might change
+    under ``updates``.
 
     Level ``i >= 1``'s field ``d(A_i, ·)`` is a multi-source shortest-path
     field, so :func:`_exonerate_unbounded`'s argument applies to it
     as is: an update ``w_old → w_new`` on ``{u, v}`` can only move it
-    when ``d_i(u) + min(w_old, w_new) <= d_i(v)`` or symmetrically.  If
+    when ``d_i(u) + min(w_old, w_new) <= d_i(v)`` or symmetrically
+    (:func:`_relevant`).  If
     no updated edge passes that test at any level, the stored field
     still satisfies Bellman optimality on the new graph with the same
     tight arcs, so it is the new field.  Each witness (the smallest-id
@@ -368,24 +393,18 @@ def _moves_hierarchy(hierarchy: Hierarchy, graph: Graph, delta: GraphDelta) -> b
         tie = hierarchy.dist[i] == hierarchy.dist[i + 1]
         if not np.array_equal(hierarchy.pivot[i][tie], hierarchy.pivot[i + 1][tie]):
             return True
-    for u, v, w_new in delta.weight_updates:
-        w_min = min(graph.edge_weight(u, v), float(w_new))
-        for i in range(1, hierarchy.k):
-            du, dv = hierarchy.dist[i][u], hierarchy.dist[i][v]
-            if du + w_min <= dv or dv + w_min <= du:
-                return True
-    return False
+    u, v = updates[0].T
+    return any(_relevant(d[u], d[v], updates).any() for d in hierarchy.dist[1 : hierarchy.k])
 
 
 def _exonerate_unbounded(
     arrays: SchemeArrays,
-    graph: Graph,
-    delta: GraphDelta,
+    updates: WeightUpdates,
     h_new: Hierarchy,
     dirty_new: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Weight-only deltas: clear top-level centers no updated edge is
-    *relevant* to.
+    """Weight-only deltas: clear top-level centers no updated edge of
+    ``updates`` is *relevant* to (:func:`_relevant`).
 
     A top-level cluster is unbounded (``C(c) = V``), so its stored rows
     are exactly ``c``'s shortest-path tree — distances, deterministic
@@ -419,14 +438,10 @@ def _exonerate_unbounded(
     # at ``ci[c] + x`` — no search.  Anything smaller (impossible for a
     # top-level center, but cheap to verify) just stays dirty.
     partial = ci[top + 1] - ci[top] != arrays.n
-    relevant = partial.copy()
-    base = ci[top]
-    last = max(arrays.entry_count - 1, 0)
-    for u, v, w_new in delta.weight_updates:
-        w_min = min(graph.edge_weight(u, v), float(w_new))
-        du = arrays.ent_dist[np.minimum(base + u, last)]
-        dv = arrays.ent_dist[np.minimum(base + v, last)]
-        relevant |= (du + w_min <= dv) | (dv + w_min <= du)
+    # (c, u) and (c, v): a row per top-level center, a column per update
+    at = np.minimum(ci[top][:, None, None] + updates[0], max(arrays.entry_count - 1, 0))
+    du, dv = np.moveaxis(arrays.ent_dist[at], 2, 0)
+    relevant = partial | _relevant(du, dv, updates).any(axis=1)
     repair = top[relevant & ~partial]
     if relevant.all():
         return dirty_new, repair
@@ -437,26 +452,22 @@ def _exonerate_unbounded(
 
 
 def _field_repair(
-    arrays: SchemeArrays, graph: Graph, new_graph: Graph, delta: GraphDelta, centers: np.ndarray
+    arrays: SchemeArrays, new_graph: Graph, updates: WeightUpdates, centers: np.ndarray
 ):
     """The ``fill`` that :func:`~repro.core.build.vectorized._grow_clusters`
     calls for the full top-level trees of ``centers`` after a weight-only
-    delta: the native ``tz_repair_fields`` rewrites each stored field
-    into the new graph's, touching what the delta moves, in place of a
-    sweep of all n vertices.  Its fields are the sweep's bit for bit, so
-    the tree pass after it writes the columns a fresh build does."""
-    ends = np.array(
-        [(u, v) for u, v, _w in delta.weight_updates], dtype=np.int64
-    ).reshape(-1, 2)
-    w_old = np.array([graph.edge_weight(u, v) for u, v in ends.tolist()], dtype=np.float64)
-    w_new = np.array([w for *_uv, w in delta.weight_updates], dtype=np.float64)
+    delta of ``updates``: the native ``tz_repair_fields`` rewrites each
+    stored field into the new graph's, touching what the delta moves, in
+    place of a sweep of all n vertices.  Its fields are the sweep's bit
+    for bit, so the tree pass after it writes the columns a fresh build
+    does."""
     old_at = arrays.cl_indptr[centers]
 
     def fill(dist: np.ndarray, at: np.ndarray) -> None:
         tm = TELEMETRY
         with tm.span("kernel.repair", trees=int(centers.shape[0])) as span:
             marked, settled = repair_fields_native(
-                new_graph, (ends, w_old, w_new), arrays.ent_dist, old_at, dist, at
+                new_graph, updates, arrays.ent_dist, old_at, dist, at
             )
             span.stamp(marked=marked)
         tm.count("patch.repaired_clusters", int(centers.shape[0]))
@@ -520,9 +531,10 @@ def patch_arrays(
         )
     old_of = np.flatnonzero(id_map >= 0)
     n_keep = int(old_of.shape[0])
+    updates = _weight_updates(graph, delta) if weight_only else None
 
     with tm.span("patch.classify"):
-        if weight_only and not _moves_hierarchy(arrays.hierarchy, graph, delta):
+        if weight_only and not _moves_hierarchy(arrays.hierarchy, updates):
             h_new = arrays.hierarchy
         else:
             h_new = hierarchy_from_levels(
@@ -556,7 +568,7 @@ def patch_arrays(
             new_ported.port_of_arc is ported.port_of_arc
             or np.array_equal(ported.port_of_arc, new_ported.port_of_arc)
         ):
-            dirty_new, repair = _exonerate_unbounded(arrays, graph, delta, h_new, dirty_new)
+            dirty_new, repair = _exonerate_unbounded(arrays, updates, h_new, dirty_new)
         dirty_mask = np.zeros(new_graph.n, dtype=bool)
         dirty_mask[dirty_new] = True
         clean_new = np.flatnonzero(~dirty_mask).astype(np.int64)
@@ -571,7 +583,7 @@ def patch_arrays(
     with tm.span("patch.rebuild", clusters=int(dirty_new.shape[0])):
         fields = None
         if kernel == "native" and repair.shape[0]:
-            fields = (repair, _field_repair(arrays, graph, new_graph, delta, repair))
+            fields = (repair, _field_repair(arrays, new_graph, updates, repair))
         d_indptr, d_member, d_dist = _grow_clusters(new_graph, h_new, dirty_new, kernel, fields)
         tree = _cluster_trees(new_graph, new_ported, d_indptr, d_member, d_dist, kernel)
 

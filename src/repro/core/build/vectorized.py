@@ -25,8 +25,10 @@ compiled C passes when ``_native.c`` loads, numpy/scipy otherwise.
      row-wise threshold comparison.  The numpy kernel uses it for
      unbounded levels, where infinite thresholds never prune.
 
-   Each level's center blocks are copied to their tree slices of the
-   int32 member column (:func:`_grow_clusters`, which a patch's rebuild
+   Either engine returns ``(sizes, member, dist)``: each center's entry
+   count, then its int32 members ascending with their distances.  The
+   counts place each level's center blocks at their tree slices of the
+   member column (:func:`_grow_clusters`, which a patch's rebuild
    shares), by which every later pass names an entry.
 
 2. **SPT parents and heavy-light trees**, one cluster (tree slice) at a
@@ -66,7 +68,7 @@ from ...kernels.frontier import frontier_sweep_native
 from ...kernels.trees import cluster_trees_native
 from ...obs import TELEMETRY
 from ..landmarks import Hierarchy
-from .arrays import SchemeArrays, assemble_arrays, check_index_sizes, light_port_dtype
+from .arrays import SchemeArrays, assemble_arrays, check_index_sizes, entry_keys, light_port_dtype
 from .reference import reference_arrays
 
 #: Cap on materialized cells / arc expansions per chunk (memory bound).
@@ -113,36 +115,30 @@ def _expand(
 
 def _full_level(
     graph: Graph, centers: np.ndarray, thr: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cluster membership from chunked batched full-graph Dijkstra rows."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cluster membership from chunked batched full-graph Dijkstra rows:
+    :func:`_pruned_level`'s triple, read off each chunk's row mask."""
     from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
     n = graph.n
     rows = max(1, min(centers.shape[0], CHUNK_CELLS // max(n, 1)))
     mat = graph.csr().matrix()
-    unbounded = bool(np.all(np.isinf(thr)))
-    key_parts, dist_parts = [], []
+    vertices = np.arange(n, dtype=np.int32)
+    size_parts, member_parts, dist_parts = [], [], []
     for s in range(0, centers.shape[0], rows):
         chunk = centers[s : s + rows]
         dist = np.atleast_2d(_scipy_dijkstra(mat, directed=False, indices=chunk))
-        if unbounded and bool(np.all(np.isfinite(dist))):
-            # Reachable everywhere with infinite thresholds: every
-            # cluster is full and contiguous — no mask to materialize.
-            verts = np.arange(n, dtype=np.int64)
-            key_parts.append((chunk[:, None] * np.int64(n) + verts[None, :]).ravel())
-            dist_parts.append(dist.ravel())
-            continue
         mask = dist < thr[None, :]
         mask[np.arange(chunk.shape[0]), chunk] = True  # w ∈ C(w) always
-        r, v = np.nonzero(mask)
-        key_parts.append(chunk[r] * np.int64(n) + v)
+        size_parts.append(np.count_nonzero(mask, axis=1).astype(np.int64))
+        member_parts.append(np.broadcast_to(vertices, mask.shape)[mask])
         dist_parts.append(dist[mask])
-    return np.concatenate(key_parts), np.concatenate(dist_parts)
+    return np.concatenate(size_parts), np.concatenate(member_parts), np.concatenate(dist_parts)
 
 
 def _pruned_level(
     graph: Graph, centers: np.ndarray, thr: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thresholded batched label-correcting Dijkstra over all centers.
 
     State: sorted ``(center, vertex)`` keys with the best tentative
@@ -150,10 +146,13 @@ def _pruned_level(
     arc further and prunes at the per-vertex threshold (strict ``<``).
     Converges once no pair improves — at most the maximum hop count of
     any surviving shortest path, each round a constant number of array
-    operations.
+    operations.  Returns ``tz_frontier_sweep``'s ``(sizes, member,
+    dist)`` for the sorted ``centers``: each center's int64 entry count,
+    then its int32 members ascending with their float64 distances.
     """
     n = np.int64(graph.n)
-    best_keys = centers.astype(np.int64) * n + centers
+    centers = np.sort(np.asarray(centers, dtype=np.int64))
+    best_keys = centers * n + centers
     best_dist = np.zeros(centers.shape[0])
     frontier_keys = best_keys
     frontier_dist = best_dist
@@ -161,7 +160,7 @@ def _pruned_level(
     try:
         for _round in range(graph.n + 2):
             if frontier_keys.shape[0] == 0:
-                return best_keys, best_dist
+                break
             rounds += 1
             u = frontier_keys % n
             base = frontier_keys - u  # center * n
@@ -171,7 +170,7 @@ def _pruned_level(
             ck = base[rep[ok]] + v[ok]
             cd = nd[ok]
             if ck.shape[0] == 0:
-                return best_keys, best_dist
+                break
             order = np.lexsort((cd, ck))  # min distance per candidate key
             ck, cd = ck[order], cd[order]
             keep = np.ones(ck.shape[0], dtype=bool)
@@ -191,15 +190,21 @@ def _pruned_level(
                 best_dist = np.insert(best_dist, at, cd[fresh])
             live = upd | fresh
             frontier_keys, frontier_dist = ck[live], cd[live]
-        raise PreprocessingError("thresholded batched Dijkstra did not converge")
+        else:
+            raise PreprocessingError("thresholded batched Dijkstra did not converge")
     finally:
         tm = TELEMETRY
         if tm.enabled:
             tm.count("build.frontier_rounds", rounds)
             tm.count("build.relaxed_arcs", relaxed)
+    # every block starts at its center's key
+    sizes = np.diff(np.append(np.searchsorted(best_keys, centers * n), best_keys.shape[0]))
+    return sizes, (best_keys % n).astype(np.int32), best_dist
 
 
-def _level_parents(graph: Graph, keys: np.ndarray, dist: np.ndarray) -> np.ndarray:
+def _level_parents(
+    graph: Graph, center: np.ndarray, member: np.ndarray, dist: np.ndarray
+) -> np.ndarray:
     """Minimum-id tight predecessor per entry — the reference tie-break.
 
     The truncated-Dijkstra reference settles every tight predecessor of
@@ -213,12 +218,9 @@ def _level_parents(graph: Graph, keys: np.ndarray, dist: np.ndarray) -> np.ndarr
     log-E binary search per relaxed arc).  Parents come out int32, the
     width rule's dtype (the caller has checked that n and E fit).
     """
-    n = np.int64(graph.n)
-    E = keys.shape[0]
+    E = member.shape[0]
     idx = np.int32
     parent = np.full(E, graph.n, dtype=np.int32)  # sentinel: no parent found
-    center = keys // n
-    member = keys - center * n
     ucen, ustart = np.unique(center, return_index=True)
     ustart = np.append(ustart, E)
     avg_deg = max(1, graph.adj.shape[0] // max(graph.n, 1))
@@ -298,13 +300,15 @@ def _path_sums(gs, parent_epos: np.ndarray):
 def _tree_arrays(
     graph: Graph,
     ported: PortedGraph,
-    entry_keys: np.ndarray,
-    ent_center: np.ndarray,
+    keys: np.ndarray,
+    center: np.ndarray,
     ent_member: np.ndarray,
     ent_parent: np.ndarray,
     cl_indptr: np.ndarray,
 ) -> dict:
-    """Heavy-light records and light-port sequences for all trees at once.
+    """Heavy-light records and light-port sequences for all trees at once,
+    the entries named by their sorted ``keys`` (:func:`entry_keys`) and
+    int64 ``center`` column.
 
     Entry indices, DFS numbers, sizes and ports all fit 32 bits (the
     caller has checked n, 2m and E against the width rule), so every
@@ -312,17 +316,17 @@ def _tree_arrays(
     ``lp_data``, at the graph's :func:`light_port_dtype`.
     """
     n = np.int64(graph.n)
-    E = entry_keys.shape[0]
+    E = keys.shape[0]
     idx = np.int32
     parent_epos = np.full(E, -1, dtype=idx)
     hasp = ent_parent >= 0
     # Full clusters are contiguous with member[j] = j, so the parent's
     # entry is block_start + parent; only sparse clusters need a search.
-    full = (np.diff(cl_indptr)[ent_center] == graph.n) & hasp
-    parent_epos[full] = (cl_indptr[ent_center[full]] + ent_parent[full]).astype(idx)
+    full = (np.diff(cl_indptr)[center] == graph.n) & hasp
+    parent_epos[full] = (cl_indptr[center[full]] + ent_parent[full]).astype(idx)
     rest = hasp & ~full
     parent_epos[rest] = np.searchsorted(
-        entry_keys, ent_center[rest] * n + ent_parent[rest]
+        keys, center[rest] * n + ent_parent[rest]
     ).astype(idx)
 
     (depth,) = _path_sums([np.ones(E, dtype=idx) * hasp], parent_epos)
@@ -394,9 +398,9 @@ def _tree_arrays(
         # dfs is a permutation within each cluster block, so (tree, dfs)
         # order is one scatter — no sort.
         od = np.empty(E, dtype=idx)
-        od[cl_indptr[ent_center] + dfs] = np.arange(E, dtype=idx)
+        od[cl_indptr[center] + dfs] = np.arange(E, dtype=idx)
         od = od[light_depth[od] > 0]
-        tree_od = ent_center[od]
+        tree_od = center[od]
         ld_od = light_depth[od]
         light_od = is_light[od].astype(bool)
         dp_od = down_port[od]
@@ -435,13 +439,13 @@ def _tree_arrays(
 
 def _level_clusters(
     graph: Graph, centers: np.ndarray, thr: np.ndarray, level: int, kernel: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted ``(keys, dist)`` entries of one level's clusters, under a
-    ``build.clusters`` span naming the engine: ``"pruned"``, the frontier
-    sweep, or ``"full"``, scipy's rows.  The native sweep is faster than
-    scipy rows on every level, unbounded ones included; the numpy sweep
-    gives way to scipy rows on an unbounded level, where infinite
-    thresholds never prune."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(sizes, member, dist)`` of one level's sorted ``centers``,
+    under a ``build.clusters`` span naming the engine: ``"pruned"``, the
+    frontier sweep, or ``"full"``, scipy's rows.  The native sweep is
+    faster than scipy rows on every level, unbounded ones included; the
+    numpy sweep gives way to scipy rows on an unbounded level, where
+    infinite thresholds never prune."""
     full = kernel != "native" and bool(np.all(np.isinf(thr)))
     with TELEMETRY.span(
         "build.clusters",
@@ -477,9 +481,10 @@ def _grow_clusters(
     callable ``fill(dist, at)`` that writes the field of ``full[j]``
     into ``dist[at[j] : at[j] + n]``.  Every other center is swept level
     by level (:func:`_level_clusters`).  Each level's entries come out
-    center-major, so its blocks are copied to their ``cl_indptr``
-    offsets run by run, a run being the level's centers whose blocks
-    also lie side by side in the output; no merge sorts them.
+    center-major with their counts, so its blocks are copied to their
+    ``cl_indptr`` offsets run by run, a run being the level's centers
+    whose blocks also lie side by side in the output; no merge sorts
+    them, and no per-entry temporary is made.
     """
     n = graph.n
     full, fill = fields if fields is not None else (np.zeros(0, dtype=np.int64), None)
@@ -491,30 +496,27 @@ def _grow_clusters(
         level = swept[hierarchy.level_of[swept] == i]
         if level.shape[0] == 0:
             continue
-        keys, dist = _level_clusters(graph, level, hierarchy.dist[i + 1], i, kernel)
-        TELEMETRY.count("build.cluster_entries", int(keys.shape[0]))
-        # Every slice holds its own center, so each block starts at
-        # its center's key.
-        base = level * np.int64(n)
-        starts = np.searchsorted(keys, base)
-        counts[level] = np.diff(np.append(starts, keys.shape[0]))
-        levels.append((level, base, starts, keys, dist))
+        sizes, *swept_level = _level_clusters(graph, level, hierarchy.dist[i + 1], i, kernel)
+        TELEMETRY.count("build.cluster_entries", int(swept_level[0].shape[0]))
+        counts[level] = sizes
+        levels.append((level, *swept_level))
     cl_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=cl_indptr[1:])
     total = int(cl_indptr[-1])
     member = np.empty(total, dtype=np.int32)
     dist_out = np.empty(total, dtype=np.float64)
-    for level, base, starts, keys, dist in levels:
+    while levels:  # each level's output is dropped once it is placed
+        level, swept_member, swept_dist = levels.pop()
         lens = counts[level]
         at = cl_indptr[level]
         # A run starts where a block does not follow its predecessor's
-        # in the output; it ends where the next run starts in ``keys``.
+        # in the output; it ends where the next run starts in the
+        # level's own output, whose blocks lie back to back.
         first = np.flatnonzero(np.append(True, at[1:] != at[:-1] + lens[:-1]))
-        src = np.append(starts[first], keys.shape[0])
-        local = keys - np.repeat(base, lens)
+        src = np.append((np.cumsum(lens) - lens)[first], swept_member.shape[0])
         for lo, a, b in zip(at[first].tolist(), src[:-1].tolist(), src[1:].tolist()):
-            member[lo : lo + b - a] = local[a:b]
-            dist_out[lo : lo + b - a] = dist[a:b]
+            member[lo : lo + b - a] = swept_member[a:b]
+            dist_out[lo : lo + b - a] = swept_dist[a:b]
     if full.shape[0]:
         at = cl_indptr[full]
         vertices = np.arange(n, dtype=np.int32)
@@ -539,18 +541,17 @@ def _cluster_trees(
     Returns the :func:`_tree_arrays` columns plus ``ent_parent``.  The
     native kernel runs one linear C pass per cluster; numpy runs
     :func:`_level_parents` and :func:`_tree_arrays` on the keys
-    ``center * n + member`` derived here, the differential reference it
-    must match bit for bit.  The columns are narrowed to int32 here, so
-    a graph or entry set the width rule cannot hold is refused first.
+    :func:`entry_keys` forms here, the differential reference it must
+    match bit for bit.  The columns are narrowed to int32 here, so a
+    graph or entry set the width rule cannot hold is refused first.
     """
     check_index_sizes(graph.n, graph.adj.shape[0], member.shape[0])
     with TELEMETRY.span("kernel.tree_pass", impl=kernel, entries=int(member.shape[0])):
         if kernel == "native":
             return cluster_trees_native(graph, ported, cl_indptr, member, dist)
-        n = np.int64(graph.n)
+        keys = entry_keys(cl_indptr, member)
         center = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(cl_indptr))
-        keys = center * n + member
-        ent_parent = _level_parents(graph, keys, dist)
+        ent_parent = _level_parents(graph, center, member, dist)
         tree = _tree_arrays(graph, ported, keys, center, member, ent_parent, cl_indptr)
         tree["ent_parent"] = ent_parent
         return tree

@@ -43,13 +43,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import PreprocessingError, RoutingError
+from ..errors import RoutingError
 from ..graphs.graph import Graph
 from ..graphs.ports import PortedGraph
-from ..rng import RngLike, make_rng
+from ..rng import RngLike
 from ..trees.label_codec import TreeLabel, tree_label_bits
 from ..trees.tz_tree import decide_from_record
-from .landmarks import Hierarchy, build_hierarchy
+from .landmarks import Hierarchy
 from .labels import LabelEntry, TZLabel, label_size_bits
 from .router import RouteHeader, RoutingScheme
 from .tables import VertexTable
@@ -207,7 +207,7 @@ def build_tz_scheme(
     levels: Optional[Sequence[np.ndarray]] = None,
     consistent_pivots: bool = True,
     cluster_method: str = "auto",
-    builder: str = "reference",
+    builder: Optional[str] = "reference",
 ) -> TZRoutingScheme:
     """Preprocess ``graph`` into a :class:`TZRoutingScheme`.
 
@@ -229,36 +229,22 @@ def build_tz_scheme(
         :mod:`repro.core.build`, which produces a bit-identical scheme;
         ``cluster_method`` only applies to the per-node path.  Either
         way the scheme carries its array form, which the batch engine
-        compiles.
+        compiles.  ``None`` is ``"vectorized"``, as wherever construction
+        is selected (:func:`~repro.core.build.resolve_builder`).
+
+    The inputs resolve as :func:`~repro.core.build.build_arrays` resolves
+    them: a disconnected graph is refused, and the hierarchy comes from
+    ``levels`` or is sampled from ``rng``.
     """
-    from ..graphs.ports import assign_ports
+    from .build import _resolve_inputs, resolve_builder
     from .build.arrays import scheme_from_arrays
     from .build.reference import hierarchy_clusters, pack_clusters
     from .build.vectorized import vectorized_arrays
 
-    if builder not in ("reference", "vectorized"):
-        raise PreprocessingError(f"unknown builder {builder!r}")
-    if not graph.is_connected():
-        raise PreprocessingError(
-            "TZ routing requires a connected graph; take "
-            "graph.largest_component() first"
-        )
-    if ported is None:
-        ported = assign_ports(graph, "sorted")
-    gen = make_rng(rng)
-
-    if levels is not None:
-        from .landmarks import hierarchy_from_levels
-
-        hierarchy = hierarchy_from_levels(graph, levels, consistent=consistent_pivots)
-    else:
-        hierarchy = build_hierarchy(
-            graph,
-            k,
-            gen,
-            sampling=sampling,
-            consistent_pivots=consistent_pivots,
-        )
+    builder = resolve_builder(builder)
+    ported, hierarchy = _resolve_inputs(
+        graph, k, ported, rng, sampling, levels, consistent_pivots
+    )
 
     if builder == "vectorized":
         arrays = vectorized_arrays(graph, ported, hierarchy)

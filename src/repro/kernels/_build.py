@@ -113,7 +113,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.tz_frontier_sweep.argtypes = (
         [_I64, _PTR, _PTR]  # n, indptr, lim-sorted arcs
         + [_I64, _PTR, _PTR]  # center count, centers, thr
-        + [_PPTR, _PPTR, _PTR]  # out keys, out dist, stats
+        + [_PTR, _PPTR, _PPTR, _PTR]  # out sizes, out members, out dist, stats
     )
     lib.tz_multi_source.restype = _I64
     lib.tz_multi_source.argtypes = (
@@ -168,10 +168,10 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.tz_derive_entries.restype = _I64
     lib.tz_derive_entries.argtypes = (
         [_I64, _I64, _I64]  # n, entry range lo, hi
-        + [_PTR] * 4  # tree_indptr, members, ent records, lp_data (the last two or NULL)
+        + [_PTR] * 4  # tree_indptr, members, ent records, lp_data
         + [_I64, _I64]  # lp_data width, length
-        + [_PTR] * 8  # scratch order, out keys, centers, parents, dist,
-        #               lp_indptr, label bits (each or NULL), refused entry
+        + [_PTR] * 6  # scratch order, out parents, dist, lp_indptr,
+        #               label bits (each or NULL), refused entry
     )
     lib.tz_label_bits.restype = _I64
     lib.tz_label_bits.argtypes = (

@@ -5,9 +5,9 @@
  * weight-only patch runs on a dirty top-level tree in place of the
  * sweep (core/build/patch.py), the compile
  * pass that writes the entry records (sim/engine/compile.py), the
- * derive pass that makes the columns a container does not store and
- * every scheme's entry keys, and the label-bit pass over a built
- * scheme's light ports (core/build/arrays.py), the passes a patch
+ * derive pass that makes the columns a container does not store, and
+ * the label-bit pass over a built scheme's light ports
+ * (core/build/arrays.py), the passes a patch
  * makes over every entry: the splice (core/build/patch.py) and the
  * label positions of assemble_arrays (core/build/arrays.py), and the
  * setup path's two draw loops: gnp's edge skipping
@@ -26,9 +26,9 @@
  * layouts below.  Every per-entry integer column is int32 (the callers
  * refuse n, 2m or E >= 2^31 first); offsets into entry-sized columns
  * are int64.  An entry is named by its tree's slice of the entries
- * (tree_indptr, int64) and its int32 member, in every pass after the
- * frontier sweep; the sweep's own output keys (tree * n + member) and
- * the derive pass's are int64, formed in int64 arithmetic.  The light
+ * (tree_indptr, int64) and its int32 member in every pass, from the
+ * frontier sweep, which writes each center's entry count and members,
+ * to the route; no pass forms a key tree * n + member.  The light
  * ports lp_data are the one column of two widths: one byte a port while
  * every degree of the graph is at most 255, else int32
  * (light_port_dtype in core/build/arrays.py).
@@ -985,8 +985,9 @@ void tz_frontier_arcs(
     }
 }
 
-/* Thresholded shortest paths from every center; emits the same sorted
- * (center * n + vertex, distance) state the numpy sweep converges to.
+/* Thresholded shortest paths from every center; emits, per center, its
+ * entry count and its settled vertices ascending with their distances:
+ * the same (sizes, members, distances) the numpy sweep converges to.
  * Per center this runs FIFO label-correcting (SPFA) rather than a
  * heap: for positive weights any convergent relaxation schedule
  * reaches the same least fixpoint value-by-value under IEEE rounding,
@@ -998,11 +999,12 @@ void tz_frontier_arcs(
  * thresholded cluster levels that skips roughly two-thirds of the arc
  * volume.  Each call keeps its own per-vertex state, so threads may
  * sweep disjoint center ranges over one arc copy at once.
- * `centers` must be sorted ascending so the concatenated per-center
- * slices come out globally key-sorted.  Returns the pair count (the
- * caller copies out of *out_keys / *out_dist and frees both through
- * tz_free), or -1 on allocation failure.  stats[0] collects emitted
- * settles, stats[1] scanned-vertex arc degrees. */
+ * sizes[e] receives centers[e]'s entry count, so the concatenated
+ * slices are the level's tree slices in center order.  Vertex ids are
+ * written as int32 (the caller refuses n >= 2^31).  Returns the entry
+ * count (the caller copies out of *out_member / *out_dist and frees
+ * both through tz_free), or -1 on allocation failure.  stats[0]
+ * collects emitted settles, stats[1] scanned-vertex arc degrees. */
 /* All per-vertex sweep state on one cache line per vertex: the relax
  * loop's random accesses (threshold, epoch stamps, tentative distance)
  * then cost one line touch instead of four array touches. */
@@ -1020,7 +1022,8 @@ int64_t tz_frontier_sweep(
     int64_t ncenters,
     const int64_t *centers,
     const double *thr,
-    int64_t **out_keys,
+    int64_t *sizes,                  /* out (ncenters) entries per center */
+    int32_t **out_member,
     double **out_dist,
     int64_t *stats)
 {
@@ -1028,7 +1031,7 @@ int64_t tz_frontier_sweep(
     int64_t *sett = os_alloc((size_t)n * sizeof(int64_t)); /* per-center */
     int64_t *queue = os_alloc((size_t)(n + 1) * sizeof(int64_t));
     const int64_t qcap = n + 1; /* FIFO ring; a vertex queues at most once */
-    int64_t *keys = NULL;
+    int32_t *mout = NULL;
     double *dout = NULL;
     int64_t count = 0, out_cap = 0;
     int64_t settled = 0, relaxed = 0;
@@ -1074,34 +1077,33 @@ int64_t tz_frontier_sweep(
                 }
             }
         }
-        /* Emit this center's slice in vertex order (centers ascending
-         * makes the concatenation globally key-sorted).  Settled
-         * distances stay valid in vs[] until a later epoch reuses the
-         * vertex, so sort the bare ids and gather the distances. */
+        /* Emit this center's slice in vertex order.  Settled distances
+         * stay valid in vs[] until a later epoch reuses the vertex, so
+         * sort the bare ids and gather the distances. */
         sort_ids(sett, sett_len);
         if (count + sett_len > out_cap) {
             int64_t nc = out_cap ? out_cap * 2 : 4096;
             while (nc < count + sett_len)
                 nc *= 2;
-            int64_t *nk = os_grow(keys, (size_t)count * sizeof(int64_t),
-                                  (size_t)nc * sizeof(int64_t));
-            if (nk)
-                keys = nk;
+            int32_t *nm = os_grow(mout, (size_t)count * sizeof(int32_t),
+                                  (size_t)nc * sizeof(int32_t));
+            if (nm)
+                mout = nm;
             double *ndp = os_grow(dout, (size_t)count * sizeof(double),
                                   (size_t)nc * sizeof(double));
             if (ndp)
                 dout = ndp;
-            if (!nk || !ndp) {
+            if (!nm || !ndp) {
                 oom = 1;
                 break;
             }
             out_cap = nc;
         }
-        const int64_t base = w * n;
         for (int64_t i = 0; i < sett_len; i++) {
-            keys[count + i] = base + sett[i];
+            mout[count + i] = (int32_t)sett[i];
             dout[count + i] = vs[sett[i]].dist;
         }
+        sizes[e] = sett_len;
         count += sett_len;
         settled += sett_len;
     }
@@ -1109,11 +1111,11 @@ int64_t tz_frontier_sweep(
     os_free(sett);
     os_free(queue);
     if (oom) {
-        os_free(keys);
+        os_free(mout);
         os_free(dout);
         return -1;
     }
-    *out_keys = keys;
+    *out_member = mout;
     *out_dist = dout;
     if (stats) {
         stats[0] = settled;
@@ -2075,11 +2077,9 @@ int64_t tz_compile_records(
 #define DERIVE_LIGHT (-4)  /* light-port slices not back to back in lp_data */
 
 /* Derive, for entries [lo, hi) (cut where a tree of tree_indptr ends),
- * what a scheme container does not store, and any scheme's entry keys
- * and centers, each output NULL when not wanted:
+ * what a scheme container does not store, each output NULL when not
+ * wanted:
  *
- * - keys = tree * n + member and center = tree, the tree being the
- *   block of tree_indptr holding the entry;
  * - parent = the member of the parent link, -1 at the root (the SPT
  *   parent, since the links are the build's own);
  * - dist, top down in DFS order (a parent's DFS number is below its
@@ -2088,11 +2088,9 @@ int64_t tz_compile_records(
  * - lp_indptr = lp_off of each entry (the caller writes row E);
  * - label_bits, each entry's encoded tree-label bits (label_bits_of).
  *
- * Keys and centers read the members only: ent and lp_data may then be
- * NULL, and are read only for the outputs that need them.  The records
- * may come from an unverified map, so whatever is read through is
- * checked first, in this order per tree: members (for keys and parent),
- * DFS numbers and parent links (for dist and parent), light-port
+ * The records may come from an unverified map, so whatever is read
+ * through is checked first, in this order per tree: members (for
+ * parent), DFS numbers and parent links (for dist and parent), light-port
  * slices, each starting where the last ends and inside lp_data (for
  * lp_indptr and label_bits).  order is scratch of E int32 rows, written
  * only inside the range (NULL unless dist is wanted).  Returns 0 or a
@@ -2103,13 +2101,11 @@ int64_t tz_derive_entries(
     int64_t hi,
     const int64_t *tree_indptr,      /* (n+1) entry slice per tree */
     const int32_t *member,           /* (E) member per entry */
-    const ent_rec *ent,              /* (E) entry records, or NULL */
-    const void *lp_data,             /* (lp_len) light ports, or NULL */
+    const ent_rec *ent,              /* (E) entry records */
+    const void *lp_data,             /* (lp_len) light ports */
     int64_t lp_width,                /* bytes per light port: 1 or 4 */
     int64_t lp_len,
     int32_t *order,                  /* scratch (E), or NULL */
-    int64_t *keys,                   /* out (E), or NULL */
-    int32_t *center,                 /* out (E), or NULL */
     int32_t *parent,                 /* out (E), or NULL */
     double *dist,                    /* out (E), or NULL */
     int64_t *lp_indptr,              /* out (E+1), or NULL */
@@ -2126,16 +2122,11 @@ int64_t tz_derive_entries(
         next_off = (int64_t)ent[lo - 1].lp_off + ent[lo - 1].light_depth;
     for (int64_t c = block_of(n, tree_indptr, lo); c < n && tree_indptr[c] < hi; c++) {
         const int64_t a = tree_indptr[c], b = tree_indptr[c + 1], size = b - a;
-        for (int64_t e = a; e < b; e++) {
-            const int64_t v = member[e];
-            if ((keys || parent) && (v < 0 || v >= n)) {
+        for (int64_t e = a; parent && e < b; e++) {
+            if (member[e] < 0 || member[e] >= n) {
                 *bad = e;
                 return DERIVE_MEMBER;
             }
-            if (keys)
-                keys[e] = c * n + v;
-            if (center)
-                center[e] = (int32_t)c;
         }
         if (dist || parent) {
             for (int64_t e = a; e < b; e++) {

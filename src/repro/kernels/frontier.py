@@ -2,19 +2,20 @@
 
 ``tz_frontier_sweep`` runs a threshold-pruned FIFO label-correcting
 pass (SPFA-style, over adjacency pre-sorted by a conservative relax
-bound) per center on an epoch-stamped shared workspace and emits the
-same globally key-sorted ``(center * n + vertex, distance)`` state the
-numpy label-correcting sweep in ``core/build/vectorized.py`` converges
-to — bit-for-bit, since IEEE addition of the builder's positive weights
-is monotone, so every convergent relaxation schedule reaches the
-identical least fixpoint (``tests/test_kernels.py`` holds the resulting
-:class:`SchemeArrays` to bitwise equality).
+bound) per center on an epoch-stamped shared workspace and emits each
+center's entry count and its int32 members ascending with their
+distances, no key: the ``(sizes, member, dist)`` the numpy
+label-correcting sweep in ``core/build/vectorized.py`` converges to —
+bit-for-bit, since IEEE addition of the builder's positive weights is
+monotone, so every convergent relaxation schedule reaches the identical
+least fixpoint (``tests/test_kernels.py`` holds the triples and the
+resulting :class:`SchemeArrays` to bitwise equality).
 
 Both stages run on the worker pool (:mod:`repro.pool`): ``tz_frontier_arcs``
 fills the level's one lim-sorted arc copy by vertex ranges, then
 ``tz_frontier_sweep`` sweeps one contiguous range of the sorted centers
 per worker, each on its own per-vertex state, and the ranges' entries
-are copied out in center order, so the keys stay sorted.
+are copied out in center order.
 
 ``tz_repair_fields`` is the patch's alternative for a full (top-level)
 tree after a weight-only delta: it rewrites the tree's stored field
@@ -41,21 +42,25 @@ __all__ = ["frontier_sweep_native", "repair_fields_native"]
 
 def frontier_sweep_native(
     graph, centers: np.ndarray, thr: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cluster keys and distances of one hierarchy level, natively.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clusters of one hierarchy level, natively.
 
-    Drop-in replacement for ``vectorized._pruned_level``: returns the
-    sorted ``(keys, dist)`` entry state for ``centers`` under the strict
+    Drop-in replacement for ``vectorized._pruned_level``: the ``(sizes,
+    member, dist)`` of the sorted ``centers`` under the strict
     per-vertex thresholds ``thr``, swept in one center range per pool
     worker (:func:`repro.pool.size`); the entries do not depend on the
     ranges.  The work counters are summed and recorded on this thread.
+    Refuses (ValueError) ``n >= 2^31``, past the int32 members.
     """
     lib = _build.require()
     centers = np.sort(np.ascontiguousarray(centers, dtype=np.int64))
     count = int(centers.shape[0])
-    if count == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
     n = int(graph.n)
+    if n >= 2**31:
+        raise ValueError(f"n={n} does not fit the pass's 32-bit vertex ids")
+    sizes = np.zeros(count, dtype=np.int64)
+    if count == 0:
+        return sizes, np.zeros(0, dtype=np.int32), np.zeros(0)
     indptr = np.ascontiguousarray(graph.indptr, dtype=np.int64)
     adj = np.ascontiguousarray(graph.adj, dtype=np.int64)
     wts = np.ascontiguousarray(graph.adj_weights, dtype=np.float64)
@@ -73,7 +78,7 @@ def frontier_sweep_native(
     parts = min(count, workers)
 
     def sweep(lo: int, hi: int):
-        keys_ptr = ctypes.c_void_p()
+        member_ptr = ctypes.c_void_p()
         dist_ptr = ctypes.c_void_p()
         stats = np.zeros(2, dtype=np.int64)
         found = lib.tz_frontier_sweep(
@@ -83,28 +88,29 @@ def frontier_sweep_native(
             hi - lo,
             centers.ctypes.data + 8 * lo,
             thr.ctypes.data,
-            ctypes.byref(keys_ptr),
+            sizes.ctypes.data + 8 * lo,
+            ctypes.byref(member_ptr),
             ctypes.byref(dist_ptr),
             stats.ctypes.data,
         )
-        return int(found), keys_ptr, dist_ptr, stats
+        return int(found), member_ptr, dist_ptr, stats
 
     swept = pool.run(sweep, pool.even_ranges(count, parts))
     try:
         if any(found < 0 for found, *_ in swept):
             raise MemoryError("native frontier sweep ran out of memory")
         total = sum(found for found, *_ in swept)
-        keys = np.empty(total, dtype=np.int64)
+        member = np.empty(total, dtype=np.int32)
         dist = np.empty(total, dtype=np.float64)
         at = 0
-        for found, keys_ptr, dist_ptr, _ in swept:
+        for found, member_ptr, dist_ptr, _ in swept:
             if found:
-                ctypes.memmove(keys.ctypes.data + 8 * at, keys_ptr.value, found * 8)
+                ctypes.memmove(member.ctypes.data + 4 * at, member_ptr.value, found * 4)
                 ctypes.memmove(dist.ctypes.data + 8 * at, dist_ptr.value, found * 8)
             at += found
     finally:
-        for _, keys_ptr, dist_ptr, _ in swept:
-            for ptr in (keys_ptr, dist_ptr):
+        for _, member_ptr, dist_ptr, _ in swept:
+            for ptr in (member_ptr, dist_ptr):
                 if ptr.value:
                     lib.tz_free(ptr)
     tm = TELEMETRY
@@ -112,7 +118,7 @@ def frontier_sweep_native(
         settled, relaxed = np.sum([stats for *_, stats in swept], axis=0).tolist()
         tm.count("build.frontier_settled", settled)
         tm.count("build.relaxed_arcs", relaxed)
-    return keys, dist
+    return sizes, member, dist
 
 
 def repair_fields_native(

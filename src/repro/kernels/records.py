@@ -27,14 +27,14 @@ path raises too.
 member column and records it derives the columns a scheme container
 does not store, each entry's tree-label bits among them
 (:func:`derive_entries_native`; the numpy reference is
-``core/build/arrays.py::derive_entries_numpy``).  It is also where any
-scheme's entry keys and centers come from, on first read, which read the
-tree slices and members only.  Its input may be an unverified map, so it checks what it
-reads through and refuses with :data:`DERIVE_REFUSALS`.  A built or
-patched scheme, which holds its light-port CSR and no records, gets the
-same label bits from ``tz_label_bits`` (:func:`label_bits_native`).
+``core/build/arrays.py::derive_entries_numpy``).  Its input may be an
+unverified map, so it checks what it reads through and refuses with
+:data:`DERIVE_REFUSALS`.  A built or patched scheme, which holds its
+light-port CSR and no records, gets the same label bits from
+``tz_label_bits`` (:func:`label_bits_native`).  Neither pass forms a
+key ``tree * n + member``: an entry is its tree slice and member.
 
-Every entry column is int32 and every key int64 (the width rule of
+Every entry column is int32 and every offset int64 (the width rule of
 :data:`~repro.core.build.arrays.COLUMN_DTYPES`), and the light ports
 uint8 or int32 as the graph's degrees call for (the passes read them
 through ``port_at`` at ``lp_data.dtype.itemsize`` bytes a port);
@@ -217,19 +217,14 @@ DERIVE_REFUSALS = {
 #: Return codes of ``tz_derive_entries`` (``DERIVE_*`` in ``_native.c``).
 _DERIVE_CODES = {-1: "member", -2: "dfs", -3: "link", -4: "light"}
 
-#: What :func:`derive_entries_native` can derive, with each column's dtype.
+#: What :func:`derive_entries_native` can derive, with each column's
+#: dtype, in the kernel's argument order.
 DERIVABLE = {
-    "entry_keys": np.dtype(np.int64),
-    "ent_center": np.dtype(np.int32),
     "ent_parent": np.dtype(np.int32),
     "ent_dist": np.dtype(np.float64),
     "lp_indptr": np.dtype(np.int64),
     "label_bits": np.dtype(np.int32),
 }
-
-#: The :data:`DERIVABLE` columns read off the tree slices and members
-#: alone; every other one reads the records and light ports too.
-FROM_MEMBERS = ("entry_keys", "ent_center")
 
 
 def derive_refusal(what: str, entry: int) -> EncodingError:
@@ -240,16 +235,14 @@ def derive_refusal(what: str, entry: int) -> EncodingError:
 def derive_entries_native(
     tree_indptr: np.ndarray,
     member: np.ndarray,
-    ent: Optional[np.ndarray],
-    lp_data: Optional[np.ndarray],
+    ent: np.ndarray,
+    lp_data: np.ndarray,
     want: Tuple[str, ...],
 ) -> Dict[str, np.ndarray]:
     """The :data:`DERIVABLE` columns named in ``want``, from a scheme's
     tree slices (int64, ``n + 1`` offsets from 0 to ``E``, non-decreasing),
     its int32 member column, its ``ent`` records and its uint8 or int32
-    light ports, on the worker pool.  ``ent`` and ``lp_data`` are read only for
-    the columns not in :data:`FROM_MEMBERS`, and may be None when ``want``
-    holds none of those.
+    light ports, on the worker pool.
 
     Raises :class:`~repro.errors.EncodingError` (:func:`derive_refusal`)
     for records the derivation cannot read through, and ValueError for a
@@ -259,27 +252,23 @@ def derive_entries_native(
     member = _build.column(member, np.int32, "member")
     E = int(member.shape[0])
     tree_indptr, n = tree_slices(tree_indptr, E)
-    reads = any(name not in FROM_MEMBERS for name in want)
-    if reads:
-        lp_data = np.ascontiguousarray(lp_data)
-        width = _build.port_width(lp_data)
-        if ent is None or not (
-            ent.shape == (E,) and ent.dtype.itemsize == 64 and ent.flags.c_contiguous
-        ):
-            raise ValueError("ent must hold one contiguous record per member")
+    lp_data = np.ascontiguousarray(lp_data)
+    width = _build.port_width(lp_data)
+    if ent is None or not (
+        ent.shape == (E,) and ent.dtype.itemsize == 64 and ent.flags.c_contiguous
+    ):
+        raise ValueError("ent must hold one contiguous record per member")
     out = {name: np.empty(E + (name == "lp_indptr"), dtype=DERIVABLE[name]) for name in want}
     order = np.empty(E, dtype=np.int32) if "ent_dist" in out else None
     ranges = slice_ranges(tree_indptr, pool.size())
     bad = np.zeros(len(ranges), dtype=np.int64)
-    names = ("entry_keys", "ent_center", "ent_parent", "ent_dist", "lp_indptr", "label_bits")
 
     def task(lo: int, hi: int, j: int) -> int:
         return lib.tz_derive_entries(
-            n, lo, hi, tree_indptr.ctypes.data, member.ctypes.data,
-            ent.ctypes.data if reads else None, lp_data.ctypes.data if reads else None,
-            width if reads else 0, int(lp_data.shape[0]) if reads else 0,
+            n, lo, hi, tree_indptr.ctypes.data, member.ctypes.data, ent.ctypes.data,
+            lp_data.ctypes.data, width, int(lp_data.shape[0]),
             None if order is None else order.ctypes.data,
-            *(out[name].ctypes.data if name in out else None for name in names),
+            *(out[name].ctypes.data if name in out else None for name in DERIVABLE),
             bad[j:].ctypes.data,
         )
 

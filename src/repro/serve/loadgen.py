@@ -123,6 +123,11 @@ def zipf_traffic(
     return out
 
 
+#: The client-side error code of a request lost to its connection: the
+#: daemon closing it, a reset or a socket timeout.
+CONNECTION_ERROR = "connection"
+
+
 @dataclass
 class LoadgenReport:
     """Client-observed outcome of one load-generator run."""
@@ -221,8 +226,11 @@ def run_loadgen(
     round-robin).  The tenant size is discovered with a ``describe``
     request, all traffic is pre-generated from ``seed``, and only then
     does the clock start.  Each connection thread records one latency
-    sample per request; protocol-level failures (backpressure,
-    timeout, …) are counted per error code, never raised.
+    sample per answered request; failures (backpressure, timeout, …)
+    are counted per error code, never raised.  A round trip that fails
+    on its connection ends its schedule: it and every request of the
+    schedule not yet sent count under :data:`CONNECTION_ERROR`, so
+    answered plus errors is ``requests``.
     """
     with DaemonClient(host, port, timeout=timeout) as probe:
         desc = probe.request({"op": "describe", "scheme": scheme})
@@ -245,30 +253,32 @@ def run_loadgen(
     error_codes: Dict[str, int] = {}
     totals = {"pairs": 0, "delivered": 0, "errors": 0}
 
+    def count_errors(code: str, count: int) -> None:  # under the lock
+        totals["errors"] += count
+        error_codes[code] = error_codes.get(code, 0) + count
+
     def drive(schedule: List[np.ndarray]) -> None:
-        with DaemonClient(host, port, timeout=timeout) as client:
-            for matrix in schedule:
-                request = {
-                    "op": "route",
-                    "scheme": scheme,
-                    "pairs": matrix,
-                    "ttl": ttl,
-                }
-                t0 = perf_counter()
-                response = client.request(request)
-                elapsed = perf_counter() - t0
-                ok = bool(response.get("ok"))
-                delivered = delivered_from_wire(response["result"]) if ok else 0
-                with lock:
-                    latencies.append(elapsed)
-                    if ok:
-                        totals["pairs"] += int(matrix.shape[0])
-                        totals["delivered"] += delivered
-                        versions.append(response.get("version"))
-                    else:
-                        totals["errors"] += 1
-                        code = str(response.get("error"))
-                        error_codes[code] = error_codes.get(code, 0) + 1
+        done = 0  # the requests answered before the one in flight
+        try:
+            with DaemonClient(host, port, timeout=timeout) as client:
+                for done, matrix in enumerate(schedule):
+                    request = {"op": "route", "scheme": scheme, "pairs": matrix, "ttl": ttl}
+                    t0 = perf_counter()
+                    response = client.request(request)
+                    elapsed = perf_counter() - t0
+                    ok = bool(response.get("ok"))
+                    delivered = delivered_from_wire(response["result"]) if ok else 0
+                    with lock:
+                        latencies.append(elapsed)
+                        if ok:
+                            totals["pairs"] += int(matrix.shape[0])
+                            totals["delivered"] += delivered
+                            versions.append(response.get("version"))
+                        else:
+                            count_errors(str(response.get("error")), 1)
+        except (OSError, ProtocolError):
+            with lock:
+                count_errors(CONNECTION_ERROR, len(schedule) - done)
 
     threads = [
         threading.Thread(target=drive, args=(schedule,), daemon=True)

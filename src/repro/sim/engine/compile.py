@@ -28,7 +28,7 @@ Entries are sorted by ``w * n + u``: tree ``w``'s slice holds its
 members ascending.  So the membership test behind both the 4k−5 commit
 strategy and the §4 handshake alternation is a binary search of one
 tree's slice of the member column (the native kernels) or a vectorized
-``searchsorted`` over the int64 keys derived on first read (numpy).
+``searchsorted`` over the int64 keys formed on first read (numpy).
 
 One record layout from compile to kernel: :func:`_resolve_columns`
 writes the ``ent`` and ``step`` records once, the numpy reference reads
@@ -44,7 +44,7 @@ holds the neighbor as its member, else by searching that slice — a hint
 is checked, never trusted.  The pass writes the records and nothing
 else.  The numpy :func:`_resolve_ports` + :func:`_link_entries` stay the
 byte-for-byte reference (two global ``searchsorted`` calls over keys
-derived there, hints unread).  Both refuse, with
+formed there, hints unread).  Both refuse, with
 :class:`~repro.errors.EncodingError`, what they would resolve wrongly:
 a member outside ``[0, n)``, members not strictly ascending in their
 tree slice, a port outside its member's row, or a light-port slice
@@ -64,9 +64,9 @@ refuses any other).  The three others (:data:`DERIVED`: the two record
 columns and the graph's row index) are computed here.  What is an
 exact function of all these (:data:`COMPILED_DERIVED`: the int64 keys,
 the light-port offsets, the label bits) is no column: a compile keeps
-the offsets it was given, and derives the keys and label bits on first
-read, as a loaded scheme derives all three; the native route reads none
-of them.  A compile records which array objects
+the offsets it was given, and forms the keys and derives the label bits
+on first read, as a loaded scheme does all three; the native route
+reads none of them.  A compile records which array objects
 it wrote into the records (:attr:`CompiledScheme.written_from`), so a
 save of those arrays need not compare the records with them.  Every TZ
 scheme carries its arrays, so :func:`compile_scheme` is
@@ -87,6 +87,7 @@ from ...core.build.arrays import (
     COLUMN_DTYPES,
     check_index_sizes,
     derive_entries,
+    entry_keys,
     light_port_dtype,
 )
 from ...core.landmarks import level0_sources
@@ -172,19 +173,17 @@ def _resolve_ports(
     return nxt, wt, edge
 
 
-def _link_entries(
-    entry_keys: np.ndarray, ent_vertex: np.ndarray, nxt: np.ndarray
-) -> np.ndarray:
-    """Entry index of each resolved neighbor in the same tree: ``-1`` for
-    no transition, ``-2`` when the neighbor has no record there (only
-    possible under a foreign port assignment)."""
+def _link_entries(keys: np.ndarray, ent_vertex: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Entry index of each resolved neighbor in the same tree, by its key:
+    ``-1`` for no transition, ``-2`` when the neighbor has no record
+    there (only possible under a foreign port assignment)."""
     link = np.full(nxt.shape[0], -1, dtype=np.int32)
     have = nxt >= 0
-    if have.any() and entry_keys.size:
+    if have.any() and keys.size:
         # tree * n + neighbor, from the entry's own int64 key tree * n + vertex
-        keys = entry_keys[have] - ent_vertex[have] + nxt[have]
-        pos = np.minimum(np.searchsorted(entry_keys, keys), entry_keys.shape[0] - 1)
-        found = entry_keys[pos] == keys
+        want = keys[have] - ent_vertex[have] + nxt[have]
+        pos = np.minimum(np.searchsorted(keys, want), keys.shape[0] - 1)
+        found = keys[pos] == want
         link[have] = np.where(found, pos, -2)
     elif have.any():
         link[have] = -2
@@ -261,10 +260,10 @@ def _ent_records(
     and tries ``links`` (the build's own parent and heavy entry links and
     SPT parents, or None) before searching the tree's slice; numpy runs
     :func:`_resolve_ports` and :func:`_link_entries` over the keys
-    ``tree * n + member`` it derives, the differential reference it must
-    match byte for byte, and reads ``links`` only to count against them.
-    Both refuse the same malformed entries (:func:`_check_entries`), each
-    naming the first fault it meets.
+    :func:`~repro.core.build.arrays.entry_keys` forms, the differential
+    reference it must match byte for byte, and reads ``links`` only to
+    count against them.  Both refuse the same malformed entries
+    (:func:`_check_entries`), each naming the first fault it meets.
     ``rejected``, when given, is a one-element int64 column that
     receives the count of entries whose parent link, heavy link or
     parent neighbor differs from its hint (every entry without hints),
@@ -283,8 +282,7 @@ def _ent_records(
         if g_indptr.shape != (n + 1,):
             raise ValueError("g_indptr must hold one row per tree, plus one")
         _check_entries(tree_indptr, record, ports, g_indptr, lp_indptr, lp_data.shape[0])
-        keys = np.repeat(np.arange(n, dtype=np.int64) * np.int64(n), np.diff(tree_indptr))
-        keys += vertex
+        keys = entry_keys(tree_indptr, vertex)
         for name in RECORD_FIELDS:
             ent[name] = record[name]
         neighbor = {}
@@ -348,15 +346,19 @@ class CompiledScheme:
         _check_columns(self)
 
     def __getattr__(self, name: str):
-        """A :data:`COMPILED_DERIVED` column, derived from the fields the
-        first time it is read and kept as an instance attribute
-        (:func:`~repro.core.build.arrays.derive_entries`)."""
+        """A :data:`COMPILED_DERIVED` column, made from the fields the
+        first time it is read and kept as an instance attribute: the keys
+        by :func:`~repro.core.build.arrays.entry_keys`, the others by
+        :func:`~repro.core.build.arrays.derive_entries`."""
         if name not in COMPILED_DERIVED:
             raise AttributeError(name)
-        want = {"ent_label_bits": "label_bits"}.get(name, name)
-        value = derive_entries(
-            self.tree_indptr, self.ent_member, self.ent, self.lp_data, (want,)
-        )[want]
+        if name == "entry_keys":
+            value = entry_keys(self.tree_indptr, self.ent_member)
+        else:
+            want = {"ent_label_bits": "label_bits"}.get(name, name)
+            value = derive_entries(
+                self.tree_indptr, self.ent_member, self.ent, self.lp_data, (want,)
+            )[want]
         self.__dict__[name] = value
         return value
 
@@ -486,9 +488,9 @@ COLUMNS = tuple(
 )
 
 #: The :class:`CompiledScheme` columns derived from the others on first
-#: read, never stored: the int64 entry keys ``tree * n + member``, the
-#: light-port CSR offsets (the records' ``lp_off`` plus the end) and the
-#: per-entry tree-label bits.
+#: read, never stored: the int64 entry keys ``tree * n + member`` (the
+#: numpy router's), the light-port CSR offsets (the records' ``lp_off``
+#: plus the end) and the per-entry tree-label bits.
 COMPILED_DERIVED = ("entry_keys", "lp_indptr", "ent_label_bits")
 
 #: The five :class:`CompiledScheme` columns that *are*

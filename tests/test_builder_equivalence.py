@@ -245,7 +245,7 @@ class TestConstructionInvariants:
         np.cumsum(arrays.bunch_sizes(), out=indptr[1:])
         members_of_bunches = np.repeat(np.arange(g.n), arrays.bunch_sizes())
         assert np.array_equal(members_of_bunches, arrays.ent_member[by_member])
-        centers = arrays.ent_center[by_member]
+        centers = arrays.entry_centers()[by_member]
         dists = arrays.ent_dist[by_member]
         # Every bunch against the set definition via dict-world bunches.
         from repro.core.clusters import bunches as bunches_dict
@@ -274,7 +274,8 @@ class TestConstructionInvariants:
         rest = arrays.ent_parent >= 0
         pe = arrays.ent_parent_epos[rest]
         assert np.array_equal(arrays.ent_member[pe], arrays.ent_parent[rest])
-        assert np.array_equal(arrays.ent_center[pe], arrays.ent_center[rest])
+        center = arrays.entry_centers()
+        assert np.array_equal(center[pe], center[rest])
         assert np.all(arrays.ent_dist[pe] < arrays.ent_dist[rest])
         # Tree edges are graph edges with consistent weights.
         from repro.core.build.arrays import port_lookup

@@ -1,10 +1,11 @@
 """A scheme container stores each fact once: every column it drops is
 derived, bit for bit.
 
-A scheme container stores neither the int64 keys, the centers, the
-distances, the SPT parents, the light-port offsets nor the label bits
-(:data:`~repro.core.build.arrays.DERIVED_COLUMNS` and
-:data:`~repro.sim.engine.compile.COMPILED_DERIVED`).  Over the
+A scheme container stores neither the distances, the SPT parents, the
+light-port offsets nor the label bits, and no scheme has a key or
+center column (:data:`~repro.core.build.arrays.DERIVED_COLUMNS` and
+:data:`~repro.sim.engine.compile.COMPILED_DERIVED`, whose int64 keys
+the numpy router alone reads).  Over the
 reference families × k ∈ 1..4 × {sorted, random} ports, on a fresh build
 and along a 10-epoch patch chain, each published version is loaded back
 and must give, on both kernels:
@@ -17,7 +18,9 @@ and must give, on both kernels:
 * route columns, ``max_header_bits`` included, equal to the fresh
   compile's, on both routers.
 
-The derive pass refuses records it cannot read through, on both kernels.
+The derive pass refuses records it cannot read through, on both kernels,
+and a loaded compile refuses to form the key of a member outside
+``[0, n)``.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ def _loaded(tmp_path):
 @needs_native
 def test_both_derive_kernels_agree_and_refuse_alike(tmp_path):
     arrays, indptr, member, ent, lp_data = _loaded(tmp_path)
-    every = ("entry_keys", "ent_center", "ent_parent", "ent_dist", "lp_indptr", "label_bits")
+    every = ("ent_parent", "ent_dist", "lp_indptr", "label_bits")
     want = derive_entries_numpy(indptr, member, ent, lp_data, every)
     got = derive_entries_native(indptr, member, ent, lp_data, every)
     for name in every:
@@ -184,7 +187,7 @@ def test_both_derive_kernels_agree_and_refuse_alike(tmp_path):
     E = ent.shape[0]
     e = E // 2
     faults = {
-        "its member lies outside": ("entry_keys", lambda m, r: m.__setitem__(e, -3)),
+        "its member lies outside": ("ent_parent", lambda m, r: m.__setitem__(e, -3)),
         "its parent link lies outside its tree": (
             "ent_dist", lambda m, r: r["parent_epos"].__setitem__(e, E + 5)),
         "its DFS number": ("ent_dist", lambda m, r: r["f"].__setitem__(e, 10**6)),
@@ -196,6 +199,22 @@ def test_both_derive_kernels_agree_and_refuse_alike(tmp_path):
         for derive_on in (derive_entries_numpy, derive_entries_native):
             with pytest.raises(EncodingError, match=message):
                 derive_on(indptr, m, r, lp_data, (name,))
+
+
+@needs_native
+def test_a_loaded_compile_refuses_the_key_of_a_member_out_of_range(tmp_path):
+    """The numpy router's keys of a loaded compile whose member column
+    is damaged: the keys helper refuses, as the derive pass does."""
+    graph = reference_graph("gnp", 120, 3).largest_component()
+    ported = assign_ports(graph, "random", rng=3)
+    arrays = build_arrays(graph, 3, ported=ported, rng=3)
+    store = SchemeStore(tmp_path)
+    cs = store.load(store.save(graph, ported, arrays, seed=3)).compiled
+    member = cs.ent_member.copy()
+    member[member.shape[0] // 2] = graph.n
+    damaged = dataclasses.replace(cs, ent_member=member)
+    with pytest.raises(EncodingError, match="its member lies outside"):
+        damaged.entry_keys
 
 
 @needs_native

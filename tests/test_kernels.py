@@ -56,6 +56,7 @@ from repro.core.build import SchemeArrays, build_arrays, build_scheme, patch_arr
 from repro.core.build.arrays import COLUMN_DTYPES, light_port_dtype, scheme_from_arrays
 from repro.core.build.vectorized import (
     _cluster_trees,
+    _full_level,
     _grow_clusters,
     _pruned_level,
     vectorized_arrays,
@@ -940,9 +941,10 @@ class TestCompileDifferential:
         arrays = build_arrays(graph, 3, ported=ported, rng=3)
         want = compile_on("numpy", lambda: compile_from_arrays(arrays, ported))
         E = arrays.entry_count
-        lo = arrays.cl_indptr[arrays.ent_center]
-        size = np.diff(arrays.cl_indptr)[arrays.ent_center]
-        other_tree = arrays.cl_indptr[(arrays.ent_center + 1) % arrays.n]
+        center = arrays.entry_centers()
+        lo = arrays.cl_indptr[center]
+        size = np.diff(arrays.cl_indptr)[center]
+        other_tree = arrays.cl_indptr[(center + 1) % arrays.n]
         poisons = {
             # another entry of the same tree: the next one, cyclically
             "same tree": lambda h: np.where(h >= 0, lo + (h - lo + 1) % size, h),
@@ -1160,6 +1162,13 @@ class TestPoolRanges:
                 for a, b in zip(want, got):
                     assert a.dtype == b.dtype and np.array_equal(a, b), (
                         f"level {i} sweep in {parts} ranges {context}"
+                    )
+            if np.all(np.isinf(thr)):  # the unbounded level: scipy's rows too
+                got = _full_level(graph, centers, thr)
+                assert len(got) == len(want) == 3, context
+                for a, b in zip(want, got):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (
+                        f"level {i} full rows {context}"
                     )
         everyone = np.arange(graph.n, dtype=np.int64)
         slices = _grow_clusters(graph, hierarchy, everyone, "numpy")

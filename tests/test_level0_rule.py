@@ -40,7 +40,7 @@ EPOCHS = 10
 def _defined_members(arrays) -> np.ndarray:
     """The entries ``(u, v)`` with ``v ∈ C_0(u)``, by the definition."""
     d1 = arrays.hierarchy.dist[1] if arrays.k >= 2 else np.full(arrays.n, np.inf)
-    member, center = arrays.ent_member, arrays.ent_center
+    member, center = arrays.ent_member, arrays.entry_centers()
     return (member == center) | (arrays.ent_dist < d1[member])
 
 

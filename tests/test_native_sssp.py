@@ -337,7 +337,7 @@ import sys, tempfile
 import numpy as np
 from repro.analysis.experiments import reference_graph
 from repro.core.build import build_arrays, patch_arrays
-from repro.core.build.patch import _moves_hierarchy
+from repro.core.build.patch import _moves_hierarchy, _weight_updates
 from repro.graphs.ports import assign_ports
 from repro.kernels import resolve_kernel
 from repro.rng import derive
@@ -358,7 +358,7 @@ for epoch in range(64):
     delta = random_delta(
         graph, derive(1, "delta", epoch), weight_updates=2, edge_adds=0, edge_drops=0
     )
-    if _moves_hierarchy(arrays.hierarchy, graph, delta):
+    if _moves_hierarchy(arrays.hierarchy, _weight_updates(graph, delta)):
         break
 patched = patch_arrays(arrays, graph, delta, ported=ported)
 assert patched.arrays.hierarchy is not arrays.hierarchy, "the hierarchy did not move"

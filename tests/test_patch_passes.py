@@ -22,14 +22,16 @@ reference byte for byte:
    stored one when no updated edge can move a landmark field;
 5. **the save check**: a save of the arrays a compile was written from
    compares no entry-length column, and any other compile still is;
-6. **no keys are carried**: a churn epoch from build to route leaves no
-   scheme holding the int64 entry keys or the centers, and no compile
-   the keys.
+6. **no keys are carried**: a churn epoch from build to route, a load
+   of the published patch and the table bits included, never forms an
+   int64 entry key, leaves no scheme with a key or center attribute,
+   and no compile holding the keys.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -39,7 +41,8 @@ from repro import pool
 from repro.analysis.experiments import reference_graph
 from repro.core.build import SchemeArrays, build_arrays, patch_arrays
 from repro.core.build import patch as patch_mod
-from repro.core.build.arrays import assemble_arrays
+from repro.core.build import arrays as arrays_mod
+from repro.core.build.arrays import assemble_arrays, entry_keys
 from repro.core.landmarks import hierarchy_from_levels
 from repro.errors import EncodingError, GraphError, PreprocessingError
 from repro.graphs.delta import GraphDelta
@@ -227,7 +230,7 @@ def test_missing_label_entry_names_its_level(veto_native):
     h = arrays.hierarchy
     pivot = h.pivot.copy()
     v = int(np.flatnonzero(h.level_of == 0)[0])
-    keys = set(arrays.entry_keys.tolist())
+    keys = set(entry_keys(arrays.cl_indptr, arrays.ent_member).tolist())
     pivot[2, v] = next(w for w in range(graph.n) if w * graph.n + v not in keys)
     bad = dataclasses.replace(h, pivot=pivot)
     for run in (veto_native, lambda fn: fn()):
@@ -444,14 +447,25 @@ def test_save_compares_a_compile_of_other_column_objects(stored):
 # 6. No keys are carried
 # ----------------------------------------------------------------------
 @needs_native
-def test_a_churn_epoch_carries_no_entry_keys(tmp_path):
-    """Build, compile, publish, patch, compile, publish the patch and
-    route through the lineage's pointer: every pass names an entry by
-    its tree slice and member, so no scheme comes to hold the int64 keys
-    or the centers, and no compile the keys."""
+def test_a_churn_epoch_carries_no_entry_keys(tmp_path, monkeypatch):
+    """Build, count the table bits, compile, publish, patch, compile,
+    publish the patch, load it and route through the lineage's pointer:
+    every pass names an entry by its tree slice and member, so the keys
+    helper is never called, no scheme has a key or center attribute at
+    all, and no compile comes to hold the keys."""
+
+    def no_keys(*_args):
+        raise AssertionError("an int64 entry key was formed on the native path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and getattr(module, "entry_keys", None) is (
+            arrays_mod.entry_keys
+        ):
+            monkeypatch.setattr(module, "entry_keys", no_keys)
     graph = family_from_seed(8, "gnp", n=80)
     ported = assign_ports(graph, "random", rng=8)
     arrays = build_arrays(graph, 3, ported=ported, rng=8)
+    assert arrays.table_bits(int(graph.degrees().max())).shape == (graph.n,)
     compiled = compile_from_arrays(arrays, ported)
     store = SchemeStore(tmp_path)
     lineage = store.publish(graph, ported, arrays, seed=8, compiled=compiled)
@@ -460,24 +474,27 @@ def test_a_churn_epoch_carries_no_entry_keys(tmp_path):
     )
     patched = patch_arrays(arrays, graph, delta, ported=ported)
     recompiled = compile_from_arrays(patched.arrays, patched.ported)
-    store.publish_patch(
+    key = store.publish_patch(
         lineage, patched.graph, patched.ported, patched.arrays, delta=delta, seed=8,
         compiled=recompiled,
     )
+    loaded = store.load(key)
+    max_port = int(patched.graph.degrees().max())
+    assert np.array_equal(loaded.arrays.table_bits(max_port), patched.arrays.table_bits(max_port))
     service = RouteService(store.pointer_path(lineage))
     ids = np.arange(0, patched.graph.n, 3)
     assert service.route(np.stack([ids, ids[::-1]], axis=1)).delivered.all()
-    for scheme in (arrays, patched.arrays):
-        assert not {"entry_keys", "ent_center"} & set(vars(scheme))
-    for each in (compiled, recompiled, service.compiled):
+    for scheme in (arrays, patched.arrays, loaded.arrays):
+        assert not hasattr(scheme, "entry_keys") and not hasattr(scheme, "ent_center")
+    for each in (compiled, recompiled, service.compiled, loaded.compiled):
         assert "entry_keys" not in vars(each)
 
 
 def test_table_bits_leaves_no_keys_or_centers(veto_native):
     """The table-bit count reads each entry's center from a column made
     for the call: neither the keys nor the centers stay on the scheme,
-    built or loaded, on either kernel, and the bits are the ones the
-    derived centers give."""
+    built or loaded, on either kernel, and a second count gives the
+    same bits."""
     graph = family_from_seed(9, "gnp", n=80)
     ported = assign_ports(graph, "random", rng=9)
     for run in (lambda f: f(), veto_native):
@@ -486,6 +503,5 @@ def test_table_bits_leaves_no_keys_or_centers(veto_native):
         bits = run(lambda: arrays.table_bits(max_port))
         mask = arrays.level0_entries()
         assert not {"entry_keys", "ent_center"} & set(vars(arrays))
-        assert np.array_equal(arrays.entry_centers(), arrays.ent_center)
-        assert np.array_equal(mask, arrays.level0_entries(arrays.ent_center))
+        assert np.array_equal(mask, arrays.level0_entries(arrays.entry_centers()))
         assert np.array_equal(bits, arrays.table_bits(max_port))

@@ -54,7 +54,7 @@ KINDS = ("raise-tight", "raise", "lower", "tie", "at-center", "hub")
 # ----------------------------------------------------------------------
 def sweep(graph, centers):
     """Every center's full field on ``graph``, one row per center."""
-    _, dist = frontier_sweep_native(graph, centers, np.full(graph.n, np.inf))
+    _, _, dist = frontier_sweep_native(graph, centers, np.full(graph.n, np.inf))
     return dist.reshape(centers.shape[0], graph.n)
 
 

@@ -27,6 +27,7 @@ import os
 import platform
 import signal
 import socket
+import socketserver
 import struct
 import subprocess
 import sys
@@ -59,7 +60,9 @@ from repro.serve.protocol import (
     decode_payload,
     delivered_from_wire,
     error_response,
+    read_frame,
     route_answer_bytes,
+    write_frame,
 )
 from repro.sim.engine.batch import BatchResult, BatchRouter
 from repro.sim.engine.compile import compile_from_arrays
@@ -999,6 +1002,32 @@ class TestLoadgen:
             host, port = rd.address
             with pytest.raises(ProtocolError):
                 run_loadgen(host, port, requests=2)  # describe fails
+
+    def test_a_dropped_connection_counts_every_request_it_loses(self):
+        """A stub that answers ``describe`` and then closes each
+        connection: every route request is counted as a ``connection``
+        error, the one in flight and those never sent, none dropped."""
+
+        class HangUp(socketserver.BaseRequestHandler):
+            def handle(self):
+                request = read_frame(self.request)
+                if request is not None and request.get("op") == "describe":
+                    write_frame(self.request, {"ok": True, "n": 50})
+
+        with socketserver.ThreadingTCPServer(("127.0.0.1", 0), HangUp) as server:
+            server.daemon_threads = True
+            serving = threading.Thread(target=server.serve_forever, daemon=True)
+            serving.start()
+            try:
+                host, port = server.server_address
+                report = run_loadgen(
+                    host, port, connections=2, requests=6, batch=8, timeout=10
+                )
+            finally:
+                server.shutdown()
+        assert report.errors == 6
+        assert report.error_codes == {"connection": 6}
+        assert report.total_pairs == 0 and report.latencies.size == 0
 
 
 # ---------------------------------------------------------------------------
